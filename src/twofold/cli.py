@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -28,6 +29,10 @@ from .transform import TransformDomainError, transform_check
 _POLICIES = {"stay": STAY_SLIDING, "eject-plus": EJECT_PLUS,
              "eject-minus": EJECT_MINUS}
 
+# work caps of the grid commands; both admit a 501 x 501 grid of cells
+SLIDE_MAP_MAX_GRID = 501
+SWEEP_MAX_CELLS = SLIDE_MAP_MAX_GRID ** 2
+
 
 def _add_system_args(sp):
     src = sp.add_argument_group("system source")
@@ -35,30 +40,38 @@ def _add_system_args(sp):
     src.add_argument("--config", metavar="PATH", help="JSON system configuration")
     src.add_argument("--a1", type=int, choices=(-1, 1))
     src.add_argument("--a2", type=int, choices=(-1, 1))
-    src.add_argument("--b1", type=float)
-    src.add_argument("--b2", type=float)
-    src.add_argument("--alpha", type=float)
+    src.add_argument("--b1", type=_finite)
+    src.add_argument("--b2", type=_finite)
+    src.add_argument("--alpha", type=_finite)
 
 
 def _add_run_args(sp):
-    sp.add_argument("--epsilon", type=float, help="smoothing/timescale parameter")
-    sp.add_argument("--t-end", type=float, dest="t_end")
+    sp.add_argument("--epsilon", type=_finite, help="smoothing/timescale parameter")
+    sp.add_argument("--t-end", type=_finite, dest="t_end")
     sp.add_argument("--x0", type=_triple, help="initial state, three comma-separated numbers")
     sp.add_argument("--sigmoid", choices=("tanh", "sqrt"))
     sp.add_argument("--policy", choices=tuple(_POLICIES))
-    sp.add_argument("--rel-tol", type=float, dest="rel_tol")
-    sp.add_argument("--abs-tol", type=float, dest="abs_tol")
-    sp.add_argument("--min-step", type=float, dest="min_step")
+    sp.add_argument("--rel-tol", type=_finite, dest="rel_tol")
+    sp.add_argument("--abs-tol", type=_finite, dest="abs_tol")
+    sp.add_argument("--min-step", type=_finite, dest="min_step")
+
+
+def _finite(text: str) -> float:
+    """argparse type for a finite float; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _triple(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return tuple(_finite(p) for p in parts)
 
 
 def _resolve_scenario(args, parser) -> Scenario:
@@ -174,8 +187,9 @@ def _cmd_slide_map(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
     lo, hi = args.range
     n = args.grid
-    if n < 2 or hi <= lo:
-        parser.error("need --grid >= 2 and a nonempty --range lo,hi")
+    if not 2 <= n <= SLIDE_MAP_MAX_GRID or not 0.0 < hi - lo < math.inf:
+        parser.error(f"need 2 <= --grid <= {SLIDE_MAP_MAX_GRID} and a nonempty, "
+                     "finite --range lo,hi")
     sys_ = sc.system
     cells = []
     rows = []
@@ -304,6 +318,10 @@ def _cmd_sweep(args, parser) -> int:
     step = args.b_step
     if step <= 0 or hi < lo:
         parser.error("need --b-step > 0 and --b-range lo,hi with lo <= hi")
+    per_axis = (hi - lo) / step + 1.0
+    if per_axis * per_axis > SWEEP_MAX_CELLS:
+        parser.error(f"sweep grid exceeds {SWEEP_MAX_CELLS} cells; raise --b-step "
+                     "or narrow --b-range")
     n = int(round((hi - lo) / step)) + 1
     rows = []
     for i in range(n):
@@ -405,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="grid over (b1, b2) at fixed a1, a2, alpha")
     _add_system_args(sp)
     sp.add_argument("--b-range", type=_pair, default=(-6.0, 6.0), metavar="LO,HI")
-    sp.add_argument("--b-step", type=float, default=0.1)
+    sp.add_argument("--b-step", type=_finite, default=0.1)
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--seed", type=int, metavar="U64")
     sp.set_defaults(fn=_cmd_sweep)
@@ -422,7 +440,7 @@ def _pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated numbers")
-    return (float(parts[0]), float(parts[1]))
+    return (_finite(parts[0]), _finite(parts[1]))
 
 
 def main(argv=None) -> int:

@@ -773,7 +773,7 @@ class _FilippovRun:
                 scalars = [lambda v: 1.0 - lam_of(v), lambda v: lam_of(v) + 1.0,
                            disc_of, lambda v: max(abs(v[0]), abs(v[1])) - TWO_FOLD_TOL]
                 t_star, w_star = _bisect_event(seg, scalars[fired])
-                return self._slide_event(fired, t_star, w_star, sigma)
+                return self._slide_event(fired, t_star, w_star, sigma, stalled=t_star <= t)
             lam = lam_of(w)
             self._record(seg[3], (0.0, w[0], w[1]), (0.0, seg[5][0], seg[5][1]),
                          SLIDING, lam)
@@ -788,7 +788,7 @@ class _FilippovRun:
             return ("flow", eject_side)
         return None
 
-    def _slide_event(self, which, t_star, w_star, sigma):
+    def _slide_event(self, which, t_star, w_star, sigma, stalled=False):
         sys = self.sys
         st = (0.0, w_star[0], w_star[1])
         lam = _branch_lambda(sys, sigma, w_star[0], w_star[1])
@@ -808,13 +808,23 @@ class _FilippovRun:
             self._record_event_sample(t_star, st, side, f_slide)
             return ("flow", side)
         side = 1 if which == 0 else -1
-        if _lifts_off(sys, st, side):
-            self.traj.add_event(t_star, SLIDE_EXIT, st)
-            self._record_event_sample(t_star, st, side, f_slide)
-            return ("flow", side)
-        # the boundary root grazes lam = +-1 and returns: keep sliding
-        self._record(t_star, st, f_slide, SLIDING, lam, f_slide)
-        return ("slide", sigma, None, 0)
+        if not _lifts_off(sys, st, side):
+            # the branch left [-1, 1] by this step's end: the orbit crosses
+            # over if the other side's field points away from the surface
+            side = -side
+            if side * sys.f1_surface(st[1], st[2], float(side)) <= DECISION_TOL:
+                if stalled:
+                    # sliding on would restart at the same time forever
+                    self.traj.add_event(t_star, STEP_FLOOR, st)
+                    self.traj.meta["aborted"] = STEP_FLOOR
+                    self.done = True
+                    return None
+                # the boundary root grazes lam = +-1 and returns: keep sliding
+                self._record(t_star, st, f_slide, SLIDING, lam, f_slide)
+                return ("slide", sigma, None, 0)
+        self.traj.add_event(t_star, SLIDE_EXIT, st)
+        self._record_event_sample(t_star, st, side, f_slide)
+        return ("flow", side)
 
 
 def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
@@ -824,10 +834,12 @@ def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
     Off the surface the active half-space field is integrated; surface hits
     are located on the dense output to event_tol.  Transversal contacts cross
     or enter sliding by the signs of f1 on the two sides; sliding tracks the
-    layer root of f1 in closed form and exits at the fold lines (lam = +-1,
-    lift-off permitting), at a branch fold, or at the two-fold, which is a
-    determinacy-breaking stop.  Repelling sliding follows the configured
-    policy; staying on the branch is the (deterministic) default.
+    layer root of f1 in closed form and exits at the fold lines lam = +-1
+    (to the side that lifts off, else to the other side if its field points
+    away), at a branch fold, or at the two-fold, which is a
+    determinacy-breaking stop.  A slide that would restart at its own start
+    time stops with a step-floor event.  Repelling sliding follows the
+    configured policy; staying on the branch is the (deterministic) default.
     """
     opts = opts or IntegratorOptions()
     t0, t1 = t_span

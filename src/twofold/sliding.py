@@ -7,6 +7,10 @@ sliding motion (x2', x3') = (f2, f3) at the pinned lam.  The branches of the
 manifold lose normal hyperbolicity on the curve where both f1 = 0 and
 df1/dlam = 0; for the normal form that curve has the closed form
 x2 = alpha (lam-1)^2, x3 = -alpha (lam+1)^2.
+
+The hidden field g does not depend on lam, so f1 is exactly quadratic in lam
+for every system and its sliding roots come from one closed-form quadratic
+solve, with no sampling.
 """
 
 from __future__ import annotations
@@ -77,12 +81,8 @@ def _solution(sys, x2, x3, lam, double=False) -> SlidingSolution:
     return SlidingSolution(lam, _slide_vector_at(sys, x2, x3, lam), stab, double)
 
 
-def _normal_form_roots(p: TwoFoldParams, x2: float, x3: float):
-    """Roots in [-1, 1] of  alpha l^2 + (x2+x3)/2 l + (x2-x3)/2 - alpha = 0,
-    which is f1 = 0 expanded for the normal form."""
-    a = p.alpha
-    b = 0.5 * (x2 + x3)
-    c = 0.5 * (x2 - x3) - p.alpha
+def _quadratic_roots(a: float, b: float, c: float):
+    """Real roots of  a l^2 + b l + c = 0  as (root, double_root) pairs."""
     if a == 0.0:
         if b == 0.0:
             # c == 0 means f1 vanishes identically in lam (the degenerate
@@ -105,56 +105,20 @@ def _normal_form_roots(p: TwoFoldParams, x2: float, x3: float):
     return [(r1, False), (r2, False)]
 
 
-SCAN_SAMPLES = 200
-BISECT_TOL = 1e-13
-
-
-def _bisect(f, lo, hi, flo):
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _scan_roots(sys: PiecewiseSmoothSystem, x2: float, x3: float):
-    """Bracketing scan over lam in [-1, 1]; total for any in-scope system."""
-    f = lambda lam: sys.f1_surface(x2, x3, lam)
-    roots = []
-    prev_l = -1.0
-    prev_f = f(prev_l)
-    for k in range(1, SCAN_SAMPLES + 1):
-        cur_l = -1.0 + 2.0 * k / SCAN_SAMPLES
-        cur_f = f(cur_l)
-        if prev_f == 0.0:
-            roots.append((prev_l, False))
-        elif cur_f != 0.0 and (prev_f > 0.0) != (cur_f > 0.0):
-            roots.append((_bisect(f, prev_l, cur_l, prev_f), False))
-        prev_l, prev_f = cur_l, cur_f
-    if prev_f == 0.0:
-        roots.append((prev_l, False))
-    # de-duplicate brackets that straddle the same root
-    out = []
-    for lam, dbl in roots:
-        if not out or abs(lam - out[-1][0]) > 10 * BISECT_TOL:
-            out.append((lam, dbl))
-    return out
-
-
 def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
     """All sliding values of lam at (0, x2, x3), sorted ascending.
 
-    An empty list is the regular answer in crossing regions.
+    The roots are closed-form for every system: g does not depend on lam, so
+    -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2 - g1 exactly, with the
+    three fields evaluated once at (0, x2, x3).  For the normal form these
+    coefficients are alpha, (x2+x3)/2 and (x2-x3)/2 - alpha.  A root counts
+    when it lies in [-1, 1] and f1 vanishes there to RESIDUAL_TOL.  An empty
+    list is the regular answer in crossing regions.
     """
-    if sys.params is not None:
-        raw = _normal_form_roots(sys.params, x2, x3)
-    else:
-        raw = _scan_roots(sys, x2, x3)
+    fp1 = sys.f_plus.fn(0.0, x2, x3)[0]
+    fm1 = sys.f_minus.fn(0.0, x2, x3)[0]
+    g1 = sys.hidden.fn(0.0, x2, x3)[0]
+    raw = _quadratic_roots(g1, 0.5 * (fm1 - fp1), -(0.5 * (fp1 + fm1)) - g1)
     sols = []
     for lam, dbl in raw:
         if -1.0 - RESIDUAL_TOL <= lam <= 1.0 + RESIDUAL_TOL:

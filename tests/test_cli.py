@@ -1,8 +1,11 @@
+import argparse
 import json
+import signal
 
 import pytest
 
-from twofold.cli import main
+from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
+                         _finite, main)
 from twofold.svg import render_curves, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov
@@ -186,6 +189,72 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         "sim": {"epsilon": 1e-9, "t_end": 1.0, "x0": [0.0, 1.0, 1.0]}}))
     code = main(["simulate", "--config", str(cfg), "--min-step", "1e-6"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["slide-map", "--scenario", "invisible-nf", "--range=nan,1"],
+    ["classify", "--a1", "1", "--a2", "1", "--b1", "nan", "--b2", "-2",
+     "--alpha", "0.2"],
+    ["sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2", "--b-range=0,nan"],
+    ["simulate", "--scenario", "invisible-nf", "--epsilon", "nan"],
+    ["simulate", "--scenario", "invisible-nf", "--x0=0,inf,1"],
+], ids=["slide-map-range", "classify-b1", "sweep-b-range", "simulate-epsilon",
+        "simulate-x0"])
+def test_non_finite_float_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_every_float_flag_rejects_non_finite():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            assert action.type is not float, (name, action.dest)
+    for text in ("nan", "-inf", "inf", "1e999"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _finite(text)
+
+
+def test_slide_map_grid_cap(capsys):
+    assert SLIDE_MAP_MAX_GRID >= 101          # the benchmark's --grid 101
+    code = main(["slide-map", "--scenario", "invisible-nf",
+                 "--grid", str(SLIDE_MAP_MAX_GRID + 1)])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    # finite ends whose span overflows to inf
+    assert main(["slide-map", "--scenario", "invisible-nf", "--range=-1e308,1e308"]) == 2
+
+
+def test_sweep_cell_cap(capsys):
+    assert SWEEP_MAX_CELLS >= 81 * 81         # the benchmark's 81 x 81 sweep
+    code = main(["sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
+                 "--b-step", "1e-9"])
+    assert code == 2
+    assert "cells" in capsys.readouterr().err
+    assert main(["sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
+                 "--b-range=0,1", "--b-step", "5e-324"]) == 2
+
+
+def test_repelling_slide_past_fold_line_returns(capsys):
+    # the repelling branch reaches lam = -1 at x3 ~ 1.6e-16 without lift-off
+    # and used to restart the slide at the same time forever
+    def hang(signum, frame):
+        raise TimeoutError("Filippov run did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        code, out = run_cli(capsys, "simulate", "--scenario", "invisible-nf",
+                            "--mode", "filippov", "--policy", "stay", "--t-end", "10",
+                            "--x0=0.0,-0.5005489061376367,-0.5000070952008387")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["t_end"] == 10.0
+    assert doc["events"] == {"crossing": 1, "slide-entry": 1, "slide-exit": 1}
 
 
 # ------------------------------------------------------------ plots

@@ -163,6 +163,19 @@ def test_repelling_default_stays_sliding():
     assert traj.final_state[1] < -1.0
 
 
+def test_repelling_stay_leaves_branch_past_fold_line():
+    # the repelling branch of the invisible normal form passes lam = -1 where
+    # x3 turns positive; the minus field does not lift off, the plus field
+    # points away, so the orbit crosses over instead of sliding on at lam < -1
+    sys = nf(1, 1, -2.0, -2.0, 0.2)
+    traj = integrate_filippov(sys, (0.0, -0.5004, -0.5003), (0.0, 3.0))
+    exits = traj.events_of("slide-exit")
+    assert len(exits) == 1
+    assert abs(exits[0].state[2]) <= 1e-9
+    after = [i for i in range(len(traj)) if traj.times[i] > exits[0].t]
+    assert after and all(traj.mode(i) == "flow+" for i in after)
+
+
 def test_repelling_eject_plus():
     sys = nf(1, 1, -2.0, -2.0, 0.0)
     opts = IntegratorOptions(repelling_policy=EJECT_PLUS)

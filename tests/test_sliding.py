@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twofold.fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
+from twofold.scenarios import builtin
 from twofold.sliding import (ContractViolation, curve_L, degeneracy_report,
                              region_classify, sliding_lambda, sliding_vector)
 
@@ -176,9 +177,10 @@ def test_root_completeness_against_scan():
             assert abs(sys.f1_surface(x2, x3, g)) <= 1e-10
 
 
-def test_scan_path_matches_closed_form():
-    # a system built from expressions (no params attached) takes the scan
-    # route; it must agree with the closed-form roots of the same field
+def test_generic_path_matches_normal_form_exactly():
+    # a system built from expressions (no params attached) forms its
+    # quadratic from the evaluated fields; for the normal form those
+    # coefficients equal the closed-form ones bit for bit
     rng = random.Random(5)
     for _ in range(25):
         p = TwoFoldParams(rng.choice([-1, 1]), rng.choice([-1, 1]),
@@ -189,11 +191,34 @@ def test_scan_path_matches_closed_form():
                                         by_params.hidden)
         assert generic.params is None
         x2, x3 = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        a = [s.lam for s in sliding_lambda(by_params, x2, x3)]
-        b = [s.lam for s in sliding_lambda(generic, x2, x3)]
-        assert len(a) == len(b)
-        for u, v in zip(a, b):
-            assert abs(u - v) <= 1e-10
+        a = [(s.lam, s.double_root) for s in sliding_lambda(by_params, x2, x3)]
+        b = [(s.lam, s.double_root) for s in sliding_lambda(generic, x2, x3)]
+        assert a == b
+
+
+def test_generic_tangency_reports_double_root():
+    # example (ii) at (0.2, -0.2): f1 = -0.2 lam^2, a double root at lam = 0
+    # that no sign change brackets
+    sys = builtin("example-ii").system
+    for lam in (-1.0, -0.5, 0.5, 1.0):
+        assert sys.f1_surface(0.2, -0.2, lam) == pytest.approx(-0.2 * lam * lam, abs=1e-15)
+    sols = sliding_lambda(sys, 0.2, -0.2)
+    assert len(sols) == 1
+    assert sols[0].double_root
+    assert sols[0].lam == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["example-i", "example-ii", "example-iii"])
+def test_generic_roots_match_brute_force(name):
+    sys = builtin(name).system
+    rng = random.Random(f"roots:{name}")
+    for _ in range(30):
+        x2, x3 = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        got = [s.lam for s in sliding_lambda(sys, x2, x3)]
+        want = _brute_force_roots(sys, x2, x3, n=2001)
+        assert len(got) == len(want), (x2, x3, got, want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12, (x2, x3, got, want)
 
 
 def test_attracting_region_has_single_attracting_root():
