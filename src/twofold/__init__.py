@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .expr import ExpressionError, parse_expr
 from .fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
-                     eval_combination, eval_piecewise, normal_form_system,
-                     parse_field)
+                     normal_form_system, parse_field)
 from .integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, Event,
                         IntegratorOptions, NonconvergentEventError,
                         RepellingPolicy, Trajectory, eject_at,

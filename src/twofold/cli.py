@@ -46,14 +46,14 @@ def _add_system_args(sp):
 
 
 def _add_run_args(sp):
-    sp.add_argument("--epsilon", type=_finite, help="smoothing/timescale parameter")
-    sp.add_argument("--t-end", type=_finite, dest="t_end")
+    sp.add_argument("--epsilon", type=_positive, help="smoothing/timescale parameter")
+    sp.add_argument("--t-end", type=_positive, dest="t_end")
     sp.add_argument("--x0", type=_triple, help="initial state, three comma-separated numbers")
     sp.add_argument("--sigmoid", choices=("tanh", "sqrt"))
     sp.add_argument("--policy", choices=tuple(_POLICIES))
-    sp.add_argument("--rel-tol", type=_finite, dest="rel_tol")
-    sp.add_argument("--abs-tol", type=_finite, dest="abs_tol")
-    sp.add_argument("--min-step", type=_finite, dest="min_step")
+    sp.add_argument("--rel-tol", type=_positive, dest="rel_tol")
+    sp.add_argument("--abs-tol", type=_positive, dest="abs_tol")
+    sp.add_argument("--min-step", type=_positive, dest="min_step")
 
 
 def _finite(text: str) -> float:
@@ -64,6 +64,14 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type for a finite float > 0."""
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
 
 
@@ -276,20 +284,21 @@ def _cmd_simulate(args, parser) -> int:
 
 def _cmd_blowup(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
-    p = _need_params(sc, parser)
     y0 = args.x0 if args.x0 is not None else (0.0, 1.0, 1.0)
     if not -1.0 <= y0[0] <= 1.0:
         parser.error("blow-up initial state is lam,x2,x3 with lam in [-1, 1]")
     eps = args.epsilon if args.epsilon is not None else sc.epsilon
     t_end = args.t_end if args.t_end is not None else sc.t_end
-    traj = integrate_blowup(p, eps, y0, (0.0, t_end), _run_options(args))
+    traj = integrate_blowup(sc.system, eps, y0, (0.0, t_end), _run_options(args))
     if args.seed is not None:
         traj.meta["seed"] = args.seed
     if args.out:
         save_run(traj, args.out)
     if args.plot:
         render_trajectory(traj, args.plot, view=args.view)
-    report = {"params": _params_echo(p), "epsilon": eps, **_traj_summary(traj)}
+    p = sc.params
+    report = {"params": _params_echo(p) if p is not None else None,
+              "epsilon": eps, **_traj_summary(traj)}
     if args.seed is not None:
         report["seed"] = args.seed
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -450,6 +459,9 @@ def main(argv=None) -> int:
         return args.fn(args, parser)
     except SystemExit as exc:        # argparse usage failure or --version
         return exc.code if isinstance(exc.code, int) else 2
+    except OSError as exc:           # an artifact path that cannot be written
+        print(f"twofold: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,18 +9,27 @@ switching layer.  Off the surface the combined field
 
 with lam = sign(x1) reproduces the two half-space fields exactly: the convex
 weights are exactly 0/1 at lam = +-1 and the (1-lam^2) factor kills g there.
+
+The combination and its first component's lam-quadratic
+f1(0, x2, x3; lam) = a lam^2 + b lam + c are compiled here once per system
+(`compile_layer`), and every consumer calls them: the sliding roots, the
+Filippov slide, the smoothed and blow-up right-hand sides and the transform
+check.  The quadratic has one stable solver, `citardauq`, behind
+`quadratic_roots`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import Expr, Var, Neg, num, parse_expr
 
 __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
-    "parse_field", "field_from_exprs", "eval_combination", "eval_piecewise",
-    "normal_form_system",
+    "parse_field", "field_from_exprs", "normal_form_system",
+    "compile_layer", "citardauq", "quadratic_roots",
 ]
 
 
@@ -94,11 +103,20 @@ class TwoFoldParams:
 class PiecewiseSmoothSystem:
     """Pair (f_plus, f_minus) with hidden field g; switching coordinate is x1.
 
-    `params` is set when the system is a normal-form instance, which lets
-    downstream code use closed forms (sliding roots, two-fold detection).
+    The layer is compiled from the component sources once per system, on
+    first use (classify and the smoothed runs never need it):
+
+    * `layer(x1, x2, x3, lam) -> (f1, f2, f3)` is the combination with no
+      range check, for callers whose lam may overshoot [-1, 1] by rounding;
+    * `f1_quadratic(x2, x3) -> (a, b, c)` gives f1(0, x2, x3; lam) =
+      a lam^2 + b lam + c, exact because g does not depend on lam.
+
+    `params` is set when the system is a normal-form instance.  It serves
+    only two-fold detection in Filippov slides and the commands that need
+    the normal-form constants; the fields themselves are always evaluated
+    from the compiled components, with or without params.
     """
 
-    __slots__ = ("f_plus", "f_minus", "hidden", "params")
     switching_index = 1
 
     def __init__(self, f_plus: SmoothField, f_minus: SmoothField,
@@ -109,23 +127,30 @@ class PiecewiseSmoothSystem:
         self.hidden = hidden if hidden is not None else parse_field(*ZERO_FIELD_EXPRS)
         self.params = params
 
+    @cached_property
+    def layer(self):
+        return compile_layer(self)
+
+    @cached_property
+    def f1_quadratic(self):
+        p1, m1, g1 = (f.components[0].source()
+                      for f in (self.f_plus, self.f_minus, self.hidden))
+        return _compile(
+            "def f1_quadratic(x2, x3):\n"
+            "    x1 = 0.0\n"
+            f"    fp1 = {p1}; fm1 = {m1}; g1 = {g1}\n"
+            "    return (-g1, 0.5*(fp1-fm1), 0.5*(fp1+fm1)+g1)\n", "f1_quadratic")
+
     def combination(self, x, lam: float) -> tuple[float, float, float]:
         """Combined field at x for lam in [-1, +1]."""
         if not -1.0 <= lam <= 1.0:
             raise ValueError(f"lambda must lie in [-1, 1], got {lam}")
+        # the sides themselves, not 1*f + 0*f': that sum turns -0.0 into 0.0
         if lam == 1.0:
             return self.f_plus(x)
         if lam == -1.0:
             return self.f_minus(x)
-        p = self.f_plus(x)
-        m = self.f_minus(x)
-        g = self.hidden(x)
-        wp = 0.5 * (1.0 + lam)
-        wm = 0.5 * (1.0 - lam)
-        wh = 1.0 - lam * lam
-        return (wp * p[0] + wm * m[0] + wh * g[0],
-                wp * p[1] + wm * m[1] + wh * g[1],
-                wp * p[2] + wm * m[2] + wh * g[2])
+        return self.layer(x[0], x[1], x[2], lam)
 
     def piecewise(self, x) -> tuple[float, float, float]:
         """Half-space field by the sign of x1; x1 = 0 is ambiguous and rejected."""
@@ -139,28 +164,76 @@ class PiecewiseSmoothSystem:
 
     def f1_surface(self, x2: float, x3: float, lam: float) -> float:
         """First component of the combination at (0, x2, x3)."""
-        wp = 0.5 * (1.0 + lam)
-        wm = 0.5 * (1.0 - lam)
-        return (wp * self.f_plus.fn(0.0, x2, x3)[0]
-                + wm * self.f_minus.fn(0.0, x2, x3)[0]
-                + (1.0 - lam * lam) * self.hidden.fn(0.0, x2, x3)[0])
+        return self.layer(0.0, x2, x3, lam)[0]
 
     def f1_surface_dlambda(self, x2: float, x3: float, lam: float) -> float:
-        """d f1/d lambda at (0, x2, x3); exact since g does not depend on lambda."""
-        return (0.5 * (self.f_plus.fn(0.0, x2, x3)[0] - self.f_minus.fn(0.0, x2, x3)[0])
-                - 2.0 * lam * self.hidden.fn(0.0, x2, x3)[0])
+        """d f1/d lambda at (0, x2, x3)."""
+        a, b, _ = self.f1_quadratic(x2, x3)
+        return 2.0 * a * lam + b
 
     def __repr__(self):
         return (f"PiecewiseSmoothSystem(f_plus={self.f_plus!r}, "
                 f"f_minus={self.f_minus!r}, hidden={self.hidden!r})")
 
 
-def eval_combination(sys: PiecewiseSmoothSystem, x, lam: float):
-    return sys.combination(x, lam)
+def _compile(src: str, name: str):
+    # source generated from our own expression trees
+    ns = {"__builtins__": {}, "tanh": math.tanh, "sqrt": math.sqrt}
+    exec(src, ns)
+    return ns[name]
 
 
-def eval_piecewise(sys: PiecewiseSmoothSystem, x):
-    return sys.piecewise(x)
+def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):
+    """The combination of `sys` as one flat compiled function.
+
+    Without `lam_source` it is layer(x1, x2, x3, lam).  With `lam_source`,
+    a Python expression in x1 that may call tanh and sqrt, lam is computed
+    inside and the function is (x1, x2, x3) -> f: the smoothed field in one
+    call, since stiff runs make about six of these calls per step.
+    """
+    p, m, g = ([c.source() for c in f.components]
+               for f in (sys.f_plus, sys.f_minus, sys.hidden))
+    head = (f"def layer(x1, x2, x3):\n    lam = {lam_source}\n" if lam_source is not None
+            else "def layer(x1, x2, x3, lam):\n")
+    rows = ",\n            ".join(f"wp*{p[i]}+wm*{m[i]}+wh*{g[i]}" for i in range(3))
+    return _compile(head
+                    + "    wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
+                    + f"    return ({rows})\n", "layer")
+
+
+def citardauq(a: float, b: float, c: float, s: float) -> tuple[float, float]:
+    """Roots (-b - s)/(2a) and (-b + s)/(2a) of a l^2 + b l + c, s = sqrt(disc).
+
+    The root whose numerator would cancel comes from 2c over the other
+    numerator instead (Citardauq).  When that numerator is zero (b = s = 0)
+    the double root -b/(2a) stands in.
+    """
+    if b >= 0.0:
+        q = -(b + s)
+        return q / (2.0 * a), (2.0 * c / q if q != 0.0 else -b / (2.0 * a))
+    q = s - b
+    return 2.0 * c / q, q / (2.0 * a)
+
+
+def quadratic_roots(a: float, b: float, c: float, tol: float):
+    """Real roots of  a l^2 + b l + c = 0  as (root, double_root) pairs.
+
+    A discriminant within tol * max(1, b^2) of zero gives one double root;
+    tol = 0 accepts only an exact zero.  a = 0 degrades to the linear root,
+    and a = b = 0 has no isolated root (c = 0 there means the quadratic
+    vanishes identically).
+    """
+    if a == 0.0:
+        if b == 0.0:
+            return []
+        return [(-c / b, False)]
+    disc = b * b - 4.0 * a * c
+    if disc < -tol * max(1.0, b * b):
+        return []
+    if disc <= tol * max(1.0, b * b):
+        return [(-b / (2.0 * a), True)]
+    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
+    return [(r_minus, False), (r_plus, False)]
 
 
 def normal_form_system(p: TwoFoldParams) -> PiecewiseSmoothSystem:

@@ -26,7 +26,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .fields import PiecewiseSmoothSystem, SmoothField, TwoFoldParams
+from .fields import PiecewiseSmoothSystem, SmoothField, citardauq, compile_layer
 
 __all__ = [
     "IntegratorOptions", "RepellingPolicy", "Trajectory", "Event",
@@ -204,16 +204,9 @@ class Trajectory:
             return self.state(i)
         if t == t1:
             return self.state(i + 1)
-        h = t1 - t0
-        s = (t - t0) / h
-        s2 = s * s
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s2 * (3.0 - 2.0 * s)
-        h11 = s2 * (s - 1.0)
-        return tuple(h00 * self._y[k][i] + h10 * h * self._fo[k][i]
-                     + h01 * self._y[k][i + 1] + h11 * h * self._fi[k][i + 1]
-                     for k in range(3))
+        fo = tuple(col[i] for col in self._fo)
+        fi = tuple(col[i + 1] for col in self._fi)
+        return _hermite((t0, self.state(i), fo, t1, self.state(i + 1), fi), t)
 
     def events_of(self, kind: str) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
@@ -390,20 +383,18 @@ def _bisect_event(seg, scalar, max_iter=200):
 
 # ---------------------------------------------------------------- smooth runs
 
-def _wrap3(fn):
-    return lambda y: fn(y[0], y[1], y[2])
+def _run_steps(traj, rhs, t0, y0, t1, opts, tag, direction=1, stop=None):
+    """Shared loop of the smooth, smoothed and blow-up runs.
 
-
-def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
-    """Adaptive integration of one smooth field; t_span may run backward."""
-    opts = opts or IntegratorOptions()
-    t0, t1 = t_span
-    direction = 1 if t1 >= t0 else -1
-    traj = Trajectory(meta={"kind": "smooth", "dir": direction})
-    rhs = _wrap3(fld.fn)
-    stepper = _Stepper(rhs, t0, tuple(map(float, x0)), opts, direction)
-    mode0 = FLOW_PLUS if stepper.y[0] >= 0 else FLOW_MINUS
-    traj.append(t0, stepper.y, stepper.f, mode0)
+    Writes the first sample, then one sample per accepted step to t1, each
+    tagged with the (mode, lam) pair `tag(y)` returns.  A step floor records
+    a step-floor event and sets meta['aborted'].  `stop(seg)`, when given,
+    sees every accepted segment first; a true result ends the run, and the
+    stop has recorded its own samples and events.
+    """
+    stepper = _Stepper(rhs, t0, y0, opts, direction)
+    mode, lam = tag(stepper.y)
+    traj.append(t0, stepper.y, stepper.f, mode, lam)
     while (t1 - stepper.t) * direction > 0:
         try:
             seg = stepper.step(t1)
@@ -411,35 +402,33 @@ def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | Non
             traj.add_event(stepper.t, STEP_FLOOR, stepper.y)
             traj.meta["aborted"] = STEP_FLOOR
             break
-        y = seg[4]
-        traj.append(seg[3], y, seg[5], FLOW_PLUS if y[0] >= 0 else FLOW_MINUS)
+        if stop is not None and stop(seg):
+            break
+        mode, lam = tag(seg[4])
+        traj.append(seg[3], seg[4], seg[5], mode, lam)
     return traj
+
+
+def _wrap3(fn):
+    return lambda y: fn(y[0], y[1], y[2])
+
+
+def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
+    """Adaptive integration of one smooth field; t_span may run backward."""
+    t0, t1 = t_span
+    direction = 1 if t1 >= t0 else -1
+    return _run_steps(Trajectory(meta={"kind": "smooth", "dir": direction}),
+                      _wrap3(fld.fn), t0, x0, t1, opts or IntegratorOptions(),
+                      lambda y: (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS, NAN),
+                      direction)
 
 
 def _sigmoid_source(sigmoid: str, eps: float) -> str:
     if sigmoid == "tanh":
-        return f"_tanh(x1*{1.0 / eps!r})"
+        return f"tanh(x1*{1.0 / eps!r})"
     if sigmoid == "sqrt":
-        return f"x1/_sqrt({eps * eps!r}+x1*x1)"
+        return f"x1/sqrt({eps * eps!r}+x1*x1)"
     raise ValueError(f"unknown sigmoid {sigmoid!r} (use 'tanh' or 'sqrt')")
-
-
-def _compile_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float):
-    """One flat compiled function for the regularized field; the layer makes
-    the right-hand side stiff, so per-call overhead matters."""
-    p1, p2, p3 = (c.source() for c in sys.f_plus.components)
-    m1, m2, m3 = (c.source() for c in sys.f_minus.components)
-    g1, g2, g3 = (c.source() for c in sys.hidden.components)
-    src = (
-        "def rhs(x1, x2, x3):\n"
-        f"    lam = {_sigmoid_source(sigmoid, eps)}\n"
-        "    wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
-        f"    return (wp*{p1}+wm*{m1}+wh*{g1},\n"
-        f"            wp*{p2}+wm*{m2}+wh*{g2},\n"
-        f"            wp*{p3}+wm*{m3}+wh*{g3})\n")
-    ns = {"_tanh": math.tanh, "_sqrt": math.sqrt}
-    exec(src, ns)
-    return ns["rhs"]
 
 
 def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
@@ -452,13 +441,10 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    opts = opts or IntegratorOptions()
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError("smoothed runs integrate forward")
-    traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps, "dir": 1})
-    frhs = _compile_smoothed(sys, sigmoid, eps)
-    rhs = _wrap3(frhs)
+    rhs = _wrap3(compile_layer(sys, _sigmoid_source(sigmoid, eps)))
     if sigmoid == "tanh":
         phi = lambda u: math.tanh(u)
     else:
@@ -471,24 +457,13 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
             return LAYER, phi(x1 / eps)
         return (FLOW_PLUS if x1 > 0 else FLOW_MINUS), NAN
 
-    stepper = _Stepper(rhs, t0, tuple(map(float, x0)), opts, 1)
-    mode, lam = tag(stepper.y)
-    traj.append(t0, stepper.y, stepper.f, mode, lam)
-    while stepper.t < t1:
-        try:
-            seg = stepper.step(t1)
-        except _StepFloor:
-            traj.add_event(stepper.t, STEP_FLOOR, stepper.y)
-            traj.meta["aborted"] = STEP_FLOOR
-            break
-        mode, lam = tag(seg[4])
-        traj.append(seg[3], seg[4], seg[5], mode, lam)
-    return traj
+    traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps, "dir": 1})
+    return _run_steps(traj, rhs, t0, x0, t1, opts or IntegratorOptions(), tag)
 
 
 # ---------------------------------------------------------------- blow-up runs
 
-def integrate_blowup(p: TwoFoldParams, eps: float, y0, t_span,
+def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
                      opts: IntegratorOptions | None = None) -> Trajectory:
     """Layer dynamics on the switching surface in (lam, x2, x3).
 
@@ -498,64 +473,43 @@ def integrate_blowup(p: TwoFoldParams, eps: float, y0, t_span,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lam0 = y0[0]
-    if not -1.0 <= lam0 <= 1.0:
+    if not -1.0 <= y0[0] <= 1.0:
         raise ValueError("lam0 must lie in [-1, 1]")
-    opts = opts or IntegratorOptions()
-    t0, t1 = t_span
-    a1, a2, b1, b2, al = p.a1, p.a2, p.b1, p.b2, p.alpha
     inv = 1.0 / eps
 
     def rhs(y):
-        lam, x2, x3 = y
-        wp = 0.5 * (1.0 + lam)
-        wm = 0.5 * (1.0 - lam)
-        f1 = -wp * x2 + wm * x3 + al * (1.0 - lam * lam)
-        return (f1 * inv, wp * a1 + wm * b2, wp * b1 + wm * a2)
+        f1, f2, f3 = sys.layer(0.0, y[1], y[2], y[0])
+        return (f1 * inv, f2, f3)
 
     traj = Trajectory(meta={"kind": "blowup", "space": "layer", "eps": eps, "dir": 1})
-    stepper = _Stepper(rhs, t0, tuple(map(float, y0)), opts, 1)
-    traj.append(t0, stepper.y, stepper.f, LAYER, lam0)
-    while stepper.t < t1:
-        try:
-            seg = stepper.step(t1)
-        except _StepFloor:
-            traj.add_event(stepper.t, STEP_FLOOR, stepper.y)
-            traj.meta["aborted"] = STEP_FLOOR
-            break
-        y = seg[4]
-        out = None
-        if y[0] >= 1.0:
-            out = _bisect_event(seg, lambda w: 1.0 - w[0])
-        elif y[0] <= -1.0:
-            out = _bisect_event(seg, lambda w: w[0] + 1.0)
-        if out is not None:
-            t_star, y_star = out
-            if t_star > traj.times[-1]:
-                traj.append(t_star, y_star, rhs(y_star), LAYER, y_star[0])
-            traj.add_event(t_star, BOUNDARY_EXIT, (0.0, y_star[1], y_star[2]))
-            traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
-            break
-        traj.append(seg[3], y, seg[5], LAYER, y[0])
-    return traj
+
+    def boundary_exit(seg):
+        lam = seg[4][0]
+        if lam >= 1.0:
+            t_star, y_star = _bisect_event(seg, lambda w: 1.0 - w[0])
+        elif lam <= -1.0:
+            t_star, y_star = _bisect_event(seg, lambda w: w[0] + 1.0)
+        else:
+            return False
+        if t_star > traj.times[-1]:
+            traj.append(t_star, y_star, rhs(y_star), LAYER, y_star[0])
+        traj.add_event(t_star, BOUNDARY_EXIT, (0.0, y_star[1], y_star[2]))
+        traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
+        return True
+
+    t0, t1 = t_span
+    return _run_steps(traj, rhs, t0, y0, t1, opts or IntegratorOptions(),
+                      lambda y: (LAYER, y[0]), stop=boundary_exit)
 
 
 # ---------------------------------------------------------------- Filippov runs
-
-def _quad_coeffs(sys: PiecewiseSmoothSystem, x2: float, x3: float):
-    """f1(0, x2, x3; lam) = a lam^2 + b lam + c (exact: g is lam-independent)."""
-    fp1 = sys.f_plus.fn(0.0, x2, x3)[0]
-    fm1 = sys.f_minus.fn(0.0, x2, x3)[0]
-    g1 = sys.hidden.fn(0.0, x2, x3)[0]
-    return -g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1
-
 
 def _branch_lambda(sys, sigma, x2, x3):
     """Tracked root of the sliding quadratic.  sigma = -1 is the attracting
     branch, +1 the repelling one, 0 the linear (no hidden term) case.  The
     discriminant is clamped at zero so stage evaluations just past the branch
     fold stay finite; the fold itself is located by the disc monitor."""
-    a, b, c = _quad_coeffs(sys, x2, x3)
+    a, b, c = sys.f1_quadratic(x2, x3)
     if a == 0.0 or sigma == 0:
         if b == 0.0:
             return 0.0
@@ -563,27 +517,8 @@ def _branch_lambda(sys, sigma, x2, x3):
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         disc = 0.0
-    s = math.sqrt(disc)
-    if b >= 0.0:
-        q = -0.5 * (b + s)
-        r_minus, r_plus = q / a, (c / q if q != 0.0 else -b / (2.0 * a))
-    else:
-        q = 0.5 * (s - b)
-        r_plus, r_minus = q / a, (c / q if q != 0.0 else -b / (2.0 * a))
+    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
     return r_plus if sigma > 0 else r_minus
-
-
-def _mix23(sys, x2, x3, lam):
-    """(f2, f3) of the combination at (0, x2, x3); no lam range check, the
-    tracked root may overshoot [-1, 1] by rounding during stages."""
-    p = sys.f_plus.fn(0.0, x2, x3)
-    m = sys.f_minus.fn(0.0, x2, x3)
-    g = sys.hidden.fn(0.0, x2, x3)
-    wp = 0.5 * (1.0 + lam)
-    wm = 0.5 * (1.0 - lam)
-    wh = 1.0 - lam * lam
-    return (wp * p[1] + wm * m[1] + wh * g[1],
-            wp * p[2] + wm * m[2] + wh * g[2])
 
 
 def _lifts_off(sys, y, side):
@@ -669,7 +604,7 @@ class _FilippovRun:
         # linear root inherits the branch with the matching slope sign
         sigma = -1 if attracting else 1
         lam = _branch_lambda(self.sys, sigma, y[1], y[2])
-        f2, f3 = _mix23(self.sys, y[1], y[2], lam)
+        _, f2, f3 = self.sys.layer(0.0, y[1], y[2], lam)
         self.traj.add_event(t, SLIDE_ENTRY, (0.0, y[1], y[2]))
         self._record(t, (y[0], y[1], y[2]), (0.0, f2, f3), SLIDING, lam, f_in)
         policy = self.opts.repelling_policy
@@ -717,10 +652,11 @@ class _FilippovRun:
             return _branch_lambda(sys, sigma, w[0], w[1])
 
         def rhs(w):
-            return _mix23(sys, w[0], w[1], lam_of(w))
+            _, f2, f3 = sys.layer(0.0, w[0], w[1], lam_of(w))
+            return (f2, f3)
 
         def disc_of(w):
-            a, b, c = _quad_coeffs(sys, w[0], w[1])
+            a, b, c = sys.f1_quadratic(w[0], w[1])
             return b * b - 4.0 * a * c if a != 0.0 else 1.0
 
         is_nf = sys.params is not None
@@ -792,7 +728,7 @@ class _FilippovRun:
         sys = self.sys
         st = (0.0, w_star[0], w_star[1])
         lam = _branch_lambda(sys, sigma, w_star[0], w_star[1])
-        f2, f3 = _mix23(sys, w_star[0], w_star[1], lam)
+        _, f2, f3 = sys.layer(0.0, w_star[0], w_star[1], lam)
         f_slide = (0.0, f2, f3)
         if which == 3:
             self.traj.add_event(t_star, TWO_FOLD_HIT, st)
@@ -802,7 +738,7 @@ class _FilippovRun:
             return None
         if which == 2:
             # branch fold: past it f1 keeps the sign of its lam^2 coefficient
-            a, _, _ = _quad_coeffs(sys, w_star[0], w_star[1])
+            a, _, _ = sys.f1_quadratic(w_star[0], w_star[1])
             side = 1 if a > 0 else -1
             self.traj.add_event(t_star, SLIDE_EXIT, st)
             self._record_event_sample(t_star, st, side, f_slide)

@@ -9,6 +9,7 @@ determinacy-breaking condition.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
@@ -130,6 +131,8 @@ def _require_number(doc, key, pointer):
     v = doc[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{key} must be a number", pointer)
+    if not math.isfinite(v):      # json reads NaN and Infinity
+        raise ConfigError(f"{key} must be finite", pointer)
     return v
 
 
@@ -194,13 +197,16 @@ def load_config(source) -> Scenario:
                 raise ConfigError("epsilon must be positive", "/sim/epsilon")
             sim["epsilon"] = float(v)
         if "t_end" in sd:
-            sim["t_end"] = float(_require_number(sd, "t_end", "/sim/t_end"))
+            v = _require_number(sd, "t_end", "/sim/t_end")
+            if v <= 0:
+                raise ConfigError("t_end must be positive", "/sim/t_end")
+            sim["t_end"] = float(v)
         if "x0" in sd:
             v = sd["x0"]
             if not (isinstance(v, list) and len(v) == 3
                     and all(isinstance(q, (int, float)) and not isinstance(q, bool)
-                            for q in v)):
-                raise ConfigError("x0 must be a list of three numbers", "/sim/x0")
+                            and math.isfinite(q) for q in v)):
+                raise ConfigError("x0 must be a list of three finite numbers", "/sim/x0")
             sim["x0"] = tuple(float(q) for q in v)
         if "sigmoid" in sd:
             if sd["sigmoid"] not in ("tanh", "sqrt"):

@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fields import TwoFoldParams
+from .fields import TwoFoldParams, quadratic_roots
 
 __all__ = [
     "TwoFoldFlavor", "FoldedSingularity", "FoldedConstants",
@@ -101,27 +101,9 @@ def singularity_lambdas(p: TwoFoldParams) -> list[float]:
     (at the exact threshold the pair merges into a double root, returned once).
     """
     a1, a2, b1, b2 = p.a1, p.a2, p.b1, p.b2
-    A = (a1 - a2) + (b1 - b2)
-    B = 2.0 * (a1 + a2)
-    C = (a1 - a2) - (b1 - b2)
-    if A == 0.0:
-        roots = [-C / B] if B != 0.0 else []
-    else:
-        disc = B * B - 4.0 * A * C
-        if disc < 0.0:
-            roots = []
-        elif disc == 0.0:
-            roots = [-B / (2.0 * A)]
-        else:
-            s = math.sqrt(disc)
-            if B >= 0.0:
-                r1 = (-B - s) / (2.0 * A)
-                r2 = (2.0 * C) / (-B - s)
-            else:
-                r1 = (-B + s) / (2.0 * A)
-                r2 = (2.0 * C) / (-B + s)
-            roots = [r1, r2]
-    return sorted(l + 0.0 for l in roots if -1.0 <= l <= 1.0)   # +0.0 folds -0.0
+    roots = quadratic_roots((a1 - a2) + (b1 - b2), 2.0 * (a1 + a2),
+                            (a1 - a2) - (b1 - b2), 0.0)
+    return sorted(l + 0.0 for l, _ in roots if -1.0 <= l <= 1.0)   # +0.0 folds -0.0
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ solve, with no sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .fields import PiecewiseSmoothSystem, TwoFoldParams
+from .fields import PiecewiseSmoothSystem, TwoFoldParams, quadratic_roots
 
 __all__ = [
     "SlidingSolution", "CurveL", "DegeneracyReport", "ContractViolation",
@@ -72,7 +71,7 @@ class DegeneracyReport:
 
 
 def _slide_vector_at(sys: PiecewiseSmoothSystem, x2: float, x3: float, lam: float):
-    f = sys.combination((0.0, x2, x3), lam)
+    f = sys.layer(0.0, x2, x3, lam)
     return (f[1], f[2])
 
 
@@ -81,48 +80,24 @@ def _solution(sys, x2, x3, lam, double=False) -> SlidingSolution:
     return SlidingSolution(lam, _slide_vector_at(sys, x2, x3, lam), stab, double)
 
 
-def _quadratic_roots(a: float, b: float, c: float):
-    """Real roots of  a l^2 + b l + c = 0  as (root, double_root) pairs."""
-    if a == 0.0:
-        if b == 0.0:
-            # c == 0 means f1 vanishes identically in lam (the degenerate
-            # two-fold point); there is no isolated root to report
-            return []
-        return [(-c / b, False)]
-    disc = b * b - 4.0 * a * c
-    if disc < -RESIDUAL_TOL * max(1.0, b * b):
-        return []
-    if disc <= RESIDUAL_TOL * max(1.0, b * b):
-        return [(-b / (2.0 * a), True)]
-    s = math.sqrt(disc)
-    # Citardauq on one root avoids cancellation
-    if b >= 0.0:
-        r1 = (-b - s) / (2.0 * a)
-        r2 = (2.0 * c) / (-b - s)
-    else:
-        r1 = (-b + s) / (2.0 * a)
-        r2 = (2.0 * c) / (-b + s)
-    return [(r1, False), (r2, False)]
-
-
 def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
     """All sliding values of lam at (0, x2, x3), sorted ascending.
 
     The roots are closed-form for every system: g does not depend on lam, so
-    -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2 - g1 exactly, with the
-    three fields evaluated once at (0, x2, x3).  For the normal form these
-    coefficients are alpha, (x2+x3)/2 and (x2-x3)/2 - alpha.  A root counts
-    when it lies in [-1, 1] and f1 vanishes there to RESIDUAL_TOL.  An empty
-    list is the regular answer in crossing regions.
+    f1 is the quadratic `sys.f1_quadratic`, solved here in the orientation
+    of -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2 - g1.  For the
+    normal form these coefficients are alpha, (x2+x3)/2 and (x2-x3)/2 -
+    alpha.  A root counts when it lies in [-1, 1] and f1 vanishes there to
+    RESIDUAL_TOL.  An empty list is the regular answer in crossing regions.
     """
-    fp1 = sys.f_plus.fn(0.0, x2, x3)[0]
-    fm1 = sys.f_minus.fn(0.0, x2, x3)[0]
-    g1 = sys.hidden.fn(0.0, x2, x3)[0]
-    raw = _quadratic_roots(g1, 0.5 * (fm1 - fp1), -(0.5 * (fp1 + fm1)) - g1)
+    a, b, c = sys.f1_quadratic(x2, x3)
     sols = []
-    for lam, dbl in raw:
+    # in -f1's orientation each root keeps the Citardauq formula it has
+    # always come from; f1's own swaps them where b = 0, in the last bit
+    for lam, dbl in quadratic_roots(-a, -b, -c, RESIDUAL_TOL):
         if -1.0 - RESIDUAL_TOL <= lam <= 1.0 + RESIDUAL_TOL:
-            lam = min(1.0, max(-1.0, lam))
+            # negating a zero b or c can leave a -0.0 root; + 0.0 folds it
+            lam = min(1.0, max(-1.0, lam)) + 0.0
             if abs(sys.f1_surface(x2, x3, lam)) <= max(RESIDUAL_TOL,
                                                        RESIDUAL_TOL * (abs(x2) + abs(x3))):
                 sols.append(_solution(sys, x2, x3, lam, dbl))

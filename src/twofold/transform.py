@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .fields import TwoFoldParams, normal_form_system
+from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system
 from .singularities import FoldedSingularity, folded_singularities
 
 __all__ = [
@@ -57,6 +58,11 @@ class TransformContext:
             raise ValueError("transform requires lam_s away from -1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
+
+    @cached_property
+    def system(self) -> PiecewiseSmoothSystem:
+        """The normal-form system, compiled once per context."""
+        return normal_form_system(self.params)
 
     @property
     def lam_s(self):
@@ -170,10 +176,8 @@ def pushforward(ctx: TransformContext, point):
     The layer field is (dlam/dt, dx2/dt, dx3/dt) = (F1/eps, F2, F3); the rows
     returned here are J . V with the time reversal t~ = -sign(alpha) t applied.
     """
-    sys = normal_form_system(ctx.params)
     lam, x2, x3 = point
-    F1 = sys.f1_surface(x2, x3, lam)
-    _, F2, F3 = sys.combination((0.0, x2, x3), lam)
+    F1, F2, F3 = ctx.system.layer(0.0, x2, x3, lam)
     _, _, y3 = to_y(ctx, point)
     _, _, y1lp, y2lp = curve_functions(ctx, y3)
     sq = math.sqrt(abs(ctx.params.alpha))

@@ -122,6 +122,18 @@ def test_blowup_command(tmp_path, capsys):
     assert all(ln.split(",")[1] == "0.0" for ln in lines[1:])
 
 
+def test_blowup_runs_expression_built_scenario(tmp_path, capsys):
+    out_csv = tmp_path / "layer.csv"
+    code, out = run_cli(capsys, "blowup", "--scenario", "example-ii", "--t-end", "1",
+                        "--out", str(out_csv))
+    assert code == 0
+    assert json.loads(out)["params"] is None
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "t,x1,x2,x3,mode,lambda"
+    assert len(lines) > 2
+    assert all(ln.split(",")[4] == "layer" for ln in lines[1:])
+
+
 def test_slide_map_artifacts(tmp_path, capsys):
     out_csv = tmp_path / "map.csv"
     curve_csv = tmp_path / "curve.csv"
@@ -203,6 +215,31 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 def test_non_finite_float_is_usage_error(argv, capsys):
     assert main(argv) == 2
     assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "example-ii", "--t-end", "-1"],
+    ["simulate", "--scenario", "example-ii", "--t-end", "0"],
+    ["simulate", "--scenario", "example-ii", "--epsilon", "-1", "--t-end", "1"],
+    ["simulate", "--scenario", "example-ii", "--rel-tol", "-1", "--t-end", "1"],
+    ["simulate", "--scenario", "example-ii", "--abs-tol", "0", "--t-end", "1"],
+    ["simulate", "--scenario", "example-ii", "--min-step", "-1", "--t-end", "1"],
+    ["blowup", "--scenario", "visible-nf", "--epsilon", "-1"],
+    ["blowup", "--scenario", "visible-nf", "--t-end", "-1"],
+    ["slide-map", "--scenario", "invisible-nf", "--grid", "5", "--range=-1,1",
+     "--plot", "{missing}/x.svg"],
+    ["simulate", "--config", "{config}"],
+], ids=["t-end-negative", "t-end-zero", "epsilon", "rel-tol", "abs-tol", "min-step",
+        "blowup-epsilon", "blowup-t-end", "unwritable-plot", "config-t-end"])
+def test_out_of_range_input_is_usage_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"a1": 1, "a2": 1, "b1": 0, "b2": 0,
+                                          "alpha": 0.1}, "sim": {"t_end": 0}}))
+    argv = [a.format(missing=tmp_path / "missing", config=cfg) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error" in err
 
 
 def test_every_float_flag_rejects_non_finite():

@@ -1,10 +1,11 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams,
-                            eval_combination, eval_piecewise,
-                            normal_form_system, parse_field)
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_layer,
+                            normal_form_system, parse_field, quadratic_roots)
 
 
 def test_parse_field_example_system():
@@ -36,8 +37,8 @@ def test_combination_endpoints_recover_sides_exactly():
     for _ in range(50):
         sys = _random_system(rng)
         x = tuple(rng.uniform(-2, 2) for _ in range(3))
-        assert eval_combination(sys, x, 1.0) == sys.f_plus(x)
-        assert eval_combination(sys, x, -1.0) == sys.f_minus(x)
+        assert sys.combination(x, 1.0) == sys.f_plus(x)
+        assert sys.combination(x, -1.0) == sys.f_minus(x)
 
 
 def test_combination_midpoint_includes_hidden():
@@ -46,15 +47,73 @@ def test_combination_midpoint_includes_hidden():
         sys = _random_system(rng)
         x = tuple(rng.uniform(-2, 2) for _ in range(3))
         p, m, g = sys.f_plus(x), sys.f_minus(x), sys.hidden(x)
-        got = eval_combination(sys, x, 0.0)
+        got = sys.combination(x, 0.0)
         for i in range(3):
             assert got[i] == pytest.approx((p[i] + m[i]) / 2 + g[i], abs=1e-15)
+
+
+def test_layer_kernel_matches_combination_exactly():
+    # reference: the combination written out over the three compiled fields
+    rng = random.Random(13)
+    for _ in range(50):
+        sys = _random_system(rng)
+        x = tuple(rng.uniform(-2, 2) for _ in range(3))
+        lam = rng.uniform(-1, 1)
+        p, m, g = sys.f_plus(x), sys.f_minus(x), sys.hidden(x)
+        wp, wm, wh = 0.5 * (1.0 + lam), 0.5 * (1.0 - lam), 1.0 - lam * lam
+        expect = tuple(wp * p[i] + wm * m[i] + wh * g[i] for i in range(3))
+        assert sys.layer(*x, lam) == expect
+        assert sys.combination(x, lam) == expect
+        assert sys.f1_surface(x[1], x[2], lam) == sys.layer(0.0, x[1], x[2], lam)[0]
+        a, b, c = sys.f1_quadratic(x[1], x[2])
+        assert a * lam * lam + b * lam + c == pytest.approx(
+            sys.f1_surface(x[1], x[2], lam), abs=1e-12)
+        eps = rng.choice((1e-2, 1e-3))
+        smoothed = compile_layer(sys, f"tanh(x1*{1.0 / eps!r})")
+        assert smoothed(*x) == sys.layer(*x, math.tanh(x[0] * (1.0 / eps)))
+
+
+def _numpy_real_roots(a, b, c):
+    return sorted(r.real for r in np.roots([a, b, c]) if abs(r.imag) <= 1e-12)
+
+
+def test_quadratic_roots_against_numpy():
+    rng = random.Random(14)
+    for _ in range(500):
+        a, b, c = (rng.uniform(-3, 3) for _ in range(3))
+        got = sorted(r for r, _ in quadratic_roots(a, b, c, 0.0))
+        want = _numpy_real_roots(a, b, c)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ((0.0, 2.0, -1.0), [(0.5, False)]),            # a = 0: the linear root
+    ((0.0, 0.0, 1.0), []),                         # a = b = 0: no root
+    ((0.0, 0.0, 0.0), []),                         # identically zero: no isolated root
+    ((1.0, -2.0, 1.0), [(1.0, True)]),             # disc = 0 exactly
+    ((4.0, 4.0, 1.0), [(-0.5, True)]),
+    ((2.0, -3.0, 0.0), [(0.0, False), (1.5, False)]),   # c = 0
+    ((1.0, 0.0, 1.0), []),                         # disc < 0
+], ids=["a0", "a0-b0", "zero", "double", "double-b-positive", "c0", "complex"])
+def test_quadratic_roots_degenerate_cases(coeffs, want):
+    got = sorted(quadratic_roots(*coeffs, 0.0))
+    assert got == want
+    # numpy lists a double root twice
+    assert [r for r, _ in got] == sorted(set(_numpy_real_roots(*coeffs)))
+
+
+def test_quadratic_roots_tolerance_merges_near_double_root():
+    # disc = 1e-14 lies inside tol * max(1, b^2) for tol = 1e-12
+    assert quadratic_roots(1.0, 2.0, 1.0 - 2.5e-15, 1e-12) == [(-1.0, True)]
+    assert len(quadratic_roots(1.0, 2.0, 1.0 - 2.5e-15, 0.0)) == 2
 
 
 def test_combination_rejects_lambda_outside_range():
     sys = _random_system(random.Random(9))
     with pytest.raises(ValueError):
-        eval_combination(sys, (0.0, 0.0, 0.0), 1.5)
+        sys.combination((0.0, 0.0, 0.0), 1.5)
 
 
 def test_piecewise_uses_sign_of_x1():
@@ -62,10 +121,10 @@ def test_piecewise_uses_sign_of_x1():
     sys = _random_system(rng)
     xp = (0.5, 1.0, -1.0)
     xm = (-0.5, 1.0, -1.0)
-    assert eval_piecewise(sys, xp) == sys.f_plus(xp)
-    assert eval_piecewise(sys, xm) == sys.f_minus(xm)
+    assert sys.piecewise(xp) == sys.f_plus(xp)
+    assert sys.piecewise(xm) == sys.f_minus(xm)
     with pytest.raises(ValueError):
-        eval_piecewise(sys, (0.0, 1.0, 1.0))
+        sys.piecewise((0.0, 1.0, 1.0))
 
 
 def test_piecewise_ignores_hidden_term():
@@ -76,26 +135,26 @@ def test_piecewise_ignores_hidden_term():
         bare = PiecewiseSmoothSystem(sys.f_plus, sys.f_minus)
         x = (rng.choice([-1, 1]) * rng.uniform(1e-9, 2), rng.uniform(-2, 2),
              rng.uniform(-2, 2))
-        assert eval_piecewise(sys, x) == eval_piecewise(bare, x)
+        assert sys.piecewise(x) == bare.piecewise(x)
 
 
 def test_normal_form_fields():
     p = TwoFoldParams(1, 1, -2.0, -2.0, 0.2)
     sys = normal_form_system(p)
     # hand-substituted midpoint: first component -1/2*1 + 1/2*1 + 0.2
-    got = eval_combination(sys, (0.0, 1.0, 1.0), 0.0)
+    got = sys.combination((0.0, 1.0, 1.0), 0.0)
     assert got[0] == pytest.approx(0.2, abs=1e-15)
 
     sys2 = normal_form_system(TwoFoldParams(-1, -1, 0.0, 0.0, 0.0))
-    assert eval_combination(sys2, (0.0, 3.0, 5.0), 1.0) == (-3.0, -1.0, 0.0)
+    assert sys2.combination((0.0, 3.0, 5.0), 1.0) == (-3.0, -1.0, 0.0)
 
     sys3 = normal_form_system(TwoFoldParams(1, -1, 1.0, 1.0, 0.0))
-    assert eval_combination(sys3, (0.0, 0.0, 1.0), -1.0) == (1.0, 1.0, -1.0)
+    assert sys3.combination((0.0, 0.0, 1.0), -1.0) == (1.0, 1.0, -1.0)
 
 
 def test_normal_form_piecewise_example():
     sys = normal_form_system(TwoFoldParams(1, 1, 0.0, 0.0, 0.0))
-    assert eval_piecewise(sys, (-1.0, 2.0, 3.0)) == (3.0, 0.0, 1.0)
+    assert sys.piecewise((-1.0, 2.0, 3.0)) == (3.0, 0.0, 1.0)
 
 
 def test_normal_form_reproduces_combination_componentwise():
@@ -111,7 +170,7 @@ def test_normal_form_reproduces_combination_componentwise():
         expect = (wp * -x[1] + wm * x[2] + wh * p.alpha,
                   wp * p.a1 + wm * p.b2,
                   wp * p.b1 + wm * p.a2)
-        got = eval_combination(sys, x, lam)
+        got = sys.combination(x, lam)
         for a, b in zip(got, expect):
             assert a == pytest.approx(b, abs=1e-14)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams,
-                            eval_combination, eval_piecewise,
                             normal_form_system, parse_field)
 from twofold.integrate import (EJECT_PLUS, IntegratorOptions, eject_at,
                                integrate_blowup, integrate_filippov,
@@ -210,8 +209,8 @@ def test_smoothed_field_matches_piecewise_outside_layer():
         x1 = rng.choice([-1, 1]) * rng.uniform(10 * eps, 1.0)
         x = (float(x1), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         lam = math.tanh(x[0] / eps)
-        smooth = eval_combination(sys, x, lam)
-        side = eval_piecewise(sys, x)
+        smooth = sys.combination(x, lam)
+        side = sys.piecewise(x)
         for a, b in zip(smooth, side):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
@@ -267,12 +266,12 @@ def test_smoothed_step_floor_is_reported():
 def test_blowup_two_fold_point_freezes_lambda_initially():
     # at the two-fold of the unperturbed system f1 vanishes for every lam,
     # so lam barely moves over a short window regardless of its start
-    p = TwoFoldParams(1, 1, -2.0, -2.0, 0.0)
+    sys = nf(1, 1, -2.0, -2.0, 0.0)
     for lam0 in (-0.8, 0.0, 0.5):
-        traj = integrate_blowup(p, 1e-3, (lam0, 0.0, 0.0), (0.0, 1e-4))
+        traj = integrate_blowup(sys, 1e-3, (lam0, 0.0, 0.0), (0.0, 1e-4))
         assert abs(traj.lam(len(traj) - 1) - lam0) <= 1e-4
     # contrast: away from the two-fold lam relaxes fast
-    traj = integrate_blowup(p, 1e-3, (0.5, 1.0, 1.0), (0.0, 1e-4))
+    traj = integrate_blowup(sys, 1e-3, (0.5, 1.0, 1.0), (0.0, 1e-4))
     assert abs(traj.lam(len(traj) - 1) - 0.5) > 1e-2
 
 
@@ -281,7 +280,7 @@ def test_blowup_tracks_sliding_manifold():
     sys = normal_form_system(p)
     eps = 1e-3
     lam0 = sliding_lambda(sys, 1.0, 1.0)[0].lam
-    traj = integrate_blowup(p, eps, (lam0, 1.0, 1.0), (0.0, 1.0))
+    traj = integrate_blowup(sys, eps, (lam0, 1.0, 1.0), (0.0, 1.0))
     for i in range(len(traj)):
         if traj.times[i] < 10 * eps:
             continue
@@ -296,7 +295,7 @@ def test_blowup_relaxation_rate():
     p = TwoFoldParams(1, 1, -2.0, -2.0, 0.2)
     sys = normal_form_system(p)
     eps = 1e-3
-    traj = integrate_blowup(p, eps, (0.0, 1.0, 1.0), (0.0, 0.05))
+    traj = integrate_blowup(sys, eps, (0.0, 1.0, 1.0), (0.0, 0.05))
     t_check = 0.02     # ~ eps * log(1/tol) / rate with rate ~ 1
     lam = None
     for i in range(len(traj)):
@@ -310,8 +309,7 @@ def test_blowup_relaxation_rate():
 
 
 def test_blowup_boundary_exit():
-    p = TwoFoldParams(1, 1, -2.0, -2.0, 0.2)
-    traj = integrate_blowup(p, 1e-3, (0.0, 1.0, -1.0), (0.0, 1.0))
+    traj = integrate_blowup(nf(1, 1, -2.0, -2.0, 0.2), 1e-3, (0.0, 1.0, -1.0), (0.0, 1.0))
     exits = traj.events_of("boundary-exit")
     assert len(exits) == 1
     assert traj.meta["boundary_exit"] == -1
@@ -319,9 +317,27 @@ def test_blowup_boundary_exit():
     assert traj.t_end < 1.0
 
 
+def test_blowup_needs_no_params():
+    # the same normal form written as expressions, without params
+    nf_sys = nf(-1, 1, -4.0, -1.0, 0.2)
+    expr_sys = PiecewiseSmoothSystem(parse_field("-x2", "-1", "-4"),
+                                     parse_field("x3", "-1", "1"),
+                                     parse_field("1/5", "0", "0"))
+    assert expr_sys.params is None
+    for y0 in ((0.0, 1.0, 1.0), (0.5, 1.0, -1.0)):
+        a = integrate_blowup(nf_sys, 1e-3, y0, (0.0, 2.0))
+        b = integrate_blowup(expr_sys, 1e-3, y0, (0.0, 2.0))
+        assert len(a) == len(b) > 2
+        assert list(a.times) == list(b.times)
+        for i in range(len(a)):
+            assert a.state(i) == b.state(i)
+            assert a.lam(i) == b.lam(i)
+        assert a.events == b.events
+
+
 def test_blowup_rejects_bad_lambda():
     with pytest.raises(ValueError):
-        integrate_blowup(TwoFoldParams(1, 1, 0.0, 0.0, 0.1), 1e-3,
+        integrate_blowup(nf(1, 1, 0.0, 0.0, 0.1), 1e-3,
                          (1.5, 0.0, 0.0), (0.0, 1.0))
 
 
@@ -351,8 +367,7 @@ def test_event_csv_format(tmp_path):
 
 
 def test_blowup_csv_puts_lambda_in_lambda_column(tmp_path):
-    p = TwoFoldParams(1, 1, -2.0, -2.0, 0.2)
-    traj = integrate_blowup(p, 1e-3, (0.5, 1.0, 1.0), (0.0, 0.01))
+    traj = integrate_blowup(nf(1, 1, -2.0, -2.0, 0.2), 1e-3, (0.5, 1.0, 1.0), (0.0, 0.01))
     path = tmp_path / "layer.csv"
     traj.to_csv(path)
     row = path.read_text().splitlines()[1].split(",")

@@ -110,8 +110,18 @@ def test_bad_sim_options_are_located():
     with pytest.raises(ConfigError) as err:
         load_config({**base, "sim": {"epsilon": -1}})
     assert err.value.pointer == "/sim/epsilon"
+    for bad in (0, float("nan")):
+        with pytest.raises(ConfigError) as err:
+            load_config({**base, "sim": {"t_end": bad}})
+        assert err.value.pointer == "/sim/t_end"
+    with pytest.raises(ConfigError) as err:
+        load_config({"params": {**base["params"], "b1": float("inf")}})
+    assert err.value.pointer == "/params/b1"
     with pytest.raises(ConfigError) as err:
         load_config({**base, "sim": {"x0": [1, 2]}})
+    assert err.value.pointer == "/sim/x0"
+    with pytest.raises(ConfigError) as err:
+        load_config({**base, "sim": {"x0": [1, float("nan"), 2]}})
     assert err.value.pointer == "/sim/x0"
     with pytest.raises(ConfigError) as err:
         load_config({**base, "sim": {"sigmoid": "smoothstep"}})
