@@ -1,12 +1,13 @@
 """Time integration engines.
 
-One adaptive embedded Runge-Kutta core (Dormand-Prince 5(4), cubic-Hermite
-dense output) drives four front ends:
+One adaptive Dormand-Prince 5(4) core on R^3 (scalar right-hand sides
+rhs(x1, x2, x3) -> (f1, f2, f3), cubic-Hermite dense output) drives:
 
   * integrate_smooth   -- a single smooth field, forward or backward;
   * integrate_filippov -- event-driven switching: half-space flows, surface
-    crossings located by bisection on the dense output, sliding with the
-    layer value of lam tracked in closed form, fold/two-fold exit events;
+    crossings located by bisection on the dense output, sliding (x1 held at
+    +0.0) with the layer value of lam tracked in closed form, fold/two-fold
+    exit events;
   * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps);
   * integrate_blowup   -- the layer system itself, (lam' , x2., x3.) with
     lam' = eps dlam/dt, lam clamped to [-1, +1] by a boundary-exit event.
@@ -266,56 +267,65 @@ class _StepFloor(Exception):
 
 
 class _Stepper:
-    """One smooth piece: repeated accepted DP54 steps with error control.
+    """One smooth piece in R^3: repeated accepted DP54 steps with error control.
 
-    `rhs` maps a state tuple to a derivative tuple of the same length.
-    Holds (t, y, f) of the last accepted point; `step` returns the segment
-    (t0, y0, f0, t1, y1, f1) it just accepted.
+    `rhs(x1, x2, x3) -> (f1, f2, f3)` takes and returns scalars; every
+    evaluation goes through `self.rhs`.  Holds (t, y, f) of the last accepted
+    point; `step` returns the segment (t0, y0, f0, t1, y1, f1) it just
+    accepted.  A slide runs here too: it starts at x1 = +0.0 and its rhs
+    returns f1 = 0.0, so x1 stays exactly +0.0 and adds nothing to the error.
     """
 
     __slots__ = ("rhs", "opts", "direction", "t", "y", "f", "h", "accepted")
 
-    def __init__(self, rhs, t0, y0, opts: IntegratorOptions, direction=1, h0=None):
+    def __init__(self, rhs, t0, y0, opts: IntegratorOptions, direction=1):
         self.rhs = rhs
         self.opts = opts
         self.direction = direction
         self.t = t0
-        self.y = tuple(float(v) for v in y0)
-        self.f = rhs(self.y)
-        self.h = h0 if h0 is not None else min(opts.max_step, 1e-3)
+        self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
+        self.f = rhs(*self.y)
+        self.h = min(opts.max_step, 1e-3)
         self.accepted = 0
 
-    def set_state(self, t, y, f=None):
-        self.t = t
-        self.y = tuple(y)
-        self.f = f if f is not None else self.rhs(self.y)
-
     def _attempt(self, h):
+        # written out over the three components, k<stage><component>.  The
+        # order of every sum is part of the result: the tests hold it bit for
+        # bit to the loop form y_i + h * (A k)_i
         rhs = self.rhs
-        y = self.y
-        k1 = self.f
-        n = len(y)
-        rng = range(n)
-        k2 = rhs(tuple(y[i] + h * (_A21 * k1[i]) for i in rng))
-        k3 = rhs(tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
-        k4 = rhs(tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in rng))
-        k5 = rhs(tuple(y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
-                                   + _A54 * k4[i]) for i in rng))
-        k6 = rhs(tuple(y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
-                                   + _A64 * k4[i] + _A65 * k5[i]) for i in rng))
-        y_new = tuple(y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
-                                  + _B5 * k5[i] + _B6 * k6[i]) for i in rng)
-        k7 = rhs(y_new)
-        err = 0.0
+        y1, y2, y3 = self.y
+        k11, k12, k13 = self.f
+        k21, k22, k23 = rhs(y1 + h * (_A21 * k11), y2 + h * (_A21 * k12),
+                            y3 + h * (_A21 * k13))
+        k31, k32, k33 = rhs(y1 + h * (_A31 * k11 + _A32 * k21),
+                            y2 + h * (_A31 * k12 + _A32 * k22),
+                            y3 + h * (_A31 * k13 + _A32 * k23))
+        k41, k42, k43 = rhs(y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+                            y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+                            y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33))
+        k51, k52, k53 = rhs(y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+                            y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+                            y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43))
+        k61, k62, k63 = rhs(y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
+                                      + _A65 * k51),
+                            y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
+                                      + _A65 * k52),
+                            y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43
+                                      + _A65 * k53))
+        n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+        n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+        n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
+        k7 = rhs(n1, n2, n3)
+        k71, k72, k73 = k7
         at, rt = self.opts.abs_tol, self.opts.rel_tol
-        for i in rng:
-            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                     + _E6 * k6[i] + _E7 * k7[i])
-            scale = at + rt * max(abs(y[i]), abs(y_new[i]))
-            q = abs(e) / scale
-            if q > err:
-                err = q
-        return y_new, k7, err
+        q1 = abs(h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61
+                      + _E7 * k71)) / (at + rt * max(abs(y1), abs(n1)))
+        q2 = abs(h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62
+                      + _E7 * k72)) / (at + rt * max(abs(y2), abs(n2)))
+        q3 = abs(h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63
+                      + _E7 * k73)) / (at + rt * max(abs(y3), abs(n3)))
+        # max takes a later value only when it is greater, so a NaN q is ignored
+        return (n1, n2, n3), k7, max(0.0, q1, q2, q3)
 
     def step(self, t_limit, h_cap=math.inf):
         """Advance one accepted step toward t_limit; raises _StepFloor."""
@@ -325,8 +335,8 @@ class _Stepper:
             if h < opts.min_step:
                 raise _StepFloor
             y_new, f_new, err = self._attempt(h * self.direction)
-            ok = err <= 1.0 and all(v == v for v in y_new)
-            if ok:
+            n1, n2, n3 = y_new
+            if err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3:
                 fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 seg = (self.t, self.y, self.f,
                        self.t + h * self.direction, y_new, f_new)
@@ -409,16 +419,12 @@ def _run_steps(traj, rhs, t0, y0, t1, opts, tag, direction=1, stop=None):
     return traj
 
 
-def _wrap3(fn):
-    return lambda y: fn(y[0], y[1], y[2])
-
-
 def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
     """Adaptive integration of one smooth field; t_span may run backward."""
     t0, t1 = t_span
     direction = 1 if t1 >= t0 else -1
     return _run_steps(Trajectory(meta={"kind": "smooth", "dir": direction}),
-                      _wrap3(fld.fn), t0, x0, t1, opts or IntegratorOptions(),
+                      fld.fn, t0, x0, t1, opts or IntegratorOptions(),
                       lambda y: (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS, NAN),
                       direction)
 
@@ -444,7 +450,7 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError("smoothed runs integrate forward")
-    rhs = _wrap3(compile_layer(sys, _sigmoid_source(sigmoid, eps)))
+    rhs = compile_layer(sys, _sigmoid_source(sigmoid, eps))
     if sigmoid == "tanh":
         phi = lambda u: math.tanh(u)
     else:
@@ -476,9 +482,10 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
     if not -1.0 <= y0[0] <= 1.0:
         raise ValueError("lam0 must lie in [-1, 1]")
     inv = 1.0 / eps
+    layer = sys.layer
 
-    def rhs(y):
-        f1, f2, f3 = sys.layer(0.0, y[1], y[2], y[0])
+    def rhs(lam, x2, x3):
+        f1, f2, f3 = layer(0.0, x2, x3, lam)
         return (f1 * inv, f2, f3)
 
     traj = Trajectory(meta={"kind": "blowup", "space": "layer", "eps": eps, "dir": 1})
@@ -492,7 +499,7 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         else:
             return False
         if t_star > traj.times[-1]:
-            traj.append(t_star, y_star, rhs(y_star), LAYER, y_star[0])
+            traj.append(t_star, y_star, rhs(*y_star), LAYER, y_star[0])
         traj.add_event(t_star, BOUNDARY_EXIT, (0.0, y_star[1], y_star[2]))
         traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
         return True
@@ -618,8 +625,7 @@ class _FilippovRun:
         sys = self.sys
         opts = self.opts
         fld = sys.f_plus if side > 0 else sys.f_minus
-        rhs = _wrap3(fld.fn)
-        stepper = _Stepper(rhs, t, y, opts, 1)
+        stepper = _Stepper(fld.fn, t, y, opts, 1)
         tol = opts.event_tol
         while stepper.t < self.t_end:
             h_cap = SURFACE_CAP_STEP if abs(stepper.y[0]) < SURFACE_CAP_DIST else math.inf
@@ -636,7 +642,7 @@ class _FilippovRun:
             # the far side of the surface after an earlier crossing cut
             if (crossed and (x1_old > 0.0) != (x1_new > 0.0)) or x1_new == 0.0:
                 t_star, y_star = _bisect_event(seg, lambda w: w[0])
-                f_star = rhs(y_star)
+                f_star = fld.fn(*y_star)
                 return self.decide_surface(t_star, y_star, f_in=f_star)
             self._record(seg[3], seg[4], seg[5],
                          FLOW_PLUS if side > 0 else FLOW_MINUS, NAN)
@@ -649,14 +655,14 @@ class _FilippovRun:
         opts = self.opts
 
         def lam_of(w):
-            return _branch_lambda(sys, sigma, w[0], w[1])
+            return _branch_lambda(sys, sigma, w[1], w[2])
 
-        def rhs(w):
-            _, f2, f3 = sys.layer(0.0, w[0], w[1], lam_of(w))
-            return (f2, f3)
+        def rhs(x1, x2, x3):
+            _, f2, f3 = sys.layer(0.0, x2, x3, _branch_lambda(sys, sigma, x2, x3))
+            return (0.0, f2, f3)
 
         def disc_of(w):
-            a, b, c = sys.f1_quadratic(w[0], w[1])
+            a, b, c = sys.f1_quadratic(w[1], w[2])
             return b * b - 4.0 * a * c if a != 0.0 else 1.0
 
         is_nf = sys.params is not None
@@ -670,31 +676,30 @@ class _FilippovRun:
             self.traj.add_event(t, DETERMINACY_BREAK, st)
             self.done = True
             return None
-        stepper = _Stepper(rhs, t, (y[1], y[2]), opts, 1)
+        stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), opts, 1)
         t_limit = self.t_end if eject_time is None else min(self.t_end, eject_time)
 
         def monitors(w):
             lam = lam_of(w)
             vals = [1.0 - lam, lam + 1.0, disc_of(w)]
             if is_nf:
-                vals.append(max(abs(w[0]), abs(w[1])) - TWO_FOLD_TOL)
+                vals.append(max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
             return vals
 
-        m_prev = monitors((y[1], y[2]))
+        m_prev = monitors(stepper.y)
         while stepper.t < t_limit:
             h_cap = math.inf
             if is_nf:
                 # resolve the approach to the two-fold: halving steps keep the
                 # endpoint monitor from jumping across the hit window
-                dist = max(abs(stepper.y[0]), abs(stepper.y[1]))
-                speed = math.hypot(stepper.f[0], stepper.f[1])
+                dist = max(abs(stepper.y[1]), abs(stepper.y[2]))
+                speed = math.hypot(stepper.f[1], stepper.f[2])
                 if speed > 0.0 and dist > TWO_FOLD_TOL:
                     h_cap = max(0.5 * dist / speed, 10.0 * self.opts.min_step)
             try:
                 seg = stepper.step(t_limit, h_cap)
             except _StepFloor:
-                st = (0.0, stepper.y[0], stepper.y[1])
-                self.traj.add_event(stepper.t, STEP_FLOOR, st)
+                self.traj.add_event(stepper.t, STEP_FLOOR, stepper.y)
                 self.traj.meta["aborted"] = STEP_FLOOR
                 self.done = True
                 return None
@@ -707,28 +712,23 @@ class _FilippovRun:
                     break
             if fired is not None:
                 scalars = [lambda v: 1.0 - lam_of(v), lambda v: lam_of(v) + 1.0,
-                           disc_of, lambda v: max(abs(v[0]), abs(v[1])) - TWO_FOLD_TOL]
+                           disc_of, lambda v: max(abs(v[1]), abs(v[2])) - TWO_FOLD_TOL]
                 t_star, w_star = _bisect_event(seg, scalars[fired])
                 return self._slide_event(fired, t_star, w_star, sigma, stalled=t_star <= t)
-            lam = lam_of(w)
-            self._record(seg[3], (0.0, w[0], w[1]), (0.0, seg[5][0], seg[5][1]),
-                         SLIDING, lam)
+            self._record(seg[3], w, seg[5], SLIDING, lam_of(w))
             m_prev = m_new
         if eject_time is not None and t_limit < self.t_end:
             # timed ejection off the repelling branch
-            w = stepper.y
-            st = (0.0, w[0], w[1])
-            self.traj.add_event(t_limit, SLIDE_EXIT, st)
-            self._record_event_sample(t_limit, st, eject_side,
-                                      (0.0, stepper.f[0], stepper.f[1]))
+            self.traj.add_event(t_limit, SLIDE_EXIT, stepper.y)
+            self._record_event_sample(t_limit, stepper.y, eject_side, stepper.f)
             return ("flow", eject_side)
         return None
 
     def _slide_event(self, which, t_star, w_star, sigma, stalled=False):
         sys = self.sys
-        st = (0.0, w_star[0], w_star[1])
-        lam = _branch_lambda(sys, sigma, w_star[0], w_star[1])
-        _, f2, f3 = sys.layer(0.0, w_star[0], w_star[1], lam)
+        st = (0.0, w_star[1], w_star[2])
+        lam = _branch_lambda(sys, sigma, w_star[1], w_star[2])
+        _, f2, f3 = sys.layer(0.0, w_star[1], w_star[2], lam)
         f_slide = (0.0, f2, f3)
         if which == 3:
             self.traj.add_event(t_star, TWO_FOLD_HIT, st)
@@ -738,7 +738,7 @@ class _FilippovRun:
             return None
         if which == 2:
             # branch fold: past it f1 keeps the sign of its lam^2 coefficient
-            a, _, _ = sys.f1_quadratic(w_star[0], w_star[1])
+            a, _, _ = sys.f1_quadratic(w_star[1], w_star[2])
             side = 1 if a > 0 else -1
             self.traj.add_event(t_star, SLIDE_EXIT, st)
             self._record_event_sample(t_star, st, side, f_slide)

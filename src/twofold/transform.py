@@ -231,6 +231,10 @@ def equivalence_residual(ctx: TransformContext, h: float, n_dirs: int = 40) -> f
 DEFAULT_H_VALUES = (1e-1, 1e-2, 1e-3, 1e-4)
 SLOPE_TARGET = 2.0
 SLOPE_TOL = 0.1
+# A ladder whose largest sphere leaves the rectification domain is divided
+# by ten at most this often.  Near h = 1e-8 the residuals (~h^2) meet
+# rounding, so the smallest ladder must end well above it.
+LADDER_SHRINKS = 2
 
 
 def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = None,
@@ -238,9 +242,21 @@ def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = No
     """Order study of the residual with eps coupled to the sample radius.
 
     Returns a report dict per checked singularity: h_values, residuals, the
-    log-log slope, and pass = |slope - 2| <= 0.1.
+    log-log slope, and pass = |slope - 2| <= 0.1.  `h_values` is used as
+    given when its largest sphere fits the rectification domain of every
+    checked singularity; otherwise the whole ladder is divided by ten, up to
+    LADDER_SHRINKS times, and past that the TransformDomainError stands.
     """
     sings = [singularity] if singularity is not None else folded_singularities(p)
+    for _ in range(LADDER_SHRINKS):
+        try:
+            return _order_study(p, sings, h_values, n_dirs)
+        except TransformDomainError:
+            h_values = tuple(h / 10.0 for h in h_values)
+    return _order_study(p, sings, h_values, n_dirs)
+
+
+def _order_study(p, sings, h_values, n_dirs) -> dict:
     reports = []
     for s in sings:
         residuals = []

@@ -9,6 +9,7 @@ from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
 from twofold.svg import render_curves, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov
+from twofold.transform import DEFAULT_H_VALUES
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,20 @@ def test_transform_check_passes(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert doc["checks"][0]["slope"] == pytest.approx(2.0, abs=0.1)
+    assert doc["checks"][0]["h_values"] == list(DEFAULT_H_VALUES)
+
+
+def test_transform_check_mixed_nf_shrinks_its_ladder(capsys):
+    # the folded singularity at lam_s = -0.447 admits only y3 < 0.061, so
+    # the default ladder's h = 0.1 sphere does not fit
+    code, out = run_cli(capsys, "transform-check", "--scenario", "mixed-nf")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert len(doc["checks"]) == 2
+    for check in doc["checks"]:
+        assert check["h_values"] == [1e-2, 1e-3, 1e-4, 1e-5]
+        assert check["pass"] is True
 
 
 def test_usage_error_exit_code(capsys):

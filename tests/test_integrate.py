@@ -1,13 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams,
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_layer,
                             normal_form_system, parse_field)
 from twofold.integrate import (EJECT_PLUS, IntegratorOptions, eject_at,
                                integrate_blowup, integrate_filippov,
                                integrate_smooth, integrate_smoothed)
+from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
+                               _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
+                               _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
+                               _Stepper, _branch_lambda, _sigmoid_source)
+from twofold.scenarios import builtin
 from twofold.sliding import sliding_lambda
 
 
@@ -58,6 +64,121 @@ def test_dense_output_matches_samples_and_is_continuous():
     assert traj.eval(ts[5]) == pytest.approx(traj.state(5), abs=1e-15)
 
 
+def test_step_budget_is_enforced():
+    opts = IntegratorOptions(max_steps=50)
+    with pytest.raises(RuntimeError, match="step budget exhausted"):
+        integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0),
+                         (0.0, 100.0), opts)
+
+
+# ------------------------------------------------------------ DP54 oracle
+
+def reference_attempt(rhs, y, k1, h, opts):
+    """Generic DP54 attempt over a state tuple of any length, written as
+    loops; `rhs` maps a state tuple to a derivative tuple.  The unrolled
+    `_Stepper._attempt` must reproduce it bit for bit."""
+    rng = range(len(y))
+    k2 = rhs(tuple(y[i] + h * (_A21 * k1[i]) for i in rng))
+    k3 = rhs(tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
+    k4 = rhs(tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in rng))
+    k5 = rhs(tuple(y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
+                               + _A54 * k4[i]) for i in rng))
+    k6 = rhs(tuple(y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
+                               + _A64 * k4[i] + _A65 * k5[i]) for i in rng))
+    y_new = tuple(y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
+                              + _B5 * k5[i] + _B6 * k6[i]) for i in rng)
+    k7 = rhs(y_new)
+    err = 0.0
+    at, rt = opts.abs_tol, opts.rel_tol
+    for i in rng:
+        e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
+                 + _E6 * k6[i] + _E7 * k7[i])
+        scale = at + rt * max(abs(y[i]), abs(y_new[i]))
+        q = abs(e) / scale
+        if q > err:
+            err = q
+    return y_new, k7, err
+
+
+def same_bits(a, b):
+    """Equal floats including the sign of zero; NaN matches NaN."""
+    if a != a:
+        return b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def assert_attempts_match(fn, y0, h, opts):
+    stepper = _Stepper(fn, 0.0, y0, opts)
+    got = stepper._attempt(h)
+    want = reference_attempt(lambda y: fn(*y), stepper.y, stepper.f, h, opts)
+    for g, w in zip(got[:2], want[:2]):
+        assert len(g) == len(w) == 3
+        assert all(same_bits(a, b) for a, b in zip(g, w)), (y0, h, g, w)
+    assert same_bits(got[2], want[2]), (y0, h, got[2], want[2])
+    return got
+
+
+def signed_steps(rng, lo, hi):
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+
+
+@pytest.mark.parametrize("name", ["example-i", "example-ii", "example-iii"])
+def test_unrolled_attempt_matches_reference_on_smoothed_layers(name):
+    rng = random.Random(f"dp54-{name}")
+    sys = builtin(name).system
+    for sigmoid in ("tanh", "sqrt"):
+        for eps in (1e-3, 1e-4):
+            fn = compile_layer(sys, _sigmoid_source(sigmoid, eps))
+            for _ in range(100):
+                y0 = (rng.uniform(-10 * eps, 10 * eps), rng.uniform(-2, 2),
+                      rng.uniform(-2, 2))
+                opts = IntegratorOptions(rel_tol=10.0 ** rng.uniform(-10, -4),
+                                         abs_tol=10.0 ** rng.uniform(-12, -6))
+                assert_attempts_match(fn, y0, signed_steps(rng, -7, -1), opts)
+
+
+def test_unrolled_attempt_matches_reference_through_overflow():
+    # cubic growth sends the stages to inf and inf - inf to NaN, so these
+    # attempts carry the values that make `step` reject
+    fn = parse_field("x2*x2*x2", "-x1*x1*x1", "x3*x3").fn
+    rng = random.Random(4242)
+    nan_states = big_errors = accepted = 0
+    for _ in range(300):
+        size = 10.0 ** rng.uniform(-2, 20)
+        y0 = tuple(size * rng.uniform(-1.0, 1.0) for _ in range(3))
+        y_new, _, err = assert_attempts_match(fn, y0, signed_steps(rng, -4, 0),
+                                              IntegratorOptions())
+        nan_states += any(v != v for v in y_new)
+        big_errors += err > 1.0
+        accepted += err <= 1.0 and all(v == v for v in y_new)
+    assert nan_states > 20 and big_errors > 20 and accepted > 20
+
+
+def test_slide_with_x1_pinned_matches_the_two_dimensional_attempt():
+    # a slide integrates (0.0, x2, x3) with f1 = 0.0: x1 must stay +0.0 and
+    # the attempt must equal the generic one on (x2, x3) alone
+    sys = builtin("mixed-nf").system
+    rng = random.Random(77)
+    for sigma in (-1, 1):
+        def fn(x1, x2, x3):
+            _, f2, f3 = sys.layer(0.0, x2, x3, _branch_lambda(sys, sigma, x2, x3))
+            return (0.0, f2, f3)
+
+        def fn2(w):
+            return fn(0.0, w[0], w[1])[1:]
+
+        for _ in range(100):
+            y0 = (0.0, rng.uniform(-2, 2), rng.uniform(-2, 2))
+            h = 10.0 ** rng.uniform(-6, -1)
+            opts = IntegratorOptions()
+            y_new, f_new, err = assert_attempts_match(fn, y0, h, opts)
+            assert same_bits(y_new[0], 0.0) and same_bits(f_new[0], 0.0)
+            want = reference_attempt(fn2, y0[1:], fn2(y0[1:]), h, opts)
+            assert all(same_bits(a, b) for a, b in zip(y_new[1:], want[0]))
+            assert all(same_bits(a, b) for a, b in zip(f_new[1:], want[1]))
+            assert same_bits(err, want[2])
+
+
 # ------------------------------------------------------------ Filippov
 
 def test_attracting_slide_reaches_two_fold_and_breaks_determinacy():
@@ -76,6 +197,25 @@ def test_attracting_slide_reaches_two_fold_and_breaks_determinacy():
             lam = traj.lam(i)
             assert -1.0 <= lam <= 1.0
             assert abs(sys.f1_surface(traj.state(i)[1], traj.state(i)[2], lam)) <= 1e-9
+
+
+@pytest.mark.parametrize("name, x0, t_end", [
+    ("visible-nf", (0.0, 1.0, 1.0), 10.0),
+    ("mixed-nf", (0.0, 1.0, 1.0), 10.0),
+    ("example-ii", (0.1, 0.5, 0.5), 100.0),
+])
+def test_slide_samples_sit_exactly_on_the_surface(name, x0, t_end):
+    # samples the slide stepper writes carry x1 = +0.0 in the state and in
+    # both derivatives; an entry sample keeps the located crossing state
+    # and the incoming flow, so only samples after it are checked
+    traj = integrate_filippov(builtin(name).system, x0, (0.0, t_end))
+    checked = 0
+    for i in range(1, len(traj)):
+        if traj.mode(i) == "sliding" and traj.mode(i - 1) == "sliding":
+            for col in (traj._y[0], traj._fi[0], traj._fo[0]):
+                assert same_bits(col[i], 0.0), (i, col[i])
+            checked += 1
+    assert checked >= 15
 
 
 def test_slide_lambda_matches_closed_form_alpha_zero():

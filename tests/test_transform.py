@@ -246,6 +246,13 @@ def test_residual_both_mixed_singularities():
     assert report["pass"]
 
 
+def test_ladder_shrinks_a_bounded_number_of_times():
+    # alpha = 1e-4 leaves a domain far smaller than the twice-shrunk ladder
+    p = TwoFoldParams(1, 1, 0.5, -3.0, 1e-4)
+    with pytest.raises(TransformDomainError):
+        transform_check(p)
+
+
 def test_residual_random_draws():
     rng = random.Random(909)
     done = 0

@@ -1,0 +1,130 @@
+"""Digest of every output of a fixed list of `twofold` CLI calls.
+
+Runs 117 calls of `twofold.cli.main` in this process, each in its own empty
+directory under one temporary directory, and prints one line per call:
+
+    <sha256>  <argv>
+
+The hash covers the exit code, stdout, stderr and the name and bytes of
+every file the call wrote.  Two checkouts whose outputs are identical print
+identical text, so a change that must keep every result bit for bit is
+checked by diffing this script's output on the parent and on the change:
+
+    PYTHONPATH=src python3 tools/cli_digests.py > after.txt
+    PYTHONPATH=/path/to/parent/src python3 tools/cli_digests.py > before.txt
+    diff before.txt after.txt
+
+The package is imported from PYTHONPATH; its location is printed to stderr.
+The list covers slide maps, Filippov, smoothed and blow-up runs, the
+normal-form reports and sweeps (about half a minute on one core).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+
+SCENARIOS = ("example-i", "example-ii", "example-iii",
+             "visible-nf", "invisible-nf", "mixed-nf")
+NORMAL_FORMS = SCENARIOS[3:]
+RANGES = ("-2,2", "-3,3", "-1.5,2.5", "-2.5,1.5")
+POLICIES = ("stay", "eject-plus", "eject-minus")
+FILIPPOV_STARTS = ("0,1,1", "0,-0.5,-0.5", "0.1,0.3,-0.2",
+                   "0,-0.5005489061376367,-0.5000070952008387")
+BLOWUP_STARTS = ("0,1,1", "0.5,-0.5,0.5", "-0.9,0.3,-0.2", "0,-0.5,-0.5")
+# (a1, a2, b1, b2, alpha): each flavour, the mixed normal form given as
+# flags, and a degenerate alpha = 0 layer
+PARAM_SETS = (("1", "1", "1.0", "-1.0", "0.2"),
+              ("-1", "-1", "2.0", "1.0", "-0.5"),
+              ("1", "-1", "0.5", "-3.0", "0.1"),
+              ("-1", "1", "-4.0", "-1.0", "0.2"),
+              ("1", "1", "-2.0", "-2.0", "0.0"))
+RUN_OUT = ("--out", "run.csv", "--plot", "run.svg")
+
+
+def calls() -> list[tuple[str, ...]]:
+    out = []
+    for name in SCENARIOS:
+        curve = ("--curve-out", "curve.csv") if name in NORMAL_FORMS else ()
+        for rng in RANGES:
+            out.append(("slide-map", "--scenario", name, f"--range={rng}",
+                        "--grid", "101", "--out", "map.csv", "--plot", "map.svg",
+                        *curve))
+    for name in SCENARIOS[:3]:
+        out.append(("simulate", "--scenario", name, "--mode", "filippov",
+                    "--t-end", "100", *RUN_OUT))
+    for name in NORMAL_FORMS:
+        for policy in POLICIES:
+            for x0 in FILIPPOV_STARTS:
+                out.append(("simulate", "--scenario", name, "--mode", "filippov",
+                            "--policy", policy, "--t-end", "10", f"--x0={x0}",
+                            *RUN_OUT))
+    for name in SCENARIOS:
+        for sigmoid in ("tanh", "sqrt"):
+            out.append(("simulate", "--scenario", name, "--sigmoid", sigmoid,
+                        "--t-end", "20", *RUN_OUT))
+    out.append(("simulate", "--scenario", "example-iii", "--epsilon", "1e-4",
+                "--t-end", "20", *RUN_OUT))
+    for name in NORMAL_FORMS:
+        for y0 in BLOWUP_STARTS:
+            out.append(("blowup", "--scenario", name, f"--x0={y0}",
+                        "--t-end", "10", *RUN_OUT))
+    out.append(("blowup", "--scenario", "mixed-nf", "--epsilon", "1e-2",
+                "--t-end", "10", *RUN_OUT))
+    for name in ("example-i", "example-iii"):
+        out.append(("blowup", "--scenario", name, "--t-end", "10", *RUN_OUT))
+    sources = [("--scenario", name) for name in NORMAL_FORMS]
+    sources += [("--a1", a1, "--a2", a2, "--b1", b1, "--b2", b2, "--alpha", alpha)
+                for a1, a2, b1, b2, alpha in PARAM_SETS]
+    for command in ("classify", "singularity", "transform-check"):
+        for src in sources:
+            out.append((command, *src, "--out", "report.json"))
+    out.append(("sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
+                "--b-range=-4,4", "--b-step", "0.1", "--out", "sweep.csv"))
+    out.append(("sweep", "--a1", "-1", "--a2", "1", "--alpha", "-0.5",
+                "--b-range=-3,3", "--b-step", "0.25", "--out", "sweep.csv"))
+    return out
+
+
+def digest(main, argv, workdir) -> str:
+    """Run one call in `workdir` (empty) and hash everything it produced."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    h = hashlib.sha256()
+    h.update(f"exit {code}\n".encode())
+    for label, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
+        data = text.encode()
+        h.update(f"{label} {len(data)}\n".encode())
+        h.update(data)
+    for name in sorted(os.listdir(workdir)):
+        with open(os.path.join(workdir, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"file {name} {len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def main() -> int:
+    from twofold import cli
+    print(f"twofold from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, argv in enumerate(calls()):
+            workdir = os.path.join(tmp, f"call{i:03d}")
+            os.mkdir(workdir)
+            print(f"{digest(cli.main, argv, workdir)}  {shlex.join(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
