@@ -15,8 +15,8 @@ import sys
 
 from . import __version__
 from .fields import TwoFoldParams, normal_form_system
-from .integrate import (IntegratorOptions, NonconvergentEventError, STEP_FLOOR,
-                        EJECT_MINUS, EJECT_PLUS, STAY_SLIDING,
+from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, STEP_FLOOR,
+                        IntegratorOptions, NonconvergentEventError,
                         integrate_blowup, integrate_filippov, integrate_smoothed)
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, scenario_to_config, save_run)
@@ -28,6 +28,10 @@ from .transform import TransformDomainError, transform_check
 
 _POLICIES = {"stay": STAY_SLIDING, "eject-plus": EJECT_PLUS,
              "eject-minus": EJECT_MINUS}
+
+# why a run stopped early, by its meta['aborted']
+_ABORT_REASONS = {STEP_FLOOR: "integration hit the step floor",
+                  BUDGET: "integration used up its step budget"}
 
 # work caps of the grid commands; both admit a 501 x 501 grid of cells
 SLIDE_MAP_MAX_GRID = 501
@@ -140,7 +144,8 @@ def _numerical_failure(traj_or_msg) -> int:
     if isinstance(traj_or_msg, str):
         print(f"numerical failure: {traj_or_msg}", file=sys.stderr)
     else:
-        print("numerical failure: integration hit the step floor", file=sys.stderr)
+        print(f"numerical failure: {_ABORT_REASONS[traj_or_msg.meta['aborted']]}",
+              file=sys.stderr)
         for e in traj_or_msg.events[-8:]:
             print(f"  t={e.t!r} {e.kind} state={e.state}", file=sys.stderr)
     return 3
@@ -277,7 +282,7 @@ def _cmd_simulate(args, parser) -> int:
     if args.seed is not None:
         report["seed"] = args.seed
     print(json.dumps(report, indent=2, sort_keys=True))
-    if traj.meta.get("aborted") == STEP_FLOOR:
+    if "aborted" in traj.meta:
         return _numerical_failure(traj)
     return 0
 
@@ -302,7 +307,7 @@ def _cmd_blowup(args, parser) -> int:
     if args.seed is not None:
         report["seed"] = args.seed
     print(json.dumps(report, indent=2, sort_keys=True))
-    if traj.meta.get("aborted") == STEP_FLOOR:
+    if "aborted" in traj.meta:
         return _numerical_failure(traj)
     return 0
 

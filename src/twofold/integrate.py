@@ -1,7 +1,8 @@
 """Time integration engines.
 
 One adaptive Dormand-Prince 5(4) core on R^3 (scalar right-hand sides
-rhs(x1, x2, x3) -> (f1, f2, f3), cubic-Hermite dense output) drives:
+rhs(x1, x2, x3) -> (f1, f2, f3), cubic-Hermite dense output) and one
+stepping loop, `_run_steps`, drive all four integrators:
 
   * integrate_smooth   -- a single smooth field, forward or backward;
   * integrate_filippov -- event-driven switching: half-space flows, surface
@@ -18,11 +19,16 @@ can hold one root branch of that quadratic in closed form: sigma = -1 labels
 the attracting branch (df1/dlam = sigma sqrt(disc) there), sigma = +1 the
 repelling one.  Branch loss (discriminant -> 0) is the fold of the sliding
 manifold and ejects the orbit into the half space where f1 keeps its sign.
+
+A run takes at most `IntegratorOptions.max_steps` accepted steps, counted in
+meta['steps'] over all its segments.  A run that stops early sets
+meta['aborted'] to STEP_FLOOR (with a step-floor event) or BUDGET.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -35,7 +41,7 @@ __all__ = [
     "STAY_SLIDING", "EJECT_PLUS", "EJECT_MINUS", "eject_at",
     "FLOW_PLUS", "FLOW_MINUS", "SLIDING", "LAYER",
     "CROSSING", "SLIDE_ENTRY", "SLIDE_EXIT", "TWO_FOLD_HIT",
-    "DETERMINACY_BREAK", "STEP_FLOOR", "BOUNDARY_EXIT",
+    "DETERMINACY_BREAK", "STEP_FLOOR", "BOUNDARY_EXIT", "BUDGET",
     "integrate_smooth", "integrate_filippov", "integrate_smoothed",
     "integrate_blowup",
 ]
@@ -56,6 +62,8 @@ TWO_FOLD_HIT = "two-fold-hit"
 DETERMINACY_BREAK = "determinacy-break"
 STEP_FLOOR = "step-floor"
 BOUNDARY_EXIT = "boundary-exit"
+
+BUDGET = "budget"            # meta['aborted'] of a run that used up max_steps
 
 TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
 SURFACE_CAP_DIST = 0.01      # |x1| below this caps the step size ...
@@ -186,19 +194,11 @@ class Trajectory:
             raise ValueError("empty trajectory")
         if len(ts) == 1:
             return self.state(0)
-        forward = self.meta.get("dir", 1) > 0
-        if forward:
+        if self.meta.get("dir", 1) > 0:
             i = bisect_right(ts, t) - 1
         else:
-            # times are strictly decreasing; search on the reversed view
-            lo, hi = 0, len(ts) - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if ts[mid] >= t:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            i = lo
+            # times are strictly decreasing, their negatives increasing
+            i = bisect_right(ts, -t, key=operator.neg) - 1
         i = max(0, min(i, len(ts) - 2))
         t0, t1 = ts[i], ts[i + 1]
         if t == t0:
@@ -276,7 +276,7 @@ class _Stepper:
     returns f1 = 0.0, so x1 stays exactly +0.0 and adds nothing to the error.
     """
 
-    __slots__ = ("rhs", "opts", "direction", "t", "y", "f", "h", "accepted")
+    __slots__ = ("rhs", "opts", "direction", "t", "y", "f", "h")
 
     def __init__(self, rhs, t0, y0, opts: IntegratorOptions, direction=1):
         self.rhs = rhs
@@ -286,7 +286,6 @@ class _Stepper:
         self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
         self.f = rhs(*self.y)
         self.h = min(opts.max_step, 1e-3)
-        self.accepted = 0
 
     def _attempt(self, h):
         # written out over the three components, k<stage><component>.  The
@@ -344,9 +343,6 @@ class _Stepper:
                 self.y = y_new
                 self.f = f_new
                 self.h = h * fac
-                self.accepted += 1
-                if self.accepted > opts.max_steps:
-                    raise RuntimeError("step budget exhausted")
                 return seg
             self.h = h * (0.2 if err != err else max(0.2, 0.9 * err ** -0.2))
 
@@ -391,42 +387,64 @@ def _bisect_event(seg, scalar, max_iter=200):
     raise NonconvergentEventError(f"event bisection did not converge ({max_iter} iterations)")
 
 
-# ---------------------------------------------------------------- smooth runs
+# ---------------------------------------------------------------- the stepping loop
 
-def _run_steps(traj, rhs, t0, y0, t1, opts, tag, direction=1, stop=None):
-    """Shared loop of the smooth, smoothed and blow-up runs.
+def _step_floor(traj, t, y):
+    traj.add_event(t, STEP_FLOOR, y)
+    traj.meta["aborted"] = STEP_FLOOR
 
-    Writes the first sample, then one sample per accepted step to t1, each
-    tagged with the (mode, lam) pair `tag(y)` returns.  A step floor records
-    a step-floor event and sets meta['aborted'].  `stop(seg)`, when given,
-    sees every accepted segment first; a true result ends the run, and the
-    stop has recorded its own samples and events.
+
+def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
+    """The one stepping loop: every integrator, and every flow and slide
+    segment of a Filippov run, advances `stepper` toward t1 here.
+
+    Writes the first sample only into an empty trajectory, then one sample
+    per accepted step, tagged with the (mode, lam) pair `tag(y)` returns.
+    `cap(stepper)`, when given, bounds the size of the next step.
+    `stop(seg)`, when given, sees every accepted segment first; its first
+    non-None result ends the loop and is returned, the stop having recorded
+    its own samples and events.  Otherwise the loop returns None: at t1, at a
+    step floor (`_step_floor`) or when the run's accepted steps, counted in
+    meta['steps'], reach opts.max_steps (meta['aborted'] = BUDGET).
     """
-    stepper = _Stepper(rhs, t0, y0, opts, direction)
-    mode, lam = tag(stepper.y)
-    traj.append(t0, stepper.y, stepper.f, mode, lam)
+    if not traj:
+        mode, lam = tag(stepper.y)
+        traj.append(stepper.t, stepper.y, stepper.f, mode, lam)
+    direction = stepper.direction
+    max_steps = stepper.opts.max_steps
+    steps = traj.meta.get("steps", 0)
+    result = None
     while (t1 - stepper.t) * direction > 0:
+        if steps >= max_steps:
+            traj.meta["aborted"] = BUDGET
+            break
         try:
-            seg = stepper.step(t1)
+            seg = stepper.step(t1, math.inf if cap is None else cap(stepper))
         except _StepFloor:
-            traj.add_event(stepper.t, STEP_FLOOR, stepper.y)
-            traj.meta["aborted"] = STEP_FLOOR
+            _step_floor(traj, stepper.t, stepper.y)
             break
-        if stop is not None and stop(seg):
-            break
+        steps += 1
+        if stop is not None:
+            result = stop(seg)
+            if result is not None:
+                break
         mode, lam = tag(seg[4])
         traj.append(seg[3], seg[4], seg[5], mode, lam)
-    return traj
+    traj.meta["steps"] = steps
+    return result
+
+
+# ---------------------------------------------------------------- smooth runs
 
 
 def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
     """Adaptive integration of one smooth field; t_span may run backward."""
     t0, t1 = t_span
     direction = 1 if t1 >= t0 else -1
-    return _run_steps(Trajectory(meta={"kind": "smooth", "dir": direction}),
-                      fld.fn, t0, x0, t1, opts or IntegratorOptions(),
-                      lambda y: (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS, NAN),
-                      direction)
+    traj = Trajectory(meta={"kind": "smooth", "dir": direction})
+    _run_steps(traj, _Stepper(fld.fn, t0, x0, opts or IntegratorOptions(), direction),
+               t1, lambda y: (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS, NAN))
+    return traj
 
 
 def _sigmoid_source(sigmoid: str, eps: float) -> str:
@@ -464,7 +482,8 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
         return (FLOW_PLUS if x1 > 0 else FLOW_MINUS), NAN
 
     traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps, "dir": 1})
-    return _run_steps(traj, rhs, t0, x0, t1, opts or IntegratorOptions(), tag)
+    _run_steps(traj, _Stepper(rhs, t0, x0, opts or IntegratorOptions()), t1, tag)
+    return traj
 
 
 # ---------------------------------------------------------------- blow-up runs
@@ -497,16 +516,17 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         elif lam <= -1.0:
             t_star, y_star = _bisect_event(seg, lambda w: w[0] + 1.0)
         else:
-            return False
+            return None
         if t_star > traj.times[-1]:
             traj.append(t_star, y_star, rhs(*y_star), LAYER, y_star[0])
         traj.add_event(t_star, BOUNDARY_EXIT, (0.0, y_star[1], y_star[2]))
         traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
-        return True
+        return BOUNDARY_EXIT
 
     t0, t1 = t_span
-    return _run_steps(traj, rhs, t0, y0, t1, opts or IntegratorOptions(),
-                      lambda y: (LAYER, y[0]), stop=boundary_exit)
+    _run_steps(traj, _Stepper(rhs, t0, y0, opts or IntegratorOptions()), t1,
+               lambda y: (LAYER, y[0]), stop=boundary_exit)
+    return traj
 
 
 # ---------------------------------------------------------------- Filippov runs
@@ -540,13 +560,51 @@ def _lifts_off(sys, y, side):
     return (up - dn) / (2.0 * d) * (1 if side > 0 else -1) > 0.0
 
 
+def _clamp_unit(lam):
+    """lam clipped to [-1, 1]; NaN (no lam) passes through."""
+    return min(1.0, max(-1.0, lam)) if lam == lam else lam
+
+
+# Filippov segment actions: ("flow", side), ("slide", sigma, eject_time,
+# eject_side), or a false one that ends the run: None, or _STOP_RUN from a stop
+# record (the two-fold, a stalled slide), which as a non-None result also ends
+# the segment's `_run_steps`.
+_STOP_RUN = ()
+
+
 class _FilippovRun:
     def __init__(self, sys, opts, traj, t_end):
         self.sys = sys
         self.opts = opts
         self.traj = traj
         self.t_end = t_end
-        self.done = False
+
+    # -- records -------------------------------------------------------------
+
+    def _record(self, t, y, f_out, mode, lam=NAN, f_in=None):
+        # events located at the left end of a segment would duplicate the
+        # previous sample; the log keeps them, the sample store skips them
+        if self.traj.times and t <= self.traj.times[-1]:
+            return
+        self.traj.append(t, y, f_out, mode, _clamp_unit(lam), f_in)
+
+    def _flow_from(self, t, y, side, f_in, kind=None):
+        """Hand the orbit to one side's flow at (t, y): the event `kind`, if
+        any, the event sample and the flow action."""
+        if kind is not None:
+            self.traj.add_event(t, kind, y)
+        fld = self.sys.f_plus if side > 0 else self.sys.f_minus
+        self._record(t, y, fld.fn(y[0], y[1], y[2]),
+                     FLOW_PLUS if side > 0 else FLOW_MINUS, NAN, f_in)
+        return ("flow", side)
+
+    def _two_fold(self, t, y, f_out, lam=NAN, f_in=None):
+        """The determinacy-breaking stop at the two-fold."""
+        st = (0.0, y[1], y[2])
+        self.traj.add_event(t, TWO_FOLD_HIT, st)
+        self.traj.add_event(t, DETERMINACY_BREAK, st)
+        self._record(t, y, f_out, SLIDING, lam, f_in)
+        return _STOP_RUN
 
     # -- surface decision --------------------------------------------------
 
@@ -558,52 +616,27 @@ class _FilippovRun:
         tol = DECISION_TOL
         if abs(fp) <= tol and abs(fm) <= tol:
             # tangent from both sides: the two-fold itself
-            self.traj.add_event(t, TWO_FOLD_HIT, (0.0, y[1], y[2]))
-            self.traj.add_event(t, DETERMINACY_BREAK, (0.0, y[1], y[2]))
-            self._record(t, y, f_in or (0.0, 0.0, 0.0), SLIDING, NAN, f_in)
-            self.done = True
-            return None
+            return self._two_fold(t, y, f_in or (0.0, 0.0, 0.0), NAN, f_in)
         if fp < -tol < tol < fm:
             return self.enter_sliding(t, y, attracting=True, f_in=f_in)
         if fm < -tol < tol < fp:
             policy = self.opts.repelling_policy
             if policy.kind == "eject-plus":
-                self._record_event_sample(t, y, 1, f_in)
-                return ("flow", 1)
+                return self._flow_from(t, y, 1, f_in)
             if policy.kind == "eject-minus":
-                self._record_event_sample(t, y, -1, f_in)
-                return ("flow", -1)
+                return self._flow_from(t, y, -1, f_in)
             return self.enter_sliding(t, y, attracting=False, f_in=f_in)
         if abs(fp) <= tol:
             # grazing contact of the plus field
             if _lifts_off(sys, y, 1):
-                self._record_event_sample(t, y, 1, f_in)
-                return ("flow", 1)
+                return self._flow_from(t, y, 1, f_in)
             return self.enter_sliding(t, y, attracting=fm > 0, f_in=f_in)
         if abs(fm) <= tol:
             if _lifts_off(sys, y, -1):
-                self._record_event_sample(t, y, -1, f_in)
-                return ("flow", -1)
+                return self._flow_from(t, y, -1, f_in)
             return self.enter_sliding(t, y, attracting=fp < 0, f_in=f_in)
         # transversal crossing: both components share one sign
-        side = 1 if fp > 0 else -1
-        self.traj.add_event(t, CROSSING, y)
-        self._record_event_sample(t, y, side, f_in)
-        return ("flow", side)
-
-    def _record(self, t, y, f_out, mode, lam=NAN, f_in=None):
-        # events located at the left end of a segment would duplicate the
-        # previous sample; the log keeps them, the sample store skips them
-        if self.traj.times and t <= self.traj.times[-1]:
-            return
-        if lam == lam:
-            lam = min(1.0, max(-1.0, lam))
-        self.traj.append(t, y, f_out, mode, lam, f_in)
-
-    def _record_event_sample(self, t, y, side, f_in):
-        fld = self.sys.f_plus if side > 0 else self.sys.f_minus
-        f_out = fld.fn(y[0], y[1], y[2])
-        self._record(t, y, f_out, FLOW_PLUS if side > 0 else FLOW_MINUS, NAN, f_in)
+        return self._flow_from(t, y, 1 if fp > 0 else -1, f_in, CROSSING)
 
     def enter_sliding(self, t, y, attracting, f_in=None):
         # the attracting branch carries df1/dlam = -sqrt(disc), which is the
@@ -622,37 +655,36 @@ class _FilippovRun:
     # -- flow segments -------------------------------------------------------
 
     def run_flow(self, t, y, side):
-        sys = self.sys
-        opts = self.opts
-        fld = sys.f_plus if side > 0 else sys.f_minus
-        stepper = _Stepper(fld.fn, t, y, opts, 1)
-        tol = opts.event_tol
-        while stepper.t < self.t_end:
-            h_cap = SURFACE_CAP_STEP if abs(stepper.y[0]) < SURFACE_CAP_DIST else math.inf
-            try:
-                seg = stepper.step(self.t_end, h_cap)
-            except _StepFloor:
-                self.traj.add_event(stepper.t, STEP_FLOOR, stepper.y)
-                self.traj.meta["aborted"] = STEP_FLOOR
-                self.done = True
-                return None
+        fld = self.sys.f_plus if side > 0 else self.sys.f_minus
+        tol = self.opts.event_tol
+        mode = FLOW_PLUS if side > 0 else FLOW_MINUS
+
+        def crossing(seg):
             x1_old, x1_new = seg[1][0], seg[4][0]
             crossed = (x1_new <= -tol) if side > 0 else (x1_new >= tol)
             # require a genuine sign change: the segment may start a hair on
             # the far side of the surface after an earlier crossing cut
             if (crossed and (x1_old > 0.0) != (x1_new > 0.0)) or x1_new == 0.0:
                 t_star, y_star = _bisect_event(seg, lambda w: w[0])
-                f_star = fld.fn(*y_star)
-                return self.decide_surface(t_star, y_star, f_in=f_star)
-            self._record(seg[3], seg[4], seg[5],
-                         FLOW_PLUS if side > 0 else FLOW_MINUS, NAN)
-        return None
+                return self.decide_surface(t_star, y_star, f_in=fld.fn(*y_star))
+            return None
+
+        def surface_cap(st):
+            return SURFACE_CAP_STEP if abs(st.y[0]) < SURFACE_CAP_DIST else math.inf
+
+        return _run_steps(self.traj, _Stepper(fld.fn, t, y, self.opts, 1), self.t_end,
+                          lambda w: (mode, NAN), crossing, surface_cap)
 
     # -- sliding segments ----------------------------------------------------
 
     def run_slide(self, t, y, sigma, eject_time, eject_side):
         sys = self.sys
-        opts = self.opts
+        if eject_time is not None and eject_time <= t:
+            # t is the last sample's time, so only the event is added
+            return self._flow_from(t, (0.0, y[1], y[2]), eject_side, None, SLIDE_EXIT)
+        is_nf = sys.params is not None
+        if is_nf and max(abs(y[1]), abs(y[2])) <= TWO_FOLD_TOL:
+            return self._two_fold(t, y, (0.0, 0.0, 0.0))
 
         def lam_of(w):
             return _branch_lambda(sys, sigma, w[1], w[2])
@@ -665,84 +697,55 @@ class _FilippovRun:
             a, b, c = sys.f1_quadratic(w[1], w[2])
             return b * b - 4.0 * a * c if a != 0.0 else 1.0
 
-        is_nf = sys.params is not None
-        if eject_time is not None and eject_time <= t:
-            st = (0.0, y[1], y[2])
-            self.traj.add_event(t, SLIDE_EXIT, st)
-            return ("flow", eject_side)
-        if is_nf and max(abs(y[1]), abs(y[2])) <= TWO_FOLD_TOL:
-            st = (0.0, y[1], y[2])
-            self.traj.add_event(t, TWO_FOLD_HIT, st)
-            self.traj.add_event(t, DETERMINACY_BREAK, st)
-            self.done = True
-            return None
-        stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), opts, 1)
-        t_limit = self.t_end if eject_time is None else min(self.t_end, eject_time)
+        # event scalars, positive while sliding: the fold lines lam = +-1, the
+        # branch fold and, for normal forms, the two-fold window
+        scalars = [lambda w: 1.0 - lam_of(w), lambda w: lam_of(w) + 1.0, disc_of]
+        if is_nf:
+            scalars.append(lambda w: max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
+        stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts, 1)
+        m_prev = [g(stepper.y) for g in scalars]
 
-        def monitors(w):
-            lam = lam_of(w)
-            vals = [1.0 - lam, lam + 1.0, disc_of(w)]
-            if is_nf:
-                vals.append(max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
-            return vals
-
-        m_prev = monitors(stepper.y)
-        while stepper.t < t_limit:
-            h_cap = math.inf
-            if is_nf:
-                # resolve the approach to the two-fold: halving steps keep the
-                # endpoint monitor from jumping across the hit window
-                dist = max(abs(stepper.y[1]), abs(stepper.y[2]))
-                speed = math.hypot(stepper.f[1], stepper.f[2])
-                if speed > 0.0 and dist > TWO_FOLD_TOL:
-                    h_cap = max(0.5 * dist / speed, 10.0 * self.opts.min_step)
-            try:
-                seg = stepper.step(t_limit, h_cap)
-            except _StepFloor:
-                self.traj.add_event(stepper.t, STEP_FLOOR, stepper.y)
-                self.traj.meta["aborted"] = STEP_FLOOR
-                self.done = True
-                return None
-            w = seg[4]
-            m_new = monitors(w)
-            fired = None
-            for idx, (a_val, b_val) in enumerate(zip(m_prev, m_new)):
+        def monitor(seg):
+            nonlocal m_prev
+            m_new = [g(seg[4]) for g in scalars]
+            for which, (g, a_val, b_val) in enumerate(zip(scalars, m_prev, m_new)):
                 if a_val > 0.0 >= b_val:
-                    fired = idx
-                    break
-            if fired is not None:
-                scalars = [lambda v: 1.0 - lam_of(v), lambda v: lam_of(v) + 1.0,
-                           disc_of, lambda v: max(abs(v[1]), abs(v[2])) - TWO_FOLD_TOL]
-                t_star, w_star = _bisect_event(seg, scalars[fired])
-                return self._slide_event(fired, t_star, w_star, sigma, stalled=t_star <= t)
-            self._record(seg[3], w, seg[5], SLIDING, lam_of(w))
+                    t_star, w_star = _bisect_event(seg, g)
+                    return self._slide_event(which, t_star, w_star, sigma,
+                                             stalled=t_star <= t)
             m_prev = m_new
-        if eject_time is not None and t_limit < self.t_end:
-            # timed ejection off the repelling branch
-            self.traj.add_event(t_limit, SLIDE_EXIT, stepper.y)
-            self._record_event_sample(t_limit, stepper.y, eject_side, stepper.f)
-            return ("flow", eject_side)
-        return None
+            return None
 
-    def _slide_event(self, which, t_star, w_star, sigma, stalled=False):
+        def two_fold_cap(st):
+            # resolve the approach to the two-fold: halving steps keep the
+            # endpoint monitor from jumping across the hit window
+            dist = max(abs(st.y[1]), abs(st.y[2]))
+            speed = math.hypot(st.f[1], st.f[2])
+            if speed > 0.0 and dist > TWO_FOLD_TOL:
+                return max(0.5 * dist / speed, 10.0 * self.opts.min_step)
+            return math.inf
+
+        t_limit = self.t_end if eject_time is None else min(self.t_end, eject_time)
+        result = _run_steps(self.traj, stepper, t_limit,
+                            lambda w: (SLIDING, _clamp_unit(lam_of(w))), monitor,
+                            two_fold_cap if is_nf else None)
+        if result is None and t_limit < self.t_end and stepper.t >= t_limit:
+            # timed ejection off the repelling branch
+            return self._flow_from(t_limit, stepper.y, eject_side, stepper.f, SLIDE_EXIT)
+        return result
+
+    def _slide_event(self, which, t_star, w_star, sigma, stalled):
         sys = self.sys
         st = (0.0, w_star[1], w_star[2])
         lam = _branch_lambda(sys, sigma, w_star[1], w_star[2])
         _, f2, f3 = sys.layer(0.0, w_star[1], w_star[2], lam)
         f_slide = (0.0, f2, f3)
         if which == 3:
-            self.traj.add_event(t_star, TWO_FOLD_HIT, st)
-            self.traj.add_event(t_star, DETERMINACY_BREAK, st)
-            self._record(t_star, st, f_slide, SLIDING, lam, f_slide)
-            self.done = True
-            return None
+            return self._two_fold(t_star, st, f_slide, lam, f_slide)
         if which == 2:
             # branch fold: past it f1 keeps the sign of its lam^2 coefficient
             a, _, _ = sys.f1_quadratic(w_star[1], w_star[2])
-            side = 1 if a > 0 else -1
-            self.traj.add_event(t_star, SLIDE_EXIT, st)
-            self._record_event_sample(t_star, st, side, f_slide)
-            return ("flow", side)
+            return self._flow_from(t_star, st, 1 if a > 0 else -1, f_slide, SLIDE_EXIT)
         side = 1 if which == 0 else -1
         if not _lifts_off(sys, st, side):
             # the branch left [-1, 1] by this step's end: the orbit crosses
@@ -751,16 +754,12 @@ class _FilippovRun:
             if side * sys.f1_surface(st[1], st[2], float(side)) <= DECISION_TOL:
                 if stalled:
                     # sliding on would restart at the same time forever
-                    self.traj.add_event(t_star, STEP_FLOOR, st)
-                    self.traj.meta["aborted"] = STEP_FLOOR
-                    self.done = True
-                    return None
+                    _step_floor(self.traj, t_star, st)
+                    return _STOP_RUN
                 # the boundary root grazes lam = +-1 and returns: keep sliding
                 self._record(t_star, st, f_slide, SLIDING, lam, f_slide)
                 return ("slide", sigma, None, 0)
-        self.traj.add_event(t_star, SLIDE_EXIT, st)
-        self._record_event_sample(t_star, st, side, f_slide)
-        return ("flow", side)
+        return self._flow_from(t_star, st, side, f_slide, SLIDE_EXIT)
 
 
 def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
@@ -778,27 +777,21 @@ def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
     configured policy; staying on the branch is the (deterministic) default.
     """
     opts = opts or IntegratorOptions()
-    t0, t1 = t_span
-    if t1 <= t0:
+    t, t1 = t_span
+    if t1 <= t:
         raise ValueError("Filippov runs integrate forward")
     traj = Trajectory(meta={"kind": "filippov", "dir": 1})
     run = _FilippovRun(sys, opts, traj, t1)
     y = tuple(map(float, x0))
-    t = t0
     if abs(y[0]) <= opts.event_tol:
         action = run.decide_surface(t, (y[0], y[1], y[2]))
     else:
-        side = 1 if y[0] > 0 else -1
-        fld = sys.f_plus if side > 0 else sys.f_minus
-        traj.append(t, y, fld.fn(*y), FLOW_PLUS if side > 0 else FLOW_MINUS)
-        action = ("flow", side)
-    while action is not None and not run.done:
-        t = traj.times[-1]
-        y = traj.final_state
-        if t >= t1:
-            break
+        # the first flow segment writes the start sample
+        action = ("flow", 1 if y[0] > 0 else -1)
+    while action and t < t1:
         if action[0] == "flow":
             action = run.run_flow(t, y, action[1])
         else:
             action = run.run_slide(t, y, action[1], action[2], action[3])
+        t, y = traj.times[-1], traj.final_state
     return traj

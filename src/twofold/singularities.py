@@ -43,6 +43,7 @@ MIXED = "mixed"
 FOLDED_SADDLE = "folded-saddle"
 FOLDED_NODE = "folded-node"
 FOLDED_FOCUS = "folded-focus"
+DEGENERATE = "degenerate"
 
 CANARD = "canard"
 FAUX_CANARD = "faux-canard"
@@ -149,17 +150,14 @@ def folded_constants(p: TwoFoldParams, lambda_s: float) -> FoldedConstants:
     return FoldedConstants(f2s, f3s, c, b, d1, f3s, b_t, c_t)
 
 
-def folded_type(a_tilde: float, b_tilde: float, c_tilde: float):
-    """Classify by the projected slow flow: saddle if a~ b~ < 0, node if
-    0 < 8 a~ b~ < c~^2, focus if c~^2 < 8 a~ b~.  Exact boundaries are not
-    classified.  Returns (type, canard_flag, eigenvalues, trace, det)."""
+def _slow_flow_type(a_tilde: float, b_tilde: float, c_tilde: float):
+    """(type, canard_flag, eigenvalues, trace, det) of the projected slow
+    flow; the type is 'degenerate' on an exact classification boundary."""
     prod = a_tilde * b_tilde
-    det = 2.0 * prod
     disc = c_tilde * c_tilde - 8.0 * prod
     if prod == 0.0 or disc == 0.0:
-        raise DegenerateTypeError(
-            f"classification boundary: a~ b~ = {prod}, c~^2 - 8 a~ b~ = {disc}")
-    if prod < 0.0:
+        kind = DEGENERATE
+    elif prod < 0.0:
         kind = FOLDED_SADDLE
     elif disc > 0.0:
         kind = FOLDED_NODE
@@ -173,7 +171,18 @@ def folded_type(a_tilde: float, b_tilde: float, c_tilde: float):
         canard = FAUX_CANARD
     else:
         canard = NEUTRAL
-    return kind, canard, eigenvalues, c_tilde, det
+    return kind, canard, eigenvalues, c_tilde, 2.0 * prod
+
+
+def folded_type(a_tilde: float, b_tilde: float, c_tilde: float):
+    """Classify by the projected slow flow: saddle if a~ b~ < 0, node if
+    0 < 8 a~ b~ < c~^2, focus if c~^2 < 8 a~ b~.  Exact boundaries are not
+    classified.  Returns (type, canard_flag, eigenvalues, trace, det)."""
+    result = _slow_flow_type(a_tilde, b_tilde, c_tilde)
+    if result[0] == DEGENERATE:
+        raise DegenerateTypeError(f"classification boundary: (a~, b~, c~) = "
+                                  f"{(a_tilde, b_tilde, c_tilde)}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -216,15 +225,7 @@ _FLIP = {CANARD: FAUX_CANARD, FAUX_CANARD: CANARD, NEUTRAL: NEUTRAL}
 
 def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
     k = folded_constants(p, ls)
-    try:
-        kind, canard, eig, trace, det = folded_type(k.a_tilde, k.b_tilde, k.c_tilde)
-    except DegenerateTypeError:
-        kind, canard = "degenerate", NEUTRAL if k.c_tilde == 0.0 else (
-            CANARD if k.c_tilde > 0.0 else FAUX_CANARD)
-        disc = k.c_tilde ** 2 - 8.0 * k.a_tilde * k.b_tilde
-        root = cmath.sqrt(complex(disc, 0.0))
-        eig = (0.5 * (k.c_tilde + root), 0.5 * (k.c_tilde - root))
-        trace, det = k.c_tilde, 2.0 * k.a_tilde * k.b_tilde
+    kind, canard, eig, trace, det = _slow_flow_type(k.a_tilde, k.b_tilde, k.c_tilde)
     # the model lives in reversed time when alpha > 0
     canard_orig = _FLIP[canard] if p.alpha > 0 else canard
     return FoldedSingularity(

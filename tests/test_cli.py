@@ -1,9 +1,11 @@
 import argparse
+import dataclasses
 import json
 import signal
 
 import pytest
 
+from twofold import cli
 from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
                          _finite, main)
 from twofold.svg import render_curves, render_trajectory
@@ -216,6 +218,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         "sim": {"epsilon": 1e-9, "t_end": 1.0, "x0": [0.0, 1.0, 1.0]}}))
     code = main(["simulate", "--config", str(cfg), "--min-step", "1e-6"])
     assert code == 3
+
+
+def test_step_budget_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+    run_options = cli._run_options
+    monkeypatch.setattr(cli, "_run_options",
+                        lambda args: dataclasses.replace(run_options(args), max_steps=100))
+    for argv in (("simulate", "--scenario", "example-iii", "--mode", "filippov"),
+                 ("simulate", "--scenario", "example-i"),
+                 ("blowup", "--scenario", "mixed-nf", "--epsilon", "1e-3")):
+        code = main([*argv, "--out", str(tmp_path / "run.csv")])
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert json.loads(captured.out)["samples"] > 1
+        assert "step budget" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -53,6 +53,7 @@ def test_backward_integration_reverses_forward():
     assert back.final_state == pytest.approx((0.5, 1.0, 1.0), abs=1e-6)
     # dense output works on the reversed time axis too
     assert back.eval(0.5) == pytest.approx(fwd.eval(0.5), abs=1e-6)
+    assert all(back.eval(t) == back.state(i) for i, t in enumerate(back.times))
 
 
 def test_dense_output_matches_samples_and_is_continuous():
@@ -66,9 +67,22 @@ def test_dense_output_matches_samples_and_is_continuous():
 
 def test_step_budget_is_enforced():
     opts = IntegratorOptions(max_steps=50)
-    with pytest.raises(RuntimeError, match="step budget exhausted"):
-        integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0),
-                         (0.0, 100.0), opts)
+    traj = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0),
+                            (0.0, 100.0), opts)
+    assert traj.meta["aborted"] == "budget" and traj.meta["steps"] == 50
+    assert len(traj) == 51 and traj.t_end < 100.0
+    full = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0), (0.0, 100.0))
+    assert "aborted" not in full.meta and full.meta["steps"] == len(full) - 1
+
+
+def test_step_budget_counts_every_segment_of_a_filippov_run():
+    # each crossing or slide starts a new segment; the budget is the run's
+    sc = builtin("example-iii")
+    traj = integrate_filippov(sc.system, sc.x0, (0.0, 200.0),
+                              IntegratorOptions(max_steps=1000))
+    assert traj.meta["aborted"] == "budget" and traj.meta["steps"] == 1000
+    assert traj.t_end < 200.0
+    assert len(traj.events_of("crossing")) + len(traj.events_of("slide-entry")) > 1
 
 
 # ------------------------------------------------------------ DP54 oracle

@@ -210,6 +210,17 @@ def test_type_boundaries_are_degenerate():
         folded_type(1.0, 2.0, 4.0)   # c~^2 = 16 = 8 a~ b~
 
 
+def test_degenerate_singularity_keeps_its_slow_flow_values():
+    # c~ = -sqrt(5) with a~ = 0: on the saddle/node boundary, so the type is
+    # not classified, yet flag, eigenvalues, trace and det are still reported
+    (s,) = folded_singularities(TwoFoldParams(1, 1, -1.0, -1.0, 0.2))
+    root5 = math.sqrt(5.0)
+    assert s.folded_type == "degenerate" and s.canard == "faux-canard"
+    assert s.eigenvalues == (0j, complex(-root5, 0.0))
+    assert s.trace == -root5
+    assert s.det == 0.0 and math.copysign(1.0, s.det) == -1.0
+
+
 def test_eigenvalue_formula():
     _, _, eig, trace, det = folded_type(0.5, -2.0, 1.5)
     root = math.sqrt(1.5 ** 2 + 8.0)

@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 117 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 122 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -16,7 +16,8 @@ checked by diffing this script's output on the parent and on the change:
 
 The package is imported from PYTHONPATH; its location is printed to stderr.
 The list covers slide maps, Filippov, smoothed and blow-up runs, the
-normal-form reports and sweeps (about half a minute on one core).
+normal-form reports and sweeps, plus runs that stop early at a step floor
+(about half a minute on one core).
 """
 
 from __future__ import annotations
@@ -45,6 +46,20 @@ PARAM_SETS = (("1", "1", "1.0", "-1.0", "0.2"),
               ("-1", "1", "-4.0", "-1.0", "0.2"),
               ("1", "1", "-2.0", "-2.0", "0.0"))
 RUN_OUT = ("--out", "run.csv", "--plot", "run.svg")
+# runs that end at a step floor: a flow floor at t = 0, a slide floor, the
+# sliding runaway of a perturbed example-i start (floor at t = 288), a
+# smoothed floor and a blow-up floor
+STEP_FLOOR_RUNS = (
+    ("simulate", "--scenario", "example-ii", "--mode", "filippov",
+     "--min-step", "5e-3"),
+    ("simulate", "--scenario", "mixed-nf", "--mode", "filippov", "--x0=0,1,1",
+     "--min-step", "1e-4"),
+    ("simulate", "--scenario", "example-i", "--mode", "filippov", "--t-end", "500",
+     "--x0=0.0007440114815103326,0.9990989812550146,1.0009610976545993"),
+    ("simulate", "--scenario", "example-iii", "--epsilon", "1e-4",
+     "--min-step", "1e-5", "--t-end", "20"),
+    ("blowup", "--scenario", "mixed-nf", "--x0=0,1,1", "--min-step", "1e-4"),
+)
 
 
 def calls() -> list[tuple[str, ...]]:
@@ -88,6 +103,7 @@ def calls() -> list[tuple[str, ...]]:
                 "--b-range=-4,4", "--b-step", "0.1", "--out", "sweep.csv"))
     out.append(("sweep", "--a1", "-1", "--a2", "1", "--alpha", "-0.5",
                 "--b-range=-3,3", "--b-step", "0.25", "--out", "sweep.csv"))
+    out.extend((*argv, *RUN_OUT) for argv in STEP_FLOOR_RUNS)
     return out
 
 
