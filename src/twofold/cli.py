@@ -9,6 +9,7 @@ artifacts.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -53,8 +54,6 @@ def _add_run_args(sp):
     sp.add_argument("--epsilon", type=_positive, help="smoothing/timescale parameter")
     sp.add_argument("--t-end", type=_positive, dest="t_end")
     sp.add_argument("--x0", type=_triple, help="initial state, three comma-separated numbers")
-    sp.add_argument("--sigmoid", choices=("tanh", "sqrt"))
-    sp.add_argument("--policy", choices=tuple(_POLICIES))
     sp.add_argument("--rel-tol", type=_positive, dest="rel_tol")
     sp.add_argument("--abs-tol", type=_positive, dest="abs_tol")
     sp.add_argument("--min-step", type=_positive, dest="min_step")
@@ -108,25 +107,34 @@ def _resolve_scenario(args, parser) -> Scenario:
         p = TwoFoldParams(args.a1, args.a2, args.b1, args.b2, args.alpha)
         sc = Scenario("normal-form", normal_form_system(p), 1e-3, 10.0,
                       (0.0, 1.0, 1.0), "tanh", "")
-    eps = getattr(args, "epsilon", None)
-    t_end = getattr(args, "t_end", None)
-    x0 = getattr(args, "x0", None)
-    sigmoid = getattr(args, "sigmoid", None)
-    return Scenario(sc.name, sc.system,
-                    eps if eps is not None else sc.epsilon,
-                    t_end if t_end is not None else sc.t_end,
-                    x0 if x0 is not None else sc.x0,
-                    sigmoid if sigmoid is not None else sc.sigmoid,
-                    sc.note)
+    return dataclasses.replace(sc, **_given(args, "epsilon", "t_end", "x0", "sigmoid"))
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _given(args, *names) -> dict:
+    """The flags among `names` that the command takes and the call set."""
+    return {name: value for name in names
+            if (value := getattr(args, name, None)) is not None}
+
+
+def _emit(report, args, out=None) -> int:
+    """Print the JSON report, with --seed added, and copy it to `out`.
+
+    A report holding a non-finite number is not written (JSON has no such
+    numbers): exit 3.
+    """
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        report["seed"] = seed
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        return _numerical_failure("the report holds a non-finite number")
     print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
+    return 0
 
 
 def _need_params(sc: Scenario, parser) -> TwoFoldParams:
@@ -134,10 +142,6 @@ def _need_params(sc: Scenario, parser) -> TwoFoldParams:
         parser.error(f"{sc.name!r} is not a normal-form system; this command "
                      "needs --a1/--a2/--b1/--b2/--alpha (or a params config)")
     return sc.params
-
-
-def _params_echo(p: TwoFoldParams) -> dict:
-    return {"a1": p.a1, "a2": p.a2, "b1": p.b1, "b2": p.b2, "alpha": p.alpha}
 
 
 def _numerical_failure(traj_or_msg) -> int:
@@ -159,7 +163,7 @@ def _cmd_classify(args, parser) -> int:
     flavor = classify_two_fold(p)
     deg = degeneracy_report(p)
     report = {
-        "params": _params_echo(p),
+        "params": dataclasses.asdict(p),
         "flavor": flavor.tag,
         "determinacy_breaking": flavor.determinacy_breaking,
         "degenerate_layer": deg.is_degenerate,
@@ -174,10 +178,7 @@ def _cmd_classify(args, parser) -> int:
         report["count"] = 0
         report["note"] = "alpha is zero: the layer problem is degenerate and no "\
                          "folded singularities are defined"
-    if args.seed is not None:
-        report["seed"] = args.seed
-    _emit(report, args)
-    return 0
+    return _emit(report, args, args.out)
 
 
 def _cmd_singularity(args, parser) -> int:
@@ -187,13 +188,10 @@ def _cmd_singularity(args, parser) -> int:
         sings = folded_singularities(p)
     except AlphaZeroError as exc:
         parser.error(str(exc))
-    report = {"params": _params_echo(p),
+    report = {"params": dataclasses.asdict(p),
               "count": len(sings),
               "singularities": [s.to_json_dict() for s in sings]}
-    if args.seed is not None:
-        report["seed"] = args.seed
-    _emit(report, args)
-    return 0
+    return _emit(report, args, args.out)
 
 
 def _cmd_slide_map(args, parser) -> int:
@@ -204,7 +202,6 @@ def _cmd_slide_map(args, parser) -> int:
         parser.error(f"need 2 <= --grid <= {SLIDE_MAP_MAX_GRID} and a nonempty, "
                      "finite --range lo,hi")
     sys_ = sc.system
-    cells = []
     rows = []
     for i in range(n):
         x2 = lo + (hi - lo) * i / (n - 1)
@@ -214,7 +211,6 @@ def _cmd_slide_map(args, parser) -> int:
             sols = sliding_lambda(sys_, x2, x3)
             lams = [s.lam for s in sols]
             rows.append((x2, x3, region, lams))
-            cells.append((x2, x3, region))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("x2,x3,region,n_roots,lambda_1,lambda_2\n")
@@ -228,15 +224,11 @@ def _cmd_slide_map(args, parser) -> int:
             parser.error("--curve-out needs a normal-form system")
         curve.to_csv(args.curve_out)
     if args.plot:
-        render_region_map(cells, curve, args.plot)
+        render_region_map([row[:3] for row in rows], curve, args.plot)
     counts: dict[str, int] = {}
     for _, _, region, _ in rows:
         counts[region] = counts.get(region, 0) + 1
-    report = {"grid": n, "range": [lo, hi], "region_counts": counts}
-    if args.seed is not None:
-        report["seed"] = args.seed
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    return _emit({"grid": n, "range": [lo, hi], "region_counts": counts}, args)
 
 
 def _traj_summary(traj) -> dict:
@@ -251,13 +243,23 @@ def _traj_summary(traj) -> dict:
     }
 
 
+def _run_report(args, traj, head: dict) -> int:
+    """The tail of simulate and blowup: artifacts, then the report (`head`
+    plus the run summary), then exit 3 if the run stopped early."""
+    if args.out:
+        save_run(traj, args.out)
+    if args.plot:
+        render_trajectory(traj, args.plot, view=args.view)
+    code = _emit({**head, **_traj_summary(traj)}, args)
+    if "aborted" in traj.meta:
+        return _numerical_failure(traj)
+    return code
+
+
 def _run_options(args) -> IntegratorOptions:
-    kw = {"repelling_policy": _POLICIES[getattr(args, "policy", None) or "stay"]}
-    for name in ("rel_tol", "abs_tol", "min_step"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kw[name] = val
-    return IntegratorOptions(**kw)
+    policy = _POLICIES[getattr(args, "policy", None) or "stay"]
+    return IntegratorOptions(repelling_policy=policy,
+                             **_given(args, "rel_tol", "abs_tol", "min_step"))
 
 
 def _cmd_simulate(args, parser) -> int:
@@ -271,20 +273,9 @@ def _cmd_simulate(args, parser) -> int:
                                       sc.x0, (0.0, sc.t_end), opts)
     except NonconvergentEventError as exc:
         return _numerical_failure(str(exc))
-    if args.seed is not None:
-        traj.meta["seed"] = args.seed
-    if args.out:
-        save_run(traj, args.out)
-    if args.plot:
-        render_trajectory(traj, args.plot, view=args.view)
-    report = {"scenario": sc.name, "mode": args.mode, "epsilon": sc.epsilon,
-              "sigmoid": sc.sigmoid, "x0": list(sc.x0), **_traj_summary(traj)}
-    if args.seed is not None:
-        report["seed"] = args.seed
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if "aborted" in traj.meta:
-        return _numerical_failure(traj)
-    return 0
+    return _run_report(args, traj, {"scenario": sc.name, "mode": args.mode,
+                                    "epsilon": sc.epsilon, "sigmoid": sc.sigmoid,
+                                    "x0": list(sc.x0)})
 
 
 def _cmd_blowup(args, parser) -> int:
@@ -292,24 +283,11 @@ def _cmd_blowup(args, parser) -> int:
     y0 = args.x0 if args.x0 is not None else (0.0, 1.0, 1.0)
     if not -1.0 <= y0[0] <= 1.0:
         parser.error("blow-up initial state is lam,x2,x3 with lam in [-1, 1]")
-    eps = args.epsilon if args.epsilon is not None else sc.epsilon
-    t_end = args.t_end if args.t_end is not None else sc.t_end
-    traj = integrate_blowup(sc.system, eps, y0, (0.0, t_end), _run_options(args))
-    if args.seed is not None:
-        traj.meta["seed"] = args.seed
-    if args.out:
-        save_run(traj, args.out)
-    if args.plot:
-        render_trajectory(traj, args.plot, view=args.view)
+    traj = integrate_blowup(sc.system, sc.epsilon, y0, (0.0, sc.t_end),
+                            _run_options(args))
     p = sc.params
-    report = {"params": _params_echo(p) if p is not None else None,
-              "epsilon": eps, **_traj_summary(traj)}
-    if args.seed is not None:
-        report["seed"] = args.seed
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if "aborted" in traj.meta:
-        return _numerical_failure(traj)
-    return 0
+    head = {"params": None if p is None else dataclasses.asdict(p), "epsilon": sc.epsilon}
+    return _run_report(args, traj, head)
 
 
 def _cmd_transform_check(args, parser) -> int:
@@ -319,10 +297,7 @@ def _cmd_transform_check(args, parser) -> int:
         report = transform_check(p)
     except (AlphaZeroError, TransformDomainError) as exc:
         return _numerical_failure(str(exc))
-    if args.seed is not None:
-        report["seed"] = args.seed
-    _emit(report, args)
-    return 0
+    return _emit(report, args, args.out)
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -337,6 +312,8 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(f"sweep grid exceeds {SWEEP_MAX_CELLS} cells; raise --b-step "
                      "or narrow --b-range")
     n = int(round((hi - lo) / step)) + 1
+    if not math.isfinite(lo + (n - 1) * step):
+        parser.error("the sweep grid's last b value overflows; narrow --b-range")
     rows = []
     for i in range(n):
         b1 = lo + i * step
@@ -360,26 +337,20 @@ def _cmd_sweep(args, parser) -> int:
     for _, _, tag, db, count, types in rows:
         key = f"{tag}:{count}"
         summary[key] = summary.get(key, 0) + 1
-    report = {"a1": args.a1, "a2": args.a2, "alpha": args.alpha,
-              "cells": len(rows), "flavor_count_histogram": summary}
-    if args.seed is not None:
-        report["seed"] = args.seed
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    return _emit({"a1": args.a1, "a2": args.a2, "alpha": args.alpha,
+                  "cells": len(rows), "flavor_count_histogram": summary}, args)
 
 
 def _cmd_scenario(args, parser) -> int:
     if args.action == "list":
-        print(json.dumps(builtin_names(), indent=2))
-        return 0
+        return _emit(builtin_names(), args)
     if args.name is None:
         parser.error("scenario show needs a name")
     try:
         sc = builtin(args.name)
     except ValueError as exc:
         parser.error(str(exc))
-    print(json.dumps(scenario_to_config(sc), indent=2, sort_keys=True))
-    return 0
+    return _emit(scenario_to_config(sc), args)
 
 
 # ---------------------------------------------------------------- wiring
@@ -392,16 +363,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"twofold {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, run_args=False):
+    def common(sp, run_args=False, plot=False):
+        # slide-map and the runs draw SVGs (--plot); only runs pick a --view
         _add_system_args(sp)
         if run_args:
             _add_run_args(sp)
         sp.add_argument("--out", metavar="PATH", help="artifact output path")
-        sp.add_argument("--plot", metavar="PATH", help="SVG output path")
-        sp.add_argument("--view", choices=("u3", "u2", "x1", "x2", "x3"),
-                        default="u3", help="projection axis for plots")
+        if plot or run_args:
+            sp.add_argument("--plot", metavar="PATH", help="SVG output path")
+        if run_args:
+            sp.add_argument("--view", choices=("u3", "u2", "x1", "x2", "x3"),
+                            default="u3", help="projection axis for plots")
         sp.add_argument("--seed", type=int, metavar="U64",
-                        help="recorded in artifacts for reproducibility")
+                        help="recorded in the printed report")
 
     sp = sub.add_parser("classify", help="two-fold flavour and folded singularities")
     common(sp)
@@ -412,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_singularity)
 
     sp = sub.add_parser("slide-map", help="region map of the switching surface")
-    common(sp)
+    common(sp, plot=True)
     sp.add_argument("--range", type=_pair, default=(-2.0, 2.0),
                     metavar="LO,HI", help="x2 and x3 range (default -2,2)")
     sp.add_argument("--grid", type=int, default=41, help="points per axis")
@@ -422,6 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="integrate a system")
     common(sp, run_args=True)
+    sp.add_argument("--sigmoid", choices=("tanh", "sqrt"))
+    sp.add_argument("--policy", choices=tuple(_POLICIES))
     sp.add_argument("--mode", choices=("smoothed", "filippov"), default="smoothed")
     sp.set_defaults(fn=_cmd_simulate)
 
@@ -435,7 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_transform_check)
 
     sp = sub.add_parser("sweep", help="grid over (b1, b2) at fixed a1, a2, alpha")
-    _add_system_args(sp)
+    sp.add_argument("--a1", type=int, choices=(-1, 1))
+    sp.add_argument("--a2", type=int, choices=(-1, 1))
+    sp.add_argument("--alpha", type=_finite)
     sp.add_argument("--b-range", type=_pair, default=(-6.0, 6.0), metavar="LO,HI")
     sp.add_argument("--b-step", type=_finite, default=0.1)
     sp.add_argument("--out", metavar="PATH")

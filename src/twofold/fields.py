@@ -98,6 +98,9 @@ class TwoFoldParams:
     def __post_init__(self):
         if self.a1 not in (-1, 1) or self.a2 not in (-1, 1):
             raise ValueError(f"a1 and a2 must be +-1, got ({self.a1}, {self.a2})")
+        if not all(map(math.isfinite, (self.b1, self.b2, self.alpha))):
+            raise ValueError(f"b1, b2 and alpha must be finite, got "
+                             f"({self.b1}, {self.b2}, {self.alpha})")
 
 
 class PiecewiseSmoothSystem:

@@ -4,7 +4,7 @@ One adaptive Dormand-Prince 5(4) core on R^3 (scalar right-hand sides
 rhs(x1, x2, x3) -> (f1, f2, f3), cubic-Hermite dense output) and one
 stepping loop, `_run_steps`, drive all four integrators:
 
-  * integrate_smooth   -- a single smooth field, forward or backward;
+  * integrate_smooth   -- a single smooth field;
   * integrate_filippov -- event-driven switching: half-space flows, surface
     crossings located by bisection on the dense output, sliding (x1 held at
     +0.0) with the layer value of lam tracked in closed form, fold/two-fold
@@ -22,13 +22,13 @@ manifold and ejects the orbit into the half space where f1 keeps its sign.
 
 A run takes at most `IntegratorOptions.max_steps` accepted steps, counted in
 meta['steps'] over all its segments.  A run that stops early sets
-meta['aborted'] to STEP_FLOOR (with a step-floor event) or BUDGET.
+meta['aborted'] to STEP_FLOOR (with a step-floor event) or BUDGET.  Every
+run integrates forward in time.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -111,10 +111,13 @@ class IntegratorOptions:
     max_steps: int = 20_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.event_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        tols = (self.rel_tol, self.abs_tol, self.event_tol)
+        if not all(0 < tol < math.inf for tol in tols):
+            raise ValueError("tolerances must be finite and positive")
         if not 0 < self.min_step < self.max_step:
             raise ValueError("need 0 < min_step < max_step")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -146,9 +149,8 @@ class Trajectory:
     # -- construction ------------------------------------------------------
 
     def append(self, t, y, f_out, mode, lam=NAN, f_in=None):
-        if self._t and not (t > self._t[-1] if self.meta.get("dir", 1) > 0
-                            else t < self._t[-1]):
-            raise ValueError(f"sample times must be strictly monotone, got {t}")
+        if self._t and not t > self._t[-1]:
+            raise ValueError(f"sample times must be strictly increasing, got {t}")
         f_in = f_in if f_in is not None else f_out
         self._t.append(t)
         for i in range(3):
@@ -194,12 +196,7 @@ class Trajectory:
             raise ValueError("empty trajectory")
         if len(ts) == 1:
             return self.state(0)
-        if self.meta.get("dir", 1) > 0:
-            i = bisect_right(ts, t) - 1
-        else:
-            # times are strictly decreasing, their negatives increasing
-            i = bisect_right(ts, -t, key=operator.neg) - 1
-        i = max(0, min(i, len(ts) - 2))
+        i = max(0, min(bisect_right(ts, t) - 1, len(ts) - 2))
         t0, t1 = ts[i], ts[i + 1]
         if t == t0:
             return self.state(i)
@@ -276,12 +273,11 @@ class _Stepper:
     returns f1 = 0.0, so x1 stays exactly +0.0 and adds nothing to the error.
     """
 
-    __slots__ = ("rhs", "opts", "direction", "t", "y", "f", "h")
+    __slots__ = ("rhs", "opts", "t", "y", "f", "h")
 
-    def __init__(self, rhs, t0, y0, opts: IntegratorOptions, direction=1):
+    def __init__(self, rhs, t0, y0, opts: IntegratorOptions):
         self.rhs = rhs
         self.opts = opts
-        self.direction = direction
         self.t = t0
         self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
         self.f = rhs(*self.y)
@@ -330,15 +326,14 @@ class _Stepper:
         """Advance one accepted step toward t_limit; raises _StepFloor."""
         opts = self.opts
         while True:
-            h = min(self.h, h_cap, opts.max_step, abs(t_limit - self.t))
+            h = min(self.h, h_cap, opts.max_step, t_limit - self.t)
             if h < opts.min_step:
                 raise _StepFloor
-            y_new, f_new, err = self._attempt(h * self.direction)
+            y_new, f_new, err = self._attempt(h)
             n1, n2, n3 = y_new
             if err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3:
                 fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                seg = (self.t, self.y, self.f,
-                       self.t + h * self.direction, y_new, f_new)
+                seg = (self.t, self.y, self.f, self.t + h, y_new, f_new)
                 self.t = seg[3]
                 self.y = y_new
                 self.f = f_new
@@ -410,11 +405,10 @@ def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
     if not traj:
         mode, lam = tag(stepper.y)
         traj.append(stepper.t, stepper.y, stepper.f, mode, lam)
-    direction = stepper.direction
     max_steps = stepper.opts.max_steps
     steps = traj.meta.get("steps", 0)
     result = None
-    while (t1 - stepper.t) * direction > 0:
+    while stepper.t < t1:
         if steps >= max_steps:
             traj.meta["aborted"] = BUDGET
             break
@@ -438,11 +432,12 @@ def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
 
 
 def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
-    """Adaptive integration of one smooth field; t_span may run backward."""
+    """Adaptive integration of one smooth field."""
     t0, t1 = t_span
-    direction = 1 if t1 >= t0 else -1
-    traj = Trajectory(meta={"kind": "smooth", "dir": direction})
-    _run_steps(traj, _Stepper(fld.fn, t0, x0, opts or IntegratorOptions(), direction),
+    if t1 <= t0:
+        raise ValueError("smooth runs integrate forward")
+    traj = Trajectory(meta={"kind": "smooth"})
+    _run_steps(traj, _Stepper(fld.fn, t0, x0, opts or IntegratorOptions()),
                t1, lambda y: (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS, NAN))
     return traj
 
@@ -481,7 +476,7 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
             return LAYER, phi(x1 / eps)
         return (FLOW_PLUS if x1 > 0 else FLOW_MINUS), NAN
 
-    traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps, "dir": 1})
+    traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps})
     _run_steps(traj, _Stepper(rhs, t0, x0, opts or IntegratorOptions()), t1, tag)
     return traj
 
@@ -507,7 +502,7 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         f1, f2, f3 = layer(0.0, x2, x3, lam)
         return (f1 * inv, f2, f3)
 
-    traj = Trajectory(meta={"kind": "blowup", "space": "layer", "eps": eps, "dir": 1})
+    traj = Trajectory(meta={"kind": "blowup", "space": "layer", "eps": eps})
 
     def boundary_exit(seg):
         lam = seg[4][0]
@@ -672,7 +667,7 @@ class _FilippovRun:
         def surface_cap(st):
             return SURFACE_CAP_STEP if abs(st.y[0]) < SURFACE_CAP_DIST else math.inf
 
-        return _run_steps(self.traj, _Stepper(fld.fn, t, y, self.opts, 1), self.t_end,
+        return _run_steps(self.traj, _Stepper(fld.fn, t, y, self.opts), self.t_end,
                           lambda w: (mode, NAN), crossing, surface_cap)
 
     # -- sliding segments ----------------------------------------------------
@@ -702,7 +697,7 @@ class _FilippovRun:
         scalars = [lambda w: 1.0 - lam_of(w), lambda w: lam_of(w) + 1.0, disc_of]
         if is_nf:
             scalars.append(lambda w: max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
-        stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts, 1)
+        stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts)
         m_prev = [g(stepper.y) for g in scalars]
 
         def monitor(seg):
@@ -780,7 +775,7 @@ def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
     t, t1 = t_span
     if t1 <= t:
         raise ValueError("Filippov runs integrate forward")
-    traj = Trajectory(meta={"kind": "filippov", "dir": 1})
+    traj = Trajectory(meta={"kind": "filippov"})
     run = _FilippovRun(sys, opts, traj, t1)
     y = tuple(map(float, x0))
     if abs(y[0]) <= opts.event_tol:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
 from .expr import ExpressionError
@@ -223,8 +223,7 @@ def scenario_to_config(sc: Scenario) -> dict:
     doc: dict = {"name": sc.name}
     p = sc.params
     if p is not None:
-        doc["params"] = {"a1": p.a1, "a2": p.a2, "b1": p.b1, "b2": p.b2,
-                         "alpha": p.alpha}
+        doc["params"] = asdict(p)
     else:
         doc["f_plus"] = list(sc.system.f_plus.expressions())
         doc["f_minus"] = list(sc.system.f_minus.expressions())

@@ -24,7 +24,7 @@ couples eps = h to the sphere radius h; their maximum must shrink like h^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system
@@ -39,7 +39,8 @@ __all__ = [
 
 
 class TransformDomainError(ValueError):
-    """Point outside the rectification domain (1+lam_s)^2 - y3/alpha >= 0."""
+    """Point outside the rectification domain (1+lam_s)^2 - y3/alpha >= 0,
+    or a residual outside (0, inf), which has no logarithm for the order fit."""
 
 
 @dataclass(frozen=True)
@@ -244,8 +245,9 @@ def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = No
     Returns a report dict per checked singularity: h_values, residuals, the
     log-log slope, and pass = |slope - 2| <= 0.1.  `h_values` is used as
     given when its largest sphere fits the rectification domain of every
-    checked singularity; otherwise the whole ladder is divided by ten, up to
-    LADDER_SHRINKS times, and past that the TransformDomainError stands.
+    checked singularity and every residual is positive and finite; otherwise
+    the whole ladder is divided by ten, up to LADDER_SHRINKS times, and past
+    that the TransformDomainError stands.
     """
     sings = [singularity] if singularity is not None else folded_singularities(p)
     for _ in range(LADDER_SHRINKS):
@@ -263,6 +265,9 @@ def _order_study(p, sings, h_values, n_dirs) -> dict:
         for h in h_values:
             ctx = TransformContext(p, s, epsilon=h)
             residuals.append(equivalence_residual(ctx, h, n_dirs))
+        if not all(0.0 < r < math.inf for r in residuals):
+            raise TransformDomainError(f"residuals {residuals} at lam_s = {s.lambda_s!r} "
+                                       "are not all positive and finite")
         lx = [math.log10(h) for h in h_values]
         ly = [math.log10(r) for r in residuals]
         mx = sum(lx) / len(lx)
@@ -270,8 +275,7 @@ def _order_study(p, sings, h_values, n_dirs) -> dict:
         slope = (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
                  / sum((a - mx) ** 2 for a in lx))
         reports.append({
-            "params": {"a1": p.a1, "a2": p.a2, "b1": p.b1, "b2": p.b2,
-                       "alpha": p.alpha},
+            "params": asdict(p),
             "lambda_s": s.lambda_s,
             "h_values": list(h_values),
             "residuals": residuals,

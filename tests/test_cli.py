@@ -302,6 +302,52 @@ def test_sweep_cell_cap(capsys):
     assert "cells" in capsys.readouterr().err
     assert main(["sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
                  "--b-range=0,1", "--b-step", "5e-324"]) == 2
+    # a finite range whose last grid value overflows to inf
+    assert main(["sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
+                 "--b-range=-0.9e308,0.8e308", "--b-step", "1e308"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+NORMAL_FORM = ("--a1", "1", "--a2", "1", "--b1", "1", "--b2", "-1", "--alpha", "0.2")
+
+
+@pytest.mark.parametrize("argv", [
+    (command, *NORMAL_FORM, flag, value)
+    for command in ("classify", "singularity", "transform-check")
+    for flag, value in (("--plot", "x.svg"), ("--view", "u2"))
+] + [
+    ("slide-map", "--scenario", "invisible-nf", "--view", "u2"),
+    ("blowup", "--scenario", "visible-nf", "--sigmoid", "sqrt"),
+    ("blowup", "--scenario", "visible-nf", "--policy", "eject-plus"),
+    *(("sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2", *source)
+      for source in (("--scenario", "invisible-nf"), ("--config", "cfg.json"),
+                     ("--b1", "1"), ("--b2", "1"))),
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flags_are_usage_errors(argv, capsys):
+    # a flag the command would ignore is refused, not silently dropped
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# finite flags whose derived constants overflow: JSON has no inf or nan
+OVERFLOW = ("--a1", "1", "--a2", "1", "--b1=1e308", "--b2=1e308", "--alpha=0.2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", *OVERFLOW), ("singularity", *OVERFLOW), ("transform-check", *OVERFLOW),
+    # alpha = 1e308 rounds every residual to exactly zero, which has no log
+    ("transform-check", "--a1", "1", "--a2", "1", "--b1=3", "--b2=-1e-300",
+     "--alpha=1e308"),
+], ids=["classify", "singularity", "transform-check", "transform-check-zero-residual"])
+def test_report_without_finite_numbers_is_numerical_failure(argv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main([*argv, "--out", str(report)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not report.exists()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
 
 
 def test_repelling_slide_past_fold_line_returns(capsys):

@@ -180,6 +180,15 @@ def test_params_validation():
         TwoFoldParams(2, 1, 0.0, 0.0, 0.1)
 
 
+@pytest.mark.parametrize("index", [2, 3, 4], ids=["b1", "b2", "alpha"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_constants(index, value):
+    args = [1, 1, 0.5, -0.5, 0.2]
+    args[index] = value
+    with pytest.raises(ValueError):
+        TwoFoldParams(*args)
+
+
 def test_field_expression_strings_round_trip():
     f = parse_field("-x2+1/10*x1", "x1-6/5", "x1-2")
     again = parse_field(*f.expressions())
