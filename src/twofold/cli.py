@@ -283,8 +283,11 @@ def _cmd_blowup(args, parser) -> int:
     y0 = args.x0 if args.x0 is not None else (0.0, 1.0, 1.0)
     if not -1.0 <= y0[0] <= 1.0:
         parser.error("blow-up initial state is lam,x2,x3 with lam in [-1, 1]")
-    traj = integrate_blowup(sc.system, sc.epsilon, y0, (0.0, sc.t_end),
-                            _run_options(args))
+    try:
+        traj = integrate_blowup(sc.system, sc.epsilon, y0, (0.0, sc.t_end),
+                                _run_options(args))
+    except NonconvergentEventError as exc:
+        return _numerical_failure(str(exc))
     p = sc.params
     head = {"params": None if p is None else dataclasses.asdict(p), "epsilon": sc.epsilon}
     return _run_report(args, traj, head)

@@ -6,9 +6,11 @@ stepping loop, `_run_steps`, drive all four integrators:
 
   * integrate_smooth   -- a single smooth field;
   * integrate_filippov -- event-driven switching: half-space flows, surface
-    crossings located by bisection on the dense output, sliding (x1 held at
-    +0.0) with the layer value of lam tracked in closed form, fold/two-fold
-    exit events;
+    crossings found exactly on each step's dense output (the interior extrema
+    of x1's Hermite cubic come in closed form, so no step size cap near
+    x1 = 0 is needed) and located by bisection, sliding (x1 held at +0.0)
+    with the layer value of lam tracked in closed form, fold/two-fold exit
+    events;
   * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps);
   * integrate_blowup   -- the layer system itself, (lam' , x2., x3.) with
     lam' = eps dlam/dt, lam clamped to [-1, +1] by a boundary-exit event.
@@ -33,7 +35,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .fields import PiecewiseSmoothSystem, SmoothField, citardauq, compile_layer
+from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_layer,
+                     quadratic_roots)
 
 __all__ = [
     "IntegratorOptions", "RepellingPolicy", "Trajectory", "Event",
@@ -66,8 +69,6 @@ BOUNDARY_EXIT = "boundary-exit"
 BUDGET = "budget"            # meta['aborted'] of a run that used up max_steps
 
 TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
-SURFACE_CAP_DIST = 0.01      # |x1| below this caps the step size ...
-SURFACE_CAP_STEP = 1e-3      # ... at this value, so events sit on tight segments
 DECISION_TOL = 1e-12
 
 
@@ -339,7 +340,9 @@ class _Stepper:
                 self.f = f_new
                 self.h = h * fac
                 return seg
-            self.h = h * (0.2 if err != err else max(0.2, 0.9 * err ** -0.2))
+            # a rejection with err <= 1.0 has a non-finite state (its err may
+            # read 0.0), which estimates no step size: shrink by the floor
+            self.h = h * (max(0.2, 0.9 * err ** -0.2) if err > 1.0 else 0.2)
 
 
 def _hermite(seg, t):
@@ -355,18 +358,25 @@ def _hermite(seg, t):
                  for i in range(len(y0)))
 
 
-def _bisect_event(seg, scalar, max_iter=200):
-    """Root of scalar(dense(t)) in the segment, assuming a sign change."""
-    t_lo, t_hi = seg[0], seg[3]
-    v_lo = scalar(seg[1])
-    v_hi = scalar(seg[4])
+def _bisect_event(seg, scalar, t_lo=None, t_hi=None, max_iter=200):
+    """Root of scalar(dense(t)) on [t_lo, t_hi] within the segment (by
+    default its whole span), assuming a sign change there."""
+    if t_lo is None:
+        t_lo, y_lo = seg[0], seg[1]
+    else:
+        y_lo = _hermite(seg, t_lo)
+    if t_hi is None:
+        t_hi, y_hi = seg[3], seg[4]
+    else:
+        y_hi = _hermite(seg, t_hi)
+    v_lo = scalar(y_lo)
+    v_hi = scalar(y_hi)
     if v_lo == 0.0:
-        return t_lo, seg[1]
+        return t_lo, y_lo
     if v_hi == 0.0:
-        return t_hi, seg[4]
+        return t_hi, y_hi
     if (v_lo > 0.0) == (v_hi > 0.0):
         raise NonconvergentEventError("no sign change in event bracket")
-    y_mid = seg[1]
     for _ in range(max_iter):
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid == t_lo or t_mid == t_hi:      # interval below float resolution
@@ -380,6 +390,37 @@ def _bisect_event(seg, scalar, max_iter=200):
         else:
             t_hi, v_hi = t_mid, v_mid
     raise NonconvergentEventError(f"event bisection did not converge ({max_iter} iterations)")
+
+
+def _surface_crossing(seg, side, tol):
+    """First point (t, y) of a flow segment on `side` of x1 = 0 where x1
+    reaches the surface, or None.
+
+    Exact however long the step: x1 on the Hermite cubic is monotone between
+    its interior extrema, the roots of the derivative's quadratic, so testing
+    those in time order and then the end finds the first crossing even when
+    a grazing orbit crosses twice within the step.  A point counts when x1
+    lies at least `tol` (event_tol) beyond the surface, or exactly on it.
+    """
+    t0, y0, f0, t1, y1, f1 = seg
+    h = t1 - t0
+    x1_old, x1_end = y0[0], y1[0]
+    d0, d1 = h * f0[0], h * f1[0]
+    a = 6.0 * x1_old + 3.0 * d0 - 6.0 * x1_end + 3.0 * d1
+    b = -6.0 * x1_old - 4.0 * d0 + 6.0 * x1_end - 2.0 * d1
+    extrema = sorted(t for t in (t0 + s * h for s, _ in quadratic_roots(a, b, d0, 0.0))
+                     if t0 < t < t1)
+    # the bracket starts at the last point strictly on this side: a segment
+    # may start on the surface, or a hair beyond it after an earlier
+    # crossing cut, and that start is no new crossing
+    t_lo = t0 if side * x1_old > 0.0 else None
+    for t_c in extrema + [None]:        # None: the step's end
+        x1_new = x1_end if t_c is None else _hermite(seg, t_c)[0]
+        if side * x1_new > 0.0:
+            t_lo = t_c
+        elif t_lo is not None and (side * x1_new <= -tol or x1_new == 0.0):
+            return _bisect_event(seg, lambda w: w[0], t_lo, t_c)
+    return None
 
 
 # ---------------------------------------------------------------- the stepping loop
@@ -655,20 +696,14 @@ class _FilippovRun:
         mode = FLOW_PLUS if side > 0 else FLOW_MINUS
 
         def crossing(seg):
-            x1_old, x1_new = seg[1][0], seg[4][0]
-            crossed = (x1_new <= -tol) if side > 0 else (x1_new >= tol)
-            # require a genuine sign change: the segment may start a hair on
-            # the far side of the surface after an earlier crossing cut
-            if (crossed and (x1_old > 0.0) != (x1_new > 0.0)) or x1_new == 0.0:
-                t_star, y_star = _bisect_event(seg, lambda w: w[0])
-                return self.decide_surface(t_star, y_star, f_in=fld.fn(*y_star))
-            return None
-
-        def surface_cap(st):
-            return SURFACE_CAP_STEP if abs(st.y[0]) < SURFACE_CAP_DIST else math.inf
+            hit = _surface_crossing(seg, side, tol)
+            if hit is None:
+                return None
+            t_star, y_star = hit
+            return self.decide_surface(t_star, y_star, f_in=fld.fn(*y_star))
 
         return _run_steps(self.traj, _Stepper(fld.fn, t, y, self.opts), self.t_end,
-                          lambda w: (mode, NAN), crossing, surface_cap)
+                          lambda w: (mode, NAN), crossing)
 
     # -- sliding segments ----------------------------------------------------
 

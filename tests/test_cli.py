@@ -350,6 +350,27 @@ def test_report_without_finite_numbers_is_numerical_failure(argv, tmp_path, caps
     assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
 
 
+def test_blowup_with_non_finite_attempts_ends_at_step_floor(capsys):
+    # alpha = 1e308 overflows every attempt to a NaN state whose error
+    # estimate reads 0.0; each rejection must shrink h by 0.2 down to the
+    # floor, where 0.0 ** -0.2 used to raise ZeroDivisionError
+    code = main(["blowup", "--a1", "1", "--a2", "-1", "--b1=0", "--b2=-2",
+                 "--alpha=1e308", "--t-end", "0.5", "--x0=1,1e10,1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["events"] == {"step-floor": 1}
+    assert captured.err.startswith("numerical failure: integration hit the step floor")
+
+
+def test_blowup_nonconvergent_boundary_exit_is_numerical_failure(capsys):
+    # the lam = 1 boundary-exit bisection of this run does not converge
+    code = main(["blowup", "--a1", "-1", "--a2", "-1", "--b1=1", "--b2=0.2",
+                 "--alpha=3", "--t-end", "0.5", "--x0=1,1e10,1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
+
+
 def test_repelling_slide_past_fold_line_returns(capsys):
     # the repelling branch reaches lam = -1 at x3 ~ 1.6e-16 without lift-off
     # and used to restart the slide at the same time forever

@@ -12,7 +12,8 @@ from twofold.integrate import (EJECT_PLUS, IntegratorOptions, eject_at,
 from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
-                               _Stepper, _branch_lambda, _sigmoid_source)
+                               _Stepper, _branch_lambda, _sigmoid_source,
+                               _surface_crossing)
 from twofold.scenarios import builtin
 from twofold.sliding import sliding_lambda
 
@@ -252,6 +253,55 @@ def test_single_crossing_event_accuracy():
     assert abs(e.state[0]) <= 1e-12
     # after the crossing the run continues on the minus side
     assert traj.final_state[0] < 0
+
+
+def polynomial_segment(p, dp, t0, t1):
+    """Flow segment whose x1 Hermite cubic is the polynomial p (degree <= 3,
+    so the cubic reproduces it exactly); x2 and x3 are constant."""
+    return (t0, (p(t0), 0.5, -0.5), (dp(t0), 0.0, 0.0),
+            t1, (p(t1), 0.5, -0.5), (dp(t1), 0.0, 0.0))
+
+
+def test_surface_crossing_finds_a_dip_between_two_plus_side_ends():
+    # x1 = 4 (t - 2.15)(t - 2.3) is positive at both ends of [2, 2.5] and
+    # dips to -0.0225 in between; the crossing is the dip's first root
+    seg = polynomial_segment(lambda t: 4.0 * (t - 2.15) * (t - 2.3),
+                             lambda t: 4.0 * (2.0 * t - 4.45), 2.0, 2.5)
+    assert seg[1][0] > 0.0 and seg[4][0] > 0.0
+    t_star, y_star = _surface_crossing(seg, 1, 1e-12)
+    assert t_star == pytest.approx(2.15, abs=1e-12)
+    assert abs(y_star[0]) <= 1e-12 and y_star[1:] == pytest.approx((0.5, -0.5))
+
+
+def test_surface_crossing_takes_the_earliest_of_three_roots():
+    # x1 = -(s - 0.2)(s - 0.5)(s - 0.8) on [0, 1] crosses at s = 0.2, 0.5, 0.8
+    roots = (0.2, 0.5, 0.8)
+    seg = polynomial_segment(
+        lambda t: -math.prod(t - r for r in roots),
+        lambda t: -sum(math.prod(t - r for r in roots if r != q) for q in roots),
+        0.0, 1.0)
+    assert seg[1][0] > 0.0 > seg[4][0]
+    t_star, _ = _surface_crossing(seg, 1, 1e-12)
+    assert t_star == pytest.approx(0.2, abs=1e-12)
+
+
+def test_filippov_finds_a_shallow_dip_inside_one_natural_step():
+    # x1' = x2, x2' = 1 on both sides: x1 = x10 + x20 t + t^2/2 exactly, and
+    # from x10 = 0.00395, x20 = -0.09 it dips to -1e-4 and back on
+    # t = 0.09 -+ sqrt(2e-4).  DP54 is exact on this field, so its steps grow
+    # fivefold from 1e-3 and the whole dip sits inside the fourth step
+    # [0.031, 0.156]; only the interior extremum shows it
+    field = parse_field("x2", "1", "0")
+    sys = PiecewiseSmoothSystem(field, field)
+    x10, x20 = 0.00395, -0.09
+    traj = integrate_filippov(sys, (x10, x20, 0.0), (0.0, 1.0))
+    root = math.sqrt(x20 * x20 - 2.0 * x10)
+    crossings = traj.events_of("crossing")
+    assert [e.t for e in crossings] == pytest.approx([-x20 - root, -x20 + root], abs=1e-12)
+    # a work bound: 13 steps, as each of the three flow segments starts again
+    # at h = 1e-3; a 1e-3 step cap while |x1| < 0.01 takes 237
+    assert traj.meta["steps"] <= 20
+    assert traj.final_state == pytest.approx((x10 + x20 + 0.5, x20 + 1.0, 0.0), abs=1e-12)
 
 
 def test_visible_slide_exits_at_fold_line():

@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 129 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 131 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -16,9 +16,10 @@ checked by diffing this script's output on the parent and on the change:
 
 The package is imported from PYTHONPATH; its location is printed to stderr.
 The list covers slide maps, Filippov, smoothed and blow-up runs, the
-normal-form reports and sweeps, runs that stop early at a step floor, and
-`scenario list` plus `scenario show` of every built-in scenario (about ten
-seconds on one core of a 2-vCPU Xeon, Python 3.11).
+normal-form reports and sweeps, runs that stop early at a step floor,
+`scenario list` plus `scenario show` of every built-in scenario, and last
+two blow-ups that end in a numerical failure (about ten seconds on one core
+of a 2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ STEP_FLOOR_RUNS = (
     ("simulate", "--scenario", "example-iii", "--epsilon", "1e-4",
      "--min-step", "1e-5", "--t-end", "20"),
     ("blowup", "--scenario", "mixed-nf", "--x0=0,1,1", "--min-step", "1e-4"),
+)
+# blow-ups that exit 3: every attempt overflows to a NaN state (step floor),
+# and a lam-boundary bisection that does not converge
+FAILING_BLOWUPS = (
+    ("blowup", "--a1", "1", "--a2", "-1", "--b1=0", "--b2=-2", "--alpha=1e308",
+     "--t-end", "0.5", "--x0=1,1e10,1"),
+    ("blowup", "--a1", "-1", "--a2", "-1", "--b1=1", "--b2=0.2", "--alpha=3",
+     "--t-end", "0.5", "--x0=1,1e10,1"),
 )
 
 
@@ -107,6 +116,7 @@ def calls() -> list[tuple[str, ...]]:
     out.extend((*argv, *RUN_OUT) for argv in STEP_FLOOR_RUNS)
     out.append(("scenario", "list"))
     out.extend(("scenario", "show", name) for name in SCENARIOS)
+    out.extend(FAILING_BLOWUPS)
     return out
 
 
