@@ -285,6 +285,18 @@ def test_surface_crossing_takes_the_earliest_of_three_roots():
     assert t_star == pytest.approx(0.2, abs=1e-12)
 
 
+def test_surface_crossing_brackets_from_the_first_point_off_the_surface():
+    # a segment that starts on x1 = 0, as after a slide exit, must not find
+    # its own start, which would restart the run there forever: x1 =
+    # s (0.5 - s) rises, turns at s = 0.25 and crosses at s = 0.5.  Seen
+    # from the minus side it goes beyond the surface at once, with no point
+    # on its own side before, so it has no crossing bracket
+    seg = polynomial_segment(lambda t: t * (0.5 - t), lambda t: 0.5 - 2.0 * t, 0.0, 1.0)
+    t_star, _ = _surface_crossing(seg, 1, 1e-12)
+    assert t_star == pytest.approx(0.5, abs=1e-12)
+    assert _surface_crossing(seg, -1, 1e-12) is None
+
+
 def test_filippov_finds_a_shallow_dip_inside_one_natural_step():
     # x1' = x2, x2' = 1 on both sides: x1 = x10 + x20 t + t^2/2 exactly, and
     # from x10 = 0.00395, x20 = -0.09 it dips to -1e-4 and back on
