@@ -273,9 +273,13 @@ def _cmd_simulate(args, parser) -> int:
                                       sc.x0, (0.0, sc.t_end), opts)
     except NonconvergentEventError as exc:
         return _numerical_failure(str(exc))
-    return _run_report(args, traj, {"scenario": sc.name, "mode": args.mode,
-                                    "epsilon": sc.epsilon, "sigmoid": sc.sigmoid,
-                                    "x0": list(sc.x0)})
+    head = {"scenario": sc.name, "mode": args.mode, "epsilon": sc.epsilon,
+            "sigmoid": sc.sigmoid, "x0": list(sc.x0)}
+    if args.mode != "filippov":
+        # accepted steps, and how many of them were RODAS4 steps on the layer
+        head["steps"] = traj.meta["steps"]
+        head["rosenbrock_steps"] = traj.meta["rosenbrock_steps"]
+    return _run_report(args, traj, head)
 
 
 def _cmd_blowup(args, parser) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Pow",
-    "ExpressionError", "parse_expr", "num",
+    "ExpressionError", "parse_expr", "num", "ZERO",
 ]
 
 VAR_NAMES = ("x1", "x2", "x3")
@@ -46,6 +46,12 @@ class Expr:
         """Python source fragment used by the compiled evaluators."""
         raise NotImplementedError
 
+    def diff(self, index: int) -> Expr:
+        """Exact partial derivative in x<index>.  Zero and one factors are
+        folded away, so the derivative of a polynomial field stays short; an
+        identically zero derivative is the shared ZERO node."""
+        raise NotImplementedError
+
     def __str__(self) -> str:
         return _print(self, 0)
 
@@ -60,6 +66,9 @@ class Num(Expr):
     def source(self):
         return repr(float(self.value))
 
+    def diff(self, index):
+        return ZERO
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -71,6 +80,9 @@ class Var(Expr):
     def source(self):
         return VAR_NAMES[self.index - 1]
 
+    def diff(self, index):
+        return ONE if self.index == index else ZERO
+
 
 @dataclass(frozen=True)
 class Neg(Expr):
@@ -81,6 +93,10 @@ class Neg(Expr):
 
     def source(self):
         return f"(-{self.arg.source()})"
+
+    def diff(self, index):
+        d = self.arg.diff(index)
+        return ZERO if d is ZERO else Neg(d)
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,9 @@ class Add(Expr):
     def source(self):
         return f"({self.left.source()}+{self.right.source()})"
 
+    def diff(self, index):
+        return _add(self.left.diff(index), self.right.diff(index))
+
 
 @dataclass(frozen=True)
 class Sub(Expr):
@@ -105,6 +124,12 @@ class Sub(Expr):
 
     def source(self):
         return f"({self.left.source()}-{self.right.source()})"
+
+    def diff(self, index):
+        d_left, d_right = self.left.diff(index), self.right.diff(index)
+        if d_right is ZERO:
+            return d_left
+        return Neg(d_right) if d_left is ZERO else Sub(d_left, d_right)
 
 
 @dataclass(frozen=True)
@@ -118,6 +143,10 @@ class Mul(Expr):
     def source(self):
         return f"({self.left.source()}*{self.right.source()})"
 
+    def diff(self, index):
+        return _add(_mul(self.left.diff(index), self.right),
+                    _mul(self.left, self.right.diff(index)))
+
 
 @dataclass(frozen=True)
 class Pow(Expr):
@@ -129,6 +158,34 @@ class Pow(Expr):
 
     def source(self):
         return f"({self.base.source()}**{self.exponent})"
+
+    def diff(self, index):
+        n = self.exponent
+        if n == 0:
+            return ZERO
+        outer = ONE if n == 1 else Mul(Num(Fraction(n)),
+                                       self.base if n == 2 else Pow(self.base, n - 1))
+        return _mul(outer, self.base.diff(index))
+
+
+ZERO = Num(Fraction(0))
+ONE = Num(Fraction(1))
+
+
+# the folds test identity: every zero or one a derivative produces is ZERO
+# or ONE itself
+def _add(a: Expr, b: Expr) -> Expr:
+    if a is ZERO:
+        return b
+    return a if b is ZERO else Add(a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if a is ZERO or b is ZERO:
+        return ZERO
+    if a is ONE:
+        return b
+    return a if b is ONE else Mul(a, b)
 
 
 def num(value) -> Expr:

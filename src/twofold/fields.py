@@ -14,8 +14,9 @@ The combination and its first component's lam-quadratic
 f1(0, x2, x3; lam) = a lam^2 + b lam + c are compiled here once per system
 (`compile_layer`), and every consumer calls them: the sliding roots, the
 Filippov slide, the smoothed and blow-up right-hand sides and the transform
-check.  The quadratic has one stable solver, `citardauq`, behind
-`quadratic_roots`.
+check.  A smoothed run also compiles the exact Jacobian of its field
+(`compile_jacobian`) for its stiff steps.  The quadratic has one stable
+solver, `citardauq`, behind `quadratic_roots`.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expr import Expr, Var, Neg, num, parse_expr
+from .expr import ZERO, Expr, Var, Neg, num, parse_expr
 
 __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
     "parse_field", "field_from_exprs", "normal_form_system",
-    "compile_layer", "citardauq", "quadratic_roots",
+    "compile_layer", "compile_jacobian", "citardauq", "quadratic_roots",
 ]
 
 
@@ -179,11 +180,12 @@ class PiecewiseSmoothSystem:
                 f"f_minus={self.f_minus!r}, hidden={self.hidden!r})")
 
 
-def _compile(src: str, name: str):
+def _compile(src: str, *names: str):
+    """The functions `names` defined by `src`: one, or a tuple of several."""
     # source generated from our own expression trees
     ns = {"__builtins__": {}, "tanh": math.tanh, "sqrt": math.sqrt}
     exec(src, ns)
-    return ns[name]
+    return ns[names[0]] if len(names) == 1 else tuple(ns[n] for n in names)
 
 
 def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):
@@ -202,6 +204,34 @@ def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):
     return _compile(head
                     + "    wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
                     + f"    return ({rows})\n", "layer")
+
+
+def compile_jacobian(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str):
+    """Exact derivatives of the smoothed field compile_layer(sys, lam_source).
+
+    `dlam_source` is dlam/dx1 as a Python expression in x1 and lam.  Returns
+    the pair (jacobian, df1_dx1) of functions of (x1, x2, x3): `jacobian`
+    gives the nine entries df_i/dx_j row by row, `df1_dx1` entry (1, 1)
+    alone, a cheap stiffness test.  Column 1 carries the chain-rule term
+    through lam: d(wp, wm, wh)/dx1 = (1/2, -1/2, -2 lam) dlam/dx1.
+    """
+    fields = (sys.f_plus, sys.f_minus, sys.hidden)
+
+    def entry(i, j):
+        comps = [f.components[i] for f in fields]
+        terms = [(w, c.diff(j + 1)) for w, c in zip(("wp", "wm", "wh"), comps)]
+        if j == 0:
+            terms += zip(("dwp", "dwm", "dwh"), comps)
+        return "+".join(f"{w}*{e.source()}" for w, e in terms if e is not ZERO) or "0.0"
+
+    entries = [entry(i, j) for i in range(3) for j in range(3)]
+    head = (f"    lam = {lam_source}\n    dlam = {dlam_source}\n"
+            "    wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
+            "    dwp = 0.5*dlam; dwm = -dwp; dwh = -2.0*lam*dlam\n")
+    rows = ",\n            ".join(entries)
+    return _compile(f"def jacobian(x1, x2, x3):\n{head}    return ({rows})\n"
+                    f"def df1_dx1(x1, x2, x3):\n{head}    return {entries[0]}\n",
+                    "jacobian", "df1_dx1")
 
 
 def citardauq(a: float, b: float, c: float, s: float) -> tuple[float, float]:

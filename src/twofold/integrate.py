@@ -1,8 +1,12 @@
 """Time integration engines.
 
-One adaptive Dormand-Prince 5(4) core on R^3 (scalar right-hand sides
-rhs(x1, x2, x3) -> (f1, f2, f3), cubic-Hermite dense output) and one
-stepping loop, `_run_steps`, drive all four integrators:
+One adaptive stepper on R^3 (scalar right-hand sides rhs(x1, x2, x3) ->
+(f1, f2, f3), cubic-Hermite dense output) and one stepping loop,
+`_run_steps`, drive all four integrators.  Its steps are Dormand-Prince
+5(4), except where a smoothed run sits on the attracting stiff layer: there
+they are RODAS4 (an order-4 L-stable Rosenbrock method) steps on the exact
+Jacobian, so the step count there no longer grows like 1/eps.  The four
+integrators:
 
   * integrate_smooth   -- a single smooth field;
   * integrate_filippov -- event-driven switching: half-space flows, surface
@@ -11,7 +15,8 @@ stepping loop, `_run_steps`, drive all four integrators:
     x1 = 0 is needed) and located by bisection, sliding (x1 held at +0.0)
     with the layer value of lam tracked in closed form, fold/two-fold exit
     events;
-  * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps);
+  * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps), the one
+    integrator with RODAS4 steps;
   * integrate_blowup   -- the layer system itself, (lam' , x2., x3.) with
     lam' = eps dlam/dt, lam clamped to [-1, +1] by a boundary-exit event.
 
@@ -35,8 +40,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_layer,
-                     quadratic_roots)
+from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_jacobian,
+                     compile_layer, quadratic_roots)
 
 __all__ = [
     "IntegratorOptions", "RepellingPolicy", "Trajectory", "Event",
@@ -260,31 +265,55 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
 
+# DP54's stability region reaches about -3.3 on the negative real axis: a
+# step with h * (-df1/dx1) beyond it is stiff for DP54 along x1
+_DP54_STABILITY = 3.3
+
+
 class _StepFloor(Exception):
     pass
 
 
 class _Stepper:
-    """One smooth piece in R^3: repeated accepted DP54 steps with error control.
+    """One smooth piece in R^3: repeated accepted steps with error control.
 
     `rhs(x1, x2, x3) -> (f1, f2, f3)` takes and returns scalars; every
     evaluation goes through `self.rhs`.  Holds (t, y, f) of the last accepted
     point; `step` returns the segment (t0, y0, f0, t1, y1, f1) it just
     accepted.  A slide runs here too: it starts at x1 = +0.0 and its rhs
     returns f1 = 0.0, so x1 stays exactly +0.0 and adds nothing to the error.
+
+    Steps are DP54, unless `jac` and `df1_dx1` are given (a smoothed run, from
+    `fields.compile_jacobian`): then a step on which the layer is attracting
+    and stiff at its size, h * (-df1/dx1) > _DP54_STABILITY at its start and
+    at its end, is a RODAS4 step (`rodas4.attempt`), counted in
+    `rosenbrock_steps`.
     """
 
-    __slots__ = ("rhs", "opts", "t", "y", "f", "h")
+    __slots__ = ("rhs", "opts", "t", "y", "f", "h", "jac", "df1_dx1", "rosenbrock",
+                 "rosenbrock_steps")
 
-    def __init__(self, rhs, t0, y0, opts: IntegratorOptions):
+    def __init__(self, rhs, t0, y0, opts: IntegratorOptions, jac=None, df1_dx1=None):
         self.rhs = rhs
         self.opts = opts
         self.t = t0
         self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
         self.f = rhs(*self.y)
         self.h = min(opts.max_step, 1e-3)
+        self.jac = jac
+        self.df1_dx1 = df1_dx1
+        if jac is not None:
+            # imported here, so runs that cannot take a stiff step never
+            # compile the RODAS4 module
+            from .rodas4 import attempt
+            self.rosenbrock = attempt
+        self.rosenbrock_steps = 0
 
-    def _attempt(self, h):
+    def _attempt(self, h, stiff=False):
+        """One attempt of size h: (y_new, f_new, err), err <= 1 passing the
+        tolerances.  DP54 by default, RODAS4 when `stiff`."""
+        if stiff:
+            return self.rosenbrock(self.rhs, self.jac, self.y, self.f, h, self.opts)
         # written out over the three components, k<stage><component>.  The
         # order of every sum is part of the result: the tests hold it bit for
         # bit to the loop form y_i + h * (A k)_i
@@ -326,65 +355,93 @@ class _Stepper:
     def step(self, t_limit, h_cap=math.inf):
         """Advance one accepted step toward t_limit; raises _StepFloor."""
         opts = self.opts
+        df1_dx1 = self.df1_dx1
+        rate = 0.0 if df1_dx1 is None else -df1_dx1(*self.y)
         while True:
             h = min(self.h, h_cap, opts.max_step, t_limit - self.t)
             if h < opts.min_step:
                 raise _StepFloor
-            y_new, f_new, err = self._attempt(h)
+            stiff = h * rate > _DP54_STABILITY
+            y_new, f_new, err = self._attempt(h, stiff)
             n1, n2, n3 = y_new
-            if err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3:
-                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            ok = err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3
+            if ok and stiff and not h * -df1_dx1(n1, n2, n3) > _DP54_STABILITY:
+                # the step ends off the attracting stiff layer, past a fold or
+                # on the repelling sheet, where an L-stable step would damp the
+                # growth and pin the orbit to that sheet: redo it with DP54
+                stiff = False
+                y_new, f_new, err = self._attempt(h)
+                n1, n2, n3 = y_new
+                ok = err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3
+            power = -0.25 if stiff else -0.2
+            if ok:
+                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** power))
                 seg = (self.t, self.y, self.f, self.t + h, y_new, f_new)
                 self.t = seg[3]
                 self.y = y_new
                 self.f = f_new
                 self.h = h * fac
+                self.rosenbrock_steps += stiff
                 return seg
             # a rejection with err <= 1.0 has a non-finite state (its err may
             # read 0.0), which estimates no step size: shrink by the floor
-            self.h = h * (max(0.2, 0.9 * err ** -0.2) if err > 1.0 else 0.2)
+            self.h = h * (max(0.2, 0.9 * err ** power) if err > 1.0 else 0.2)
 
 
-def _hermite(seg, t):
-    t0, y0, f0, t1, y1, f1 = seg
+def _hermite_weights(seg, t):
+    """Weights of y0, f0, y1 and f1 in the cubic Hermite value at t."""
+    t0, t1 = seg[0], seg[3]
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s2 * (3.0 - 2.0 * s)
-    h11 = s2 * (s - 1.0)
-    return tuple(h00 * y0[i] + h10 * h * f0[i] + h01 * y1[i] + h11 * h * f1[i]
-                 for i in range(len(y0)))
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2 * h,
+            s2 * (3.0 - 2.0 * s), s2 * (s - 1.0) * h)
 
 
-def _bisect_event(seg, scalar, t_lo=None, t_hi=None, max_iter=200):
-    """Root of scalar(dense(t)) on [t_lo, t_hi] within the segment (by
-    default its whole span), assuming a sign change there."""
-    if t_lo is None:
-        t_lo, y_lo = seg[0], seg[1]
-    else:
-        y_lo = _hermite(seg, t_lo)
-    if t_hi is None:
-        t_hi, y_hi = seg[3], seg[4]
-    else:
-        y_hi = _hermite(seg, t_hi)
-    v_lo = scalar(y_lo)
-    v_hi = scalar(y_hi)
+def _hermite(seg, t):
+    a, b, c, d = _hermite_weights(seg, t)
+    _, y0, f0, _, y1, f1 = seg
+    return (a * y0[0] + b * f0[0] + c * y1[0] + d * f1[0],
+            a * y0[1] + b * f0[1] + c * y1[1] + d * f1[1],
+            a * y0[2] + b * f0[2] + c * y1[2] + d * f1[2])
+
+
+def _hermite_first(seg, t):
+    """The first component of _hermite(seg, t) alone, bit for bit."""
+    a, b, c, d = _hermite_weights(seg, t)
+    return a * seg[1][0] + b * seg[2][0] + c * seg[4][0] + d * seg[5][0]
+
+
+def _bisect_event(seg, scalar, t_lo=None, t_hi=None, on_first=False, max_iter=200):
+    """Root (t, state) of scalar(dense(t)) on [t_lo, t_hi] within the segment
+    (by default its whole span), assuming a sign change there.  With
+    `on_first`, scalar takes the first component alone: bisecting evaluates
+    only that component's cubic, and the full state is formed at the root."""
+    dense = _hermite_first if on_first else _hermite
+
+    def end_value(t, y):
+        # a default bracket end is the segment's own (exact) state
+        return scalar(dense(seg, t) if y is None else (y[0] if on_first else y))
+
+    y_lo = seg[1] if t_lo is None else None
+    y_hi = seg[4] if t_hi is None else None
+    t_lo = seg[0] if t_lo is None else t_lo
+    t_hi = seg[3] if t_hi is None else t_hi
+    v_lo = end_value(t_lo, y_lo)
+    v_hi = end_value(t_hi, y_hi)
     if v_lo == 0.0:
-        return t_lo, y_lo
+        return t_lo, y_lo or _hermite(seg, t_lo)
     if v_hi == 0.0:
-        return t_hi, y_hi
+        return t_hi, y_hi or _hermite(seg, t_hi)
     if (v_lo > 0.0) == (v_hi > 0.0):
         raise NonconvergentEventError("no sign change in event bracket")
     for _ in range(max_iter):
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid == t_lo or t_mid == t_hi:      # interval below float resolution
             return t_mid, _hermite(seg, t_mid)
-        y_mid = _hermite(seg, t_mid)
-        v_mid = scalar(y_mid)
+        v_mid = scalar(dense(seg, t_mid))
         if v_mid == 0.0:
-            return t_mid, y_mid
+            return t_mid, _hermite(seg, t_mid)
         if (v_mid > 0.0) == (v_lo > 0.0):
             t_lo, v_lo = t_mid, v_mid
         else:
@@ -415,11 +472,11 @@ def _surface_crossing(seg, side, tol):
     # crossing cut, and that start is no new crossing
     t_lo = t0 if side * x1_old > 0.0 else None
     for t_c in extrema + [None]:        # None: the step's end
-        x1_new = x1_end if t_c is None else _hermite(seg, t_c)[0]
+        x1_new = x1_end if t_c is None else _hermite_first(seg, t_c)
         if side * x1_new > 0.0:
             t_lo = t_c
         elif t_lo is not None and (side * x1_new <= -tol or x1_new == 0.0):
-            return _bisect_event(seg, lambda w: w[0], t_lo, t_c)
+            return _bisect_event(seg, lambda x1: x1, t_lo, t_c, on_first=True)
     return None
 
 
@@ -491,20 +548,32 @@ def _sigmoid_source(sigmoid: str, eps: float) -> str:
     raise ValueError(f"unknown sigmoid {sigmoid!r} (use 'tanh' or 'sqrt')")
 
 
+def _sigmoid_slope_source(sigmoid: str, eps: float) -> str:
+    """dlam/dx1 of `_sigmoid_source`, as an expression in x1 and lam."""
+    if sigmoid == "tanh":
+        return f"(1.0-lam*lam)*{1.0 / eps!r}"
+    e2 = repr(eps * eps)
+    return f"{e2}/(({e2}+x1*x1)*sqrt({e2}+x1*x1))"
+
+
 def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
                        x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the sigmoid-regularized field lam = phi(x1/eps).
 
     Samples with |x1| < 10 eps are tagged as layer samples and carry the
-    sigmoid value in the lambda column.  Step shrinkage inside the layer is
-    expected; a step-floor event ends the run early rather than stalling.
+    sigmoid value in the lambda column.  Steps on which the layer is
+    attracting and stiff are RODAS4 steps (see `_Stepper`), counted in
+    meta['rosenbrock_steps']; elsewhere the run takes DP54 steps, and a
+    step-floor event ends it early rather than stalling.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError("smoothed runs integrate forward")
-    rhs = compile_layer(sys, _sigmoid_source(sigmoid, eps))
+    lam_source = _sigmoid_source(sigmoid, eps)
+    rhs = compile_layer(sys, lam_source)
+    jac, df1_dx1 = compile_jacobian(sys, lam_source, _sigmoid_slope_source(sigmoid, eps))
     if sigmoid == "tanh":
         phi = lambda u: math.tanh(u)
     else:
@@ -518,7 +587,9 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
         return (FLOW_PLUS if x1 > 0 else FLOW_MINUS), NAN
 
     traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps})
-    _run_steps(traj, _Stepper(rhs, t0, x0, opts or IntegratorOptions()), t1, tag)
+    stepper = _Stepper(rhs, t0, x0, opts or IntegratorOptions(), jac, df1_dx1)
+    _run_steps(traj, stepper, t1, tag)
+    traj.meta["rosenbrock_steps"] = stepper.rosenbrock_steps
     return traj
 
 
@@ -548,9 +619,9 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
     def boundary_exit(seg):
         lam = seg[4][0]
         if lam >= 1.0:
-            t_star, y_star = _bisect_event(seg, lambda w: 1.0 - w[0])
+            t_star, y_star = _bisect_event(seg, lambda lam: 1.0 - lam, on_first=True)
         elif lam <= -1.0:
-            t_star, y_star = _bisect_event(seg, lambda w: w[0] + 1.0)
+            t_star, y_star = _bisect_event(seg, lambda lam: lam + 1.0, on_first=True)
         else:
             return None
         if t_star > traj.times[-1]:

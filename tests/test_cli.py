@@ -101,6 +101,16 @@ def test_simulate_smoothed_writes_artifacts(tmp_path, capsys):
     assert (tmp_path / "traj.events.csv").exists()
 
 
+def test_simulate_reports_rosenbrock_steps_of_smoothed_runs(capsys):
+    code, out = run_cli(capsys, "simulate", "--scenario", "example-iii",
+                        "--epsilon", "1e-4", "--t-end", "15")
+    doc = json.loads(out)
+    assert code == 0 and 0 < doc["rosenbrock_steps"] < doc["steps"] <= 1000
+    code, out = run_cli(capsys, "simulate", "--scenario", "example-iii",
+                        "--mode", "filippov", "--t-end", "15")
+    assert code == 0 and "rosenbrock_steps" not in json.loads(out)
+
+
 def test_simulate_filippov_mode(tmp_path, capsys):
     # the attracting slide funnels into the folded singularity at
     # (x2, x3) = (alpha, -alpha) and leaves the surface there

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twofold.expr import ExpressionError, Num, parse_expr
+from twofold.expr import ZERO, ExpressionError, Num, parse_expr
 
 
 def test_rational_constants_are_exact():
@@ -109,3 +109,35 @@ def test_round_trip_evaluates_identically():
             a = tree.evaluate(*x)
             b = back.evaluate(*x)
             assert a == b or abs(a - b) <= 1e-14 * max(1.0, abs(a))
+
+
+def test_derivative_matches_central_differences():
+    # the polynomial derivative is exact; central differences of `evaluate`
+    # agree to their own O(d^2) truncation plus rounding
+    rng = random.Random(909)
+    d = 1e-5
+    for _ in range(60):
+        tree = parse_expr(_random_expr(rng, 3))
+        for _ in range(10):
+            x = [rng.uniform(-1.5, 1.5) for _ in range(3)]
+            scale = max(1.0, abs(tree.evaluate(*x)))
+            for index in (1, 2, 3):
+                up, dn = list(x), list(x)
+                up[index - 1] += d
+                dn[index - 1] -= d
+                fd = (tree.evaluate(*up) - tree.evaluate(*dn)) / (2.0 * d)
+                exact = tree.diff(index).evaluate(*x)
+                assert abs(fd - exact) <= 1e-5 * max(scale, abs(exact)), (str(tree), index, x)
+
+
+def test_derivative_folds_zeros_and_stays_in_the_grammar():
+    e = parse_expr("x1*x2^3-2/5*x3+7")
+    assert [str(e.diff(i)) for i in (1, 2, 3)] == ["x2^3", "x1*(3*x2^2)", "-2/5"]
+    assert parse_expr("x2*x3").diff(1) is ZERO
+    assert parse_expr("x1^0").diff(1) is ZERO
+    rng = random.Random(5)
+    for _ in range(100):
+        tree = parse_expr(_random_expr(rng, 3))
+        for index in (1, 2, 3):
+            d = tree.diff(index)
+            assert parse_expr(str(d)) == d

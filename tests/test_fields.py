@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_layer,
-                            normal_form_system, parse_field, quadratic_roots)
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_jacobian,
+                            compile_layer, normal_form_system, parse_field,
+                            quadratic_roots)
+from twofold.integrate import _sigmoid_slope_source, _sigmoid_source
+from twofold.scenarios import builtin, builtin_names
 
 
 def test_parse_field_example_system():
@@ -71,6 +74,32 @@ def test_layer_kernel_matches_combination_exactly():
         eps = rng.choice((1e-2, 1e-3))
         smoothed = compile_layer(sys, f"tanh(x1*{1.0 / eps!r})")
         assert smoothed(*x) == sys.layer(*x, math.tanh(x[0] * (1.0 / eps)))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("sigmoid", ["tanh", "sqrt"])
+def test_jacobian_kernel_matches_central_differences(name, sigmoid):
+    # numpy central differences of the compiled smoothed field, inside the
+    # layer (where the chain-rule term through lam dominates column 1) and
+    # off it; each column's difference step scales with its variable
+    sys = builtin(name).system
+    eps = 1e-2
+    rhs = compile_layer(sys, _sigmoid_source(sigmoid, eps))
+    jac, df1_dx1 = compile_jacobian(sys, _sigmoid_source(sigmoid, eps),
+                                    _sigmoid_slope_source(sigmoid, eps))
+    rng = np.random.default_rng(31)
+    steps = np.array([1e-5 * eps, 1e-6, 1e-6])
+    for _ in range(40):
+        width = rng.choice([10 * eps, 1.0])
+        x = np.array([rng.uniform(-width, width), rng.uniform(-2, 2), rng.uniform(-2, 2)])
+        fd = np.empty((3, 3))
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = steps[j]
+            fd[:, j] = (np.array(rhs(*(x + e))) - np.array(rhs(*(x - e)))) / (2.0 * steps[j])
+        got = np.array(jac(*x)).reshape(3, 3)
+        np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
+        assert df1_dx1(*x) == got[0, 0]
 
 
 def _numpy_real_roots(a, b, c):

@@ -4,15 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_layer,
-                            normal_form_system, parse_field)
-from twofold.integrate import (EJECT_PLUS, IntegratorOptions, eject_at,
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_jacobian,
+                            compile_layer, normal_form_system, parse_field)
+from twofold.integrate import (EJECT_PLUS, IntegratorOptions, Trajectory, eject_at,
                                integrate_blowup, integrate_filippov,
                                integrate_smooth, integrate_smoothed)
 from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
-                               _Stepper, _branch_lambda, _sigmoid_source,
+                               _Stepper, _branch_lambda, _run_steps,
+                               _sigmoid_slope_source, _sigmoid_source,
                                _surface_crossing)
 from twofold.scenarios import builtin
 from twofold.sliding import sliding_lambda
@@ -478,6 +479,96 @@ def test_smoothed_step_floor_is_reported():
     traj = integrate_smoothed(sys, "tanh", 1e-7, (0.0, 1.0, 1.0), (0.0, 1.0), opts)
     assert traj.meta.get("aborted") == "step-floor"
     assert len(traj.events_of("step-floor")) == 1
+
+
+def dp54_smoothed(sys, sigmoid, eps, x0, t_end, opts=None):
+    """A smoothed run on DP54 steps alone: the stepper gets no Jacobian."""
+    rhs = compile_layer(sys, _sigmoid_source(sigmoid, eps))
+    traj = Trajectory()
+    _run_steps(traj, _Stepper(rhs, 0.0, x0, opts or IntegratorOptions()), t_end,
+               lambda y: ("layer", math.nan))
+    return traj
+
+
+def first_crossing_after(traj, t_after):
+    """Time of the first x1 sign change after t_after, bisected on the dense
+    output of the step that holds it."""
+    ts = traj.times
+    for i in range(1, len(traj)):
+        a, b = traj.state(i - 1)[0], traj.state(i)[0]
+        if ts[i] > t_after and a * b < 0.0:
+            lo, hi = ts[i - 1], ts[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if traj.eval(mid)[0] * a > 0.0 else (lo, mid)
+            return lo
+    return None
+
+
+def test_rodas4_is_fourth_order_on_a_smooth_field():
+    # identical sides and no hidden term: the smoothed field is f_plus itself
+    # and compile_jacobian its exact Jacobian.  Fixed RODAS4 steps h, h/2,
+    # h/4 against a tight DP54 run; order 4 divides the error by 16 per halving
+    side = parse_field("x1*(1-x2)+1/5*x3", "x2*(x1-1)", "x1-x3*x2")
+    sys = PiecewiseSmoothSystem(side, side)
+    lam, dlam = _sigmoid_source("tanh", 0.1), _sigmoid_slope_source("tanh", 0.1)
+    rhs = compile_layer(sys, lam)
+    jac, df1_dx1 = compile_jacobian(sys, lam, dlam)
+    y0, t_end = (0.5, 1.5, 0.2), 2.0
+    ref = integrate_smooth(side, y0, (0.0, t_end),
+                           IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15)).final_state
+    errs = []
+    for n in (20, 40, 80):
+        stepper = _Stepper(rhs, 0.0, y0, IntegratorOptions(), jac, df1_dx1)
+        for _ in range(n):
+            stepper.y, stepper.f, _ = stepper._attempt(t_end / n, True)
+        errs.append(max(abs(a - b) for a, b in zip(stepper.y, ref)))
+    assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs
+
+
+def test_singular_rosenbrock_matrix_rejects_the_attempt():
+    # a NaN Jacobian makes every RODAS4 attempt singular: each is rejected
+    # with h * 0.2 until the step is small enough for DP54
+    rhs = parse_field("-1000*x1", "x3", "-x2").fn
+    nan_jac = lambda x1, x2, x3: (math.nan,) * 9
+    stepper = _Stepper(rhs, 0.0, (1.0, 0.0, 1.0), IntegratorOptions(), nan_jac,
+                       lambda x1, x2, x3: -1000.0)
+    stepper.h = 1.0
+    seg = stepper.step(10.0)
+    assert seg[3] <= 0.2 ** 3 and stepper.rosenbrock_steps == 0
+    assert all(math.isfinite(v) for v in seg[4])
+
+
+def test_stiff_layer_work_is_bounded():
+    # DP54 alone takes thousands of steps here (its step count grows like
+    # 1/eps); RODAS4 steps on the attracting layer do not
+    sc = builtin("example-iii")
+    traj = integrate_smoothed(sc.system, "tanh", 1e-4, sc.x0, (0.0, 15.0))
+    assert traj.meta["steps"] <= 1000
+    assert 0 < traj.meta["rosenbrock_steps"] < traj.meta["steps"]
+
+
+def test_smoothed_run_leaves_the_layer_where_dp54_does():
+    # an L-stable step past the fold would pin the orbit to the repelling
+    # sheet (a numerical canard); the end-of-step test keeps the exit time
+    # near that of a tight DP54 run (about 8.38)
+    sc = builtin("example-ii")
+    x0 = (0.1, 0.5, 0.5)
+    ref = dp54_smoothed(sc.system, "tanh", 1e-3, x0, 12.0,
+                        IntegratorOptions(rel_tol=1e-12, abs_tol=1e-14))
+    traj = integrate_smoothed(sc.system, "tanh", 1e-3, x0, (0.0, 12.0))
+    assert traj.meta["rosenbrock_steps"] > 0
+    t_ref = first_crossing_after(ref, 1.0)
+    assert abs(first_crossing_after(traj, 1.0) - t_ref) <= 0.5, t_ref
+
+
+def test_non_stiff_smoothed_run_takes_dp54_steps_only():
+    sc = builtin("example-i")
+    traj = integrate_smoothed(sc.system, "tanh", 0.1, sc.x0, (0.0, 50.0))
+    ref = dp54_smoothed(sc.system, "tanh", 0.1, sc.x0, 50.0)
+    assert traj.meta["rosenbrock_steps"] == 0
+    assert list(traj.times) == list(ref.times)
+    assert all(traj.state(i) == ref.state(i) for i in range(len(ref)))
 
 
 # ------------------------------------------------------------ blow-up

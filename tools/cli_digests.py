@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 131 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 133 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -15,8 +15,9 @@ checked by diffing this script's output on the parent and on the change:
     diff before.txt after.txt
 
 The package is imported from PYTHONPATH; its location is printed to stderr.
-The list covers slide maps, Filippov, smoothed and blow-up runs, the
-normal-form reports and sweeps, runs that stop early at a step floor,
+The list covers slide maps, Filippov, smoothed and blow-up runs (two of
+them smoothed at eps = 1e-5 over 200 time units), the normal-form reports
+and sweeps, runs that stop early at a step floor,
 `scenario list` plus `scenario show` of every built-in scenario, and last
 two blow-ups that end in a numerical failure (about ten seconds on one core
 of a 2-vCPU Xeon, Python 3.11).
@@ -95,6 +96,10 @@ def calls() -> list[tuple[str, ...]]:
                         "--t-end", "20", *RUN_OUT))
     out.append(("simulate", "--scenario", "example-iii", "--epsilon", "1e-4",
                 "--t-end", "20", *RUN_OUT))
+    # long runs deep in the stiff regime, where most steps sit on the layer
+    for name in ("example-ii", "example-iii"):
+        out.append(("simulate", "--scenario", name, "--epsilon", "1e-5",
+                    "--t-end", "200", *RUN_OUT))
     for name in NORMAL_FORMS:
         for y0 in BLOWUP_STARTS:
             out.append(("blowup", "--scenario", name, f"--x0={y0}",
