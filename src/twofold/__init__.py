@@ -9,8 +9,7 @@ from .expr import ExpressionError, parse_expr
 from .fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
                      normal_form_system, parse_field)
 from .integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, Event,
-                        IntegratorOptions, NonconvergentEventError,
-                        RepellingPolicy, Trajectory, eject_at,
+                        IntegratorOptions, NonconvergentEventError, Trajectory,
                         integrate_blowup, integrate_filippov,
                         integrate_smooth, integrate_smoothed)
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,

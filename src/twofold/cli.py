@@ -16,19 +16,21 @@ import sys
 
 from . import __version__
 from .fields import TwoFoldParams, normal_form_system
-from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, STEP_FLOOR,
+from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, EPS_MAX, EPS_MIN,
+                        STAY_SLIDING, STEP_FLOOR,
                         IntegratorOptions, NonconvergentEventError,
                         integrate_blowup, integrate_filippov, integrate_smoothed)
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, scenario_to_config, save_run)
-from .singularities import (AlphaZeroError, classify_two_fold,
-                            folded_singularities)
+from .singularities import (AlphaZeroError, BoundarySingularityError,
+                            classify_two_fold, folded_singularities)
 from .sliding import curve_L, degeneracy_report, region_classify, sliding_lambda
 from .svg import render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
-_POLICIES = {"stay": STAY_SLIDING, "eject-plus": EJECT_PLUS,
-             "eject-minus": EJECT_MINUS}
+# failures of the numerics behind a command, each an exit 3
+_NUMERICAL_ERRORS = (AlphaZeroError, BoundarySingularityError, NonconvergentEventError,
+                     TransformDomainError)
 
 # why a run stopped early, by its meta['aborted']
 _ABORT_REASONS = {STEP_FLOOR: "integration hit the step floor",
@@ -257,22 +259,20 @@ def _run_report(args, traj, head: dict) -> int:
 
 
 def _run_options(args) -> IntegratorOptions:
-    policy = _POLICIES[getattr(args, "policy", None) or "stay"]
-    return IntegratorOptions(repelling_policy=policy,
-                             **_given(args, "rel_tol", "abs_tol", "min_step"))
+    return IntegratorOptions(**_given(args, "rel_tol", "abs_tol", "min_step",
+                                      "repelling_policy"))
 
 
 def _cmd_simulate(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
+    if args.mode != "filippov" and not EPS_MIN <= sc.epsilon <= EPS_MAX:
+        parser.error(f"smoothed runs need {EPS_MIN!r} <= epsilon <= {EPS_MAX!r}")
     opts = _run_options(args)
-    try:
-        if args.mode == "filippov":
-            traj = integrate_filippov(sc.system, sc.x0, (0.0, sc.t_end), opts)
-        else:
-            traj = integrate_smoothed(sc.system, sc.sigmoid, sc.epsilon,
-                                      sc.x0, (0.0, sc.t_end), opts)
-    except NonconvergentEventError as exc:
-        return _numerical_failure(str(exc))
+    if args.mode == "filippov":
+        traj = integrate_filippov(sc.system, sc.x0, (0.0, sc.t_end), opts)
+    else:
+        traj = integrate_smoothed(sc.system, sc.sigmoid, sc.epsilon,
+                                  sc.x0, (0.0, sc.t_end), opts)
     head = {"scenario": sc.name, "mode": args.mode, "epsilon": sc.epsilon,
             "sigmoid": sc.sigmoid, "x0": list(sc.x0)}
     if args.mode != "filippov":
@@ -287,11 +287,8 @@ def _cmd_blowup(args, parser) -> int:
     y0 = args.x0 if args.x0 is not None else (0.0, 1.0, 1.0)
     if not -1.0 <= y0[0] <= 1.0:
         parser.error("blow-up initial state is lam,x2,x3 with lam in [-1, 1]")
-    try:
-        traj = integrate_blowup(sc.system, sc.epsilon, y0, (0.0, sc.t_end),
-                                _run_options(args))
-    except NonconvergentEventError as exc:
-        return _numerical_failure(str(exc))
+    traj = integrate_blowup(sc.system, sc.epsilon, y0, (0.0, sc.t_end),
+                            _run_options(args))
     p = sc.params
     head = {"params": None if p is None else dataclasses.asdict(p), "epsilon": sc.epsilon}
     return _run_report(args, traj, head)
@@ -300,11 +297,7 @@ def _cmd_blowup(args, parser) -> int:
 def _cmd_transform_check(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
     p = _need_params(sc, parser)
-    try:
-        report = transform_check(p)
-    except (AlphaZeroError, TransformDomainError) as exc:
-        return _numerical_failure(str(exc))
-    return _emit(report, args, args.out)
+    return _emit(transform_check(p), args, args.out)
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -404,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="integrate a system")
     common(sp, run_args=True)
     sp.add_argument("--sigmoid", choices=("tanh", "sqrt"))
-    sp.add_argument("--policy", choices=tuple(_POLICIES))
+    sp.add_argument("--policy", choices=(STAY_SLIDING, EJECT_PLUS, EJECT_MINUS),
+                    dest="repelling_policy")
     sp.add_argument("--mode", choices=("smoothed", "filippov"), default="smoothed")
     sp.set_defaults(fn=_cmd_simulate)
 
@@ -452,6 +446,8 @@ def main(argv=None) -> int:
     except OSError as exc:           # an artifact path that cannot be written
         print(f"twofold: error: {exc}", file=sys.stderr)
         return 2
+    except _NUMERICAL_ERRORS as exc:
+        return _numerical_failure(str(exc))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .expr import ZERO, Expr, Var, Neg, num, parse_expr
 
 __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
-    "parse_field", "field_from_exprs", "normal_form_system",
+    "parse_field", "normal_form_system",
     "compile_layer", "compile_jacobian", "citardauq", "quadratic_roots",
 ]
 
@@ -50,9 +50,6 @@ class SmoothField:
 
     def __call__(self, x) -> tuple[float, float, float]:
         return self._fn(x[0], x[1], x[2])
-
-    def evaluate(self, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
-        return self._fn(x1, x2, x3)
 
     @property
     def fn(self):
@@ -76,10 +73,6 @@ class SmoothField:
 def parse_field(expr1: str, expr2: str, expr3: str) -> SmoothField:
     """Build a field from three expression strings in x1, x2, x3."""
     return SmoothField(tuple(parse_expr(e) for e in (expr1, expr2, expr3)))
-
-
-def field_from_exprs(c1: Expr, c2: Expr, c3: Expr) -> SmoothField:
-    return SmoothField((c1, c2, c3))
 
 
 ZERO_FIELD_EXPRS = ("0", "0", "0")
@@ -120,8 +113,6 @@ class PiecewiseSmoothSystem:
     the normal-form constants; the fields themselves are always evaluated
     from the compiled components, with or without params.
     """
-
-    switching_index = 1
 
     def __init__(self, f_plus: SmoothField, f_minus: SmoothField,
                  hidden: SmoothField | None = None,
@@ -272,7 +263,7 @@ def quadratic_roots(a: float, b: float, c: float, tol: float):
 def normal_form_system(p: TwoFoldParams) -> PiecewiseSmoothSystem:
     """Local normal form: f_plus = (-x2, a1, b1), f_minus = (x3, b2, a2),
     hidden g = (alpha, 0, 0)."""
-    f_plus = field_from_exprs(Neg(Var(2)), num(p.a1), num(p.b1))
-    f_minus = field_from_exprs(Var(3), num(p.b2), num(p.a2))
-    hidden = field_from_exprs(num(p.alpha), num(0), num(0))
+    f_plus = SmoothField((Neg(Var(2)), num(p.a1), num(p.b1)))
+    f_minus = SmoothField((Var(3), num(p.b2), num(p.a2)))
+    hidden = SmoothField((num(p.alpha), num(0), num(0)))
     return PiecewiseSmoothSystem(f_plus, f_minus, hidden, params=p)

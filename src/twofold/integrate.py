@@ -44,9 +44,8 @@ from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_jaco
                      compile_layer, quadratic_roots)
 
 __all__ = [
-    "IntegratorOptions", "RepellingPolicy", "Trajectory", "Event",
-    "NonconvergentEventError",
-    "STAY_SLIDING", "EJECT_PLUS", "EJECT_MINUS", "eject_at",
+    "IntegratorOptions", "Trajectory", "Event", "NonconvergentEventError",
+    "STAY_SLIDING", "EJECT_PLUS", "EJECT_MINUS",
     "FLOW_PLUS", "FLOW_MINUS", "SLIDING", "LAYER",
     "CROSSING", "SLIDE_ENTRY", "SLIDE_EXIT", "TWO_FOLD_HIT",
     "DETERMINACY_BREAK", "STEP_FLOOR", "BOUNDARY_EXIT", "BUDGET",
@@ -74,7 +73,14 @@ BOUNDARY_EXIT = "boundary-exit"
 BUDGET = "budget"            # meta['aborted'] of a run that used up max_steps
 
 TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
+EVENT_TOL = 1e-12            # |x1| within this of the surface counts as on it
 DECISION_TOL = 1e-12
+
+# repelling-sliding policies: keep sliding on the repelling branch (the
+# deterministic default), or leave at once to the plus or the minus side
+STAY_SLIDING = "stay"
+EJECT_PLUS = "eject-plus"
+EJECT_MINUS = "eject-minus"
 
 
 class NonconvergentEventError(RuntimeError):
@@ -82,46 +88,18 @@ class NonconvergentEventError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RepellingPolicy:
-    """What to do when the orbit lands on repelling sliding: keep sliding,
-    eject immediately, or slide until a set time then eject."""
-
-    kind: str                 # stay / eject-plus / eject-minus / eject-at
-    time: float | None = None
-    side: int = 1             # ejection side for eject-at
-
-    def __post_init__(self):
-        if self.kind not in ("stay", "eject-plus", "eject-minus", "eject-at"):
-            raise ValueError(f"unknown repelling policy {self.kind!r}")
-        if self.kind == "eject-at" and self.time is None:
-            raise ValueError("eject-at needs a time")
-
-
-STAY_SLIDING = RepellingPolicy("stay")
-EJECT_PLUS = RepellingPolicy("eject-plus")
-EJECT_MINUS = RepellingPolicy("eject-minus")
-
-
-def eject_at(time: float, side: int = 1) -> RepellingPolicy:
-    return RepellingPolicy("eject-at", time, side)
-
-
-@dataclass(frozen=True)
 class IntegratorOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
     min_step: float = 1e-12
-    event_tol: float = 1e-12
-    repelling_policy: RepellingPolicy = STAY_SLIDING
+    repelling_policy: str = STAY_SLIDING
     max_steps: int = 20_000_000
 
     def __post_init__(self):
-        tols = (self.rel_tol, self.abs_tol, self.event_tol)
-        if not all(0 < tol < math.inf for tol in tols):
-            raise ValueError("tolerances must be finite and positive")
-        if not 0 < self.min_step < self.max_step:
-            raise ValueError("need 0 < min_step < max_step")
+        if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.min_step)):
+            raise ValueError("rel_tol, abs_tol and min_step must be finite and positive")
+        if self.repelling_policy not in (STAY_SLIDING, EJECT_PLUS, EJECT_MINUS):
+            raise ValueError(f"unknown repelling policy {self.repelling_policy!r}")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -299,7 +277,7 @@ class _Stepper:
         self.t = t0
         self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
         self.f = rhs(*self.y)
-        self.h = min(opts.max_step, 1e-3)
+        self.h = 1e-3
         self.jac = jac
         self.df1_dx1 = df1_dx1
         if jac is not None:
@@ -358,8 +336,9 @@ class _Stepper:
         df1_dx1 = self.df1_dx1
         rate = 0.0 if df1_dx1 is None else -df1_dx1(*self.y)
         while True:
-            h = min(self.h, h_cap, opts.max_step, t_limit - self.t)
-            if h < opts.min_step:
+            h = min(self.h, h_cap, t_limit - self.t)
+            # a step below the resolution of t would not advance it
+            if h < opts.min_step or self.t + h == self.t:
                 raise _StepFloor
             stiff = h * rate > _DP54_STABILITY
             y_new, f_new, err = self._attempt(h, stiff)
@@ -457,7 +436,7 @@ def _surface_crossing(seg, side, tol):
     its interior extrema, the roots of the derivative's quadratic, so testing
     those in time order and then the end finds the first crossing even when
     a grazing orbit crosses twice within the step.  A point counts when x1
-    lies at least `tol` (event_tol) beyond the surface, or exactly on it.
+    lies at least `tol` (EVENT_TOL) beyond the surface, or exactly on it.
     """
     t0, y0, f0, t1, y1, f1 = seg
     h = t1 - t0
@@ -540,6 +519,12 @@ def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | Non
     return traj
 
 
+# the smoothing widths whose sigmoid sources and slopes stay finite: the tanh
+# source holds 1/eps, the sqrt source eps**2, and the sqrt slope at x1 = 0
+# divides by eps**3
+EPS_MIN, EPS_MAX = 1e-100, 1e100
+
+
 def _sigmoid_source(sigmoid: str, eps: float) -> str:
     if sigmoid == "tanh":
         return f"tanh(x1*{1.0 / eps!r})"
@@ -566,8 +551,8 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     meta['rosenbrock_steps']; elsewhere the run takes DP54 steps, and a
     step-floor event ends it early rather than stalling.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not EPS_MIN <= eps <= EPS_MAX:
+        raise ValueError(f"eps must lie in [{EPS_MIN!r}, {EPS_MAX!r}]")
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError("smoothed runs integrate forward")
@@ -672,10 +657,10 @@ def _clamp_unit(lam):
     return min(1.0, max(-1.0, lam)) if lam == lam else lam
 
 
-# Filippov segment actions: ("flow", side), ("slide", sigma, eject_time,
-# eject_side), or a false one that ends the run: None, or _STOP_RUN from a stop
-# record (the two-fold, a stalled slide), which as a non-None result also ends
-# the segment's `_run_steps`.
+# Filippov segment actions: ("flow", side), ("slide", sigma), or a false one
+# that ends the run: None, or _STOP_RUN from a stop record (the two-fold, a
+# stalled slide), which as a non-None result also ends the segment's
+# `_run_steps`.
 _STOP_RUN = ()
 
 
@@ -728,10 +713,8 @@ class _FilippovRun:
             return self.enter_sliding(t, y, attracting=True, f_in=f_in)
         if fm < -tol < tol < fp:
             policy = self.opts.repelling_policy
-            if policy.kind == "eject-plus":
-                return self._flow_from(t, y, 1, f_in)
-            if policy.kind == "eject-minus":
-                return self._flow_from(t, y, -1, f_in)
+            if policy != STAY_SLIDING:
+                return self._flow_from(t, y, 1 if policy == EJECT_PLUS else -1, f_in)
             return self.enter_sliding(t, y, attracting=False, f_in=f_in)
         if abs(fp) <= tol:
             # grazing contact of the plus field
@@ -754,20 +737,16 @@ class _FilippovRun:
         _, f2, f3 = self.sys.layer(0.0, y[1], y[2], lam)
         self.traj.add_event(t, SLIDE_ENTRY, (0.0, y[1], y[2]))
         self._record(t, (y[0], y[1], y[2]), (0.0, f2, f3), SLIDING, lam, f_in)
-        policy = self.opts.repelling_policy
-        if not attracting and policy.kind == "eject-at":
-            return ("slide", sigma, policy.time, policy.side)
-        return ("slide", sigma, None, 0)
+        return ("slide", sigma)
 
     # -- flow segments -------------------------------------------------------
 
     def run_flow(self, t, y, side):
         fld = self.sys.f_plus if side > 0 else self.sys.f_minus
-        tol = self.opts.event_tol
         mode = FLOW_PLUS if side > 0 else FLOW_MINUS
 
         def crossing(seg):
-            hit = _surface_crossing(seg, side, tol)
+            hit = _surface_crossing(seg, side, EVENT_TOL)
             if hit is None:
                 return None
             t_star, y_star = hit
@@ -778,11 +757,8 @@ class _FilippovRun:
 
     # -- sliding segments ----------------------------------------------------
 
-    def run_slide(self, t, y, sigma, eject_time, eject_side):
+    def run_slide(self, t, y, sigma):
         sys = self.sys
-        if eject_time is not None and eject_time <= t:
-            # t is the last sample's time, so only the event is added
-            return self._flow_from(t, (0.0, y[1], y[2]), eject_side, None, SLIDE_EXIT)
         is_nf = sys.params is not None
         if is_nf and max(abs(y[1]), abs(y[2])) <= TWO_FOLD_TOL:
             return self._two_fold(t, y, (0.0, 0.0, 0.0))
@@ -826,14 +802,9 @@ class _FilippovRun:
                 return max(0.5 * dist / speed, 10.0 * self.opts.min_step)
             return math.inf
 
-        t_limit = self.t_end if eject_time is None else min(self.t_end, eject_time)
-        result = _run_steps(self.traj, stepper, t_limit,
-                            lambda w: (SLIDING, _clamp_unit(lam_of(w))), monitor,
-                            two_fold_cap if is_nf else None)
-        if result is None and t_limit < self.t_end and stepper.t >= t_limit:
-            # timed ejection off the repelling branch
-            return self._flow_from(t_limit, stepper.y, eject_side, stepper.f, SLIDE_EXIT)
-        return result
+        return _run_steps(self.traj, stepper, self.t_end,
+                          lambda w: (SLIDING, _clamp_unit(lam_of(w))), monitor,
+                          two_fold_cap if is_nf else None)
 
     def _slide_event(self, which, t_star, w_star, sigma, stalled):
         sys = self.sys
@@ -859,7 +830,7 @@ class _FilippovRun:
                     return _STOP_RUN
                 # the boundary root grazes lam = +-1 and returns: keep sliding
                 self._record(t_star, st, f_slide, SLIDING, lam, f_slide)
-                return ("slide", sigma, None, 0)
+                return ("slide", sigma)
         return self._flow_from(t_star, st, side, f_slide, SLIDE_EXIT)
 
 
@@ -868,7 +839,7 @@ def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
     """Event-driven integration of the switched system (forward time).
 
     Off the surface the active half-space field is integrated; surface hits
-    are located on the dense output to event_tol.  Transversal contacts cross
+    are located on the dense output to EVENT_TOL.  Transversal contacts cross
     or enter sliding by the signs of f1 on the two sides; sliding tracks the
     layer root of f1 in closed form and exits at the fold lines lam = +-1
     (to the side that lifts off, else to the other side if its field points
@@ -884,7 +855,7 @@ def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
     traj = Trajectory(meta={"kind": "filippov"})
     run = _FilippovRun(sys, opts, traj, t1)
     y = tuple(map(float, x0))
-    if abs(y[0]) <= opts.event_tol:
+    if abs(y[0]) <= EVENT_TOL:
         action = run.decide_surface(t, (y[0], y[1], y[2]))
     else:
         # the first flow segment writes the start sample
@@ -893,6 +864,6 @@ def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
         if action[0] == "flow":
             action = run.run_flow(t, y, action[1])
         else:
-            action = run.run_slide(t, y, action[1], action[2], action[3])
+            action = run.run_slide(t, y, action[1])
         t, y = traj.times[-1], traj.final_state
     return traj

@@ -52,18 +52,21 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+def _padded(lo, hi):
+    """lo..hi widened on each side by 5% of its width, taken as 1 for a
+    single value, or as |lo| where 1 is below the resolution of lo."""
+    d = (hi - lo) or 1.0
+    if lo - 0.05 * d == hi + 0.05 * d:
+        d = abs(lo)
+    return lo - 0.05 * d, hi + 0.05 * d
+
+
 class _Canvas:
     def __init__(self, xs, ys):
         if not xs:
             raise ValueError("nothing to plot")
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-        dx = (x_hi - x_lo) or 1.0
-        dy = (y_hi - y_lo) or 1.0
-        x_lo -= 0.05 * dx
-        x_hi += 0.05 * dx
-        y_lo -= 0.05 * dy
-        y_hi += 0.05 * dy
+        x_lo, x_hi = _padded(min(xs), max(xs))
+        y_lo, y_hi = _padded(min(ys), max(ys))
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
         self.sx = (WIDTH - 2 * MARGIN) / (x_hi - x_lo)
         self.sy = (HEIGHT - 2 * MARGIN) / (y_hi - y_lo)

@@ -202,9 +202,13 @@ def sphere_directions(n: int):
     return dirs
 
 
-def equivalence_residual(ctx: TransformContext, h: float, n_dirs: int = 40) -> float:
-    """Max residual of rows 1 and 2 over a sphere of radius h around the
-    singularity.
+# sample directions on each sphere of the residual check
+N_DIRS = 40
+
+
+def equivalence_residual(ctx: TransformContext, h: float) -> float:
+    """Max residual of rows 1 and 2 over N_DIRS points of a sphere of radius
+    h around the singularity.
 
     Row 1 is compared in primed form: the pushed-forward dx1~/dt~ times
     eps/sqrt|alpha| against x2~ + x1~^2 (the sqrt|alpha| absorbs the constant
@@ -217,7 +221,7 @@ def equivalence_residual(ctx: TransformContext, h: float, n_dirs: int = 40) -> f
     s = ctx.singularity
     sq = math.sqrt(abs(ctx.params.alpha))
     worst = 0.0
-    for u in sphere_directions(n_dirs):
+    for u in sphere_directions(N_DIRS):
         point = (s.lambda_s + h * u[0], s.x2s + h * u[1], s.x3s + h * u[2])
         xt = to_x_tilde(ctx, point)          # raises TransformDomainError outside
         w1, w2, _ = pushforward(ctx, point)
@@ -239,7 +243,7 @@ LADDER_SHRINKS = 2
 
 
 def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = None,
-                    h_values=DEFAULT_H_VALUES, n_dirs: int = 40) -> dict:
+                    h_values=DEFAULT_H_VALUES) -> dict:
     """Order study of the residual with eps coupled to the sample radius.
 
     Returns a report dict per checked singularity: h_values, residuals, the
@@ -252,19 +256,19 @@ def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = No
     sings = [singularity] if singularity is not None else folded_singularities(p)
     for _ in range(LADDER_SHRINKS):
         try:
-            return _order_study(p, sings, h_values, n_dirs)
+            return _order_study(p, sings, h_values)
         except TransformDomainError:
             h_values = tuple(h / 10.0 for h in h_values)
-    return _order_study(p, sings, h_values, n_dirs)
+    return _order_study(p, sings, h_values)
 
 
-def _order_study(p, sings, h_values, n_dirs) -> dict:
+def _order_study(p, sings, h_values) -> dict:
     reports = []
     for s in sings:
         residuals = []
         for h in h_values:
             ctx = TransformContext(p, s, epsilon=h)
-            residuals.append(equivalence_residual(ctx, h, n_dirs))
+            residuals.append(equivalence_residual(ctx, h))
         if not all(0.0 < r < math.inf for r in residuals):
             raise TransformDomainError(f"residuals {residuals} at lam_s = {s.lambda_s!r} "
                                        "are not all positive and finite")

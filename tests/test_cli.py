@@ -1,9 +1,13 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import signal
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twofold import cli
 from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
@@ -11,6 +15,7 @@ from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
 from twofold.svg import render_curves, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov
+from twofold.scenarios import builtin_names
 from twofold.transform import DEFAULT_H_VALUES
 
 
@@ -262,6 +267,9 @@ def test_non_finite_float_is_usage_error(argv, capsys):
     ["simulate", "--scenario", "example-ii", "--t-end", "-1"],
     ["simulate", "--scenario", "example-ii", "--t-end", "0"],
     ["simulate", "--scenario", "example-ii", "--epsilon", "-1", "--t-end", "1"],
+    # widths whose sigmoid source or slope would hold inf or divide by zero
+    ["simulate", "--scenario", "mixed-nf", "--epsilon", "5e-324"],
+    ["simulate", "--scenario", "mixed-nf", "--epsilon", "1e200", "--sigmoid", "sqrt"],
     ["simulate", "--scenario", "example-ii", "--rel-tol", "-1", "--t-end", "1"],
     ["simulate", "--scenario", "example-ii", "--abs-tol", "0", "--t-end", "1"],
     ["simulate", "--scenario", "example-ii", "--min-step", "-1", "--t-end", "1"],
@@ -270,7 +278,8 @@ def test_non_finite_float_is_usage_error(argv, capsys):
     ["slide-map", "--scenario", "invisible-nf", "--grid", "5", "--range=-1,1",
      "--plot", "{missing}/x.svg"],
     ["simulate", "--config", "{config}"],
-], ids=["t-end-negative", "t-end-zero", "epsilon", "rel-tol", "abs-tol", "min-step",
+], ids=["t-end-negative", "t-end-zero", "epsilon", "epsilon-tiny", "epsilon-huge",
+        "rel-tol", "abs-tol", "min-step",
         "blowup-epsilon", "blowup-t-end", "unwritable-plot", "config-t-end"])
 def test_out_of_range_input_is_usage_error(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -343,6 +352,9 @@ def test_unread_flags_are_usage_errors(argv, capsys):
 
 # finite flags whose derived constants overflow: JSON has no inf or nan
 OVERFLOW = ("--a1", "1", "--a2", "1", "--b1=1e308", "--b2=1e308", "--alpha=0.2")
+# a drift of 1e15 puts lam_s within 1e-9 of -1, where the folded constants
+# divide by 1 + lam_s
+LAM_S_AT_MINUS_ONE = ("--a1", "1", "--a2", "1", "--b1=3", "--b2=1e15", "--alpha=2")
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,7 +362,14 @@ OVERFLOW = ("--a1", "1", "--a2", "1", "--b1=1e308", "--b2=1e308", "--alpha=0.2")
     # alpha = 1e308 rounds every residual to exactly zero, which has no log
     ("transform-check", "--a1", "1", "--a2", "1", "--b1=3", "--b2=-1e-300",
      "--alpha=1e308"),
-], ids=["classify", "singularity", "transform-check", "transform-check-zero-residual"])
+    # lam_s within 1e-9 of -1, as in every command that builds the constants
+    ("classify", *LAM_S_AT_MINUS_ONE), ("singularity", *LAM_S_AT_MINUS_ONE),
+    ("transform-check", "--a1", "1", "--a2", "1", "--b1=-1",
+     "--b2=1.4318425678468844e+16", "--alpha=0.2"),
+    ("sweep", "--a1", "1", "--a2", "1", "--alpha=2", "--b-range=-1e16,1e16",
+     "--b-step=1e14"),
+], ids=["classify", "singularity", "transform-check", "transform-check-zero-residual",
+        "classify-lam-s", "singularity-lam-s", "transform-check-lam-s", "sweep-lam-s"])
 def test_report_without_finite_numbers_is_numerical_failure(argv, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main([*argv, "--out", str(report)])
@@ -379,6 +398,19 @@ def test_blowup_nonconvergent_boundary_exit_is_numerical_failure(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
+
+
+def test_step_that_leaves_t_unchanged_is_step_floor(capsys):
+    # at t = 4.2e88 the next step is above --min-step but below the
+    # resolution of t; it used to be accepted and fail the sample-time check
+    code = main(["simulate", "--a1=-1", "--a2=-1", "--b1=0",
+                 "--b2=1.3138952881046098e-108", "--alpha=1.3138952881046098e-108",
+                 "--t-end=1e308", "--x0=0,1e-320,1.3138952881046098e-108",
+                 "--rel-tol=1e-320"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["events"] == {"step-floor": 1}
+    assert captured.err.startswith("numerical failure: integration hit the step floor")
 
 
 def test_repelling_slide_past_fold_line_returns(capsys):
@@ -416,6 +448,15 @@ def test_plot_single_point_marker(tmp_path):
     assert "<circle" in text and "<polyline" not in text
 
 
+def test_plot_single_point_beyond_unit_resolution(tmp_path):
+    # a pad of 0.05 is lost to rounding at 1e16 and beyond, which used to
+    # leave a zero-width range to divide by
+    path = tmp_path / "pt.svg"
+    for point in ((0.0, 1e16, 0.0), (1.0, -1e308, -4.46)):
+        render_curves([([point], "#000000")], path)
+        assert '<circle cx="400" cy="300"' in path.read_text()
+
+
 def test_plot_example_box_contains_origin(tmp_path):
     # a run of the invisible normal form crossing the surface spans the origin
     sys = normal_form_system(TwoFoldParams(1, 1, -2.0, -2.0, 0.2))
@@ -445,3 +486,107 @@ def test_plot_views(tmp_path):
         path = tmp_path / f"{view}.svg"
         render_trajectory(traj, path, view=view)
         assert path.exists()
+
+
+# ------------------------------------------------------------ CLI contract
+
+# flag values: mostly finite numbers, the extremes of the float range among
+# them; one in ten is non-finite or non-numeric text
+FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.2, 2.0, 1e16, -1e16, 1e308, -1e308,
+                     1e-320, -1e-320, 5e-324)),
+    st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+BAD = st.sampled_from(("nan", "inf", "-inf", "1e999", "x", ""))
+
+
+def sometimes_bad(good):
+    return st.integers(0, 9).flatmap(lambda k: BAD if k == 9 else good)
+
+
+NUMBER = sometimes_bad(FLOATS.map(repr))
+POSITIVE = sometimes_bad(FLOATS.map(abs).map(repr))
+SIGN = sometimes_bad(st.sampled_from(("-1", "1")))
+NAME = sometimes_bad(st.sampled_from(builtin_names()))
+PATH = st.sampled_from(("out.csv", "missing/out.csv"))
+TRIPLE = sometimes_bad(st.tuples(NUMBER, NUMBER, NUMBER).map(",".join))
+PAIR = sometimes_bad(st.tuples(FLOATS, FLOATS).map(lambda p: "{!r},{!r}".format(*sorted(p))))
+
+NORMAL_FORM_FLAGS = {"--a1": SIGN, "--a2": SIGN, "--b1": NUMBER, "--b2": NUMBER,
+                     "--alpha": NUMBER}
+SOURCE_FLAGS = {**NORMAL_FORM_FLAGS, "--scenario": NAME, "--config": PATH}
+REPORT_FLAGS = {"--out": PATH, "--seed": sometimes_bad(st.sampled_from(("7", "-1")))}
+RUN_FLAGS = {"--epsilon": POSITIVE, "--t-end": POSITIVE, "--x0": TRIPLE,
+             "--rel-tol": POSITIVE, "--abs-tol": POSITIVE, "--min-step": POSITIVE,
+             "--plot": st.just("run.svg"),
+             "--view": sometimes_bad(st.sampled_from(("u3", "u2", "x1", "x2", "x3")))}
+COMMAND_FLAGS = {
+    "classify": REPORT_FLAGS,
+    "singularity": REPORT_FLAGS,
+    "transform-check": REPORT_FLAGS,
+    "slide-map": {**REPORT_FLAGS, "--range": PAIR,
+                  "--grid": st.sampled_from(("-1", "0", "2", "5", "11", "502", "x")),
+                  "--curve-out": PATH, "--plot": st.just("map.svg")},
+    "simulate": {**REPORT_FLAGS, **RUN_FLAGS,
+                 "--sigmoid": sometimes_bad(st.sampled_from(("tanh", "sqrt"))),
+                 "--policy": sometimes_bad(st.sampled_from(
+                     ("stay", "eject-plus", "eject-minus"))),
+                 "--mode": sometimes_bad(st.sampled_from(("smoothed", "filippov")))},
+    "blowup": {**REPORT_FLAGS, **RUN_FLAGS},
+    "sweep": REPORT_FLAGS,
+}
+
+
+@st.composite
+def sweep_grid(draw):
+    """--b-range and --b-step of at most 32 points per axis, unless the cell
+    cap rejects the grid: a finer step is made coarser, always when the cap
+    would admit it and otherwise every other time."""
+    lo, hi = draw(PAIR).partition(",")[::2]
+    step = draw(POSITIVE)
+    try:
+        per_axis = (float(hi) - float(lo)) / float(step) + 1.0
+    except (ValueError, ZeroDivisionError):
+        per_axis = 0.0
+    if 32.0 < per_axis and (per_axis * per_axis <= SWEEP_MAX_CELLS or draw(st.booleans())):
+        step = repr((float(hi) - float(lo)) / 31.0)
+    return [f"--b-range={lo},{hi}", f"--b-step={step}"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from((*COMMAND_FLAGS, "scenario")))
+    if command == "scenario":
+        return ["scenario", draw(sometimes_bad(st.sampled_from(("list", "show")))),
+                *draw(st.lists(NAME, max_size=1))]
+    if command == "sweep":
+        argv = [command, *draw(sweep_grid())]
+        sources = [{"--a1": SIGN, "--a2": SIGN, "--alpha": NUMBER}]
+    else:
+        argv = [command]
+        # a full normal-form source or a scenario, so that many calls get
+        # past the usage checks, or any mix of single source flags
+        sources = draw(st.one_of(
+            st.just([NORMAL_FORM_FLAGS]), st.just([{"--scenario": NAME}]),
+            st.lists(st.sampled_from([{k: v} for k, v in SOURCE_FLAGS.items()]),
+                     max_size=3)))
+    for flags in sources:
+        argv += [f"{flag}={draw(value)}" for flag, value in flags.items()]
+    flags = COMMAND_FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=6)):
+        argv.append(f"{flag}={draw(flags[flag])}")
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_every_call_exits_0_2_or_3(argv, monkeypatch, tmp_path):
+    # a small step budget bounds the runs; every outcome is an exit code,
+    # never an exception
+    run_options = cli._run_options
+    monkeypatch.setattr(cli, "_run_options",
+                        lambda args: dataclasses.replace(run_options(args), max_steps=200))
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), argv

@@ -13,17 +13,17 @@ from twofold.scenarios import builtin, builtin_names
 
 def test_parse_field_example_system():
     f = parse_field("-x2", "1+x1", "-7/5")
-    assert f.evaluate(0.0, 1.0, 0.0) == (-1.0, 1.0, -1.4)
+    assert f.fn(0.0, 1.0, 0.0) == (-1.0, 1.0, -1.4)
 
 
 def test_parse_field_zero():
     z = parse_field("0", "0", "0")
-    assert z.evaluate(3.0, -2.0, 7.0) == (0.0, 0.0, 0.0)
+    assert z.fn(3.0, -2.0, 7.0) == (0.0, 0.0, 0.0)
 
 
 def test_parse_field_direct_substitution():
     f = parse_field("x1*x2", "-x3", "2")
-    assert f.evaluate(1.0, 2.0, 3.0) == (2.0, -3.0, 2.0)
+    assert f.fn(1.0, 2.0, 3.0) == (2.0, -3.0, 2.0)
 
 
 def _random_system(rng):

@@ -6,7 +6,7 @@ import pytest
 
 from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_jacobian,
                             compile_layer, normal_form_system, parse_field)
-from twofold.integrate import (EJECT_PLUS, IntegratorOptions, Trajectory, eject_at,
+from twofold.integrate import (EJECT_PLUS, IntegratorOptions, Trajectory,
                                integrate_blowup, integrate_filippov,
                                integrate_smooth, integrate_smoothed)
 from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
@@ -60,12 +60,26 @@ def test_dense_output_matches_samples_and_is_continuous():
 @pytest.mark.parametrize("field, value", [
     ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
     ("abs_tol", math.inf), ("abs_tol", math.nan),
-    ("event_tol", math.inf), ("event_tol", -1e-12),
+    ("min_step", math.inf), ("min_step", 0.0),
+    ("repelling_policy", "eject-at"),
     ("max_steps", 0), ("max_steps", -1),
 ])
 def test_integrator_options_reject_bad_values(field, value):
     with pytest.raises(ValueError):
         IntegratorOptions(**{field: value})
+
+
+def test_step_below_the_resolution_of_t_is_a_step_floor():
+    # past t = 1e20 a step of 1e-3 leaves t unchanged, though it is far above
+    # min_step: the run stops at a step floor instead of appending a sample
+    # at the same time
+    span = (1e20, 1e20 + 1e6)
+    runs = (integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0), span),
+            integrate_filippov(builtin("example-ii").system, (0.1, 0.3, -0.2), span))
+    for traj in runs:
+        assert traj.meta["aborted"] == "step-floor"
+        assert traj.events[-1].kind == "step-floor"
+        assert traj.t_end == 1e20 and len(traj) == 1
 
 
 def test_step_budget_is_enforced():
@@ -398,16 +412,6 @@ def test_repelling_eject_plus():
     opts = IntegratorOptions(repelling_policy=EJECT_PLUS)
     traj = integrate_filippov(sys, (0.0, -1.0, -1.0), (0.0, 1.0), opts)
     assert traj.final_state[0] > 0
-
-
-def test_repelling_eject_at_time():
-    sys = nf(1, 1, -2.0, -2.0, 0.0)
-    opts = IntegratorOptions(repelling_policy=eject_at(0.25, side=-1))
-    traj = integrate_filippov(sys, (0.0, -1.0, -1.0), (0.0, 1.0), opts)
-    exits = traj.events_of("slide-exit")
-    assert len(exits) == 1
-    assert exits[0].t == pytest.approx(0.25, abs=1e-9)
-    assert traj.final_state[0] < 0
 
 
 def test_forward_only():

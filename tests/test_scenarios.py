@@ -27,12 +27,12 @@ def test_unknown_name_rejected():
 
 def test_example_ii_field_values():
     sc = builtin("example-ii")
-    assert sc.system.f_plus.evaluate(0.0, 1.0, 0.0) == (-1.0, 1.0, -7 / 5)
+    assert sc.system.f_plus.fn(0.0, 1.0, 0.0) == (-1.0, 1.0, -7 / 5)
 
 
 def test_example_iii_field_values():
     sc = builtin("example-iii")
-    assert sc.system.f_minus.evaluate(0.0, 0.0, 0.0) == (0.0, 23 / 100, 1.0)
+    assert sc.system.f_minus.fn(0.0, 0.0, 0.0) == (0.0, 23 / 100, 1.0)
 
 
 def test_example_coefficients_are_exact_rationals():
@@ -51,7 +51,7 @@ def test_example_coefficients_are_exact_rationals():
 
     walk(c3)
     assert Fraction(3, 10) in nums and Fraction(1, 5) in nums and Fraction(2, 5) in nums
-    assert sc.system.hidden.evaluate(0.0, 0.0, 0.0) == (0.2, 0.0, 0.0)
+    assert sc.system.hidden.fn(0.0, 0.0, 0.0) == (0.2, 0.0, 0.0)
 
 
 def test_normal_form_scenarios_satisfy_their_conditions():
@@ -83,7 +83,7 @@ def test_mixed_nf_has_saddle_node_pair():
 def test_params_only_config_expands_to_normal_form():
     sc = load_config({"params": {"a1": 1, "a2": 1, "b1": -2, "b2": -2, "alpha": 0.2}})
     assert sc.params == TwoFoldParams(1, 1, -2.0, -2.0, 0.2)
-    assert sc.system.f_plus.evaluate(0.0, 3.0, 0.0) == (-3.0, 1.0, -2.0)
+    assert sc.system.f_plus.fn(0.0, 3.0, 0.0) == (-3.0, 1.0, -2.0)
 
 
 def test_missing_f_minus_is_located():

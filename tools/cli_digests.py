@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 133 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 138 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -18,9 +18,11 @@ The package is imported from PYTHONPATH; its location is printed to stderr.
 The list covers slide maps, Filippov, smoothed and blow-up runs (two of
 them smoothed at eps = 1e-5 over 200 time units), the normal-form reports
 and sweeps, runs that stop early at a step floor,
-`scenario list` plus `scenario show` of every built-in scenario, and last
-two blow-ups that end in a numerical failure (about ten seconds on one core
-of a 2-vCPU Xeon, Python 3.11).
+`scenario list` plus `scenario show` of every built-in scenario, two
+blow-ups that end in a numerical failure, and last four reports on a folded
+singularity next to lam = -1 and a run whose step stops advancing t, which
+all exit 3 too (about a minute on one core of a 2-vCPU Xeon, Python 3.11, most
+of it the step-floor run of the perturbed example-i start).
 """
 
 from __future__ import annotations
@@ -72,6 +74,22 @@ FAILING_BLOWUPS = (
      "--t-end", "0.5", "--x0=1,1e10,1"),
 )
 
+# a folded singularity within 1e-9 of lam = -1, where its constants divide
+# by 1 + lam_s, in each command that builds them
+BOUNDARY_SINGULARITIES = (
+    ("classify", "--a1", "1", "--a2", "1", "--b1=3", "--b2=1e15", "--alpha=2"),
+    ("singularity", "--a1", "1", "--a2", "1", "--b1=3", "--b2=1e15", "--alpha=2"),
+    ("transform-check", "--a1", "1", "--a2", "1", "--b1=-1",
+     "--b2=1.4318425678468844e+16", "--alpha=0.2"),
+    ("sweep", "--a1", "1", "--a2", "1", "--alpha=2", "--b-range=-1e16,1e16",
+     "--b-step=1e14"),
+)
+# at t = 4.2e88 a step above --min-step no longer advances t: a step floor
+NO_PROGRESS_RUN = (
+    "simulate", "--a1=-1", "--a2=-1", "--b1=0", "--b2=1.3138952881046098e-108",
+    "--alpha=1.3138952881046098e-108", "--t-end=1e308",
+    "--x0=0,1e-320,1.3138952881046098e-108", "--rel-tol=1e-320")
+
 
 def calls() -> list[tuple[str, ...]]:
     out = []
@@ -122,6 +140,8 @@ def calls() -> list[tuple[str, ...]]:
     out.append(("scenario", "list"))
     out.extend(("scenario", "show", name) for name in SCENARIOS)
     out.extend(FAILING_BLOWUPS)
+    out.extend(BOUNDARY_SINGULARITIES)
+    out.append(NO_PROGRESS_RUN)
     return out
 
 
