@@ -13,16 +13,14 @@ from .integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, Event,
                         integrate_blowup, integrate_filippov,
                         integrate_smooth, integrate_smoothed)
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
-                        load_config, save_config, save_run)
+                        load_config, save_run)
 from .singularities import (AlphaZeroError, BoundarySingularityError,
                             DegenerateTypeError, FoldedSingularity,
-                            PrefactorSingularError, TwoFoldFlavor,
-                            classify_two_fold, folded_constants,
-                            folded_singularities, folded_type,
-                            slow_projection_field)
-from .sliding import (ContractViolation, CurveL, DegeneracyReport,
-                      SlidingSolution, curve_L, degeneracy_report,
-                      region_classify, sliding_lambda, sliding_vector)
+                            TwoFoldFlavor, classify_two_fold, folded_constants,
+                            folded_singularities, folded_type)
+from .sliding import (CurveL, DegeneracyReport, SlidingSolution, curve_L,
+                      degeneracy_report, region_classify, sliding_lambda,
+                      sliding_roots)
 from .transform import (TransformContext, TransformDomainError,
                         curve_functions, equivalence_residual,
                         folded_normal_field, from_x_tilde, from_y,

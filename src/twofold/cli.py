@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import sys
@@ -24,7 +26,7 @@ from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, scenario_to_config, save_run)
 from .singularities import (AlphaZeroError, BoundarySingularityError,
                             classify_two_fold, folded_singularities)
-from .sliding import curve_L, degeneracy_report, region_classify, sliding_lambda
+from .sliding import curve_L, degeneracy_report, region_classify, sliding_roots
 from .svg import render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
@@ -204,31 +206,31 @@ def _cmd_slide_map(args, parser) -> int:
         parser.error(f"need 2 <= --grid <= {SLIDE_MAP_MAX_GRID} and a nonempty, "
                      "finite --range lo,hi")
     sys_ = sc.system
-    rows = []
-    for i in range(n):
-        x2 = lo + (hi - lo) * i / (n - 1)
-        for j in range(n):
-            x3 = lo + (hi - lo) * j / (n - 1)
-            region = region_classify(sys_, x2, x3)
-            sols = sliding_lambda(sys_, x2, x3)
-            lams = [s.lam for s in sols]
-            rows.append((x2, x3, region, lams))
+    # x2 and x3 run over the same axis; regions[i][j] and roots[i][j] belong
+    # to (x2, x3) = (axis[i], axis[j])
+    axis = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    regions, roots = [], []
+    for x2 in axis:
+        regions.append([region_classify(sys_, x2, x3) for x3 in axis])
+        roots.append([[lam for lam, _ in sliding_roots(sys_, x2, x3)] for x3 in axis])
     if args.out:
+        text = [repr(v) for v in axis]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("x2,x3,region,n_roots,lambda_1,lambda_2\n")
-            for x2, x3, region, lams in rows:
-                l1 = repr(lams[0]) if len(lams) > 0 else ""
-                l2 = repr(lams[1]) if len(lams) > 1 else ""
-                fh.write(f"{x2!r},{x3!r},{region},{len(lams)},{l1},{l2}\n")
+            for t2, region_row, roots_row in zip(text, regions, roots):
+                for t3, region, lams in zip(text, region_row, roots_row):
+                    l1 = repr(lams[0]) if len(lams) > 0 else ""
+                    l2 = repr(lams[1]) if len(lams) > 1 else ""
+                    fh.write(f"{t2},{t3},{region},{len(lams)},{l1},{l2}\n")
     curve = curve_L(sc.params, 201) if sc.params is not None else None
     if args.curve_out:
         if curve is None:
             parser.error("--curve-out needs a normal-form system")
         curve.to_csv(args.curve_out)
     if args.plot:
-        render_region_map([row[:3] for row in rows], curve, args.plot)
+        render_region_map((axis, axis, regions), curve, args.plot)
     counts: dict[str, int] = {}
-    for _, _, region, _ in rows:
+    for region in itertools.chain.from_iterable(regions):
         counts[region] = counts.get(region, 0) + 1
     return _emit({"grid": n, "range": [lo, hi], "region_counts": counts}, args)
 
@@ -314,27 +316,28 @@ def _cmd_sweep(args, parser) -> int:
     n = int(round((hi - lo) / step)) + 1
     if not math.isfinite(lo + (n - 1) * step):
         parser.error("the sweep grid's last b value overflows; narrow --b-range")
+    # b1 and b2 run over the same axis, b1 in the outer loop
+    axis = [lo + i * step for i in range(n)]
     rows = []
-    for i in range(n):
-        b1 = lo + i * step
-        for j in range(n):
-            b2 = lo + j * step
-            p = TwoFoldParams(args.a1, args.a2, b1, b2, args.alpha)
-            flavor = classify_two_fold(p)
-            try:
-                sings = folded_singularities(p)
-                types = "+".join(s.folded_type for s in sings)
-                count = len(sings)
-            except AlphaZeroError:
-                types, count = "", 0
-            rows.append((b1, b2, flavor.tag, flavor.determinacy_breaking, count, types))
+    for b1, b2 in itertools.product(axis, repeat=2):
+        p = TwoFoldParams(args.a1, args.a2, b1, b2, args.alpha)
+        flavor = classify_two_fold(p)
+        try:
+            sings = folded_singularities(p)
+            types = "+".join(s.folded_type for s in sings)
+            count = len(sings)
+        except AlphaZeroError:
+            types, count = "", 0
+        rows.append((flavor.tag, flavor.determinacy_breaking, count, types))
     if args.out:
+        text = [repr(b) for b in axis]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("b1,b2,flavor,determinacy_breaking,count,types\n")
-            for b1, b2, tag, db, count, types in rows:
-                fh.write(f"{b1!r},{b2!r},{tag},{str(db).lower()},{count},{types}\n")
+            for (t1, t2), (tag, db, count, types) in zip(
+                    itertools.product(text, repeat=2), rows):
+                fh.write(f"{t1},{t2},{tag},{str(db).lower()},{count},{types}\n")
     summary: dict[str, int] = {}
-    for _, _, tag, db, count, types in rows:
+    for tag, _, count, _ in rows:
         key = f"{tag}:{count}"
         summary[key] = summary.get(key, 0) + 1
     return _emit({"a1": args.a1, "a2": args.a2, "alpha": args.alpha,
@@ -355,7 +358,11 @@ def _cmd_scenario(args, parser) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process on the first
+    `main` call; parsing leaves it unchanged and every default is immutable,
+    so each call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="twofold",
         description="Analysis and simulation of two-fold singularities in "

@@ -14,8 +14,9 @@ The combination and its first component's lam-quadratic
 f1(0, x2, x3; lam) = a lam^2 + b lam + c are compiled here once per system
 (`compile_layer`), and every consumer calls them: the sliding roots, the
 Filippov slide, the smoothed and blow-up right-hand sides and the transform
-check.  A smoothed run also compiles the exact Jacobian of its field
-(`compile_jacobian`) for its stiff steps.  The quadratic has one stable
+check.  A smoothed run also compiles df1/dx1 of its field
+(`compile_df1_dx1`) to test each step for stiffness, and its exact Jacobian
+(`compile_jacobian`) at its first stiff step.  The quadratic has one stable
 solver, `citardauq`, behind `quadratic_roots`.
 """
 
@@ -30,7 +31,8 @@ from .expr import ZERO, Expr, Var, Neg, num, parse_expr
 __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
     "parse_field", "normal_form_system",
-    "compile_layer", "compile_jacobian", "citardauq", "quadratic_roots",
+    "compile_layer", "compile_jacobian", "compile_df1_dx1", "citardauq",
+    "quadratic_roots",
 ]
 
 
@@ -197,14 +199,14 @@ def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):
                     + f"    return ({rows})\n", "layer")
 
 
-def compile_jacobian(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str):
-    """Exact derivatives of the smoothed field compile_layer(sys, lam_source).
+def _derivative_source(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str,
+                       cells) -> str:
+    """Source of the entries df_i/dx_j, (i, j) in `cells`, of the smoothed
+    field compile_layer(sys, lam_source), each from the same head.
 
-    `dlam_source` is dlam/dx1 as a Python expression in x1 and lam.  Returns
-    the pair (jacobian, df1_dx1) of functions of (x1, x2, x3): `jacobian`
-    gives the nine entries df_i/dx_j row by row, `df1_dx1` entry (1, 1)
-    alone, a cheap stiffness test.  Column 1 carries the chain-rule term
-    through lam: d(wp, wm, wh)/dx1 = (1/2, -1/2, -2 lam) dlam/dx1.
+    `dlam_source` is dlam/dx1 as a Python expression in x1 and lam.  Column
+    1 carries the chain-rule term through lam: d(wp, wm, wh)/dx1 = (1/2,
+    -1/2, -2 lam) dlam/dx1.
     """
     fields = (sys.f_plus, sys.f_minus, sys.hidden)
 
@@ -215,14 +217,25 @@ def compile_jacobian(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: s
             terms += zip(("dwp", "dwm", "dwh"), comps)
         return "+".join(f"{w}*{e.source()}" for w, e in terms if e is not ZERO) or "0.0"
 
-    entries = [entry(i, j) for i in range(3) for j in range(3)]
-    head = (f"    lam = {lam_source}\n    dlam = {dlam_source}\n"
+    return (f"    lam = {lam_source}\n    dlam = {dlam_source}\n"
             "    wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
-            "    dwp = 0.5*dlam; dwm = -dwp; dwh = -2.0*lam*dlam\n")
-    rows = ",\n            ".join(entries)
-    return _compile(f"def jacobian(x1, x2, x3):\n{head}    return ({rows})\n"
-                    f"def df1_dx1(x1, x2, x3):\n{head}    return {entries[0]}\n",
-                    "jacobian", "df1_dx1")
+            "    dwp = 0.5*dlam; dwm = -dwp; dwh = -2.0*lam*dlam\n"
+            "    return (" + ",\n            ".join(entry(i, j) for i, j in cells) + ")\n")
+
+
+def compile_jacobian(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str):
+    """Exact Jacobian of the smoothed field compile_layer(sys, lam_source):
+    a function of (x1, x2, x3) giving the nine entries df_i/dx_j row by row.
+    `dlam_source` is dlam/dx1 as a Python expression in x1 and lam."""
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    return _compile("def jacobian(x1, x2, x3):\n"
+                    + _derivative_source(sys, lam_source, dlam_source, cells), "jacobian")
+
+
+def compile_df1_dx1(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str):
+    """Entry (1, 1) of `compile_jacobian` alone, a cheap stiffness test."""
+    return _compile("def df1_dx1(x1, x2, x3):\n"
+                    + _derivative_source(sys, lam_source, dlam_source, [(0, 0)]), "df1_dx1")
 
 
 def citardauq(a: float, b: float, c: float, s: float) -> tuple[float, float]:

@@ -40,8 +40,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_jacobian,
-                     compile_layer, quadratic_roots)
+from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_df1_dx1,
+                     compile_jacobian, compile_layer, quadratic_roots)
 
 __all__ = [
     "IntegratorOptions", "Trajectory", "Event", "NonconvergentEventError",
@@ -261,36 +261,40 @@ class _Stepper:
     accepted.  A slide runs here too: it starts at x1 = +0.0 and its rhs
     returns f1 = 0.0, so x1 stays exactly +0.0 and adds nothing to the error.
 
-    Steps are DP54, unless `jac` and `df1_dx1` are given (a smoothed run, from
-    `fields.compile_jacobian`): then a step on which the layer is attracting
-    and stiff at its size, h * (-df1/dx1) > _DP54_STABILITY at its start and
-    at its end, is a RODAS4 step (`rodas4.attempt`), counted in
-    `rosenbrock_steps`.
+    Steps are DP54, unless `make_jac` and `df1_dx1` are given (a smoothed
+    run, from `fields.compile_jacobian` and `fields.compile_df1_dx1`): then a
+    step on which the layer is attracting and stiff at its size,
+    h * (-df1/dx1) > _DP54_STABILITY at its start and at its end, is a
+    RODAS4 step (`rodas4.attempt`), counted in `rosenbrock_steps`.
+    `make_jac()` returns the Jacobian; it is called at the first RODAS4
+    attempt, so a run that never takes one never compiles it.
     """
 
-    __slots__ = ("rhs", "opts", "t", "y", "f", "h", "jac", "df1_dx1", "rosenbrock",
-                 "rosenbrock_steps")
+    __slots__ = ("rhs", "opts", "t", "y", "f", "h", "make_jac", "jac", "df1_dx1",
+                 "rosenbrock", "rosenbrock_steps")
 
-    def __init__(self, rhs, t0, y0, opts: IntegratorOptions, jac=None, df1_dx1=None):
+    def __init__(self, rhs, t0, y0, opts: IntegratorOptions, make_jac=None, df1_dx1=None):
         self.rhs = rhs
         self.opts = opts
         self.t = t0
         self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
         self.f = rhs(*self.y)
         self.h = 1e-3
-        self.jac = jac
+        self.make_jac = make_jac
+        self.jac = None
         self.df1_dx1 = df1_dx1
-        if jac is not None:
-            # imported here, so runs that cannot take a stiff step never
-            # compile the RODAS4 module
-            from .rodas4 import attempt
-            self.rosenbrock = attempt
         self.rosenbrock_steps = 0
 
     def _attempt(self, h, stiff=False):
         """One attempt of size h: (y_new, f_new, err), err <= 1 passing the
         tolerances.  DP54 by default, RODAS4 when `stiff`."""
         if stiff:
+            if self.jac is None:
+                # imported here, so runs that take no stiff step never
+                # compile the RODAS4 module or the Jacobian
+                from .rodas4 import attempt
+                self.rosenbrock = attempt
+                self.jac = self.make_jac()
             return self.rosenbrock(self.rhs, self.jac, self.y, self.f, h, self.opts)
         # written out over the three components, k<stage><component>.  The
         # order of every sum is part of the result: the tests hold it bit for
@@ -557,8 +561,9 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     if t1 <= t0:
         raise ValueError("smoothed runs integrate forward")
     lam_source = _sigmoid_source(sigmoid, eps)
+    dlam_source = _sigmoid_slope_source(sigmoid, eps)
     rhs = compile_layer(sys, lam_source)
-    jac, df1_dx1 = compile_jacobian(sys, lam_source, _sigmoid_slope_source(sigmoid, eps))
+    df1_dx1 = compile_df1_dx1(sys, lam_source, dlam_source)
     if sigmoid == "tanh":
         phi = lambda u: math.tanh(u)
     else:
@@ -572,7 +577,8 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
         return (FLOW_PLUS if x1 > 0 else FLOW_MINUS), NAN
 
     traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps})
-    stepper = _Stepper(rhs, t0, x0, opts or IntegratorOptions(), jac, df1_dx1)
+    stepper = _Stepper(rhs, t0, x0, opts or IntegratorOptions(),
+                       lambda: compile_jacobian(sys, lam_source, dlam_source), df1_dx1)
     _run_steps(traj, stepper, t1, tag)
     traj.meta["rosenbrock_steps"] = stepper.rosenbrock_steps
     return traj

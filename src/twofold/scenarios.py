@@ -17,7 +17,7 @@ from .expr import ExpressionError
 from .singularities import classify_two_fold
 
 __all__ = ["Scenario", "ConfigError", "builtin", "builtin_names",
-           "load_config", "scenario_to_config", "save_config", "save_run"]
+           "load_config", "scenario_to_config", "save_run"]
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,6 @@ def scenario_to_config(sc: Scenario) -> dict:
     if sc.note:
         doc["note"] = sc.note
     return doc
-
-
-def save_config(sc: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_config(sc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def save_run(trajectory, path) -> None:

@@ -28,9 +28,8 @@ from .fields import TwoFoldParams, quadratic_roots
 __all__ = [
     "TwoFoldFlavor", "FoldedSingularity", "FoldedConstants",
     "AlphaZeroError", "BoundarySingularityError", "DegenerateTypeError",
-    "PrefactorSingularError",
     "classify_two_fold", "folded_singularities", "folded_constants",
-    "folded_type", "slow_projection_field", "singularity_lambdas",
+    "folded_type", "singularity_lambdas",
 ]
 
 ALPHA_FLOOR = 1e-9
@@ -60,10 +59,6 @@ class BoundarySingularityError(ValueError):
 
 class DegenerateTypeError(ValueError):
     """Classification boundary hit exactly (a~ b~ = 0 or 8 a~ b~ = c~^2)."""
-
-
-class PrefactorSingularError(ValueError):
-    """Slow projection requested on the fold line x1~ = 0."""
 
 
 @dataclass(frozen=True)
@@ -245,17 +240,3 @@ def folded_singularities(p: TwoFoldParams) -> list[FoldedSingularity]:
     if abs(p.alpha) <= ALPHA_FLOOR:
         raise AlphaZeroError(f"|alpha| = {abs(p.alpha)} below {ALPHA_FLOOR}")
     return [_build_singularity(p, ls) for ls in singularity_lambdas(p)]
-
-
-def slow_projection_field(a_tilde: float, b_tilde: float, c_tilde: float,
-                          x1t: float, x3t: float):
-    """Projected slow flow on the critical manifold at (x1~, x3~).
-
-    Returns (linear_part, prefactor) with linear_part the image of
-    [[c~, b~], [-2 a~, 0]] and prefactor 1/(-2 x1~); dropping the prefactor
-    desingularizes the flow, reversing time on the repelling branch.
-    """
-    if x1t == 0.0:
-        raise PrefactorSingularError("projection undefined on the fold line x1~ = 0")
-    linear = (c_tilde * x1t + b_tilde * x3t, -2.0 * a_tilde * x1t)
-    return linear, 1.0 / (-2.0 * x1t)

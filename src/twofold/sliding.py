@@ -15,28 +15,23 @@ solve, with no sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, quadratic_roots
 
 __all__ = [
-    "SlidingSolution", "CurveL", "DegeneracyReport", "ContractViolation",
-    "sliding_lambda", "region_classify", "sliding_vector",
+    "SlidingSolution", "CurveL", "DegeneracyReport",
+    "sliding_roots", "sliding_lambda", "region_classify",
     "curve_L", "degeneracy_report",
-    "RESIDUAL_TOL", "CLASSIFY_TOL", "CONTRACT_TOL",
+    "RESIDUAL_TOL", "CLASSIFY_TOL",
 ]
 
-# tolerance hierarchy: solver residuals, sign classification, precondition checks
+# tolerances: solver residuals, sign classification
 RESIDUAL_TOL = 1e-12
 CLASSIFY_TOL = 1e-12
-CONTRACT_TOL = 1e-9
 
 ATTRACTING = "attracting"
 REPELLING = "repelling"
-
-
-class ContractViolation(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -70,18 +65,9 @@ class DegeneracyReport:
     alpha: float
 
 
-def _slide_vector_at(sys: PiecewiseSmoothSystem, x2: float, x3: float, lam: float):
-    f = sys.layer(0.0, x2, x3, lam)
-    return (f[1], f[2])
-
-
-def _solution(sys, x2, x3, lam, double=False) -> SlidingSolution:
-    stab = ATTRACTING if sys.f1_surface_dlambda(x2, x3, lam) < 0.0 else REPELLING
-    return SlidingSolution(lam, _slide_vector_at(sys, x2, x3, lam), stab, double)
-
-
-def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
-    """All sliding values of lam at (0, x2, x3), sorted ascending.
+def sliding_roots(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[tuple[float, bool]]:
+    """All sliding values of lam at (0, x2, x3) as (lam, double_root) pairs,
+    sorted ascending.
 
     The roots are closed-form for every system: g does not depend on lam, so
     f1 is the quadratic `sys.f1_quadratic`, solved here in the orientation
@@ -91,7 +77,7 @@ def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[Sli
     RESIDUAL_TOL.  An empty list is the regular answer in crossing regions.
     """
     a, b, c = sys.f1_quadratic(x2, x3)
-    sols = []
+    roots = []
     # in -f1's orientation each root keeps the Citardauq formula it has
     # always come from; f1's own swaps them where b = 0, in the last bit
     for lam, dbl in quadratic_roots(-a, -b, -c, RESIDUAL_TOL):
@@ -100,8 +86,19 @@ def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[Sli
             lam = min(1.0, max(-1.0, lam)) + 0.0
             if abs(sys.f1_surface(x2, x3, lam)) <= max(RESIDUAL_TOL,
                                                        RESIDUAL_TOL * (abs(x2) + abs(x3))):
-                sols.append(_solution(sys, x2, x3, lam, dbl))
-    sols.sort(key=lambda s: s.lam)
+                roots.append((lam, dbl))
+    roots.sort(key=lambda r: r[0])
+    return roots
+
+
+def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
+    """The roots of `sliding_roots`, each with its slide vector and the
+    stability of its layer equilibrium."""
+    sols = []
+    for lam, dbl in sliding_roots(sys, x2, x3):
+        stab = ATTRACTING if sys.f1_surface_dlambda(x2, x3, lam) < 0.0 else REPELLING
+        f = sys.layer(0.0, x2, x3, lam)
+        sols.append(SlidingSolution(lam, (f[1], f[2]), stab, dbl))
     return sols
 
 
@@ -122,18 +119,6 @@ def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
     if fm < 0.0 < fp:
         return REPELLING_SLIDING
     return CROSSING
-
-
-def sliding_vector(sys: PiecewiseSmoothSystem, x2: float, x3: float, lam: float) -> tuple[float, float]:
-    """(x2', x3') on the surface at a sliding solution lam.
-
-    Contract: lam must actually solve f1 = 0 there (|f1| <= 1e-9).
-    """
-    resid = sys.f1_surface(x2, x3, lam)
-    if abs(resid) > CONTRACT_TOL:
-        raise ContractViolation(
-            f"lam={lam} is not a sliding solution at ({x2}, {x3}); |f1|={abs(resid):.3e}")
-    return _slide_vector_at(sys, x2, x3, lam)
 
 
 def curve_L(p: TwoFoldParams, n: int) -> CurveL:

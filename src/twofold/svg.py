@@ -163,13 +163,16 @@ def render_trajectory(traj, path, view: str = "u3") -> None:
     render_curves([(points, "#1f77b4")], path, view=view, events=events, labels=labels)
 
 
-def render_region_map(cells, curve, path) -> None:
+def render_region_map(grid, curve, path) -> None:
     """Surface map: colored (x2, x3) region cells plus the fold curve
-    projected into the surface (its x2, x3 components)."""
-    if not cells:
+    projected into the surface (its x2, x3 components).
+
+    `grid` is (xs, ys, regions) with regions[i][j] the region of the cell at
+    (xs[i], ys[j]).
+    """
+    xs, ys, regions = grid
+    if not xs or not ys:
         raise ValueError("empty region map")
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
     canvas = _Canvas(xs, ys)
     step_x = min(abs(b - a) for a, b in zip(sorted(set(xs))[:-1], sorted(set(xs))[1:])) \
         if len(set(xs)) > 1 else 1.0
@@ -179,11 +182,14 @@ def render_region_map(cells, curve, path) -> None:
     _header(parts)
     w = step_x * canvas.sx
     h = step_y * canvas.sy
-    for x2, x3, region in cells:
-        sx, sy = canvas.to_screen(x2, x3)
-        color = _REGION_COLORS.get(region, "#ffffff")
-        parts.append(f'<rect x="{_fmt(sx - w / 2)}" y="{_fmt(sy - h / 2)}" '
-                     f'width="{_fmt(w)}" height="{_fmt(h)}" fill="{color}"/>')
+    # each column's x and each row's y is formatted once, by grid position
+    x_text = [_fmt(canvas.to_screen(x, 0.0)[0] - w / 2) for x in xs]
+    y_text = [_fmt(canvas.to_screen(0.0, y)[1] - h / 2) for y in ys]
+    size = f'width="{_fmt(w)}" height="{_fmt(h)}"'
+    for x, row in zip(x_text, regions):
+        for y, region in zip(y_text, row):
+            color = _REGION_COLORS.get(region, "#ffffff")
+            parts.append(f'<rect x="{x}" y="{y}" {size} fill="{color}"/>')
     _axes(parts, canvas)
     if curve is not None:
         pts = [(x2, x3) for _, x2, x3 in curve.points if canvas.contains(x2, x3)]

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import signal
 
 import pytest
@@ -15,7 +16,9 @@ from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
 from twofold.svg import render_curves, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov
-from twofold.scenarios import builtin_names
+from twofold.scenarios import builtin, builtin_names, load_config
+from twofold.singularities import classify_two_fold, folded_singularities
+from twofold.sliding import region_classify, sliding_lambda
 from twofold.transform import DEFAULT_H_VALUES
 
 
@@ -432,6 +435,104 @@ def test_repelling_slide_past_fold_line_returns(capsys):
     doc = json.loads(out)
     assert doc["t_end"] == 10.0
     assert doc["events"] == {"crossing": 1, "slide-entry": 1, "slide-exit": 1}
+
+
+# ------------------------------------------------------------ parser reuse
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_slide_map_defaults_survive_a_call_that_sets_them(capsys):
+    code, _ = run_cli(capsys, "slide-map", "--scenario", "invisible-nf",
+                      "--grid", "11", "--range=-1,1")
+    assert code == 0
+    code, out = run_cli(capsys, "slide-map", "--scenario", "invisible-nf")
+    doc = json.loads(out)
+    assert code == 0 and doc["grid"] == 41 and doc["range"] == [-2, 2]
+
+
+def test_policy_default_survives_a_call_that_sets_it(capsys):
+    # on the repelling branch of visible-nf the policy decides the orbit
+    argv = ("simulate", "--scenario", "visible-nf", "--mode", "filippov",
+            "--x0=0,-0.5,-0.5", "--t-end", "2")
+    _build_parser.cache_clear()
+    first = run_cli(capsys, *argv)
+    ejected = run_cli(capsys, *argv, "--policy", "eject-plus")
+    again = run_cli(capsys, *argv)
+    assert first[0] == ejected[0] == 0
+    assert ejected[1] != first[1]
+    assert again == first
+
+
+@pytest.mark.parametrize("bad", [
+    ("slide-map", "--scenario", "invisible-nf", "--grid", "many"),
+    ("slide-map", "--scenario", "invisible-nf", "--grid", "1"),
+], ids=["parse", "command"])
+def test_usage_error_leaves_the_parser_reusable(bad, capsys):
+    valid = ("slide-map", "--scenario", "mixed-nf", "--grid", "5")
+    _build_parser.cache_clear()
+    first = run_cli(capsys, *valid)
+    _build_parser.cache_clear()
+    assert main(list(bad)) == 2
+    assert run_cli(capsys, *valid) == first
+    assert first[0] == 0
+
+
+# ------------------------------------------------------------ grid oracles
+
+def _expression_config(tmp_path):
+    # a hidden term that varies over the surface, so the roots of f1 come
+    # from all three fields
+    cfg = tmp_path / "hidden.json"
+    cfg.write_text(json.dumps({"f_plus": ["-x2+1/10*x3", "1", "x1-1"],
+                               "f_minus": ["x3+1/4*x2*x3", "-1/2", "1"],
+                               "hidden": ["3/10+1/5*x2*x3", "x2", "0"]}))
+    return cfg
+
+
+@pytest.mark.parametrize("source", ["example-ii", "mixed-nf", "config"])
+def test_slide_map_rows_match_the_sliding_layer(source, tmp_path, capsys):
+    if source == "config":
+        cfg = _expression_config(tmp_path)
+        flags, system = ("--config", str(cfg)), load_config(cfg).system
+    else:
+        flags, system = ("--scenario", source), builtin(source).system
+    out_csv, plot = tmp_path / "map.csv", tmp_path / "map.svg"
+    code, _ = run_cli(capsys, "slide-map", *flags, "--grid", "21", "--range=-2,2",
+                      "--out", str(out_csv), "--plot", str(plot))
+    assert code == 0
+    axis = [repr(-2.0 + 4.0 * i / 20) for i in range(21)]
+    rows = [ln.split(",") for ln in out_csv.read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [(a, b) for a in axis for b in axis]
+    roots_seen = set()
+    for t2, t3, region, n_roots, l1, l2 in rows:
+        x2, x3 = float(t2), float(t3)
+        assert region == region_classify(system, x2, x3)
+        lams = [s.lam for s in sliding_lambda(system, x2, x3)]
+        assert n_roots == str(len(lams))
+        assert [l1, l2] == [repr(v) for v in lams] + [""] * (2 - len(lams))
+        roots_seen.add(len(lams))
+    assert roots_seen >= {0, 1}
+    cells = re.findall(r'<rect x="([^"]*)" y="([^"]*)"', plot.read_text())
+    assert len(cells) == 441
+    assert len({x for x, _ in cells}) == 21 and len({y for _, y in cells}) == 21
+
+
+def test_sweep_rows_match_the_normal_form_analysis(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    code, _ = run_cli(capsys, "sweep", "--a1", "-1", "--a2", "1", "--alpha", "-0.5",
+                      "--b-range=-2,2", "--b-step", "0.5", "--out", str(out_csv))
+    assert code == 0
+    axis = [repr(-2.0 + i * 0.5) for i in range(9)]
+    rows = [ln.split(",") for ln in out_csv.read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [(a, b) for a in axis for b in axis]
+    for b1, b2, tag, db, count, types in rows:
+        p = TwoFoldParams(-1, 1, float(b1), float(b2), -0.5)
+        flavor = classify_two_fold(p)
+        sings = folded_singularities(p)
+        assert (tag, db) == (flavor.tag, str(flavor.determinacy_breaking).lower())
+        assert (count, types) == (str(len(sings)), "+".join(s.folded_type for s in sings))
 
 
 # ------------------------------------------------------------ plots

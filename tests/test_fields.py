@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_jacobian,
-                            compile_layer, normal_form_system, parse_field,
-                            quadratic_roots)
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx1,
+                            compile_jacobian, compile_layer, normal_form_system,
+                            parse_field, quadratic_roots)
 from twofold.integrate import _sigmoid_slope_source, _sigmoid_source
 from twofold.scenarios import builtin, builtin_names
 
@@ -85,8 +85,9 @@ def test_jacobian_kernel_matches_central_differences(name, sigmoid):
     sys = builtin(name).system
     eps = 1e-2
     rhs = compile_layer(sys, _sigmoid_source(sigmoid, eps))
-    jac, df1_dx1 = compile_jacobian(sys, _sigmoid_source(sigmoid, eps),
-                                    _sigmoid_slope_source(sigmoid, eps))
+    lam, dlam = _sigmoid_source(sigmoid, eps), _sigmoid_slope_source(sigmoid, eps)
+    jac = compile_jacobian(sys, lam, dlam)
+    df1_dx1 = compile_df1_dx1(sys, lam, dlam)
     rng = np.random.default_rng(31)
     steps = np.array([1e-5 * eps, 1e-6, 1e-6])
     for _ in range(40):

@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_jacobian,
-                            compile_layer, normal_form_system, parse_field)
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx1,
+                            compile_jacobian, compile_layer, normal_form_system,
+                            parse_field)
+from twofold import integrate
 from twofold.integrate import (EJECT_PLUS, IntegratorOptions, Trajectory,
                                integrate_blowup, integrate_filippov,
                                integrate_smooth, integrate_smoothed)
@@ -517,13 +519,13 @@ def test_rodas4_is_fourth_order_on_a_smooth_field():
     sys = PiecewiseSmoothSystem(side, side)
     lam, dlam = _sigmoid_source("tanh", 0.1), _sigmoid_slope_source("tanh", 0.1)
     rhs = compile_layer(sys, lam)
-    jac, df1_dx1 = compile_jacobian(sys, lam, dlam)
+    jac, df1_dx1 = compile_jacobian(sys, lam, dlam), compile_df1_dx1(sys, lam, dlam)
     y0, t_end = (0.5, 1.5, 0.2), 2.0
     ref = integrate_smooth(side, y0, (0.0, t_end),
                            IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15)).final_state
     errs = []
     for n in (20, 40, 80):
-        stepper = _Stepper(rhs, 0.0, y0, IntegratorOptions(), jac, df1_dx1)
+        stepper = _Stepper(rhs, 0.0, y0, IntegratorOptions(), lambda: jac, df1_dx1)
         for _ in range(n):
             stepper.y, stepper.f, _ = stepper._attempt(t_end / n, True)
         errs.append(max(abs(a - b) for a, b in zip(stepper.y, ref)))
@@ -535,7 +537,7 @@ def test_singular_rosenbrock_matrix_rejects_the_attempt():
     # with h * 0.2 until the step is small enough for DP54
     rhs = parse_field("-1000*x1", "x3", "-x2").fn
     nan_jac = lambda x1, x2, x3: (math.nan,) * 9
-    stepper = _Stepper(rhs, 0.0, (1.0, 0.0, 1.0), IntegratorOptions(), nan_jac,
+    stepper = _Stepper(rhs, 0.0, (1.0, 0.0, 1.0), IntegratorOptions(), lambda: nan_jac,
                        lambda x1, x2, x3: -1000.0)
     stepper.h = 1.0
     seg = stepper.step(10.0)
@@ -573,6 +575,23 @@ def test_non_stiff_smoothed_run_takes_dp54_steps_only():
     assert traj.meta["rosenbrock_steps"] == 0
     assert list(traj.times) == list(ref.times)
     assert all(traj.state(i) == ref.state(i) for i in range(len(ref)))
+
+
+def test_jacobian_is_compiled_at_the_first_stiff_step_only(monkeypatch):
+    # a run that takes no RODAS4 step never compiles the Jacobian; one that
+    # does compiles it once
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args)
+        return compile_jacobian(*args)
+
+    monkeypatch.setattr(integrate, "compile_jacobian", counting)
+    sc = builtin("example-i")
+    traj = integrate_smoothed(sc.system, "tanh", 0.1, sc.x0, (0.0, 50.0))
+    assert traj.meta["rosenbrock_steps"] == 0 and compiled == []
+    traj = integrate_smoothed(sc.system, "tanh", 1e-3, sc.x0, (0.0, 50.0))
+    assert traj.meta["rosenbrock_steps"] > 0 and len(compiled) == 1
 
 
 # ------------------------------------------------------------ blow-up

@@ -8,7 +8,7 @@ from twofold.expr import Num
 from twofold.fields import TwoFoldParams
 from twofold.integrate import integrate_filippov
 from twofold.scenarios import (ConfigError, builtin, builtin_names,
-                               load_config, save_config, save_run,
+                               load_config, save_run,
                                scenario_to_config)
 from twofold.singularities import classify_two_fold, folded_singularities
 
@@ -135,7 +135,8 @@ def test_round_trip_is_exact(tmp_path):
     for name in builtin_names():
         sc = builtin(name)
         path = tmp_path / f"{name}.json"
-        save_config(sc, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scenario_to_config(sc), fh)
         back = load_config(path)
         assert back.name == sc.name
         assert back.epsilon == sc.epsilon

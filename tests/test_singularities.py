@@ -6,10 +6,9 @@ import pytest
 
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.singularities import (AlphaZeroError, DegenerateTypeError,
-                                   PrefactorSingularError, classify_two_fold,
-                                   folded_constants, folded_singularities,
-                                   folded_type, singularity_lambdas,
-                                   slow_projection_field)
+                                   classify_two_fold, folded_constants,
+                                   folded_singularities, folded_type,
+                                   singularity_lambdas)
 
 SQ2 = math.sqrt(2.0)
 
@@ -241,18 +240,6 @@ def test_canard_original_time_flips_with_alpha_sign():
     sm = folded_singularities(TwoFoldParams(1, 1, 1.0, -1.0, -0.2))[0]
     assert sp.canard != sp.canard_original_time or sp.canard == "neutral"
     assert sm.canard == sm.canard_original_time
-
-
-# ------------------------------------------------------------ projection
-
-def test_slow_projection_values():
-    linear, pref = slow_projection_field(1.0, 1.0, 1.0, 1.0, 0.0)
-    assert linear == (1.0, -2.0)
-    assert pref == -0.5
-    _, pref = slow_projection_field(2.0, -1.0, 0.5, -1.0, 0.0)
-    assert pref == 0.5
-    with pytest.raises(PrefactorSingularError):
-        slow_projection_field(0.0, 1.0, 1.0, 0.0, 1.0)
 
 
 # ------------------------------------------------------------ oracle

@@ -5,8 +5,7 @@ import pytest
 
 from twofold.fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
 from twofold.scenarios import builtin
-from twofold.sliding import (ContractViolation, curve_L, degeneracy_report,
-                             region_classify, sliding_lambda, sliding_vector)
+from twofold.sliding import curve_L, degeneracy_report, region_classify, sliding_lambda
 
 
 def nf(a1=1, a2=1, b1=0.0, b2=0.0, alpha=0.0):
@@ -41,22 +40,6 @@ def test_region_classification_normal_form():
     assert region_classify(sys, -1.0, -1.0) == "repelling-sliding"
     assert region_classify(sys, 1.0, -1.0) == "crossing"
     assert region_classify(sys, 0.0, 1.0) == "tangency"
-
-
-def test_sliding_vector_examples():
-    for b1, b2 in ((-2.0, 3.0), (0.5, 0.25)):
-        sys = nf(1, 1, b1, b2)
-        v = sliding_vector(sys, 1.0, 1.0, 0.0)
-        assert v[0] == pytest.approx((1 + b2) / 2, abs=1e-14)
-        assert v[1] == pytest.approx((b1 + 1) / 2, abs=1e-14)
-    sys = nf(1, 1, -2.0, 3.0)
-    assert sliding_vector(sys, 0.0, 1.0, 1.0) == pytest.approx((1.0, -2.0))   # (a1, b1)
-    assert sliding_vector(sys, 1.0, 0.0, -1.0) == pytest.approx((3.0, 1.0))   # (b2, a2)
-
-
-def test_sliding_vector_contract():
-    with pytest.raises(ContractViolation):
-        sliding_vector(nf(), 1.0, 1.0, 0.5)
 
 
 def test_curve_samples_alpha_zero_segment():

@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 138 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 141 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -19,10 +19,12 @@ The list covers slide maps, Filippov, smoothed and blow-up runs (two of
 them smoothed at eps = 1e-5 over 200 time units), the normal-form reports
 and sweeps, runs that stop early at a step floor,
 `scenario list` plus `scenario show` of every built-in scenario, two
-blow-ups that end in a numerical failure, and last four reports on a folded
+blow-ups that end in a numerical failure, four reports on a folded
 singularity next to lam = -1 and a run whose step stops advancing t, which
-all exit 3 too (about a minute on one core of a 2-vCPU Xeon, Python 3.11, most
-of it the step-floor run of the perturbed example-i start).
+all exit 3 too, and last three grid edges: a 2 x 2 slide map, a 7 x 7 one
+over +-1e-300 and a one-cell sweep (about a minute on one core of a 2-vCPU
+Xeon, Python 3.11, most of it the step-floor run of the perturbed example-i
+start).
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ NO_PROGRESS_RUN = (
     "--alpha=1.3138952881046098e-108", "--t-end=1e308",
     "--x0=0,1e-320,1.3138952881046098e-108", "--rel-tol=1e-320")
 
+# grid edges: the smallest slide map, a range whose axis values are
+# subnormal-scale and include 0.0, and a one-cell sweep
+GRID_EDGES = (
+    ("slide-map", "--scenario", "mixed-nf", "--grid", "2"),
+    ("slide-map", "--scenario", "example-ii", "--range=-1e-300,1e-300", "--grid", "7",
+     "--out", "map.csv", "--plot", "map.svg"),
+    ("sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2", "--b-range=0,0",
+     "--out", "sweep.csv"),
+)
+
 
 def calls() -> list[tuple[str, ...]]:
     out = []
@@ -142,6 +154,7 @@ def calls() -> list[tuple[str, ...]]:
     out.extend(FAILING_BLOWUPS)
     out.extend(BOUNDARY_SINGULARITIES)
     out.append(NO_PROGRESS_RUN)
+    out.extend(GRID_EDGES)
     return out
 
 
