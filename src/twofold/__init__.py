@@ -15,9 +15,8 @@ from .integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, Event,
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, save_run)
 from .singularities import (AlphaZeroError, BoundarySingularityError,
-                            DegenerateTypeError, FoldedSingularity,
-                            TwoFoldFlavor, classify_two_fold, folded_constants,
-                            folded_singularities, folded_type)
+                            FoldedSingularity, TwoFoldFlavor, classify_two_fold,
+                            folded_singularities)
 from .sliding import (CurveL, DegeneracyReport, SlidingSolution, curve_L,
                       degeneracy_report, region_classify, sliding_lambda,
                       sliding_roots)

@@ -24,14 +24,14 @@ from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, EPS_MAX, EPS_MIN,
                         integrate_blowup, integrate_filippov, integrate_smoothed)
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, scenario_to_config, save_run)
-from .singularities import (AlphaZeroError, BoundarySingularityError,
+from .singularities import (ALPHA_FLOOR, AlphaZeroError, BoundarySingularityError,
                             classify_two_fold, folded_singularities)
 from .sliding import curve_L, degeneracy_report, region_classify, sliding_roots
 from .svg import render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
 # failures of the numerics behind a command, each an exit 3
-_NUMERICAL_ERRORS = (AlphaZeroError, BoundarySingularityError, NonconvergentEventError,
+_NUMERICAL_ERRORS = (BoundarySingularityError, NonconvergentEventError,
                      TransformDomainError)
 
 # why a run stopped early, by its meta['aborted']
@@ -180,18 +180,17 @@ def _cmd_classify(args, parser) -> int:
     except AlphaZeroError:
         report["singularities"] = []
         report["count"] = 0
-        report["note"] = "alpha is zero: the layer problem is degenerate and no "\
-                         "folded singularities are defined"
+        report["note"] = ("alpha is zero: the layer problem is degenerate and no "
+                          "folded singularities are defined" if deg.is_degenerate else
+                          f"|alpha| <= {ALPHA_FLOOR!r}: the layer problem is too close "
+                          "to degenerate and no folded singularities are computed")
     return _emit(report, args, args.out)
 
 
 def _cmd_singularity(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
     p = _need_params(sc, parser)
-    try:
-        sings = folded_singularities(p)
-    except AlphaZeroError as exc:
-        parser.error(str(exc))
+    sings = folded_singularities(p)
     report = {"params": dataclasses.asdict(p),
               "count": len(sings),
               "singularities": [s.to_json_dict() for s in sings]}
@@ -447,7 +446,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, parser)
+        try:
+            return args.fn(args, parser)
+        except AlphaZeroError as exc:    # |alpha| at the floor: bad input, not numerics
+            parser.error(str(exc))
     except SystemExit as exc:        # argparse usage failure or --version
         return exc.code if isinstance(exc.code, int) else 2
     except OSError as exc:           # an artifact path that cannot be written

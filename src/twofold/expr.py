@@ -10,7 +10,9 @@ Grammar (whitespace insensitive)::
 
 Constants are stored as exact rationals and evaluated in double precision,
 so coefficients like 23/100 carry no decimal-entry drift.  There is no
-division operator: '/' is only legal inside a numeric literal.
+division operator: '/' is only legal inside a numeric literal.  A tree is
+evaluated only through its `source()`, which `fields` compiles into flat
+functions; `diff` gives its exact partial derivatives.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class ExpressionError(ValueError):
 class Expr:
     """Base node.  Trees are immutable and shareable."""
 
-    def evaluate(self, x1: float, x2: float, x3: float) -> float:
-        raise NotImplementedError
-
     def source(self) -> str:
         """Python source fragment used by the compiled evaluators."""
         raise NotImplementedError
@@ -60,9 +59,6 @@ class Expr:
 class Num(Expr):
     value: Fraction
 
-    def evaluate(self, x1, x2, x3):
-        return float(self.value)
-
     def source(self):
         return repr(float(self.value))
 
@@ -74,9 +70,6 @@ class Num(Expr):
 class Var(Expr):
     index: int  # 1..3
 
-    def evaluate(self, x1, x2, x3):
-        return (x1, x2, x3)[self.index - 1]
-
     def source(self):
         return VAR_NAMES[self.index - 1]
 
@@ -87,9 +80,6 @@ class Var(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    def evaluate(self, x1, x2, x3):
-        return -self.arg.evaluate(x1, x2, x3)
 
     def source(self):
         return f"(-{self.arg.source()})"
@@ -104,9 +94,6 @@ class Add(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, x1, x2, x3):
-        return self.left.evaluate(x1, x2, x3) + self.right.evaluate(x1, x2, x3)
-
     def source(self):
         return f"({self.left.source()}+{self.right.source()})"
 
@@ -118,9 +105,6 @@ class Add(Expr):
 class Sub(Expr):
     left: Expr
     right: Expr
-
-    def evaluate(self, x1, x2, x3):
-        return self.left.evaluate(x1, x2, x3) - self.right.evaluate(x1, x2, x3)
 
     def source(self):
         return f"({self.left.source()}-{self.right.source()})"
@@ -137,9 +121,6 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, x1, x2, x3):
-        return self.left.evaluate(x1, x2, x3) * self.right.evaluate(x1, x2, x3)
-
     def source(self):
         return f"({self.left.source()}*{self.right.source()})"
 
@@ -152,9 +133,6 @@ class Mul(Expr):
 class Pow(Expr):
     base: Expr
     exponent: int  # >= 0
-
-    def evaluate(self, x1, x2, x3):
-        return self.base.evaluate(x1, x2, x3) ** self.exponent
 
     def source(self):
         return f"({self.base.source()}**{self.exponent})"

@@ -149,14 +149,6 @@ class PiecewiseSmoothSystem:
             return self.f_minus(x)
         return self.layer(x[0], x[1], x[2], lam)
 
-    def piecewise(self, x) -> tuple[float, float, float]:
-        """Half-space field by the sign of x1; x1 = 0 is ambiguous and rejected."""
-        if x[0] > 0.0:
-            return self.f_plus(x)
-        if x[0] < 0.0:
-            return self.f_minus(x)
-        raise ValueError("x1 = 0 lies on the switching surface; use the sliding layer")
-
     # -- surface helpers used by the sliding layer ------------------------
 
     def f1_surface(self, x2: float, x3: float, lam: float) -> float:

@@ -75,6 +75,7 @@ BUDGET = "budget"            # meta['aborted'] of a run that used up max_steps
 TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
 EVENT_TOL = 1e-12            # |x1| within this of the surface counts as on it
 DECISION_TOL = 1e-12
+BISECT_MAX_ITER = 200        # halvings of an event bracket before giving up
 
 # repelling-sliding policies: keep sliding on the repelling branch (the
 # deterministic default), or leave at once to the plus or the minus side
@@ -395,7 +396,7 @@ def _hermite_first(seg, t):
     return a * seg[1][0] + b * seg[2][0] + c * seg[4][0] + d * seg[5][0]
 
 
-def _bisect_event(seg, scalar, t_lo=None, t_hi=None, on_first=False, max_iter=200):
+def _bisect_event(seg, scalar, t_lo=None, t_hi=None, on_first=False):
     """Root (t, state) of scalar(dense(t)) on [t_lo, t_hi] within the segment
     (by default its whole span), assuming a sign change there.  With
     `on_first`, scalar takes the first component alone: bisecting evaluates
@@ -418,7 +419,7 @@ def _bisect_event(seg, scalar, t_lo=None, t_hi=None, on_first=False, max_iter=20
         return t_hi, y_hi or _hermite(seg, t_hi)
     if (v_lo > 0.0) == (v_hi > 0.0):
         raise NonconvergentEventError("no sign change in event bracket")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid == t_lo or t_mid == t_hi:      # interval below float resolution
             return t_mid, _hermite(seg, t_mid)
@@ -429,7 +430,8 @@ def _bisect_event(seg, scalar, t_lo=None, t_hi=None, on_first=False, max_iter=20
             t_lo, v_lo = t_mid, v_mid
         else:
             t_hi, v_hi = t_mid, v_mid
-    raise NonconvergentEventError(f"event bisection did not converge ({max_iter} iterations)")
+    raise NonconvergentEventError(
+        f"event bisection did not converge ({BISECT_MAX_ITER} iterations)")
 
 
 def _surface_crossing(seg, side, tol):

@@ -15,6 +15,8 @@ constants of the local slow-fast model
 whose projection onto the critical manifold x2~ = -x1~^2 is, after dropping
 the singular prefactor 1/(-2 x1~), the linear map [[c~, b~], [-2 a~, 0]]:
 trace c~, determinant 2 a~ b~, eigenvalues (c~ +- sqrt(c~^2 - 8 a~ b~))/2.
+`folded_singularities` computes each root's constants and type once, in
+`_build_singularity`; `_slow_flow_type` is the one classifier.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 from .fields import TwoFoldParams, quadratic_roots
 
 __all__ = [
-    "TwoFoldFlavor", "FoldedSingularity", "FoldedConstants",
-    "AlphaZeroError", "BoundarySingularityError", "DegenerateTypeError",
-    "classify_two_fold", "folded_singularities", "folded_constants",
-    "folded_type", "singularity_lambdas",
+    "TwoFoldFlavor", "FoldedSingularity", "AlphaZeroError",
+    "BoundarySingularityError", "classify_two_fold", "folded_singularities",
+    "singularity_lambdas",
 ]
 
 ALPHA_FLOOR = 1e-9
@@ -55,10 +56,6 @@ class AlphaZeroError(ValueError):
 
 class BoundarySingularityError(ValueError):
     """lam_s too close to -1; the derived constants divide by 1 + lam_s."""
-
-
-class DegenerateTypeError(ValueError):
-    """Classification boundary hit exactly (a~ b~ = 0 or 8 a~ b~ = c~^2)."""
 
 
 @dataclass(frozen=True)
@@ -102,52 +99,10 @@ def singularity_lambdas(p: TwoFoldParams) -> list[float]:
     return sorted(l + 0.0 for l, _ in roots if -1.0 <= l <= 1.0)   # +0.0 folds -0.0
 
 
-@dataclass(frozen=True)
-class FoldedConstants:
-    f2s: float
-    f3s: float
-    c: float
-    b: float
-    d1: float
-    a_tilde: float
-    b_tilde: float
-    c_tilde: float
-
-
-def folded_constants(p: TwoFoldParams, lambda_s: float) -> FoldedConstants:
-    """Derived constants of the slow-fast model at one folded singularity.
-
-    With f2s, f3s the slow components at the singularity and f2l, f3l their
-    lam-derivatives:
-
-        c  = f2l - (1-ls)/(1+ls) f3l
-        c~ = -((ls+1) f2l + (ls-1) f3l) / (2 sqrt|alpha|)
-        b~ = -(f2s + f3s - 2 c~ sqrt|alpha|) / (4 |alpha| (1 + ls))
-        b  = 2 |alpha| b~ / (1 + ls)
-        a~ = f3s,   d1 = -(1 + ls)/2
-    """
-    if abs(p.alpha) <= ALPHA_FLOOR:
-        raise AlphaZeroError(f"|alpha| = {abs(p.alpha)} below {ALPHA_FLOOR}")
-    if abs(1.0 + lambda_s) <= BOUNDARY_TOL:
-        raise BoundarySingularityError(f"lam_s = {lambda_s} within {BOUNDARY_TOL} of -1")
-    ls = lambda_s
-    a1, a2, b1, b2 = p.a1, p.a2, p.b1, p.b2
-    f2s = 0.5 * (a1 + b2) + 0.5 * (a1 - b2) * ls
-    f3s = 0.5 * (b1 + a2) + 0.5 * (b1 - a2) * ls
-    f2l = 0.5 * (a1 - b2)
-    f3l = 0.5 * (b1 - a2)
-    sq = math.sqrt(abs(p.alpha))
-    c = f2l - (1.0 - ls) / (1.0 + ls) * f3l
-    c_t = -((ls + 1.0) * f2l + (ls - 1.0) * f3l) / (2.0 * sq)
-    b_t = -(f2s + f3s - 2.0 * c_t * sq) / (4.0 * abs(p.alpha) * (1.0 + ls))
-    b = 2.0 * abs(p.alpha) * b_t / (1.0 + ls)
-    d1 = -0.5 * (1.0 + ls)
-    return FoldedConstants(f2s, f3s, c, b, d1, f3s, b_t, c_t)
-
-
 def _slow_flow_type(a_tilde: float, b_tilde: float, c_tilde: float):
     """(type, canard_flag, eigenvalues, trace, det) of the projected slow
-    flow; the type is 'degenerate' on an exact classification boundary."""
+    flow: saddle if a~ b~ < 0, node if 0 < 8 a~ b~ < c~^2, focus if
+    c~^2 < 8 a~ b~, and 'degenerate' on an exact boundary between them."""
     prod = a_tilde * b_tilde
     disc = c_tilde * c_tilde - 8.0 * prod
     if prod == 0.0 or disc == 0.0:
@@ -167,17 +122,6 @@ def _slow_flow_type(a_tilde: float, b_tilde: float, c_tilde: float):
     else:
         canard = NEUTRAL
     return kind, canard, eigenvalues, c_tilde, 2.0 * prod
-
-
-def folded_type(a_tilde: float, b_tilde: float, c_tilde: float):
-    """Classify by the projected slow flow: saddle if a~ b~ < 0, node if
-    0 < 8 a~ b~ < c~^2, focus if c~^2 < 8 a~ b~.  Exact boundaries are not
-    classified.  Returns (type, canard_flag, eigenvalues, trace, det)."""
-    result = _slow_flow_type(a_tilde, b_tilde, c_tilde)
-    if result[0] == DEGENERATE:
-        raise DegenerateTypeError(f"classification boundary: (a~, b~, c~) = "
-                                  f"{(a_tilde, b_tilde, c_tilde)}")
-    return result
 
 
 @dataclass(frozen=True)
@@ -219,16 +163,38 @@ _FLIP = {CANARD: FAUX_CANARD, FAUX_CANARD: CANARD, NEUTRAL: NEUTRAL}
 
 
 def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
-    k = folded_constants(p, ls)
-    kind, canard, eig, trace, det = _slow_flow_type(k.a_tilde, k.b_tilde, k.c_tilde)
+    """Location, derived constants and type of the singularity at lam_s = ls.
+
+    With f2s, f3s the slow components at the singularity and f2l, f3l their
+    lam-derivatives:
+
+        c  = f2l - (1-ls)/(1+ls) f3l
+        c~ = -((ls+1) f2l + (ls-1) f3l) / (2 sqrt|alpha|)
+        b~ = -(f2s + f3s - 2 c~ sqrt|alpha|) / (4 |alpha| (1 + ls))
+        b  = 2 |alpha| b~ / (1 + ls)
+        a~ = f3s,   d1 = -(1 + ls)/2
+    """
+    if abs(1.0 + ls) <= BOUNDARY_TOL:
+        raise BoundarySingularityError(f"lam_s = {ls} within {BOUNDARY_TOL} of -1")
+    a1, a2, b1, b2 = p.a1, p.a2, p.b1, p.b2
+    f2s = 0.5 * (a1 + b2) + 0.5 * (a1 - b2) * ls
+    f3s = 0.5 * (b1 + a2) + 0.5 * (b1 - a2) * ls
+    f2l = 0.5 * (a1 - b2)
+    f3l = 0.5 * (b1 - a2)
+    sq = math.sqrt(abs(p.alpha))
+    c = f2l - (1.0 - ls) / (1.0 + ls) * f3l
+    c_t = -((ls + 1.0) * f2l + (ls - 1.0) * f3l) / (2.0 * sq)
+    b_t = -(f2s + f3s - 2.0 * c_t * sq) / (4.0 * abs(p.alpha) * (1.0 + ls))
+    b = 2.0 * abs(p.alpha) * b_t / (1.0 + ls)
+    kind, canard, eig, trace, det = _slow_flow_type(f3s, b_t, c_t)
     # the model lives in reversed time when alpha > 0
     canard_orig = _FLIP[canard] if p.alpha > 0 else canard
     return FoldedSingularity(
         lambda_s=ls,
         x2s=p.alpha * (ls - 1.0) ** 2,
         x3s=-p.alpha * (ls + 1.0) ** 2,
-        f2s=k.f2s, f3s=k.f3s, c=k.c, b=k.b, d1=k.d1,
-        a_tilde=k.a_tilde, b_tilde=k.b_tilde, c_tilde=k.c_tilde,
+        f2s=f2s, f3s=f3s, c=c, b=b, d1=-0.5 * (1.0 + ls),
+        a_tilde=f3s, b_tilde=b_t, c_tilde=c_t,
         folded_type=kind, canard=canard, canard_original_time=canard_orig,
         eigenvalues=eig, trace=trace, det=det)
 

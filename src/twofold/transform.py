@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system
-from .singularities import FoldedSingularity, folded_singularities
+from .singularities import (ALPHA_FLOOR, BOUNDARY_TOL, FoldedSingularity,
+                            folded_singularities)
 
 __all__ = [
     "TransformContext", "TransformDomainError",
@@ -53,9 +54,9 @@ class TransformContext:
     epsilon: float
 
     def __post_init__(self):
-        if abs(self.params.alpha) <= 1e-9:
-            raise ValueError("transform requires |alpha| > 1e-9")
-        if abs(1.0 + self.singularity.lambda_s) <= 1e-9:
+        if abs(self.params.alpha) <= ALPHA_FLOOR:
+            raise ValueError(f"transform requires |alpha| > {ALPHA_FLOOR}")
+        if abs(1.0 + self.singularity.lambda_s) <= BOUNDARY_TOL:
             raise ValueError("transform requires lam_s away from -1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
@@ -155,20 +156,11 @@ def jacobian_to_x_tilde(ctx: TransformContext, point):
             (0.0, 0.0, -sgn))
 
 
-def folded_normal_field(a_tilde: float, b_tilde: float, c_tilde: float,
-                        eps: float, xt, time: str = "fast"):
-    """Truncated local model (x1~' , x2~., x3~.) at x~.
-
-    `time='fast'` returns the first component in primed form x1~' = eps dx1~/dt~;
-    `time='slow'` divides it by eps so all three rows are d/dt~ rates.
-    """
+def folded_normal_field(a_tilde: float, b_tilde: float, c_tilde: float, xt):
+    """Truncated local model at x~: the first row in primed form
+    x1~' = eps dx1~/dt~, the other two as d/dt~ rates."""
     x1t, x2t, x3t = xt
-    fast = x2t + x1t * x1t
-    if time == "slow":
-        fast = fast / eps
-    elif time != "fast":
-        raise ValueError("time must be 'fast' or 'slow'")
-    return (fast, b_tilde * x3t + c_tilde * x1t, a_tilde)
+    return (x2t + x1t * x1t, b_tilde * x3t + c_tilde * x1t, a_tilde)
 
 
 def pushforward(ctx: TransformContext, point):
@@ -225,8 +217,7 @@ def equivalence_residual(ctx: TransformContext, h: float) -> float:
         point = (s.lambda_s + h * u[0], s.x2s + h * u[1], s.x3s + h * u[2])
         xt = to_x_tilde(ctx, point)          # raises TransformDomainError outside
         w1, w2, _ = pushforward(ctx, point)
-        model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde,
-                                    ctx.epsilon, xt, time="fast")
+        model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde, xt)
         r1 = (ctx.epsilon / sq) * w1 - model[0]
         r2 = w2 - model[1]
         worst = max(worst, abs(r1), abs(r2))

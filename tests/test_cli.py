@@ -17,7 +17,8 @@ from twofold.svg import render_curves, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov
 from twofold.scenarios import builtin, builtin_names, load_config
-from twofold.singularities import classify_two_fold, folded_singularities
+from twofold.singularities import (ALPHA_FLOOR, classify_two_fold,
+                                   folded_singularities)
 from twofold.sliding import region_classify, sliding_lambda
 from twofold.transform import DEFAULT_H_VALUES
 
@@ -46,6 +47,33 @@ def test_classify_alpha_zero_still_reports_flavor(capsys):
     doc = json.loads(out)
     assert doc["degenerate_layer"] is True
     assert doc["count"] == 0
+    assert doc["note"] == ("alpha is zero: the layer problem is degenerate and no "
+                           "folded singularities are defined")
+
+
+def test_classify_alpha_below_floor_names_the_cutoff(capsys):
+    # a nonzero alpha at or below ALPHA_FLOOR leaves the layer nondegenerate,
+    # so the note must not call alpha zero
+    for alpha in ("1e-10", "-1e-9"):
+        code, out = run_cli(capsys, "classify", "--a1", "1", "--a2", "1",
+                            "--b1", "-2", "--b2", "-2", f"--alpha={alpha}")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["degenerate_layer"] is False and doc["count"] == 0
+        assert "alpha is zero" not in doc["note"]
+        assert repr(ALPHA_FLOOR) in doc["note"]
+
+
+@pytest.mark.parametrize("alpha", ["0", "1e-10"])
+@pytest.mark.parametrize("command", ["singularity", "transform-check"])
+def test_alpha_at_the_floor_is_a_usage_error(command, alpha, capsys):
+    code = main([command, "--a1", "1", "--a2", "1", "--b1", "1", "--b2", "-1",
+                 "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: twofold")
+    assert captured.err.endswith(f"twofold: error: |alpha| = {float(alpha)} "
+                                 f"below {ALPHA_FLOOR}\n")
 
 
 def test_transform_check_passes(capsys):

@@ -6,35 +6,43 @@ import pytest
 from twofold.expr import ZERO, ExpressionError, Num, parse_expr
 
 
+def compiled(tree):
+    """`tree` as a function of (x1, x2, x3), built from its source()."""
+    return eval(f"lambda x1, x2, x3: {tree.source()}", {"__builtins__": {}})
+
+
+def value(text, x1=0.0, x2=0.0, x3=0.0):
+    return compiled(parse_expr(text))(x1, x2, x3)
+
+
 def test_rational_constants_are_exact():
     e = parse_expr("23/100")
     assert isinstance(e, Num)
     assert e.value == Fraction(23, 100)
-    assert e.evaluate(0, 0, 0) == 23 / 100
+    assert compiled(e)(0, 0, 0) == 23 / 100
 
 
 def test_decimal_literals():
-    assert parse_expr("0.25").evaluate(0, 0, 0) == 0.25
-    assert parse_expr(".5").evaluate(0, 0, 0) == 0.5
-    assert parse_expr("2.").evaluate(0, 0, 0) == 2.0
+    assert value("0.25") == 0.25
+    assert value(".5") == 0.5
+    assert value("2.") == 2.0
 
 
 def test_basic_arithmetic():
-    e = parse_expr("1+2*x1-3/2*x2+x3^2")
-    assert e.evaluate(2.0, 1.0, 3.0) == 1 + 4 - 1.5 + 9
+    assert value("1+2*x1-3/2*x2+x3^2", 2.0, 1.0, 3.0) == 1 + 4 - 1.5 + 9
 
 
 def test_power_binds_tighter_than_product():
-    assert parse_expr("2*x1^2").evaluate(3.0, 0, 0) == 18.0
+    assert value("2*x1^2", 3.0) == 18.0
 
 
 def test_unary_minus_chains():
-    assert parse_expr("--x1").evaluate(4.0, 0, 0) == 4.0
-    assert parse_expr("-x1^2").evaluate(3.0, 0, 0) == 9.0  # (-x1)^2 per the grammar
+    assert value("--x1", 4.0) == 4.0
+    assert value("-x1^2", 3.0) == 9.0  # (-x1)^2 per the grammar
 
 
 def test_parentheses():
-    assert parse_expr("(1+x1)*(1-x1)").evaluate(0.5, 0, 0) == 0.75
+    assert value("(1+x1)*(1-x1)", 0.5) == 0.75
 
 
 def test_syntax_error_carries_position():
@@ -103,30 +111,32 @@ def test_round_trip_evaluates_identically():
     rng = random.Random(11)
     exprs = [parse_expr(_random_expr(rng, 3)) for _ in range(30)]
     for tree in exprs:
-        back = parse_expr(str(tree))
+        f, g = compiled(tree), compiled(parse_expr(str(tree)))
         for _ in range(100):
             x = tuple(rng.uniform(-3, 3) for _ in range(3))
-            a = tree.evaluate(*x)
-            b = back.evaluate(*x)
+            a = f(*x)
+            b = g(*x)
             assert a == b or abs(a - b) <= 1e-14 * max(1.0, abs(a))
 
 
 def test_derivative_matches_central_differences():
-    # the polynomial derivative is exact; central differences of `evaluate`
-    # agree to their own O(d^2) truncation plus rounding
+    # the polynomial derivative is exact; central differences of the
+    # compiled tree agree to their own O(d^2) truncation plus rounding
     rng = random.Random(909)
     d = 1e-5
     for _ in range(60):
         tree = parse_expr(_random_expr(rng, 3))
+        f = compiled(tree)
+        grad = [compiled(tree.diff(index)) for index in (1, 2, 3)]
         for _ in range(10):
             x = [rng.uniform(-1.5, 1.5) for _ in range(3)]
-            scale = max(1.0, abs(tree.evaluate(*x)))
+            scale = max(1.0, abs(f(*x)))
             for index in (1, 2, 3):
                 up, dn = list(x), list(x)
                 up[index - 1] += d
                 dn[index - 1] -= d
-                fd = (tree.evaluate(*up) - tree.evaluate(*dn)) / (2.0 * d)
-                exact = tree.diff(index).evaluate(*x)
+                fd = (f(*up) - f(*dn)) / (2.0 * d)
+                exact = grad[index - 1](*x)
                 assert abs(fd - exact) <= 1e-5 * max(scale, abs(exact)), (str(tree), index, x)
 
 

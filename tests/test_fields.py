@@ -146,26 +146,16 @@ def test_combination_rejects_lambda_outside_range():
         sys.combination((0.0, 0.0, 0.0), 1.5)
 
 
-def test_piecewise_uses_sign_of_x1():
-    rng = random.Random(10)
-    sys = _random_system(rng)
-    xp = (0.5, 1.0, -1.0)
-    xm = (-0.5, 1.0, -1.0)
-    assert sys.piecewise(xp) == sys.f_plus(xp)
-    assert sys.piecewise(xm) == sys.f_minus(xm)
-    with pytest.raises(ValueError):
-        sys.piecewise((0.0, 1.0, 1.0))
-
-
 def test_piecewise_ignores_hidden_term():
-    # the (1 - lam^2) factor removes g off the surface
+    # the (1 - lam^2) factor removes g off the surface, where lam = sign(x1)
     rng = random.Random(11)
     for _ in range(30):
         sys = _random_system(rng)
         bare = PiecewiseSmoothSystem(sys.f_plus, sys.f_minus)
         x = (rng.choice([-1, 1]) * rng.uniform(1e-9, 2), rng.uniform(-2, 2),
              rng.uniform(-2, 2))
-        assert sys.piecewise(x) == bare.piecewise(x)
+        lam = math.copysign(1.0, x[0])
+        assert sys.layer(*x, lam) == bare.layer(*x, lam)
 
 
 def test_normal_form_fields():
@@ -184,7 +174,7 @@ def test_normal_form_fields():
 
 def test_normal_form_piecewise_example():
     sys = normal_form_system(TwoFoldParams(1, 1, 0.0, 0.0, 0.0))
-    assert sys.piecewise((-1.0, 2.0, 3.0)) == (3.0, 0.0, 1.0)
+    assert sys.combination((-1.0, 2.0, 3.0), -1.0) == (3.0, 0.0, 1.0)
 
 
 def test_normal_form_reproduces_combination_componentwise():

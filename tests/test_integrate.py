@@ -436,7 +436,7 @@ def test_smoothed_field_matches_piecewise_outside_layer():
         x = (float(x1), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         lam = math.tanh(x[0] / eps)
         smooth = sys.combination(x, lam)
-        side = sys.piecewise(x)
+        side = sys.f_plus(x) if x[0] > 0.0 else sys.f_minus(x)
         for a, b in zip(smooth, side):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 

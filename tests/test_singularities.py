@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from twofold.fields import TwoFoldParams, normal_form_system
-from twofold.singularities import (AlphaZeroError, DegenerateTypeError,
-                                   classify_two_fold, folded_constants,
-                                   folded_singularities, folded_type,
-                                   singularity_lambdas)
+from twofold.singularities import (AlphaZeroError, BoundarySingularityError,
+                                   _slow_flow_type, classify_two_fold,
+                                   folded_singularities, singularity_lambdas)
 
 SQ2 = math.sqrt(2.0)
 
@@ -85,9 +84,10 @@ def test_alpha_zero_rejected():
 
 
 def test_boundary_lambda_rejected_in_constants():
-    from twofold.singularities import BoundarySingularityError
+    # a drift of 1e15 puts lam_s within 1e-9 of -1, where the constants
+    # divide by 1 + lam_s
     with pytest.raises(BoundarySingularityError):
-        folded_constants(TwoFoldParams(1, 1, 1.0, -1.0, 0.2), -1.0 + 1e-10)
+        folded_singularities(TwoFoldParams(1, 1, 3.0, 1e15, 2.0))
 
 
 def test_existence_quadratic_never_vanishes_on_the_boundary():
@@ -147,8 +147,8 @@ def test_case_counts_on_grid():
 # ------------------------------------------------------------ constants
 
 def test_worked_constants_at_lambda_zero():
-    p = TwoFoldParams(1, 1, -2.0, -2.0, 0.2)
-    k = folded_constants(p, 0.0)
+    (k,) = folded_singularities(TwoFoldParams(1, 1, -2.0, -2.0, 0.2))
+    assert k.lambda_s == 0.0
     assert k.f2s == pytest.approx(-0.5, abs=1e-15)
     assert k.f3s == pytest.approx(-0.5, abs=1e-15)
     assert k.c == pytest.approx(3.0, abs=1e-14)
@@ -164,10 +164,9 @@ def test_symmetric_location_at_lambda_zero():
 
 
 def test_scaling_in_alpha():
-    p1 = TwoFoldParams(1, 1, -2.0, -2.0, 0.2)
-    p4 = TwoFoldParams(1, 1, -2.0, -2.0, 0.8)
-    k1 = folded_constants(p1, 0.0)
-    k4 = folded_constants(p4, 0.0)
+    (k1,) = folded_singularities(TwoFoldParams(1, 1, -2.0, -2.0, 0.2))
+    (k4,) = folded_singularities(TwoFoldParams(1, 1, -2.0, -2.0, 0.8))
+    assert k1.lambda_s == k4.lambda_s == 0.0
     assert k4.c_tilde == pytest.approx(0.5 * k1.c_tilde, abs=1e-13)
     # b~ recomputation under alpha -> 4 alpha, from its defining expression
     expect = -(k4.f2s + k4.f3s - 2 * k4.c_tilde * math.sqrt(0.8)) / (4 * 0.8 * 1.0)
@@ -192,21 +191,19 @@ def test_singularity_residuals_random_draws():
 # ------------------------------------------------------------ types
 
 def test_type_sign_tests():
-    assert folded_type(1.0, -1.0, 0.0)[0] == "folded-saddle"
-    kind, canard, eig, trace, det = folded_type(1.0, 1.0, 3.0)
+    assert _slow_flow_type(1.0, -1.0, 0.0)[0] == "folded-saddle"
+    kind, canard, eig, trace, det = _slow_flow_type(1.0, 1.0, 3.0)
     assert kind == "folded-node" and canard == "canard"
     assert trace == 3.0 and det == 2.0
     assert eig[0].imag == 0.0
-    kind, canard, eig, _, _ = folded_type(1.0, 1.0, 1.0)
+    kind, canard, eig, _, _ = _slow_flow_type(1.0, 1.0, 1.0)
     assert kind == "folded-focus"
     assert eig[0].imag != 0.0 and eig[0] == eig[1].conjugate()
 
 
 def test_type_boundaries_are_degenerate():
-    with pytest.raises(DegenerateTypeError):
-        folded_type(0.0, 1.0, 1.0)
-    with pytest.raises(DegenerateTypeError):
-        folded_type(1.0, 2.0, 4.0)   # c~^2 = 16 = 8 a~ b~
+    assert _slow_flow_type(0.0, 1.0, 1.0)[0] == "degenerate"
+    assert _slow_flow_type(1.0, 2.0, 4.0)[0] == "degenerate"   # c~^2 = 16 = 8 a~ b~
 
 
 def test_degenerate_singularity_keeps_its_slow_flow_values():
@@ -221,7 +218,7 @@ def test_degenerate_singularity_keeps_its_slow_flow_values():
 
 
 def test_eigenvalue_formula():
-    _, _, eig, trace, det = folded_type(0.5, -2.0, 1.5)
+    _, _, eig, trace, det = _slow_flow_type(0.5, -2.0, 1.5)
     root = math.sqrt(1.5 ** 2 + 8.0)
     assert eig[0] == pytest.approx(0.5 * (1.5 + root))
     assert eig[1] == pytest.approx(0.5 * (1.5 - root))
@@ -230,9 +227,9 @@ def test_eigenvalue_formula():
 
 
 def test_canard_flag_follows_trace_sign():
-    assert folded_type(1.0, -1.0, 2.0)[1] == "canard"
-    assert folded_type(1.0, -1.0, -2.0)[1] == "faux-canard"
-    assert folded_type(1.0, -1.0, 0.0)[1] == "neutral"
+    assert _slow_flow_type(1.0, -1.0, 2.0)[1] == "canard"
+    assert _slow_flow_type(1.0, -1.0, -2.0)[1] == "faux-canard"
+    assert _slow_flow_type(1.0, -1.0, 0.0)[1] == "neutral"
 
 
 def test_canard_original_time_flips_with_alpha_sign():
@@ -303,14 +300,12 @@ def test_types_match_desingularized_flow_oracle():
 
 
 def test_mixed_entries_are_independent():
-    # entries of a mixed pair must classify independently: recompute each
-    # from scratch and compare
-    p = TwoFoldParams(-1, 1, -4.0, -1.0, 0.2)
-    pair = folded_singularities(p)
+    # entries of a mixed pair must classify independently: reclassify each
+    # from its own constants and compare
+    pair = folded_singularities(TwoFoldParams(-1, 1, -4.0, -1.0, 0.2))
     assert len(pair) == 2
     for s in pair:
-        k = folded_constants(p, s.lambda_s)
-        kind, canard, _, _, det = folded_type(k.a_tilde, k.b_tilde, k.c_tilde)
+        kind, canard, _, _, det = _slow_flow_type(s.a_tilde, s.b_tilde, s.c_tilde)
         assert kind == s.folded_type and canard == s.canard
         assert det == pytest.approx(s.det, rel=1e-12)
     assert pair[0].folded_type != pair[1].folded_type

@@ -197,17 +197,10 @@ def test_jacobian_matches_finite_differences():
 # ------------------------------------------------------------ model field
 
 def test_model_field_examples():
-    assert folded_normal_field(2.0, 1.0, 1.0, 1e-3, (0.0, 0.0, 0.0)) == (0.0, 0.0, 2.0)
-    got = folded_normal_field(2.0, 1.0, 3.0, 1e-3, (1.0, -1.0, 0.0))
+    assert folded_normal_field(2.0, 1.0, 1.0, (0.0, 0.0, 0.0)) == (0.0, 0.0, 2.0)
+    got = folded_normal_field(2.0, 1.0, 3.0, (1.0, -1.0, 0.0))
     assert got == (0.0, 3.0, 2.0)           # on the critical manifold x2~ = -x1~^2
-    assert folded_normal_field(1.0, 1.0, 1.0, 1e-3, (0.0, 1.0, 1.0)) == (1.0, 1.0, 1.0)
-
-
-def test_model_field_slow_normalization():
-    fast = folded_normal_field(1.0, 1.0, 1.0, 0.5, (0.0, 1.0, 0.0), time="fast")
-    slow = folded_normal_field(1.0, 1.0, 1.0, 0.5, (0.0, 1.0, 0.0), time="slow")
-    assert slow[0] == fast[0] / 0.5
-    assert slow[1:] == fast[1:]
+    assert folded_normal_field(1.0, 1.0, 1.0, (0.0, 1.0, 1.0)) == (1.0, 1.0, 1.0)
 
 
 # ------------------------------------------------------------ residual order
@@ -220,7 +213,7 @@ def test_residual_first_component_vanishes_at_singularity():
     pt = (s.lambda_s, s.x2s, s.x3s)
     xt = to_x_tilde(ctx, pt)
     w = pushforward(ctx, pt)
-    model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde, ctx.epsilon, xt)
+    model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde, xt)
     r1 = (ctx.epsilon / math.sqrt(abs(ctx.params.alpha))) * w[0] - model[0]
     assert abs(r1) <= 1e-12
     # third row equals a~ exactly at the singularity

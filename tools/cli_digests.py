@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 141 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 144 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -21,8 +21,9 @@ and sweeps, runs that stop early at a step floor,
 `scenario list` plus `scenario show` of every built-in scenario, two
 blow-ups that end in a numerical failure, four reports on a folded
 singularity next to lam = -1 and a run whose step stops advancing t, which
-all exit 3 too, and last three grid edges: a 2 x 2 slide map, a 7 x 7 one
-over +-1e-300 and a one-cell sweep (about a minute on one core of a 2-vCPU
+all exit 3 too, three grid edges: a 2 x 2 slide map, a 7 x 7 one over
++-1e-300 and a one-cell sweep, and last the three reports at a nonzero
+alpha below the 1e-9 cutoff (about a minute on one core of a 2-vCPU
 Xeon, Python 3.11, most of it the step-floor run of the perturbed example-i
 start).
 """
@@ -101,6 +102,12 @@ GRID_EDGES = (
     ("sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2", "--b-range=0,0",
      "--out", "sweep.csv"),
 )
+# 0 < |alpha| <= 1e-9: classify reports no singularities with a note, the
+# other two commands exit 2
+BELOW_ALPHA_FLOOR = tuple(
+    (command, "--a1", "1", "--a2", "1", "--b1", "-2.0", "--b2", "-2.0",
+     "--alpha", "1e-10", "--out", "report.json")
+    for command in ("classify", "singularity", "transform-check"))
 
 
 def calls() -> list[tuple[str, ...]]:
@@ -155,6 +162,7 @@ def calls() -> list[tuple[str, ...]]:
     out.extend(BOUNDARY_SINGULARITIES)
     out.append(NO_PROGRESS_RUN)
     out.extend(GRID_EDGES)
+    out.extend(BELOW_ALPHA_FLOOR)
     return out
 
 
