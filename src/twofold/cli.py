@@ -360,8 +360,9 @@ def _cmd_scenario(args, parser) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process on the first
-    `main` call; parsing leaves it unchanged and every default is immutable,
-    so each call can reuse it."""
+    `main` call; parsing leaves it unchanged and every default is immutable
+    (or, for `fn` and `parser`, the command and its own subparser), so each
+    call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="twofold",
         description="Analysis and simulation of two-fold singularities in "
@@ -385,11 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="two-fold flavour and folded singularities")
     common(sp)
-    sp.set_defaults(fn=_cmd_classify)
+    sp.set_defaults(fn=_cmd_classify, parser=sp)
 
     sp = sub.add_parser("singularity", help="folded-singularity analysis report")
     common(sp)
-    sp.set_defaults(fn=_cmd_singularity)
+    sp.set_defaults(fn=_cmd_singularity, parser=sp)
 
     sp = sub.add_parser("slide-map", help="region map of the switching surface")
     common(sp, plot=True)
@@ -398,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=41, help="points per axis")
     sp.add_argument("--curve-out", metavar="PATH", dest="curve_out",
                     help="CSV of the fold curve with tangents")
-    sp.set_defaults(fn=_cmd_slide_map)
+    sp.set_defaults(fn=_cmd_slide_map, parser=sp)
 
     sp = sub.add_parser("simulate", help="integrate a system")
     common(sp, run_args=True)
@@ -406,16 +407,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--policy", choices=(STAY_SLIDING, EJECT_PLUS, EJECT_MINUS),
                     dest="repelling_policy")
     sp.add_argument("--mode", choices=("smoothed", "filippov"), default="smoothed")
-    sp.set_defaults(fn=_cmd_simulate)
+    sp.set_defaults(fn=_cmd_simulate, parser=sp)
 
     sp = sub.add_parser("blowup", help="integrate the layer (blow-up) system")
     common(sp, run_args=True)
-    sp.set_defaults(fn=_cmd_blowup)
+    sp.set_defaults(fn=_cmd_blowup, parser=sp)
 
     sp = sub.add_parser("transform-check", help="order check of the folded-"
                                                 "singularity equivalence")
     common(sp)
-    sp.set_defaults(fn=_cmd_transform_check)
+    sp.set_defaults(fn=_cmd_transform_check, parser=sp)
 
     sp = sub.add_parser("sweep", help="grid over (b1, b2) at fixed a1, a2, alpha")
     sp.add_argument("--a1", type=int, choices=(-1, 1))
@@ -425,12 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b-step", type=_finite, default=0.1)
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--seed", type=int, metavar="U64")
-    sp.set_defaults(fn=_cmd_sweep)
+    sp.set_defaults(fn=_cmd_sweep, parser=sp)
 
     sp = sub.add_parser("scenario", help="list or show built-in scenarios")
     sp.add_argument("action", choices=("list", "show"))
     sp.add_argument("name", nargs="?")
-    sp.set_defaults(fn=_cmd_scenario)
+    sp.set_defaults(fn=_cmd_scenario, parser=sp)
 
     return parser
 
@@ -446,10 +447,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # a command's own errors print its subcommand's usage
         try:
-            return args.fn(args, parser)
+            return args.fn(args, args.parser)
         except AlphaZeroError as exc:    # |alpha| at the floor: bad input, not numerics
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     except SystemExit as exc:        # argparse usage failure or --version
         return exc.code if isinstance(exc.code, int) else 2
     except OSError as exc:           # an artifact path that cannot be written

@@ -131,8 +131,8 @@ def render_curves(curves, path, view: str = "u3", events=(), labels=()) -> None:
             sx, sy = canvas.to_screen(*pc[0])
             parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>')
             continue
-        coords = " ".join(f"{_fmt(canvas.to_screen(x, y)[0])},{_fmt(canvas.to_screen(x, y)[1])}"
-                          for x, y in pc)
+        coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
+                          for sx, sy in (canvas.to_screen(x, y) for x, y in pc))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      'stroke-width="1"/>')
     for kind, (x, y) in proj_events:
@@ -153,11 +153,11 @@ def render_trajectory(traj, path, view: str = "u3") -> None:
     """Phase portrait of one run with its events marked."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    points = [traj.state(i) for i in range(len(traj))]
+    x1s, x2s, x3s = traj.columns
     if traj.meta.get("space") == "layer":
         # layer runs live in (lam, x2, x3); draw lam on the vertical axis
-        points = [(lam, p[1], p[2]) for lam, p in
-                  ((traj.lam(i), traj.state(i)) for i in range(len(traj)))]
+        x1s = traj.lams
+    points = list(zip(x1s, x2s, x3s))
     events = [(e.kind, e.state) for e in traj.events]
     labels = [f"view={view} samples={len(traj)} kind={traj.meta.get('kind', '?')}"]
     render_curves([(points, "#1f77b4")], path, view=view, events=events, labels=labels)
@@ -194,9 +194,8 @@ def render_region_map(grid, curve, path) -> None:
     if curve is not None:
         pts = [(x2, x3) for _, x2, x3 in curve.points if canvas.contains(x2, x3)]
         if len(pts) > 1:
-            coords = " ".join(
-                f"{_fmt(canvas.to_screen(x, y)[0])},{_fmt(canvas.to_screen(x, y)[1])}"
-                for x, y in pts)
+            coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
+                              for sx, sy in (canvas.to_screen(x, y) for x, y in pts))
             parts.append(f'<polyline points="{coords}" fill="none" stroke="#000000" '
                          'stroke-width="1.5"/>')
     parts.append('<text x="50" y="20" font-family="monospace" font-size="12" '

@@ -71,9 +71,24 @@ def test_alpha_at_the_floor_is_a_usage_error(command, alpha, capsys):
                  "--alpha", alpha])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("usage: twofold")
-    assert captured.err.endswith(f"twofold: error: |alpha| = {float(alpha)} "
+    # the command's own usage and prefix, as for an error in its flags
+    assert captured.err.startswith(f"usage: twofold {command} ")
+    assert captured.err.endswith(f"\ntwofold {command}: error: |alpha| = {float(alpha)} "
                                  f"below {ALPHA_FLOOR}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("slide-map", "--scenario", "mixed-nf", "--grid", "1"),
+    ("sweep", "--a1", "1", "--a2", "1"),
+    ("scenario", "show"),
+])
+def test_command_error_prints_the_subcommand_usage(argv, capsys):
+    # an error a command raises after parsing names that command, as an
+    # argparse error in its flags does (the alpha floor is checked above)
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: twofold {argv[0]} ")
+    assert f"\ntwofold {argv[0]}: error: " in err
 
 
 def test_transform_check_passes(capsys):

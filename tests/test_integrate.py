@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx1,
                             compile_jacobian, compile_layer, normal_form_system,
-                            parse_field)
+                            parse_field, quadratic_roots)
 from twofold import integrate
 from twofold.integrate import (EJECT_PLUS, IntegratorOptions, Trajectory,
                                integrate_blowup, integrate_filippov,
@@ -14,7 +16,9 @@ from twofold.integrate import (EJECT_PLUS, IntegratorOptions, Trajectory,
 from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
-                               _Stepper, _branch_lambda, _run_steps,
+                               BISECT_MAX_ITER, NonconvergentEventError,
+                               _Stepper, _bisect_event, _branch_lambda,
+                               _hermite, _hermite_first, _run_steps,
                                _sigmoid_slope_source, _sigmoid_source,
                                _surface_crossing)
 from twofold.scenarios import builtin
@@ -285,6 +289,9 @@ def test_surface_crossing_finds_a_dip_between_two_plus_side_ends():
     seg = polynomial_segment(lambda t: 4.0 * (t - 2.15) * (t - 2.3),
                              lambda t: 4.0 * (2.0 * t - 4.45), 2.0, 2.5)
     assert seg[1][0] > 0.0 and seg[4][0] > 0.0
+    # the Bernstein control point x1(t0) + h x1'(t0)/3 lies off the plus
+    # side, so the hull test must fall through to the scan
+    assert seg[1][0] + (seg[3] - seg[0]) * seg[2][0] / 3.0 < 0.0
     t_star, y_star = _surface_crossing(seg, 1, 1e-12)
     assert t_star == pytest.approx(2.15, abs=1e-12)
     assert abs(y_star[0]) <= 1e-12 and y_star[1:] == pytest.approx((0.5, -0.5))
@@ -312,6 +319,180 @@ def test_surface_crossing_brackets_from_the_first_point_off_the_surface():
     t_star, _ = _surface_crossing(seg, 1, 1e-12)
     assert t_star == pytest.approx(0.5, abs=1e-12)
     assert _surface_crossing(seg, -1, 1e-12) is None
+
+
+def test_surface_crossing_skips_the_scan_inside_the_hull(monkeypatch):
+    # all four control points of x1 = 1 + (t - 0.5)^2 on [0, 1] lie on the
+    # plus side: no root search runs, and the answer is None on that side
+    def no_roots(*args):
+        raise AssertionError("quadratic_roots called")
+    monkeypatch.setattr(integrate, "quadratic_roots", no_roots)
+    seg = polynomial_segment(lambda t: 1.0 + (t - 0.5) ** 2, lambda t: 2.0 * (t - 0.5),
+                             0.0, 1.0)
+    assert _surface_crossing(seg, 1, 1e-12) is None
+    # seen from the minus side the start is already beyond the surface: scan
+    with pytest.raises(AssertionError):
+        _surface_crossing(seg, -1, 1e-12)
+
+
+# ---- the locator's oracle: the extrema scan with no hull test, and plain
+# halving of the whole bracket, as they stood before the Illinois narrowing
+
+def oracle_bisect(seg, scalar, t_lo=None, t_hi=None, on_first=False):
+    dense = _hermite_first if on_first else _hermite
+
+    def end_value(t, y):
+        return scalar(dense(seg, t) if y is None else (y[0] if on_first else y))
+
+    y_lo = seg[1] if t_lo is None else None
+    y_hi = seg[4] if t_hi is None else None
+    t_lo = seg[0] if t_lo is None else t_lo
+    t_hi = seg[3] if t_hi is None else t_hi
+    v_lo = end_value(t_lo, y_lo)
+    v_hi = end_value(t_hi, y_hi)
+    if v_lo == 0.0:
+        return t_lo, y_lo or _hermite(seg, t_lo)
+    if v_hi == 0.0:
+        return t_hi, y_hi or _hermite(seg, t_hi)
+    if (v_lo > 0.0) == (v_hi > 0.0):
+        raise NonconvergentEventError("no sign change in event bracket")
+    for _ in range(BISECT_MAX_ITER):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if t_mid == t_lo or t_mid == t_hi:
+            return t_mid, _hermite(seg, t_mid)
+        v_mid = scalar(dense(seg, t_mid))
+        if v_mid == 0.0:
+            return t_mid, _hermite(seg, t_mid)
+        if (v_mid > 0.0) == (v_lo > 0.0):
+            t_lo, v_lo = t_mid, v_mid
+        else:
+            t_hi, v_hi = t_mid, v_mid
+    raise NonconvergentEventError(
+        f"event bisection did not converge ({BISECT_MAX_ITER} iterations)")
+
+
+def oracle_crossing(seg, side, tol):
+    t0, y0, f0, t1, y1, f1 = seg
+    h = t1 - t0
+    x1_old, x1_end = y0[0], y1[0]
+    d0, d1 = h * f0[0], h * f1[0]
+    a = 6.0 * x1_old + 3.0 * d0 - 6.0 * x1_end + 3.0 * d1
+    b = -6.0 * x1_old - 4.0 * d0 + 6.0 * x1_end - 2.0 * d1
+    extrema = sorted(t for t in (t0 + s * h for s, _ in quadratic_roots(a, b, d0, 0.0))
+                     if t0 < t < t1)
+    t_lo = t0 if side * x1_old > 0.0 else None
+    for t_c in extrema + [None]:
+        x1_new = x1_end if t_c is None else _hermite_first(seg, t_c)
+        if side * x1_new > 0.0:
+            t_lo = t_c
+        elif t_lo is not None and (side * x1_new <= -tol or x1_new == 0.0):
+            return oracle_bisect(seg, lambda x1: x1, t_lo, t_c, on_first=True)
+    return None
+
+
+def outcome(fn, *args, **kwargs):
+    """A result or a raised locator error, comparable bit for bit."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except NonconvergentEventError as exc:
+        return f"raised {exc}"
+
+
+def scaled(lo, hi):
+    """Floats in [lo, hi] times 1, 1e-3, 1e3 or 1e6: |x1| up to 1e6."""
+    return st.builds(lambda v, k: v * k, st.floats(lo, hi), st.sampled_from((1.0, 1e-3, 1e3, 1e6)))
+
+
+def monotone_slopes(draw, p0, p1, h):
+    """End slopes that keep the Hermite cubic from p0 to p1 monotone: its
+    derivative's Bernstein coefficients k0 D, (3 - k0 - k1) D and k1 D,
+    D = p1 - p0, share one sign when k0 + k1 < 3."""
+    k0, k1 = draw(st.floats(0.01, 1.49)), draw(st.floats(0.01, 1.49))
+    return k0 * (p1 - p0) / h, k1 * (p1 - p0) / h
+
+
+@st.composite
+def hermite_segments(draw):
+    """Flow segments whose first component is a Hermite cubic: random, or
+    starting exactly on the surface, or grazing it with two roots in the
+    step, or crossing it monotonically, the common case in a run."""
+    t0 = draw(st.sampled_from((0.0, 1e-3, 7.5, 500.0)) | st.floats(0.0, 1e3))
+    h = draw(st.floats(1e-6, 10.0))
+    t1 = t0 + h
+    kind = draw(st.sampled_from(("random", "surface-start", "grazing", "transversal")))
+    if kind == "grazing":
+        # c (t - r1) (t - r2) with both roots inside the step
+        c = draw(scaled(-1.0, 1.0).filter(lambda v: v != 0.0))
+        r1, r2 = sorted(t0 + h * draw(st.floats(0.01, 0.99)) for _ in range(2))
+        p = lambda t: c * (t - r1) * (t - r2)
+        dp = lambda t: c * (2.0 * t - r1 - r2)
+        p0, q0, p1, q1 = p(t0), dp(t0), p(t1), dp(t1)
+    elif kind == "transversal":
+        p0 = draw(scaled(0.0, 1.0))
+        p1 = -draw(scaled(0.0, 1.0))
+        if draw(st.booleans()):
+            p0, p1 = p1, p0
+        q0, q1 = monotone_slopes(draw, p0, p1, h)
+    else:
+        p0 = 0.0 if kind == "surface-start" else draw(scaled(-1.0, 1.0))
+        p1, q0, q1 = (draw(scaled(-1.0, 1.0)) for _ in range(3))
+    rest = st.floats(-10.0, 10.0)
+    return (t0, (p0, draw(rest), draw(rest)), (q0, draw(rest), draw(rest)),
+            t1, (p1, draw(rest), draw(rest)), (q1, draw(rest), draw(rest)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(seg=hermite_segments(), side=st.sampled_from((1, -1)))
+def test_surface_crossing_matches_the_plain_scan(seg, side):
+    assert outcome(_surface_crossing, seg, side, 1e-12) == \
+        outcome(oracle_crossing, seg, side, 1e-12)
+
+
+@st.composite
+def boundary_segments(draw):
+    """Blow-up steps whose lam leaves [-1, 1]: (segment, boundary scalar)."""
+    t0 = draw(st.sampled_from((0.0, 3.25)) | st.floats(0.0, 100.0))
+    h = draw(st.floats(1e-8, 1.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    lam0 = sign * draw(st.floats(-1.0, 1.0, exclude_max=True))
+    lam1 = sign * draw(st.floats(1.0, 1.5))
+    if draw(st.booleans()):
+        q0, q1 = monotone_slopes(draw, lam0, lam1, h)
+    else:
+        q0, q1 = (draw(scaled(-1.0, 1.0)) for _ in range(2))
+    scalar = (lambda lam: 1.0 - lam) if sign > 0 else (lambda lam: lam + 1.0)
+    return (t0, (lam0, 1.0, -1.0), (q0, 0.5, 0.5),
+            t0 + h, (lam1, 1.0, -1.0), (q1, 0.5, 0.5)), scalar
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=boundary_segments())
+def test_boundary_exit_matches_plain_halving(case):
+    seg, scalar = case
+    assert outcome(_bisect_event, seg, scalar, on_first=True) == \
+        outcome(oracle_bisect, seg, scalar, on_first=True)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seg=hermite_segments())
+# monotone crossings early in a run, where the computed sign of x1 flips
+# within a few ulps of the root: a narrowing that took the sign of a probe in
+# that band at face value would return a neighbouring float
+@example(seg=(0.0, (-6.106247234207582, 0.0, 0.0), (13729.773612711348, 0.0, 0.0),
+              0.0008342815213704032, (8.81012751972784, 0.0, 0.0),
+              (5574.031059186792, 0.0, 0.0)))
+@example(seg=(0.001, (-0.00019086293907991382, 0.0, 0.0), (0.00976743929651514, 0.0, 0.0),
+              0.3474136854418032, (0.002956136295083517, 0.0, 0.0),
+              (0.005121943806421111, 0.0, 0.0)))
+@example(seg=(0.0, (-0.6886451445316484, 0.0, 0.0), (6.955866993450119, 0.0, 0.0),
+              0.18374267021837581, (0.6911799348376542, 0.0, 0.0),
+              (5.0374748531205125, 0.0, 0.0)))
+def test_whole_step_locator_matches_plain_halving(seg):
+    # over the whole step, on x1 alone and on the full state
+    assert outcome(_bisect_event, seg, lambda x1: x1, on_first=True) == \
+        outcome(oracle_bisect, seg, lambda x1: x1, on_first=True)
+    assert outcome(_bisect_event, seg, lambda w: w[0]) == \
+        outcome(oracle_bisect, seg, lambda w: w[0])
 
 
 def test_filippov_finds_a_shallow_dip_inside_one_natural_step():

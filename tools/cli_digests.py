@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 144 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 147 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -22,10 +22,11 @@ and sweeps, runs that stop early at a step floor,
 blow-ups that end in a numerical failure, four reports on a folded
 singularity next to lam = -1 and a run whose step stops advancing t, which
 all exit 3 too, three grid edges: a 2 x 2 slide map, a 7 x 7 one over
-+-1e-300 and a one-cell sweep, and last the three reports at a nonzero
-alpha below the 1e-9 cutoff (about a minute on one core of a 2-vCPU
-Xeon, Python 3.11, most of it the step-floor run of the perturbed example-i
-start).
++-1e-300 and a one-cell sweep, the three reports at a nonzero alpha below
+the 1e-9 cutoff, and last the three long Filippov runs of the events
+benchmark (examples i-iii to t = 500 from their default starts, hundreds
+of crossings each; about 70 s in all on one core of a 2-vCPU Xeon, Python
+3.11, most of it the step-floor run of the perturbed example-i start).
 """
 
 from __future__ import annotations
@@ -163,6 +164,10 @@ def calls() -> list[tuple[str, ...]]:
     out.append(NO_PROGRESS_RUN)
     out.extend(GRID_EDGES)
     out.extend(BELOW_ALPHA_FLOOR)
+    # the long Filippov runs of the events benchmark, hundreds of crossings each
+    for name in SCENARIOS[:3]:
+        out.append(("simulate", "--scenario", name, "--mode", "filippov",
+                    "--t-end", "500", *RUN_OUT))
     return out
 
 
