@@ -25,8 +25,8 @@ from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, EPS_MAX, EPS_MIN,
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, scenario_to_config, save_run)
 from .singularities import (ALPHA_FLOOR, AlphaZeroError, BoundarySingularityError,
-                            classify_two_fold, folded_singularities)
-from .sliding import curve_L, degeneracy_report, region_classify, sliding_roots
+                            classify_two_fold, folded_singularities, folded_types)
+from .sliding import curve_L, degeneracy_report, surface_grid
 from .svg import render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
@@ -204,14 +204,9 @@ def _cmd_slide_map(args, parser) -> int:
     if not 2 <= n <= SLIDE_MAP_MAX_GRID or not 0.0 < hi - lo < math.inf:
         parser.error(f"need 2 <= --grid <= {SLIDE_MAP_MAX_GRID} and a nonempty, "
                      "finite --range lo,hi")
-    sys_ = sc.system
-    # x2 and x3 run over the same axis; regions[i][j] and roots[i][j] belong
-    # to (x2, x3) = (axis[i], axis[j])
+    # x2 and x3 run over the same axis
     axis = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    regions, roots = [], []
-    for x2 in axis:
-        regions.append([region_classify(sys_, x2, x3) for x3 in axis])
-        roots.append([[lam for lam, _ in sliding_roots(sys_, x2, x3)] for x3 in axis])
+    regions, roots = surface_grid(sc.system, axis)
     if args.out:
         text = [repr(v) for v in axis]
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -221,7 +216,8 @@ def _cmd_slide_map(args, parser) -> int:
                     l1 = repr(lams[0]) if len(lams) > 0 else ""
                     l2 = repr(lams[1]) if len(lams) > 1 else ""
                     fh.write(f"{t2},{t3},{region},{len(lams)},{l1},{l2}\n")
-    curve = curve_L(sc.params, 201) if sc.params is not None else None
+    curve = (curve_L(sc.params, 201)
+             if sc.params is not None and (args.curve_out or args.plot) else None)
     if args.curve_out:
         if curve is None:
             parser.error("--curve-out needs a normal-form system")
@@ -322,12 +318,10 @@ def _cmd_sweep(args, parser) -> int:
         p = TwoFoldParams(args.a1, args.a2, b1, b2, args.alpha)
         flavor = classify_two_fold(p)
         try:
-            sings = folded_singularities(p)
-            types = "+".join(s.folded_type for s in sings)
-            count = len(sings)
+            kinds = folded_types(p)
         except AlphaZeroError:
-            types, count = "", 0
-        rows.append((flavor.tag, flavor.determinacy_breaking, count, types))
+            kinds = []
+        rows.append((flavor.tag, flavor.determinacy_breaking, len(kinds), "+".join(kinds)))
     if args.out:
         text = [repr(b) for b in axis]
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,11 +10,11 @@ switching layer.  Off the surface the combined field
 with lam = sign(x1) reproduces the two half-space fields exactly: the convex
 weights are exactly 0/1 at lam = +-1 and the (1-lam^2) factor kills g there.
 
-The combination and its first component's lam-quadratic
-f1(0, x2, x3; lam) = a lam^2 + b lam + c are compiled here once per system
-(`compile_layer`), and every consumer calls them: the sliding roots, the
-Filippov slide, the smoothed and blow-up right-hand sides and the transform
-check.  A smoothed run also compiles df1/dx1 of its field
+The combination, its first component's lam-quadratic
+f1(0, x2, x3; lam) = a lam^2 + b lam + c and the three first components at
+x1 = 0 are compiled here once per system (`compile_layer`), and every
+consumer calls them: the sliding roots and regions, the Filippov slide, the
+smoothed and blow-up right-hand sides and the transform check.  A smoothed run also compiles df1/dx1 of its field
 (`compile_df1_dx1`) to test each step for stiffness, and its exact Jacobian
 (`compile_jacobian`) at its first stiff step.  The quadratic has one stable
 solver, `citardauq`, behind `quadratic_roots`.
@@ -108,7 +108,9 @@ class PiecewiseSmoothSystem:
     * `layer(x1, x2, x3, lam) -> (f1, f2, f3)` is the combination with no
       range check, for callers whose lam may overshoot [-1, 1] by rounding;
     * `f1_quadratic(x2, x3) -> (a, b, c)` gives f1(0, x2, x3; lam) =
-      a lam^2 + b lam + c, exact because g does not depend on lam.
+      a lam^2 + b lam + c, exact because g does not depend on lam;
+    * `f1_sides(x2, x3) -> (fp1, fm1, g1)` gives the three first
+      components there, all a surface grid cell needs.
 
     `params` is set when the system is a normal-form instance.  It serves
     only two-fold detection in Filippov slides and the commands that need
@@ -128,15 +130,24 @@ class PiecewiseSmoothSystem:
     def layer(self):
         return compile_layer(self)
 
-    @cached_property
-    def f1_quadratic(self):
+    def _f1_kernel(self, name: str, result: str):
+        """`name`(x2, x3) returning `result`, an expression in the first
+        components fp1, fm1, g1 of the three fields at (0, x2, x3)."""
         p1, m1, g1 = (f.components[0].source()
                       for f in (self.f_plus, self.f_minus, self.hidden))
         return _compile(
-            "def f1_quadratic(x2, x3):\n"
+            f"def {name}(x2, x3):\n"
             "    x1 = 0.0\n"
             f"    fp1 = {p1}; fm1 = {m1}; g1 = {g1}\n"
-            "    return (-g1, 0.5*(fp1-fm1), 0.5*(fp1+fm1)+g1)\n", "f1_quadratic")
+            f"    return {result}\n", name)
+
+    @cached_property
+    def f1_quadratic(self):
+        return self._f1_kernel("f1_quadratic", "(-g1, 0.5*(fp1-fm1), 0.5*(fp1+fm1)+g1)")
+
+    @cached_property
+    def f1_sides(self):
+        return self._f1_kernel("f1_sides", "(fp1, fm1, g1)")
 
     def combination(self, x, lam: float) -> tuple[float, float, float]:
         """Combined field at x for lam in [-1, +1]."""

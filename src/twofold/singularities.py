@@ -15,8 +15,10 @@ constants of the local slow-fast model
 whose projection onto the critical manifold x2~ = -x1~^2 is, after dropping
 the singular prefactor 1/(-2 x1~), the linear map [[c~, b~], [-2 a~, 0]]:
 trace c~, determinant 2 a~ b~, eigenvalues (c~ +- sqrt(c~^2 - 8 a~ b~))/2.
-`folded_singularities` computes each root's constants and type once, in
-`_build_singularity`; `_slow_flow_type` is the one classifier.
+`_model_constants` derives each root's constants and `_slow_flow_kind` is
+the one classifier; `folded_singularities` builds the full record of each
+root from them, and `folded_types` keeps only the type, which is all a
+sweep cell needs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .fields import TwoFoldParams, quadratic_roots
 __all__ = [
     "TwoFoldFlavor", "FoldedSingularity", "AlphaZeroError",
     "BoundarySingularityError", "classify_two_fold", "folded_singularities",
-    "singularity_lambdas",
+    "folded_types", "singularity_lambdas",
 ]
 
 ALPHA_FLOOR = 1e-9
@@ -99,10 +101,10 @@ def singularity_lambdas(p: TwoFoldParams) -> list[float]:
     return sorted(l + 0.0 for l, _ in roots if -1.0 <= l <= 1.0)   # +0.0 folds -0.0
 
 
-def _slow_flow_type(a_tilde: float, b_tilde: float, c_tilde: float):
-    """(type, canard_flag, eigenvalues, trace, det) of the projected slow
-    flow: saddle if a~ b~ < 0, node if 0 < 8 a~ b~ < c~^2, focus if
-    c~^2 < 8 a~ b~, and 'degenerate' on an exact boundary between them."""
+def _slow_flow_kind(a_tilde: float, b_tilde: float, c_tilde: float):
+    """(type, a~ b~, c~^2 - 8 a~ b~) of the projected slow flow: saddle if
+    a~ b~ < 0, node if 0 < 8 a~ b~ < c~^2, focus if c~^2 < 8 a~ b~, and
+    'degenerate' on an exact boundary between them."""
     prod = a_tilde * b_tilde
     disc = c_tilde * c_tilde - 8.0 * prod
     if prod == 0.0 or disc == 0.0:
@@ -113,6 +115,13 @@ def _slow_flow_type(a_tilde: float, b_tilde: float, c_tilde: float):
         kind = FOLDED_NODE
     else:
         kind = FOLDED_FOCUS
+    return kind, prod, disc
+
+
+def _slow_flow_type(a_tilde: float, b_tilde: float, c_tilde: float):
+    """(type, canard_flag, eigenvalues, trace, det) of the projected slow
+    flow, its type from `_slow_flow_kind`."""
+    kind, prod, disc = _slow_flow_kind(a_tilde, b_tilde, c_tilde)
     root = cmath.sqrt(complex(disc, 0.0))
     eigenvalues = (0.5 * (c_tilde + root), 0.5 * (c_tilde - root))
     if c_tilde > 0.0:
@@ -162,17 +171,15 @@ class FoldedSingularity:
 _FLIP = {CANARD: FAUX_CANARD, FAUX_CANARD: CANARD, NEUTRAL: NEUTRAL}
 
 
-def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
-    """Location, derived constants and type of the singularity at lam_s = ls.
+def _model_constants(p: TwoFoldParams, ls: float):
+    """(f2s, f3s, c, c~, b~) of the singularity at lam_s = ls.
 
-    With f2s, f3s the slow components at the singularity and f2l, f3l their
-    lam-derivatives:
+    f2s, f3s are the slow components at the singularity; with f2l, f3l
+    their lam-derivatives
 
         c  = f2l - (1-ls)/(1+ls) f3l
         c~ = -((ls+1) f2l + (ls-1) f3l) / (2 sqrt|alpha|)
         b~ = -(f2s + f3s - 2 c~ sqrt|alpha|) / (4 |alpha| (1 + ls))
-        b  = 2 |alpha| b~ / (1 + ls)
-        a~ = f3s,   d1 = -(1 + ls)/2
     """
     if abs(1.0 + ls) <= BOUNDARY_TOL:
         raise BoundarySingularityError(f"lam_s = {ls} within {BOUNDARY_TOL} of -1")
@@ -185,6 +192,16 @@ def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
     c = f2l - (1.0 - ls) / (1.0 + ls) * f3l
     c_t = -((ls + 1.0) * f2l + (ls - 1.0) * f3l) / (2.0 * sq)
     b_t = -(f2s + f3s - 2.0 * c_t * sq) / (4.0 * abs(p.alpha) * (1.0 + ls))
+    return f2s, f3s, c, c_t, b_t
+
+
+def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
+    """Location, derived constants and type of the singularity at lam_s = ls:
+    `_model_constants` plus
+
+        b = 2 |alpha| b~ / (1 + ls),   a~ = f3s,   d1 = -(1 + ls)/2
+    """
+    f2s, f3s, c, c_t, b_t = _model_constants(p, ls)
     b = 2.0 * abs(p.alpha) * b_t / (1.0 + ls)
     kind, canard, eig, trace, det = _slow_flow_type(f3s, b_t, c_t)
     # the model lives in reversed time when alpha > 0
@@ -199,10 +216,25 @@ def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
         eigenvalues=eig, trace=trace, det=det)
 
 
+def _checked_lambdas(p: TwoFoldParams) -> list[float]:
+    """`singularity_lambdas(p)`, once alpha is past the floor."""
+    if abs(p.alpha) <= ALPHA_FLOOR:
+        raise AlphaZeroError(f"|alpha| = {abs(p.alpha)} below {ALPHA_FLOOR}")
+    return singularity_lambdas(p)
+
+
 def folded_singularities(p: TwoFoldParams) -> list[FoldedSingularity]:
     """All folded singularities of the normal form with hidden coefficient
     alpha, ascending in lam_s.  Empty when the existence quadratic has no
     admissible root (the focal-type sliding portraits)."""
-    if abs(p.alpha) <= ALPHA_FLOOR:
-        raise AlphaZeroError(f"|alpha| = {abs(p.alpha)} below {ALPHA_FLOOR}")
-    return [_build_singularity(p, ls) for ls in singularity_lambdas(p)]
+    return [_build_singularity(p, ls) for ls in _checked_lambdas(p)]
+
+
+def folded_types(p: TwoFoldParams) -> list[str]:
+    """The `folded_type` of each of `folded_singularities(p)`, without the
+    rest of the record; raises where `folded_singularities` does."""
+    types = []
+    for ls in _checked_lambdas(p):
+        _, f3s, _, c_t, b_t = _model_constants(p, ls)
+        types.append(_slow_flow_kind(f3s, b_t, c_t)[0])
+    return types

@@ -21,7 +21,8 @@ from .fields import PiecewiseSmoothSystem, TwoFoldParams, quadratic_roots
 
 __all__ = [
     "SlidingSolution", "CurveL", "DegeneracyReport",
-    "sliding_roots", "sliding_lambda", "region_classify",
+    "roots_of_sides", "sliding_roots", "sliding_lambda",
+    "region_of_sides", "region_classify", "surface_grid",
     "curve_L", "degeneracy_report",
     "RESIDUAL_TOL", "CLASSIFY_TOL",
 ]
@@ -65,30 +66,39 @@ class DegeneracyReport:
     alpha: float
 
 
-def sliding_roots(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[tuple[float, bool]]:
+def roots_of_sides(fp1: float, fm1: float, g1: float,
+                   x2: float, x3: float) -> list[tuple[float, bool]]:
     """All sliding values of lam at (0, x2, x3) as (lam, double_root) pairs,
-    sorted ascending.
+    sorted ascending, from the first components fp1, fm1, g1 of f_plus,
+    f_minus and g there.
 
-    The roots are closed-form for every system: g does not depend on lam, so
-    f1 is the quadratic `sys.f1_quadratic`, solved here in the orientation
-    of -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2 - g1.  For the
-    normal form these coefficients are alpha, (x2+x3)/2 and (x2-x3)/2 -
-    alpha.  A root counts when it lies in [-1, 1] and f1 vanishes there to
-    RESIDUAL_TOL.  An empty list is the regular answer in crossing regions.
+    g does not depend on lam, so f1 is exactly quadratic in lam, solved here
+    in the orientation of -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2
+    - g1; for the normal form the coefficients are alpha, (x2+x3)/2 and
+    (x2-x3)/2 - alpha.  A root counts when it lies in [-1, 1] and f1
+    vanishes there to RESIDUAL_TOL.  Crossing regions give an empty list.
     """
-    a, b, c = sys.f1_quadratic(x2, x3)
     roots = []
     # in -f1's orientation each root keeps the Citardauq formula it has
     # always come from; f1's own swaps them where b = 0, in the last bit
-    for lam, dbl in quadratic_roots(-a, -b, -c, RESIDUAL_TOL):
+    for lam, dbl in quadratic_roots(g1, -(0.5 * (fp1 - fm1)),
+                                    -(0.5 * (fp1 + fm1) + g1), RESIDUAL_TOL):
         if -1.0 - RESIDUAL_TOL <= lam <= 1.0 + RESIDUAL_TOL:
             # negating a zero b or c can leave a -0.0 root; + 0.0 folds it
             lam = min(1.0, max(-1.0, lam)) + 0.0
-            if abs(sys.f1_surface(x2, x3, lam)) <= max(RESIDUAL_TOL,
-                                                       RESIDUAL_TOL * (abs(x2) + abs(x3))):
+            # f1 at lam with the layer kernel's weights, in its order
+            wp = 0.5 * (1.0 + lam); wm = 0.5 * (1.0 - lam); wh = 1.0 - lam * lam
+            if abs(wp * fp1 + wm * fm1 + wh * g1) <= max(RESIDUAL_TOL,
+                                                         RESIDUAL_TOL * (abs(x2) + abs(x3))):
                 roots.append((lam, dbl))
-    roots.sort(key=lambda r: r[0])
+    if len(roots) == 2 and roots[1][0] < roots[0][0]:
+        roots.reverse()
     return roots
+
+
+def sliding_roots(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[tuple[float, bool]]:
+    """`roots_of_sides` at the surface point (0, x2, x3) of `sys`."""
+    return roots_of_sides(*sys.f1_sides(x2, x3), x2, x3)
 
 
 def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
@@ -108,10 +118,13 @@ REPELLING_SLIDING = "repelling-sliding"
 TANGENCY = "tangency"
 
 
-def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
-    """Classify the surface point by the signs of f1 on the two sides."""
-    fp = sys.f1_surface(x2, x3, 1.0)
-    fm = sys.f1_surface(x2, x3, -1.0)
+def region_of_sides(fp1: float, fm1: float, g1: float) -> str:
+    """Classify a surface point by the signs of f1 on the two sides, from
+    the first components fp1, fm1, g1 of f_plus, f_minus and g there."""
+    # the layer kernel's weights at lam = +1 and -1, so a non-finite
+    # component spoils f1 on both sides, as it does in `layer`
+    fp = 1.0 * fp1 + 0.0 * fm1 + 0.0 * g1
+    fm = 0.0 * fp1 + 1.0 * fm1 + 0.0 * g1
     if abs(fp) <= CLASSIFY_TOL or abs(fm) <= CLASSIFY_TOL:
         return TANGENCY
     if fp < 0.0 < fm:
@@ -119,6 +132,30 @@ def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
     if fm < 0.0 < fp:
         return REPELLING_SLIDING
     return CROSSING
+
+
+def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
+    """`region_of_sides` at the surface point (0, x2, x3) of `sys`."""
+    return region_of_sides(*sys.f1_sides(x2, x3))
+
+
+def surface_grid(sys: PiecewiseSmoothSystem, axis) -> tuple[list, list]:
+    """Region and sliding lambdas of every cell of the surface grid with x2
+    and x3 both running over `axis`: regions[i][j] and roots[i][j] belong to
+    (x2, x3) = (axis[i], axis[j]).  Each cell evaluates the three first
+    components once and gives them to `region_of_sides` and
+    `roots_of_sides`."""
+    sides = sys.f1_sides
+    regions, roots = [], []
+    for x2 in axis:
+        region_row, roots_row = [], []
+        for x3 in axis:
+            fp1, fm1, g1 = sides(x2, x3)
+            region_row.append(region_of_sides(fp1, fm1, g1))
+            roots_row.append([lam for lam, _ in roots_of_sides(fp1, fm1, g1, x2, x3)])
+        regions.append(region_row)
+        roots.append(roots_row)
+    return regions, roots
 
 
 def curve_L(p: TwoFoldParams, n: int) -> CurveL:

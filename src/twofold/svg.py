@@ -163,6 +163,12 @@ def render_trajectory(traj, path, view: str = "u3") -> None:
     render_curves([(points, "#1f77b4")], path, view=view, events=events, labels=labels)
 
 
+def _min_gap(values) -> float:
+    """Smallest gap between the distinct values; 1.0 for a single value."""
+    u = sorted(set(values))
+    return min(abs(b - a) for a, b in zip(u, u[1:])) if len(u) > 1 else 1.0
+
+
 def render_region_map(grid, curve, path) -> None:
     """Surface map: colored (x2, x3) region cells plus the fold curve
     projected into the surface (its x2, x3 components).
@@ -174,10 +180,7 @@ def render_region_map(grid, curve, path) -> None:
     if not xs or not ys:
         raise ValueError("empty region map")
     canvas = _Canvas(xs, ys)
-    step_x = min(abs(b - a) for a, b in zip(sorted(set(xs))[:-1], sorted(set(xs))[1:])) \
-        if len(set(xs)) > 1 else 1.0
-    step_y = min(abs(b - a) for a, b in zip(sorted(set(ys))[:-1], sorted(set(ys))[1:])) \
-        if len(set(ys)) > 1 else 1.0
+    step_x, step_y = _min_gap(xs), _min_gap(ys)
     parts: list[str] = []
     _header(parts)
     w = step_x * canvas.sx

@@ -24,8 +24,7 @@ couples eps = h to the sphere radius h; their maximum must shrink like h^2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system
 from .singularities import (ALPHA_FLOOR, BOUNDARY_TOL, FoldedSingularity,
@@ -47,11 +46,17 @@ class TransformDomainError(ValueError):
 @dataclass(frozen=True)
 class TransformContext:
     """Parameters, target singularity and the timescale ratio of one
-    transform instance.  Immutable; all maps below are pure functions."""
+    transform instance, with the normal-form system of `params`.  Immutable;
+    all maps below are pure functions.
+
+    `system` is built from `params` when not given; contexts that share
+    `params` may share one system, and with it its compiled layer.
+    """
 
     params: TwoFoldParams
     singularity: FoldedSingularity
     epsilon: float
+    system: PiecewiseSmoothSystem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if abs(self.params.alpha) <= ALPHA_FLOOR:
@@ -60,11 +65,8 @@ class TransformContext:
             raise ValueError("transform requires lam_s away from -1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-
-    @cached_property
-    def system(self) -> PiecewiseSmoothSystem:
-        """The normal-form system, compiled once per context."""
-        return normal_form_system(self.params)
+        if self.system is None:
+            object.__setattr__(self, "system", normal_form_system(self.params))
 
     @property
     def lam_s(self):
@@ -196,6 +198,7 @@ def sphere_directions(n: int):
 
 # sample directions on each sphere of the residual check
 N_DIRS = 40
+_DIRECTIONS = tuple(sphere_directions(N_DIRS))
 
 
 def equivalence_residual(ctx: TransformContext, h: float) -> float:
@@ -213,7 +216,7 @@ def equivalence_residual(ctx: TransformContext, h: float) -> float:
     s = ctx.singularity
     sq = math.sqrt(abs(ctx.params.alpha))
     worst = 0.0
-    for u in sphere_directions(N_DIRS):
+    for u in _DIRECTIONS:
         point = (s.lambda_s + h * u[0], s.x2s + h * u[1], s.x3s + h * u[2])
         xt = to_x_tilde(ctx, point)          # raises TransformDomainError outside
         w1, w2, _ = pushforward(ctx, point)
@@ -245,20 +248,22 @@ def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = No
     that the TransformDomainError stands.
     """
     sings = [singularity] if singularity is not None else folded_singularities(p)
+    # one system, compiled once, serves every rung of the ladder
+    system = normal_form_system(p) if sings else None
     for _ in range(LADDER_SHRINKS):
         try:
-            return _order_study(p, sings, h_values)
+            return _order_study(p, sings, h_values, system)
         except TransformDomainError:
             h_values = tuple(h / 10.0 for h in h_values)
-    return _order_study(p, sings, h_values)
+    return _order_study(p, sings, h_values, system)
 
 
-def _order_study(p, sings, h_values) -> dict:
+def _order_study(p, sings, h_values, system) -> dict:
     reports = []
     for s in sings:
         residuals = []
         for h in h_values:
-            ctx = TransformContext(p, s, epsilon=h)
+            ctx = TransformContext(p, s, h, system)
             residuals.append(equivalence_residual(ctx, h))
         if not all(0.0 < r < math.inf for r in residuals):
             raise TransformDomainError(f"residuals {residuals} at lam_s = {s.lambda_s!r} "

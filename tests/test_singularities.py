@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.singularities import (AlphaZeroError, BoundarySingularityError,
                                    _slow_flow_type, classify_two_fold,
-                                   folded_singularities, singularity_lambdas)
+                                   folded_singularities, folded_types,
+                                   singularity_lambdas)
 
 SQ2 = math.sqrt(2.0)
 
@@ -321,3 +324,28 @@ def test_json_report_keys():
         assert key in doc
     assert doc["type"] == "folded-node"
     assert doc["eigenvalues"][0][1] == -doc["eigenvalues"][1][1]
+
+
+# drifts up to the float range (a drift near 1e15 puts lam_s next to -1) and
+# alphas about the 1e-9 floor
+_DRIFTS = st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1e15, -1e15, 1e308)))
+_ALPHAS = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from((0.0, -0.0, 1e-10, 1e-9, -1e-9, 1.0000001e-9, 1e308)))
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except (AlphaZeroError, BoundarySingularityError) as exc:
+        return type(exc), exc.args
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from((-1, 1)), st.sampled_from((-1, 1)), _DRIFTS, _DRIFTS, _ALPHAS)
+def test_folded_types_match_the_full_records(a1, a2, b1, b2, alpha):
+    p = TwoFoldParams(a1, a2, b1, b2, alpha)
+    records = _outcome(folded_singularities, p)
+    if isinstance(records, list):
+        records = [s.folded_type for s in records]
+    assert _outcome(folded_types, p) == records

@@ -2,10 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twofold.fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, normal_form_system,
+                            parse_field, quadratic_roots)
 from twofold.scenarios import builtin
-from twofold.sliding import curve_L, degeneracy_report, region_classify, sliding_lambda
+from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, curve_L, degeneracy_report,
+                             region_classify, sliding_lambda, sliding_roots, surface_grid)
 
 
 def nf(a1=1, a2=1, b1=0.0, b2=0.0, alpha=0.0):
@@ -260,3 +264,73 @@ def test_general_expression_system_sliding():
     ref = sliding_lambda(normal_form_system(TwoFoldParams(1, 1, -1.4, -0.9, 0.2)),
                          1.0, 1.0)
     assert sols[0].lam == pytest.approx(ref[0].lam, abs=1e-10)
+
+
+# ---------------------------------------------------------------- surface grid
+
+def _layer_region(sys, x2, x3):
+    """Oracle: the region from f1 on each side through the full layer kernel."""
+    fp = sys.f1_surface(x2, x3, 1.0)
+    fm = sys.f1_surface(x2, x3, -1.0)
+    if abs(fp) <= CLASSIFY_TOL or abs(fm) <= CLASSIFY_TOL:
+        return "tangency"
+    if fp < 0.0 < fm:
+        return "attracting-sliding"
+    if fm < 0.0 < fp:
+        return "repelling-sliding"
+    return "crossing"
+
+
+def _layer_roots(sys, x2, x3):
+    """Oracle: the sliding lambdas from `f1_quadratic`, each root's residual
+    from the full layer kernel."""
+    a, b, c = sys.f1_quadratic(x2, x3)
+    roots = []
+    for lam, dbl in quadratic_roots(-a, -b, -c, RESIDUAL_TOL):
+        if -1.0 - RESIDUAL_TOL <= lam <= 1.0 + RESIDUAL_TOL:
+            lam = min(1.0, max(-1.0, lam)) + 0.0
+            if abs(sys.f1_surface(x2, x3, lam)) <= max(RESIDUAL_TOL,
+                                                       RESIDUAL_TOL * (abs(x2) + abs(x3))):
+                roots.append((lam, dbl))
+    roots.sort(key=lambda r: r[0])
+    return roots
+
+
+# products of x2 and x3 in f1 overflow to inf (and inf - inf to NaN) on the
+# widest grids, where the examples' linear f1 stays finite
+_PRODUCT_SYSTEMS = (
+    PiecewiseSmoothSystem(parse_field("x2*x3", "1", "0"), parse_field("x3", "0", "1"),
+                          parse_field("1/5", "0", "0")),
+    PiecewiseSmoothSystem(parse_field("x2*x3-x2", "1", "0"),
+                          parse_field("x3+x2*x3", "0", "1"),
+                          parse_field("-1/5+x2*x3", "0", "0")),
+)
+_NORMAL_FORMS = st.builds(
+    TwoFoldParams, st.sampled_from((-1, 1)), st.sampled_from((-1, 1)),
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.one_of(st.just(0.0), st.floats(-1.0, 1.0))).map(normal_form_system)
+_SYSTEMS = st.one_of(
+    st.sampled_from(("example-i", "example-ii", "example-iii")).map(lambda n: builtin(n).system),
+    st.sampled_from(_PRODUCT_SYSTEMS), _NORMAL_FORMS)
+
+
+@st.composite
+def _axes(draw):
+    """A slide-map axis: n points from lo to hi, spaced as the CLI spaces them."""
+    scale = draw(st.sampled_from((1e-300, 1.0, 1e200, 1e308)))
+    u, v = sorted(draw(st.lists(st.floats(-0.8, 0.8), min_size=2, max_size=2, unique=True)))
+    lo, hi = scale * u, scale * v
+    n = draw(st.integers(2, 7))
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SYSTEMS, _axes())
+def test_surface_grid_matches_per_cell_layer_evaluation(sys, axis):
+    regions, roots = surface_grid(sys, axis)
+    for x2, region_row, roots_row in zip(axis, regions, roots):
+        for x3, region, lams in zip(axis, region_row, roots_row):
+            assert region == _layer_region(sys, x2, x3) == region_classify(sys, x2, x3)
+            want = _layer_roots(sys, x2, x3)
+            assert repr(sliding_roots(sys, x2, x3)) == repr(want)
+            assert repr(lams) == repr([lam for lam, _ in want])

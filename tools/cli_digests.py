@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 147 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 152 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -23,10 +23,12 @@ blow-ups that end in a numerical failure, four reports on a folded
 singularity next to lam = -1 and a run whose step stops advancing t, which
 all exit 3 too, three grid edges: a 2 x 2 slide map, a 7 x 7 one over
 +-1e-300 and a one-cell sweep, the three reports at a nonzero alpha below
-the 1e-9 cutoff, and last the three long Filippov runs of the events
-benchmark (examples i-iii to t = 500 from their default starts, hundreds
-of crossings each; about 70 s in all on one core of a 2-vCPU Xeon, Python
-3.11, most of it the step-floor run of the perturbed example-i start).
+the 1e-9 cutoff, the three long Filippov runs of the events benchmark
+(examples i-iii to t = 500 from their default starts, hundreds of
+crossings each), and last five surface grids: two sweeps below the alpha
+cutoff, the benchmark sweep at two more sign pairs and an example-i slide
+map over +-1e200.  It takes about 70 s in all on one core of a 2-vCPU Xeon,
+Python 3.11, most of it the step-floor run of the perturbed example-i start.
 """
 
 from __future__ import annotations
@@ -109,6 +111,21 @@ BELOW_ALPHA_FLOOR = tuple(
     (command, "--a1", "1", "--a2", "1", "--b1", "-2.0", "--b2", "-2.0",
      "--alpha", "1e-10", "--out", "report.json")
     for command in ("classify", "singularity", "transform-check"))
+# surface grids: sweeps whose every cell takes the alpha-floor branch (alpha
+# 0 and 1e-10), the benchmark sweep grid at the sign pairs (-1, -1) and
+# (1, -1), and an example-i slide map whose f1 values reach 1e200
+SURFACE_GRIDS = (
+    ("sweep", "--a1", "1", "--a2", "-1", "--alpha", "0", "--b-range=-3,3",
+     "--b-step", "0.25", "--out", "sweep.csv"),
+    ("sweep", "--a1", "1", "--a2", "-1", "--alpha", "1e-10", "--b-range=-3,3",
+     "--b-step", "0.25", "--out", "sweep.csv"),
+    ("sweep", "--a1", "-1", "--a2", "-1", "--alpha", "-0.5", "--b-range=-4,4",
+     "--b-step", "0.1", "--out", "sweep.csv"),
+    ("sweep", "--a1", "1", "--a2", "-1", "--alpha", "0.2", "--b-range=-4,4",
+     "--b-step", "0.1", "--out", "sweep.csv"),
+    ("slide-map", "--scenario", "example-i", "--range=-1e200,1e200",
+     "--out", "map.csv", "--plot", "map.svg"),
+)
 
 
 def calls() -> list[tuple[str, ...]]:
@@ -168,6 +185,7 @@ def calls() -> list[tuple[str, ...]]:
     for name in SCENARIOS[:3]:
         out.append(("simulate", "--scenario", name, "--mode", "filippov",
                     "--t-end", "500", *RUN_OUT))
+    out.extend(SURFACE_GRIDS)
     return out
 
 
