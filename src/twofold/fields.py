@@ -10,14 +10,14 @@ switching layer.  Off the surface the combined field
 with lam = sign(x1) reproduces the two half-space fields exactly: the convex
 weights are exactly 0/1 at lam = +-1 and the (1-lam^2) factor kills g there.
 
-The combination, its first component's lam-quadratic
-f1(0, x2, x3; lam) = a lam^2 + b lam + c and the three first components at
-x1 = 0 are compiled here once per system (`compile_layer`), and every
-consumer calls them: the sliding roots and regions, the Filippov slide, the
-smoothed and blow-up right-hand sides and the transform check.  A smoothed run also compiles df1/dx1 of its field
-(`compile_df1_dx1`) to test each step for stiffness, and its exact Jacobian
-(`compile_jacobian`) at its first stiff step.  The quadratic has one stable
-solver, `citardauq`, behind `quadratic_roots`.
+Each system compiles two kernels, on first use: the combination
+(`compile_layer`) and the one surface kernel, the three first components at
+x1 = 0, from which f1's lam-quadratic a lam^2 + b lam + c is formed.  Every
+consumer calls them: the sliding roots and regions, the Filippov contacts
+and slides, the blow-up right-hand side and the transform check.  A smoothed
+run compiles its own field, df1/dx1 (`compile_df1_dx1`, a stiffness test per
+step) and its exact Jacobian (`compile_jacobian`, at its first stiff step).
+The quadratic has one stable solver, `citardauq`, behind `quadratic_roots`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class SmoothField:
 
     def __init__(self, components: tuple[Expr, Expr, Expr]):
         self.components = tuple(components)
-        src = "lambda x1, x2, x3: ({}, {}, {})".format(
-            *(c.source() for c in self.components))
-        self._fn = eval(src, {"__builtins__": {}})  # source generated from our own AST
+        self._fn = _compile("def fn(x1, x2, x3):\n    return ({}, {}, {})\n".format(
+            *(c.source() for c in self.components)), "fn")
 
     def __call__(self, x) -> tuple[float, float, float]:
         return self._fn(x[0], x[1], x[2])
@@ -102,15 +101,13 @@ class TwoFoldParams:
 class PiecewiseSmoothSystem:
     """Pair (f_plus, f_minus) with hidden field g; switching coordinate is x1.
 
-    The layer is compiled from the component sources once per system, on
-    first use (classify and the smoothed runs never need it):
+    Two kernels are compiled from the component sources once per system,
+    on first use (classify and the smoothed runs never need them):
 
     * `layer(x1, x2, x3, lam) -> (f1, f2, f3)` is the combination with no
       range check, for callers whose lam may overshoot [-1, 1] by rounding;
-    * `f1_quadratic(x2, x3) -> (a, b, c)` gives f1(0, x2, x3; lam) =
-      a lam^2 + b lam + c, exact because g does not depend on lam;
-    * `f1_sides(x2, x3) -> (fp1, fm1, g1)` gives the three first
-      components there, all a surface grid cell needs.
+    * `f1_sides(x2, x3) -> (fp1, fm1, g1)`, the one surface kernel, gives
+      the first components of f_plus, f_minus and g at (0, x2, x3).
 
     `params` is set when the system is a normal-form instance.  It serves
     only two-fold detection in Filippov slides and the commands that need
@@ -130,24 +127,19 @@ class PiecewiseSmoothSystem:
     def layer(self):
         return compile_layer(self)
 
-    def _f1_kernel(self, name: str, result: str):
-        """`name`(x2, x3) returning `result`, an expression in the first
-        components fp1, fm1, g1 of the three fields at (0, x2, x3)."""
-        p1, m1, g1 = (f.components[0].source()
-                      for f in (self.f_plus, self.f_minus, self.hidden))
-        return _compile(
-            f"def {name}(x2, x3):\n"
-            "    x1 = 0.0\n"
-            f"    fp1 = {p1}; fm1 = {m1}; g1 = {g1}\n"
-            f"    return {result}\n", name)
-
-    @cached_property
-    def f1_quadratic(self):
-        return self._f1_kernel("f1_quadratic", "(-g1, 0.5*(fp1-fm1), 0.5*(fp1+fm1)+g1)")
-
     @cached_property
     def f1_sides(self):
-        return self._f1_kernel("f1_sides", "(fp1, fm1, g1)")
+        p1, m1, g1 = (f.components[0].source()
+                      for f in (self.f_plus, self.f_minus, self.hidden))
+        return _compile("def f1_sides(x2, x3):\n"
+                        "    x1 = 0.0\n"
+                        f"    return ({p1}, {m1}, {g1})\n", "f1_sides")
+
+    def f1_quadratic(self, x2: float, x3: float) -> tuple[float, float, float]:
+        """(a, b, c) with f1(0, x2, x3; lam) = a lam^2 + b lam + c, exact
+        because g does not depend on lam."""
+        fp1, fm1, g1 = self.f1_sides(x2, x3)
+        return (-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1)
 
     def combination(self, x, lam: float) -> tuple[float, float, float]:
         """Combined field at x for lam in [-1, +1]."""

@@ -15,9 +15,10 @@ integrators:
     reach the surface; otherwise the interior extrema of the cubic come in
     closed form, so no step size cap near x1 = 0 is needed) and located by
     bisection, which Illinois steps narrow first where the cubic is
-    monotone, with the same result bit for bit; sliding (x1 held at +0.0)
-    with the layer value of lam tracked in closed form; fold/two-fold exit
-    events;
+    monotone, with the same result bit for bit; contacts decided by the
+    sliding layer's rule, `sliding.region_of_sides`; sliding (x1 held at
+    +0.0) with the layer value of lam tracked in closed form; fold/two-fold
+    exit events;
   * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps), the one
     integrator with RODAS4 steps;
   * integrate_blowup   -- the layer system itself, (lam' , x2., x3.) with
@@ -46,6 +47,8 @@ from itertools import repeat
 
 from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_df1_dx1,
                      compile_jacobian, compile_layer, quadratic_roots)
+from .sliding import (ATTRACTING_SLIDING, CLASSIFY_TOL, REPELLING_SLIDING, TANGENCY,
+                      region_of_sides, side_values)
 
 __all__ = [
     "IntegratorOptions", "Trajectory", "Event", "NonconvergentEventError",
@@ -78,7 +81,6 @@ BUDGET = "budget"            # meta['aborted'] of a run that used up max_steps
 
 TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
 EVENT_TOL = 1e-12            # |x1| within this of the surface counts as on it
-DECISION_TOL = 1e-12
 BISECT_MAX_ITER = 200        # halvings of an event bracket before giving up
 ILLINOIS_MAX_ITER = 30       # Illinois steps that narrow a bracket before halving
 # every x1 value `_hermite_first` computes lies within _HERMITE_ROUNDING (32
@@ -791,11 +793,11 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
 
 def _branch_lambda(sys, sigma, x2, x3):
     """Tracked root of the sliding quadratic.  sigma = -1 is the attracting
-    branch, +1 the repelling one, 0 the linear (no hidden term) case.  The
-    discriminant is clamped at zero so stage evaluations just past the branch
-    fold stay finite; the fold itself is located by the disc monitor."""
+    branch, +1 the repelling one.  The discriminant is clamped at zero so
+    stage evaluations just past the branch fold stay finite; the fold itself
+    is located by the disc monitor."""
     a, b, c = sys.f1_quadratic(x2, x3)
-    if a == 0.0 or sigma == 0:
+    if a == 0.0:
         if b == 0.0:
             return 0.0
         return -c / b
@@ -867,30 +869,28 @@ class _FilippovRun:
     # -- surface decision --------------------------------------------------
 
     def decide_surface(self, t, y, f_in=None):
-        """Entry point whenever the state sits on x1 = 0."""
-        sys = self.sys
-        fp = sys.f1_surface(y[1], y[2], 1.0)
-        fm = sys.f1_surface(y[1], y[2], -1.0)
-        tol = DECISION_TOL
-        if abs(fp) <= tol and abs(fm) <= tol:
-            # tangent from both sides: the two-fold itself
-            return self._two_fold(t, y, f_in or (0.0, 0.0, 0.0), NAN, f_in)
-        if fp < -tol < tol < fm:
+        """Entry point whenever the state sits on x1 = 0: the action for the
+        region `region_of_sides` gives the point."""
+        sides = self.sys.f1_sides(y[1], y[2])
+        region = region_of_sides(*sides)
+        fp, fm = side_values(*sides)
+        if region == TANGENCY:
+            if abs(fp) <= CLASSIFY_TOL and abs(fm) <= CLASSIFY_TOL:
+                # tangent from both sides: the two-fold itself
+                return self._two_fold(t, y, f_in or (0.0, 0.0, 0.0), NAN, f_in)
+            # grazing contact of the plus field, else of the minus field
+            side = 1 if abs(fp) <= CLASSIFY_TOL else -1
+            if _lifts_off(self.sys, y, side):
+                return self._flow_from(t, y, side, f_in)
+            return self.enter_sliding(t, y, attracting=fm > 0 if side > 0 else fp < 0,
+                                      f_in=f_in)
+        if region == ATTRACTING_SLIDING:
             return self.enter_sliding(t, y, attracting=True, f_in=f_in)
-        if fm < -tol < tol < fp:
+        if region == REPELLING_SLIDING:
             policy = self.opts.repelling_policy
             if policy != STAY_SLIDING:
                 return self._flow_from(t, y, 1 if policy == EJECT_PLUS else -1, f_in)
             return self.enter_sliding(t, y, attracting=False, f_in=f_in)
-        if abs(fp) <= tol:
-            # grazing contact of the plus field
-            if _lifts_off(sys, y, 1):
-                return self._flow_from(t, y, 1, f_in)
-            return self.enter_sliding(t, y, attracting=fm > 0, f_in=f_in)
-        if abs(fm) <= tol:
-            if _lifts_off(sys, y, -1):
-                return self._flow_from(t, y, -1, f_in)
-            return self.enter_sliding(t, y, attracting=fp < 0, f_in=f_in)
         # transversal crossing: both components share one sign
         return self._flow_from(t, y, 1 if fp > 0 else -1, f_in, CROSSING)
 
@@ -989,7 +989,7 @@ class _FilippovRun:
             # the branch left [-1, 1] by this step's end: the orbit crosses
             # over if the other side's field points away from the surface
             side = -side
-            if side * sys.f1_surface(st[1], st[2], float(side)) <= DECISION_TOL:
+            if side * side_values(*sys.f1_sides(st[1], st[2]))[side < 0] <= CLASSIFY_TOL:
                 if stalled:
                     # sliding on would restart at the same time forever
                     _step_floor(self.traj, t_star, st)

@@ -22,7 +22,7 @@ from .fields import PiecewiseSmoothSystem, TwoFoldParams, quadratic_roots
 __all__ = [
     "SlidingSolution", "CurveL", "DegeneracyReport",
     "roots_of_sides", "sliding_roots", "sliding_lambda",
-    "region_of_sides", "region_classify", "surface_grid",
+    "side_values", "region_of_sides", "region_classify", "surface_grid",
     "curve_L", "degeneracy_report",
     "RESIDUAL_TOL", "CLASSIFY_TOL",
 ]
@@ -118,13 +118,17 @@ REPELLING_SLIDING = "repelling-sliding"
 TANGENCY = "tangency"
 
 
+def side_values(fp1: float, fm1: float, g1: float) -> tuple[float, float]:
+    """f1 at lam = +1 and at lam = -1 from fp1, fm1 and g1."""
+    # the layer kernel's weights at lam = +1 and -1, so a non-finite
+    # component spoils f1 on both sides, as it does in `layer`
+    return 1.0 * fp1 + 0.0 * fm1 + 0.0 * g1, 0.0 * fp1 + 1.0 * fm1 + 0.0 * g1
+
+
 def region_of_sides(fp1: float, fm1: float, g1: float) -> str:
     """Classify a surface point by the signs of f1 on the two sides, from
     the first components fp1, fm1, g1 of f_plus, f_minus and g there."""
-    # the layer kernel's weights at lam = +1 and -1, so a non-finite
-    # component spoils f1 on both sides, as it does in `layer`
-    fp = 1.0 * fp1 + 0.0 * fm1 + 0.0 * g1
-    fm = 0.0 * fp1 + 1.0 * fm1 + 0.0 * g1
+    fp, fm = side_values(fp1, fm1, g1)
     if abs(fp) <= CLASSIFY_TOL or abs(fm) <= CLASSIFY_TOL:
         return TANGENCY
     if fp < 0.0 < fm:

@@ -68,7 +68,11 @@ def test_layer_kernel_matches_combination_exactly():
         assert sys.layer(*x, lam) == expect
         assert sys.combination(x, lam) == expect
         assert sys.f1_surface(x[1], x[2], lam) == sys.layer(0.0, x[1], x[2], lam)[0]
+        fp1, fm1, g1 = sys.f1_sides(x[1], x[2])
+        assert (fp1, fm1, g1) == tuple(f.fn(0.0, x[1], x[2])[0]
+                                       for f in (sys.f_plus, sys.f_minus, sys.hidden))
         a, b, c = sys.f1_quadratic(x[1], x[2])
+        assert repr((a, b, c)) == repr((-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1))
         assert a * lam * lam + b * lam + c == pytest.approx(
             sys.f1_surface(x[1], x[2], lam), abs=1e-12)
         eps = rng.choice((1e-2, 1e-3))

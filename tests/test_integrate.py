@@ -1,17 +1,19 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx1,
-                            compile_jacobian, compile_layer, normal_form_system,
-                            parse_field, quadratic_roots)
+from twofold.expr import Mul, Neg, Num, Var, num
+from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
+                            compile_df1_dx1, compile_jacobian, compile_layer,
+                            normal_form_system, parse_field, quadratic_roots)
 from twofold import integrate
-from twofold.integrate import (EJECT_PLUS, IntegratorOptions, Trajectory,
-                               integrate_blowup, integrate_filippov,
+from twofold.integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, IntegratorOptions,
+                               Trajectory, integrate_blowup, integrate_filippov,
                                integrate_smooth, integrate_smoothed)
 from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
@@ -22,7 +24,7 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _sigmoid_slope_source, _sigmoid_source,
                                _surface_crossing)
 from twofold.scenarios import builtin
-from twofold.sliding import sliding_lambda
+from twofold.sliding import CLASSIFY_TOL, sliding_lambda
 
 
 def nf(a1, a2, b1, b2, alpha):
@@ -595,6 +597,82 @@ def test_repelling_eject_plus():
     opts = IntegratorOptions(repelling_policy=EJECT_PLUS)
     traj = integrate_filippov(sys, (0.0, -1.0, -1.0), (0.0, 1.0), opts)
     assert traj.final_state[0] > 0
+
+
+# ---- the contact oracle: a sign ladder over f1 at lam = +1 and -1, each
+# from a full layer evaluation, with its own tolerance
+
+LADDER_TOL = 1e-12
+
+
+def ladder_decide_surface(run, t, y, f_in=None):
+    sys = run.sys
+    fp = sys.f1_surface(y[1], y[2], 1.0)
+    fm = sys.f1_surface(y[1], y[2], -1.0)
+    tol = LADDER_TOL
+    if abs(fp) <= tol and abs(fm) <= tol:
+        return run._two_fold(t, y, f_in or (0.0, 0.0, 0.0), math.nan, f_in)
+    if fp < -tol < tol < fm:
+        return run.enter_sliding(t, y, attracting=True, f_in=f_in)
+    if fm < -tol < tol < fp:
+        policy = run.opts.repelling_policy
+        if policy != STAY_SLIDING:
+            return run._flow_from(t, y, 1 if policy == EJECT_PLUS else -1, f_in)
+        return run.enter_sliding(t, y, attracting=False, f_in=f_in)
+    if abs(fp) <= tol:
+        if integrate._lifts_off(sys, y, 1):
+            return run._flow_from(t, y, 1, f_in)
+        return run.enter_sliding(t, y, attracting=fm > 0, f_in=f_in)
+    if abs(fm) <= tol:
+        if integrate._lifts_off(sys, y, -1):
+            return run._flow_from(t, y, -1, f_in)
+        return run.enter_sliding(t, y, attracting=fp < 0, f_in=f_in)
+    return run._flow_from(t, y, 1 if fp > 0 else -1, f_in, "crossing")
+
+
+def constant(k):
+    """The float k, sign of zero included, as an expression node."""
+    return Neg(Num(Fraction(-k))) if math.copysign(1.0, k) < 0 else Num(Fraction(k))
+
+
+# zeros of both signs, the tolerance and its neighbouring floats, and
+# magnitudes whose products overflow to inf (and, times a zero, to NaN)
+EDGE_VALUES = tuple(s * v for s in (1.0, -1.0) for v in (
+    0.0, CLASSIFY_TOL, math.nextafter(CLASSIFY_TOL, 0.0),
+    math.nextafter(CLASSIFY_TOL, 1.0), 1.0, 1e300))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def record(traj):
+    """Every float of the samples and events, as text (NaN and -0.0 kept)."""
+    return repr((traj.times, traj.columns, traj._fi, traj._fo, traj.lams,
+                 traj._modes, traj.events))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(k=st.tuples(*[st.sampled_from((1.0, -1.0, 0.0, -0.0, 1e300)) | finite] * 3),
+       x2=st.sampled_from(EDGE_VALUES) | finite, x3=st.sampled_from(EDGE_VALUES) | finite,
+       policy=st.sampled_from((STAY_SLIDING, EJECT_PLUS, EJECT_MINUS)),
+       f_in=st.sampled_from((None, (0.5, -0.25, 2.0))))
+@example(k=(1.0, 1.0, 1.0), x2=0.0, x3=-0.0, policy=STAY_SLIDING, f_in=None)
+@example(k=(1.0, 1.0, 0.0), x2=CLASSIFY_TOL, x3=-1.0, policy=STAY_SLIDING, f_in=None)
+@example(k=(-1.0, 1.0, 0.0), x2=-CLASSIFY_TOL, x3=1.0, policy=STAY_SLIDING, f_in=None)
+@example(k=(1.0, 1.0, 0.0), x2=-1.0, x3=math.nextafter(CLASSIFY_TOL, 0.0),
+         policy=STAY_SLIDING, f_in=None)
+@example(k=(1.0, 1.0, 0.0), x2=1.0, x3=-1.0, policy=EJECT_MINUS, f_in=None)
+@example(k=(1.0, 1.0, 0.0), x2=1e300, x3=1e300, policy=STAY_SLIDING, f_in=None)
+def test_contact_decision_matches_the_sign_ladder(k, x2, x3, policy, f_in):
+    # surface first components k1 x2, k2 x3 and k3 x2 x3 take the drawn
+    # values; f2 and f3 make each side's lift-off test depend on k's signs
+    kp, km, kg = map(constant, k)
+    sys = PiecewiseSmoothSystem(SmoothField((Mul(kp, Var(2)), num(1), num(-1))),
+                                SmoothField((Mul(km, Var(3)), num(-1), num(1))),
+                                SmoothField((Mul(kg, Mul(Var(2), Var(3))), num(0), num(0))))
+    y = (0.0, x2, x3)
+    run, oracle = (integrate._FilippovRun(sys, IntegratorOptions(repelling_policy=policy),
+                                          Trajectory(), 10.0) for _ in range(2))
+    assert run.decide_surface(1.0, y, f_in) == ladder_decide_surface(oracle, 1.0, y, f_in)
+    assert record(run.traj) == record(oracle.traj)
 
 
 def test_forward_only():

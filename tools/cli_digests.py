@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 152 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 161 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -27,7 +27,9 @@ the 1e-9 cutoff, the three long Filippov runs of the events benchmark
 (examples i-iii to t = 500 from their default starts, hundreds of
 crossings each), and last five surface grids: two sweeps below the alpha
 cutoff, the benchmark sweep at two more sign pairs and an example-i slide
-map over +-1e200.  It takes about 70 s in all on one core of a 2-vCPU Xeon,
+map over +-1e200, then nine Filippov runs of the normal forms from surface
+starts where the plus field grazes, the minus field grazes and both do (the
+two-fold).  It takes about 70 s in all on one core of a 2-vCPU Xeon,
 Python 3.11, most of it the step-floor run of the perturbed example-i start.
 """
 
@@ -127,6 +129,10 @@ SURFACE_GRIDS = (
      "--out", "map.csv", "--plot", "map.svg"),
 )
 
+# surface starts whose first contact is a plus graze (0, 0, 1), a minus
+# graze (0, 1, 0) and the two-fold (0, 0, 0) in every normal form
+CONTACT_STARTS = ("0,0,1", "0,1,0", "0,0,0")
+
 
 def calls() -> list[tuple[str, ...]]:
     out = []
@@ -186,6 +192,10 @@ def calls() -> list[tuple[str, ...]]:
         out.append(("simulate", "--scenario", name, "--mode", "filippov",
                     "--t-end", "500", *RUN_OUT))
     out.extend(SURFACE_GRIDS)
+    for name in NORMAL_FORMS:
+        for x0 in CONTACT_STARTS:
+            out.append(("simulate", "--scenario", name, "--mode", "filippov",
+                        "--t-end", "10", f"--x0={x0}", *RUN_OUT))
     return out
 
 
