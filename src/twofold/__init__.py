@@ -23,7 +23,6 @@ from .sliding import (CurveL, DegeneracyReport, SlidingSolution, curve_L,
 from .transform import (TransformContext, TransformDomainError,
                         curve_functions, equivalence_residual,
                         folded_normal_field, from_x_tilde, from_y,
-                        jacobian_to_x_tilde, pushforward, to_x_tilde, to_y,
-                        transform_check)
+                        pushforward, to_x_tilde, to_y, transform_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

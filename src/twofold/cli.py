@@ -204,6 +204,8 @@ def _cmd_slide_map(args, parser) -> int:
     if not 2 <= n <= SLIDE_MAP_MAX_GRID or not 0.0 < hi - lo < math.inf:
         parser.error(f"need 2 <= --grid <= {SLIDE_MAP_MAX_GRID} and a nonempty, "
                      "finite --range lo,hi")
+    if args.curve_out and sc.params is None:
+        parser.error("--curve-out needs a normal-form system")
     # x2 and x3 run over the same axis
     axis = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     regions, roots = surface_grid(sc.system, axis)
@@ -219,8 +221,6 @@ def _cmd_slide_map(args, parser) -> int:
     curve = (curve_L(sc.params, 201)
              if sc.params is not None and (args.curve_out or args.plot) else None)
     if args.curve_out:
-        if curve is None:
-            parser.error("--curve-out needs a normal-form system")
         curve.to_csv(args.curve_out)
     if args.plot:
         render_region_map((axis, axis, regions), curve, args.plot)

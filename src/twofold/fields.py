@@ -12,7 +12,7 @@ weights are exactly 0/1 at lam = +-1 and the (1-lam^2) factor kills g there.
 
 Each system compiles two kernels, on first use: the combination
 (`compile_layer`) and the one surface kernel, the three first components at
-x1 = 0, from which f1's lam-quadratic a lam^2 + b lam + c is formed.  Every
+x1 = 0 (`f1_sides`), from which `sliding` forms f1's lam-quadratic.  Every
 consumer calls them: the sliding roots and regions, the Filippov contacts
 and slides, the blow-up right-hand side and the transform check.  A smoothed
 run compiles its own field, df1/dx1 (`compile_df1_dx1`, a stiffness test per
@@ -107,7 +107,8 @@ class PiecewiseSmoothSystem:
     * `layer(x1, x2, x3, lam) -> (f1, f2, f3)` is the combination with no
       range check, for callers whose lam may overshoot [-1, 1] by rounding;
     * `f1_sides(x2, x3) -> (fp1, fm1, g1)`, the one surface kernel, gives
-      the first components of f_plus, f_minus and g at (0, x2, x3).
+      the first components of f_plus, f_minus and g at (0, x2, x3), which
+      `sliding.surface_quadratic` turns into f1's lam-quadratic.
 
     `params` is set when the system is a normal-form instance.  It serves
     only two-fold detection in Filippov slides and the commands that need
@@ -135,12 +136,6 @@ class PiecewiseSmoothSystem:
                         "    x1 = 0.0\n"
                         f"    return ({p1}, {m1}, {g1})\n", "f1_sides")
 
-    def f1_quadratic(self, x2: float, x3: float) -> tuple[float, float, float]:
-        """(a, b, c) with f1(0, x2, x3; lam) = a lam^2 + b lam + c, exact
-        because g does not depend on lam."""
-        fp1, fm1, g1 = self.f1_sides(x2, x3)
-        return (-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1)
-
     def combination(self, x, lam: float) -> tuple[float, float, float]:
         """Combined field at x for lam in [-1, +1]."""
         if not -1.0 <= lam <= 1.0:
@@ -152,16 +147,9 @@ class PiecewiseSmoothSystem:
             return self.f_minus(x)
         return self.layer(x[0], x[1], x[2], lam)
 
-    # -- surface helpers used by the sliding layer ------------------------
-
     def f1_surface(self, x2: float, x3: float, lam: float) -> float:
         """First component of the combination at (0, x2, x3)."""
         return self.layer(0.0, x2, x3, lam)[0]
-
-    def f1_surface_dlambda(self, x2: float, x3: float, lam: float) -> float:
-        """d f1/d lambda at (0, x2, x3)."""
-        a, b, _ = self.f1_quadratic(x2, x3)
-        return 2.0 * a * lam + b
 
     def __repr__(self):
         return (f"PiecewiseSmoothSystem(f_plus={self.f_plus!r}, "

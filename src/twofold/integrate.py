@@ -26,10 +26,12 @@ integrators:
 
 Sliding uses the fact that the surface component f1 is quadratic in lam for
 every in-scope system (the hidden field does not depend on lam), so the slide
-can hold one root branch of that quadratic in closed form: sigma = -1 labels
-the attracting branch (df1/dlam = sigma sqrt(disc) there), sigma = +1 the
-repelling one.  Branch loss (discriminant -> 0) is the fold of the sliding
-manifold and ejects the orbit into the half space where f1 keeps its sign.
+can hold one root branch of that quadratic in closed form (`sliding`'s
+`surface_quadratic` and `branch_root`, from one `f1_sides` call per state):
+sigma = -1 labels the attracting branch (df1/dlam = sigma sqrt(disc) there),
+sigma = +1 the repelling one.  Branch loss (discriminant -> 0) is the fold of
+the sliding manifold and ejects the orbit into the half space where f1 keeps
+its sign.
 
 A run takes at most `IntegratorOptions.max_steps` accepted steps, counted in
 meta['steps'] over all its segments.  A run that stops early sets
@@ -45,10 +47,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
-from .fields import (PiecewiseSmoothSystem, SmoothField, citardauq, compile_df1_dx1,
+from .fields import (PiecewiseSmoothSystem, SmoothField, compile_df1_dx1,
                      compile_jacobian, compile_layer, quadratic_roots)
 from .sliding import (ATTRACTING_SLIDING, CLASSIFY_TOL, REPELLING_SLIDING, TANGENCY,
-                      region_of_sides, side_values)
+                      branch_root, region_of_sides, side_values, surface_quadratic)
 
 __all__ = [
     "IntegratorOptions", "Trajectory", "Event", "NonconvergentEventError",
@@ -791,21 +793,18 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
 
 # ---------------------------------------------------------------- Filippov runs
 
-def _branch_lambda(sys, sigma, x2, x3):
-    """Tracked root of the sliding quadratic.  sigma = -1 is the attracting
-    branch, +1 the repelling one.  The discriminant is clamped at zero so
-    stage evaluations just past the branch fold stay finite; the fold itself
-    is located by the disc monitor."""
-    a, b, c = sys.f1_quadratic(x2, x3)
-    if a == 0.0:
-        if b == 0.0:
-            return 0.0
-        return -c / b
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        disc = 0.0
-    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
-    return r_plus if sigma > 0 else r_minus
+def _slide_monitors(sys, sigma, w):
+    """Event scalars of a slide on branch sigma at state w, positive while
+    sliding: the fold lines (1 - lam, lam + 1), the branch fold (the
+    discriminant, 1.0 on the linear root a = 0) and, for normal forms, the
+    two-fold window; all from one `f1_sides` call."""
+    fp1, fm1, g1 = sys.f1_sides(w[1], w[2])
+    a, b, c = surface_quadratic(fp1, fm1, g1)
+    lam = branch_root(a, b, c, sigma)
+    disc = b * b - 4.0 * a * c if a != 0.0 else 1.0
+    if sys.params is None:
+        return (1.0 - lam, lam + 1.0, disc)
+    return (1.0 - lam, lam + 1.0, disc, max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
 
 
 def _lifts_off(sys, y, side):
@@ -882,24 +881,25 @@ class _FilippovRun:
             side = 1 if abs(fp) <= CLASSIFY_TOL else -1
             if _lifts_off(self.sys, y, side):
                 return self._flow_from(t, y, side, f_in)
-            return self.enter_sliding(t, y, attracting=fm > 0 if side > 0 else fp < 0,
-                                      f_in=f_in)
+            return self.enter_sliding(t, y, sides,
+                                      attracting=fm > 0 if side > 0 else fp < 0, f_in=f_in)
         if region == ATTRACTING_SLIDING:
-            return self.enter_sliding(t, y, attracting=True, f_in=f_in)
+            return self.enter_sliding(t, y, sides, attracting=True, f_in=f_in)
         if region == REPELLING_SLIDING:
             policy = self.opts.repelling_policy
             if policy != STAY_SLIDING:
                 return self._flow_from(t, y, 1 if policy == EJECT_PLUS else -1, f_in)
-            return self.enter_sliding(t, y, attracting=False, f_in=f_in)
+            return self.enter_sliding(t, y, sides, attracting=False, f_in=f_in)
         # transversal crossing: both components share one sign
         return self._flow_from(t, y, 1 if fp > 0 else -1, f_in, CROSSING)
 
-    def enter_sliding(self, t, y, attracting, f_in=None):
-        # the attracting branch carries df1/dlam = -sqrt(disc), which is the
-        # sigma = -1 root; this labelling continues through a == 0, where the
-        # linear root inherits the branch with the matching slope sign
+    def enter_sliding(self, t, y, sides, attracting, f_in=None):
+        # `sides` is the f1_sides triple at y.  The attracting branch carries
+        # df1/dlam = -sqrt(disc), which is the sigma = -1 root; this labelling
+        # continues through a == 0, where the linear root inherits the branch
+        # with the matching slope sign
         sigma = -1 if attracting else 1
-        lam = _branch_lambda(self.sys, sigma, y[1], y[2])
+        lam = branch_root(*surface_quadratic(*sides), sigma)
         _, f2, f3 = self.sys.layer(0.0, y[1], y[2], lam)
         self.traj.add_event(t, SLIDE_ENTRY, (0.0, y[1], y[2]))
         self._record(t, (y[0], y[1], y[2]), (0.0, f2, f3), SLIDING, lam, f_in)
@@ -929,31 +929,27 @@ class _FilippovRun:
         if is_nf and max(abs(y[1]), abs(y[2])) <= TWO_FOLD_TOL:
             return self._two_fold(t, y, (0.0, 0.0, 0.0))
 
-        def lam_of(w):
-            return _branch_lambda(sys, sigma, w[1], w[2])
-
         def rhs(x1, x2, x3):
-            _, f2, f3 = sys.layer(0.0, x2, x3, _branch_lambda(sys, sigma, x2, x3))
+            # positional calls, not f(*args): this runs at every stage
+            fp1, fm1, g1 = sys.f1_sides(x2, x3)
+            a, b, c = surface_quadratic(fp1, fm1, g1)
+            _, f2, f3 = sys.layer(0.0, x2, x3, branch_root(a, b, c, sigma))
             return (0.0, f2, f3)
 
-        def disc_of(w):
-            a, b, c = sys.f1_quadratic(w[1], w[2])
-            return b * b - 4.0 * a * c if a != 0.0 else 1.0
+        def tag(w):
+            lam = branch_root(*surface_quadratic(*sys.f1_sides(w[1], w[2])), sigma)
+            return SLIDING, _clamp_unit(lam)
 
-        # event scalars, positive while sliding: the fold lines lam = +-1, the
-        # branch fold and, for normal forms, the two-fold window
-        scalars = [lambda w: 1.0 - lam_of(w), lambda w: lam_of(w) + 1.0, disc_of]
-        if is_nf:
-            scalars.append(lambda w: max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
         stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts)
-        m_prev = [g(stepper.y) for g in scalars]
+        m_prev = _slide_monitors(sys, sigma, stepper.y)
 
         def monitor(seg):
             nonlocal m_prev
-            m_new = [g(seg[4]) for g in scalars]
-            for which, (g, a_val, b_val) in enumerate(zip(scalars, m_prev, m_new)):
+            m_new = _slide_monitors(sys, sigma, seg[4])
+            for which, (a_val, b_val) in enumerate(zip(m_prev, m_new)):
                 if a_val > 0.0 >= b_val:
-                    t_star, w_star = _bisect_event(seg, g)
+                    t_star, w_star = _bisect_event(
+                        seg, lambda w: _slide_monitors(sys, sigma, w)[which])
                     return self._slide_event(which, t_star, w_star, sigma,
                                              stalled=t_star <= t)
             m_prev = m_new
@@ -968,28 +964,28 @@ class _FilippovRun:
                 return max(0.5 * dist / speed, 10.0 * self.opts.min_step)
             return math.inf
 
-        return _run_steps(self.traj, stepper, self.t_end,
-                          lambda w: (SLIDING, _clamp_unit(lam_of(w))), monitor,
+        return _run_steps(self.traj, stepper, self.t_end, tag, monitor,
                           two_fold_cap if is_nf else None)
 
     def _slide_event(self, which, t_star, w_star, sigma, stalled):
         sys = self.sys
         st = (0.0, w_star[1], w_star[2])
-        lam = _branch_lambda(sys, sigma, w_star[1], w_star[2])
+        sides = sys.f1_sides(w_star[1], w_star[2])
+        a, b, c = surface_quadratic(*sides)
+        lam = branch_root(a, b, c, sigma)
         _, f2, f3 = sys.layer(0.0, w_star[1], w_star[2], lam)
         f_slide = (0.0, f2, f3)
         if which == 3:
             return self._two_fold(t_star, st, f_slide, lam, f_slide)
         if which == 2:
             # branch fold: past it f1 keeps the sign of its lam^2 coefficient
-            a, _, _ = sys.f1_quadratic(w_star[1], w_star[2])
             return self._flow_from(t_star, st, 1 if a > 0 else -1, f_slide, SLIDE_EXIT)
         side = 1 if which == 0 else -1
         if not _lifts_off(sys, st, side):
             # the branch left [-1, 1] by this step's end: the orbit crosses
             # over if the other side's field points away from the surface
             side = -side
-            if side * side_values(*sys.f1_sides(st[1], st[2]))[side < 0] <= CLASSIFY_TOL:
+            if side * side_values(*sides)[side < 0] <= CLASSIFY_TOL:
                 if stalled:
                     # sliding on would restart at the same time forever
                     _step_floor(self.traj, t_star, st)

@@ -10,17 +10,20 @@ x2 = alpha (lam-1)^2, x3 = -alpha (lam+1)^2.
 
 The hidden field g does not depend on lam, so f1 is exactly quadratic in lam
 for every system and its sliding roots come from one closed-form quadratic
-solve, with no sampling.
+solve, with no sampling.  That quadratic lives here alone: every surface
+quantity is derived from the triple (fp1, fm1, g1) that `f1_sides` gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .fields import PiecewiseSmoothSystem, TwoFoldParams, quadratic_roots
+from .fields import PiecewiseSmoothSystem, TwoFoldParams, citardauq, quadratic_roots
 
 __all__ = [
     "SlidingSolution", "CurveL", "DegeneracyReport",
+    "surface_quadratic", "branch_root",
     "roots_of_sides", "sliding_roots", "sliding_lambda",
     "side_values", "region_of_sides", "region_classify", "surface_grid",
     "curve_L", "degeneracy_report",
@@ -66,17 +69,40 @@ class DegeneracyReport:
     alpha: float
 
 
+def surface_quadratic(fp1: float, fm1: float, g1: float) -> tuple[float, float, float]:
+    """(a, b, c) with f1(0, x2, x3; lam) = a lam^2 + b lam + c, from the
+    first components fp1, fm1, g1 of f_plus, f_minus and g there; exact
+    because g does not depend on lam.  df1/dlam = 2 a lam + b."""
+    return (-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1)
+
+
+def branch_root(a: float, b: float, c: float, sigma: int) -> float:
+    """The root of a lam^2 + b lam + c on branch sigma (-1 attracting, +1
+    repelling), or the linear root when a = 0 (0.0 when b = 0 too).  The
+    discriminant is clamped at zero, so stages just past the branch fold
+    stay finite; a slide's disc monitor locates the fold itself."""
+    if a == 0.0:
+        if b == 0.0:
+            return 0.0
+        return -c / b
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        disc = 0.0
+    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
+    return r_plus if sigma > 0 else r_minus
+
+
 def roots_of_sides(fp1: float, fm1: float, g1: float,
                    x2: float, x3: float) -> list[tuple[float, bool]]:
     """All sliding values of lam at (0, x2, x3) as (lam, double_root) pairs,
     sorted ascending, from the first components fp1, fm1, g1 of f_plus,
     f_minus and g there.
 
-    g does not depend on lam, so f1 is exactly quadratic in lam, solved here
-    in the orientation of -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2
-    - g1; for the normal form the coefficients are alpha, (x2+x3)/2 and
-    (x2-x3)/2 - alpha.  A root counts when it lies in [-1, 1] and f1
-    vanishes there to RESIDUAL_TOL.  Crossing regions give an empty list.
+    f1 is solved in the orientation of -f1 (the negated `surface_quadratic`):
+    -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2 - g1; for the normal
+    form the coefficients are alpha, (x2+x3)/2 and (x2-x3)/2 - alpha.  A root
+    counts when it lies in [-1, 1] and f1 vanishes there to RESIDUAL_TOL.
+    Crossing regions give an empty list.
     """
     roots = []
     # in -f1's orientation each root keeps the Citardauq formula it has
@@ -104,9 +130,11 @@ def sliding_roots(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[tupl
 def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
     """The roots of `sliding_roots`, each with its slide vector and the
     stability of its layer equilibrium."""
+    sides = sys.f1_sides(x2, x3)
+    a, b, _ = surface_quadratic(*sides)
     sols = []
-    for lam, dbl in sliding_roots(sys, x2, x3):
-        stab = ATTRACTING if sys.f1_surface_dlambda(x2, x3, lam) < 0.0 else REPELLING
+    for lam, dbl in roots_of_sides(*sides, x2, x3):
+        stab = ATTRACTING if 2.0 * a * lam + b < 0.0 else REPELLING
         f = sys.layer(0.0, x2, x3, lam)
         sols.append(SlidingSolution(lam, (f[1], f[2]), stab, dbl))
     return sols

@@ -33,7 +33,7 @@ from .singularities import (ALPHA_FLOOR, BOUNDARY_TOL, FoldedSingularity,
 __all__ = [
     "TransformContext", "TransformDomainError",
     "to_y", "from_y", "curve_functions", "to_x_tilde", "from_x_tilde",
-    "jacobian_to_x_tilde", "folded_normal_field", "pushforward",
+    "folded_normal_field", "pushforward",
     "equivalence_residual", "transform_check", "sphere_directions",
 ]
 
@@ -144,18 +144,6 @@ def from_x_tilde(ctx: TransformContext, xt):
     y1l, y2l, _, _ = curve_functions(ctx, y3)
     y = (z1 + y1l, z2t + _shift(ctx) + y2l, y3)
     return from_y(ctx, y)
-
-
-def jacobian_to_x_tilde(ctx: TransformContext, point):
-    """3x3 Jacobian of to_x_tilde wrt (lam, x2, x3) as row tuples."""
-    _, _, y3 = to_y(ctx, point)
-    _, _, y1lp, y2lp = curve_functions(ctx, y3)
-    sq = math.sqrt(abs(ctx.params.alpha))
-    sgn = ctx.sign_alpha
-    d1 = ctx.singularity.d1
-    return ((sq, 0.0, -sq * y1lp),
-            (0.0, -sgn * d1, sgn * d1 * y2lp),
-            (0.0, 0.0, -sgn))
 
 
 def folded_normal_field(a_tilde: float, b_tilde: float, c_tilde: float, xt):

@@ -17,7 +17,7 @@ from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov, integrate_smoothed
 from twofold.scenarios import builtin
 from twofold.singularities import folded_singularities, singularity_lambdas
-from twofold.sliding import curve_L
+from twofold.sliding import curve_L, surface_quadratic
 from twofold.transform import transform_check
 
 
@@ -43,7 +43,8 @@ def test_criterion_1_singularity_residuals():
         sys = normal_form_system(p)
         for s in folded_singularities(p):
             r1 = abs(sys.f1_surface(s.x2s, s.x3s, s.lambda_s))
-            r2 = abs(sys.f1_surface_dlambda(s.x2s, s.x3s, s.lambda_s))
+            a, b, _ = surface_quadratic(*sys.f1_sides(s.x2s, s.x3s))
+            r2 = abs(2.0 * a * s.lambda_s + b)
             r3 = abs(s.f2s * (-(1 + s.lambda_s) / 2) + s.f3s * (1 - s.lambda_s) / 2)
             worst = max(worst, r1, r2, r3)
             n_sing += 1

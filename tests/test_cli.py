@@ -229,6 +229,15 @@ def test_slide_map_artifacts(tmp_path, capsys):
     assert plot.exists()
 
 
+def test_curve_out_without_normal_form_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the usage error comes before the grid, so the map CSV is not written
+    monkeypatch.chdir(tmp_path)
+    assert main(["slide-map", "--scenario", "example-i", "--out", "m.csv",
+                 "--curve-out", "c.csv"]) == 2
+    assert "--curve-out needs a normal-form system" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_artifacts(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, out = run_cli(capsys, "sweep", "--a1", "1", "--a2", "-1",

@@ -9,6 +9,7 @@ from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx
                             parse_field, quadratic_roots)
 from twofold.integrate import _sigmoid_slope_source, _sigmoid_source
 from twofold.scenarios import builtin, builtin_names
+from twofold.sliding import surface_quadratic
 
 
 def test_parse_field_example_system():
@@ -71,7 +72,7 @@ def test_layer_kernel_matches_combination_exactly():
         fp1, fm1, g1 = sys.f1_sides(x[1], x[2])
         assert (fp1, fm1, g1) == tuple(f.fn(0.0, x[1], x[2])[0]
                                        for f in (sys.f_plus, sys.f_minus, sys.hidden))
-        a, b, c = sys.f1_quadratic(x[1], x[2])
+        a, b, c = surface_quadratic(fp1, fm1, g1)
         assert repr((a, b, c)) == repr((-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1))
         assert a * lam * lam + b * lam + c == pytest.approx(
             sys.f1_surface(x[1], x[2], lam), abs=1e-12)

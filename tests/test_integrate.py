@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twofold.expr import Mul, Neg, Num, Var, num
-from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
+from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams, citardauq,
                             compile_df1_dx1, compile_jacobian, compile_layer,
                             normal_form_system, parse_field, quadratic_roots)
 from twofold import integrate
@@ -19,12 +19,12 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
                                BISECT_MAX_ITER, NonconvergentEventError,
-                               _Stepper, _bisect_event, _branch_lambda,
+                               TWO_FOLD_TOL, _Stepper, _bisect_event,
                                _hermite, _hermite_first, _run_steps,
                                _sigmoid_slope_source, _sigmoid_source,
-                               _surface_crossing)
+                               _slide_monitors, _surface_crossing)
 from twofold.scenarios import builtin
-from twofold.sliding import CLASSIFY_TOL, sliding_lambda
+from twofold.sliding import CLASSIFY_TOL, branch_root, sliding_lambda, surface_quadratic
 
 
 def nf(a1, a2, b1, b2, alpha):
@@ -200,7 +200,8 @@ def test_slide_with_x1_pinned_matches_the_two_dimensional_attempt():
     rng = random.Random(77)
     for sigma in (-1, 1):
         def fn(x1, x2, x3):
-            _, f2, f3 = sys.layer(0.0, x2, x3, _branch_lambda(sys, sigma, x2, x3))
+            lam = branch_root(*surface_quadratic(*sys.f1_sides(x2, x3)), sigma)
+            _, f2, f3 = sys.layer(0.0, x2, x3, lam)
             return (0.0, f2, f3)
 
         def fn2(w):
@@ -607,26 +608,27 @@ LADDER_TOL = 1e-12
 
 def ladder_decide_surface(run, t, y, f_in=None):
     sys = run.sys
+    sides = sys.f1_sides(y[1], y[2])
     fp = sys.f1_surface(y[1], y[2], 1.0)
     fm = sys.f1_surface(y[1], y[2], -1.0)
     tol = LADDER_TOL
     if abs(fp) <= tol and abs(fm) <= tol:
         return run._two_fold(t, y, f_in or (0.0, 0.0, 0.0), math.nan, f_in)
     if fp < -tol < tol < fm:
-        return run.enter_sliding(t, y, attracting=True, f_in=f_in)
+        return run.enter_sliding(t, y, sides, attracting=True, f_in=f_in)
     if fm < -tol < tol < fp:
         policy = run.opts.repelling_policy
         if policy != STAY_SLIDING:
             return run._flow_from(t, y, 1 if policy == EJECT_PLUS else -1, f_in)
-        return run.enter_sliding(t, y, attracting=False, f_in=f_in)
+        return run.enter_sliding(t, y, sides, attracting=False, f_in=f_in)
     if abs(fp) <= tol:
         if integrate._lifts_off(sys, y, 1):
             return run._flow_from(t, y, 1, f_in)
-        return run.enter_sliding(t, y, attracting=fm > 0, f_in=f_in)
+        return run.enter_sliding(t, y, sides, attracting=fm > 0, f_in=f_in)
     if abs(fm) <= tol:
         if integrate._lifts_off(sys, y, -1):
             return run._flow_from(t, y, -1, f_in)
-        return run.enter_sliding(t, y, attracting=fp < 0, f_in=f_in)
+        return run.enter_sliding(t, y, sides, attracting=fp < 0, f_in=f_in)
     return run._flow_from(t, y, 1 if fp > 0 else -1, f_in, "crossing")
 
 
@@ -673,6 +675,86 @@ def test_contact_decision_matches_the_sign_ladder(k, x2, x3, policy, f_in):
                                           Trajectory(), 10.0) for _ in range(2))
     assert run.decide_surface(1.0, y, f_in) == ladder_decide_surface(oracle, 1.0, y, f_in)
     assert record(run.traj) == record(oracle.traj)
+
+
+# ---- the slide oracle: the quadratic, the tracked root and the monitor
+# scalars as separate closures, each from its own surface evaluation
+
+def oracle_f1_quadratic(sys, x2, x3):
+    fp1, fm1, g1 = sys.f1_sides(x2, x3)
+    return (-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1)
+
+
+def oracle_branch_lambda(sys, sigma, x2, x3):
+    a, b, c = oracle_f1_quadratic(sys, x2, x3)
+    if a == 0.0:
+        if b == 0.0:
+            return 0.0
+        return -c / b
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        disc = 0.0
+    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
+    return r_plus if sigma > 0 else r_minus
+
+
+def oracle_slide_monitors(sys, sigma, w):
+    def lam_of(w):
+        return oracle_branch_lambda(sys, sigma, w[1], w[2])
+
+    def disc_of(w):
+        a, b, c = oracle_f1_quadratic(sys, w[1], w[2])
+        return b * b - 4.0 * a * c if a != 0.0 else 1.0
+
+    scalars = [lambda w: 1.0 - lam_of(w), lambda w: lam_of(w) + 1.0, disc_of]
+    if sys.params is not None:
+        scalars.append(lambda w: max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
+    return [g(w) for g in scalars]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(k=st.tuples(*[st.sampled_from((1.0, -1.0, 2.0, 0.0, -0.0, 1e300)) | finite] * 3),
+       x2=st.sampled_from(EDGE_VALUES) | finite, x3=st.sampled_from(EDGE_VALUES) | finite,
+       sigma=st.sampled_from((-1, 1)), normal_form=st.booleans())
+# a = -0.0 and b = 0.0: the a = b = 0 root
+@example(k=(1.0, 1.0, 0.0), x2=1.0, x3=1.0, sigma=-1, normal_form=False)
+@example(k=(-0.0, 0.0, 1.0), x2=0.0, x3=-0.0, sigma=1, normal_form=True)
+# a = 0, b != 0: the linear root and the disc monitor's 1.0
+@example(k=(1.0, -1.0, 0.0), x2=0.5, x3=0.25, sigma=1, normal_form=False)
+# a = 1, b = 0, c = 1: a negative discriminant, clamped at zero
+@example(k=(2.0, 2.0, -1.0), x2=1.0, x3=1.0, sigma=-1, normal_form=False)
+@example(k=(2.0, 2.0, -1.0), x2=1.0, x3=1.0, sigma=1, normal_form=True)
+# b * b overflows to inf, and the repelling root with it
+@example(k=(1e300, -1.0, 1.0), x2=1.0, x3=1.0, sigma=1, normal_form=False)
+# b * b and 4 a c both overflow to inf: the discriminant inf - inf is NaN
+@example(k=(1e308, -1e300, -1e300), x2=1.0, x3=1.0, sigma=-1, normal_form=False)
+# a and c overflow to +inf and -inf: both roots are NaN
+@example(k=(1.0, 1.0, 1.0), x2=1e300, x3=-1e300, sigma=1, normal_form=True)
+# g1 = 0 * (1e300 * 1e300) is NaN
+@example(k=(1.0, 1.0, 0.0), x2=1e300, x3=1e300, sigma=-1, normal_form=False)
+# fp1 + fm1 overflows to inf, or halves a subnormal exactly
+@example(k=(1e308, 1e308, 0.0), x2=1.0, x3=1.0, sigma=1, normal_form=False)
+@example(k=(1.0, 1.0, 0.0), x2=5e-324, x3=5e-324, sigma=1, normal_form=False)
+# a discriminant of -3.6e-301, clamped, and one of -1e-323, where 4 a c
+# rounds differently from a c 4
+@example(k=(1.0, 1.0, -9e149), x2=1e-150, x3=1e-150, sigma=-1, normal_form=False)
+@example(k=(1.0003e-160, 1.0003e-160, -1e-160), x2=1.0, x3=1.0, sigma=1,
+         normal_form=True)
+def test_slide_quadratic_matches_the_separate_closures(k, x2, x3, sigma, normal_form):
+    # surface first components k1 x2, k2 x3 and k3 x2 x3, as in the contact
+    # property; params mark a normal form, which adds the two-fold monitor
+    kp, km, kg = map(constant, k)
+    sys = PiecewiseSmoothSystem(SmoothField((Mul(kp, Var(2)), num(1), num(-1))),
+                                SmoothField((Mul(km, Var(3)), num(-1), num(1))),
+                                SmoothField((Mul(kg, Mul(Var(2), Var(3))), num(0), num(0))),
+                                TwoFoldParams(1, 1, 0.0, 0.0, 0.0) if normal_form else None)
+    quadratic = surface_quadratic(*sys.f1_sides(x2, x3))
+    assert repr(quadratic) == repr(oracle_f1_quadratic(sys, x2, x3))
+    assert repr(branch_root(*quadratic, sigma)) == repr(
+        oracle_branch_lambda(sys, sigma, x2, x3))
+    w = (0.0, x2, x3)
+    assert repr(list(_slide_monitors(sys, sigma, w))) == repr(
+        oracle_slide_monitors(sys, sigma, w))
 
 
 def test_forward_only():
@@ -879,7 +961,8 @@ def test_blowup_tracks_sliding_manifold():
         lam = traj.lam(i)
         _, x2, x3 = traj.state(i)
         defect = abs(sys.f1_surface(x2, x3, lam))
-        slope = abs(sys.f1_surface_dlambda(x2, x3, lam))
+        a, b, _ = surface_quadratic(*sys.f1_sides(x2, x3))
+        slope = abs(2.0 * a * lam + b)
         assert defect / max(slope, 1e-6) <= 20 * eps
 
 

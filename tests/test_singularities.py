@@ -11,6 +11,7 @@ from twofold.singularities import (AlphaZeroError, BoundarySingularityError,
                                    _slow_flow_type, classify_two_fold,
                                    folded_singularities, folded_types,
                                    singularity_lambdas)
+from twofold.sliding import surface_quadratic
 
 SQ2 = math.sqrt(2.0)
 
@@ -186,7 +187,8 @@ def test_singularity_residuals_random_draws():
         sys = normal_form_system(p)
         for s in folded_singularities(p):
             r1 = sys.f1_surface(s.x2s, s.x3s, s.lambda_s)
-            r2 = sys.f1_surface_dlambda(s.x2s, s.x3s, s.lambda_s)
+            a, b, _ = surface_quadratic(*sys.f1_sides(s.x2s, s.x3s))
+            r2 = 2.0 * a * s.lambda_s + b
             r3 = (s.f2s * (-(1 + s.lambda_s) / 2) + s.f3s * (1 - s.lambda_s) / 2)
             assert abs(r1) <= 1e-10 and abs(r2) <= 1e-10 and abs(r3) <= 1e-10
 

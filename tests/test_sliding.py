@@ -9,7 +9,8 @@ from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, normal_form_sy
                             parse_field, quadratic_roots)
 from twofold.scenarios import builtin
 from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, curve_L, degeneracy_report,
-                             region_classify, sliding_lambda, sliding_roots, surface_grid)
+                             region_classify, sliding_lambda, sliding_roots, surface_grid,
+                             surface_quadratic)
 
 
 def nf(a1=1, a2=1, b1=0.0, b2=0.0, alpha=0.0):
@@ -69,7 +70,8 @@ def test_curve_membership_and_tangent():
         c = curve_L(p, 57)
         for (lam, x2, x3), tan in zip(c.points, c.tangents):
             assert abs(sys.f1_surface(x2, x3, lam)) <= 1e-12
-            assert abs(sys.f1_surface_dlambda(x2, x3, lam)) <= 1e-12
+            a, b, _ = surface_quadratic(*sys.f1_sides(x2, x3))
+            assert abs(2.0 * a * lam + b) <= 1e-12
             assert tan == pytest.approx((1.0, 2 * alpha * (lam - 1), -2 * alpha * (lam + 1)))
 
 
@@ -282,9 +284,9 @@ def _layer_region(sys, x2, x3):
 
 
 def _layer_roots(sys, x2, x3):
-    """Oracle: the sliding lambdas from `f1_quadratic`, each root's residual
-    from the full layer kernel."""
-    a, b, c = sys.f1_quadratic(x2, x3)
+    """Oracle: the sliding lambdas from `surface_quadratic`, each root's
+    residual from the full layer kernel."""
+    a, b, c = surface_quadratic(*sys.f1_sides(x2, x3))
     roots = []
     for lam, dbl in quadratic_roots(-a, -b, -c, RESIDUAL_TOL):
         if -1.0 - RESIDUAL_TOL <= lam <= 1.0 + RESIDUAL_TOL:

@@ -9,7 +9,7 @@ from twofold.sliding import curve_L
 from twofold.transform import (TransformContext, TransformDomainError,
                                curve_functions, equivalence_residual,
                                folded_normal_field, from_x_tilde, from_y,
-                               jacobian_to_x_tilde, pushforward,
+                               pushforward,
                                to_x_tilde, to_y, transform_check)
 
 
@@ -167,31 +167,67 @@ def test_round_trip_identity():
             count += 1
 
 
-def test_jacobian_matches_finite_differences():
-    rng = random.Random(77)
-    ctx = make_ctx()
+def _difference_rate(ctx, point, v, h):
+    """d x~/dt~ along the (lam, x2, x3) rate v by a central difference of
+    to_x_tilde over a step of length h, with t~ = -sign(alpha) t."""
+    step = h / math.sqrt(sum(c * c for c in v))
+    up = to_x_tilde(ctx, tuple(p + step * c for p, c in zip(point, v)))
+    dn = to_x_tilde(ctx, tuple(p - step * c for p, c in zip(point, v)))
+    return tuple(-ctx.sign_alpha * (u - d) / (2 * step) for u, d in zip(up, dn))
+
+
+def _points_near_singularity(ctx, seed, n):
+    """n seeded points within 0.1 of the singularity, in the chart's domain."""
+    rng = random.Random(seed)
     s = ctx.singularity
-    h = 1e-6
-    checked = 0
-    while checked < 100:
-        pt = [s.lambda_s + rng.uniform(-0.1, 0.1),
-              s.x2s + rng.uniform(-0.1, 0.1),
-              s.x3s + rng.uniform(-0.1, 0.1)]
+    points = []
+    while len(points) < n:
+        pt = (s.lambda_s + rng.uniform(-0.1, 0.1), s.x2s + rng.uniform(-0.1, 0.1),
+              s.x3s + rng.uniform(-0.1, 0.1))
         try:
-            jac = jacobian_to_x_tilde(ctx, tuple(pt))
-            for col in range(3):
-                up = list(pt)
-                dn = list(pt)
-                up[col] += h
-                dn[col] -= h
-                fu = to_x_tilde(ctx, tuple(up))
-                fd = to_x_tilde(ctx, tuple(dn))
-                for row in range(3):
-                    fd_est = (fu[row] - fd[row]) / (2 * h)
-                    assert jac[row][col] == pytest.approx(fd_est, abs=1e-6)
+            to_x_tilde(ctx, pt)
         except TransformDomainError:
             continue
-        checked += 1
+        points.append(pt)
+    return points
+
+
+class _ConstantLayer:
+    """A system whose layer field is the constant vector v."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def layer(self, x1, x2, x3, lam):
+        return self.v
+
+
+def test_pushforward_columns_match_finite_differences():
+    # a layer field of (eps, 0, 0), (0, 1, 0) or (0, 0, 1) is the unit rate
+    # along lam, x2 or x3, so pushforward gives -sign(alpha) times one
+    # column of the Jacobian of to_x_tilde that it inlines
+    base = make_ctx()
+    for k in range(3):
+        unit = tuple(float(i == k) for i in range(3))
+        field = (base.epsilon * unit[0], unit[1], unit[2])
+        ctx = TransformContext(base.params, base.singularity, base.epsilon,
+                               _ConstantLayer(field))
+        for pt in _points_near_singularity(ctx, 77, 100):
+            assert pushforward(ctx, pt) == pytest.approx(
+                _difference_rate(ctx, pt, unit, 1e-6), abs=1e-6)
+
+
+def test_pushforward_matches_finite_differences_along_the_layer_field():
+    # the layer field is (F1/eps, F2, F3) in (lam, x2, x3); its rate in x~
+    # under t~ = -sign(alpha) t is the difference of to_x_tilde along it
+    for kw in ({}, {"alpha": -0.3, "b1": -2.0, "b2": -2.0}):
+        ctx = make_ctx(**kw)
+        for pt in _points_near_singularity(ctx, 78, 100):
+            F1, F2, F3 = ctx.system.layer(0.0, pt[1], pt[2], pt[0])
+            v = (F1 / ctx.epsilon, F2, F3)
+            scale = math.sqrt(sum(c * c for c in v))
+            assert pushforward(ctx, pt) == pytest.approx(
+                _difference_rate(ctx, pt, v, 1e-6), abs=1e-6 * scale)
 
 
 # ------------------------------------------------------------ model field

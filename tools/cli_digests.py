@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 161 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 167 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -29,8 +29,10 @@ crossings each), and last five surface grids: two sweeps below the alpha
 cutoff, the benchmark sweep at two more sign pairs and an example-i slide
 map over +-1e200, then nine Filippov runs of the normal forms from surface
 starts where the plus field grazes, the minus field grazes and both do (the
-two-fold).  It takes about 70 s in all on one core of a 2-vCPU Xeon,
-Python 3.11, most of it the step-floor run of the perturbed example-i start.
+two-fold), and six Filippov runs of alpha = 0 normal forms, whose slides hold
+the linear root of f1's lam-quadratic.  It takes about a minute in all on
+one core of a 2-vCPU Xeon, Python 3.11, most of it (40-50 s) the step-floor
+run of the perturbed example-i start.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ SURFACE_GRIDS = (
 # surface starts whose first contact is a plus graze (0, 0, 1), a minus
 # graze (0, 1, 0) and the two-fold (0, 0, 0) in every normal form
 CONTACT_STARTS = ("0,0,1", "0,1,0", "0,0,0")
+# alpha = 0 normal forms, one visible, one invisible and one mixed: a = -g1
+# = 0, so a slide holds the linear root and its branch-fold monitor reads 1.0
+LINEAR_ROOT_SYSTEMS = (("-1", "-1", "-1", "0.5"), ("1", "1", "-2", "-2"),
+                       ("-1", "1", "-4", "-1"))
+LINEAR_ROOT_STARTS = ("0,1,1", "0,-0.5,-0.5")
 
 
 def calls() -> list[tuple[str, ...]]:
@@ -196,6 +203,11 @@ def calls() -> list[tuple[str, ...]]:
         for x0 in CONTACT_STARTS:
             out.append(("simulate", "--scenario", name, "--mode", "filippov",
                         "--t-end", "10", f"--x0={x0}", *RUN_OUT))
+    for a1, a2, b1, b2 in LINEAR_ROOT_SYSTEMS:
+        for x0 in LINEAR_ROOT_STARTS:
+            out.append(("simulate", "--a1", a1, "--a2", a2, f"--b1={b1}", f"--b2={b2}",
+                        "--alpha=0", "--mode", "filippov", "--t-end", "10",
+                        f"--x0={x0}", *RUN_OUT))
     return out
 
 
