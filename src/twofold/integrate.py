@@ -303,19 +303,20 @@ class _Stepper:
     h * (-df1/dx1) > _DP54_STABILITY at its start and at its end, is a
     RODAS4 step (`rodas4.attempt`), counted in `rosenbrock_steps`.
     `make_jac()` returns the Jacobian; it is called at the first RODAS4
-    attempt, so a run that never takes one never compiles it.
+    attempt, so a run that never takes one never compiles it.  `h` sizes
+    the first attempt.
     """
 
     __slots__ = ("rhs", "opts", "t", "y", "f", "h", "make_jac", "jac", "df1_dx1",
                  "rosenbrock", "rosenbrock_steps")
 
-    def __init__(self, rhs, t0, y0, opts: IntegratorOptions, make_jac=None, df1_dx1=None):
+    def __init__(self, rhs, t0, y0, opts, make_jac=None, df1_dx1=None, h=1e-3):
         self.rhs = rhs
         self.opts = opts
         self.t = t0
         self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
         self.f = rhs(*self.y)
-        self.h = 1e-3
+        self.h = h
         self.make_jac = make_jac
         self.jac = None
         self.df1_dx1 = df1_dx1
@@ -794,17 +795,18 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
 # ---------------------------------------------------------------- Filippov runs
 
 def _slide_monitors(sys, sigma, w):
-    """Event scalars of a slide on branch sigma at state w, positive while
-    sliding: the fold lines (1 - lam, lam + 1), the branch fold (the
+    """(lam, scalars) of a slide on branch sigma at state w, from one
+    `f1_sides` call: the branch root lam, and the event scalars, positive
+    while sliding: the fold lines (1 - lam, lam + 1), the branch fold (the
     discriminant, 1.0 on the linear root a = 0) and, for normal forms, the
-    two-fold window; all from one `f1_sides` call."""
+    two-fold window."""
     fp1, fm1, g1 = sys.f1_sides(w[1], w[2])
     a, b, c = surface_quadratic(fp1, fm1, g1)
     lam = branch_root(a, b, c, sigma)
     disc = b * b - 4.0 * a * c if a != 0.0 else 1.0
     if sys.params is None:
-        return (1.0 - lam, lam + 1.0, disc)
-    return (1.0 - lam, lam + 1.0, disc, max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
+        return lam, (1.0 - lam, lam + 1.0, disc)
+    return lam, (1.0 - lam, lam + 1.0, disc, max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
 
 
 def _lifts_off(sys, y, side):
@@ -837,6 +839,9 @@ class _FilippovRun:
         self.opts = opts
         self.traj = traj
         self.t_end = t_end
+        # a flow segment starts at the h its predecessor last proposed; slides
+        # start at 1e-3, since a carried h made their exit times less accurate
+        self.flow_h = 1e-3
 
     # -- records -------------------------------------------------------------
 
@@ -918,8 +923,10 @@ class _FilippovRun:
             t_star, y_star = hit
             return self.decide_surface(t_star, y_star, f_in=fld.fn(*y_star))
 
-        return _run_steps(self.traj, _Stepper(fld.fn, t, y, self.opts), self.t_end,
-                          lambda w: (mode, NAN), crossing)
+        stepper = _Stepper(fld.fn, t, y, self.opts, h=self.flow_h)
+        action = _run_steps(self.traj, stepper, self.t_end, lambda w: (mode, NAN), crossing)
+        self.flow_h = stepper.h
+        return action
 
     # -- sliding segments ----------------------------------------------------
 
@@ -936,20 +943,20 @@ class _FilippovRun:
             _, f2, f3 = sys.layer(0.0, x2, x3, branch_root(a, b, c, sigma))
             return (0.0, f2, f3)
 
+        stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts)
+        # lam at the latest state the monitor saw, for that state's sample
+        lam, m_prev = _slide_monitors(sys, sigma, stepper.y)
+
         def tag(w):
-            lam = branch_root(*surface_quadratic(*sys.f1_sides(w[1], w[2])), sigma)
             return SLIDING, _clamp_unit(lam)
 
-        stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts)
-        m_prev = _slide_monitors(sys, sigma, stepper.y)
-
         def monitor(seg):
-            nonlocal m_prev
-            m_new = _slide_monitors(sys, sigma, seg[4])
+            nonlocal lam, m_prev
+            lam, m_new = _slide_monitors(sys, sigma, seg[4])
             for which, (a_val, b_val) in enumerate(zip(m_prev, m_new)):
                 if a_val > 0.0 >= b_val:
                     t_star, w_star = _bisect_event(
-                        seg, lambda w: _slide_monitors(sys, sigma, w)[which])
+                        seg, lambda w: _slide_monitors(sys, sigma, w)[1][which])
                     return self._slide_event(which, t_star, w_star, sigma,
                                              stalled=t_star <= t)
             m_prev = m_new

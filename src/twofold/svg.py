@@ -32,19 +32,20 @@ _REGION_COLORS = {
 }
 
 
-def project(point, view: str = "u3") -> tuple[float, float]:
-    """Orthographic screen coordinates (horizontal, vertical) of a 3D point."""
-    a, b, c = point
+def _project(columns, view: str):
+    """Orthographic screen columns (horizontal, vertical) of the 3D points
+    whose coordinates are the three `columns`."""
+    a, b, c = columns
     if view == "u3":        # look along x2 - x3
-        return (b + c, a)
+        return [p + q for p, q in zip(b, c)], a
     if view == "u2":        # look along x2 + x3
-        return (b - c, a)
+        return [p - q for p, q in zip(b, c)], a
     if view == "x1":
-        return (b, c)
+        return b, c
     if view == "x2":
-        return (c, a)
+        return c, a
     if view == "x3":
-        return (b, a)
+        return b, a
     raise ValueError(f"unknown view {view!r}; choose from {VIEWS}")
 
 
@@ -63,8 +64,6 @@ def _padded(lo, hi):
 
 class _Canvas:
     def __init__(self, xs, ys):
-        if not xs:
-            raise ValueError("nothing to plot")
         x_lo, x_hi = _padded(min(xs), max(xs))
         y_lo, y_hi = _padded(min(ys), max(ys))
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
@@ -79,13 +78,17 @@ class _Canvas:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
 
 
-def _downsample(points, cap=6000):
-    if len(points) <= cap:
-        return points
-    stride = (len(points) + cap - 1) // cap
-    out = points[::stride]
-    if out[-1] != points[-1]:
-        out.append(points[-1])
+def _downsample(xs, ys, cap=6000):
+    """The points (x, y) at every stride-th index, at most `cap` of them,
+    and the last point where it differs from the last one kept."""
+    n = len(xs)
+    if n <= cap:
+        return list(zip(xs, ys))
+    stride = (n + cap - 1) // cap
+    out = list(zip(xs[::stride], ys[::stride]))
+    k = (n - 1) // stride * stride
+    if xs[k] != xs[-1] or ys[k] != ys[-1]:
+        out.append((xs[-1], ys[-1]))
     return out
 
 
@@ -106,61 +109,45 @@ def _axes(parts, canvas):
                      f'y2="{_fmt(y0)}" stroke="#cccccc" stroke-width="1"/>')
 
 
-def render_curves(curves, path, view: str = "u3", events=(), labels=()) -> None:
-    """Write curves (lists of 3D points) as one SVG.
-
-    `events` are (kind, point) markers; `labels` annotate the plot corner.
-    Raises ValueError when there is nothing to draw.
-    """
-    pts2 = []
-    proj_curves = []
-    for points, color in curves:
-        pc = [project(p, view) for p in points]
-        proj_curves.append((pc, color))
-        pts2.extend(pc)
-    proj_events = [(kind, project(p, view)) for kind, p in events]
-    pts2.extend(p for _, p in proj_events)
-    canvas = _Canvas([p[0] for p in pts2], [p[1] for p in pts2])
-
-    parts: list[str] = []
-    _header(parts)
-    _axes(parts, canvas)
-    for pc, color in proj_curves:
-        pc = _downsample(pc)
-        if len(pc) == 1:
-            sx, sy = canvas.to_screen(*pc[0])
-            parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>')
-            continue
-        coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                          for sx, sy in (canvas.to_screen(x, y) for x, y in pc))
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     'stroke-width="1"/>')
-    for kind, (x, y) in proj_events:
-        sx, sy = canvas.to_screen(x, y)
-        color = _EVENT_COLORS.get(kind, "#000000")
-        parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" fill="{color}">'
-                     f'<title>{kind}</title></circle>')
-    for i, text in enumerate(labels):
-        parts.append(f'<text x="{MARGIN}" y="{20 + 14 * i}" font-family="monospace" '
-                     f'font-size="12" fill="#333333">{text}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
-
-
 def render_trajectory(traj, path, view: str = "u3") -> None:
-    """Phase portrait of one run with its events marked."""
+    """Phase portrait of one run with its events marked; the canvas spans
+    every sample and event, and a run of one sample is drawn as a dot."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     x1s, x2s, x3s = traj.columns
     if traj.meta.get("space") == "layer":
         # layer runs live in (lam, x2, x3); draw lam on the vertical axis
         x1s = traj.lams
-    points = list(zip(x1s, x2s, x3s))
-    events = [(e.kind, e.state) for e in traj.events]
-    labels = [f"view={view} samples={len(traj)} kind={traj.meta.get('kind', '?')}"]
-    render_curves([(points, "#1f77b4")], path, view=view, events=events, labels=labels)
+    xs, ys = _project((x1s, x2s, x3s), view)
+    states = [e.state for e in traj.events]
+    ev_xs, ev_ys = _project([[s[i] for s in states] for i in range(3)], view)
+    canvas = _Canvas([*xs, *ev_xs], [*ys, *ev_ys])
+
+    parts: list[str] = []
+    _header(parts)
+    _axes(parts, canvas)
+    color = "#1f77b4"
+    points = _downsample(xs, ys)
+    if len(points) == 1:
+        sx, sy = canvas.to_screen(*points[0])
+        parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>')
+    else:
+        coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
+                          for sx, sy in (canvas.to_screen(x, y) for x, y in points))
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                     'stroke-width="1"/>')
+    for e, x, y in zip(traj.events, ev_xs, ev_ys):
+        sx, sy = canvas.to_screen(x, y)
+        parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" '
+                     f'fill="{_EVENT_COLORS.get(e.kind, "#000000")}">'
+                     f'<title>{e.kind}</title></circle>')
+    parts.append(f'<text x="{MARGIN}" y="20" font-family="monospace" font-size="12" '
+                 f'fill="#333333">view={view} samples={len(traj)} '
+                 f'kind={traj.meta.get("kind", "?")}</text>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")
 
 
 def _min_gap(values) -> float:

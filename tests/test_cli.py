@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import re
 import signal
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from twofold import cli
 from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
                          _finite, main)
-from twofold.svg import render_curves, render_trajectory
+from twofold import svg
+from twofold.svg import VIEWS, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
-from twofold.integrate import integrate_filippov
+from twofold.integrate import Trajectory, integrate_blowup, integrate_filippov
 from twofold.scenarios import builtin, builtin_names, load_config
 from twofold.singularities import (ALPHA_FLOOR, classify_two_fold,
                                    folded_singularities)
@@ -589,16 +591,24 @@ def test_sweep_rows_match_the_normal_form_analysis(tmp_path, capsys):
 
 # ------------------------------------------------------------ plots
 
+def trajectory_through(states):
+    """A trajectory through `states`, one sample per unit of time."""
+    traj = Trajectory()
+    for t, y in enumerate(states):
+        traj.append(float(t), y, (0.0, 0.0, 0.0), "flow+")
+    return traj
+
+
 def test_plot_rejects_empty_input(tmp_path):
     with pytest.raises(ValueError):
-        render_curves([], tmp_path / "x.svg")
+        render_trajectory(trajectory_through([]), tmp_path / "x.svg")
 
 
 def test_plot_single_point_marker(tmp_path):
     path = tmp_path / "pt.svg"
-    render_curves([([(0.0, 1.0, 1.0)], "#000000")], path)
+    render_trajectory(trajectory_through([(0.0, 1.0, 1.0)]), path)
     text = path.read_text()
-    assert "<circle" in text and "<polyline" not in text
+    assert '<circle cx="400" cy="300" r="3"' in text and "<polyline" not in text
 
 
 def test_plot_single_point_beyond_unit_resolution(tmp_path):
@@ -606,8 +616,106 @@ def test_plot_single_point_beyond_unit_resolution(tmp_path):
     # leave a zero-width range to divide by
     path = tmp_path / "pt.svg"
     for point in ((0.0, 1e16, 0.0), (1.0, -1e308, -4.46)):
-        render_curves([([point], "#000000")], path)
+        render_trajectory(trajectory_through([point]), path)
         assert '<circle cx="400" cy="300"' in path.read_text()
+
+
+# ---- the plot oracle: every sample built as a point tuple and projected
+# one at a time, as trajectory plots were drawn before they read columns
+
+def oracle_project(point, view):
+    a, b, c = point
+    return {"u3": (b + c, a), "u2": (b - c, a), "x1": (b, c), "x2": (c, a),
+            "x3": (b, a)}[view]
+
+
+def oracle_downsample(points, cap=6000):
+    if len(points) <= cap:
+        return points
+    stride = (len(points) + cap - 1) // cap
+    out = points[::stride]
+    if out[-1] != points[-1]:
+        out.append(points[-1])
+    return out
+
+
+def oracle_render_curves(curves, path, view, events, labels):
+    pts2 = []
+    proj_curves = []
+    for points, color in curves:
+        pc = [oracle_project(p, view) for p in points]
+        proj_curves.append((pc, color))
+        pts2.extend(pc)
+    proj_events = [(kind, oracle_project(p, view)) for kind, p in events]
+    pts2.extend(p for _, p in proj_events)
+    canvas = svg._Canvas([p[0] for p in pts2], [p[1] for p in pts2])
+    parts = []
+    svg._header(parts)
+    svg._axes(parts, canvas)
+    fmt = svg._fmt
+    for pc, color in proj_curves:
+        pc = oracle_downsample(pc)
+        if len(pc) == 1:
+            sx, sy = canvas.to_screen(*pc[0])
+            parts.append(f'<circle cx="{fmt(sx)}" cy="{fmt(sy)}" r="3" fill="{color}"/>')
+            continue
+        coords = " ".join(f"{fmt(sx)},{fmt(sy)}"
+                          for sx, sy in (canvas.to_screen(x, y) for x, y in pc))
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                     'stroke-width="1"/>')
+    for kind, (x, y) in proj_events:
+        sx, sy = canvas.to_screen(x, y)
+        color = svg._EVENT_COLORS.get(kind, "#000000")
+        parts.append(f'<circle cx="{fmt(sx)}" cy="{fmt(sy)}" r="2.5" fill="{color}">'
+                     f'<title>{kind}</title></circle>')
+    for i, text in enumerate(labels):
+        parts.append(f'<text x="{svg.MARGIN}" y="{20 + 14 * i}" font-family="monospace" '
+                     f'font-size="12" fill="#333333">{text}</text>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")
+
+
+def oracle_render_trajectory(traj, path, view):
+    x1s, x2s, x3s = traj.columns
+    if traj.meta.get("space") == "layer":
+        x1s = traj.lams
+    points = list(zip(x1s, x2s, x3s))
+    events = [(e.kind, e.state) for e in traj.events]
+    labels = [f"view={view} samples={len(traj)} kind={traj.meta.get('kind', '?')}"]
+    oracle_render_curves([(points, "#1f77b4")], path, view, events, labels)
+
+
+@pytest.fixture(scope="module")
+def plot_runs():
+    mixed = builtin("mixed-nf").system
+    long_run = [(math.cos(0.01 * k), math.sin(0.01 * k), -0.0 if k % 2 else 0.0)
+                for k in range(6002)]
+    return {
+        "filippov": integrate_filippov(mixed, (0.0, 1.0, 1.0), (0.0, 5.0)),
+        "layer": integrate_blowup(mixed, 1e-3, (0.0, 1.0, 1.0), (0.0, 5.0)),
+        # over 7,000 samples, kept at a stride of 2 plus the last
+        "long": integrate_filippov(builtin("example-ii").system, (0.1, 0.5, 0.5),
+                                   (0.0, 500.0)),
+        # stride 2 again: the last sample differs from the last one kept, or
+        # equals it as a value (0.0 and -0.0), or is the last one kept
+        "stride-end": trajectory_through(long_run),
+        "stride-tie": trajectory_through(long_run[:6001] + [long_run[6000][:2] + (-0.0,)]),
+        "stride-hit": trajectory_through(long_run[:6001]),
+        "nan": trajectory_through([(0.0, 1.0, 2.0), (math.nan, 0.5, 0.5), (1.0, -1.0, 0.0)]),
+        "one": integrate_filippov(mixed, (0.0, 0.0, 0.0), (0.0, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_plot_matches_the_point_by_point_oracle(tmp_path, view, plot_runs):
+    runs = plot_runs
+    assert len(runs["long"]) > 6000 and len(runs["one"]) == 1
+    for name, traj in runs.items():
+        render_trajectory(traj, tmp_path / "new.svg", view=view)
+        oracle_render_trajectory(traj, tmp_path / "old.svg", view)
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes(), name
 
 
 def test_plot_example_box_contains_origin(tmp_path):

@@ -753,8 +753,58 @@ def test_slide_quadratic_matches_the_separate_closures(k, x2, x3, sigma, normal_
     assert repr(branch_root(*quadratic, sigma)) == repr(
         oracle_branch_lambda(sys, sigma, x2, x3))
     w = (0.0, x2, x3)
-    assert repr(list(_slide_monitors(sys, sigma, w))) == repr(
-        oracle_slide_monitors(sys, sigma, w))
+    lam, scalars = _slide_monitors(sys, sigma, w)
+    assert repr(lam) == repr(oracle_branch_lambda(sys, sigma, x2, x3))
+    assert repr(list(scalars)) == repr(oracle_slide_monitors(sys, sigma, w))
+
+
+def test_slide_evaluates_the_surface_once_per_accepted_state(monkeypatch):
+    # at each accepted slide state the stepper's last stage and the event
+    # monitor evaluate f1_sides; the sample's lam comes from the monitor's
+    # evaluation, where a third call used to compute it again.  A state that
+    # starts the step of a located event is also the bisection's bracket end
+    sys = builtin("mixed-nf").system
+    calls = {}
+    f1_sides = sys.f1_sides
+
+    def counted(x2, x3):
+        calls[x2, x3] = calls.get((x2, x3), 0) + 1
+        return f1_sides(x2, x3)
+
+    monkeypatch.setattr(sys, "f1_sides", counted)
+    traj = integrate_filippov(sys, (0.0, 1.0, 1.0), (0.0, 5.0))
+    event_times = {e.t for e in traj.events}
+    slide_states = [traj.state(i)[1:] for i in range(len(traj) - 1)
+                    if traj.mode(i) == "sliding"
+                    and not event_times & {traj.times[i], traj.times[i + 1]}]
+    assert len(slide_states) > 20
+    assert [calls[w] for w in slide_states] == [2] * len(slide_states)
+
+
+# ---- the flow step size carried across events
+
+def test_flow_segments_carry_the_step_size():
+    # example-ii crosses the surface about 550 times by t = 500; restarting
+    # every flow segment at h = 1e-3 took 8,717 accepted steps
+    sc = builtin("example-ii")
+    traj = integrate_filippov(sc.system, (0.1, 0.5, 0.5), (0.0, 500.0))
+    assert traj.meta["steps"] < 8000
+
+
+@pytest.mark.parametrize("name, worst", [("example-i", 2e-5), ("example-ii", 5.66e-2),
+                                         ("example-iii", 1e-5)])
+def test_carried_step_keeps_the_events_of_a_tight_run(name, worst):
+    # the same events as at rel_tol 1e-12, and event times no further off
+    # than with every segment restarted at h = 1e-3, which read 3.57e-5,
+    # 5.66e-2 and 1.41e-5 (carrying h: 9.1e-6, 5.655e-2 and 6.0e-6).
+    # example-ii's worst is its branch-fold slide exit, whose time converges
+    # only like the square root of the tolerance
+    sc = builtin(name)
+    traj = integrate_filippov(sc.system, sc.x0, (0.0, 100.0))
+    ref = integrate_filippov(sc.system, sc.x0, (0.0, 100.0),
+                             IntegratorOptions(rel_tol=1e-12, abs_tol=1e-14))
+    assert [e.kind for e in traj.events] == [e.kind for e in ref.events]
+    assert max(abs(a.t - b.t) for a, b in zip(traj.events, ref.events)) <= worst
 
 
 def test_forward_only():
