@@ -5,6 +5,8 @@ the two, and event-driven / regularized time integration."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .expr import ExpressionError, parse_expr
 from .fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
                      normal_form_system, parse_field)
@@ -25,4 +27,6 @@ from .transform import (TransformContext, TransformDomainError,
                         folded_normal_field, from_x_tilde, from_y,
                         pushforward, to_x_tilde, to_y, transform_check)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every name imported above; the submodules those imports bind are not
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

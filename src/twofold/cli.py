@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .fields import TwoFoldParams, normal_form_system
 from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, EPS_MAX, EPS_MIN,
-                        STAY_SLIDING, STEP_FLOOR,
+                        SIGMOIDS, STAY_SLIDING, STEP_FLOOR,
                         IntegratorOptions, NonconvergentEventError,
                         integrate_blowup, integrate_filippov, integrate_smoothed)
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
@@ -397,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="integrate a system")
     common(sp, run_args=True)
-    sp.add_argument("--sigmoid", choices=("tanh", "sqrt"))
+    sp.add_argument("--sigmoid", choices=tuple(SIGMOIDS))
     sp.add_argument("--policy", choices=(STAY_SLIDING, EJECT_PLUS, EJECT_MINUS),
                     dest="repelling_policy")
     sp.add_argument("--mode", choices=("smoothed", "filippov"), default="smoothed")

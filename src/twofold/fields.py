@@ -156,12 +156,12 @@ class PiecewiseSmoothSystem:
                 f"f_minus={self.f_minus!r}, hidden={self.hidden!r})")
 
 
-def _compile(src: str, *names: str):
-    """The functions `names` defined by `src`: one, or a tuple of several."""
+def _compile(src: str, name: str):
+    """The function `name` defined by `src`."""
     # source generated from our own expression trees
     ns = {"__builtins__": {}, "tanh": math.tanh, "sqrt": math.sqrt}
     exec(src, ns)
-    return ns[names[0]] if len(names) == 1 else tuple(ns[n] for n in names)
+    return ns[name]
 
 
 def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):

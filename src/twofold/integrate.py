@@ -13,16 +13,22 @@ integrators:
     crossings found exactly on each step's dense output (a step whose x1
     cubic keeps its four Bernstein control points on its own side cannot
     reach the surface; otherwise the interior extrema of the cubic come in
-    closed form, so no step size cap near x1 = 0 is needed) and located by
-    bisection, which Illinois steps narrow first where the cubic is
-    monotone, with the same result bit for bit; contacts decided by the
-    sliding layer's rule, `sliding.region_of_sides`; sliding (x1 held at
-    +0.0) with the layer value of lam tracked in closed form; fold/two-fold
-    exit events;
+    closed form, so no step size cap near x1 = 0 is needed); contacts
+    decided by the sliding layer's rule, `sliding.region_of_sides`; sliding
+    (x1 held at +0.0) with the layer value of lam tracked in closed form;
+    fold/two-fold exit events;
   * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps), the one
     integrator with RODAS4 steps;
   * integrate_blowup   -- the layer system itself, (lam' , x2., x3.) with
     lam' = eps dlam/dt, lam clamped to [-1, +1] by a boundary-exit event.
+
+Every event is located by one bisection, `_bisect_event`, on a value of t
+and the bracket values its caller already holds: x1 at a crossing and
+lam's distance to a blow-up bound, both read from the one cubic of a step's
+first component (`_first_cubic`) and narrowed first by Illinois steps where
+that cubic is monotone, with the same result bit for bit; and a slide
+monitor of the dense state, bracketed by the monitor's values at the step's
+ends.
 
 Sliding uses the fact that the surface component f1 is quadratic in lam for
 every in-scope system (the hidden field does not depend on lam), so the slide
@@ -57,7 +63,7 @@ __all__ = [
     "STAY_SLIDING", "EJECT_PLUS", "EJECT_MINUS",
     "FLOW_PLUS", "FLOW_MINUS", "SLIDING", "LAYER",
     "CROSSING", "SLIDE_ENTRY", "SLIDE_EXIT", "TWO_FOLD_HIT",
-    "DETERMINACY_BREAK", "STEP_FLOOR", "BOUNDARY_EXIT", "BUDGET",
+    "DETERMINACY_BREAK", "STEP_FLOOR", "BOUNDARY_EXIT", "BUDGET", "SIGMOIDS",
     "integrate_smooth", "integrate_filippov", "integrate_smoothed",
     "integrate_blowup",
 ]
@@ -85,7 +91,7 @@ TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
 EVENT_TOL = 1e-12            # |x1| within this of the surface counts as on it
 BISECT_MAX_ITER = 200        # halvings of an event bracket before giving up
 ILLINOIS_MAX_ITER = 30       # Illinois steps that narrow a bracket before halving
-# every x1 value `_hermite_first` computes lies within _HERMITE_ROUNDING (32
+# every value `_first_cubic` computes lies within _HERMITE_ROUNDING (32
 # units in the last place) of the sum of |x1| and |h x1'| at the step's two
 # ends, plus _ROUNDING_FLOOR (for values too small to round relatively), of
 # the exact cubic's value at the same s
@@ -408,28 +414,32 @@ class _Stepper:
             self.h = h * (max(0.2, 0.9 * err ** power) if err > 1.0 else 0.2)
 
 
-def _hermite_weights(seg, t):
-    """Weights of y0, f0, y1 and f1 in the cubic Hermite value at t."""
-    t0, t1 = seg[0], seg[3]
+def _hermite(seg, t):
+    """The cubic Hermite state at t on the segment (t0, y0, f0, t1, y1, f1)."""
+    t0, y0, f0, t1, y1, f1 = seg
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
-    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2 * h,
-            s2 * (3.0 - 2.0 * s), s2 * (s - 1.0) * h)
-
-
-def _hermite(seg, t):
-    a, b, c, d = _hermite_weights(seg, t)
-    _, y0, f0, _, y1, f1 = seg
+    a, b = (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2 * h
+    c, d = s2 * (3.0 - 2.0 * s), s2 * (s - 1.0) * h
     return (a * y0[0] + b * f0[0] + c * y1[0] + d * f1[0],
             a * y0[1] + b * f0[1] + c * y1[1] + d * f1[1],
             a * y0[2] + b * f0[2] + c * y1[2] + d * f1[2])
 
 
-def _hermite_first(seg, t):
-    """The first component of _hermite(seg, t) alone, bit for bit."""
-    a, b, c, d = _hermite_weights(seg, t)
-    return a * seg[1][0] + b * seg[2][0] + c * seg[4][0] + d * seg[5][0]
+def _first_cubic(seg):
+    """The first component of `_hermite(seg, t)` as a function of t alone,
+    bit for bit: x1's cubic on a flow step, lam's on a blow-up step."""
+    t0, h = seg[0], seg[3] - seg[0]
+    p0, q0, p1, q1 = seg[1][0], seg[2][0], seg[4][0], seg[5][0]
+
+    def first(t):
+        s = (t - t0) / h
+        s2 = s * s
+        u = (1.0 - s) ** 2
+        return ((1.0 + 2.0 * s) * u * p0 + s * u * h * q0
+                + s2 * (3.0 - 2.0 * s) * p1 + s2 * (s - 1.0) * h * q1)
+    return first
 
 
 def _monotone_noise(seg):
@@ -440,7 +450,7 @@ def _monotone_noise(seg):
     coefficients h f1(t0), 3 (x1(t1) - x1(t0)) - h f1(t0) - h f1(t1) and
     h f1(t1); when they share one sign beyond their own rounding, so does
     the exact derivative on the whole step.  The bound is twice what
-    rounding can move a value `_hermite_first` computes (_HERMITE_ROUNDING),
+    rounding can move a value `_first_cubic` computes (_HERMITE_ROUNDING),
     so a value beyond it has the sign of the exact cubic at that point.
     """
     h = seg[3] - seg[0]
@@ -504,64 +514,37 @@ def _illinois(value, a, b, v_a, v_b, noise):
     return a, b
 
 
-def _bisect_event(seg, scalar, t_lo=None, t_hi=None, on_first=False):
-    """Root (t, state) of scalar(dense(t)) on [t_lo, t_hi] within the segment
-    (by default its whole span), assuming a sign change there.  With
-    `on_first`, scalar takes the first component alone, and is monotone in
-    it (x1, 1 - lam and lam + 1): probes evaluate only that component's
-    cubic, written out with `_hermite_first`'s operations, and the full
-    state is formed at the root.
+def _bisect_event(seg, value, t_lo, v_lo, t_hi, v_hi, noise):
+    """Root (t, state) of value(t) between the times t_lo and t_hi of the
+    segment, at which the caller's value reads v_lo and v_hi with a sign
+    change.  A zero at a bracket end returns that end, with the segment's
+    own state if it is one of its ends; every other state is the segment's
+    dense output.
 
     The result is that of halving the bracket until its ends are adjacent
-    floats (or a midpoint's scalar is exactly 0.0), at most BISECT_MAX_ITER
-    times.  With `on_first`, on a segment where the cubic is strictly
-    monotone and both end values lie beyond its rounding bound
-    (`_monotone_noise`), Illinois steps first narrow a copy of the bracket
-    to a few ulps of t (`_illinois`).  The halving loop then runs over the
-    whole bracket but evaluates only the midpoints inside that copy: one
-    outside it has the sign of the copy's end on its side, since the
-    monotone cubic lies farther from the surface there than at that end,
-    whose sign rounding cannot flip.  So the loop meets the same midpoints,
-    returns the same (t, state) and gives up after the same count as plain
-    halving, with about ten evaluations per root in place of about forty.
-    The full-state scalars (the slide monitors) keep plain halving: their
-    computed signs flip back and forth over hundreds of ulps about the root,
-    and no bound here says where.
+    floats (or a midpoint's value is exactly 0.0), at most BISECT_MAX_ITER
+    times.  `noise` is None, or, for a value monotone in the first
+    component (x1 at a crossing, lam's distance to a blow-up bound), the
+    rounding bound of its cubic from `_monotone_noise`.  When both end values lie
+    beyond it, Illinois steps first narrow a copy of the bracket to a few
+    ulps of t (`_illinois`).  The halving loop then runs over the whole
+    bracket but evaluates only the midpoints inside that copy: one outside
+    it has the sign of the copy's end on its side, since the monotone cubic
+    lies farther from its root there than at that end, whose sign rounding
+    cannot flip.  So the loop meets the same midpoints, returns the same
+    (t, state) and gives up after the same count as plain halving, with
+    about ten evaluations per root in place of about forty.  The slide
+    monitors keep plain halving: their computed signs flip back and forth
+    over hundreds of ulps about the root, and no bound here says where.
     """
-    if on_first:
-        t0, h = seg[0], seg[3] - seg[0]
-        p0, q0, p1, q1 = seg[1][0], seg[2][0], seg[4][0], seg[5][0]
-
-        def value(t):
-            s = (t - t0) / h
-            s2 = s * s
-            u = (1.0 - s) ** 2
-            return scalar((1.0 + 2.0 * s) * u * p0 + s * u * h * q0
-                          + s2 * (3.0 - 2.0 * s) * p1 + s2 * (s - 1.0) * h * q1)
-    else:
-        def value(t):
-            return scalar(_hermite(seg, t))
-
-    def end_value(t, y):
-        # a default bracket end is the segment's own (exact) state
-        return value(t) if y is None else scalar(y[0] if on_first else y)
-
-    y_lo = seg[1] if t_lo is None else None
-    y_hi = seg[4] if t_hi is None else None
-    t_lo = seg[0] if t_lo is None else t_lo
-    t_hi = seg[3] if t_hi is None else t_hi
-    v_lo = end_value(t_lo, y_lo)
-    v_hi = end_value(t_hi, y_hi)
-    if v_lo == 0.0:
-        return t_lo, y_lo or _hermite(seg, t_lo)
-    if v_hi == 0.0:
-        return t_hi, y_hi or _hermite(seg, t_hi)
+    if v_lo == 0.0 or v_hi == 0.0:
+        t = t_lo if v_lo == 0.0 else t_hi
+        return t, seg[1] if t == seg[0] else seg[4] if t == seg[3] else _hermite(seg, t)
     if (v_lo > 0.0) == (v_hi > 0.0):
         raise NonconvergentEventError("no sign change in event bracket")
     lo_positive = v_lo > 0.0
     # the halving evaluates only midpoints inside (a, b)
     a, b = t_lo, t_hi
-    noise = _monotone_noise(seg) if on_first else None
     if noise is not None and noise < abs(v_lo) < math.inf and noise < abs(v_hi) < math.inf:
         a, b = _illinois(value, t_lo, t_hi, v_lo, v_hi, noise)
     for _ in range(BISECT_MAX_ITER):
@@ -615,16 +598,17 @@ def _surface_crossing(seg, side, tol):
     b = -6.0 * x1_old - 4.0 * d0 + 6.0 * x1_end - 2.0 * d1
     extrema = sorted(t for t in (t0 + s * h for s, _ in quadratic_roots(a, b, d0, 0.0))
                      if t0 < t < t1)
+    x1 = _first_cubic(seg)
     # the bracket starts at the last point strictly on this side: a segment
     # may start on the surface, or a hair beyond it after an earlier
     # crossing cut, and that start is no new crossing
-    t_lo = t0 if side * x1_old > 0.0 else None
-    for t_c in extrema + [None]:        # None: the step's end
-        x1_new = x1_end if t_c is None else _hermite_first(seg, t_c)
+    lo = (t0, x1_old) if side * x1_old > 0.0 else None
+    for t_c in extrema + [t1]:
+        x1_new = x1_end if t_c == t1 else x1(t_c)
         if side * x1_new > 0.0:
-            t_lo = t_c
-        elif t_lo is not None and (side * x1_new <= -tol or x1_new == 0.0):
-            return _bisect_event(seg, lambda x1: x1, t_lo, t_c, on_first=True)
+            lo = (t_c, x1_new)
+        elif lo is not None and (side * x1_new <= -tol or x1_new == 0.0):
+            return _bisect_event(seg, x1, *lo, t_c, x1_new, _monotone_noise(seg))
     return None
 
 
@@ -694,20 +678,17 @@ def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | Non
 EPS_MIN, EPS_MAX = 1e-100, 1e100
 
 
-def _sigmoid_source(sigmoid: str, eps: float) -> str:
-    if sigmoid == "tanh":
-        return f"tanh(x1*{1.0 / eps!r})"
-    if sigmoid == "sqrt":
-        return f"x1/sqrt({eps * eps!r}+x1*x1)"
-    raise ValueError(f"unknown sigmoid {sigmoid!r} (use 'tanh' or 'sqrt')")
-
-
-def _sigmoid_slope_source(sigmoid: str, eps: float) -> str:
-    """dlam/dx1 of `_sigmoid_source`, as an expression in x1 and lam."""
-    if sigmoid == "tanh":
-        return f"(1.0-lam*lam)*{1.0 / eps!r}"
-    e2 = repr(eps * eps)
-    return f"{e2}/(({e2}+x1*x1)*sqrt({e2}+x1*x1))"
+# the sigmoids by name: (lam source, slope source, phi).  The sources take
+# eps and give Python expressions, lam = phi(x1/eps) in x1 and its slope
+# dlam/dx1 in x1 and lam
+SIGMOIDS = {
+    "tanh": (lambda eps: f"tanh(x1*{1.0 / eps!r})",
+             lambda eps: f"(1.0-lam*lam)*{1.0 / eps!r}",
+             math.tanh),
+    "sqrt": (lambda eps: f"x1/sqrt({eps * eps!r}+x1*x1)",
+             lambda eps: "{0}/(({0}+x1*x1)*sqrt({0}+x1*x1))".format(repr(eps * eps)),
+             lambda u: u / math.sqrt(1.0 + u * u)),
+}
 
 
 def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
@@ -725,14 +706,12 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError("smoothed runs integrate forward")
-    lam_source = _sigmoid_source(sigmoid, eps)
-    dlam_source = _sigmoid_slope_source(sigmoid, eps)
+    if sigmoid not in SIGMOIDS:
+        raise ValueError(f"unknown sigmoid {sigmoid!r} (use {' or '.join(map(repr, SIGMOIDS))})")
+    lam_of, slope_of, phi = SIGMOIDS[sigmoid]
+    lam_source, dlam_source = lam_of(eps), slope_of(eps)
     rhs = compile_layer(sys, lam_source)
     df1_dx1 = compile_df1_dx1(sys, lam_source, dlam_source)
-    if sigmoid == "tanh":
-        phi = lambda u: math.tanh(u)
-    else:
-        phi = lambda u: u / math.sqrt(1.0 + u * u)
     band = 10.0 * eps
 
     def tag(y):
@@ -774,12 +753,14 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
 
     def boundary_exit(seg):
         lam = seg[4][0]
-        if lam >= 1.0:
-            t_star, y_star = _bisect_event(seg, lambda lam: 1.0 - lam, on_first=True)
-        elif lam <= -1.0:
-            t_star, y_star = _bisect_event(seg, lambda lam: lam + 1.0, on_first=True)
-        else:
+        if -1.0 < lam < 1.0:
             return None
+        # the distance 1 - bound * lam to the bound crossed, positive inside
+        bound = 1.0 if lam >= 1.0 else -1.0
+        lam_of = _first_cubic(seg)
+        t_star, y_star = _bisect_event(seg, lambda t: 1.0 - bound * lam_of(t),
+                                       seg[0], 1.0 - bound * seg[1][0],
+                                       seg[3], 1.0 - bound * lam, _monotone_noise(seg))
         if t_star > traj.times[-1]:
             traj.append(t_star, y_star, rhs(*y_star), LAYER, y_star[0])
         traj.add_event(t_star, BOUNDARY_EXIT, (0.0, y_star[1], y_star[2]))
@@ -904,11 +885,19 @@ class _FilippovRun:
         # continues through a == 0, where the linear root inherits the branch
         # with the matching slope sign
         sigma = -1 if attracting else 1
-        lam = branch_root(*surface_quadratic(*sides), sigma)
-        _, f2, f3 = self.sys.layer(0.0, y[1], y[2], lam)
+        _, lam, f_slide = self._slide_field(sides, sigma, y)
         self.traj.add_event(t, SLIDE_ENTRY, (0.0, y[1], y[2]))
-        self._record(t, (y[0], y[1], y[2]), (0.0, f2, f3), SLIDING, lam, f_in)
+        self._record(t, (y[0], y[1], y[2]), f_slide, SLIDING, lam, f_in)
         return ("slide", sigma)
+
+    def _slide_field(self, sides, sigma, y):
+        """(a, lam, f) of a slide on branch sigma at (0, y[1], y[2]), whose
+        `f1_sides` triple is `sides`: f1's lam^2 coefficient, the branch root
+        and the slide field (0.0, f2, f3)."""
+        a, b, c = surface_quadratic(*sides)
+        lam = branch_root(a, b, c, sigma)
+        _, f2, f3 = self.sys.layer(0.0, y[1], y[2], lam)
+        return a, lam, (0.0, f2, f3)
 
     # -- flow segments -------------------------------------------------------
 
@@ -953,10 +942,11 @@ class _FilippovRun:
         def monitor(seg):
             nonlocal lam, m_prev
             lam, m_new = _slide_monitors(sys, sigma, seg[4])
-            for which, (a_val, b_val) in enumerate(zip(m_prev, m_new)):
-                if a_val > 0.0 >= b_val:
+            for which, (v_lo, v_hi) in enumerate(zip(m_prev, m_new)):
+                if v_lo > 0.0 >= v_hi:
                     t_star, w_star = _bisect_event(
-                        seg, lambda w: _slide_monitors(sys, sigma, w)[1][which])
+                        seg, lambda t: _slide_monitors(sys, sigma, _hermite(seg, t))[1][which],
+                        seg[0], v_lo, seg[3], v_hi, None)
                     return self._slide_event(which, t_star, w_star, sigma,
                                              stalled=t_star <= t)
             m_prev = m_new
@@ -978,10 +968,7 @@ class _FilippovRun:
         sys = self.sys
         st = (0.0, w_star[1], w_star[2])
         sides = sys.f1_sides(w_star[1], w_star[2])
-        a, b, c = surface_quadratic(*sides)
-        lam = branch_root(a, b, c, sigma)
-        _, f2, f3 = sys.layer(0.0, w_star[1], w_star[2], lam)
-        f_slide = (0.0, f2, f3)
+        a, lam, f_slide = self._slide_field(sides, sigma, st)
         if which == 3:
             return self._two_fold(t_star, st, f_slide, lam, f_slide)
         if which == 2:

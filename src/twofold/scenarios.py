@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
 from .expr import ExpressionError
+from .integrate import SIGMOIDS
 from .singularities import classify_two_fold
 
 __all__ = ["Scenario", "ConfigError", "builtin", "builtin_names",
@@ -209,8 +210,9 @@ def load_config(source) -> Scenario:
                 raise ConfigError("x0 must be a list of three finite numbers", "/sim/x0")
             sim["x0"] = tuple(float(q) for q in v)
         if "sigmoid" in sd:
-            if sd["sigmoid"] not in ("tanh", "sqrt"):
-                raise ConfigError("sigmoid must be 'tanh' or 'sqrt'", "/sim/sigmoid")
+            if sd["sigmoid"] not in SIGMOIDS:
+                raise ConfigError(f"sigmoid must be {' or '.join(map(repr, SIGMOIDS))}",
+                                  "/sim/sigmoid")
             sim["sigmoid"] = sd["sigmoid"]
 
     return Scenario(name, system, sim["epsilon"], sim["t_end"],

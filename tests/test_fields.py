@@ -7,7 +7,7 @@ import pytest
 from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx1,
                             compile_jacobian, compile_layer, normal_form_system,
                             parse_field, quadratic_roots)
-from twofold.integrate import _sigmoid_slope_source, _sigmoid_source
+from twofold.integrate import SIGMOIDS
 from twofold.scenarios import builtin, builtin_names
 from twofold.sliding import surface_quadratic
 
@@ -89,8 +89,8 @@ def test_jacobian_kernel_matches_central_differences(name, sigmoid):
     # off it; each column's difference step scales with its variable
     sys = builtin(name).system
     eps = 1e-2
-    rhs = compile_layer(sys, _sigmoid_source(sigmoid, eps))
-    lam, dlam = _sigmoid_source(sigmoid, eps), _sigmoid_slope_source(sigmoid, eps)
+    rhs = compile_layer(sys, SIGMOIDS[sigmoid][0](eps))
+    lam, dlam = SIGMOIDS[sigmoid][0](eps), SIGMOIDS[sigmoid][1](eps)
     jac = compile_jacobian(sys, lam, dlam)
     df1_dx1 = compile_df1_dx1(sys, lam, dlam)
     rng = np.random.default_rng(31)

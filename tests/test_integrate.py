@@ -20,8 +20,7 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
                                BISECT_MAX_ITER, NonconvergentEventError,
                                TWO_FOLD_TOL, _Stepper, _bisect_event,
-                               _hermite, _hermite_first, _run_steps,
-                               _sigmoid_slope_source, _sigmoid_source,
+                               SIGMOIDS, _first_cubic, _hermite, _monotone_noise, _run_steps,
                                _slide_monitors, _surface_crossing)
 from twofold.scenarios import builtin
 from twofold.sliding import CLASSIFY_TOL, branch_root, sliding_lambda, surface_quadratic
@@ -167,7 +166,7 @@ def test_unrolled_attempt_matches_reference_on_smoothed_layers(name):
     sys = builtin(name).system
     for sigmoid in ("tanh", "sqrt"):
         for eps in (1e-3, 1e-4):
-            fn = compile_layer(sys, _sigmoid_source(sigmoid, eps))
+            fn = compile_layer(sys, SIGMOIDS[sigmoid][0](eps))
             for _ in range(100):
                 y0 = (rng.uniform(-10 * eps, 10 * eps), rng.uniform(-2, 2),
                       rng.uniform(-2, 2))
@@ -342,7 +341,7 @@ def test_surface_crossing_skips_the_scan_inside_the_hull(monkeypatch):
 # halving of the whole bracket, as they stood before the Illinois narrowing
 
 def oracle_bisect(seg, scalar, t_lo=None, t_hi=None, on_first=False):
-    dense = _hermite_first if on_first else _hermite
+    dense = (lambda seg, t: _hermite(seg, t)[0]) if on_first else _hermite
 
     def end_value(t, y):
         return scalar(dense(seg, t) if y is None else (y[0] if on_first else y))
@@ -385,7 +384,7 @@ def oracle_crossing(seg, side, tol):
                      if t0 < t < t1)
     t_lo = t0 if side * x1_old > 0.0 else None
     for t_c in extrema + [None]:
-        x1_new = x1_end if t_c is None else _hermite_first(seg, t_c)
+        x1_new = x1_end if t_c is None else _hermite(seg, t_c)[0]
         if side * x1_new > 0.0:
             t_lo = t_c
         elif t_lo is not None and (side * x1_new <= -tol or x1_new == 0.0):
@@ -472,7 +471,9 @@ def boundary_segments(draw):
 @given(case=boundary_segments())
 def test_boundary_exit_matches_plain_halving(case):
     seg, scalar = case
-    assert outcome(_bisect_event, seg, scalar, on_first=True) == \
+    lam = _first_cubic(seg)
+    assert outcome(_bisect_event, seg, lambda t: scalar(lam(t)), seg[0], scalar(seg[1][0]),
+                   seg[3], scalar(seg[4][0]), _monotone_noise(seg)) == \
         outcome(oracle_bisect, seg, scalar, on_first=True)
 
 
@@ -492,9 +493,11 @@ def test_boundary_exit_matches_plain_halving(case):
               (5.0374748531205125, 0.0, 0.0)))
 def test_whole_step_locator_matches_plain_halving(seg):
     # over the whole step, on x1 alone and on the full state
-    assert outcome(_bisect_event, seg, lambda x1: x1, on_first=True) == \
+    assert outcome(_bisect_event, seg, _first_cubic(seg), seg[0], seg[1][0],
+                   seg[3], seg[4][0], _monotone_noise(seg)) == \
         outcome(oracle_bisect, seg, lambda x1: x1, on_first=True)
-    assert outcome(_bisect_event, seg, lambda w: w[0]) == \
+    assert outcome(_bisect_event, seg, lambda t: _hermite(seg, t)[0], seg[0], seg[1][0],
+                   seg[3], seg[4][0], None) == \
         outcome(oracle_bisect, seg, lambda w: w[0])
 
 
@@ -761,17 +764,25 @@ def test_slide_quadratic_matches_the_separate_closures(k, x2, x3, sigma, normal_
 def test_slide_evaluates_the_surface_once_per_accepted_state(monkeypatch):
     # at each accepted slide state the stepper's last stage and the event
     # monitor evaluate f1_sides; the sample's lam comes from the monitor's
-    # evaluation, where a third call used to compute it again.  A state that
-    # starts the step of a located event is also the bisection's bracket end
+    # evaluation, where a third call used to compute it again.  The two
+    # states that bracket a located slide event are no exception: the
+    # locator takes their values from the monitor
     sys = builtin("mixed-nf").system
     calls = {}
     f1_sides = sys.f1_sides
+    bisect_event = integrate._bisect_event
+    brackets = []
 
     def counted(x2, x3):
         calls[x2, x3] = calls.get((x2, x3), 0) + 1
         return f1_sides(x2, x3)
 
+    def recorded(seg, *args, **kwargs):
+        brackets.append(seg)
+        return bisect_event(seg, *args, **kwargs)
+
     monkeypatch.setattr(sys, "f1_sides", counted)
+    monkeypatch.setattr(integrate, "_bisect_event", recorded)
     traj = integrate_filippov(sys, (0.0, 1.0, 1.0), (0.0, 5.0))
     event_times = {e.t for e in traj.events}
     slide_states = [traj.state(i)[1:] for i in range(len(traj) - 1)
@@ -779,6 +790,13 @@ def test_slide_evaluates_the_surface_once_per_accepted_state(monkeypatch):
                     and not event_times & {traj.times[i], traj.times[i + 1]}]
     assert len(slide_states) > 20
     assert [calls[w] for w in slide_states] == [2] * len(slide_states)
+    # a slide step holds x1 = +0.0 with x1' = 0.0 at both ends; this run
+    # locates two slide exits, at t = 0.6549 and t = 1.0
+    ends = [w[1:] for seg in brackets
+            if seg[1][0] == seg[2][0] == seg[4][0] == seg[5][0] == 0.0
+            for w in (seg[1], seg[4])]
+    assert len(ends) == 4
+    assert [calls[w] for w in ends] == [2] * len(ends)
 
 
 # ---- the flow step size carried across events
@@ -880,7 +898,7 @@ def test_smoothed_step_floor_is_reported():
 
 def dp54_smoothed(sys, sigmoid, eps, x0, t_end, opts=None):
     """A smoothed run on DP54 steps alone: the stepper gets no Jacobian."""
-    rhs = compile_layer(sys, _sigmoid_source(sigmoid, eps))
+    rhs = compile_layer(sys, SIGMOIDS[sigmoid][0](eps))
     traj = Trajectory()
     _run_steps(traj, _Stepper(rhs, 0.0, x0, opts or IntegratorOptions()), t_end,
                lambda y: ("layer", math.nan))
@@ -908,7 +926,7 @@ def test_rodas4_is_fourth_order_on_a_smooth_field():
     # h/4 against a tight DP54 run; order 4 divides the error by 16 per halving
     side = parse_field("x1*(1-x2)+1/5*x3", "x2*(x1-1)", "x1-x3*x2")
     sys = PiecewiseSmoothSystem(side, side)
-    lam, dlam = _sigmoid_source("tanh", 0.1), _sigmoid_slope_source("tanh", 0.1)
+    lam, dlam = SIGMOIDS["tanh"][0](0.1), SIGMOIDS["tanh"][1](0.1)
     rhs = compile_layer(sys, lam)
     jac, df1_dx1 = compile_jacobian(sys, lam, dlam), compile_df1_dx1(sys, lam, dlam)
     y0, t_end = (0.5, 1.5, 0.2), 2.0

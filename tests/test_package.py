@@ -11,11 +11,11 @@ def test_public_names_are_pinned():
         "SmoothField", "Trajectory", "TransformContext", "TransformDomainError",
         "TwoFoldFlavor", "TwoFoldParams", "builtin", "builtin_names",
         "classify_two_fold", "curve_L", "curve_functions", "degeneracy_report",
-        "equivalence_residual", "expr", "fields", "folded_normal_field",
-        "folded_singularities", "from_x_tilde", "from_y", "integrate",
+        "equivalence_residual", "folded_normal_field",
+        "folded_singularities", "from_x_tilde", "from_y",
         "integrate_blowup", "integrate_filippov", "integrate_smooth",
         "integrate_smoothed", "load_config", "normal_form_system", "parse_expr",
-        "parse_field", "pushforward", "region_classify", "save_run", "scenarios",
-        "singularities", "sliding", "sliding_lambda", "sliding_roots", "to_x_tilde",
-        "to_y", "transform", "transform_check",
+        "parse_field", "pushforward", "region_classify", "save_run",
+        "sliding_lambda", "sliding_roots", "to_x_tilde",
+        "to_y", "transform_check",
     ]

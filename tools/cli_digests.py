@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 167 calls of `twofold.cli.main` in this process, each in its own empty
+Runs 176 calls of `twofold.cli.main` in this process, each in its own empty
 directory under one temporary directory, and prints one line per call:
 
     <sha256>  <argv>
@@ -52,7 +52,10 @@ RANGES = ("-2,2", "-3,3", "-1.5,2.5", "-2.5,1.5")
 POLICIES = ("stay", "eject-plus", "eject-minus")
 FILIPPOV_STARTS = ("0,1,1", "0,-0.5,-0.5", "0.1,0.3,-0.2",
                    "0,-0.5005489061376367,-0.5000070952008387")
-BLOWUP_STARTS = ("0,1,1", "0.5,-0.5,0.5", "-0.9,0.3,-0.2", "0,-0.5,-0.5")
+# blow-up starts (lam, x2, x3); the last three sit on the lam bounds, and
+# two of them exit at once, through the locator's zero at a bracket end
+BLOWUP_STARTS = ("0,1,1", "0.5,-0.5,0.5", "-0.9,0.3,-0.2", "0,-0.5,-0.5",
+                 "1,1,1", "1,-0.5,0.5", "-1,-0.5,-0.5")
 # (a1, a2, b1, b2, alpha): each flavour, the mixed normal form given as
 # flags, and a degenerate alpha = 0 layer
 PARAM_SETS = (("1", "1", "1.0", "-1.0", "0.2"),
