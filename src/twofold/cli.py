@@ -25,7 +25,7 @@ from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, EPS_MAX, EPS_MIN,
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, scenario_to_config, save_run)
 from .singularities import (ALPHA_FLOOR, AlphaZeroError, BoundarySingularityError,
-                            classify_two_fold, folded_singularities, folded_types)
+                            classify_two_fold, folded_singularities, sweep_grid)
 from .sliding import curve_L, degeneracy_report, surface_grid
 from .svg import render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
@@ -313,28 +313,21 @@ def _cmd_sweep(args, parser) -> int:
         parser.error("the sweep grid's last b value overflows; narrow --b-range")
     # b1 and b2 run over the same axis, b1 in the outer loop
     axis = [lo + i * step for i in range(n)]
-    rows = []
-    for b1, b2 in itertools.product(axis, repeat=2):
-        p = TwoFoldParams(args.a1, args.a2, b1, b2, args.alpha)
-        flavor = classify_two_fold(p)
-        try:
-            kinds = folded_types(p)
-        except AlphaZeroError:
-            kinds = []
-        rows.append((flavor.tag, flavor.determinacy_breaking, len(kinds), "+".join(kinds)))
+    grid = sweep_grid(args.a1, args.a2, args.alpha, axis)
     if args.out:
         text = [repr(b) for b in axis]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("b1,b2,flavor,determinacy_breaking,count,types\n")
-            for (t1, t2), (tag, db, count, types) in zip(
-                    itertools.product(text, repeat=2), rows):
-                fh.write(f"{t1},{t2},{tag},{str(db).lower()},{count},{types}\n")
+            for t1, row in zip(text, grid):
+                for t2, (flavor, kinds) in zip(text, row):
+                    fh.write(f"{t1},{t2},{flavor.tag},{str(flavor.determinacy_breaking).lower()},"
+                             f"{len(kinds)},{'+'.join(kinds)}\n")
     summary: dict[str, int] = {}
-    for tag, _, count, _ in rows:
-        key = f"{tag}:{count}"
+    for flavor, kinds in itertools.chain.from_iterable(grid):
+        key = f"{flavor.tag}:{len(kinds)}"
         summary[key] = summary.get(key, 0) + 1
     return _emit({"a1": args.a1, "a2": args.a2, "alpha": args.alpha,
-                  "cells": len(rows), "flavor_count_histogram": summary}, args)
+                  "cells": n * n, "flavor_count_histogram": summary}, args)
 
 
 def _cmd_scenario(args, parser) -> int:

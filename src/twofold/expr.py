@@ -12,7 +12,8 @@ Constants are stored as exact rationals and evaluated in double precision,
 so coefficients like 23/100 carry no decimal-entry drift.  There is no
 division operator: '/' is only legal inside a numeric literal.  A tree is
 evaluated only through its `source()`, which `fields` compiles into flat
-functions; `diff` gives its exact partial derivatives.
+functions; `diff` gives its exact partial derivatives.  Nesting is bounded
+by `MAX_DEPTH`, so every accepted tree and its derivatives compile.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ __all__ = [
 ]
 
 VAR_NAMES = ("x1", "x2", "x3")
+
+# Deepest accepted nesting, of the parentheses and unary minuses open at a
+# point of the text and of the tree (a sum or product of n terms nests n - 1
+# deep).  A tree's source nests its parentheses as deep as the tree, and a
+# derivative's at most twice as deep; inside the tuple a kernel returns that
+# is 2 * 90 + 1 = 181 levels, under the 200 that CPython compiles.
+MAX_DEPTH = 90
 
 
 class ExpressionError(ValueError):
@@ -255,59 +263,71 @@ class _Parser:
         tok = tok or self.peek()
         raise ExpressionError(message, self.text, tok[2])
 
+    def nest(self, depth: int, tok) -> int:
+        """depth + 1, or an ExpressionError at `tok` past MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels", tok)
+        return depth + 1
+
+    # each rule takes the number of parentheses and unary minuses open
+    # around it and returns its tree with the tree's height
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr(0)
         kind, val, _ = self.peek()
         if kind != "end":
             self.error(f"unexpected {val!r}")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self, opened: int) -> tuple[Expr, int]:
+        e, h = self.term(opened)
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+            tok = self.advance()
+            rhs, h_rhs = self.term(opened)
+            e = Add(e, rhs) if tok[0] == "+" else Sub(e, rhs)
+            h = self.nest(max(h, h_rhs), tok)
+        return e, h
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self, opened: int) -> tuple[Expr, int]:
+        e, h = self.factor(opened)
         while self.peek()[0] == "*":
-            self.advance()
-            e = Mul(e, self.factor())
-        return e
+            tok = self.advance()
+            rhs, h_rhs = self.factor(opened)
+            e, h = Mul(e, rhs), self.nest(max(h, h_rhs), tok)
+        return e, h
 
-    def factor(self) -> Expr:
-        e = self.base()
+    def factor(self, opened: int) -> tuple[Expr, int]:
+        e, h = self.base(opened)
         if self.peek()[0] == "^":
-            self.advance()
+            tok = self.advance()
             kind, val, _ = self.peek()
             if kind != "num" or "." in val:
                 self.error("exponent must be a non-negative integer")
             self.advance()
-            e = Pow(e, int(val))
-        return e
+            e, h = Pow(e, int(val)), self.nest(h, tok)
+        return e, h
 
-    def base(self) -> Expr:
-        kind, val, pos = self.peek()
+    def base(self, opened: int) -> tuple[Expr, int]:
+        tok = kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Num(self._number(val, pos))
+            return Num(self._number(val, pos)), 0
         if kind == "name":
             self.advance()
             if val in VAR_NAMES:
-                return Var(VAR_NAMES.index(val) + 1)
-            self.error(f"unknown identifier {val!r}", (kind, val, pos))
+                return Var(VAR_NAMES.index(val) + 1), 0
+            self.error(f"unknown identifier {val!r}", tok)
         if kind == "(":
             self.advance()
-            e = self.expr()
+            e, h = self.expr(self.nest(opened, tok))
             if self.peek()[0] != ")":
                 self.error("expected ')'")
             self.advance()
-            return e
+            return e, h
         if kind == "-":
             self.advance()
-            return Neg(self.base())
+            e, h = self.base(self.nest(opened, tok))
+            return Neg(e), self.nest(h, tok)
         self.error(f"expected a value, got {val!r}" if val else "unexpected end of expression")
 
     def _number(self, text: str, pos: int) -> Fraction:
@@ -334,5 +354,6 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse one expression; raises ExpressionError with a position on failure."""
+    """Parse one expression; raises ExpressionError with a position on
+    failure, nesting deeper than MAX_DEPTH included."""
     return _Parser(text).parse()

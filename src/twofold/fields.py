@@ -10,14 +10,19 @@ switching layer.  Off the surface the combined field
 with lam = sign(x1) reproduces the two half-space fields exactly: the convex
 weights are exactly 0/1 at lam = +-1 and the (1-lam^2) factor kills g there.
 
-Each system compiles two kernels, on first use: the combination
+Every evaluator is compiled when a call first evaluates it, never when a
+field or system is built, so a command compiles only what it runs.  Each
+system compiles two kernels, on first use: the combination
 (`compile_layer`) and the one surface kernel, the three first components at
 x1 = 0 (`f1_sides`), from which `sliding` forms f1's lam-quadratic.  Every
 consumer calls them: the sliding roots and regions, the Filippov contacts
-and slides, the blow-up right-hand side and the transform check.  A smoothed
-run compiles its own field, df1/dx1 (`compile_df1_dx1`, a stiffness test per
-step) and its exact Jacobian (`compile_jacobian`, at its first stiff step).
-The quadratic has one stable solver, `citardauq`, behind `quadratic_roots`.
+and slides, the blow-up right-hand side and the transform check.  A
+`SmoothField` compiles its own evaluator, `fn`, at its first read: only
+Filippov flows and the grazing test read the half-space fields' `fn`, and
+nothing reads the hidden field's.  A smoothed run compiles its own field,
+df1/dx1 (`compile_df1_dx1`, a stiffness test per step) and its exact
+Jacobian (`compile_jacobian`, at its first stiff step).  The quadratic has
+one stable solver, `citardauq`, behind `quadratic_roots`.
 """
 
 from __future__ import annotations
@@ -39,22 +44,34 @@ __all__ = [
 class SmoothField:
     """Three expression trees plus a compiled evaluator.
 
-    Immutable after construction; evaluation is pure and reentrant.
+    The evaluator is compiled at its first use, the first read of `fn` or
+    the first call, and kept on the field; a field that is never evaluated
+    is never compiled.  Immutable after construction otherwise; evaluation
+    is pure and reentrant.
     """
 
     __slots__ = ("components", "_fn")
 
     def __init__(self, components: tuple[Expr, Expr, Expr]):
         self.components = tuple(components)
-        self._fn = _compile("def fn(x1, x2, x3):\n    return ({}, {}, {})\n".format(
+
+    def __getattr__(self, name):
+        # reached only for an unset slot, that is `_fn` before its first use;
+        # `_fn` itself is the lazy attribute, so code that reads it to wrap
+        # it (perfbench's tracer does) gets the compiled evaluator too
+        if name != "_fn":
+            raise AttributeError(name)
+        fn = self._fn = _compile("def fn(x1, x2, x3):\n    return ({}, {}, {})\n".format(
             *(c.source() for c in self.components)), "fn")
+        return fn
 
     def __call__(self, x) -> tuple[float, float, float]:
         return self._fn(x[0], x[1], x[2])
 
     @property
     def fn(self):
-        """Compiled (x1, x2, x3) -> (f1, f2, f3); the fast path for integrators."""
+        """Compiled (x1, x2, x3) -> (f1, f2, f3); the fast path for integrators.
+        Compiled on the first read (or call) and the same object after it."""
         return self._fn
 
     def expressions(self) -> tuple[str, str, str]:

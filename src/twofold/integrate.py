@@ -857,8 +857,8 @@ class _FilippovRun:
         """Entry point whenever the state sits on x1 = 0: the action for the
         region `region_of_sides` gives the point."""
         sides = self.sys.f1_sides(y[1], y[2])
-        region = region_of_sides(*sides)
         fp, fm = side_values(*sides)
+        region = region_of_sides(fp, fm)
         if region == TANGENCY:
             if abs(fp) <= CLASSIFY_TOL and abs(fm) <= CLASSIFY_TOL:
                 # tangent from both sides: the two-fold itself

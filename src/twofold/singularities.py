@@ -17,8 +17,12 @@ the singular prefactor 1/(-2 x1~), the linear map [[c~, b~], [-2 a~, 0]]:
 trace c~, determinant 2 a~ b~, eigenvalues (c~ +- sqrt(c~^2 - 8 a~ b~))/2.
 `_model_constants` derives each root's constants and `_slow_flow_kind` is
 the one classifier; `folded_singularities` builds the full record of each
-root from them, and `folded_types` keeps only the type, which is all a
-sweep cell needs.
+root from them, and `folded_types` keeps only the type.
+
+Each quantity has one private core in plain floats (a1, a2, b1, b2, alpha):
+`_flavor`, `_lambdas`, `_model_constants` and `_types`.  The per-point API
+takes a validated `TwoFoldParams` and calls them; `sweep_grid` validates its
+fixed a1, a2 and alpha once and calls them for every (b1, b2) cell.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .fields import TwoFoldParams, quadratic_roots
 __all__ = [
     "TwoFoldFlavor", "FoldedSingularity", "AlphaZeroError",
     "BoundarySingularityError", "classify_two_fold", "folded_singularities",
-    "folded_types", "singularity_lambdas",
+    "folded_types", "singularity_lambdas", "sweep_grid",
 ]
 
 ALPHA_FLOOR = 1e-9
@@ -66,6 +70,22 @@ class TwoFoldFlavor:
     determinacy_breaking: bool
 
 
+# the six flavours, (not determinacy breaking, determinacy breaking) by tag
+_FLAVORS = {tag: (TwoFoldFlavor(tag, False), TwoFoldFlavor(tag, True))
+            for tag in (VISIBLE, INVISIBLE, MIXED)}
+
+
+def _flavor(a1: int, a2: int, b1: float, b2: float) -> TwoFoldFlavor:
+    """`classify_two_fold` in plain numbers; one of the six `_FLAVORS`."""
+    if a1 == a2 == -1:
+        return _FLAVORS[VISIBLE][(b1 < 0.0) or (b2 < 0.0) or (b1 * b2 < 1.0)]
+    if a1 == a2 == 1:
+        return _FLAVORS[INVISIBLE][(b1 < 0.0) and (b2 < 0.0) and (b1 * b2 > 1.0)]
+    c1, c2 = (b1, b2) if a1 == -1 else (b2, b1)
+    return _FLAVORS[MIXED][((c1 < 0.0 < c2) and (c1 * c2 < -1.0))
+                           or ((c1 + c2 < 0.0) and (c1 - c2 < -2.0))]
+
+
 def classify_two_fold(p: TwoFoldParams) -> TwoFoldFlavor:
     """Flavour by the fold curvatures, determinacy breaking by the drift.
 
@@ -73,19 +93,17 @@ def classify_two_fold(p: TwoFoldParams) -> TwoFoldFlavor:
     the opposite orientation is its mirror under the relabelling
     (x1, x2, x3) -> (-x1, x3, x2), which swaps (a1, b1) with (a2, b2).
     """
-    a1, a2, b1, b2 = p.a1, p.a2, p.b1, p.b2
-    if a1 == a2 == -1:
-        tag = VISIBLE
-        db = (b1 < 0.0) or (b2 < 0.0) or (b1 * b2 < 1.0)
-    elif a1 == a2 == 1:
-        tag = INVISIBLE
-        db = (b1 < 0.0) and (b2 < 0.0) and (b1 * b2 > 1.0)
-    else:
-        tag = MIXED
-        c1, c2 = (b1, b2) if (a1, a2) == (-1, 1) else (b2, b1)
-        db = ((c1 < 0.0 < c2) and (c1 * c2 < -1.0)) or \
-             ((c1 + c2 < 0.0) and (c1 - c2 < -2.0))
-    return TwoFoldFlavor(tag, db)
+    return _flavor(p.a1, p.a2, p.b1, p.b2)
+
+
+def _lambdas(a1: int, a2: int, b1: float, b2: float) -> list[float]:
+    """`singularity_lambdas` in plain numbers."""
+    roots = [l + 0.0 for l, _ in quadratic_roots((a1 - a2) + (b1 - b2), 2.0 * (a1 + a2),
+                                                 (a1 - a2) - (b1 - b2), 0.0)
+             if -1.0 <= l <= 1.0]   # + 0.0 folds -0.0
+    if len(roots) == 2 and roots[1] < roots[0]:
+        roots.reverse()
+    return roots
 
 
 def singularity_lambdas(p: TwoFoldParams) -> list[float]:
@@ -95,10 +113,7 @@ def singularity_lambdas(p: TwoFoldParams) -> list[float]:
     the oriented drift difference exceeds 2 in magnitude and none otherwise
     (at the exact threshold the pair merges into a double root, returned once).
     """
-    a1, a2, b1, b2 = p.a1, p.a2, p.b1, p.b2
-    roots = quadratic_roots((a1 - a2) + (b1 - b2), 2.0 * (a1 + a2),
-                            (a1 - a2) - (b1 - b2), 0.0)
-    return sorted(l + 0.0 for l, _ in roots if -1.0 <= l <= 1.0)   # +0.0 folds -0.0
+    return _lambdas(p.a1, p.a2, p.b1, p.b2)
 
 
 def _slow_flow_kind(a_tilde: float, b_tilde: float, c_tilde: float):
@@ -171,7 +186,7 @@ class FoldedSingularity:
 _FLIP = {CANARD: FAUX_CANARD, FAUX_CANARD: CANARD, NEUTRAL: NEUTRAL}
 
 
-def _model_constants(p: TwoFoldParams, ls: float):
+def _model_constants(a1: int, a2: int, b1: float, b2: float, alpha: float, ls: float):
     """(f2s, f3s, c, c~, b~) of the singularity at lam_s = ls.
 
     f2s, f3s are the slow components at the singularity; with f2l, f3l
@@ -183,15 +198,14 @@ def _model_constants(p: TwoFoldParams, ls: float):
     """
     if abs(1.0 + ls) <= BOUNDARY_TOL:
         raise BoundarySingularityError(f"lam_s = {ls} within {BOUNDARY_TOL} of -1")
-    a1, a2, b1, b2 = p.a1, p.a2, p.b1, p.b2
     f2s = 0.5 * (a1 + b2) + 0.5 * (a1 - b2) * ls
     f3s = 0.5 * (b1 + a2) + 0.5 * (b1 - a2) * ls
     f2l = 0.5 * (a1 - b2)
     f3l = 0.5 * (b1 - a2)
-    sq = math.sqrt(abs(p.alpha))
+    sq = math.sqrt(abs(alpha))
     c = f2l - (1.0 - ls) / (1.0 + ls) * f3l
     c_t = -((ls + 1.0) * f2l + (ls - 1.0) * f3l) / (2.0 * sq)
-    b_t = -(f2s + f3s - 2.0 * c_t * sq) / (4.0 * abs(p.alpha) * (1.0 + ls))
+    b_t = -(f2s + f3s - 2.0 * c_t * sq) / (4.0 * abs(alpha) * (1.0 + ls))
     return f2s, f3s, c, c_t, b_t
 
 
@@ -201,7 +215,7 @@ def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
 
         b = 2 |alpha| b~ / (1 + ls),   a~ = f3s,   d1 = -(1 + ls)/2
     """
-    f2s, f3s, c, c_t, b_t = _model_constants(p, ls)
+    f2s, f3s, c, c_t, b_t = _model_constants(p.a1, p.a2, p.b1, p.b2, p.alpha, ls)
     b = 2.0 * abs(p.alpha) * b_t / (1.0 + ls)
     kind, canard, eig, trace, det = _slow_flow_type(f3s, b_t, c_t)
     # the model lives in reversed time when alpha > 0
@@ -216,25 +230,49 @@ def _build_singularity(p: TwoFoldParams, ls: float) -> FoldedSingularity:
         eigenvalues=eig, trace=trace, det=det)
 
 
-def _checked_lambdas(p: TwoFoldParams) -> list[float]:
-    """`singularity_lambdas(p)`, once alpha is past the floor."""
-    if abs(p.alpha) <= ALPHA_FLOOR:
-        raise AlphaZeroError(f"|alpha| = {abs(p.alpha)} below {ALPHA_FLOOR}")
-    return singularity_lambdas(p)
+def _check_alpha(alpha: float) -> None:
+    """Raise AlphaZeroError unless alpha is past the floor."""
+    if abs(alpha) <= ALPHA_FLOOR:
+        raise AlphaZeroError(f"|alpha| = {abs(alpha)} below {ALPHA_FLOOR}")
 
 
 def folded_singularities(p: TwoFoldParams) -> list[FoldedSingularity]:
     """All folded singularities of the normal form with hidden coefficient
     alpha, ascending in lam_s.  Empty when the existence quadratic has no
     admissible root (the focal-type sliding portraits)."""
-    return [_build_singularity(p, ls) for ls in _checked_lambdas(p)]
+    _check_alpha(p.alpha)
+    return [_build_singularity(p, ls) for ls in _lambdas(p.a1, p.a2, p.b1, p.b2)]
+
+
+def _types(a1: int, a2: int, b1: float, b2: float, alpha: float) -> list[str]:
+    """`folded_types` in plain numbers, for an alpha past the floor."""
+    types = []
+    for ls in _lambdas(a1, a2, b1, b2):
+        _, f3s, _, c_t, b_t = _model_constants(a1, a2, b1, b2, alpha, ls)
+        types.append(_slow_flow_kind(f3s, b_t, c_t)[0])
+    return types
 
 
 def folded_types(p: TwoFoldParams) -> list[str]:
     """The `folded_type` of each of `folded_singularities(p)`, without the
     rest of the record; raises where `folded_singularities` does."""
-    types = []
-    for ls in _checked_lambdas(p):
-        _, f3s, _, c_t, b_t = _model_constants(p, ls)
-        types.append(_slow_flow_kind(f3s, b_t, c_t)[0])
-    return types
+    _check_alpha(p.alpha)
+    return _types(p.a1, p.a2, p.b1, p.b2, p.alpha)
+
+
+def sweep_grid(a1: int, a2: int, alpha: float, axis) -> list[list]:
+    """(flavour, folded types) of every cell of the (b1, b2) grid with both
+    drifts running over `axis`: grid[i][j] belongs to (b1, b2) = (axis[i],
+    axis[j]) and equals (classify_two_fold(p), folded_types(p)) for its
+    params p, with no types where |alpha| is at the floor (folded_types
+    raises there).  a1, a2, alpha and the axis are checked once, as
+    TwoFoldParams checks them; a BoundarySingularityError propagates."""
+    if not all(map(math.isfinite, axis)):
+        raise ValueError("the sweep axis must be finite")
+    TwoFoldParams(a1, a2, 0.0, 0.0, alpha)
+    try:
+        _check_alpha(alpha)
+    except AlphaZeroError:
+        return [[(_flavor(a1, a2, b1, b2), []) for b2 in axis] for b1 in axis]
+    return [[(_flavor(a1, a2, b1, b2), _types(a1, a2, b1, b2, alpha)) for b2 in axis]
+            for b1 in axis]

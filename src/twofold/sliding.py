@@ -153,10 +153,9 @@ def side_values(fp1: float, fm1: float, g1: float) -> tuple[float, float]:
     return 1.0 * fp1 + 0.0 * fm1 + 0.0 * g1, 0.0 * fp1 + 1.0 * fm1 + 0.0 * g1
 
 
-def region_of_sides(fp1: float, fm1: float, g1: float) -> str:
+def region_of_sides(fp: float, fm: float) -> str:
     """Classify a surface point by the signs of f1 on the two sides, from
-    the first components fp1, fm1, g1 of f_plus, f_minus and g there."""
-    fp, fm = side_values(fp1, fm1, g1)
+    its values fp at lam = +1 and fm at lam = -1 (`side_values`)."""
     if abs(fp) <= CLASSIFY_TOL or abs(fm) <= CLASSIFY_TOL:
         return TANGENCY
     if fp < 0.0 < fm:
@@ -168,22 +167,22 @@ def region_of_sides(fp1: float, fm1: float, g1: float) -> str:
 
 def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
     """`region_of_sides` at the surface point (0, x2, x3) of `sys`."""
-    return region_of_sides(*sys.f1_sides(x2, x3))
+    return region_of_sides(*side_values(*sys.f1_sides(x2, x3)))
 
 
 def surface_grid(sys: PiecewiseSmoothSystem, axis) -> tuple[list, list]:
     """Region and sliding lambdas of every cell of the surface grid with x2
     and x3 both running over `axis`: regions[i][j] and roots[i][j] belong to
     (x2, x3) = (axis[i], axis[j]).  Each cell evaluates the three first
-    components once and gives them to `region_of_sides` and
-    `roots_of_sides`."""
+    components once and gives them to `roots_of_sides`, and their side
+    values to `region_of_sides`."""
     sides = sys.f1_sides
     regions, roots = [], []
     for x2 in axis:
         region_row, roots_row = [], []
         for x3 in axis:
             fp1, fm1, g1 = sides(x2, x3)
-            region_row.append(region_of_sides(fp1, fm1, g1))
+            region_row.append(region_of_sides(*side_values(fp1, fm1, g1)))
             roots_row.append([lam for lam, _ in roots_of_sides(fp1, fm1, g1, x2, x3)])
         regions.append(region_row)
         roots.append(roots_row)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twofold import cli
+from twofold import cli, fields
 from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
                          _finite, main)
 from twofold import svg
@@ -279,6 +279,52 @@ def test_config_source(tmp_path, capsys):
     code, out = run_cli(capsys, "classify", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["flavor"] == "invisible"
+
+
+def test_too_deeply_nested_config_is_a_usage_error(tmp_path, capsys):
+    # a 500-term sum and 250 unary minuses nest deeper than CPython compiles,
+    # 250 parentheses and a 1,000-term sum deeper than Python recursion
+    # allows; the config is rejected as it loads, before any kernel compiles
+    for text in ("+".join(["x1"] * 500), "-" * 250 + "x1",
+                 "(" * 250 + "x1" + ")" * 250, "+".join(["x1"] * 1000)):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps({"f_plus": [text, "1", "1"],
+                                   "f_minus": ["x3", "1", "-1"]}))
+        for argv in (("simulate", "--mode", "filippov"), ("slide-map",)):
+            assert main([*argv, "--config", str(cfg)]) == 2
+            assert "bad expression in f_plus: expression nests deeper than" \
+                in capsys.readouterr().err
+
+
+def test_each_call_compiles_only_the_kernels_it_evaluates(monkeypatch, tmp_path, capsys):
+    compiled = []
+    compile_ = fields._compile
+
+    def counting(src, name):
+        compiled.append((name, src))
+        return compile_(src, name)
+
+    def names(*argv):
+        compiled.clear()
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        return [name for name, _ in compiled]
+
+    monkeypatch.setattr(fields, "_compile", counting)
+    monkeypatch.chdir(tmp_path)
+    nf = ("--a1", "-1", "--a2", "1", "--b1", "-4", "--b2", "-1", "--alpha", "0.2")
+    assert names("classify", *nf) == []
+    assert names("singularity", *nf) == []
+    assert names("transform-check", *nf) == ["layer"]
+    assert "fn" not in names("simulate", "--scenario", "example-ii", "--t-end", "5")
+    # a Filippov run compiles each half-space field's evaluator at most
+    # once, and the hidden field's never
+    assert "fn" in names("simulate", "--scenario", "example-ii", "--mode", "filippov",
+                         "--t-end", "20")
+    fn_sources = [src for name, src in compiled if name == "fn"]
+    hidden = ", ".join(c.source() for c in builtin("example-ii").system.hidden.components)
+    assert len(set(fn_sources)) == len(fn_sources) <= 2
+    assert not any(hidden in src for src in fn_sources)
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

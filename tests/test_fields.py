@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from twofold import fields
+from twofold.expr import MAX_DEPTH, ExpressionError, parse_expr
 from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx1,
                             compile_jacobian, compile_layer, normal_form_system,
                             parse_field, quadratic_roots)
@@ -106,6 +108,36 @@ def test_jacobian_kernel_matches_central_differences(name, sigmoid):
         got = np.array(jac(*x)).reshape(3, 3)
         np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
         assert df1_dx1(*x) == got[0, 0]
+
+
+def test_the_deepest_accepted_expressions_compile_every_kernel():
+    # a product's derivative nests about twice as deep as the product; one
+    # level more than each of these is rejected
+    depth = MAX_DEPTH
+    lam, dlam = SIGMOIDS["tanh"][0](1e-3), SIGMOIDS["tanh"][1](1e-3)
+    for text in ("x1^3" + "*x1" * (depth - 1),
+                 "x1*(" * (depth - 1) + "x1*x2" + ")" * (depth - 1),
+                 "-" * depth + "x1", "+".join(["x2"] * (depth + 1)),
+                 "(" * depth + "x3" + ")" * depth):
+        with pytest.raises(ExpressionError, match="nests deeper"):
+            parse_expr(f"x1*({text})")
+        f = parse_field(text, text, text)
+        sys = PiecewiseSmoothSystem(f, f, f)
+        values = [*f.fn(0.5, 0.5, 0.5), *sys.layer(0.5, 0.5, 0.5, 0.25),
+                  *sys.f1_sides(0.5, 0.5), *compile_jacobian(sys, lam, dlam)(0.5, 0.5, 0.5)]
+        assert all(map(math.isfinite, values))
+
+
+def test_a_field_compiles_at_its_first_use_only(monkeypatch):
+    compiled = []
+    compile_ = fields._compile
+    monkeypatch.setattr(fields, "_compile",
+                        lambda src, name: compiled.append(name) or compile_(src, name))
+    f, g = parse_field("x2", "x3", "x1"), parse_field("x3", "x1", "x2")
+    assert compiled == []
+    fn = f.fn
+    assert f.fn is fn and f((1.0, 2.0, 3.0)) == (2.0, 3.0, 1.0) and compiled == ["fn"]
+    assert g((1.0, 2.0, 3.0)) == (3.0, 1.0, 2.0) and g.fn is g.fn and len(compiled) == 2
 
 
 def _numpy_real_roots(a, b, c):

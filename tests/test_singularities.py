@@ -3,14 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.singularities import (AlphaZeroError, BoundarySingularityError,
                                    _slow_flow_type, classify_two_fold,
                                    folded_singularities, folded_types,
-                                   singularity_lambdas)
+                                   singularity_lambdas, sweep_grid)
 from twofold.sliding import surface_quadratic
 
 SQ2 = math.sqrt(2.0)
@@ -343,11 +343,30 @@ def _outcome(fn, p):
         return type(exc), exc.args
 
 
+def _sweep_cell(a1, a2, b1, b2, alpha):
+    p = TwoFoldParams(a1, a2, b1, b2, alpha)
+    try:
+        return classify_two_fold(p), folded_types(p)
+    except AlphaZeroError:
+        return classify_two_fold(p), []
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from((-1, 1)), st.sampled_from((-1, 1)), _DRIFTS, _DRIFTS, _ALPHAS)
+# lam_s within 1e-9 of -1 in some cells, and |alpha| at the floor
+@example(1, 1, 3.0, 1e15, 2.0)
+@example(-1, 1, -4.0, -1.0, -1e-9)
 def test_folded_types_match_the_full_records(a1, a2, b1, b2, alpha):
     p = TwoFoldParams(a1, a2, b1, b2, alpha)
     records = _outcome(folded_singularities, p)
     if isinstance(records, list):
         records = [s.folded_type for s in records]
     assert _outcome(folded_types, p) == records
+    # every cell of a sweep over (b1, b2) is the per-point analysis, and the
+    # sweep raises the first cell's BoundarySingularityError
+    axis = [b1, b2]
+    try:
+        cells = [[_sweep_cell(a1, a2, u, v, alpha) for v in axis] for u in axis]
+    except BoundarySingularityError as exc:
+        cells = (BoundarySingularityError, exc.args)
+    assert _outcome(lambda axis: sweep_grid(a1, a2, alpha, axis), axis) == cells

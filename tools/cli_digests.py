@@ -1,7 +1,8 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 176 calls of `twofold.cli.main` in this process, each in its own empty
-directory under one temporary directory, and prints one line per call:
+Runs 179 calls of `twofold.cli.main` in this process, each in its own
+directory under one temporary directory, empty but for the config file the
+call reads, if any, and prints one line per call:
 
     <sha256>  <argv>
 
@@ -29,10 +30,12 @@ crossings each), and last five surface grids: two sweeps below the alpha
 cutoff, the benchmark sweep at two more sign pairs and an example-i slide
 map over +-1e200, then nine Filippov runs of the normal forms from surface
 starts where the plus field grazes, the minus field grazes and both do (the
-two-fold), and six Filippov runs of alpha = 0 normal forms, whose slides hold
-the linear root of f1's lam-quadratic.  It takes about a minute in all on
-one core of a 2-vCPU Xeon, Python 3.11, most of it (40-50 s) the step-floor
-run of the perturbed example-i start.
+two-fold), six Filippov runs of alpha = 0 normal forms, whose slides hold
+the linear root of f1's lam-quadratic, and three calls that read an
+expression config: a Filippov run and a slide map of one, and a config
+whose 500-term sum nests too deep to load (exit 2).  It takes about a
+minute in all on one core of a 2-vCPU Xeon, Python 3.11, most of it
+(40-50 s) the step-floor run of the perturbed example-i start.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -143,8 +147,29 @@ LINEAR_ROOT_SYSTEMS = (("-1", "-1", "-1", "0.5"), ("1", "1", "-2", "-2"),
                        ("-1", "1", "-4", "-1"))
 LINEAR_ROOT_STARTS = ("0,1,1", "0,-0.5,-0.5")
 
+# an expression config with products, powers and a state-dependent hidden
+# term, and one whose f_plus component is a 500-term sum
+EXPRESSION_CONFIG = json.dumps({
+    "name": "expression-config",
+    "f_plus": ["-x2", "1+x1", "-7/5+1/10*x2^2"],
+    "f_minus": ["x3-1/10*x1*x2", "-9/10", "1-3/5*x1"],
+    "hidden": ["1/5+1/20*x2^2", "0", "0"],
+    "sim": {"t_end": 50.0, "x0": [0.1, 0.5, 0.5]}})
+DEEP_CONFIG = json.dumps({"f_plus": ["+".join(["x1"] * 500), "1", "1"],
+                          "f_minus": ["x3", "1", "-1"]})
+# (files written into the call's directory first, argv)
+CONFIG_CALLS = (
+    ({"cfg.json": EXPRESSION_CONFIG},
+     ("simulate", "--config", "cfg.json", "--mode", "filippov", *RUN_OUT)),
+    ({"cfg.json": EXPRESSION_CONFIG},
+     ("slide-map", "--config", "cfg.json", "--out", "map.csv", "--plot", "map.svg")),
+    ({"deep.json": DEEP_CONFIG},
+     ("simulate", "--config", "deep.json", "--mode", "filippov")),
+)
+
 
 def calls() -> list[tuple[str, ...]]:
+    """The argv of every call but the CONFIG_CALLS, in order."""
     out = []
     for name in SCENARIOS:
         curve = ("--curve-out", "curve.csv") if name in NORMAL_FORMS else ()
@@ -215,7 +240,8 @@ def calls() -> list[tuple[str, ...]]:
 
 
 def digest(main, argv, workdir) -> str:
-    """Run one call in `workdir` (empty) and hash everything it produced."""
+    """Run one call in `workdir` and hash everything it produced, with the
+    files that were there before it."""
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -242,9 +268,13 @@ def main() -> int:
     from twofold import cli
     print(f"twofold from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        for i, argv in enumerate(calls()):
+        jobs = [({}, argv) for argv in calls()] + list(CONFIG_CALLS)
+        for i, (files, argv) in enumerate(jobs):
             workdir = os.path.join(tmp, f"call{i:03d}")
             os.mkdir(workdir)
+            for name, text in files.items():
+                with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
             print(f"{digest(cli.main, argv, workdir)}  {shlex.join(argv)}", flush=True)
     return 0
 
