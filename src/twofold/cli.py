@@ -15,11 +15,11 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 
 from . import __version__
 from .fields import TwoFoldParams, normal_form_system
-from .integrate import (BUDGET, EJECT_MINUS, EJECT_PLUS, EPS_MAX, EPS_MIN,
-                        SIGMOIDS, STAY_SLIDING, STEP_FLOOR,
+from .integrate import (BUDGET, EPS_MAX, EPS_MIN, POLICIES, SIGMOIDS, STEP_FLOOR,
                         IntegratorOptions, NonconvergentEventError,
                         integrate_blowup, integrate_filippov, integrate_smoothed)
 from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
@@ -27,7 +27,7 @@ from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
 from .singularities import (ALPHA_FLOOR, AlphaZeroError, BoundarySingularityError,
                             classify_two_fold, folded_singularities, sweep_grid)
 from .sliding import curve_L, degeneracy_report, surface_grid
-from .svg import render_region_map, render_trajectory
+from .svg import VIEWS, render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
 # failures of the numerics behind a command, each an exit 3
@@ -161,40 +161,34 @@ def _numerical_failure(traj_or_msg) -> int:
 
 # ---------------------------------------------------------------- commands
 
+def _singularity_report(p: TwoFoldParams, sings) -> dict:
+    """The params, count and records of the folded singularities `sings`."""
+    return {"params": dataclasses.asdict(p), "count": len(sings),
+            "singularities": [s.to_json_dict() for s in sings]}
+
+
 def _cmd_classify(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
     p = _need_params(sc, parser)
     flavor = classify_two_fold(p)
     deg = degeneracy_report(p)
-    report = {
-        "params": dataclasses.asdict(p),
-        "flavor": flavor.tag,
-        "determinacy_breaking": flavor.determinacy_breaking,
-        "degenerate_layer": deg.is_degenerate,
-        "d2f1_dlambda2": deg.d2f1_dlambda2,
-    }
     try:
-        sings = folded_singularities(p)
-        report["singularities"] = [s.to_json_dict() for s in sings]
-        report["count"] = len(sings)
+        report = _singularity_report(p, folded_singularities(p))
     except AlphaZeroError:
-        report["singularities"] = []
-        report["count"] = 0
+        report = _singularity_report(p, [])
         report["note"] = ("alpha is zero: the layer problem is degenerate and no "
                           "folded singularities are defined" if deg.is_degenerate else
                           f"|alpha| <= {ALPHA_FLOOR!r}: the layer problem is too close "
                           "to degenerate and no folded singularities are computed")
+    report.update(flavor=flavor.tag, determinacy_breaking=flavor.determinacy_breaking,
+                  degenerate_layer=deg.is_degenerate, d2f1_dlambda2=deg.d2f1_dlambda2)
     return _emit(report, args, args.out)
 
 
 def _cmd_singularity(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
     p = _need_params(sc, parser)
-    sings = folded_singularities(p)
-    report = {"params": dataclasses.asdict(p),
-              "count": len(sings),
-              "singularities": [s.to_json_dict() for s in sings]}
-    return _emit(report, args, args.out)
+    return _emit(_singularity_report(p, folded_singularities(p)), args, args.out)
 
 
 def _cmd_slide_map(args, parser) -> int:
@@ -224,9 +218,7 @@ def _cmd_slide_map(args, parser) -> int:
         curve.to_csv(args.curve_out)
     if args.plot:
         render_region_map((axis, axis, regions), curve, args.plot)
-    counts: dict[str, int] = {}
-    for region in itertools.chain.from_iterable(regions):
-        counts[region] = counts.get(region, 0) + 1
+    counts = Counter(itertools.chain.from_iterable(regions))
     return _emit({"grid": n, "range": [lo, hi], "region_counts": counts}, args)
 
 
@@ -235,8 +227,7 @@ def _traj_summary(traj) -> dict:
         "samples": len(traj),
         "t_end": traj.t_end,
         "final_state": list(traj.final_state),
-        "events": {k: len(traj.events_of(k)) for k in
-                   sorted({e.kind for e in traj.events})},
+        "events": Counter(e.kind for e in traj.events),
         "sup_norm": traj.sup_norm(),
         "x1_sign_changes": traj.sign_changes(0),
     }
@@ -322,10 +313,8 @@ def _cmd_sweep(args, parser) -> int:
                 for t2, (flavor, kinds) in zip(text, row):
                     fh.write(f"{t1},{t2},{flavor.tag},{str(flavor.determinacy_breaking).lower()},"
                              f"{len(kinds)},{'+'.join(kinds)}\n")
-    summary: dict[str, int] = {}
-    for flavor, kinds in itertools.chain.from_iterable(grid):
-        key = f"{flavor.tag}:{len(kinds)}"
-        summary[key] = summary.get(key, 0) + 1
+    summary = Counter(f"{flavor.tag}:{len(kinds)}"
+                      for flavor, kinds in itertools.chain.from_iterable(grid))
     return _emit({"a1": args.a1, "a2": args.a2, "alpha": args.alpha,
                   "cells": n * n, "flavor_count_histogram": summary}, args)
 
@@ -366,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if plot or run_args:
             sp.add_argument("--plot", metavar="PATH", help="SVG output path")
         if run_args:
-            sp.add_argument("--view", choices=("u3", "u2", "x1", "x2", "x3"),
+            sp.add_argument("--view", choices=VIEWS,
                             default="u3", help="projection axis for plots")
         sp.add_argument("--seed", type=int, metavar="U64",
                         help="recorded in the printed report")
@@ -391,8 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="integrate a system")
     common(sp, run_args=True)
     sp.add_argument("--sigmoid", choices=tuple(SIGMOIDS))
-    sp.add_argument("--policy", choices=(STAY_SLIDING, EJECT_PLUS, EJECT_MINUS),
-                    dest="repelling_policy")
+    sp.add_argument("--policy", choices=POLICIES, dest="repelling_policy")
     sp.add_argument("--mode", choices=("smoothed", "filippov"), default="smoothed")
     sp.set_defaults(fn=_cmd_simulate, parser=sp)
 

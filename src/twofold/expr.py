@@ -35,13 +35,19 @@ VAR_NAMES = ("x1", "x2", "x3")
 # derivative's at most twice as deep; inside the tuple a kernel returns that
 # is 2 * 90 + 1 = 181 levels, under the 200 that CPython compiles.
 MAX_DEPTH = 90
+QUOTE_MAX = 60      # the longest text an error message quotes whole
 
 
 class ExpressionError(ValueError):
-    """Malformed expression; `pos` is the 0-based column of the offence."""
+    """Malformed expression; `pos` is the 0-based column of the offence.  The
+    message quotes a longer text than QUOTE_MAX as a window of QUOTE_MAX
+    characters about `pos`, each cut end marked with "..."."""
 
     def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        lo = max(0, min(pos - QUOTE_MAX // 2, len(text) - QUOTE_MAX))
+        hi = lo + QUOTE_MAX
+        quoted = "..." * (lo > 0) + repr(text[lo:hi]) + "..." * (hi < len(text))
+        super().__init__(f"{message} at position {pos}: {quoted}")
         self.text = text
         self.pos = pos
 

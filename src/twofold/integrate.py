@@ -60,7 +60,7 @@ from .sliding import (ATTRACTING_SLIDING, CLASSIFY_TOL, REPELLING_SLIDING, TANGE
 
 __all__ = [
     "IntegratorOptions", "Trajectory", "Event", "NonconvergentEventError",
-    "STAY_SLIDING", "EJECT_PLUS", "EJECT_MINUS",
+    "STAY_SLIDING", "EJECT_PLUS", "EJECT_MINUS", "POLICIES",
     "FLOW_PLUS", "FLOW_MINUS", "SLIDING", "LAYER",
     "CROSSING", "SLIDE_ENTRY", "SLIDE_EXIT", "TWO_FOLD_HIT",
     "DETERMINACY_BREAK", "STEP_FLOOR", "BOUNDARY_EXIT", "BUDGET", "SIGMOIDS",
@@ -103,6 +103,7 @@ _ROUNDING_FLOOR = 1e-300
 STAY_SLIDING = "stay"
 EJECT_PLUS = "eject-plus"
 EJECT_MINUS = "eject-minus"
+POLICIES = (STAY_SLIDING, EJECT_PLUS, EJECT_MINUS)
 
 
 class NonconvergentEventError(RuntimeError):
@@ -120,7 +121,7 @@ class IntegratorOptions:
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.min_step)):
             raise ValueError("rel_tol, abs_tol and min_step must be finite and positive")
-        if self.repelling_policy not in (STAY_SLIDING, EJECT_PLUS, EJECT_MINUS):
+        if self.repelling_policy not in POLICIES:
             raise ValueError(f"unknown repelling policy {self.repelling_policy!r}")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
@@ -136,17 +137,18 @@ class Event:
 class Trajectory:
     """Sampled run with cubic-Hermite dense output and an event log.
 
-    Samples carry separate incoming/outgoing derivatives so dense output stays
-    exact across mode switches (the derivative jumps there).  `meta['space']`
-    is 'x' for runs in state space and 'layer' for blow-up runs, whose sample
-    vectors are (lam, x2, x3).
+    Each sample stores its outgoing derivative; an event sample, where the
+    derivative jumps, also keeps its incoming one in `_f_in`, so dense output
+    stays exact across mode switches.  `meta['space']` is 'x' for runs in
+    state space and 'layer' for blow-up runs, whose sample vectors are
+    (lam, x2, x3).
     """
 
     def __init__(self, meta: dict | None = None):
         self._t = array("d")
         self._y = (array("d"), array("d"), array("d"))
-        self._fi = (array("d"), array("d"), array("d"))   # incoming derivative
-        self._fo = (array("d"), array("d"), array("d"))   # outgoing derivative
+        self._f = (array("d"), array("d"), array("d"))    # outgoing derivative
+        self._f_in: dict[int, tuple] = {}   # incoming derivative, where it differs
         self._lam = array("d")
         self._modes: list[str] = []
         self.events: list[Event] = []
@@ -158,21 +160,17 @@ class Trajectory:
         ts = self._t
         if ts and not t > ts[-1]:
             raise ValueError(f"sample times must be strictly increasing, got {t}")
-        if f_in is None:
-            f_in = f_out
+        if f_in is not None:
+            self._f_in[len(ts)] = f_in
         ts.append(t)
         y1, y2, y3 = self._y
         y1.append(y[0])
         y2.append(y[1])
         y3.append(y[2])
-        fi1, fi2, fi3 = self._fi
-        fi1.append(f_in[0])
-        fi2.append(f_in[1])
-        fi3.append(f_in[2])
-        fo1, fo2, fo3 = self._fo
-        fo1.append(f_out[0])
-        fo2.append(f_out[1])
-        fo3.append(f_out[2])
+        f1, f2, f3 = self._f
+        f1.append(f_out[0])
+        f2.append(f_out[1])
+        f3.append(f_out[2])
         self._lam.append(lam)
         self._modes.append(mode)
 
@@ -228,8 +226,8 @@ class Trajectory:
             return self.state(i)
         if t == t1:
             return self.state(i + 1)
-        fo = tuple(col[i] for col in self._fo)
-        fi = tuple(col[i + 1] for col in self._fi)
+        fo = tuple(col[i] for col in self._f)
+        fi = self._f_in.get(i + 1) or tuple(col[i + 1] for col in self._f)
         return _hermite((t0, self.state(i), fo, t1, self.state(i + 1), fi), t)
 
     def events_of(self, kind: str) -> list[Event]:

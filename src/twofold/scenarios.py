@@ -2,8 +2,8 @@
 
 Built-in scenarios cover the three oscillatory attractor examples (exact
 rational coefficients) and one normal-form instance per two-fold flavour,
-each instance machine-checked at load time to satisfy the flavour's
-determinacy-breaking condition.
+each instance chosen to satisfy the flavour's determinacy-breaking
+condition (the scenario tests check it).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
 from .expr import ExpressionError
 from .integrate import SIGMOIDS
-from .singularities import classify_two_fold
 
 __all__ = ["Scenario", "ConfigError", "builtin", "builtin_names",
            "load_config", "scenario_to_config", "save_run"]
@@ -57,10 +56,10 @@ _EXAMPLE_FIELDS = {
 _HIDDEN = ("1/5", "0", "0")
 
 # normal-form instances per flavour; each satisfies the determinacy-breaking
-# condition for its flavour (asserted in builtin()).  The mixed instance uses
-# the drift clause b1+b2 < 0, b1-b2 < -2, which is the part of the mixed
-# determinacy-breaking set whose two folded singularities carry determinants
-# of opposite sign (one folded-saddle, one folded-node).
+# condition for its flavour (checked by the scenario tests).  The mixed
+# instance uses the drift clause b1+b2 < 0, b1-b2 < -2, which is the part of
+# the mixed determinacy-breaking set whose two folded singularities carry
+# determinants of opposite sign (one folded-saddle, one folded-node).
 _NF_PARAMS = {
     "visible-nf": TwoFoldParams(-1, -1, -1.0, 0.5, 0.2),
     "invisible-nf": TwoFoldParams(1, 1, -2.0, -2.0, 0.2),
@@ -101,13 +100,8 @@ def builtin(name: str) -> Scenario:
         eps, t_end, x0 = _EXAMPLE_DEFAULTS[name]
         return Scenario(name, system, eps, t_end, x0, "tanh", _NOTES[name])
     if name in _NF_PARAMS:
-        p = _NF_PARAMS[name]
-        flavor = classify_two_fold(p)
-        expected = name.split("-")[0]
-        assert flavor.tag == expected and flavor.determinacy_breaking, \
-            f"{name} parameters lost their defining conditions"
-        return Scenario(name, normal_form_system(p), 1e-3, 2.0, (0.0, 1.0, 1.0),
-                        "tanh", _NOTES[name])
+        return Scenario(name, normal_form_system(_NF_PARAMS[name]), 1e-3, 2.0,
+                        (0.0, 1.0, 1.0), "tanh", _NOTES[name])
     raise ValueError(f"unknown scenario {name!r}; choose from {builtin_names()}")
 
 
@@ -192,16 +186,12 @@ def load_config(source) -> Scenario:
         for key in sd:
             if key not in _SIM_DEFAULTS:
                 raise ConfigError(f"unknown sim option {key!r}", f"/sim/{key}")
-        if "epsilon" in sd:
-            v = _require_number(sd, "epsilon", "/sim/epsilon")
-            if v <= 0:
-                raise ConfigError("epsilon must be positive", "/sim/epsilon")
-            sim["epsilon"] = float(v)
-        if "t_end" in sd:
-            v = _require_number(sd, "t_end", "/sim/t_end")
-            if v <= 0:
-                raise ConfigError("t_end must be positive", "/sim/t_end")
-            sim["t_end"] = float(v)
+        for key in ("epsilon", "t_end"):
+            if key in sd:
+                v = _require_number(sd, key, f"/sim/{key}")
+                if v <= 0:
+                    raise ConfigError(f"{key} must be positive", f"/sim/{key}")
+                sim[key] = float(v)
         if "x0" in sd:
             v = sd["x0"]
             if not (isinstance(v, list) and len(v) == 3

@@ -17,7 +17,7 @@ the singular prefactor 1/(-2 x1~), the linear map [[c~, b~], [-2 a~, 0]]:
 trace c~, determinant 2 a~ b~, eigenvalues (c~ +- sqrt(c~^2 - 8 a~ b~))/2.
 `_model_constants` derives each root's constants and `_slow_flow_kind` is
 the one classifier; `folded_singularities` builds the full record of each
-root from them, and `folded_types` keeps only the type.
+root from them, and `sweep_grid` keeps only the type of each cell's roots.
 
 Each quantity has one private core in plain floats (a1, a2, b1, b2, alpha):
 `_flavor`, `_lambdas`, `_model_constants` and `_types`.  The per-point API
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .fields import TwoFoldParams, quadratic_roots
 
 __all__ = [
     "TwoFoldFlavor", "FoldedSingularity", "AlphaZeroError",
     "BoundarySingularityError", "classify_two_fold", "folded_singularities",
-    "folded_types", "singularity_lambdas", "sweep_grid",
+    "singularity_lambdas", "sweep_grid",
 ]
 
 ALPHA_FLOOR = 1e-9
@@ -171,16 +171,12 @@ class FoldedSingularity:
     det: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda_s": self.lambda_s, "x2s": self.x2s, "x3s": self.x3s,
-            "f2s": self.f2s, "f3s": self.f3s, "c": self.c, "b": self.b,
-            "d1": self.d1, "a_tilde": self.a_tilde, "b_tilde": self.b_tilde,
-            "c_tilde": self.c_tilde, "type": self.folded_type,
-            "canard": self.canard,
-            "canard_original_time": self.canard_original_time,
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "trace": self.trace, "det": self.det,
-        }
+        """Every field by name, `folded_type` as "type" and each eigenvalue
+        as its [re, im] pair."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["type"] = doc.pop("folded_type")
+        doc["eigenvalues"] = [[z.real, z.imag] for z in self.eigenvalues]
+        return doc
 
 
 _FLIP = {CANARD: FAUX_CANARD, FAUX_CANARD: CANARD, NEUTRAL: NEUTRAL}
@@ -245,7 +241,7 @@ def folded_singularities(p: TwoFoldParams) -> list[FoldedSingularity]:
 
 
 def _types(a1: int, a2: int, b1: float, b2: float, alpha: float) -> list[str]:
-    """`folded_types` in plain numbers, for an alpha past the floor."""
+    """Each root's `folded_type`, in plain numbers, for an alpha past the floor."""
     types = []
     for ls in _lambdas(a1, a2, b1, b2):
         _, f3s, _, c_t, b_t = _model_constants(a1, a2, b1, b2, alpha, ls)
@@ -253,20 +249,13 @@ def _types(a1: int, a2: int, b1: float, b2: float, alpha: float) -> list[str]:
     return types
 
 
-def folded_types(p: TwoFoldParams) -> list[str]:
-    """The `folded_type` of each of `folded_singularities(p)`, without the
-    rest of the record; raises where `folded_singularities` does."""
-    _check_alpha(p.alpha)
-    return _types(p.a1, p.a2, p.b1, p.b2, p.alpha)
-
-
 def sweep_grid(a1: int, a2: int, alpha: float, axis) -> list[list]:
     """(flavour, folded types) of every cell of the (b1, b2) grid with both
     drifts running over `axis`: grid[i][j] belongs to (b1, b2) = (axis[i],
-    axis[j]) and equals (classify_two_fold(p), folded_types(p)) for its
-    params p, with no types where |alpha| is at the floor (folded_types
-    raises there).  a1, a2, alpha and the axis are checked once, as
-    TwoFoldParams checks them; a BoundarySingularityError propagates."""
+    axis[j]) and holds classify_two_fold(p) and the types of
+    folded_singularities(p) for its params p, none where |alpha| is at the
+    floor.  a1, a2, alpha and the axis are checked once, as TwoFoldParams
+    checks them; a BoundarySingularityError propagates."""
     if not all(map(math.isfinite, axis)):
         raise ValueError("the sweep axis must be finite")
     TwoFoldParams(a1, a2, 0.0, 0.0, alpha)

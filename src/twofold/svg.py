@@ -109,6 +109,20 @@ def _axes(parts, canvas):
                      f'y2="{_fmt(y0)}" stroke="#cccccc" stroke-width="1"/>')
 
 
+def _polyline(parts, canvas, points, color, width):
+    coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
+                      for sx, sy in (canvas.to_screen(x, y) for x, y in points))
+    parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                 f'stroke-width="{width}"/>')
+
+
+def _write(parts, path):
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")
+
+
 def render_trajectory(traj, path, view: str = "u3") -> None:
     """Phase portrait of one run with its events marked; the canvas spans
     every sample and event, and a run of one sample is drawn as a dot."""
@@ -132,10 +146,7 @@ def render_trajectory(traj, path, view: str = "u3") -> None:
         sx, sy = canvas.to_screen(*points[0])
         parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>')
     else:
-        coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                          for sx, sy in (canvas.to_screen(x, y) for x, y in points))
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     'stroke-width="1"/>')
+        _polyline(parts, canvas, points, color, "1")
     for e, x, y in zip(traj.events, ev_xs, ev_ys):
         sx, sy = canvas.to_screen(x, y)
         parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" '
@@ -144,10 +155,7 @@ def render_trajectory(traj, path, view: str = "u3") -> None:
     parts.append(f'<text x="{MARGIN}" y="20" font-family="monospace" font-size="12" '
                  f'fill="#333333">view={view} samples={len(traj)} '
                  f'kind={traj.meta.get("kind", "?")}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    _write(parts, path)
 
 
 def _min_gap(values) -> float:
@@ -184,14 +192,8 @@ def render_region_map(grid, curve, path) -> None:
     if curve is not None:
         pts = [(x2, x3) for _, x2, x3 in curve.points if canvas.contains(x2, x3)]
         if len(pts) > 1:
-            coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                              for sx, sy in (canvas.to_screen(x, y) for x, y in pts))
-            parts.append(f'<polyline points="{coords}" fill="none" stroke="#000000" '
-                         'stroke-width="1.5"/>')
+            _polyline(parts, canvas, pts, "#000000", "1.5")
     parts.append('<text x="50" y="20" font-family="monospace" font-size="12" '
                  'fill="#333333">switching-surface region map (x2 horizontal, '
                  'x3 vertical)</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    _write(parts, path)

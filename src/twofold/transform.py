@@ -123,15 +123,25 @@ def _shift(ctx: TransformContext) -> float:
     return ctx.epsilon * s.f3s / (ctx.params.alpha * (1.0 + s.lambda_s) ** 2)
 
 
-def to_x_tilde(ctx: TransformContext, point):
-    """Full chain (lam, x2, x3) -> (x1~, x2~, x3~)."""
+def _chart(ctx: TransformContext, point):
+    """(`to_x_tilde`, `pushforward`) at `point`, from one translation and
+    one evaluation of the curve functions."""
     y1, y2, y3 = to_y(ctx, point)
-    y1l, y2l, _, _ = curve_functions(ctx, y3)
-    z1 = y1 - y1l
-    z2t = y2 - y2l - _shift(ctx)
+    y1l, y2l, y1lp, y2lp = curve_functions(ctx, y3)
+    sq = math.sqrt(abs(ctx.params.alpha))
     sgn = ctx.sign_alpha
     d1 = ctx.singularity.d1
-    return (math.sqrt(abs(ctx.params.alpha)) * z1, -sgn * d1 * z2t, -sgn * y3)
+    xt = (sq * (y1 - y1l), -sgn * d1 * (y2 - y2l - _shift(ctx)), -sgn * y3)
+    F1, F2, F3 = ctx.system.layer(0.0, point[1], point[2], point[0])
+    dx1 = sq * (F1 / ctx.epsilon - y1lp * F3)
+    dx2 = -sgn * d1 * (F2 - y2lp * F3)
+    dx3 = -sgn * F3
+    return xt, (-sgn * dx1, -sgn * dx2, -sgn * dx3)
+
+
+def to_x_tilde(ctx: TransformContext, point):
+    """Full chain (lam, x2, x3) -> (x1~, x2~, x3~)."""
+    return _chart(ctx, point)[0]
 
 
 def from_x_tilde(ctx: TransformContext, xt):
@@ -159,17 +169,7 @@ def pushforward(ctx: TransformContext, point):
     The layer field is (dlam/dt, dx2/dt, dx3/dt) = (F1/eps, F2, F3); the rows
     returned here are J . V with the time reversal t~ = -sign(alpha) t applied.
     """
-    lam, x2, x3 = point
-    F1, F2, F3 = ctx.system.layer(0.0, x2, x3, lam)
-    _, _, y3 = to_y(ctx, point)
-    _, _, y1lp, y2lp = curve_functions(ctx, y3)
-    sq = math.sqrt(abs(ctx.params.alpha))
-    sgn = ctx.sign_alpha
-    d1 = ctx.singularity.d1
-    dx1 = sq * (F1 / ctx.epsilon - y1lp * F3)
-    dx2 = -sgn * d1 * (F2 - y2lp * F3)
-    dx3 = -sgn * F3
-    return (-sgn * dx1, -sgn * dx2, -sgn * dx3)
+    return _chart(ctx, point)[1]
 
 
 def sphere_directions(n: int):
@@ -206,8 +206,7 @@ def equivalence_residual(ctx: TransformContext, h: float) -> float:
     worst = 0.0
     for u in _DIRECTIONS:
         point = (s.lambda_s + h * u[0], s.x2s + h * u[1], s.x3s + h * u[2])
-        xt = to_x_tilde(ctx, point)          # raises TransformDomainError outside
-        w1, w2, _ = pushforward(ctx, point)
+        xt, (w1, w2, _) = _chart(ctx, point)   # raises TransformDomainError outside
         model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde, xt)
         r1 = (ctx.epsilon / sq) * w1 - model[0]
         r2 = w2 - model[1]

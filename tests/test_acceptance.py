@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from twofold import fields
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov, integrate_smoothed
 from twofold.scenarios import builtin
@@ -25,6 +26,20 @@ def _line(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def _count_compiles(monkeypatch):
+    """A list that grows by one entry at each kernel `fields` compiles: a
+    work bound beside each criterion's wall-clock limit."""
+    compiled = []
+    compile_ = fields._compile
+
+    def counting(src, name):
+        compiled.append(name)
+        return compile_(src, name)
+
+    monkeypatch.setattr(fields, "_compile", counting)
+    return compiled
+
+
 def _random_params(rng):
     return TwoFoldParams(rng.choice([-1, 1]), rng.choice([-1, 1]),
                          rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0),
@@ -33,14 +48,17 @@ def _random_params(rng):
 
 # ------------------------------------------------------------ criterion 1
 
-def test_criterion_1_singularity_residuals():
+def test_criterion_1_singularity_residuals(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
     t0 = time.perf_counter()
     rng = random.Random(101)
     worst = 0.0
     n_sing = 0
+    most_compiles = 0
     for _ in range(1000):
         p = _random_params(rng)
         sys = normal_form_system(p)
+        before = len(compiled)
         for s in folded_singularities(p):
             r1 = abs(sys.f1_surface(s.x2s, s.x3s, s.lambda_s))
             a, b, _ = surface_quadratic(*sys.f1_sides(s.x2s, s.x3s))
@@ -48,17 +66,21 @@ def test_criterion_1_singularity_residuals():
             r3 = abs(s.f2s * (-(1 + s.lambda_s) / 2) + s.f3s * (1 - s.lambda_s) / 2)
             worst = max(worst, r1, r2, r3)
             n_sing += 1
+        # at most the two kernels of the drawn system, layer and f1_sides
+        most_compiles = max(most_compiles, len(compiled) - before)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed < 5.0
+    ok = worst <= 1e-10 and most_compiles <= 2 and elapsed < 5.0
     _line(1, ok, f"{n_sing} singularities from 1000 draws, worst residual "
-                 f"{worst:.2e}, {elapsed:.2f}s")
+                 f"{worst:.2e}, {len(compiled)} compiles, {elapsed:.2f}s")
     assert worst <= 1e-10
+    assert most_compiles <= 2
     assert elapsed < 5.0
 
 
 # ------------------------------------------------------------ criterion 2
 
-def test_criterion_2_case_analysis_counts():
+def test_criterion_2_case_analysis_counts(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
     t0 = time.perf_counter()
     mismatches = []
     checked = 0
@@ -80,15 +102,18 @@ def test_criterion_2_case_analysis_counts():
             if count != want:
                 mismatches.append((a1, a2, d, count, want))
     elapsed = time.perf_counter() - t0
-    ok = not mismatches and elapsed < 1.0
-    _line(2, ok, f"{checked} grid cells, {len(mismatches)} mismatches, {elapsed:.2f}s")
+    ok = not mismatches and not compiled and elapsed < 1.0
+    _line(2, ok, f"{checked} grid cells, {len(mismatches)} mismatches, "
+                 f"{len(compiled)} compiles, {elapsed:.2f}s")
     assert mismatches == []
+    assert compiled == []       # the root count compiles no kernel
     assert elapsed < 1.0
 
 
 # ------------------------------------------------------------ criterion 3
 
-def test_criterion_3_degeneracy_dichotomy():
+def test_criterion_3_degeneracy_dichotomy(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
     t0 = time.perf_counter()
     sys0 = normal_form_system(TwoFoldParams(1, 1, -2.0, -2.0, 0.0))
     exact_zero = all(sys0.f1_surface(0.0, 0.0, lam) == 0.0
@@ -105,11 +130,13 @@ def test_criterion_3_degeneracy_dichotomy():
                   + sys.f1_surface(x2, x3, lam - h)) / (h * h)
             worst = max(worst, abs(d2 - (-2.0 * alpha)))
     elapsed = time.perf_counter() - t0
-    ok = exact_zero and worst <= 1e-12 and elapsed < 1.0
+    ok = exact_zero and worst <= 1e-12 and len(compiled) <= 7 and elapsed < 1.0
     _line(3, ok, f"identically-zero layer at alpha=0: {exact_zero}, second-"
-                 f"derivative defect {worst:.2e}, {elapsed:.2f}s")
+                 f"derivative defect {worst:.2e}, {len(compiled)} compiles, "
+                 f"{elapsed:.2f}s")
     assert exact_zero
     assert worst <= 1e-12
+    assert len(compiled) <= 7   # one layer kernel per system, seven systems
     assert elapsed < 1.0
 
 

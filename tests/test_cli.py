@@ -15,7 +15,7 @@ from twofold import cli, fields
 from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
                          _finite, main)
 from twofold import svg
-from twofold.svg import VIEWS, render_trajectory
+from twofold.svg import VIEWS, render_region_map, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import Trajectory, integrate_blowup, integrate_filippov
 from twofold.scenarios import builtin, builtin_names, load_config
@@ -284,16 +284,40 @@ def test_config_source(tmp_path, capsys):
 def test_too_deeply_nested_config_is_a_usage_error(tmp_path, capsys):
     # a 500-term sum and 250 unary minuses nest deeper than CPython compiles,
     # 250 parentheses and a 1,000-term sum deeper than Python recursion
-    # allows; the config is rejected as it loads, before any kernel compiles
-    for text in ("+".join(["x1"] * 500), "-" * 250 + "x1",
-                 "(" * 250 + "x1" + ")" * 250, "+".join(["x1"] * 1000)):
+    # allows; the config is rejected as it loads, before any kernel compiles,
+    # and the error quotes a window of the text about the offence
+    for text, pos in (("+".join(["x1"] * 500), 272), ("-" * 250 + "x1", 90),
+                      ("(" * 250 + "x1" + ")" * 250, 90), ("+".join(["x1"] * 1000), 272)):
         cfg = tmp_path / "deep.json"
         cfg.write_text(json.dumps({"f_plus": [text, "1", "1"],
                                    "f_minus": ["x3", "1", "-1"]}))
         for argv in (("simulate", "--mode", "filippov"), ("slide-map",)):
             assert main([*argv, "--config", str(cfg)]) == 2
-            assert "bad expression in f_plus: expression nests deeper than" \
-                in capsys.readouterr().err
+            error = capsys.readouterr().err.splitlines()[-1]
+            assert "bad expression in f_plus: expression nests deeper than" in error
+            assert f"at position {pos}: ..." in error and len(error) < 300
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--scenario", "example-ii", "--x0=0.1,0.5"),
+     "argument --x0: expected three comma-separated numbers"),
+    (("blowup", "--scenario", "mixed-nf", "--x0=0.1,0.5,0.5,1"),
+     "argument --x0: expected three comma-separated numbers"),
+    (("slide-map", "--scenario", "example-ii", "--range=2"),
+     "argument --range: expected two comma-separated numbers"),
+    (("sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2", "--b-range=-1,0,1"),
+     "argument --b-range: expected two comma-separated numbers"),
+    (("blowup", "--scenario", "mixed-nf", "--x0=1.5,1,1"),
+     "blow-up initial state is lam,x2,x3 with lam in [-1, 1]"),
+    (("blowup", "--scenario", "mixed-nf", "--x0=-1.0000001,1,1"),
+     "blow-up initial state is lam,x2,x3 with lam in [-1, 1]"),
+    (("scenario", "show", "example-iv"), "unknown scenario 'example-iv'"),
+])
+def test_malformed_inputs_exit_2_without_traceback(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_each_call_compiles_only_the_kernels_it_evaluates(monkeypatch, tmp_path, capsys):
@@ -648,6 +672,18 @@ def trajectory_through(states):
 def test_plot_rejects_empty_input(tmp_path):
     with pytest.raises(ValueError):
         render_trajectory(trajectory_through([]), tmp_path / "x.svg")
+
+
+@pytest.mark.parametrize("render, message", [
+    (lambda path: render_trajectory(trajectory_through([(0.0, 1.0, 1.0)] * 2), path,
+                                    view="u4"), "unknown view 'u4'"),
+    (lambda path: render_region_map(([], [0.0], [[]]), None, path), "empty region map"),
+    (lambda path: render_region_map(([0.0], [], [[]]), None, path), "empty region map"),
+])
+def test_plot_rejects_unknown_view_and_empty_map(tmp_path, render, message):
+    with pytest.raises(ValueError, match=message):
+        render(tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_single_point_marker(tmp_path):

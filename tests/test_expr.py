@@ -51,6 +51,39 @@ def test_syntax_error_carries_position():
     assert err.value.pos == 5
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("(x1+x2", "expected ')'", 6),
+    ("1.5/2", "'/' is only allowed after an integer literal", 3),
+    ("1/x1", "denominator must be an unsigned integer", 2),
+    ("1/2.5", "denominator must be an unsigned integer", 2),
+])
+def test_malformed_literals_and_groups_are_located(text, message, pos):
+    with pytest.raises(ExpressionError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"{message} at position {pos}: {text!r}"
+    assert (err.value.text, err.value.pos) == (text, pos)
+
+
+def test_long_expression_is_quoted_as_a_window_about_the_offence():
+    # up to 60 characters the text is quoted whole; past that a 60-character
+    # window about the position, each cut end marked with "..."
+    text = "+".join(["x1"] * 40) + ")" + "+x2" * 40
+    with pytest.raises(ExpressionError) as err:
+        parse_expr(text)
+    pos = err.value.pos
+    assert (err.value.text, pos) == (text, 119)
+    assert str(err.value) == (f"unexpected ')' at position 119: "
+                              f"...{text[pos - 30:pos + 30]!r}...")
+    text = "x1)" + "+x2" * 40            # the window stops at the text's start
+    with pytest.raises(ExpressionError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"unexpected ')' at position 2: {text[:60]!r}..."
+    for short in ("x1+" * 19 + "x1)", "x1)" + "+x1" * 19):
+        with pytest.raises(ExpressionError) as err:
+            parse_expr(short)
+        assert len(short) <= 60 and str(err.value).endswith(f": {short!r}")
+
+
 def test_unknown_identifier_rejected():
     with pytest.raises(ExpressionError, match="unknown identifier 'y'"):
         parse_expr("x1 + y")

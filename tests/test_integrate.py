@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,30 @@ def test_dense_output_matches_samples_and_is_continuous():
 def test_integrator_options_reject_bad_values(field, value):
     with pytest.raises(ValueError):
         IntegratorOptions(**{field: value})
+
+
+def test_sample_times_must_increase():
+    for t in (1.0, 0.5):
+        traj = Trajectory()
+        traj.append(1.0, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), "flow+")
+        with pytest.raises(ValueError, match=f"strictly increasing, got {t}"):
+            traj.append(t, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), "flow+", f_in=(2.0, 0.0, 0.0))
+        assert len(traj) == 1 and traj._f_in == {}     # a rejected sample leaves nothing
+
+
+@pytest.mark.parametrize("run, args, message", [
+    (integrate_smoothed, ("tanh", 0.0, (0.1, 0.5, 0.5), (0.0, 1.0)), "eps must lie in"),
+    (integrate_smoothed, ("tanh", 1e101, (0.1, 0.5, 0.5), (0.0, 1.0)), "eps must lie in"),
+    (integrate_smoothed, ("tanh", 1e-3, (0.1, 0.5, 0.5), (1.0, 1.0)),
+     "smoothed runs integrate forward"),
+    (integrate_smoothed, ("logistic", 1e-3, (0.1, 0.5, 0.5), (0.0, 1.0)),
+     "unknown sigmoid 'logistic'"),
+    (integrate_blowup, (0.0, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must be positive"),
+    (integrate_blowup, (-1e-3, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must be positive"),
+])
+def test_out_of_range_run_inputs_are_rejected(run, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(builtin("mixed-nf").system, *args)
 
 
 def test_step_below_the_resolution_of_t_is_a_step_floor():
@@ -251,8 +276,9 @@ def test_slide_samples_sit_exactly_on_the_surface(name, x0, t_end):
     checked = 0
     for i in range(1, len(traj)):
         if traj.mode(i) == "sliding" and traj.mode(i - 1) == "sliding":
-            for col in (traj._y[0], traj._fi[0], traj._fo[0]):
-                assert same_bits(col[i], 0.0), (i, col[i])
+            f_in = traj._f_in[i][0] if i in traj._f_in else traj._f[0][i]
+            for v in (traj._y[0][i], f_in, traj._f[0][i]):
+                assert same_bits(v, 0.0), (i, v)
             checked += 1
     assert checked >= 15
 
@@ -650,7 +676,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 def record(traj):
     """Every float of the samples and events, as text (NaN and -0.0 kept)."""
-    return repr((traj.times, traj.columns, traj._fi, traj._fo, traj.lams,
+    return repr((traj.times, traj.columns, traj._f, traj._f_in, traj.lams,
                  traj._modes, traj.events))
 
 

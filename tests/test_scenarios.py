@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -129,6 +130,27 @@ def test_bad_sim_options_are_located():
     with pytest.raises(ConfigError) as err:
         load_config({**base, "sim": {"dt": 0.1}})
     assert err.value.pointer == "/sim/dt"
+
+
+_PARAMS = {"a1": 1, "a2": 1, "b1": 0, "b2": 0, "alpha": 0.1}
+
+
+@pytest.mark.parametrize("doc, message, pointer", [
+    ({"f_plus": ["0", "0"], "f_minus": ["0", "0", "0"]},
+     "f_plus must be a list of three expression strings", "/f_plus"),
+    ({"params": {**_PARAMS, "b1": "1"}}, "b1 must be a number", "/params/b1"),
+    ([_PARAMS], "top-level document must be an object", "/"),
+    ({"name": 3, "params": _PARAMS}, "name must be a string", "/name"),
+    ({"params": [1, 1, 0, 0, 0.1]}, "params must be an object", "/params"),
+    ({"params": {k: v for k, v in _PARAMS.items() if k != "alpha"}},
+     "params is missing alpha", "/params/alpha"),
+    ({"params": {**_PARAMS, "a2": 0}}, "a1 and a2 must be +-1", "/params/a1"),
+    ({"params": _PARAMS, "sim": [1e-3, 10]}, "sim must be an object", "/sim"),
+])
+def test_each_config_error_names_its_member(doc, message, pointer):
+    with pytest.raises(ConfigError) as err:
+        load_config(io.StringIO(json.dumps(doc)))
+    assert (str(err.value), err.value.pointer) == (f"{message} (at {pointer})", pointer)
 
 
 def test_round_trip_is_exact(tmp_path):

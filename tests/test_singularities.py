@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.singularities import (AlphaZeroError, BoundarySingularityError,
                                    _slow_flow_type, classify_two_fold,
-                                   folded_singularities, folded_types,
-                                   singularity_lambdas, sweep_grid)
+                                   folded_singularities, singularity_lambdas,
+                                   sweep_grid)
 from twofold.sliding import surface_quadratic
 
 SQ2 = math.sqrt(2.0)
@@ -336,6 +336,12 @@ _ALPHAS = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infin
                     st.sampled_from((0.0, -0.0, 1e-10, 1e-9, -1e-9, 1.0000001e-9, 1e308)))
 
 
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_sweep_axis_must_be_finite(bad):
+    with pytest.raises(ValueError, match="the sweep axis must be finite"):
+        sweep_grid(1, 1, 0.2, [0.0, bad, 1.0])
+
+
 def _outcome(fn, p):
     try:
         return fn(p)
@@ -346,7 +352,7 @@ def _outcome(fn, p):
 def _sweep_cell(a1, a2, b1, b2, alpha):
     p = TwoFoldParams(a1, a2, b1, b2, alpha)
     try:
-        return classify_two_fold(p), folded_types(p)
+        return classify_two_fold(p), [s.folded_type for s in folded_singularities(p)]
     except AlphaZeroError:
         return classify_two_fold(p), []
 
@@ -357,13 +363,9 @@ def _sweep_cell(a1, a2, b1, b2, alpha):
 @example(1, 1, 3.0, 1e15, 2.0)
 @example(-1, 1, -4.0, -1.0, -1e-9)
 def test_folded_types_match_the_full_records(a1, a2, b1, b2, alpha):
-    p = TwoFoldParams(a1, a2, b1, b2, alpha)
-    records = _outcome(folded_singularities, p)
-    if isinstance(records, list):
-        records = [s.folded_type for s in records]
-    assert _outcome(folded_types, p) == records
-    # every cell of a sweep over (b1, b2) is the per-point analysis, and the
-    # sweep raises the first cell's BoundarySingularityError
+    # every cell of a sweep over (b1, b2) is the per-point analysis, its
+    # types those of the full records, and the sweep raises the first
+    # cell's BoundarySingularityError
     axis = [b1, b2]
     try:
         cells = [[_sweep_cell(a1, a2, u, v, alpha) for v in axis] for u in axis]

@@ -54,6 +54,12 @@ def test_curve_samples_alpha_zero_segment():
     assert c.points[0][0] == -1.0 and c.points[-1][0] == 1.0
 
 
+def test_curve_needs_two_samples():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.2), n)
+
+
 def test_curve_closed_form_points():
     c = curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.2), 3)
     mid = c.points[1]

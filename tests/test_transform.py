@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -301,6 +302,17 @@ def test_residual_rejects_h_outside_domain():
     ctx = make_ctx(alpha=0.05, eps=0.5)
     with pytest.raises(TransformDomainError):
         equivalence_residual(ctx, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: TransformContext(ctx.params, dataclasses.replace(
+        ctx.singularity, lambda_s=-1.0 + 1e-10), 1e-3), "transform requires lam_s away from -1"),
+    (lambda ctx: equivalence_residual(ctx, 0.0), "h must be positive"),
+    (lambda ctx: equivalence_residual(ctx, -1e-3), "h must be positive"),
+])
+def test_boundary_singularity_and_radius_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_ctx())
 
 
 def test_context_validation():

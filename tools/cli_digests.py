@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 179 calls of `twofold.cli.main` in this process, each in its own
+Runs 186 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -33,7 +33,10 @@ starts where the plus field grazes, the minus field grazes and both do (the
 two-fold), six Filippov runs of alpha = 0 normal forms, whose slides hold
 the linear root of f1's lam-quadratic, and three calls that read an
 expression config: a Filippov run and a slide map of one, and a config
-whose 500-term sum nests too deep to load (exit 2).  It takes about a
+whose 500-term sum nests too deep to load (exit 2), then four trajectory
+plots, one per other --view, a classify at alpha = -0.0, and two params
+configs whose sim block sets epsilon and t_end: a smoothed run and a t_end
+of 0 (exit 2).  It takes about a
 minute in all on one core of a 2-vCPU Xeon, Python 3.11, most of it
 (40-50 s) the step-floor run of the perturbed example-i start.
 """
@@ -157,6 +160,11 @@ EXPRESSION_CONFIG = json.dumps({
     "sim": {"t_end": 50.0, "x0": [0.1, 0.5, 0.5]}})
 DEEP_CONFIG = json.dumps({"f_plus": ["+".join(["x1"] * 500), "1", "1"],
                           "f_minus": ["x3", "1", "-1"]})
+# params configs whose sim block sets epsilon and t_end; the second t_end is
+# not positive (exit 2)
+MIXED_PARAMS = {"a1": -1, "a2": 1, "b1": -4.0, "b2": -1.0, "alpha": 0.2}
+SIM_CONFIG = json.dumps({"params": MIXED_PARAMS, "sim": {"epsilon": 1e-2, "t_end": 5}})
+ZERO_T_END_CONFIG = json.dumps({"params": MIXED_PARAMS, "sim": {"t_end": 0}})
 # (files written into the call's directory first, argv)
 CONFIG_CALLS = (
     ({"cfg.json": EXPRESSION_CONFIG},
@@ -165,6 +173,8 @@ CONFIG_CALLS = (
      ("slide-map", "--config", "cfg.json", "--out", "map.csv", "--plot", "map.svg")),
     ({"deep.json": DEEP_CONFIG},
      ("simulate", "--config", "deep.json", "--mode", "filippov")),
+    ({"sim.json": SIM_CONFIG}, ("simulate", "--config", "sim.json", *RUN_OUT)),
+    ({"sim.json": ZERO_T_END_CONFIG}, ("simulate", "--config", "sim.json")),
 )
 
 
@@ -236,6 +246,12 @@ def calls() -> list[tuple[str, ...]]:
             out.append(("simulate", "--a1", a1, "--a2", a2, f"--b1={b1}", f"--b2={b2}",
                         "--alpha=0", "--mode", "filippov", "--t-end", "10",
                         f"--x0={x0}", *RUN_OUT))
+    # the trajectory plot in every view but the default u3
+    for view in ("u2", "x1", "x2", "x3"):
+        out.append(("simulate", "--scenario", "example-ii", "--mode", "filippov",
+                    "--t-end", "100", "--plot", "run.svg", "--view", view))
+    out.append(("classify", "--a1", "1", "--a2", "1", "--b1=-2", "--b2=-2",
+                "--alpha=-0.0", "--out", "report.json"))
     return out
 
 
