@@ -19,9 +19,8 @@ from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
 from .singularities import (AlphaZeroError, BoundarySingularityError,
                             FoldedSingularity, TwoFoldFlavor, classify_two_fold,
                             folded_singularities)
-from .sliding import (CurveL, DegeneracyReport, SlidingSolution, curve_L,
-                      degeneracy_report, region_classify, sliding_lambda,
-                      sliding_roots)
+from .sliding import (CurveL, SlidingSolution, curve_L, region_classify,
+                      sliding_lambda)
 from .transform import (TransformContext, TransformDomainError,
                         curve_functions, equivalence_residual,
                         folded_normal_field, from_x_tilde, from_y,

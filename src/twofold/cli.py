@@ -9,13 +9,13 @@ artifacts.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
 
 from . import __version__
 from .fields import TwoFoldParams, normal_form_system
@@ -26,13 +26,14 @@ from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
                         load_config, scenario_to_config, save_run)
 from .singularities import (ALPHA_FLOOR, AlphaZeroError, BoundarySingularityError,
                             classify_two_fold, folded_singularities, sweep_grid)
-from .sliding import curve_L, degeneracy_report, surface_grid
-from .svg import VIEWS, render_region_map, render_trajectory
+from .sliding import curve_L, surface_grid
+from .svg import VIEWS, artifact, render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
-# failures of the numerics behind a command, each an exit 3
+# failures of the numerics behind a command, each an exit 3 (OverflowError:
+# float ** in a compiled kernel raises it where other operations give inf)
 _NUMERICAL_ERRORS = (BoundarySingularityError, NonconvergentEventError,
-                     TransformDomainError)
+                     TransformDomainError, OverflowError)
 
 # why a run stopped early, by its meta['aborted']
 _ABORT_REASONS = {STEP_FLOOR: "integration hit the step floor",
@@ -171,17 +172,17 @@ def _cmd_classify(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
     p = _need_params(sc, parser)
     flavor = classify_two_fold(p)
-    deg = degeneracy_report(p)
     try:
         report = _singularity_report(p, folded_singularities(p))
     except AlphaZeroError:
         report = _singularity_report(p, [])
         report["note"] = ("alpha is zero: the layer problem is degenerate and no "
-                          "folded singularities are defined" if deg.is_degenerate else
+                          "folded singularities are defined" if p.alpha == 0.0 else
                           f"|alpha| <= {ALPHA_FLOOR!r}: the layer problem is too close "
                           "to degenerate and no folded singularities are computed")
+    # d2f1/dlam2 = -2 alpha along the fold curve: degenerate iff alpha = 0
     report.update(flavor=flavor.tag, determinacy_breaking=flavor.determinacy_breaking,
-                  degenerate_layer=deg.is_degenerate, d2f1_dlambda2=deg.d2f1_dlambda2)
+                  degenerate_layer=p.alpha == 0.0, d2f1_dlambda2=-2.0 * p.alpha)
     return _emit(report, args, args.out)
 
 
@@ -202,23 +203,31 @@ def _cmd_slide_map(args, parser) -> int:
         parser.error("--curve-out needs a normal-form system")
     # x2 and x3 run over the same axis
     axis = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    regions, roots = surface_grid(sc.system, axis)
-    if args.out:
-        text = [repr(v) for v in axis]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("x2,x3,region,n_roots,lambda_1,lambda_2\n")
-            for t2, region_row, roots_row in zip(text, regions, roots):
-                for t3, region, lams in zip(text, region_row, roots_row):
-                    l1 = repr(lams[0]) if len(lams) > 0 else ""
-                    l2 = repr(lams[1]) if len(lams) > 1 else ""
-                    fh.write(f"{t2},{t3},{region},{len(lams)},{l1},{l2}\n")
+    text = [repr(v) for v in axis]
+    counts = Counter()
+
+    def regions(fh):
+        # each row is counted, and its CSV lines written, before it is drawn
+        for t2, (region_row, roots_row) in zip(text, surface_grid(sc.system, axis)):
+            counts.update(region_row)
+            if fh:
+                fh.write("".join(
+                    f"{t2},{t3},{region},{len(lams)},{repr(lams[0]) if lams else ''},"
+                    f"{repr(lams[1]) if len(lams) > 1 else ''}\n"
+                    for t3, region, lams in zip(text, region_row, roots_row)))
+            yield region_row
+
     curve = (curve_L(sc.params, 201)
              if sc.params is not None and (args.curve_out or args.plot) else None)
+    with artifact(args.out) if args.out else contextlib.nullcontext() as fh:
+        if fh:
+            fh.write("x2,x3,region,n_roots,lambda_1,lambda_2\n")
+        rows = regions(fh)
+        if args.plot:
+            render_region_map((axis, axis, rows), curve, args.plot)
+        deque(rows, maxlen=0)   # every row the plot did not take, all without a plot
     if args.curve_out:
         curve.to_csv(args.curve_out)
-    if args.plot:
-        render_region_map((axis, axis, regions), curve, args.plot)
-    counts = Counter(itertools.chain.from_iterable(regions))
     return _emit({"grid": n, "range": [lo, hi], "region_counts": counts}, args)
 
 
@@ -304,17 +313,19 @@ def _cmd_sweep(args, parser) -> int:
         parser.error("the sweep grid's last b value overflows; narrow --b-range")
     # b1 and b2 run over the same axis, b1 in the outer loop
     axis = [lo + i * step for i in range(n)]
-    grid = sweep_grid(args.a1, args.a2, args.alpha, axis)
-    if args.out:
-        text = [repr(b) for b in axis]
-        with open(args.out, "w", encoding="utf-8") as fh:
+    rows = sweep_grid(args.a1, args.a2, args.alpha, axis)
+    text = [repr(b) for b in axis]
+    summary = Counter()
+    with artifact(args.out) if args.out else contextlib.nullcontext() as fh:
+        if fh:
             fh.write("b1,b2,flavor,determinacy_breaking,count,types\n")
-            for t1, row in zip(text, grid):
-                for t2, (flavor, kinds) in zip(text, row):
-                    fh.write(f"{t1},{t2},{flavor.tag},{str(flavor.determinacy_breaking).lower()},"
-                             f"{len(kinds)},{'+'.join(kinds)}\n")
-    summary = Counter(f"{flavor.tag}:{len(kinds)}"
-                      for flavor, kinds in itertools.chain.from_iterable(grid))
+        for t1, row in zip(text, rows):
+            summary.update(f"{flavor.tag}:{len(kinds)}" for flavor, kinds in row)
+            if fh:
+                fh.write("".join(
+                    f"{t1},{t2},{flavor.tag},{str(flavor.determinacy_breaking).lower()},"
+                    f"{len(kinds)},{'+'.join(kinds)}\n"
+                    for t2, (flavor, kinds) in zip(text, row)))
     return _emit({"a1": args.a1, "a2": args.a2, "alpha": args.alpha,
                   "cells": n * n, "flavor_count_histogram": summary}, args)
 

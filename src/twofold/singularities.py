@@ -249,19 +249,19 @@ def _types(a1: int, a2: int, b1: float, b2: float, alpha: float) -> list[str]:
     return types
 
 
-def sweep_grid(a1: int, a2: int, alpha: float, axis) -> list[list]:
+def sweep_grid(a1: int, a2: int, alpha: float, axis):
     """(flavour, folded types) of every cell of the (b1, b2) grid with both
-    drifts running over `axis`: grid[i][j] belongs to (b1, b2) = (axis[i],
-    axis[j]) and holds classify_two_fold(p) and the types of
-    folded_singularities(p) for its params p, none where |alpha| is at the
-    floor.  a1, a2, alpha and the axis are checked once, as TwoFoldParams
-    checks them; a BoundarySingularityError propagates."""
+    drifts running over `axis`, yielded one b1 row at a time: row i, cell j
+    belongs to (b1, b2) = (axis[i], axis[j]) and holds classify_two_fold(p)
+    and the types of folded_singularities(p) for its params p, none where
+    |alpha| is at the floor.  a1, a2, alpha and the axis are checked at the
+    call, as TwoFoldParams checks them; a BoundarySingularityError propagates."""
     if not all(map(math.isfinite, axis)):
         raise ValueError("the sweep axis must be finite")
     TwoFoldParams(a1, a2, 0.0, 0.0, alpha)
     try:
         _check_alpha(alpha)
     except AlphaZeroError:
-        return [[(_flavor(a1, a2, b1, b2), []) for b2 in axis] for b1 in axis]
-    return [[(_flavor(a1, a2, b1, b2), _types(a1, a2, b1, b2, alpha)) for b2 in axis]
-            for b1 in axis]
+        return ([(_flavor(a1, a2, b1, b2), []) for b2 in axis] for b1 in axis)
+    return ([(_flavor(a1, a2, b1, b2), _types(a1, a2, b1, b2, alpha)) for b2 in axis]
+            for b1 in axis)

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, citardauq, quadratic_roots
 
 __all__ = [
-    "SlidingSolution", "CurveL", "DegeneracyReport",
-    "surface_quadratic", "branch_root",
-    "roots_of_sides", "sliding_roots", "sliding_lambda",
+    "SlidingSolution", "CurveL", "surface_quadratic", "branch_root",
+    "roots_of_sides", "sliding_lambda", "curve_L",
     "side_values", "region_of_sides", "region_classify", "surface_grid",
-    "curve_L", "degeneracy_report",
     "RESIDUAL_TOL", "CLASSIFY_TOL",
 ]
 
@@ -60,13 +58,6 @@ class CurveL:
             fh.write("lambda,x2,x3,tx_lambda,tx_x2,tx_x3\n")
             for (l, x2, x3), (t1, t2, t3) in zip(self.points, self.tangents):
                 fh.write(f"{l!r},{x2!r},{x3!r},{t1!r},{t2!r},{t3!r}\n")
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    is_degenerate: bool
-    d2f1_dlambda2: float          # constant along the curve: -2 alpha
-    alpha: float
 
 
 def surface_quadratic(fp1: float, fm1: float, g1: float) -> tuple[float, float, float]:
@@ -122,14 +113,9 @@ def roots_of_sides(fp1: float, fm1: float, g1: float,
     return roots
 
 
-def sliding_roots(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[tuple[float, bool]]:
-    """`roots_of_sides` at the surface point (0, x2, x3) of `sys`."""
-    return roots_of_sides(*sys.f1_sides(x2, x3), x2, x3)
-
-
 def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
-    """The roots of `sliding_roots`, each with its slide vector and the
-    stability of its layer equilibrium."""
+    """The roots of `roots_of_sides` at (0, x2, x3) of `sys`, each with its
+    slide vector and the stability of its layer equilibrium."""
     sides = sys.f1_sides(x2, x3)
     a, b, _ = surface_quadratic(*sides)
     sols = []
@@ -170,23 +156,20 @@ def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
     return region_of_sides(*side_values(*sys.f1_sides(x2, x3)))
 
 
-def surface_grid(sys: PiecewiseSmoothSystem, axis) -> tuple[list, list]:
+def surface_grid(sys: PiecewiseSmoothSystem, axis):
     """Region and sliding lambdas of every cell of the surface grid with x2
-    and x3 both running over `axis`: regions[i][j] and roots[i][j] belong to
-    (x2, x3) = (axis[i], axis[j]).  Each cell evaluates the three first
-    components once and gives them to `roots_of_sides`, and their side
-    values to `region_of_sides`."""
+    and x3 both running over `axis`, yielded as (regions, roots) one x2 row
+    at a time: row i, entry j belongs to (x2, x3) = (axis[i], axis[j]).  Each
+    cell evaluates the three first components once and gives them to
+    `roots_of_sides`, and their side values to `region_of_sides`."""
     sides = sys.f1_sides
-    regions, roots = [], []
     for x2 in axis:
         region_row, roots_row = [], []
         for x3 in axis:
             fp1, fm1, g1 = sides(x2, x3)
             region_row.append(region_of_sides(*side_values(fp1, fm1, g1)))
             roots_row.append([lam for lam, _ in roots_of_sides(fp1, fm1, g1, x2, x3)])
-        regions.append(region_row)
-        roots.append(roots_row)
-    return regions, roots
+        yield region_row, roots_row
 
 
 def curve_L(p: TwoFoldParams, n: int) -> CurveL:
@@ -205,15 +188,3 @@ def curve_L(p: TwoFoldParams, n: int) -> CurveL:
         pts.append((lam, a * (lam - 1.0) ** 2, -a * (lam + 1.0) ** 2))
         tans.append((1.0, 2.0 * a * (lam - 1.0), -2.0 * a * (lam + 1.0)))
     return CurveL(tuple(pts), tuple(tans))
-
-
-def degeneracy_report(p: TwoFoldParams) -> DegeneracyReport:
-    """Second lam-derivative of f1 along the non-hyperbolic curve.
-
-    It equals -2 alpha everywhere, so the layer problem is degenerate exactly
-    when alpha = 0: then f1 vanishes identically in lam at the two-fold and
-    every higher lam-derivative is zero as well.
-    """
-    return DegeneracyReport(is_degenerate=(p.alpha == 0.0),
-                            d2f1_dlambda2=-2.0 * p.alpha,
-                            alpha=p.alpha)

@@ -8,6 +8,11 @@ u2 = x2 + x3 horizontal, which untangles curves organized around the two-fold.
 
 from __future__ import annotations
 
+import contextlib
+import operator
+import os
+from itertools import chain, islice, starmap
+
 WIDTH = 800
 HEIGHT = 600
 MARGIN = 50
@@ -33,13 +38,13 @@ _REGION_COLORS = {
 
 
 def _project(columns, view: str):
-    """Orthographic screen columns (horizontal, vertical) of the 3D points
-    whose coordinates are the three `columns`."""
+    """Orthographic screen columns (horizontal, vertical), computed as they
+    are read, of the 3D points whose coordinates are the three `columns`."""
     a, b, c = columns
     if view == "u3":        # look along x2 - x3
-        return [p + q for p, q in zip(b, c)], a
+        return map(operator.add, b, c), a
     if view == "u2":        # look along x2 + x3
-        return [p - q for p, q in zip(b, c)], a
+        return map(operator.sub, b, c), a
     if view == "x1":
         return b, c
     if view == "x2":
@@ -78,18 +83,17 @@ class _Canvas:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
 
 
-def _downsample(xs, ys, cap=6000):
-    """The points (x, y) at every stride-th index, at most `cap` of them,
-    and the last point where it differs from the last one kept."""
-    n = len(xs)
-    if n <= cap:
-        return list(zip(xs, ys))
+def _downsample(columns, view, cap=6000):
+    """Iterator over the projected points (x, y) at every stride-th index, at
+    most `cap` of them, and the last point where it differs from the last kept."""
+    n = len(columns[0])
     stride = (n + cap - 1) // cap
-    out = list(zip(xs[::stride], ys[::stride]))
-    k = (n - 1) // stride * stride
-    if xs[k] != xs[-1] or ys[k] != ys[-1]:
-        out.append((xs[-1], ys[-1]))
-    return out
+    kept = zip(*_project([islice(col, 0, None, stride) for col in columns], view))
+    (xk, yk), (xn, yn) = (next(zip(*_project([(col[i],) for col in columns], view)))
+                          for i in ((n - 1) // stride * stride, n - 1))
+    if n > cap and (xk != xn or yk != yn):
+        return chain(kept, ((xn, yn),))
+    return kept
 
 
 def _header(parts):
@@ -109,18 +113,29 @@ def _axes(parts, canvas):
                      f'y2="{_fmt(y0)}" stroke="#cccccc" stroke-width="1"/>')
 
 
-def _polyline(parts, canvas, points, color, width):
-    coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                      for sx, sy in (canvas.to_screen(x, y) for x, y in points))
-    parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                 f'stroke-width="{width}"/>')
+def _polyline(fh, canvas, points, color, width, chunk=256):
+    """Write the polyline through `points`, two or more (x, y) pairs,
+    formatting `chunk` of them at a time."""
+    coords = (f"{sx:.6g},{sy:.6g}" for sx, sy in starmap(canvas.to_screen, points))
+    fh.write(f'<polyline points="{next(coords)}')
+    # a point never formats to "", so an empty chunk is the end
+    while text := " ".join(islice(coords, chunk)):
+        fh.write(f" {text}")
+    fh.write(f'" fill="none" stroke="{color}" stroke-width="{width}"/>\n')
 
 
-def _write(parts, path):
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+@contextlib.contextmanager
+def artifact(path):
+    """`path` open for writing text; a block that raises removes the file (a
+    regular one), so output streamed to it and cut short leaves no artifact."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def render_trajectory(traj, path, view: str = "u3") -> None:
@@ -128,34 +143,35 @@ def render_trajectory(traj, path, view: str = "u3") -> None:
     every sample and event, and a run of one sample is drawn as a dot."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    x1s, x2s, x3s = traj.columns
+    columns = traj.columns
     if traj.meta.get("space") == "layer":
         # layer runs live in (lam, x2, x3); draw lam on the vertical axis
-        x1s = traj.lams
-    xs, ys = _project((x1s, x2s, x3s), view)
+        columns = (traj.lams, *columns[1:])
     states = [e.state for e in traj.events]
-    ev_xs, ev_ys = _project([[s[i] for s in states] for i in range(3)], view)
-    canvas = _Canvas([*xs, *ev_xs], [*ys, *ev_ys])
+    events = [list(v) for v in _project([[s[i] for s in states] for i in range(3)], view)]
+    # each axis's [min, max] over the samples, then the events, in that order
+    canvas = _Canvas(*([f(chain(_project(columns, view)[k], events[k])) for f in (min, max)]
+                       for k in (0, 1)))
 
     parts: list[str] = []
     _header(parts)
     _axes(parts, canvas)
     color = "#1f77b4"
-    points = _downsample(xs, ys)
-    if len(points) == 1:
-        sx, sy = canvas.to_screen(*points[0])
-        parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>')
-    else:
-        _polyline(parts, canvas, points, color, "1")
-    for e, x, y in zip(traj.events, ev_xs, ev_ys):
-        sx, sy = canvas.to_screen(x, y)
-        parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" '
+    with artifact(path) as fh:
+        fh.writelines(f"{part}\n" for part in parts)
+        if len(traj) == 1:
+            sx, sy = canvas.to_screen(*next(_downsample(columns, view)))
+            fh.write(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>\n')
+        else:
+            _polyline(fh, canvas, _downsample(columns, view), color, "1")
+        for e, x, y in zip(traj.events, *events):
+            sx, sy = canvas.to_screen(x, y)
+            fh.write(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" '
                      f'fill="{_EVENT_COLORS.get(e.kind, "#000000")}">'
-                     f'<title>{e.kind}</title></circle>')
-    parts.append(f'<text x="{MARGIN}" y="20" font-family="monospace" font-size="12" '
+                     f'<title>{e.kind}</title></circle>\n')
+        fh.write(f'<text x="{MARGIN}" y="20" font-family="monospace" font-size="12" '
                  f'fill="#333333">view={view} samples={len(traj)} '
-                 f'kind={traj.meta.get("kind", "?")}</text>')
-    _write(parts, path)
+                 f'kind={traj.meta.get("kind", "?")}</text>\n</svg>\n')
 
 
 def _min_gap(values) -> float:
@@ -168,32 +184,35 @@ def render_region_map(grid, curve, path) -> None:
     """Surface map: colored (x2, x3) region cells plus the fold curve
     projected into the surface (its x2, x3 components).
 
-    `grid` is (xs, ys, regions) with regions[i][j] the region of the cell at
-    (xs[i], ys[j]).
+    `grid` is (xs, ys, regions): regions yields one row per x, written as it
+    arrives, its j-th entry the region of the cell at (xs[i], ys[j]).
     """
     xs, ys, regions = grid
     if not xs or not ys:
         raise ValueError("empty region map")
     canvas = _Canvas(xs, ys)
     step_x, step_y = _min_gap(xs), _min_gap(ys)
-    parts: list[str] = []
-    _header(parts)
+    head: list[str] = []
+    axes: list[str] = []
+    _header(head)
+    _axes(axes, canvas)
     w = step_x * canvas.sx
     h = step_y * canvas.sy
     # each column's x and each row's y is formatted once, by grid position
     x_text = [_fmt(canvas.to_screen(x, 0.0)[0] - w / 2) for x in xs]
     y_text = [_fmt(canvas.to_screen(0.0, y)[1] - h / 2) for y in ys]
     size = f'width="{_fmt(w)}" height="{_fmt(h)}"'
-    for x, row in zip(x_text, regions):
-        for y, region in zip(y_text, row):
-            color = _REGION_COLORS.get(region, "#ffffff")
-            parts.append(f'<rect x="{x}" y="{y}" {size} fill="{color}"/>')
-    _axes(parts, canvas)
-    if curve is not None:
-        pts = [(x2, x3) for _, x2, x3 in curve.points if canvas.contains(x2, x3)]
-        if len(pts) > 1:
-            _polyline(parts, canvas, pts, "#000000", "1.5")
-    parts.append('<text x="50" y="20" font-family="monospace" font-size="12" '
+    with artifact(path) as fh:
+        fh.writelines(f"{part}\n" for part in head)
+        for x, row in zip(x_text, regions):
+            fh.write("".join(f'<rect x="{x}" y="{y}" {size} '
+                             f'fill="{_REGION_COLORS.get(region, "#ffffff")}"/>\n'
+                             for y, region in zip(y_text, row)))
+        fh.writelines(f"{part}\n" for part in axes)
+        if curve is not None:
+            pts = [(x2, x3) for _, x2, x3 in curve.points if canvas.contains(x2, x3)]
+            if len(pts) > 1:
+                _polyline(fh, canvas, pts, "#000000", "1.5")
+        fh.write('<text x="50" y="20" font-family="monospace" font-size="12" '
                  'fill="#333333">switching-surface region map (x2 horizontal, '
-                 'x3 vertical)</text>')
-    _write(parts, path)
+                 'x3 vertical)</text>\n</svg>\n')

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -495,8 +496,12 @@ LAM_S_AT_MINUS_ONE = ("--a1", "1", "--a2", "1", "--b1=3", "--b2=1e15", "--alpha=
      "--b2=1.4318425678468844e+16", "--alpha=0.2"),
     ("sweep", "--a1", "1", "--a2", "1", "--alpha=2", "--b-range=-1e16,1e16",
      "--b-step=1e14"),
+    # here it is met in the third row, after two rows of the CSV went out
+    ("sweep", "--a1", "-1", "--a2", "-1", "--alpha=2", "--b-range=0,4e9",
+     "--b-step=1e9"),
 ], ids=["classify", "singularity", "transform-check", "transform-check-zero-residual",
-        "classify-lam-s", "singularity-lam-s", "transform-check-lam-s", "sweep-lam-s"])
+        "classify-lam-s", "singularity-lam-s", "transform-check-lam-s", "sweep-lam-s",
+        "sweep-lam-s-third-row"])
 def test_report_without_finite_numbers_is_numerical_failure(argv, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main([*argv, "--out", str(report)])
@@ -525,6 +530,31 @@ def test_blowup_nonconvergent_boundary_exit_is_numerical_failure(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
+
+
+# float ** in a compiled kernel raises OverflowError where + and * give inf
+X2_CUBED = {"f_plus": ["x2^3", "1", "0"], "f_minus": ["1", "x3", "0"]}
+
+
+@pytest.mark.parametrize("fields, argv", [
+    (X2_CUBED, ("slide-map", "--grid", "3", "--range=-1e200,1e200",
+                "--out", "map.csv", "--plot", "map.svg")),
+    # the row x2 = 0 is written before the row x2 = 5e199 overflows
+    (X2_CUBED, ("slide-map", "--grid", "3", "--range=0,1e200",
+                "--out", "map.csv", "--plot", "map.svg")),
+    # x2' = x2^2 from x2 = 1 blows up at t = 1
+    ({"f_plus": ["-1", "x2^2", "0"], "f_minus": ["1", "x3", "0"]},
+     ("simulate", "--mode", "filippov", "--x0=1,1,0", "--t-end", "2")),
+], ids=["slide-map-first-row", "slide-map-second-row", "simulate"])
+def test_kernel_overflow_is_numerical_failure(fields, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(fields))
+    code = main([argv[0], "--config", "cfg.json", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
+    # a grid cut short leaves none of the artifacts it was streaming
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_step_that_leaves_t_unchanged_is_step_floor(capsys):
@@ -798,6 +828,44 @@ def test_plot_matches_the_point_by_point_oracle(tmp_path, view, plot_runs):
         render_trajectory(traj, tmp_path / "new.svg", view=view)
         oracle_render_trajectory(traj, tmp_path / "old.svg", view)
         assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes(), name
+
+
+# ------------------------------------------------------------ memory bounds
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # 501 x 501 cells, the most either command admits; holding every cell
+    # before writing any peaked at 100 MB (slide map) and 34-38 MB (sweep)
+    (("slide-map", "--scenario", "example-ii", "--grid", "501", "--range=-2,2",
+      "--out", "map.csv", "--plot", "map.svg"), 2e6),
+    (("sweep", "--a1", "1", "--a2", "-1", "--alpha", "0.2", "--b-range=-25,25",
+      "--b-step", "0.1", "--out", "sweep.csv"), 1e6),
+], ids=["slide-map", "sweep"])
+def test_grid_commands_hold_one_row_at_a_time(argv, bound, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(list(argv))))
+    assert codes == [0] and peak < bound
+    with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 501 * 501
+
+
+def test_plot_holds_a_chunk_of_samples(tmp_path, plot_runs):
+    traj = plot_runs["long"]
+    columns = (traj.times, *traj.columns, traj.lams)
+    own = sum(len(col) * col.itemsize for col in columns)
+    peak = traced_peak(lambda: render_trajectory(traj, tmp_path / "run.svg"))
+    # projected lists of every sample peaked near three times these columns
+    assert peak < own / 3
 
 
 def test_plot_example_box_contains_origin(tmp_path):

@@ -371,4 +371,4 @@ def test_folded_types_match_the_full_records(a1, a2, b1, b2, alpha):
         cells = [[_sweep_cell(a1, a2, u, v, alpha) for v in axis] for u in axis]
     except BoundarySingularityError as exc:
         cells = (BoundarySingularityError, exc.args)
-    assert _outcome(lambda axis: sweep_grid(a1, a2, alpha, axis), axis) == cells
+    assert _outcome(lambda axis: list(sweep_grid(a1, a2, alpha, axis)), axis) == cells

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twofold.cli import main
 from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, normal_form_system,
                             parse_field, quadratic_roots)
 from twofold.scenarios import builtin
-from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, curve_L, degeneracy_report,
-                             region_classify, sliding_lambda, sliding_roots, surface_grid,
+from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, curve_L, region_classify,
+                             roots_of_sides, sliding_lambda, surface_grid,
                              surface_quadratic)
 
 
@@ -92,19 +94,26 @@ def test_curve_csv_export(tmp_path):
     assert row == pytest.approx([0.0, 0.2, -0.2, 1.0, -0.4, -0.4])
 
 
-def test_degeneracy_report_values():
-    r0 = degeneracy_report(TwoFoldParams(1, 1, -2.0, -2.0, 0.0))
-    assert r0.is_degenerate and r0.d2f1_dlambda2 == 0.0
+def classify_report(capsys, p: TwoFoldParams) -> dict:
+    """The JSON report of `twofold classify` on the normal form `p`."""
+    assert main(["classify", f"--a1={p.a1}", f"--a2={p.a2}", f"--b1={p.b1!r}",
+                 f"--b2={p.b2!r}", f"--alpha={p.alpha!r}"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_degeneracy_report_values(capsys):
+    r0 = classify_report(capsys, TwoFoldParams(1, 1, -2.0, -2.0, 0.0))
+    assert r0["degenerate_layer"] and r0["d2f1_dlambda2"] == 0.0
     # alpha = 0: f1 vanishes identically in lam at the two-fold point
     sys0 = nf(1, 1, -2.0, -2.0, 0.0)
     for lam in np.linspace(-1, 1, 101):
         assert sys0.f1_surface(0.0, 0.0, lam) == 0.0
 
-    r1 = degeneracy_report(TwoFoldParams(1, 1, 0.0, 0.0, 0.2))
-    assert not r1.is_degenerate
-    assert r1.d2f1_dlambda2 == pytest.approx(-0.4, abs=1e-15)
-    r2 = degeneracy_report(TwoFoldParams(1, 1, 0.0, 0.0, -0.3))
-    assert r2.d2f1_dlambda2 == pytest.approx(0.6, abs=1e-15)
+    r1 = classify_report(capsys, TwoFoldParams(1, 1, 0.0, 0.0, 0.2))
+    assert not r1["degenerate_layer"]
+    assert r1["d2f1_dlambda2"] == pytest.approx(-0.4, abs=1e-15)
+    r2 = classify_report(capsys, TwoFoldParams(1, 1, 0.0, 0.0, -0.3))
+    assert r2["d2f1_dlambda2"] == pytest.approx(0.6, abs=1e-15)
 
 
 # ---------------------------------------------------------------- properties
@@ -235,7 +244,7 @@ def test_attracting_region_has_single_attracting_root():
         checked += 1
 
 
-def test_degeneracy_dichotomy_along_curve():
+def test_degeneracy_dichotomy_along_curve(capsys):
     # max |d2 f1/d lam2| along the fold curve equals exactly 2 |alpha|
     for alpha in (0.0, 0.05, -0.2, 1.0):
         p = TwoFoldParams(1, 1, 0.3, -0.7, alpha)
@@ -247,7 +256,7 @@ def test_degeneracy_dichotomy_along_curve():
                   + sys.f1_surface(x2, x3, lam - h)) / h ** 2
             worst = max(worst, abs(d2))
         assert worst == pytest.approx(2 * abs(alpha), abs=1e-6)
-        assert degeneracy_report(p).d2f1_dlambda2 == -2 * alpha
+        assert classify_report(capsys, p)["d2f1_dlambda2"] == -2 * alpha
 
 
 def test_double_root_on_fold_curve_reported_once_with_flag():
@@ -335,10 +344,11 @@ def _axes(draw):
 @settings(max_examples=300, deadline=None)
 @given(_SYSTEMS, _axes())
 def test_surface_grid_matches_per_cell_layer_evaluation(sys, axis):
-    regions, roots = surface_grid(sys, axis)
-    for x2, region_row, roots_row in zip(axis, regions, roots):
+    rows = list(surface_grid(sys, axis))
+    assert len(rows) == len(axis)
+    for x2, (region_row, roots_row) in zip(axis, rows):
         for x3, region, lams in zip(axis, region_row, roots_row):
             assert region == _layer_region(sys, x2, x3) == region_classify(sys, x2, x3)
             want = _layer_roots(sys, x2, x3)
-            assert repr(sliding_roots(sys, x2, x3)) == repr(want)
+            assert repr(roots_of_sides(*sys.f1_sides(x2, x3), x2, x3)) == repr(want)
             assert repr(lams) == repr([lam for lam, _ in want])

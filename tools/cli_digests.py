@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 186 calls of `twofold.cli.main` in this process, each in its own
+Runs 189 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -20,7 +20,7 @@ The list covers slide maps, Filippov, smoothed and blow-up runs (two of
 them smoothed at eps = 1e-5 over 200 time units), the normal-form reports
 and sweeps, runs that stop early at a step floor,
 `scenario list` plus `scenario show` of every built-in scenario, two
-blow-ups that end in a numerical failure, four reports on a folded
+blow-ups that end in a numerical failure, five reports on a folded
 singularity next to lam = -1 and a run whose step stops advancing t, which
 all exit 3 too, three grid edges: a 2 x 2 slide map, a 7 x 7 one over
 +-1e-300 and a one-cell sweep, the three reports at a nonzero alpha below
@@ -36,7 +36,11 @@ expression config: a Filippov run and a slide map of one, and a config
 whose 500-term sum nests too deep to load (exit 2), then four trajectory
 plots, one per other --view, a classify at alpha = -0.0, and two params
 configs whose sim block sets epsilon and t_end: a smoothed run and a t_end
-of 0 (exit 2).  It takes about a
+of 0 (exit 2), then the two largest grids the CLI admits, a 501 x 501
+slide map and sweep.  The two sweeps next to lam = -1 stream their CSV and
+fail in its first and third row, so their digests also show that no partial
+CSV is left.
+It takes about a
 minute in all on one core of a 2-vCPU Xeon, Python 3.11, most of it
 (40-50 s) the step-floor run of the perturbed example-i start.
 """
@@ -95,14 +99,17 @@ FAILING_BLOWUPS = (
 )
 
 # a folded singularity within 1e-9 of lam = -1, where its constants divide
-# by 1 + lam_s, in each command that builds them
+# by 1 + lam_s, in each command that builds them; the second sweep meets it
+# in its third row
 BOUNDARY_SINGULARITIES = (
     ("classify", "--a1", "1", "--a2", "1", "--b1=3", "--b2=1e15", "--alpha=2"),
     ("singularity", "--a1", "1", "--a2", "1", "--b1=3", "--b2=1e15", "--alpha=2"),
     ("transform-check", "--a1", "1", "--a2", "1", "--b1=-1",
      "--b2=1.4318425678468844e+16", "--alpha=0.2"),
     ("sweep", "--a1", "1", "--a2", "1", "--alpha=2", "--b-range=-1e16,1e16",
-     "--b-step=1e14"),
+     "--b-step=1e14", "--out", "sweep.csv"),
+    ("sweep", "--a1", "-1", "--a2", "-1", "--alpha=2", "--b-range=0,4e9",
+     "--b-step=1e9", "--out", "sweep.csv"),
 )
 # at t = 4.2e88 a step above --min-step no longer advances t: a step floor
 NO_PROGRESS_RUN = (
@@ -139,6 +146,13 @@ SURFACE_GRIDS = (
      "--b-step", "0.1", "--out", "sweep.csv"),
     ("slide-map", "--scenario", "example-i", "--range=-1e200,1e200",
      "--out", "map.csv", "--plot", "map.svg"),
+)
+# the largest grids the CLI admits: a 501 x 501 slide map and sweep
+MAX_GRIDS = (
+    ("slide-map", "--scenario", "example-ii", "--grid", "501", "--range=-2,2",
+     "--out", "map.csv", "--plot", "map.svg"),
+    ("sweep", "--a1", "1", "--a2", "-1", "--alpha", "0.2", "--b-range=-25,25",
+     "--b-step", "0.1", "--out", "sweep.csv"),
 )
 
 # surface starts whose first contact is a plus graze (0, 0, 1), a minus
@@ -252,6 +266,7 @@ def calls() -> list[tuple[str, ...]]:
                     "--t-end", "100", "--plot", "run.svg", "--view", view))
     out.append(("classify", "--a1", "1", "--a2", "1", "--b1=-2", "--b2=-2",
                 "--alpha=-0.0", "--out", "report.json"))
+    out.extend(MAX_GRIDS)
     return out
 
 
