@@ -18,7 +18,7 @@ import sys
 from collections import Counter, deque
 
 from . import __version__
-from .fields import TwoFoldParams, normal_form_system
+from .fields import TwoFoldParams
 from .integrate import (BUDGET, EPS_MAX, EPS_MIN, POLICIES, SIGMOIDS, STEP_FLOOR,
                         IntegratorOptions, NonconvergentEventError,
                         integrate_blowup, integrate_filippov, integrate_smoothed)
@@ -30,10 +30,9 @@ from .sliding import curve_L, surface_grid
 from .svg import VIEWS, artifact, render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
-# failures of the numerics behind a command, each an exit 3 (OverflowError:
-# float ** in a compiled kernel raises it where other operations give inf)
+# failures of the numerics behind a command, each an exit 3
 _NUMERICAL_ERRORS = (BoundarySingularityError, NonconvergentEventError,
-                     TransformDomainError, OverflowError)
+                     TransformDomainError)
 
 # why a run stopped early, by its meta['aborted']
 _ABORT_REASONS = {STEP_FLOOR: "integration hit the step floor",
@@ -91,7 +90,8 @@ def _triple(text: str):
 
 
 def _resolve_scenario(args, parser) -> Scenario:
-    given_params = [v is not None for v in (args.a1, args.a2, args.b1, args.b2, args.alpha)]
+    params = {key: getattr(args, key) for key in ("a1", "a2", "b1", "b2", "alpha")}
+    given_params = [v is not None for v in params.values()]
     sources = sum((args.scenario is not None, args.config is not None, any(given_params)))
     if sources != 1:
         parser.error("give exactly one system source: --scenario, --config, "
@@ -109,9 +109,8 @@ def _resolve_scenario(args, parser) -> Scenario:
     else:
         if not all(given_params):
             parser.error("normal-form parameters need all of --a1 --a2 --b1 --b2 --alpha")
-        p = TwoFoldParams(args.a1, args.a2, args.b1, args.b2, args.alpha)
-        sc = Scenario("normal-form", normal_form_system(p), 1e-3, 10.0,
-                      (0.0, 1.0, 1.0), "tanh", "")
+        sc = load_config({"name": "normal-form", "params": params,
+                          "sim": {"x0": [0.0, 1.0, 1.0]}})
     return dataclasses.replace(sc, **_given(args, "epsilon", "t_end", "x0", "sigmoid"))
 
 
@@ -445,6 +444,8 @@ def main(argv=None) -> int:
         return 2
     except _NUMERICAL_ERRORS as exc:
         return _numerical_failure(str(exc))
+    except OverflowError:            # float ** in a compiled kernel, where + and * give inf
+        return _numerical_failure("a field expression overflowed the float range")
 
 
 if __name__ == "__main__":

@@ -740,6 +740,9 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         raise ValueError("eps must be positive")
     if not -1.0 <= y0[0] <= 1.0:
         raise ValueError("lam0 must lie in [-1, 1]")
+    t0, t1 = t_span
+    if t1 <= t0:
+        raise ValueError("blow-up runs integrate forward")
     inv = 1.0 / eps
     layer = sys.layer
 
@@ -765,7 +768,6 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
         return BOUNDARY_EXIT
 
-    t0, t1 = t_span
     _run_steps(traj, _Stepper(rhs, t0, y0, opts or IntegratorOptions()), t1,
                lambda y: (LAYER, y[0]), stop=boundary_exit)
     return traj

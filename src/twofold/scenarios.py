@@ -3,13 +3,14 @@
 Built-in scenarios cover the three oscillatory attractor examples (exact
 rational coefficients) and one normal-form instance per two-fold flavour,
 each instance chosen to satisfy the flavour's determinacy-breaking
-condition (the scenario tests check it).
+condition (the scenario tests check it).  Each is stored as the config
+document `scenario show` prints and built by `load_config`.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
@@ -43,66 +44,59 @@ class ConfigError(ValueError):
         self.pointer = pointer
 
 
-_EXAMPLE_FIELDS = {
-    # name: (f_plus, f_minus); hidden term is (1/5, 0, 0) for all three
-    "example-i": (("-x2", "2/5*x1+1/10*x2-1", "3/10*x2-1/5*x2*x3-2/5"),
-                  ("x3", "1/5*x2*x3-3/5", "2/5*x3-1-x1")),
-    "example-ii": (("-x2", "1+x1", "-7/5"),
-                   ("x3", "-9/10", "1-3/5*x1")),
-    "example-iii": (("-x2+1/10*x1", "x1-6/5", "x1-2"),
-                    ("x3+1/10*x1", "x1+23/100", "1-x1")),
-}
-
-_HIDDEN = ("1/5", "0", "0")
-
-# normal-form instances per flavour; each satisfies the determinacy-breaking
-# condition for its flavour (checked by the scenario tests).  The mixed
-# instance uses the drift clause b1+b2 < 0, b1-b2 < -2, which is the part of
-# the mixed determinacy-breaking set whose two folded singularities carry
-# determinants of opposite sign (one folded-saddle, one folded-node).
-_NF_PARAMS = {
-    "visible-nf": TwoFoldParams(-1, -1, -1.0, 0.5, 0.2),
-    "invisible-nf": TwoFoldParams(1, 1, -2.0, -2.0, 0.2),
-    "mixed-nf": TwoFoldParams(-1, 1, -4.0, -1.0, 0.2),
-}
-
-_EXAMPLE_DEFAULTS = {
+_BUILTINS = {
     # example-i's attractor does not capture orbits started near the origin
     # off the surface (they run away along the sliding x2-growth direction),
     # so its suggested start sits on the attracting sliding region
-    "example-i": (1e-3, 200.0, (0.0, 1.0, 1.0)),
-    "example-ii": (1e-3, 200.0, (0.1, 0.5, 0.5)),
-    "example-iii": (1e-3, 200.0, (0.1, 0.5, 0.5)),
-}
-
-_NOTES = {
-    "example-i": "oscillatory attractor (i); suggested start lies on the "
-                 "attracting sliding region, inside the attractor's basin",
-    "example-ii": "oscillatory attractor (ii)",
-    "example-iii": "oscillatory attractor (iii)",
-    "visible-nf": "visible two-fold normal form with determinacy breaking",
-    "invisible-nf": "invisible two-fold normal form with determinacy breaking",
-    "mixed-nf": "mixed two-fold normal form with determinacy breaking and a "
-                "folded saddle/node pair",
+    "example-i": {
+        "f_plus": ["-x2", "2/5*x1+1/10*x2-1", "3/10*x2-1/5*x2*x3-2/5"],
+        "f_minus": ["x3", "1/5*x2*x3-3/5", "2/5*x3-1-x1"],
+        "hidden": ["1/5", "0", "0"],
+        "sim": {"epsilon": 1e-3, "t_end": 200.0, "x0": [0.0, 1.0, 1.0], "sigmoid": "tanh"},
+        "note": "oscillatory attractor (i); suggested start lies on the "
+                "attracting sliding region, inside the attractor's basin"},
+    "example-ii": {
+        "f_plus": ["-x2", "1+x1", "-7/5"],
+        "f_minus": ["x3", "-9/10", "1-3/5*x1"],
+        "hidden": ["1/5", "0", "0"],
+        "sim": {"epsilon": 1e-3, "t_end": 200.0, "x0": [0.1, 0.5, 0.5], "sigmoid": "tanh"},
+        "note": "oscillatory attractor (ii)"},
+    "example-iii": {
+        "f_plus": ["-x2+1/10*x1", "x1-6/5", "x1-2"],
+        "f_minus": ["x3+1/10*x1", "x1+23/100", "1-x1"],
+        "hidden": ["1/5", "0", "0"],
+        "sim": {"epsilon": 1e-3, "t_end": 200.0, "x0": [0.1, 0.5, 0.5], "sigmoid": "tanh"},
+        "note": "oscillatory attractor (iii)"},
+    # normal-form instances, one per flavour; each satisfies its flavour's
+    # determinacy-breaking condition (checked by the scenario tests).  The
+    # mixed instance uses the drift clause b1+b2 < 0, b1-b2 < -2, the part of
+    # the mixed determinacy-breaking set whose two folded singularities carry
+    # determinants of opposite sign (one folded-saddle, one folded-node)
+    "visible-nf": {
+        "params": {"a1": -1, "a2": -1, "b1": -1.0, "b2": 0.5, "alpha": 0.2},
+        "sim": {"epsilon": 1e-3, "t_end": 2.0, "x0": [0.0, 1.0, 1.0], "sigmoid": "tanh"},
+        "note": "visible two-fold normal form with determinacy breaking"},
+    "invisible-nf": {
+        "params": {"a1": 1, "a2": 1, "b1": -2.0, "b2": -2.0, "alpha": 0.2},
+        "sim": {"epsilon": 1e-3, "t_end": 2.0, "x0": [0.0, 1.0, 1.0], "sigmoid": "tanh"},
+        "note": "invisible two-fold normal form with determinacy breaking"},
+    "mixed-nf": {
+        "params": {"a1": -1, "a2": 1, "b1": -4.0, "b2": -1.0, "alpha": 0.2},
+        "sim": {"epsilon": 1e-3, "t_end": 2.0, "x0": [0.0, 1.0, 1.0], "sigmoid": "tanh"},
+        "note": "mixed two-fold normal form with determinacy breaking and a "
+                "folded saddle/node pair"},
 }
 
 
 def builtin_names() -> list[str]:
-    return list(_EXAMPLE_FIELDS) + list(_NF_PARAMS)
+    return list(_BUILTINS)
 
 
 def builtin(name: str) -> Scenario:
-    """Named scenario; raises ValueError for unknown names."""
-    if name in _EXAMPLE_FIELDS:
-        fp, fm = _EXAMPLE_FIELDS[name]
-        system = PiecewiseSmoothSystem(parse_field(*fp), parse_field(*fm),
-                                       parse_field(*_HIDDEN))
-        eps, t_end, x0 = _EXAMPLE_DEFAULTS[name]
-        return Scenario(name, system, eps, t_end, x0, "tanh", _NOTES[name])
-    if name in _NF_PARAMS:
-        return Scenario(name, normal_form_system(_NF_PARAMS[name]), 1e-3, 2.0,
-                        (0.0, 1.0, 1.0), "tanh", _NOTES[name])
-    raise ValueError(f"unknown scenario {name!r}; choose from {builtin_names()}")
+    """Named scenario from its config document; ValueError for unknown names."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {builtin_names()}")
+    return load_config({"name": name, **_BUILTINS[name]})
 
 
 # ---------------------------------------------------------------- config i/o
@@ -126,7 +120,7 @@ def _require_number(doc, key, pointer):
     v = doc[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{key} must be a number", pointer)
-    if not math.isfinite(v):      # json reads NaN and Infinity
+    if not abs(v) <= sys.float_info.max:   # json reads NaN, Infinity and huge ints
         raise ConfigError(f"{key} must be finite", pointer)
     return v
 
@@ -196,7 +190,7 @@ def load_config(source) -> Scenario:
             v = sd["x0"]
             if not (isinstance(v, list) and len(v) == 3
                     and all(isinstance(q, (int, float)) and not isinstance(q, bool)
-                            and math.isfinite(q) for q in v)):
+                            and abs(q) <= sys.float_info.max for q in v)):
                 raise ConfigError("x0 must be a list of three finite numbers", "/sim/x0")
             sim["x0"] = tuple(float(q) for q in v)
         if "sigmoid" in sd:

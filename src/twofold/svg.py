@@ -85,13 +85,15 @@ class _Canvas:
 
 def _downsample(columns, view, cap=6000):
     """Iterator over the projected points (x, y) at every stride-th index, at
-    most `cap` of them, and the last point where it differs from the last kept."""
+    most `cap` of them, then the last point unless it is or equals the last kept."""
     n = len(columns[0])
     stride = (n + cap - 1) // cap
     kept = zip(*_project([islice(col, 0, None, stride) for col in columns], view))
+    last_kept = (n - 1) // stride * stride
     (xk, yk), (xn, yn) = (next(zip(*_project([(col[i],) for col in columns], view)))
-                          for i in ((n - 1) // stride * stride, n - 1))
-    if n > cap and (xk != xn or yk != yn):
+                          for i in (last_kept, n - 1))
+    # by index, not value: a NaN point is unequal to itself
+    if last_kept != n - 1 and (xk != xn or yk != yn):
         return chain(kept, ((xn, yn),))
     return kept
 

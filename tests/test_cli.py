@@ -552,7 +552,7 @@ def test_kernel_overflow_is_numerical_failure(fields, argv, tmp_path, monkeypatc
     code = main([argv[0], "--config", "cfg.json", *argv[1:]])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
+    assert captured.err == "numerical failure: a field expression overflowed the float range\n"
     # a grid cut short leaves none of the artifacts it was streaming
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -568,6 +568,16 @@ def test_step_that_leaves_t_unchanged_is_step_floor(capsys):
     assert code == 3
     assert json.loads(captured.out)["events"] == {"step-floor": 1}
     assert captured.err.startswith("numerical failure: integration hit the step floor")
+
+
+def test_slide_starting_inside_the_two_fold_window_stops_at_once(capsys):
+    # the two-fold stop at the slide's start time logs its events but writes
+    # no second sample at that time
+    code = main(["simulate", "--scenario", "mixed-nf", "--mode", "filippov",
+                 "--x0=0,1e-9,1e-9"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and (report["t_end"], report["samples"]) == (0.0, 1)
+    assert report["events"] == {"slide-entry": 1, "two-fold-hit": 1, "determinacy-break": 1}
 
 
 def test_repelling_slide_past_fold_line_returns(capsys):
@@ -815,6 +825,8 @@ def plot_runs():
         "stride-end": trajectory_through(long_run),
         "stride-tie": trajectory_through(long_run[:6001] + [long_run[6000][:2] + (-0.0,)]),
         "stride-hit": trajectory_through(long_run[:6001]),
+        # the last one kept has a NaN coordinate, which is unequal to itself
+        "stride-hit-nan": trajectory_through(long_run[:6000] + [(math.nan, 0.5, 0.5)]),
         "nan": trajectory_through([(0.0, 1.0, 2.0), (math.nan, 0.5, 0.5), (1.0, -1.0, 0.0)]),
         "one": integrate_filippov(mixed, (0.0, 0.0, 0.0), (0.0, 1.0)),
     }

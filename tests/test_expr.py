@@ -64,6 +64,13 @@ def test_malformed_literals_and_groups_are_located(text, message, pos):
     assert (err.value.text, err.value.pos) == (text, pos)
 
 
+def test_tokenizer_locates_a_stray_character_and_skips_trailing_blanks():
+    with pytest.raises(ExpressionError) as err:
+        parse_expr("x1 $")
+    assert str(err.value) == "unexpected character '$' at position 3: 'x1 $'"
+    assert str(parse_expr("x1 + x2   ")) == "x1+x2"
+
+
 def test_long_expression_is_quoted_as_a_window_about_the_offence():
     # up to 60 characters the text is quoted whole; past that a 60-character
     # window about the position, each cut end marked with "..."

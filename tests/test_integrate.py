@@ -856,6 +856,13 @@ def test_forward_only():
         integrate_filippov(nf(1, 1, 0.0, 0.0, 0.0), (0.1, 1.0, 1.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0), (1.0, 0.0))
+    for run in (lambda span: integrate_smoothed(nf(1, 1, 0.0, 0.0, 0.2), "tanh", 1e-3,
+                                                (0.1, 1.0, 1.0), span),
+                lambda span: integrate_blowup(nf(1, 1, 0.0, 0.0, 0.2), 1e-3,
+                                              (0.0, 1.0, 1.0), span)):
+        for span in ((1.0, 0.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match="integrate forward"):
+                run(span)
 
 
 # ------------------------------------------------------------ smoothed

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from twofold import cli, scenarios
 from twofold.expr import Num
 from twofold.fields import TwoFoldParams
 from twofold.integrate import integrate_filippov
@@ -146,6 +148,11 @@ _PARAMS = {"a1": 1, "a2": 1, "b1": 0, "b2": 0, "alpha": 0.1}
      "params is missing alpha", "/params/alpha"),
     ({"params": {**_PARAMS, "a2": 0}}, "a1 and a2 must be +-1", "/params/a1"),
     ({"params": _PARAMS, "sim": [1e-3, 10]}, "sim must be an object", "/sim"),
+    # json reads an integer of any size, and a float cannot hold these
+    ({"params": {**_PARAMS, "b1": 10 ** 400}}, "b1 must be finite", "/params/b1"),
+    ({"params": _PARAMS, "sim": {"t_end": 10 ** 400}}, "t_end must be finite", "/sim/t_end"),
+    ({"params": _PARAMS, "sim": {"x0": [0, -10 ** 400, 0]}},
+     "x0 must be a list of three finite numbers", "/sim/x0"),
 ])
 def test_each_config_error_names_its_member(doc, message, pointer):
     with pytest.raises(ConfigError) as err:
@@ -169,6 +176,30 @@ def test_round_trip_is_exact(tmp_path):
         assert back.system.f_minus == sc.system.f_minus
         assert back.system.hidden == sc.system.hidden
         assert back.params == sc.params
+
+
+def test_builtins_are_config_documents_built_by_load_config(monkeypatch):
+    loaded = []
+
+    def recording_load_config(source):
+        loaded.append(source)
+        return load_config(source)
+
+    monkeypatch.setattr(scenarios, "load_config", recording_load_config)
+    monkeypatch.setattr(cli, "load_config", recording_load_config)
+    for name in builtin_names():
+        assert scenario_to_config(builtin(name)) == {"name": name, **scenarios._BUILTINS[name]}
+        assert loaded.pop() == {"name": name, **scenarios._BUILTINS[name]}
+    # the CLI's normal-form flags are a params document whose sim block sets
+    # only the start; the other sim values are load_config's defaults
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", "--a1", "1", "--a2", "-1", "--b1", "0.5",
+                         "--b2", "-2", "--alpha", "0.2"]) == 0
+    assert loaded == [{"name": "normal-form",
+                       "params": {"a1": 1, "a2": -1, "b1": 0.5, "b2": -2.0, "alpha": 0.2},
+                       "sim": {"x0": [0.0, 1.0, 1.0]}}]
+    sc = load_config(loaded[0])
+    assert (sc.epsilon, sc.t_end, sc.x0, sc.sigmoid) == (1e-3, 10.0, (0.0, 1.0, 1.0), "tanh")
 
 
 def test_config_echo_evaluates_identically():

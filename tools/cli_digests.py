@@ -8,12 +8,13 @@ call reads, if any, and prints one line per call:
 
 The hash covers the exit code, stdout, stderr and the name and bytes of
 every file the call wrote.  Two checkouts whose outputs are identical print
-identical text, so a change that must keep every result bit for bit is
-checked by diffing this script's output on the parent and on the change:
+identical text.  tools/cli_digests.txt holds this script's output on the
+committed tree, so a change that must keep every result bit for bit leaves
 
-    PYTHONPATH=src python3 tools/cli_digests.py > after.txt
-    PYTHONPATH=/path/to/parent/src python3 tools/cli_digests.py > before.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python3 tools/cli_digests.py | diff tools/cli_digests.txt -
+
+empty; a change that moves digests updates that file and names the moved
+calls in CHANGES.md.
 
 The package is imported from PYTHONPATH; its location is printed to stderr.
 The list covers slide maps, Filippov, smoothed and blow-up runs (two of
