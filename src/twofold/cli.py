@@ -57,7 +57,8 @@ def _add_system_args(sp):
 def _add_run_args(sp):
     sp.add_argument("--epsilon", type=_positive, help="smoothing/timescale parameter")
     sp.add_argument("--t-end", type=_positive, dest="t_end")
-    sp.add_argument("--x0", type=_triple, help="initial state, three comma-separated numbers")
+    sp.add_argument("--x0", type=_numbers(3, "three"),
+                    help="initial state, three comma-separated numbers")
     sp.add_argument("--rel-tol", type=_positive, dest="rel_tol")
     sp.add_argument("--abs-tol", type=_positive, dest="abs_tol")
     sp.add_argument("--min-step", type=_positive, dest="min_step")
@@ -82,11 +83,13 @@ def _positive(text: str) -> float:
     return value
 
 
-def _triple(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return tuple(_finite(p) for p in parts)
+def _numbers(n: int, word: str):
+    """argparse type for `n` (spelled `word`) comma-separated finite floats."""
+    def numbers(text: str) -> tuple:
+        if len(parts := text.split(",")) != n:
+            raise argparse.ArgumentTypeError(f"expected {word} comma-separated numbers")
+        return tuple(map(_finite, parts))
+    return numbers
 
 
 def _resolve_scenario(args, parser) -> Scenario:
@@ -141,7 +144,8 @@ def _emit(report, args, out=None) -> int:
     return 0
 
 
-def _need_params(sc: Scenario, parser) -> TwoFoldParams:
+def _need_params(args, parser) -> TwoFoldParams:
+    sc = _resolve_scenario(args, parser)
     if sc.params is None:
         parser.error(f"{sc.name!r} is not a normal-form system; this command "
                      "needs --a1/--a2/--b1/--b2/--alpha (or a params config)")
@@ -168,8 +172,7 @@ def _singularity_report(p: TwoFoldParams, sings) -> dict:
 
 
 def _cmd_classify(args, parser) -> int:
-    sc = _resolve_scenario(args, parser)
-    p = _need_params(sc, parser)
+    p = _need_params(args, parser)
     flavor = classify_two_fold(p)
     try:
         report = _singularity_report(p, folded_singularities(p))
@@ -186,8 +189,7 @@ def _cmd_classify(args, parser) -> int:
 
 
 def _cmd_singularity(args, parser) -> int:
-    sc = _resolve_scenario(args, parser)
-    p = _need_params(sc, parser)
+    p = _need_params(args, parser)
     return _emit(_singularity_report(p, folded_singularities(p)), args, args.out)
 
 
@@ -259,10 +261,15 @@ def _run_options(args) -> IntegratorOptions:
                                       "repelling_policy"))
 
 
+def _check_epsilon(sc: Scenario, parser, runs: str) -> None:
+    if not EPS_MIN <= sc.epsilon <= EPS_MAX:
+        parser.error(f"{runs} need {EPS_MIN!r} <= epsilon <= {EPS_MAX!r}")
+
+
 def _cmd_simulate(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
-    if args.mode != "filippov" and not EPS_MIN <= sc.epsilon <= EPS_MAX:
-        parser.error(f"smoothed runs need {EPS_MIN!r} <= epsilon <= {EPS_MAX!r}")
+    if args.mode != "filippov":
+        _check_epsilon(sc, parser, "smoothed runs")
     opts = _run_options(args)
     if args.mode == "filippov":
         traj = integrate_filippov(sc.system, sc.x0, (0.0, sc.t_end), opts)
@@ -280,6 +287,7 @@ def _cmd_simulate(args, parser) -> int:
 
 def _cmd_blowup(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
+    _check_epsilon(sc, parser, "blow-up runs")
     y0 = args.x0 if args.x0 is not None else (0.0, 1.0, 1.0)
     if not -1.0 <= y0[0] <= 1.0:
         parser.error("blow-up initial state is lam,x2,x3 with lam in [-1, 1]")
@@ -291,8 +299,7 @@ def _cmd_blowup(args, parser) -> int:
 
 
 def _cmd_transform_check(args, parser) -> int:
-    sc = _resolve_scenario(args, parser)
-    p = _need_params(sc, parser)
+    p = _need_params(args, parser)
     return _emit(transform_check(p), args, args.out)
 
 
@@ -380,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("slide-map", help="region map of the switching surface")
     common(sp, plot=True)
-    sp.add_argument("--range", type=_pair, default=(-2.0, 2.0),
+    sp.add_argument("--range", type=_numbers(2, "two"), default=(-2.0, 2.0),
                     metavar="LO,HI", help="x2 and x3 range (default -2,2)")
     sp.add_argument("--grid", type=int, default=41, help="points per axis")
     sp.add_argument("--curve-out", metavar="PATH", dest="curve_out",
@@ -407,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a1", type=int, choices=(-1, 1))
     sp.add_argument("--a2", type=int, choices=(-1, 1))
     sp.add_argument("--alpha", type=_finite)
-    sp.add_argument("--b-range", type=_pair, default=(-6.0, 6.0), metavar="LO,HI")
+    sp.add_argument("--b-range", type=_numbers(2, "two"), default=(-6.0, 6.0), metavar="LO,HI")
     sp.add_argument("--b-step", type=_finite, default=0.1)
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--seed", type=int, metavar="U64")
@@ -419,13 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_scenario, parser=sp)
 
     return parser
-
-
-def _pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated numbers")
-    return (_finite(parts[0]), _finite(parts[1]))
 
 
 def main(argv=None) -> int:

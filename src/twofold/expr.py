@@ -231,8 +231,8 @@ def _tokenize(text: str):
     tokens = []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip leading blanks that the regex may not have consumed
+        if m is None:
+            # no token from here: only trailing blanks, or a bad character
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
@@ -306,18 +306,18 @@ class _Parser:
         e, h = self.base(opened)
         if self.peek()[0] == "^":
             tok = self.advance()
-            kind, val, _ = self.peek()
+            exp = kind, val, _ = self.peek()
             if kind != "num" or "." in val:
                 self.error("exponent must be a non-negative integer")
             self.advance()
-            e, h = Pow(e, int(val)), self.nest(h, tok)
+            e, h = Pow(e, int(self._exact(exp))), self.nest(h, tok)
         return e, h
 
     def base(self, opened: int) -> tuple[Expr, int]:
         tok = kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Num(self._number(val, pos)), 0
+            return Num(self._number(tok)), 0
         if kind == "name":
             self.advance()
             if val in VAR_NAMES:
@@ -336,26 +336,32 @@ class _Parser:
             return Neg(e), self.nest(h, tok)
         self.error(f"expected a value, got {val!r}" if val else "unexpected end of expression")
 
-    def _number(self, text: str, pos: int) -> Fraction:
-        if "." in text:
-            if self.peek()[0] == "/":
-                self.error("'/' is only allowed after an integer literal")
-            t = text
-            if t.startswith("."):
-                t = "0" + t
-            if t.endswith("."):
-                t += "0"
-            return Fraction(t)
-        value = Fraction(int(text))
+    def _exact(self, tok) -> Fraction:
+        """The value of the number token `tok`; an ExpressionError at it when
+        a float cannot hold that value."""
+        try:
+            value = Fraction(tok[1])
+            float(value)
+        except OverflowError:
+            self.error("number beyond the float range", tok)
+        except ValueError:      # past int's limit on the digits of a string
+            self.error("number has too many digits", tok)
+        return value
+
+    def _number(self, tok) -> Fraction:
+        value = self._exact(tok)
         if self.peek()[0] == "/":
+            if "." in tok[1]:
+                self.error("'/' is only allowed after an integer literal")
             self.advance()
-            kind, den, dpos = self.peek()
-            if kind != "num" or "." in den:
+            den = kind, text, _ = self.peek()
+            if kind != "num" or "." in text:
                 self.error("denominator must be an unsigned integer")
-            if int(den) == 0:
-                self.error("zero denominator", (kind, den, dpos))
             self.advance()
-            value /= int(den)
+            divisor = self._exact(den)
+            if divisor == 0:
+                self.error("zero denominator", den)
+            value /= divisor    # an integer >= 1, so the value stays in range
         return value
 
 

@@ -39,10 +39,10 @@ sigma = +1 the repelling one.  Branch loss (discriminant -> 0) is the fold of
 the sliding manifold and ejects the orbit into the half space where f1 keeps
 its sign.
 
-A run takes at most `IntegratorOptions.max_steps` accepted steps, counted in
-meta['steps'] over all its segments.  A run that stops early sets
-meta['aborted'] to STEP_FLOOR (with a step-floor event) or BUDGET.  Every
-run integrates forward in time.
+A run takes at most `MAX_STEPS` accepted steps, counted in meta['steps']
+over all its segments.  A run that stops early sets meta['aborted'] to
+STEP_FLOOR (with a step-floor event) or BUDGET.  Every run integrates
+forward in time.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ DETERMINACY_BREAK = "determinacy-break"
 STEP_FLOOR = "step-floor"
 BOUNDARY_EXIT = "boundary-exit"
 
-BUDGET = "budget"            # meta['aborted'] of a run that used up max_steps
+BUDGET = "budget"            # meta['aborted'] of a run that used up MAX_STEPS
+MAX_STEPS = 20_000_000       # accepted steps a run may take
 
 TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
 EVENT_TOL = 1e-12            # |x1| within this of the surface counts as on it
@@ -116,15 +117,12 @@ class IntegratorOptions:
     abs_tol: float = 1e-10
     min_step: float = 1e-12
     repelling_policy: str = STAY_SLIDING
-    max_steps: int = 20_000_000
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.min_step)):
             raise ValueError("rel_tol, abs_tol and min_step must be finite and positive")
         if self.repelling_policy not in POLICIES:
             raise ValueError(f"unknown repelling policy {self.repelling_policy!r}")
-        if not self.max_steps >= 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -201,9 +199,6 @@ class Trajectory:
 
     def mode(self, i: int) -> str:
         return self._modes[i]
-
-    def lam(self, i: int) -> float:
-        return self._lam[i]
 
     @property
     def t_end(self):
@@ -628,16 +623,15 @@ def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
     non-None result ends the loop and is returned, the stop having recorded
     its own samples and events.  Otherwise the loop returns None: at t1, at a
     step floor (`_step_floor`) or when the run's accepted steps, counted in
-    meta['steps'], reach opts.max_steps (meta['aborted'] = BUDGET).
+    meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET).
     """
     if not traj:
         mode, lam = tag(stepper.y)
         traj.append(stepper.t, stepper.y, stepper.f, mode, lam)
-    max_steps = stepper.opts.max_steps
     steps = traj.meta.get("steps", 0)
     result = None
     while stepper.t < t1:
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             traj.meta["aborted"] = BUDGET
             break
         try:
@@ -672,7 +666,7 @@ def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | Non
 
 # the smoothing widths whose sigmoid sources and slopes stay finite: the tanh
 # source holds 1/eps, the sqrt source eps**2, and the sqrt slope at x1 = 0
-# divides by eps**3
+# divides by eps**3; a blow-up run's lam' holds 1/eps too
 EPS_MIN, EPS_MAX = 1e-100, 1e100
 
 
@@ -736,8 +730,8 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
     lam boundary with outward flow stops the run with a boundary-exit event
     (the hand-off into the half space is the caller's business).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not EPS_MIN <= eps <= EPS_MAX:
+        raise ValueError(f"eps must lie in [{EPS_MIN!r}, {EPS_MAX!r}]")
     if not -1.0 <= y0[0] <= 1.0:
         raise ValueError("lam0 must lie in [-1, 1]")
     t0, t1 = t_span

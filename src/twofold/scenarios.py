@@ -126,7 +126,7 @@ def _require_number(doc, key, pointer):
 
 
 def load_config(source) -> Scenario:
-    """Build a Scenario from a JSON document (path, file object or dict).
+    """Build a Scenario from a JSON document (a path or a dict).
 
     The document gives either explicit field expressions (f_plus, f_minus,
     optional hidden) or normal-form params; every failure carries a JSON
@@ -134,8 +134,6 @@ def load_config(source) -> Scenario:
     """
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

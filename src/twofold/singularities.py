@@ -36,7 +36,7 @@ from .fields import TwoFoldParams, quadratic_roots
 __all__ = [
     "TwoFoldFlavor", "FoldedSingularity", "AlphaZeroError",
     "BoundarySingularityError", "classify_two_fold", "folded_singularities",
-    "singularity_lambdas", "sweep_grid",
+    "sweep_grid",
 ]
 
 ALPHA_FLOOR = 1e-9
@@ -97,23 +97,18 @@ def classify_two_fold(p: TwoFoldParams) -> TwoFoldFlavor:
 
 
 def _lambdas(a1: int, a2: int, b1: float, b2: float) -> list[float]:
-    """`singularity_lambdas` in plain numbers."""
-    roots = [l + 0.0 for l, _ in quadratic_roots((a1 - a2) + (b1 - b2), 2.0 * (a1 + a2),
-                                                 (a1 - a2) - (b1 - b2), 0.0)
-             if -1.0 <= l <= 1.0]   # + 0.0 folds -0.0
-    if len(roots) == 2 and roots[1] < roots[0]:
-        roots.reverse()
-    return roots
-
-
-def singularity_lambdas(p: TwoFoldParams) -> list[float]:
     """Roots lam_s in [-1, +1] of the existence quadratic, ascending.
 
     For a1 = a2 there is exactly one; for mixed curvatures there are two when
     the oriented drift difference exceeds 2 in magnitude and none otherwise
     (at the exact threshold the pair merges into a double root, returned once).
     """
-    return _lambdas(p.a1, p.a2, p.b1, p.b2)
+    roots = [l + 0.0 for l, _ in quadratic_roots((a1 - a2) + (b1 - b2), 2.0 * (a1 + a2),
+                                                 (a1 - a2) - (b1 - b2), 0.0)
+             if -1.0 <= l <= 1.0]   # + 0.0 folds -0.0
+    if len(roots) == 2 and roots[1] < roots[0]:
+        roots.reverse()
+    return roots
 
 
 def _slow_flow_kind(a_tilde: float, b_tilde: float, c_tilde: float):

@@ -98,21 +98,22 @@ def _downsample(columns, view, cap=6000):
     return kept
 
 
-def _header(parts):
-    parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-                 f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
-    parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
+_HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+           f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n')
 
 
-def _axes(parts, canvas):
+def _axes(canvas) -> str:
+    text = ""
     if canvas.x_lo <= 0.0 <= canvas.x_hi:
         x0, _ = canvas.to_screen(0.0, canvas.y_lo)
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{MARGIN}" x2="{_fmt(x0)}" '
-                     f'y2="{HEIGHT - MARGIN}" stroke="#cccccc" stroke-width="1"/>')
+        text += (f'<line x1="{_fmt(x0)}" y1="{MARGIN}" x2="{_fmt(x0)}" '
+                 f'y2="{HEIGHT - MARGIN}" stroke="#cccccc" stroke-width="1"/>\n')
     if canvas.y_lo <= 0.0 <= canvas.y_hi:
         _, y0 = canvas.to_screen(canvas.x_lo, 0.0)
-        parts.append(f'<line x1="{MARGIN}" y1="{_fmt(y0)}" x2="{WIDTH - MARGIN}" '
-                     f'y2="{_fmt(y0)}" stroke="#cccccc" stroke-width="1"/>')
+        text += (f'<line x1="{MARGIN}" y1="{_fmt(y0)}" x2="{WIDTH - MARGIN}" '
+                 f'y2="{_fmt(y0)}" stroke="#cccccc" stroke-width="1"/>\n')
+    return text
 
 
 def _polyline(fh, canvas, points, color, width, chunk=256):
@@ -145,22 +146,16 @@ def render_trajectory(traj, path, view: str = "u3") -> None:
     every sample and event, and a run of one sample is drawn as a dot."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
+    # a blow-up run's first column is lam, drawn on the vertical axis
     columns = traj.columns
-    if traj.meta.get("space") == "layer":
-        # layer runs live in (lam, x2, x3); draw lam on the vertical axis
-        columns = (traj.lams, *columns[1:])
     states = [e.state for e in traj.events]
     events = [list(v) for v in _project([[s[i] for s in states] for i in range(3)], view)]
     # each axis's [min, max] over the samples, then the events, in that order
     canvas = _Canvas(*([f(chain(_project(columns, view)[k], events[k])) for f in (min, max)]
                        for k in (0, 1)))
-
-    parts: list[str] = []
-    _header(parts)
-    _axes(parts, canvas)
     color = "#1f77b4"
     with artifact(path) as fh:
-        fh.writelines(f"{part}\n" for part in parts)
+        fh.write(_HEADER + _axes(canvas))
         if len(traj) == 1:
             sx, sy = canvas.to_screen(*next(_downsample(columns, view)))
             fh.write(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>\n')
@@ -194,10 +189,6 @@ def render_region_map(grid, curve, path) -> None:
         raise ValueError("empty region map")
     canvas = _Canvas(xs, ys)
     step_x, step_y = _min_gap(xs), _min_gap(ys)
-    head: list[str] = []
-    axes: list[str] = []
-    _header(head)
-    _axes(axes, canvas)
     w = step_x * canvas.sx
     h = step_y * canvas.sy
     # each column's x and each row's y is formatted once, by grid position
@@ -205,12 +196,12 @@ def render_region_map(grid, curve, path) -> None:
     y_text = [_fmt(canvas.to_screen(0.0, y)[1] - h / 2) for y in ys]
     size = f'width="{_fmt(w)}" height="{_fmt(h)}"'
     with artifact(path) as fh:
-        fh.writelines(f"{part}\n" for part in head)
+        fh.write(_HEADER)
         for x, row in zip(x_text, regions):
             fh.write("".join(f'<rect x="{x}" y="{y}" {size} '
                              f'fill="{_REGION_COLORS.get(region, "#ffffff")}"/>\n'
                              for y, region in zip(y_text, row)))
-        fh.writelines(f"{part}\n" for part in axes)
+        fh.write(_axes(canvas))
         if curve is not None:
             pts = [(x2, x3) for _, x2, x3 in curve.points if canvas.contains(x2, x3)]
             if len(pts) > 1:

@@ -223,12 +223,11 @@ SLOPE_TOL = 0.1
 LADDER_SHRINKS = 2
 
 
-def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = None,
-                    h_values=DEFAULT_H_VALUES) -> dict:
+def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = None) -> dict:
     """Order study of the residual with eps coupled to the sample radius.
 
     Returns a report dict per checked singularity: h_values, residuals, the
-    log-log slope, and pass = |slope - 2| <= 0.1.  `h_values` is used as
+    log-log slope, and pass = |slope - 2| <= 0.1.  DEFAULT_H_VALUES is used as
     given when its largest sphere fits the rectification domain of every
     checked singularity and every residual is positive and finite; otherwise
     the whole ladder is divided by ten, up to LADDER_SHRINKS times, and past
@@ -237,6 +236,7 @@ def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = No
     sings = [singularity] if singularity is not None else folded_singularities(p)
     # one system, compiled once, serves every rung of the ladder
     system = normal_form_system(p) if sings else None
+    h_values = DEFAULT_H_VALUES
     for _ in range(LADDER_SHRINKS):
         try:
             return _order_study(p, sings, h_values, system)

@@ -17,7 +17,7 @@ from twofold import fields
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.integrate import integrate_filippov, integrate_smoothed
 from twofold.scenarios import builtin
-from twofold.singularities import folded_singularities, singularity_lambdas
+from twofold.singularities import folded_singularities
 from twofold.sliding import curve_L, surface_quadratic
 from twofold.transform import transform_check
 
@@ -91,7 +91,7 @@ def test_criterion_2_case_analysis_counts(monkeypatch):
                 # merged double root exactly on the existence threshold; the
                 # case analysis uses strict inequalities on either side
                 continue
-            count = len(singularity_lambdas(TwoFoldParams(a1, a2, d, 0.0, 0.2)))
+            count = len(folded_singularities(TwoFoldParams(a1, a2, d, 0.0, 0.2)))
             if a1 == a2:
                 want = 1
             elif a1 == 1:

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twofold import cli, fields
+from twofold import cli, fields, integrate
 from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
                          _finite, main)
 from twofold import svg
@@ -364,9 +363,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_step_budget_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
-    run_options = cli._run_options
-    monkeypatch.setattr(cli, "_run_options",
-                        lambda args: dataclasses.replace(run_options(args), max_steps=100))
+    monkeypatch.setattr(integrate, "MAX_STEPS", 100)
     for argv in (("simulate", "--scenario", "example-iii", "--mode", "filippov"),
                  ("simulate", "--scenario", "example-i"),
                  ("blowup", "--scenario", "mixed-nf", "--epsilon", "1e-3")):
@@ -402,18 +399,30 @@ def test_non_finite_float_is_usage_error(argv, capsys):
     ["simulate", "--scenario", "example-ii", "--abs-tol", "0", "--t-end", "1"],
     ["simulate", "--scenario", "example-ii", "--min-step", "-1", "--t-end", "1"],
     ["blowup", "--scenario", "visible-nf", "--epsilon", "-1"],
+    # 1/eps is inf
+    ["blowup", "--scenario", "mixed-nf", "--epsilon", "1e-320", "--t-end", "1"],
     ["blowup", "--scenario", "visible-nf", "--t-end", "-1"],
     ["slide-map", "--scenario", "invisible-nf", "--grid", "5", "--range=-1,1",
      "--plot", "{missing}/x.svg"],
     ["simulate", "--config", "{config}"],
+    ["slide-map", "--config", "{huge}"],
+    ["slide-map", "--config", "{digits}"],
 ], ids=["t-end-negative", "t-end-zero", "epsilon", "epsilon-tiny", "epsilon-huge",
-        "rel-tol", "abs-tol", "min-step",
-        "blowup-epsilon", "blowup-t-end", "unwritable-plot", "config-t-end"])
+        "rel-tol", "abs-tol", "min-step", "blowup-epsilon", "blowup-epsilon-tiny",
+        "blowup-t-end", "unwritable-plot", "config-t-end", "config-huge-number",
+        "config-digit-limit"])
 def test_out_of_range_input_is_usage_error(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"a1": 1, "a2": 1, "b1": 0, "b2": 0,
                                           "alpha": 0.1}, "sim": {"t_end": 0}}))
-    argv = [a.format(missing=tmp_path / "missing", config=cfg) for a in argv]
+    # numbers a float cannot hold are rejected as the config loads: one of
+    # 401 digits, and one past int's limit of 4,300 digits for a string
+    numbers = {}
+    for name, text in (("huge", "1" + "0" * 400 + "*x2"), ("digits", "1/" + "1" * 5000)):
+        numbers[name] = tmp_path / f"{name}.json"
+        numbers[name].write_text(json.dumps({"f_plus": [text, "1", "0"],
+                                             "f_minus": ["0", "0", "0"]}))
+    argv = [a.format(missing=tmp_path / "missing", config=cfg, **numbers) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -771,9 +780,8 @@ def oracle_render_curves(curves, path, view, events, labels):
     proj_events = [(kind, oracle_project(p, view)) for kind, p in events]
     pts2.extend(p for _, p in proj_events)
     canvas = svg._Canvas([p[0] for p in pts2], [p[1] for p in pts2])
+    head = svg._HEADER + svg._axes(canvas)
     parts = []
-    svg._header(parts)
-    svg._axes(parts, canvas)
     fmt = svg._fmt
     for pc, color in proj_curves:
         pc = oracle_downsample(pc)
@@ -795,6 +803,7 @@ def oracle_render_curves(curves, path, view, events, labels):
                      f'font-size="12" fill="#333333">{text}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
         fh.write("\n".join(parts))
         fh.write("\n")
 
@@ -1006,9 +1015,7 @@ def cli_argv(draw):
 def test_every_call_exits_0_2_or_3(argv, monkeypatch, tmp_path):
     # a small step budget bounds the runs; every outcome is an exit code,
     # never an exception
-    run_options = cli._run_options
-    monkeypatch.setattr(cli, "_run_options",
-                        lambda args: dataclasses.replace(run_options(args), max_steps=200))
+    monkeypatch.setattr(integrate, "MAX_STEPS", 200)
     monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

@@ -103,6 +103,19 @@ def test_division_operator_rejected():
         parse_expr("(1+2)/5")
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("1" + "0" * 400 + "*x2", "number beyond the float range", 0),
+    ("x1+" + "9" * 400 + ".5", "number beyond the float range", 3),
+    ("x1^" + "1" * 400, "number beyond the float range", 3),
+    ("3/" + "7" * 400, "number beyond the float range", 2),    # each token counts
+    ("1/" + "1" * 5000, "number has too many digits", 2),
+], ids=["integer", "decimal", "exponent", "denominator", "digit-limit"])
+def test_numbers_a_float_cannot_hold_are_rejected(text, message, pos):
+    with pytest.raises(ExpressionError) as err:
+        parse_expr(text)
+    assert str(err.value).startswith(f"{message} at position {pos}: ")
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ExpressionError, match="zero denominator"):
         parse_expr("1/0")

@@ -13,9 +13,9 @@ from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams, c
                             compile_df1_dx1, compile_jacobian, compile_layer,
                             normal_form_system, parse_field, quadratic_roots)
 from twofold import integrate
-from twofold.integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, IntegratorOptions,
-                               Trajectory, integrate_blowup, integrate_filippov,
-                               integrate_smooth, integrate_smoothed)
+from twofold.integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, Event,
+                               IntegratorOptions, Trajectory, integrate_blowup,
+                               integrate_filippov, integrate_smooth, integrate_smoothed)
 from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
@@ -70,7 +70,6 @@ def test_dense_output_matches_samples_and_is_continuous():
     ("abs_tol", math.inf), ("abs_tol", math.nan),
     ("min_step", math.inf), ("min_step", 0.0),
     ("repelling_policy", "eject-at"),
-    ("max_steps", 0), ("max_steps", -1),
 ])
 def test_integrator_options_reject_bad_values(field, value):
     with pytest.raises(ValueError):
@@ -93,8 +92,11 @@ def test_sample_times_must_increase():
      "smoothed runs integrate forward"),
     (integrate_smoothed, ("logistic", 1e-3, (0.1, 0.5, 0.5), (0.0, 1.0)),
      "unknown sigmoid 'logistic'"),
-    (integrate_blowup, (0.0, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must be positive"),
-    (integrate_blowup, (-1e-3, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must be positive"),
+    (integrate_blowup, (0.0, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must lie in"),
+    (integrate_blowup, (-1e-3, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must lie in"),
+    (integrate_blowup, (1e-101, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must lie in"),
+    (integrate_blowup, (1e101, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must lie in"),
+    (integrate_blowup, (math.nan, (0.0, 1.0, 1.0), (0.0, 1.0)), "eps must lie in"),
 ])
 def test_out_of_range_run_inputs_are_rejected(run, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -114,21 +116,21 @@ def test_step_below_the_resolution_of_t_is_a_step_floor():
         assert traj.t_end == 1e20 and len(traj) == 1
 
 
-def test_step_budget_is_enforced():
-    opts = IntegratorOptions(max_steps=50)
-    traj = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0),
-                            (0.0, 100.0), opts)
-    assert traj.meta["aborted"] == "budget" and traj.meta["steps"] == 50
-    assert len(traj) == 51 and traj.t_end < 100.0
+def test_step_budget_is_enforced(monkeypatch):
     full = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0), (0.0, 100.0))
     assert "aborted" not in full.meta and full.meta["steps"] == len(full) - 1
+    monkeypatch.setattr(integrate, "MAX_STEPS", 50)
+    traj = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0),
+                            (0.0, 100.0))
+    assert traj.meta["aborted"] == "budget" and traj.meta["steps"] == 50
+    assert len(traj) == 51 and traj.t_end < 100.0
 
 
-def test_step_budget_counts_every_segment_of_a_filippov_run():
+def test_step_budget_counts_every_segment_of_a_filippov_run(monkeypatch):
     # each crossing or slide starts a new segment; the budget is the run's
+    monkeypatch.setattr(integrate, "MAX_STEPS", 1000)
     sc = builtin("example-iii")
-    traj = integrate_filippov(sc.system, sc.x0, (0.0, 200.0),
-                              IntegratorOptions(max_steps=1000))
+    traj = integrate_filippov(sc.system, sc.x0, (0.0, 200.0))
     assert traj.meta["aborted"] == "budget" and traj.meta["steps"] == 1000
     assert traj.t_end < 200.0
     assert len(traj.events_of("crossing")) + len(traj.events_of("slide-entry")) > 1
@@ -258,7 +260,7 @@ def test_attracting_slide_reaches_two_fold_and_breaks_determinacy():
     for i in range(len(traj)):
         if traj.mode(i) == "sliding":
             assert abs(traj.state(i)[0]) <= 1e-10
-            lam = traj.lam(i)
+            lam = traj.lams[i]
             assert -1.0 <= lam <= 1.0
             assert abs(sys.f1_surface(traj.state(i)[1], traj.state(i)[2], lam)) <= 1e-9
 
@@ -289,7 +291,7 @@ def test_slide_lambda_matches_closed_form_alpha_zero():
     for i in range(len(traj)):
         if traj.mode(i) == "sliding" and traj.times[i] > 0:
             _, x2, x3 = traj.state(i)
-            assert traj.lam(i) == pytest.approx((x3 - x2) / (x3 + x2), abs=1e-9)
+            assert traj.lams[i] == pytest.approx((x3 - x2) / (x3 + x2), abs=1e-9)
 
 
 def test_single_crossing_event_accuracy():
@@ -706,6 +708,25 @@ def test_contact_decision_matches_the_sign_ladder(k, x2, x3, policy, f_in):
     assert record(run.traj) == record(oracle.traj)
 
 
+@pytest.mark.parametrize("stalled", [True, False])
+def test_slide_event_where_the_boundary_root_grazes_lam_1(stalled):
+    # at (0, 0, 0.5) the plus field does not lift off the surface and the
+    # minus field does not point away from it, so the slide does not exit
+    sys = PiecewiseSmoothSystem(parse_field("-x2", "1", "0"), parse_field("1", "0", "0"))
+    traj = Trajectory()
+    run = integrate._FilippovRun(sys, IntegratorOptions(), traj, 2.0)
+    action = run._slide_event(0, 1.0, (0.0, 0.0, 0.5), 1, stalled=stalled)
+    if stalled:
+        # sliding on would restart at the same time forever: a step floor
+        assert action is integrate._STOP_RUN and traj.meta["aborted"] == "step-floor"
+        assert traj.events == [Event(1.0, "step-floor", (0.0, 0.0, 0.5))] and len(traj) == 0
+    else:
+        # the run records a sliding sample at lam = 1 and slides on
+        assert action == ("slide", 1) and traj.events == [] and "aborted" not in traj.meta
+        assert (list(traj.times), traj.mode(0), list(traj.lams), traj.state(0)) == (
+            [1.0], "sliding", [1.0], (0.0, 0.0, 0.5))
+
+
 # ---- the slide oracle: the quadratic, the tracked root and the monitor
 # scalars as separate closures, each from its own surface evaluation
 
@@ -908,10 +929,10 @@ def test_smoothed_layer_mode_tagging():
         if traj.mode(i) == "layer":
             saw_layer = True
             assert abs(x1) < 10e-3
-            assert traj.lam(i) == pytest.approx(math.tanh(x1 / 1e-3), abs=1e-12)
+            assert traj.lams[i] == pytest.approx(math.tanh(x1 / 1e-3), abs=1e-12)
         else:
             saw_flow = True
-            assert traj.lam(i) != traj.lam(i)   # nan outside the layer
+            assert traj.lams[i] != traj.lams[i]   # nan outside the layer
     assert saw_layer and saw_flow
 
 
@@ -1044,10 +1065,10 @@ def test_blowup_two_fold_point_freezes_lambda_initially():
     sys = nf(1, 1, -2.0, -2.0, 0.0)
     for lam0 in (-0.8, 0.0, 0.5):
         traj = integrate_blowup(sys, 1e-3, (lam0, 0.0, 0.0), (0.0, 1e-4))
-        assert abs(traj.lam(len(traj) - 1) - lam0) <= 1e-4
+        assert abs(traj.lams[-1] - lam0) <= 1e-4
     # contrast: away from the two-fold lam relaxes fast
     traj = integrate_blowup(sys, 1e-3, (0.5, 1.0, 1.0), (0.0, 1e-4))
-    assert abs(traj.lam(len(traj) - 1) - 0.5) > 1e-2
+    assert abs(traj.lams[-1] - 0.5) > 1e-2
 
 
 def test_blowup_tracks_sliding_manifold():
@@ -1059,7 +1080,7 @@ def test_blowup_tracks_sliding_manifold():
     for i in range(len(traj)):
         if traj.times[i] < 10 * eps:
             continue
-        lam = traj.lam(i)
+        lam = traj.lams[i]
         _, x2, x3 = traj.state(i)
         defect = abs(sys.f1_surface(x2, x3, lam))
         a, b, _ = surface_quadratic(*sys.f1_sides(x2, x3))
@@ -1076,7 +1097,7 @@ def test_blowup_relaxation_rate():
     lam = None
     for i in range(len(traj)):
         if traj.times[i] >= t_check:
-            lam = traj.lam(i)
+            lam = traj.lams[i]
             _, x2, x3 = traj.state(i)
             break
     target = sliding_lambda(sys, x2, x3)[0].lam
@@ -1089,7 +1110,7 @@ def test_blowup_boundary_exit():
     exits = traj.events_of("boundary-exit")
     assert len(exits) == 1
     assert traj.meta["boundary_exit"] == -1
-    assert traj.lam(len(traj) - 1) == pytest.approx(-1.0, abs=1e-9)
+    assert traj.lams[-1] == pytest.approx(-1.0, abs=1e-9)
     assert traj.t_end < 1.0
 
 
@@ -1107,7 +1128,7 @@ def test_blowup_needs_no_params():
         assert list(a.times) == list(b.times)
         for i in range(len(a)):
             assert a.state(i) == b.state(i)
-            assert a.lam(i) == b.lam(i)
+            assert a.lams[i] == b.lams[i]
         assert a.events == b.events
 
 

@@ -135,6 +135,7 @@ def test_bad_sim_options_are_located():
 
 
 _PARAMS = {"a1": 1, "a2": 1, "b1": 0, "b2": 0, "alpha": 0.1}
+_HUGE = "1" + "0" * 400 + "*x2"
 
 
 @pytest.mark.parametrize("doc, message, pointer", [
@@ -153,10 +154,16 @@ _PARAMS = {"a1": 1, "a2": 1, "b1": 0, "b2": 0, "alpha": 0.1}
     ({"params": _PARAMS, "sim": {"t_end": 10 ** 400}}, "t_end must be finite", "/sim/t_end"),
     ({"params": _PARAMS, "sim": {"x0": [0, -10 ** 400, 0]}},
      "x0 must be a list of three finite numbers", "/sim/x0"),
+    # nor an expression number of 401 digits
+    ({"f_plus": [_HUGE, "1", "0"], "f_minus": ["0", "0", "0"]},
+     f"bad expression in f_plus: number beyond the float range at position 0: "
+     f"{_HUGE[:60]!r}...", "/f_plus"),
 ])
-def test_each_config_error_names_its_member(doc, message, pointer):
+def test_each_config_error_names_its_member(doc, message, pointer, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError) as err:
-        load_config(io.StringIO(json.dumps(doc)))
+        load_config(path)
     assert (str(err.value), err.value.pointer) == (f"{message} (at {pointer})", pointer)
 
 
@@ -223,14 +230,3 @@ def test_save_run_writes_events_file(tmp_path):
     save_run(traj, out)
     assert out.exists()
     assert (tmp_path / "run.events.csv").exists()
-
-
-def test_config_from_file_object(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "z",
-                                "params": {"a1": -1, "a2": 1, "b1": 0.5,
-                                           "b2": 0.25, "alpha": 0.3}}))
-    with open(path) as fh:
-        sc = load_config(fh)
-    assert sc.name == "z"
-    assert sc.params.alpha == 0.3

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.singularities import (AlphaZeroError, BoundarySingularityError,
                                    _slow_flow_type, classify_two_fold,
-                                   folded_singularities, singularity_lambdas,
-                                   sweep_grid)
+                                   folded_singularities, sweep_grid)
 from twofold.sliding import surface_quadratic
 
 SQ2 = math.sqrt(2.0)
+
+
+def lambdas(p):
+    """The lam_s of the folded singularities of `p`, ascending."""
+    return [s.lambda_s for s in folded_singularities(p)]
 
 
 # ------------------------------------------------------------ flavours
@@ -79,7 +83,7 @@ def test_mixed_no_roots():
 
 def test_linear_degradation_at_equal_drifts():
     # b1 = b2 kills the quadratic's leading coefficient
-    assert singularity_lambdas(TwoFoldParams(1, 1, -2.0, -2.0, 0.2)) == [0.0]
+    assert lambdas(TwoFoldParams(1, 1, -2.0, -2.0, 0.2)) == [0.0]
 
 
 def test_alpha_zero_rejected():
@@ -127,7 +131,7 @@ def test_closed_form_display_agreement():
             if den != 0.0:
                 explicit = [(-(a1 + a2) / d + s * root) / den for s in (1, -1)]
             explicit = sorted(l for l in explicit if abs(l) <= 1.0)
-        got = singularity_lambdas(TwoFoldParams(a1, a2, b1, b2, 0.2))
+        got = lambdas(TwoFoldParams(a1, a2, b1, b2, 0.2))
         assert len(got) == len(explicit)
         for g, e in zip(got, explicit):
             assert abs(g - e) <= 1e-12
@@ -138,10 +142,10 @@ def test_case_counts_on_grid():
     # none in the mixed cases with the threshold at |b1 - b2| = 2
     for k in range(-60, 61):
         d = k / 10.0
-        assert len(singularity_lambdas(TwoFoldParams(1, 1, d, 0.0, 0.2))) == 1
-        assert len(singularity_lambdas(TwoFoldParams(-1, -1, d, 0.0, 0.2))) == 1
-        n_pm = len(singularity_lambdas(TwoFoldParams(1, -1, d, 0.0, 0.2)))
-        n_mp = len(singularity_lambdas(TwoFoldParams(-1, 1, d, 0.0, 0.2)))
+        assert len(lambdas(TwoFoldParams(1, 1, d, 0.0, 0.2))) == 1
+        assert len(lambdas(TwoFoldParams(-1, -1, d, 0.0, 0.2))) == 1
+        n_pm = len(lambdas(TwoFoldParams(1, -1, d, 0.0, 0.2)))
+        n_mp = len(lambdas(TwoFoldParams(-1, 1, d, 0.0, 0.2)))
         if abs(abs(d) - 2.0) < 1e-12:
             continue  # merged double root at the exact threshold
         assert n_pm == (2 if d > 2.0 else 0)

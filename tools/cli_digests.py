@@ -43,7 +43,9 @@ fail in its first and third row, so their digests also show that no partial
 CSV is left.
 It takes about a
 minute in all on one core of a 2-vCPU Xeon, Python 3.11, most of it
-(40-50 s) the step-floor run of the perturbed example-i start.
+(40-50 s) the step-floor run of the perturbed example-i start.  The tier-1
+test tests/test_digests.py runs every call but that one (about 6 s) and
+compares each line with tools/cli_digests.txt.
 """
 
 from __future__ import annotations
@@ -271,6 +273,21 @@ def calls() -> list[tuple[str, ...]]:
     return out
 
 
+def jobs() -> list[tuple[dict, tuple[str, ...]]]:
+    """(files written into the call's directory first, argv) of every call,
+    in order."""
+    return [({}, argv) for argv in calls()] + list(CONFIG_CALLS)
+
+
+def line(main, files, argv, workdir) -> str:
+    """The output line of one call, run in the empty directory `workdir`
+    after writing `files` into it."""
+    for name, text in files.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return f"{digest(main, argv, workdir)}  {shlex.join(argv)}"
+
+
 def digest(main, argv, workdir) -> str:
     """Run one call in `workdir` and hash everything it produced, with the
     files that were there before it."""
@@ -300,14 +317,10 @@ def main() -> int:
     from twofold import cli
     print(f"twofold from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = [({}, argv) for argv in calls()] + list(CONFIG_CALLS)
-        for i, (files, argv) in enumerate(jobs):
+        for i, (files, argv) in enumerate(jobs()):
             workdir = os.path.join(tmp, f"call{i:03d}")
             os.mkdir(workdir)
-            for name, text in files.items():
-                with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            print(f"{digest(cli.main, argv, workdir)}  {shlex.join(argv)}", flush=True)
+            print(line(cli.main, files, argv, workdir), flush=True)
     return 0
 
 
