@@ -22,12 +22,12 @@ from .fields import TwoFoldParams
 from .integrate import (BUDGET, EPS_MAX, EPS_MIN, POLICIES, SIGMOIDS, STEP_FLOOR,
                         IntegratorOptions, NonconvergentEventError,
                         integrate_blowup, integrate_filippov, integrate_smoothed)
-from .scenarios import (ConfigError, Scenario, builtin, builtin_names,
-                        load_config, scenario_to_config, save_run)
+from .scenarios import (ConfigError, Scenario, builtin, builtin_config, builtin_names,
+                        load_config, save_run)
 from .singularities import (ALPHA_FLOOR, AlphaZeroError, BoundarySingularityError,
                             classify_two_fold, folded_singularities, sweep_grid)
 from .sliding import curve_L, surface_grid
-from .svg import VIEWS, artifact, render_region_map, render_trajectory
+from .svg import VIEWS, artifact, artifacts, render_region_map, render_trajectory
 from .transform import TransformDomainError, transform_check
 
 # failures of the numerics behind a command, each an exit 3
@@ -124,7 +124,7 @@ def _given(args, *names) -> dict:
 
 
 def _emit(report, args, out=None) -> int:
-    """Print the JSON report, with --seed added, and copy it to `out`.
+    """Write the JSON report, with --seed added, to `out`, then print it.
 
     A report holding a non-finite number is not written (JSON has no such
     numbers): exit 3.
@@ -136,11 +136,11 @@ def _emit(report, args, out=None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         return _numerical_failure("the report holds a non-finite number")
-    print(text)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
+    print(text)
     return 0
 
 
@@ -204,6 +204,8 @@ def _cmd_slide_map(args, parser) -> int:
         parser.error("--curve-out needs a normal-form system")
     # x2 and x3 run over the same axis
     axis = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    if not math.isfinite(axis[-1]):
+        parser.error("the slide-map grid's last value overflows; narrow --range")
     text = [repr(v) for v in axis]
     counts = Counter()
 
@@ -220,15 +222,18 @@ def _cmd_slide_map(args, parser) -> int:
 
     curve = (curve_L(sc.params, 201)
              if sc.params is not None and (args.curve_out or args.plot) else None)
-    with artifact(args.out) if args.out else contextlib.nullcontext() as fh:
+    # a failing artifact removes those written before it
+    with artifacts() as written, \
+            artifact(args.out) if args.out else contextlib.nullcontext() as fh:
         if fh:
             fh.write("x2,x3,region,n_roots,lambda_1,lambda_2\n")
         rows = regions(fh)
         if args.plot:
             render_region_map((axis, axis, rows), curve, args.plot)
+            written.append(args.plot)
         deque(rows, maxlen=0)   # every row the plot did not take, all without a plot
-    if args.curve_out:
-        curve.to_csv(args.curve_out)
+        if args.curve_out:
+            curve.to_csv(args.curve_out)
     return _emit({"grid": n, "range": [lo, hi], "region_counts": counts}, args)
 
 
@@ -245,11 +250,14 @@ def _traj_summary(traj) -> dict:
 
 def _run_report(args, traj, head: dict) -> int:
     """The tail of simulate and blowup: artifacts, then the report (`head`
-    plus the run summary), then exit 3 if the run stopped early."""
-    if args.out:
-        save_run(traj, args.out)
-    if args.plot:
-        render_trajectory(traj, args.plot, view=args.view)
+    plus the run summary), then exit 3 if the run stopped early.  A failing
+    artifact removes the plot written before it."""
+    with artifacts() as written:
+        if args.plot:
+            render_trajectory(traj, args.plot, view=args.view)
+            written.append(args.plot)
+        if args.out:
+            save_run(traj, args.out)
     code = _emit({**head, **_traj_summary(traj)}, args)
     if "aborted" in traj.meta:
         return _numerical_failure(traj)
@@ -268,17 +276,15 @@ def _check_epsilon(sc: Scenario, parser, runs: str) -> None:
 
 def _cmd_simulate(args, parser) -> int:
     sc = _resolve_scenario(args, parser)
-    if args.mode != "filippov":
-        _check_epsilon(sc, parser, "smoothed runs")
     opts = _run_options(args)
+    head = {"scenario": sc.name, "mode": args.mode, "epsilon": sc.epsilon,
+            "sigmoid": sc.sigmoid, "x0": list(sc.x0)}
     if args.mode == "filippov":
         traj = integrate_filippov(sc.system, sc.x0, (0.0, sc.t_end), opts)
     else:
+        _check_epsilon(sc, parser, "smoothed runs")
         traj = integrate_smoothed(sc.system, sc.sigmoid, sc.epsilon,
                                   sc.x0, (0.0, sc.t_end), opts)
-    head = {"scenario": sc.name, "mode": args.mode, "epsilon": sc.epsilon,
-            "sigmoid": sc.sigmoid, "x0": list(sc.x0)}
-    if args.mode != "filippov":
         # accepted steps, and how many of them were RODAS4 steps on the layer
         head["steps"] = traj.meta["steps"]
         head["rosenbrock_steps"] = traj.meta["rosenbrock_steps"]
@@ -342,10 +348,10 @@ def _cmd_scenario(args, parser) -> int:
     if args.name is None:
         parser.error("scenario show needs a name")
     try:
-        sc = builtin(args.name)
+        doc = builtin_config(args.name)
     except ValueError as exc:
         parser.error(str(exc))
-    return _emit(scenario_to_config(sc), args)
+    return _emit(doc, args)
 
 
 # ---------------------------------------------------------------- wiring

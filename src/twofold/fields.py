@@ -44,10 +44,9 @@ __all__ = [
 class SmoothField:
     """Three expression trees plus a compiled evaluator.
 
-    The evaluator is compiled at its first use, the first read of `fn` or
-    the first call, and kept on the field; a field that is never evaluated
-    is never compiled.  Immutable after construction otherwise; evaluation
-    is pure and reentrant.
+    The evaluator is compiled at its first use, the first read of `fn`, and
+    kept on the field; a field that is never evaluated is never compiled.
+    Immutable after construction otherwise; evaluation is pure and reentrant.
     """
 
     __slots__ = ("components", "_fn")
@@ -65,13 +64,10 @@ class SmoothField:
             *(c.source() for c in self.components)), "fn")
         return fn
 
-    def __call__(self, x) -> tuple[float, float, float]:
-        return self._fn(x[0], x[1], x[2])
-
     @property
     def fn(self):
-        """Compiled (x1, x2, x3) -> (f1, f2, f3); the fast path for integrators.
-        Compiled on the first read (or call) and the same object after it."""
+        """Compiled (x1, x2, x3) -> (f1, f2, f3), the field's one evaluator.
+        Compiled on the first read and the same object after it."""
         return self._fn
 
     def expressions(self) -> tuple[str, str, str]:
@@ -159,9 +155,9 @@ class PiecewiseSmoothSystem:
             raise ValueError(f"lambda must lie in [-1, 1], got {lam}")
         # the sides themselves, not 1*f + 0*f': that sum turns -0.0 into 0.0
         if lam == 1.0:
-            return self.f_plus(x)
+            return self.f_plus.fn(x[0], x[1], x[2])
         if lam == -1.0:
-            return self.f_minus(x)
+            return self.f_minus.fn(x[0], x[1], x[2])
         return self.layer(x[0], x[1], x[2], lam)
 
     def f1_surface(self, x2: float, x3: float, lam: float) -> float:

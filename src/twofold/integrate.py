@@ -137,9 +137,8 @@ class Trajectory:
 
     Each sample stores its outgoing derivative; an event sample, where the
     derivative jumps, also keeps its incoming one in `_f_in`, so dense output
-    stays exact across mode switches.  `meta['space']` is 'x' for runs in
-    state space and 'layer' for blow-up runs, whose sample vectors are
-    (lam, x2, x3).
+    stays exact across mode switches.  A blow-up run (meta['kind'] 'blowup')
+    samples (lam, x2, x3); every other run samples (x1, x2, x3).
     """
 
     def __init__(self, meta: dict | None = None):
@@ -249,7 +248,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         x1s, x2s, x3s = self._y
-        if self.meta.get("space") == "layer":
+        if self.meta.get("kind") == "blowup":
             x1s = repeat(0.0)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x1,x2,x3,mode,lambda\n")
@@ -653,11 +652,17 @@ def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
 # ---------------------------------------------------------------- smooth runs
 
 
-def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
-    """Adaptive integration of one smooth field."""
+def _forward(t_span, runs: str):
+    """(t0, t1) of a forward span; ValueError naming the `runs` otherwise."""
     t0, t1 = t_span
     if t1 <= t0:
-        raise ValueError("smooth runs integrate forward")
+        raise ValueError(f"{runs} runs integrate forward")
+    return t0, t1
+
+
+def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | None = None) -> Trajectory:
+    """Adaptive integration of one smooth field."""
+    t0, t1 = _forward(t_span, "smooth")
     traj = Trajectory(meta={"kind": "smooth"})
     _run_steps(traj, _Stepper(fld.fn, t0, x0, opts or IntegratorOptions()),
                t1, lambda y: (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS, NAN))
@@ -668,6 +673,11 @@ def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | Non
 # source holds 1/eps, the sqrt source eps**2, and the sqrt slope at x1 = 0
 # divides by eps**3; a blow-up run's lam' holds 1/eps too
 EPS_MIN, EPS_MAX = 1e-100, 1e100
+
+
+def _check_eps(eps):
+    if not EPS_MIN <= eps <= EPS_MAX:
+        raise ValueError(f"eps must lie in [{EPS_MIN!r}, {EPS_MAX!r}]")
 
 
 # the sigmoids by name: (lam source, slope source, phi).  The sources take
@@ -693,11 +703,8 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     meta['rosenbrock_steps']; elsewhere the run takes DP54 steps, and a
     step-floor event ends it early rather than stalling.
     """
-    if not EPS_MIN <= eps <= EPS_MAX:
-        raise ValueError(f"eps must lie in [{EPS_MIN!r}, {EPS_MAX!r}]")
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("smoothed runs integrate forward")
+    _check_eps(eps)
+    t0, t1 = _forward(t_span, "smoothed")
     if sigmoid not in SIGMOIDS:
         raise ValueError(f"unknown sigmoid {sigmoid!r} (use {' or '.join(map(repr, SIGMOIDS))})")
     lam_of, slope_of, phi = SIGMOIDS[sigmoid]
@@ -730,13 +737,10 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
     lam boundary with outward flow stops the run with a boundary-exit event
     (the hand-off into the half space is the caller's business).
     """
-    if not EPS_MIN <= eps <= EPS_MAX:
-        raise ValueError(f"eps must lie in [{EPS_MIN!r}, {EPS_MAX!r}]")
+    _check_eps(eps)
     if not -1.0 <= y0[0] <= 1.0:
         raise ValueError("lam0 must lie in [-1, 1]")
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("blow-up runs integrate forward")
+    t0, t1 = _forward(t_span, "blow-up")
     inv = 1.0 / eps
     layer = sys.layer
 
@@ -744,7 +748,7 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         f1, f2, f3 = layer(0.0, x2, x3, lam)
         return (f1 * inv, f2, f3)
 
-    traj = Trajectory(meta={"kind": "blowup", "space": "layer", "eps": eps})
+    traj = Trajectory(meta={"kind": "blowup", "eps": eps})
 
     def boundary_exit(seg):
         lam = seg[4][0]
@@ -999,9 +1003,7 @@ def integrate_filippov(sys: PiecewiseSmoothSystem, x0, t_span,
     configured policy; staying on the branch is the (deterministic) default.
     """
     opts = opts or IntegratorOptions()
-    t, t1 = t_span
-    if t1 <= t:
-        raise ValueError("Filippov runs integrate forward")
+    t, t1 = _forward(t_span, "Filippov")
     traj = Trajectory(meta={"kind": "filippov"})
     run = _FilippovRun(sys, opts, traj, t1)
     y = tuple(map(float, x0))

@@ -9,16 +9,18 @@ document `scenario show` prints and built by `load_config`.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
 from .expr import ExpressionError
 from .integrate import SIGMOIDS
+from .svg import artifacts
 
-__all__ = ["Scenario", "ConfigError", "builtin", "builtin_names",
-           "load_config", "scenario_to_config", "save_run"]
+__all__ = ["Scenario", "ConfigError", "builtin", "builtin_config", "builtin_names",
+           "load_config", "save_run"]
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class Scenario:
     t_end: float
     x0: tuple[float, float, float]
     sigmoid: str
-    note: str
 
     @property
     def params(self) -> TwoFoldParams | None:
@@ -92,17 +93,25 @@ def builtin_names() -> list[str]:
     return list(_BUILTINS)
 
 
-def builtin(name: str) -> Scenario:
-    """Named scenario from its config document; ValueError for unknown names."""
+def builtin_config(name: str) -> dict:
+    """A copy of the config document of a named scenario, the caller's to
+    change; ValueError for unknown names."""
     if name not in _BUILTINS:
         raise ValueError(f"unknown scenario {name!r}; choose from {builtin_names()}")
-    return load_config({"name": name, **_BUILTINS[name]})
+    return {"name": name, **copy.deepcopy(_BUILTINS[name])}
+
+
+def builtin(name: str) -> Scenario:
+    """Named scenario from its config document; ValueError for unknown names."""
+    return load_config(builtin_config(name))
 
 
 # ---------------------------------------------------------------- config i/o
 
 _SIM_DEFAULTS = {"epsilon": 1e-3, "t_end": 10.0, "x0": (0.1, 0.5, 0.5),
                  "sigmoid": "tanh"}
+_MEMBERS = ("name", "note", "f_plus", "f_minus", "hidden", "params", "sim")
+_PARAMS = ("a1", "a2", "b1", "b2", "alpha")
 
 
 def _expr_triple(doc, key):
@@ -114,6 +123,13 @@ def _expr_triple(doc, key):
         return parse_field(*val)
     except ExpressionError as exc:
         raise ConfigError(f"bad expression in {key}: {exc}", f"/{key}") from exc
+
+
+def _known(doc, keys, pointer, what):
+    """ConfigError at the first member of `doc` outside `keys`."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown {what} {key!r}", f"{pointer}/{key}")
 
 
 def _require_number(doc, key, pointer):
@@ -129,8 +145,9 @@ def load_config(source) -> Scenario:
     """Build a Scenario from a JSON document (a path or a dict).
 
     The document gives either explicit field expressions (f_plus, f_minus,
-    optional hidden) or normal-form params; every failure carries a JSON
-    pointer to the offending member.
+    optional hidden) or normal-form params, and no member it does not read
+    (a misspelled hidden term would drop out unnoticed); every failure
+    carries a JSON pointer to the offending member.
     """
     if isinstance(source, dict):
         doc = source
@@ -139,20 +156,24 @@ def load_config(source) -> Scenario:
             doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be an object", "/")
+    _known(doc, _MEMBERS, "", "member")
 
     name = doc.get("name", "config")
     if not isinstance(name, str):
         raise ConfigError("name must be a string", "/name")
+    if not isinstance(doc.get("note", ""), str):
+        raise ConfigError("note must be a string", "/note")
 
     has_params = "params" in doc
-    has_fields = "f_plus" in doc or "f_minus" in doc
+    has_fields = "f_plus" in doc or "f_minus" in doc or "hidden" in doc
     if has_params and has_fields:
         raise ConfigError("give either explicit fields or params, not both", "/params")
     if has_params:
         pd = doc["params"]
         if not isinstance(pd, dict):
             raise ConfigError("params must be an object", "/params")
-        for key in ("a1", "a2", "b1", "b2", "alpha"):
+        _known(pd, _PARAMS, "/params", "params member")
+        for key in _PARAMS:
             if key not in pd:
                 raise ConfigError(f"params is missing {key}", f"/params/{key}")
             _require_number(pd, key, f"/params/{key}")
@@ -175,9 +196,7 @@ def load_config(source) -> Scenario:
         sd = doc["sim"]
         if not isinstance(sd, dict):
             raise ConfigError("sim must be an object", "/sim")
-        for key in sd:
-            if key not in _SIM_DEFAULTS:
-                raise ConfigError(f"unknown sim option {key!r}", f"/sim/{key}")
+        _known(sd, _SIM_DEFAULTS, "/sim", "sim option")
         for key in ("epsilon", "t_end"):
             if key in sd:
                 v = _require_number(sd, key, f"/sim/{key}")
@@ -198,30 +217,15 @@ def load_config(source) -> Scenario:
             sim["sigmoid"] = sd["sigmoid"]
 
     return Scenario(name, system, sim["epsilon"], sim["t_end"],
-                    tuple(sim["x0"]), sim["sigmoid"],
-                    note=str(doc.get("note", "")))
-
-
-def scenario_to_config(sc: Scenario) -> dict:
-    """Config document reproducing the scenario exactly on reload."""
-    doc: dict = {"name": sc.name}
-    p = sc.params
-    if p is not None:
-        doc["params"] = asdict(p)
-    else:
-        doc["f_plus"] = list(sc.system.f_plus.expressions())
-        doc["f_minus"] = list(sc.system.f_minus.expressions())
-        doc["hidden"] = list(sc.system.hidden.expressions())
-    doc["sim"] = {"epsilon": sc.epsilon, "t_end": sc.t_end,
-                  "x0": list(sc.x0), "sigmoid": sc.sigmoid}
-    if sc.note:
-        doc["note"] = sc.note
-    return doc
+                    tuple(sim["x0"]), sim["sigmoid"])
 
 
 def save_run(trajectory, path) -> None:
-    """Persist a run as CSV next to its event log (<stem>.events.csv)."""
-    trajectory.to_csv(path)
+    """Persist a run as CSV next to its event log (<stem>.events.csv); a
+    log that cannot be written removes the CSV again."""
     p = str(path)
     stem = p[:-4] if p.endswith(".csv") else p
-    trajectory.events_to_csv(stem + ".events.csv")
+    with artifacts() as written:
+        trajectory.to_csv(path)
+        written.append(path)
+        trajectory.events_to_csv(stem + ".events.csv")

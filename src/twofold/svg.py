@@ -9,6 +9,7 @@ u2 = x2 + x3 horizontal, which untangles curves organized around the two-fold.
 from __future__ import annotations
 
 import contextlib
+import math
 import operator
 import os
 from itertools import chain, islice, starmap
@@ -67,20 +68,32 @@ def _padded(lo, hi):
     return lo - 0.05 * d, hi + 0.05 * d
 
 
+def _axis(values, pixels):
+    """(k, lo, hi, s) of one canvas axis: a value v is drawn (v k - lo) s
+    pixels in, lo..hi being the padded extent of the values times k.  k is
+    1.0 unless the padded width or s leaves the float range; then it is the
+    power of two that brings the largest magnitude into [0.5, 1)."""
+    lo, hi = min(values), max(values)
+    p_lo, p_hi = _padded(lo, hi)
+    k = 1.0
+    if not 0.0 < pixels / (p_hi - p_lo) < math.inf:
+        k = 2.0 ** min(1000, -math.frexp(max(abs(lo), abs(hi)))[1])
+        p_lo, p_hi = _padded(lo * k, hi * k)
+    return k, p_lo, p_hi, pixels / (p_hi - p_lo)
+
+
 class _Canvas:
     def __init__(self, xs, ys):
-        x_lo, x_hi = _padded(min(xs), max(xs))
-        y_lo, y_hi = _padded(min(ys), max(ys))
-        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
-        self.sx = (WIDTH - 2 * MARGIN) / (x_hi - x_lo)
-        self.sy = (HEIGHT - 2 * MARGIN) / (y_hi - y_lo)
+        self.kx, self.x_lo, self.x_hi, self.sx = _axis(xs, WIDTH - 2 * MARGIN)
+        self.ky, self.y_lo, self.y_hi, self.sy = _axis(ys, HEIGHT - 2 * MARGIN)
 
     def to_screen(self, x, y):
-        return (MARGIN + (x - self.x_lo) * self.sx,
-                HEIGHT - MARGIN - (y - self.y_lo) * self.sy)
+        return (MARGIN + (x * self.kx - self.x_lo) * self.sx,
+                HEIGHT - MARGIN - (y * self.ky - self.y_lo) * self.sy)
 
     def contains(self, x, y):
-        return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
+        return (self.x_lo <= x * self.kx <= self.x_hi
+                and self.y_lo <= y * self.ky <= self.y_hi)
 
 
 def _downsample(columns, view, cap=6000):
@@ -104,13 +117,12 @@ _HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
 
 
 def _axes(canvas) -> str:
+    x0, y0 = canvas.to_screen(0.0, 0.0)
     text = ""
     if canvas.x_lo <= 0.0 <= canvas.x_hi:
-        x0, _ = canvas.to_screen(0.0, canvas.y_lo)
         text += (f'<line x1="{_fmt(x0)}" y1="{MARGIN}" x2="{_fmt(x0)}" '
                  f'y2="{HEIGHT - MARGIN}" stroke="#cccccc" stroke-width="1"/>\n')
     if canvas.y_lo <= 0.0 <= canvas.y_hi:
-        _, y0 = canvas.to_screen(canvas.x_lo, 0.0)
         text += (f'<line x1="{MARGIN}" y1="{_fmt(y0)}" x2="{WIDTH - MARGIN}" '
                  f'y2="{_fmt(y0)}" stroke="#cccccc" stroke-width="1"/>\n')
     return text
@@ -128,17 +140,28 @@ def _polyline(fh, canvas, points, color, width, chunk=256):
 
 
 @contextlib.contextmanager
+def artifacts():
+    """The list of artifact paths the block has written, for it to extend; a
+    block that raises removes each of them that is a regular file, so a call
+    that fails part way leaves none of its artifacts."""
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
+
+
+@contextlib.contextmanager
 def artifact(path):
     """`path` open for writing text; a block that raises removes the file (a
     regular one), so output streamed to it and cut short leaves no artifact."""
     fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        if os.path.isfile(path):
-            os.remove(path)
-        raise
+    with artifacts() as written, fh:
+        written.append(path)
+        yield fh
 
 
 def render_trajectory(traj, path, view: str = "u3") -> None:
@@ -189,8 +212,8 @@ def render_region_map(grid, curve, path) -> None:
         raise ValueError("empty region map")
     canvas = _Canvas(xs, ys)
     step_x, step_y = _min_gap(xs), _min_gap(ys)
-    w = step_x * canvas.sx
-    h = step_y * canvas.sy
+    w = step_x * canvas.kx * canvas.sx
+    h = step_y * canvas.ky * canvas.sy
     # each column's x and each row's y is formatted once, by grid position
     x_text = [_fmt(canvas.to_screen(x, 0.0)[0] - w / 2) for x in xs]
     y_text = [_fmt(canvas.to_screen(0.0, y)[1] - h / 2) for y in ys]

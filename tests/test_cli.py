@@ -407,10 +407,16 @@ def test_non_finite_float_is_usage_error(argv, capsys):
     ["simulate", "--config", "{config}"],
     ["slide-map", "--config", "{huge}"],
     ["slide-map", "--config", "{digits}"],
+    # members load_config would not read
+    ["slide-map", "--config", "{misspelled}", "--grid", "5"],
+    ["classify", "--config", "{hidden}"],
+    ["classify", "--config", "{alpah}"],
+    ["classify", "--config", "{note}"],
 ], ids=["t-end-negative", "t-end-zero", "epsilon", "epsilon-tiny", "epsilon-huge",
         "rel-tol", "abs-tol", "min-step", "blowup-epsilon", "blowup-epsilon-tiny",
         "blowup-t-end", "unwritable-plot", "config-t-end", "config-huge-number",
-        "config-digit-limit"])
+        "config-digit-limit", "config-unknown-member", "config-hidden-beside-params",
+        "config-unknown-params-member", "config-note-not-a-string"])
 def test_out_of_range_input_is_usage_error(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"a1": 1, "a2": 1, "b1": 0, "b2": 0,
@@ -422,6 +428,15 @@ def test_out_of_range_input_is_usage_error(argv, tmp_path, capsys):
         numbers[name] = tmp_path / f"{name}.json"
         numbers[name].write_text(json.dumps({"f_plus": [text, "1", "0"],
                                              "f_minus": ["0", "0", "0"]}))
+    params = {"a1": 1, "a2": 1, "b1": 1, "b2": -1, "alpha": 0.2}
+    for name, doc in (("misspelled", {"f_plus": ["-x2", "1", "-1"],
+                                      "f_minus": ["x3", "0.5", "-1"],
+                                      "Hidden": ["1/5", "0", "0"]}),
+                      ("hidden", {"params": params, "hidden": ["1/5", "0", "0"]}),
+                      ("alpah", {"params": {**params, "alpah": 0.2}}),
+                      ("note", {"params": params, "note": 5})):
+        numbers[name] = tmp_path / f"{name}.json"
+        numbers[name].write_text(json.dumps(doc))
     argv = [a.format(missing=tmp_path / "missing", config=cfg, **numbers) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -485,6 +500,32 @@ def test_unread_flags_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", *NORMAL_FORM, "--out", "missing/r.json"),
+    ("simulate", "--scenario", "mixed-nf", "--t-end", "0.1", "--out", "run.csv",
+     "--plot", "missing/run.svg"),
+    ("slide-map", "--scenario", "invisible-nf", "--grid", "5", "--out", "map.csv",
+     "--plot", "map.svg", "--curve-out", "missing/c.csv"),
+], ids=lambda argv: argv[0])
+def test_an_unwritable_artifact_path_leaves_no_output(argv, tmp_path, monkeypatch, capsys):
+    # the call's other artifacts are written first and removed again
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"twofold: error: [Errno 2] No such file or directory: "
+                            f"{argv[-1]!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unwritable_event_log_removes_the_run_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.events.csv").mkdir()
+    assert main(["simulate", "--scenario", "mixed-nf", "--t-end", "0.1", "--out", "run.csv"]) == 2
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.events.csv"]
 
 
 # finite flags whose derived constants overflow: JSON has no inf or nan
@@ -751,6 +792,44 @@ def test_plot_single_point_beyond_unit_resolution(tmp_path):
         assert '<circle cx="400" cy="300"' in path.read_text()
 
 
+def svg_numbers(text):
+    """Every number in the attribute values of an SVG text."""
+    numbers = []
+    for value in re.findall(r'="([^"]*)"', text):
+        for token in re.split(r"[ ,]", value):
+            with contextlib.suppress(ValueError):
+                numbers.append(float(token))
+    return numbers
+
+
+@pytest.mark.parametrize("grid, bounds, code", [
+    ("3", "0,1e-320", 0),            # the scale of a subnormal width overflows
+    ("2", "-1e308,7.9e307", 0),      # the padded width overflows
+    ("3", "-1e308,7.9e307", 2),      # the axis's last value overflows
+])
+def test_slide_map_plot_at_extreme_ranges_draws_finite_numbers(grid, bounds, code, tmp_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["slide-map", "--scenario", "example-ii", "--grid", grid,
+                 f"--range={bounds}", "--plot", "m.svg"]) == code
+    if code == 2:
+        assert "overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        return
+    text = (tmp_path / "m.svg").read_text()
+    assert text.count("<rect x=") == int(grid) ** 2
+    assert all(map(math.isfinite, svg_numbers(text)))
+
+
+def test_plot_of_a_subnormal_extent_draws_finite_numbers(tmp_path):
+    path = tmp_path / "run.svg"
+    render_trajectory(trajectory_through([(0.0, 1.0, 1.0), (1e-320, 1.5, 0.5)]), path)
+    text = path.read_text()
+    assert all(map(math.isfinite, svg_numbers(text)))
+    # x1 spans the vertical axis, padded by 5% of its width at each end
+    assert '<polyline points="400,527.273 400,72.7273"' in text
+
+
 # ---- the plot oracle: every sample built as a point tuple and projected
 # one at a time, as trajectory plots were drawn before they read columns
 
@@ -810,7 +889,7 @@ def oracle_render_curves(curves, path, view, events, labels):
 
 def oracle_render_trajectory(traj, path, view):
     x1s, x2s, x3s = traj.columns
-    if traj.meta.get("space") == "layer":
+    if traj.meta.get("kind") == "blowup":
         x1s = traj.lams
     points = list(zip(x1s, x2s, x3s))
     events = [(e.kind, e.state) for e in traj.events]

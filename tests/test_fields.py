@@ -43,8 +43,8 @@ def test_combination_endpoints_recover_sides_exactly():
     for _ in range(50):
         sys = _random_system(rng)
         x = tuple(rng.uniform(-2, 2) for _ in range(3))
-        assert sys.combination(x, 1.0) == sys.f_plus(x)
-        assert sys.combination(x, -1.0) == sys.f_minus(x)
+        assert sys.combination(x, 1.0) == sys.f_plus.fn(*x)
+        assert sys.combination(x, -1.0) == sys.f_minus.fn(*x)
 
 
 def test_combination_midpoint_includes_hidden():
@@ -52,7 +52,7 @@ def test_combination_midpoint_includes_hidden():
     for _ in range(20):
         sys = _random_system(rng)
         x = tuple(rng.uniform(-2, 2) for _ in range(3))
-        p, m, g = sys.f_plus(x), sys.f_minus(x), sys.hidden(x)
+        p, m, g = sys.f_plus.fn(*x), sys.f_minus.fn(*x), sys.hidden.fn(*x)
         got = sys.combination(x, 0.0)
         for i in range(3):
             assert got[i] == pytest.approx((p[i] + m[i]) / 2 + g[i], abs=1e-15)
@@ -65,7 +65,7 @@ def test_layer_kernel_matches_combination_exactly():
         sys = _random_system(rng)
         x = tuple(rng.uniform(-2, 2) for _ in range(3))
         lam = rng.uniform(-1, 1)
-        p, m, g = sys.f_plus(x), sys.f_minus(x), sys.hidden(x)
+        p, m, g = sys.f_plus.fn(*x), sys.f_minus.fn(*x), sys.hidden.fn(*x)
         wp, wm, wh = 0.5 * (1.0 + lam), 0.5 * (1.0 - lam), 1.0 - lam * lam
         expect = tuple(wp * p[i] + wm * m[i] + wh * g[i] for i in range(3))
         assert sys.layer(*x, lam) == expect
@@ -128,6 +128,15 @@ def test_the_deepest_accepted_expressions_compile_every_kernel():
         assert all(map(math.isfinite, values))
 
 
+def test_fields_and_systems_print_their_canonical_expressions():
+    f = parse_field("-x2", "1+x1", "-7/5")
+    assert repr(f) == "SmoothField('-x2', '1+x1', '-7/5')"
+    sys = PiecewiseSmoothSystem(f, parse_field("x3", "-9/10", "1-3/5*x1"))
+    assert repr(sys) == ("PiecewiseSmoothSystem(f_plus=SmoothField('-x2', '1+x1', '-7/5'), "
+                         "f_minus=SmoothField('x3', '-9/10', '1-3/5*x1'), "
+                         "hidden=SmoothField('0', '0', '0'))")
+
+
 def test_a_field_compiles_at_its_first_use_only(monkeypatch):
     compiled = []
     compile_ = fields._compile
@@ -136,8 +145,8 @@ def test_a_field_compiles_at_its_first_use_only(monkeypatch):
     f, g = parse_field("x2", "x3", "x1"), parse_field("x3", "x1", "x2")
     assert compiled == []
     fn = f.fn
-    assert f.fn is fn and f((1.0, 2.0, 3.0)) == (2.0, 3.0, 1.0) and compiled == ["fn"]
-    assert g((1.0, 2.0, 3.0)) == (3.0, 1.0, 2.0) and g.fn is g.fn and len(compiled) == 2
+    assert f.fn is fn and f.fn(1.0, 2.0, 3.0) == (2.0, 3.0, 1.0) and compiled == ["fn"]
+    assert g.fn(1.0, 2.0, 3.0) == (3.0, 1.0, 2.0) and g.fn is g.fn and len(compiled) == 2
 
 
 def _numpy_real_roots(a, b, c):

@@ -22,7 +22,7 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                BISECT_MAX_ITER, NonconvergentEventError,
                                TWO_FOLD_TOL, _Stepper, _bisect_event,
                                SIGMOIDS, _first_cubic, _hermite, _monotone_noise, _run_steps,
-                               _slide_monitors, _surface_crossing)
+                               _illinois, _slide_monitors, _surface_crossing)
 from twofold.scenarios import builtin
 from twofold.sliding import CLASSIFY_TOL, branch_root, sliding_lambda, surface_quadratic
 
@@ -74,6 +74,21 @@ def test_dense_output_matches_samples_and_is_continuous():
 def test_integrator_options_reject_bad_values(field, value):
     with pytest.raises(ValueError):
         IntegratorOptions(**{field: value})
+
+
+def test_eval_of_an_empty_and_a_one_sample_trajectory():
+    traj = Trajectory()
+    with pytest.raises(ValueError, match="empty trajectory"):
+        traj.eval(0.0)
+    traj.append(1.0, (0.5, -1.0, 2.0), (1.0, 0.0, 0.0), "flow+")
+    assert traj.eval(1.0) == traj.eval(3.0) == (0.5, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("probe", [math.inf, -math.inf, math.nan])
+def test_illinois_stops_at_a_probe_whose_value_is_not_finite(probe):
+    probes = []
+    assert _illinois(lambda t: probes.append(t) or probe, 0.0, 1.0, -1.0, 1.0, 0.0) == (0.0, 1.0)
+    assert probes == [0.5]
 
 
 def test_sample_times_must_increase():
@@ -899,9 +914,21 @@ def test_smoothed_field_matches_piecewise_outside_layer():
         x = (float(x1), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         lam = math.tanh(x[0] / eps)
         smooth = sys.combination(x, lam)
-        side = sys.f_plus(x) if x[0] > 0.0 else sys.f_minus(x)
+        side = sys.f_plus.fn(*x) if x[0] > 0.0 else sys.f_minus.fn(*x)
         for a, b in zip(smooth, side):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+def test_a_slide_at_rest_takes_no_two_fold_step_cap():
+    # from (0, 1, 0.6) the attracting root is lam = 0, where the slide field
+    # is exactly (0, 0): the two-fold cap has no speed to bound the step by
+    sys = nf(1, 1, -1.0, -1.0, 0.2)
+    assert sys.layer(0.0, 1.0, 0.6, 0.0) == (0.0, 0.0, 0.0)
+    traj = integrate_filippov(sys, (0.0, 1.0, 0.6), (0.0, 1.0))
+    assert traj.events == [Event(0.0, "slide-entry", (0.0, 1.0, 0.6))]
+    assert traj.meta["steps"] == 6 and traj.t_end == 1.0
+    assert {traj.state(i) for i in range(len(traj))} == {(0.0, 1.0, 0.6)}
+    assert set(traj.lams) == {0.0}
 
 
 def test_smoothed_tracks_filippov_slide():

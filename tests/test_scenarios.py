@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 
 from twofold import cli, scenarios
-from twofold.expr import Num
+from twofold.expr import Num, parse_expr
 from twofold.fields import TwoFoldParams
 from twofold.integrate import integrate_filippov
-from twofold.scenarios import (ConfigError, builtin, builtin_names,
-                               load_config, save_run,
-                               scenario_to_config)
+from twofold.scenarios import (ConfigError, builtin, builtin_config, builtin_names,
+                               load_config, save_run)
 from twofold.singularities import classify_two_fold, folded_singularities
 
 
@@ -158,6 +157,15 @@ _HUGE = "1" + "0" * 400 + "*x2"
     ({"f_plus": [_HUGE, "1", "0"], "f_minus": ["0", "0", "0"]},
      f"bad expression in f_plus: number beyond the float range at position 0: "
      f"{_HUGE[:60]!r}...", "/f_plus"),
+    # a member load_config would not read: a misspelled hidden term would
+    # otherwise load as the zero hidden field
+    ({"f_plus": ["-x2", "1", "-1"], "f_minus": ["x3", "0.5", "-1"],
+      "Hidden": ["1/5", "0", "0"]}, "unknown member 'Hidden'", "/Hidden"),
+    ({"params": _PARAMS, "hidden": ["1/5", "0", "0"]},
+     "give either explicit fields or params, not both", "/params"),
+    ({"params": {**_PARAMS, "alpah": 0.2}}, "unknown params member 'alpah'",
+     "/params/alpah"),
+    ({"params": _PARAMS, "note": 5}, "note must be a string", "/note"),
 ])
 def test_each_config_error_names_its_member(doc, message, pointer, tmp_path):
     path = tmp_path / "cfg.json"
@@ -172,7 +180,7 @@ def test_round_trip_is_exact(tmp_path):
         sc = builtin(name)
         path = tmp_path / f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(scenario_to_config(sc), fh)
+            json.dump(builtin_config(name), fh)
         back = load_config(path)
         assert back.name == sc.name
         assert back.epsilon == sc.epsilon
@@ -195,8 +203,8 @@ def test_builtins_are_config_documents_built_by_load_config(monkeypatch):
     monkeypatch.setattr(scenarios, "load_config", recording_load_config)
     monkeypatch.setattr(cli, "load_config", recording_load_config)
     for name in builtin_names():
-        assert scenario_to_config(builtin(name)) == {"name": name, **scenarios._BUILTINS[name]}
-        assert loaded.pop() == {"name": name, **scenarios._BUILTINS[name]}
+        builtin(name)
+        assert loaded.pop() == builtin_config(name) == {"name": name, **scenarios._BUILTINS[name]}
     # the CLI's normal-form flags are a params document whose sim block sets
     # only the start; the other sim values are load_config's defaults
     with contextlib.redirect_stdout(io.StringIO()):
@@ -209,16 +217,23 @@ def test_builtins_are_config_documents_built_by_load_config(monkeypatch):
     assert (sc.epsilon, sc.t_end, sc.x0, sc.sigmoid) == (1e-3, 10.0, (0.0, 1.0, 1.0), "tanh")
 
 
+def test_a_builtin_document_is_the_callers_copy():
+    doc = builtin_config("example-i")
+    doc["sim"]["t_end"] = 1.0
+    doc["f_plus"][0] = "x1"
+    sc = builtin("example-i")
+    assert sc.t_end == 200.0 and sc.system.f_plus.components[0] != parse_expr("x1")
+
+
 def test_config_echo_evaluates_identically():
     sc = builtin("example-i")
-    doc = scenario_to_config(sc)
-    again = load_config(doc)
+    again = load_config(builtin_config("example-i"))
     rng = random.Random(123)
     for _ in range(100):
         x = tuple(rng.uniform(-2, 2) for _ in range(3))
         for fld in ("f_plus", "f_minus", "hidden"):
-            a = getattr(sc.system, fld)(x)
-            b = getattr(again.system, fld)(x)
+            a = getattr(sc.system, fld).fn(*x)
+            b = getattr(again.system, fld).fn(*x)
             for u, v in zip(a, b):
                 assert u == v or abs(u - v) <= 1e-14 * abs(u)
 

@@ -79,6 +79,18 @@ def test_domain_error_outside_rectification_domain():
         curve_functions(ctx, bad_y3)
 
 
+def test_curve_functions_clamp_rounding_just_past_the_domain_boundary():
+    # the first y3 past alpha (1 + lam_s)^2 whose argument rounds below 0 is
+    # taken as the boundary itself, where the chart turns vertical
+    ctx = make_ctx()
+    ls, al = ctx.lam_s, ctx.params.alpha
+    y3 = al * (1.0 + ls) ** 2
+    while (1.0 + ls) ** 2 - y3 / al >= 0.0:
+        y3 = math.nextafter(y3, math.inf)
+    assert curve_functions(ctx, y3) == (-1.0 - ls, -y3 + 4.0 * al * (1.0 + ls),
+                                        -math.inf, math.inf)
+
+
 # ------------------------------------------------------------ full chain
 
 def test_singularity_maps_near_origin():

@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 189 calls of `twofold.cli.main` in this process, each in its own
+Runs 196 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -38,9 +38,14 @@ whose 500-term sum nests too deep to load (exit 2), then four trajectory
 plots, one per other --view, a classify at alpha = -0.0, and two params
 configs whose sim block sets epsilon and t_end: a smoothed run and a t_end
 of 0 (exit 2), then the two largest grids the CLI admits, a 501 x 501
-slide map and sweep.  The two sweeps next to lam = -1 stream their CSV and
-fail in its first and third row, so their digests also show that no partial
-CSV is left.
+slide map and sweep, and last seven calls that exit 2 or draw finite
+plots: two config documents that load_config refuses (a misspelled hidden
+member, a hidden term beside params), two slide-map plots over extreme
+ranges (a subnormal width, and an axis whose last value overflows) and
+three calls whose last artifact path lies in a missing directory, which
+leave no output.  The two sweeps next to lam = -1 stream their CSV and fail
+in its first and third row, so their digests also show that no partial CSV
+is left.
 It takes about a
 minute in all on one core of a 2-vCPU Xeon, Python 3.11, most of it
 (40-50 s) the step-floor run of the perturbed example-i start.  The tier-1
@@ -182,6 +187,14 @@ DEEP_CONFIG = json.dumps({"f_plus": ["+".join(["x1"] * 500), "1", "1"],
 MIXED_PARAMS = {"a1": -1, "a2": 1, "b1": -4.0, "b2": -1.0, "alpha": 0.2}
 SIM_CONFIG = json.dumps({"params": MIXED_PARAMS, "sim": {"epsilon": 1e-2, "t_end": 5}})
 ZERO_T_END_CONFIG = json.dumps({"params": MIXED_PARAMS, "sim": {"t_end": 0}})
+# members load_config does not read: a misspelled hidden term, and a hidden
+# term beside params (both exit 2)
+MISSPELLED_HIDDEN_CONFIG = json.dumps({"f_plus": ["-x2", "1", "-1"],
+                                       "f_minus": ["x3", "0.5", "-1"],
+                                       "Hidden": ["1/5", "0", "0"]})
+HIDDEN_WITH_PARAMS_CONFIG = json.dumps({
+    "params": {"a1": 1, "a2": 1, "b1": 1.0, "b2": -1.0, "alpha": 0.2},
+    "hidden": ["1/5", "0", "0"]})
 # (files written into the call's directory first, argv)
 CONFIG_CALLS = (
     ({"cfg.json": EXPRESSION_CONFIG},
@@ -192,11 +205,28 @@ CONFIG_CALLS = (
      ("simulate", "--config", "deep.json", "--mode", "filippov")),
     ({"sim.json": SIM_CONFIG}, ("simulate", "--config", "sim.json", *RUN_OUT)),
     ({"sim.json": ZERO_T_END_CONFIG}, ("simulate", "--config", "sim.json")),
+    ({"cfg.json": MISSPELLED_HIDDEN_CONFIG},
+     ("slide-map", "--config", "cfg.json", "--grid", "5", "--out", "map.csv")),
+    ({"cfg.json": HIDDEN_WITH_PARAMS_CONFIG}, ("classify", "--config", "cfg.json")),
+)
+# slide-map plots over a range of subnormal width and over one whose axis
+# overflows past its last value (exit 2)
+EXTREME_RANGES = tuple(
+    ("slide-map", "--scenario", "example-ii", "--grid", "3", "--plot", "m.svg",
+     f"--range={bounds}") for bounds in ("0,1e-320", "-1e308,7.9e307"))
+# a last artifact path in a missing directory: exit 2 and no output
+UNWRITABLE_PATHS = (
+    ("classify", "--a1", "1", "--a2", "1", "--b1=1", "--b2=-1", "--alpha", "0.2",
+     "--out", "missing/r.json"),
+    ("simulate", "--scenario", "mixed-nf", "--t-end", "0.1", "--out", "run.csv",
+     "--plot", "missing/run.svg"),
+    ("slide-map", "--scenario", "invisible-nf", "--grid", "5", "--out", "map.csv",
+     "--plot", "map.svg", "--curve-out", "missing/c.csv"),
 )
 
 
 def calls() -> list[tuple[str, ...]]:
-    """The argv of every call but the CONFIG_CALLS, in order."""
+    """The argv of every call before the CONFIG_CALLS, in order."""
     out = []
     for name in SCENARIOS:
         curve = ("--curve-out", "curve.csv") if name in NORMAL_FORMS else ()
@@ -276,7 +306,8 @@ def calls() -> list[tuple[str, ...]]:
 def jobs() -> list[tuple[dict, tuple[str, ...]]]:
     """(files written into the call's directory first, argv) of every call,
     in order."""
-    return [({}, argv) for argv in calls()] + list(CONFIG_CALLS)
+    return ([({}, argv) for argv in calls()] + list(CONFIG_CALLS)
+            + [({}, argv) for argv in EXTREME_RANGES + UNWRITABLE_PATHS])
 
 
 def line(main, files, argv, workdir) -> str:
