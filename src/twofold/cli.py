@@ -229,7 +229,7 @@ def _cmd_slide_map(args, parser) -> int:
             fh.write("x2,x3,region,n_roots,lambda_1,lambda_2\n")
         rows = regions(fh)
         if args.plot:
-            render_region_map((axis, axis, rows), curve, args.plot)
+            render_region_map(axis, rows, args.plot, curve)
             written.append(args.plot)
         deque(rows, maxlen=0)   # every row the plot did not take, all without a plot
         if args.curve_out:
@@ -320,7 +320,9 @@ def _cmd_sweep(args, parser) -> int:
     if per_axis * per_axis > SWEEP_MAX_CELLS:
         parser.error(f"sweep grid exceeds {SWEEP_MAX_CELLS} cells; raise --b-step "
                      "or narrow --b-range")
-    n = int(round((hi - lo) / step)) + 1
+    # the values lo + i step up to hi; a quotient within rounding of an
+    # integer counts as that integer
+    n = math.floor((hi - lo) / step * (1.0 + 1e-12)) + 1
     if not math.isfinite(lo + (n - 1) * step):
         parser.error("the sweep grid's last b value overflows; narrow --b-range")
     # b1 and b2 run over the same axis, b1 in the outer loop

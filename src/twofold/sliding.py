@@ -83,16 +83,16 @@ def branch_root(a: float, b: float, c: float, sigma: int) -> float:
     return r_plus if sigma > 0 else r_minus
 
 
-def roots_of_sides(fp1: float, fm1: float, g1: float,
-                   x2: float, x3: float) -> list[tuple[float, bool]]:
-    """All sliding values of lam at (0, x2, x3) as (lam, double_root) pairs,
-    sorted ascending, from the first components fp1, fm1, g1 of f_plus,
-    f_minus and g there.
+def roots_of_sides(fp1: float, fm1: float, g1: float) -> list[tuple[float, bool]]:
+    """All sliding values of lam at a surface point, as (lam, double_root)
+    pairs sorted ascending, from f1's terms there: the first components fp1,
+    fm1, g1 of f_plus, f_minus and g.
 
     f1 is solved in the orientation of -f1 (the negated `surface_quadratic`):
     -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2 - g1; for the normal
     form the coefficients are alpha, (x2+x3)/2 and (x2-x3)/2 - alpha.  A root
-    counts when it lies in [-1, 1] and f1 vanishes there to RESIDUAL_TOL.
+    counts when it lies in [-1, 1] and f1 vanishes there to RESIDUAL_TOL
+    times max(1, |fp1| + |fm1| + |g1|), a bound relative to f1's own terms.
     Crossing regions give an empty list.
     """
     roots = []
@@ -105,8 +105,8 @@ def roots_of_sides(fp1: float, fm1: float, g1: float,
             lam = min(1.0, max(-1.0, lam)) + 0.0
             # f1 at lam with the layer kernel's weights, in its order
             wp = 0.5 * (1.0 + lam); wm = 0.5 * (1.0 - lam); wh = 1.0 - lam * lam
-            if abs(wp * fp1 + wm * fm1 + wh * g1) <= max(RESIDUAL_TOL,
-                                                         RESIDUAL_TOL * (abs(x2) + abs(x3))):
+            if abs(wp * fp1 + wm * fm1 + wh * g1) <= RESIDUAL_TOL * max(
+                    1.0, abs(fp1) + abs(fm1) + abs(g1)):
                 roots.append((lam, dbl))
     if len(roots) == 2 and roots[1][0] < roots[0][0]:
         roots.reverse()
@@ -119,7 +119,7 @@ def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[Sli
     sides = sys.f1_sides(x2, x3)
     a, b, _ = surface_quadratic(*sides)
     sols = []
-    for lam, dbl in roots_of_sides(*sides, x2, x3):
+    for lam, dbl in roots_of_sides(*sides):
         stab = ATTRACTING if 2.0 * a * lam + b < 0.0 else REPELLING
         f = sys.layer(0.0, x2, x3, lam)
         sols.append(SlidingSolution(lam, (f[1], f[2]), stab, dbl))
@@ -168,7 +168,7 @@ def surface_grid(sys: PiecewiseSmoothSystem, axis):
         for x3 in axis:
             fp1, fm1, g1 = sides(x2, x3)
             region_row.append(region_of_sides(*side_values(fp1, fm1, g1)))
-            roots_row.append([lam for lam, _ in roots_of_sides(fp1, fm1, g1, x2, x3)])
+            roots_row.append([lam for lam, _ in roots_of_sides(fp1, fm1, g1)])
         yield region_row, roots_row
 
 

@@ -200,23 +200,22 @@ def _min_gap(values) -> float:
     return min(abs(b - a) for a, b in zip(u, u[1:])) if len(u) > 1 else 1.0
 
 
-def render_region_map(grid, curve, path) -> None:
-    """Surface map: colored (x2, x3) region cells plus the fold curve
-    projected into the surface (its x2, x3 components).
+def render_region_map(axis, regions, path, curve) -> None:
+    """Surface map: colored (x2, x3) region cells plus the fold curve (a
+    `CurveL`, or None) projected into the surface (its x2, x3 components).
 
-    `grid` is (xs, ys, regions): regions yields one row per x, written as it
-    arrives, its j-th entry the region of the cell at (xs[i], ys[j]).
+    x2 and x3 both run over `axis`: regions yields one row per x2, written as
+    it arrives, its j-th entry the region of the cell at (axis[i], axis[j]).
     """
-    xs, ys, regions = grid
-    if not xs or not ys:
+    if not axis:
         raise ValueError("empty region map")
-    canvas = _Canvas(xs, ys)
-    step_x, step_y = _min_gap(xs), _min_gap(ys)
-    w = step_x * canvas.kx * canvas.sx
-    h = step_y * canvas.ky * canvas.sy
+    canvas = _Canvas(axis, axis)
+    step = _min_gap(axis)
+    w = step * canvas.kx * canvas.sx
+    h = step * canvas.ky * canvas.sy
     # each column's x and each row's y is formatted once, by grid position
-    x_text = [_fmt(canvas.to_screen(x, 0.0)[0] - w / 2) for x in xs]
-    y_text = [_fmt(canvas.to_screen(0.0, y)[1] - h / 2) for y in ys]
+    x_text = [_fmt(canvas.to_screen(x, 0.0)[0] - w / 2) for x in axis]
+    y_text = [_fmt(canvas.to_screen(0.0, y)[1] - h / 2) for y in axis]
     size = f'width="{_fmt(w)}" height="{_fmt(h)}"'
     with artifact(path) as fh:
         fh.write(_HEADER)

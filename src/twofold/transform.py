@@ -34,7 +34,7 @@ __all__ = [
     "TransformContext", "TransformDomainError",
     "to_y", "from_y", "curve_functions", "to_x_tilde", "from_x_tilde",
     "folded_normal_field", "pushforward",
-    "equivalence_residual", "transform_check", "sphere_directions",
+    "equivalence_residual", "transform_check",
 ]
 
 
@@ -46,17 +46,15 @@ class TransformDomainError(ValueError):
 @dataclass(frozen=True)
 class TransformContext:
     """Parameters, target singularity and the timescale ratio of one
-    transform instance, with the normal-form system of `params`.  Immutable;
-    all maps below are pure functions.
-
-    `system` is built from `params` when not given; contexts that share
-    `params` may share one system, and with it its compiled layer.
+    transform instance, with `normal_form_system(params)`, whose compiled
+    layer contexts that share `params` may share.  Immutable; all maps below
+    are pure functions.
     """
 
     params: TwoFoldParams
     singularity: FoldedSingularity
     epsilon: float
-    system: PiecewiseSmoothSystem | None = field(default=None, compare=False, repr=False)
+    system: PiecewiseSmoothSystem = field(compare=False, repr=False)
 
     def __post_init__(self):
         if abs(self.params.alpha) <= ALPHA_FLOOR:
@@ -65,8 +63,6 @@ class TransformContext:
             raise ValueError("transform requires lam_s away from -1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.system is None:
-            object.__setattr__(self, "system", normal_form_system(self.params))
 
     @property
     def lam_s(self):
@@ -172,21 +168,21 @@ def pushforward(ctx: TransformContext, point):
     return _chart(ctx, point)[1]
 
 
-def sphere_directions(n: int):
-    """Deterministic unit directions (Fibonacci lattice on the sphere)."""
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    dirs = []
-    for k in range(n):
-        z = 1.0 - (2.0 * k + 1.0) / n
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        phi = 2.0 * math.pi * k / golden
-        dirs.append((r * math.cos(phi), r * math.sin(phi), z))
-    return dirs
-
-
 # sample directions on each sphere of the residual check
 N_DIRS = 40
-_DIRECTIONS = tuple(sphere_directions(N_DIRS))
+
+
+def _sphere_directions():
+    """N_DIRS deterministic unit directions (Fibonacci lattice on the sphere)."""
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    for k in range(N_DIRS):
+        z = 1.0 - (2.0 * k + 1.0) / N_DIRS
+        r = math.sqrt(max(0.0, 1.0 - z * z))
+        phi = 2.0 * math.pi * k / golden
+        yield r * math.cos(phi), r * math.sin(phi), z
+
+
+_DIRECTIONS = tuple(_sphere_directions())
 
 
 def equivalence_residual(ctx: TransformContext, h: float) -> float:

@@ -262,6 +262,18 @@ def test_sweep_artifacts(tmp_path, capsys):
             assert count == ("2" if d > 2.0 else "0")
 
 
+def test_sweep_axis_stops_at_the_range_end(tmp_path, capsys):
+    # (hi - lo) / step = 1.67: b = 0 and 0.6 lie in [0, 1], and 1.2 does not
+    out_csv = tmp_path / "sweep.csv"
+    code, out = run_cli(capsys, "sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
+                        "--b-range=0,1", "--b-step", "0.6", "--out", str(out_csv))
+    assert code == 0
+    assert json.loads(out)["cells"] == 4
+    cells = [ln.split(",")[:2] for ln in out_csv.read_text().splitlines()[1:]]
+    assert len(cells) == 4
+    assert all(0.0 <= float(b) <= 1.0 for cell in cells for b in cell)
+
+
 def test_sweep_determinism(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -475,7 +487,8 @@ def test_sweep_cell_cap(capsys):
                  "--b-range=0,1", "--b-step", "5e-324"]) == 2
     # a finite range whose last grid value overflows to inf
     assert main(["sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
-                 "--b-range=-0.9e308,0.8e308", "--b-step", "1e308"]) == 2
+                 "--b-range=0,1.7976931348623157e308",
+                 "--b-step", "8.98846567431158e307"]) == 2
     assert "overflows" in capsys.readouterr().err
 
 
@@ -767,8 +780,7 @@ def test_plot_rejects_empty_input(tmp_path):
 @pytest.mark.parametrize("render, message", [
     (lambda path: render_trajectory(trajectory_through([(0.0, 1.0, 1.0)] * 2), path,
                                     view="u4"), "unknown view 'u4'"),
-    (lambda path: render_region_map(([], [0.0], [[]]), None, path), "empty region map"),
-    (lambda path: render_region_map(([0.0], [], [[]]), None, path), "empty region map"),
+    (lambda path: render_region_map([], [[]], path, None), "empty region map"),
 ])
 def test_plot_rejects_unknown_view_and_empty_map(tmp_path, render, message):
     with pytest.raises(ValueError, match=message):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from twofold.cli import main
 from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, normal_form_system,
                             parse_field, quadratic_roots)
-from twofold.scenarios import builtin
-from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, curve_L, region_classify,
-                             roots_of_sides, sliding_lambda, surface_grid,
-                             surface_quadratic)
+from twofold.scenarios import builtin, builtin_names, load_config
+from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, branch_root, curve_L,
+                             region_classify, roots_of_sides, sliding_lambda,
+                             surface_grid, surface_quadratic)
 
 
 def nf(a1=1, a2=1, b1=0.0, b2=0.0, alpha=0.0):
@@ -306,8 +306,8 @@ def _layer_roots(sys, x2, x3):
     for lam, dbl in quadratic_roots(-a, -b, -c, RESIDUAL_TOL):
         if -1.0 - RESIDUAL_TOL <= lam <= 1.0 + RESIDUAL_TOL:
             lam = min(1.0, max(-1.0, lam)) + 0.0
-            if abs(sys.f1_surface(x2, x3, lam)) <= max(RESIDUAL_TOL,
-                                                       RESIDUAL_TOL * (abs(x2) + abs(x3))):
+            if abs(sys.f1_surface(x2, x3, lam)) <= RESIDUAL_TOL * max(
+                    1.0, sum(map(abs, sys.f1_sides(x2, x3)))):
                 roots.append((lam, dbl))
     roots.sort(key=lambda r: r[0])
     return roots
@@ -350,5 +350,37 @@ def test_surface_grid_matches_per_cell_layer_evaluation(sys, axis):
         for x3, region, lams in zip(axis, region_row, roots_row):
             assert region == _layer_region(sys, x2, x3) == region_classify(sys, x2, x3)
             want = _layer_roots(sys, x2, x3)
-            assert repr(roots_of_sides(*sys.f1_sides(x2, x3), x2, x3)) == repr(want)
+            assert repr(roots_of_sides(*sys.f1_sides(x2, x3))) == repr(want)
             assert repr(lams) == repr([lam for lam, _ in want])
+
+
+def _scaled_f(k, g1):
+    """F = {f_plus: (-x2, 1, 1), f_minus: (x3, 1, -1), hidden: (1/5, 0, 0)}
+    with f1+, f1- and g1 times a factor: f1's terms are k*(-x2), k*x3, g1."""
+    return load_config({"f_plus": [f"-{k}*x2", "1", "1"],
+                        "f_minus": [f"{k}*x3", "1", "-1"],
+                        "hidden": [g1, "0", "0"]}).system
+
+
+@pytest.mark.parametrize("sys", [
+    *(pytest.param(builtin(name).system, id=name) for name in builtin_names()),
+    pytest.param(_scaled_f("1", "1/5"), id="F"),
+    pytest.param(_scaled_f("1000000", "200000"), id="F-times-1e6"),
+    pytest.param(_scaled_f("1/1000000", "1/5000000"), id="F-times-1e-6",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "fields.quadratic_roots' double-root band tol*max(1, b*b) is absolute "
+                     "for |b| < 1: at f1's scale 1e-6 a sliding cell shows no root or "
+                     "another"))),
+])
+def test_slide_map_roots_are_the_filippov_slide_roots(sys):
+    # the Filippov integrator slides on branch_root(..., -1) in an attracting
+    # cell and on branch_root(..., +1) in a repelling one; a slide map must
+    # show that root and no other at every scale of f1's terms
+    for lo, hi in ((-2, 2), (-3, 3), (-1.5, 2.5), (-2.5, 1.5)):
+        axis = [lo + (hi - lo) * i / 40 for i in range(41)]
+        for x2, (region_row, roots_row) in zip(axis, surface_grid(sys, axis)):
+            for x3, region, lams in zip(axis, region_row, roots_row):
+                sigma = {"attracting-sliding": -1, "repelling-sliding": 1}.get(region)
+                if sigma is not None:
+                    quadratic = surface_quadratic(*sys.f1_sides(x2, x3))
+                    assert lams == [branch_root(*quadratic, sigma)], (x2, x3, region)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twofold.fields import TwoFoldParams
+from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.singularities import folded_singularities
 from twofold.sliding import curve_L
 from twofold.transform import (TransformContext, TransformDomainError,
@@ -17,7 +17,7 @@ from twofold.transform import (TransformContext, TransformDomainError,
 def make_ctx(a1=1, a2=1, b1=1.0, b2=-1.0, alpha=0.2, eps=1e-3, which=0):
     p = TwoFoldParams(a1, a2, b1, b2, alpha)
     s = folded_singularities(p)[which]
-    return TransformContext(p, s, eps)
+    return TransformContext(p, s, eps, normal_form_system(p))
 
 
 # ------------------------------------------------------------ translation
@@ -125,7 +125,7 @@ def test_critical_manifold_image_is_quadratically_thin():
         return (lam, x2, x3)
 
     # fixed, negligible eps: otherwise the O(eps) corrective shift dominates
-    ctx = TransformContext(p, s, epsilon=1e-12)
+    ctx = TransformContext(p, s, 1e-12, normal_form_system(p))
     defects = []
     for h in (1e-1, 1e-2, 1e-3):
         worst = 0.0
@@ -317,7 +317,8 @@ def test_residual_rejects_h_outside_domain():
 
 @pytest.mark.parametrize("call, message", [
     (lambda ctx: TransformContext(ctx.params, dataclasses.replace(
-        ctx.singularity, lambda_s=-1.0 + 1e-10), 1e-3), "transform requires lam_s away from -1"),
+        ctx.singularity, lambda_s=-1.0 + 1e-10), 1e-3, ctx.system),
+     "transform requires lam_s away from -1"),
     (lambda ctx: equivalence_residual(ctx, 0.0), "h must be positive"),
     (lambda ctx: equivalence_residual(ctx, -1e-3), "h must be positive"),
 ])
@@ -330,6 +331,7 @@ def test_context_validation():
     p = TwoFoldParams(1, 1, 1.0, -1.0, 0.2)
     s = folded_singularities(p)[0]
     with pytest.raises(ValueError):
-        TransformContext(p, s, 0.0)
+        TransformContext(p, s, 0.0, normal_form_system(p))
     with pytest.raises(ValueError):
-        TransformContext(TwoFoldParams(1, 1, 1.0, -1.0, 0.0), s, 1e-3)
+        p0 = TwoFoldParams(1, 1, 1.0, -1.0, 0.0)
+        TransformContext(p0, s, 1e-3, normal_form_system(p0))

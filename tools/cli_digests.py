@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 196 calls of `twofold.cli.main` in this process, each in its own
+Runs 200 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -17,36 +17,8 @@ empty; a change that moves digests updates that file and names the moved
 calls in CHANGES.md.
 
 The package is imported from PYTHONPATH; its location is printed to stderr.
-The list covers slide maps, Filippov, smoothed and blow-up runs (two of
-them smoothed at eps = 1e-5 over 200 time units), the normal-form reports
-and sweeps, runs that stop early at a step floor,
-`scenario list` plus `scenario show` of every built-in scenario, two
-blow-ups that end in a numerical failure, five reports on a folded
-singularity next to lam = -1 and a run whose step stops advancing t, which
-all exit 3 too, three grid edges: a 2 x 2 slide map, a 7 x 7 one over
-+-1e-300 and a one-cell sweep, the three reports at a nonzero alpha below
-the 1e-9 cutoff, the three long Filippov runs of the events benchmark
-(examples i-iii to t = 500 from their default starts, hundreds of
-crossings each), and last five surface grids: two sweeps below the alpha
-cutoff, the benchmark sweep at two more sign pairs and an example-i slide
-map over +-1e200, then nine Filippov runs of the normal forms from surface
-starts where the plus field grazes, the minus field grazes and both do (the
-two-fold), six Filippov runs of alpha = 0 normal forms, whose slides hold
-the linear root of f1's lam-quadratic, and three calls that read an
-expression config: a Filippov run and a slide map of one, and a config
-whose 500-term sum nests too deep to load (exit 2), then four trajectory
-plots, one per other --view, a classify at alpha = -0.0, and two params
-configs whose sim block sets epsilon and t_end: a smoothed run and a t_end
-of 0 (exit 2), then the two largest grids the CLI admits, a 501 x 501
-slide map and sweep, and last seven calls that exit 2 or draw finite
-plots: two config documents that load_config refuses (a misspelled hidden
-member, a hidden term beside params), two slide-map plots over extreme
-ranges (a subnormal width, and an axis whose last value overflows) and
-three calls whose last artifact path lies in a missing directory, which
-leave no output.  The two sweeps next to lam = -1 stream their CSV and fail
-in its first and third row, so their digests also show that no partial CSV
-is left.
-It takes about a
+The calls are the grouped constants and `calls()` below, each group with a
+comment on what it covers; `jobs()` gives their order.  It takes about a
 minute in all on one core of a 2-vCPU Xeon, Python 3.11, most of it
 (40-50 s) the step-floor run of the perturbed example-i start.  The tier-1
 test tests/test_digests.py runs every call but that one (about 6 s) and
@@ -224,6 +196,27 @@ UNWRITABLE_PATHS = (
      "--plot", "map.svg", "--curve-out", "missing/c.csv"),
 )
 
+# the expression field F = {f_plus: (-x2, 1, 1), f_minus: (x3, 1, -1),
+# hidden: (1/5, 0, 0)} with f1+, f1- and g1 times 1e6: a slide map whose
+# sliding cells each hold their root and a Filippov run that slides; then a
+# sweep whose b-step does not divide its range, so its axis stops short of
+# hi, and one whose last in-range b value overflows (exit 2)
+SCALED_CONFIG = json.dumps({"f_plus": ["-1000000*x2", "1", "1"],
+                            "f_minus": ["1000000*x3", "1", "-1"],
+                            "hidden": ["200000", "0", "0"]})
+REPRODUCERS = (
+    ({"cfg.json": SCALED_CONFIG},
+     ("slide-map", "--config", "cfg.json", "--grid", "3", "--range=0.1,0.3",
+      "--out", "map.csv")),
+    ({"cfg.json": SCALED_CONFIG},
+     ("simulate", "--config", "cfg.json", "--mode", "filippov", "--x0=0,0.2,0.2",
+      "--t-end", "0.01", "--out", "run.csv")),
+    ({}, ("sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2", "--b-range=0,1",
+          "--b-step", "0.6", "--out", "sweep.csv")),
+    ({}, ("sweep", "--a1", "1", "--a2", "1", "--alpha", "0.2",
+          "--b-range=0,1.7976931348623157e308", "--b-step", "8.98846567431158e307")),
+)
+
 
 def calls() -> list[tuple[str, ...]]:
     """The argv of every call before the CONFIG_CALLS, in order."""
@@ -307,7 +300,8 @@ def jobs() -> list[tuple[dict, tuple[str, ...]]]:
     """(files written into the call's directory first, argv) of every call,
     in order."""
     return ([({}, argv) for argv in calls()] + list(CONFIG_CALLS)
-            + [({}, argv) for argv in EXTREME_RANGES + UNWRITABLE_PATHS])
+            + [({}, argv) for argv in EXTREME_RANGES + UNWRITABLE_PATHS]
+            + list(REPRODUCERS))
 
 
 def line(main, files, argv, workdir) -> str:
