@@ -21,10 +21,10 @@ from .singularities import (AlphaZeroError, BoundarySingularityError,
                             folded_singularities)
 from .sliding import (CurveL, SlidingSolution, curve_L, region_classify,
                       sliding_lambda)
-from .transform import (TransformContext, TransformDomainError,
+from .transform import (TransformContext, TransformDomainError, chart,
                         curve_functions, equivalence_residual,
-                        folded_normal_field, from_x_tilde, from_y,
-                        pushforward, to_x_tilde, to_y, transform_check)
+                        folded_normal_field, from_x_tilde, to_y,
+                        transform_check)
 
 # every name imported above; the submodules those imports bind are not
 __all__ = [name for name, value in sorted(globals().items())

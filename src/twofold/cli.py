@@ -220,7 +220,7 @@ def _cmd_slide_map(args, parser) -> int:
                     for t3, region, lams in zip(text, region_row, roots_row)))
             yield region_row
 
-    curve = (curve_L(sc.params, 201)
+    curve = (curve_L(sc.params)
              if sc.params is not None and (args.curve_out or args.plot) else None)
     # a failing artifact removes those written before it
     with artifacts() as written, \
@@ -244,7 +244,7 @@ def _traj_summary(traj) -> dict:
         "final_state": list(traj.final_state),
         "events": Counter(e.kind for e in traj.events),
         "sup_norm": traj.sup_norm(),
-        "x1_sign_changes": traj.sign_changes(0),
+        "x1_sign_changes": traj.sign_changes(),
     }
 
 

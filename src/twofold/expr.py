@@ -65,9 +65,6 @@ class Expr:
         identically zero derivative is the shared ZERO node."""
         raise NotImplementedError
 
-    def __str__(self) -> str:
-        return _print(self, 0)
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -181,44 +178,13 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def num(value) -> Expr:
-    """Exact constant node; negatives become an explicit unary minus so the
-    printed form stays inside the grammar."""
+    """Exact constant node; negatives become an explicit unary minus, as the
+    parser builds them, so no `Num` has a signed source (`-0.5**2` would
+    bind the power first)."""
     f = Fraction(value)
     if f < 0:
         return Neg(Num(-f))
     return Num(f)
-
-
-# ---------------------------------------------------------------- printing
-
-# precedence: sum=1, product=2, power-base/unary operand=4, atom=5
-_PREC = {Add: 1, Sub: 1, Mul: 2, Pow: 3, Neg: 4, Num: 5, Var: 5}
-
-
-def _print(e: Expr, need: int) -> str:
-    p = _PREC[type(e)]
-    if isinstance(e, Num):
-        v = e.value
-        s = f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    elif isinstance(e, Var):
-        s = VAR_NAMES[e.index - 1]
-    elif isinstance(e, Neg):
-        s = "-" + _print(e.arg, 4)
-    elif isinstance(e, Add):
-        # right operand sits one level down the grammar, so equal-precedence
-        # right children keep their parentheses and the tree round-trips
-        s = _print(e.left, 1) + "+" + _print(e.right, 2)
-    elif isinstance(e, Sub):
-        s = _print(e.left, 1) + "-" + _print(e.right, 2)
-    elif isinstance(e, Mul):
-        s = _print(e.left, 2) + "*" + _print(e.right, 3)
-    elif isinstance(e, Pow):
-        s = _print(e.base, 4) + "^" + str(e.exponent)
-    else:
-        raise TypeError(type(e))
-    if p < need:
-        return "(" + s + ")"
-    return s
 
 
 # ---------------------------------------------------------------- parsing

@@ -70,19 +70,6 @@ class SmoothField:
         Compiled on the first read and the same object after it."""
         return self._fn
 
-    def expressions(self) -> tuple[str, str, str]:
-        """Canonical printed form; reparsing gives an identical tree."""
-        return tuple(str(c) for c in self.components)
-
-    def __repr__(self):
-        return "SmoothField({!r}, {!r}, {!r})".format(*self.expressions())
-
-    def __eq__(self, other):
-        return isinstance(other, SmoothField) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
 
 def parse_field(expr1: str, expr2: str, expr3: str) -> SmoothField:
     """Build a field from three expression strings in x1, x2, x3."""
@@ -163,10 +150,6 @@ class PiecewiseSmoothSystem:
     def f1_surface(self, x2: float, x3: float, lam: float) -> float:
         """First component of the combination at (0, x2, x3)."""
         return self.layer(0.0, x2, x3, lam)[0]
-
-    def __repr__(self):
-        return (f"PiecewiseSmoothSystem(f_plus={self.f_plus!r}, "
-                f"f_minus={self.f_minus!r}, hidden={self.hidden!r})")
 
 
 def _compile(src: str, name: str):

@@ -138,7 +138,8 @@ class Trajectory:
     Each sample stores its outgoing derivative; an event sample, where the
     derivative jumps, also keeps its incoming one in `_f_in`, so dense output
     stays exact across mode switches.  A blow-up run (meta['kind'] 'blowup')
-    samples (lam, x2, x3); every other run samples (x1, x2, x3).
+    samples (lam, x2, x3) and records its events at those states, and both
+    CSVs write its x1 as 0.0; every other run samples (x1, x2, x3).
     """
 
     def __init__(self, meta: dict | None = None):
@@ -208,13 +209,16 @@ class Trajectory:
         return self.state(len(self._t) - 1)
 
     def eval(self, t: float) -> tuple[float, float, float]:
-        """Dense output at time t (cubic Hermite on the covering segment)."""
+        """Dense output at a time t of the run's span [t0, t_end] (cubic
+        Hermite on the covering segment); any other t, NaN too, is an error."""
         ts = self._t
         if not ts:
             raise ValueError("empty trajectory")
+        if not ts[0] <= t <= ts[-1]:
+            raise ValueError(f"t = {t!r} lies outside the run's span [{ts[0]!r}, {ts[-1]!r}]")
         if len(ts) == 1:
             return self.state(0)
-        i = max(0, min(bisect_right(ts, t) - 1, len(ts) - 2))
+        i = min(bisect_right(ts, t) - 1, len(ts) - 2)
         t0, t1 = ts[i], ts[i + 1]
         if t == t0:
             return self.state(i)
@@ -224,15 +228,11 @@ class Trajectory:
         fi = self._f_in.get(i + 1) or tuple(col[i + 1] for col in self._f)
         return _hermite((t0, self.state(i), fo, t1, self.state(i + 1), fi), t)
 
-    def events_of(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
-    def sign_changes(self, component: int = 0) -> int:
-        """Sign flips of one sampled component (zeros are skipped)."""
-        col = self._y[component]
+    def sign_changes(self) -> int:
+        """Sign flips of the sampled x1 column (zeros are skipped)."""
         count = 0
         last = 0.0
-        for v in col:
+        for v in self._y[0]:
             if v == 0.0:
                 continue
             s = 1.0 if v > 0 else -1.0
@@ -258,10 +258,12 @@ class Trajectory:
                 in zip(self._t, x1s, x2s, x3s, self._modes, self._lam))
 
     def events_to_csv(self, path) -> None:
+        blowup = self.meta.get("kind") == "blowup"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,kind,x1,x2,x3\n")
             for e in self.events:
-                fh.write(f"{e.t!r},{e.kind},{e.state[0]!r},{e.state[1]!r},{e.state[2]!r}\n")
+                x1 = 0.0 if blowup else e.state[0]
+                fh.write(f"{e.t!r},{e.kind},{x1!r},{e.state[1]!r},{e.state[2]!r}\n")
 
 
 # ---------------------------------------------------------------- RK core
@@ -762,7 +764,7 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
                                        seg[3], 1.0 - bound * lam, _monotone_noise(seg))
         if t_star > traj.times[-1]:
             traj.append(t_star, y_star, rhs(*y_star), LAYER, y_star[0])
-        traj.add_event(t_star, BOUNDARY_EXIT, (0.0, y_star[1], y_star[2]))
+        traj.add_event(t_star, BOUNDARY_EXIT, y_star)
         traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
         return BOUNDARY_EXIT
 

@@ -32,6 +32,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-12
 CLASSIFY_TOL = 1e-12
 
+CURVE_SAMPLES = 201          # points of the sampled non-hyperbolic curve
+
 ATTRACTING = "attracting"
 REPELLING = "repelling"
 
@@ -172,19 +174,18 @@ def surface_grid(sys: PiecewiseSmoothSystem, axis):
         yield region_row, roots_row
 
 
-def curve_L(p: TwoFoldParams, n: int) -> CurveL:
-    """Sample the non-hyperbolic curve of the normal form over lam in [-1, 1].
+def curve_L(p: TwoFoldParams) -> CurveL:
+    """Sample the non-hyperbolic curve of the normal form at CURVE_SAMPLES
+    evenly spaced lam in [-1, 1].
 
     Each point satisfies f1 = 0 and df1/dlam = 0; the tangent is the exact
     derivative (1, 2 alpha (lam-1), -2 alpha (lam+1)) of the closed form.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     pts = []
     tans = []
     a = p.alpha
-    for k in range(n):
-        lam = -1.0 + 2.0 * k / (n - 1)
+    for k in range(CURVE_SAMPLES):
+        lam = -1.0 + 2.0 * k / (CURVE_SAMPLES - 1)
         pts.append((lam, a * (lam - 1.0) ** 2, -a * (lam + 1.0) ** 2))
         tans.append((1.0, 2.0 * a * (lam - 1.0), -2.0 * a * (lam + 1.0)))
     return CurveL(tuple(pts), tuple(tans))

@@ -32,8 +32,7 @@ from .singularities import (ALPHA_FLOOR, BOUNDARY_TOL, FoldedSingularity,
 
 __all__ = [
     "TransformContext", "TransformDomainError",
-    "to_y", "from_y", "curve_functions", "to_x_tilde", "from_x_tilde",
-    "folded_normal_field", "pushforward",
+    "to_y", "curve_functions", "chart", "from_x_tilde", "folded_normal_field",
     "equivalence_residual", "transform_check",
 ]
 
@@ -79,11 +78,6 @@ def to_y(ctx: TransformContext, point):
     return (lam - s.lambda_s, x2 - s.x2s, x3 - s.x3s)
 
 
-def from_y(ctx: TransformContext, y):
-    s = ctx.singularity
-    return (y[0] + s.lambda_s, y[1] + s.x2s, y[2] + s.x3s)
-
-
 def curve_functions(ctx: TransformContext, y3: float):
     """(y1L, y2L, y1L', y2L') parameterizing the non-hyperbolic curve by y3.
 
@@ -119,9 +113,14 @@ def _shift(ctx: TransformContext) -> float:
     return ctx.epsilon * s.f3s / (ctx.params.alpha * (1.0 + s.lambda_s) ** 2)
 
 
-def _chart(ctx: TransformContext, point):
-    """(`to_x_tilde`, `pushforward`) at `point`, from one translation and
-    one evaluation of the curve functions."""
+def chart(ctx: TransformContext, point):
+    """(x~, w) at `point`, from one translation and one evaluation of the
+    curve functions.
+
+    x~ is the full chain (lam, x2, x3) -> (x1~, x2~, x3~).  w is the layer
+    field (dlam/dt, dx2/dt, dx3/dt) = (F1/eps, F2, F3) pushed to x~ as d/dt~
+    rates: the rows J . V with the time reversal t~ = -sign(alpha) t applied.
+    """
     y1, y2, y3 = to_y(ctx, point)
     y1l, y2l, y1lp, y2lp = curve_functions(ctx, y3)
     sq = math.sqrt(abs(ctx.params.alpha))
@@ -135,11 +134,6 @@ def _chart(ctx: TransformContext, point):
     return xt, (-sgn * dx1, -sgn * dx2, -sgn * dx3)
 
 
-def to_x_tilde(ctx: TransformContext, point):
-    """Full chain (lam, x2, x3) -> (x1~, x2~, x3~)."""
-    return _chart(ctx, point)[0]
-
-
 def from_x_tilde(ctx: TransformContext, xt):
     """Inverse chain on the rectification domain."""
     sgn = ctx.sign_alpha
@@ -148,8 +142,8 @@ def from_x_tilde(ctx: TransformContext, xt):
     z2t = xt[1] / (-sgn * d1)
     y3 = -sgn * xt[2]
     y1l, y2l, _, _ = curve_functions(ctx, y3)
-    y = (z1 + y1l, z2t + _shift(ctx) + y2l, y3)
-    return from_y(ctx, y)
+    s = ctx.singularity
+    return (z1 + y1l + s.lambda_s, z2t + _shift(ctx) + y2l + s.x2s, y3 + s.x3s)
 
 
 def folded_normal_field(a_tilde: float, b_tilde: float, c_tilde: float, xt):
@@ -157,15 +151,6 @@ def folded_normal_field(a_tilde: float, b_tilde: float, c_tilde: float, xt):
     x1~' = eps dx1~/dt~, the other two as d/dt~ rates."""
     x1t, x2t, x3t = xt
     return (x2t + x1t * x1t, b_tilde * x3t + c_tilde * x1t, a_tilde)
-
-
-def pushforward(ctx: TransformContext, point):
-    """Layer vector field pushed to x~ coordinates, as d/dt~ rates.
-
-    The layer field is (dlam/dt, dx2/dt, dx3/dt) = (F1/eps, F2, F3); the rows
-    returned here are J . V with the time reversal t~ = -sign(alpha) t applied.
-    """
-    return _chart(ctx, point)[1]
 
 
 # sample directions on each sphere of the residual check
@@ -202,7 +187,7 @@ def equivalence_residual(ctx: TransformContext, h: float) -> float:
     worst = 0.0
     for u in _DIRECTIONS:
         point = (s.lambda_s + h * u[0], s.x2s + h * u[1], s.x3s + h * u[2])
-        xt, (w1, w2, _) = _chart(ctx, point)   # raises TransformDomainError outside
+        xt, (w1, w2, _) = chart(ctx, point)   # raises TransformDomainError outside
         model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde, xt)
         r1 = (ctx.epsilon / sq) * w1 - model[0]
         r2 = w2 - model[1]

@@ -22,6 +22,10 @@ from twofold.sliding import curve_L, surface_quadratic
 from twofold.transform import transform_check
 
 
+def events_of_kind(traj, kind):
+    return [e for e in traj.events if e.kind == kind]
+
+
 def _line(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
@@ -125,7 +129,7 @@ def test_criterion_3_degeneracy_dichotomy(monkeypatch):
     for alpha in (0.05, -0.05, 0.2, -0.2, 1.0, -1.0):
         p = TwoFoldParams(1, 1, 0.7, -0.3, alpha)
         sys = normal_form_system(p)
-        for lam, x2, x3 in curve_L(p, 101).points:
+        for lam, x2, x3 in curve_L(p).points:
             d2 = (sys.f1_surface(x2, x3, lam + h) - 2.0 * sys.f1_surface(x2, x3, lam)
                   + sys.f1_surface(x2, x3, lam - h)) / (h * h)
             worst = max(worst, abs(d2 - (-2.0 * alpha)))
@@ -265,7 +269,7 @@ def test_criterion_7_regularization_convergence():
     sc = builtin("invisible-nf")
     window = (0.0, 1.2)
     ref = integrate_filippov(sc.system, (0.0, 1.0, 1.0), window)
-    assert ref.events_of("crossing") == []          # crossing-free window
+    assert events_of_kind(ref, "crossing") == []          # crossing-free window
     assert ref.mode(len(ref) - 1) == "sliding"
     # accepted steps of all four runs: a work bound beside the wall-clock one
     steps = ref.meta["steps"]
@@ -299,7 +303,7 @@ def test_criterion_8_attractor_reproduction(name):
     sc = builtin(name)
     traj = integrate_smoothed(sc.system, "tanh", 1e-3, (0.1, 0.5, 0.5), (0.0, 200.0))
     sup = traj.sup_norm()
-    crossings = traj.sign_changes(0)
+    crossings = traj.sign_changes()
     entries = 0
     inside = False
     for i in range(len(traj)):
@@ -337,7 +341,7 @@ def test_criterion_9_crossing_event_accuracy():
     n_events = 0
     steps = sum(traj.meta["steps"] for traj in runs)
     for traj in runs:
-        for e in traj.events_of("crossing"):
+        for e in events_of_kind(traj, "crossing"):
             n_events += 1
             worst = max(worst, abs(traj.eval(e.t)[0]))
     elapsed = time.perf_counter() - t0

@@ -214,6 +214,29 @@ def test_blowup_runs_expression_built_scenario(tmp_path, capsys):
     assert all(ln.split(",")[4] == "layer" for ln in lines[1:])
 
 
+@pytest.mark.parametrize("argv, code, kind", [
+    (("--plot", "b.svg"), 0, "boundary-exit"),
+    (("--x0=0.5,1,1", "--min-step", "1e-4"), 3, "step-floor"),
+], ids=["boundary-exit", "step-floor"])
+def test_blowup_events_sit_on_the_runs_own_samples(argv, code, kind, tmp_path, monkeypatch,
+                                                   capsys):
+    # a blow-up run samples (lam, x2, x3) and stops at its event, so the
+    # event row repeats the run CSV's last row (x1 written as 0.0 in both:
+    # the event log wrote lam there) and its plot marker ends the polyline
+    # (the boundary exit was drawn at lam = 0)
+    monkeypatch.chdir(tmp_path)
+    assert main(["blowup", "--scenario", "mixed-nf", "--out", "b.csv", *argv]) == code
+    event, = (tmp_path / "b.events.csv").read_text().splitlines()[1:]
+    t, got, *state = event.split(",")
+    assert got == kind and state[0] == "0.0"
+    assert [t, *state] == (tmp_path / "b.csv").read_text().splitlines()[-1].split(",")[:4]
+    if "--plot" in argv:
+        text = (tmp_path / "b.svg").read_text()
+        end = re.findall(r'<polyline points="[^"]*?([^" ]+)"', text)[-1]
+        marker, = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"[^>]*><title>boundary-exit', text)
+        assert ",".join(marker) == end
+
+
 def test_slide_map_artifacts(tmp_path, capsys):
     out_csv = tmp_path / "map.csv"
     curve_csv = tmp_path / "curve.csv"

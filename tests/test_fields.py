@@ -128,15 +128,6 @@ def test_the_deepest_accepted_expressions_compile_every_kernel():
         assert all(map(math.isfinite, values))
 
 
-def test_fields_and_systems_print_their_canonical_expressions():
-    f = parse_field("-x2", "1+x1", "-7/5")
-    assert repr(f) == "SmoothField('-x2', '1+x1', '-7/5')"
-    sys = PiecewiseSmoothSystem(f, parse_field("x3", "-9/10", "1-3/5*x1"))
-    assert repr(sys) == ("PiecewiseSmoothSystem(f_plus=SmoothField('-x2', '1+x1', '-7/5'), "
-                         "f_minus=SmoothField('x3', '-9/10', '1-3/5*x1'), "
-                         "hidden=SmoothField('0', '0', '0'))")
-
-
 def test_a_field_compiles_at_its_first_use_only(monkeypatch):
     compiled = []
     compile_ = fields._compile
@@ -253,9 +244,3 @@ def test_params_reject_non_finite_constants(index, value):
     args[index] = value
     with pytest.raises(ValueError):
         TwoFoldParams(*args)
-
-
-def test_field_expression_strings_round_trip():
-    f = parse_field("-x2+1/10*x1", "x1-6/5", "x1-2")
-    again = parse_field(*f.expressions())
-    assert again == f

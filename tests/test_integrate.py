@@ -27,6 +27,10 @@ from twofold.scenarios import builtin
 from twofold.sliding import CLASSIFY_TOL, branch_root, sliding_lambda, surface_quadratic
 
 
+def events_of_kind(traj, kind):
+    return [e for e in traj.events if e.kind == kind]
+
+
 def nf(a1, a2, b1, b2, alpha):
     return normal_form_system(TwoFoldParams(a1, a2, b1, b2, alpha))
 
@@ -81,7 +85,21 @@ def test_eval_of_an_empty_and_a_one_sample_trajectory():
     with pytest.raises(ValueError, match="empty trajectory"):
         traj.eval(0.0)
     traj.append(1.0, (0.5, -1.0, 2.0), (1.0, 0.0, 0.0), "flow+")
-    assert traj.eval(1.0) == traj.eval(3.0) == (0.5, -1.0, 2.0)
+    assert traj.eval(1.0) == (0.5, -1.0, 2.0)
+    with pytest.raises(ValueError, match="outside the run's span"):
+        traj.eval(3.0)
+
+
+@pytest.mark.parametrize("t", [-5.0, -1e-300, 1.0 + 2.0 ** -52, 50.0, math.inf, math.nan])
+def test_eval_outside_the_runs_span_is_an_error(t):
+    # dense output interpolates only between samples: past either end the
+    # cubic of the end segment ran off the orbit (the unit circle here gave
+    # (-11.5, -15.8, 0) at t = -5 and (15499, 12044, 0) at t = 50)
+    traj = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"lies outside the run's span \[0\.0, 1\.0\]"):
+        traj.eval(t)
+    assert traj.eval(0.0) == (1.0, 0.0, 0.0)
+    assert traj.eval(1.0) == traj.final_state
 
 
 @pytest.mark.parametrize("probe", [math.inf, -math.inf, math.nan])
@@ -148,7 +166,7 @@ def test_step_budget_counts_every_segment_of_a_filippov_run(monkeypatch):
     traj = integrate_filippov(sc.system, sc.x0, (0.0, 200.0))
     assert traj.meta["aborted"] == "budget" and traj.meta["steps"] == 1000
     assert traj.t_end < 200.0
-    assert len(traj.events_of("crossing")) + len(traj.events_of("slide-entry")) > 1
+    assert len(events_of_kind(traj, "crossing")) + len(events_of_kind(traj, "slide-entry")) > 1
 
 
 # ------------------------------------------------------------ DP54 oracle
@@ -265,8 +283,8 @@ def test_slide_with_x1_pinned_matches_the_two_dimensional_attempt():
 def test_attracting_slide_reaches_two_fold_and_breaks_determinacy():
     sys = nf(1, 1, -2.0, -2.0, 0.0)
     traj = integrate_filippov(sys, (0.0, 1.0, 1.0), (0.0, 5.0))
-    hits = traj.events_of("two-fold-hit")
-    breaks = traj.events_of("determinacy-break")
+    hits = events_of_kind(traj, "two-fold-hit")
+    breaks = events_of_kind(traj, "determinacy-break")
     assert len(hits) == 1 and len(breaks) == 1
     # straight slide at lam = 0 covers distance 1 at speed 1/2 in each slot
     assert hits[0].t == pytest.approx(2.0, abs=1e-6)
@@ -312,7 +330,7 @@ def test_slide_lambda_matches_closed_form_alpha_zero():
 def test_single_crossing_event_accuracy():
     sys = nf(1, 1, -2.0, -2.0, 0.0)
     traj = integrate_filippov(sys, (0.1, 1.0, -1.0), (0.0, 0.5))
-    crossings = traj.events_of("crossing")
+    crossings = events_of_kind(traj, "crossing")
     assert len(crossings) == 1
     e = crossings[0]
     assert abs(traj.eval(e.t)[0]) <= 1e-12
@@ -555,7 +573,7 @@ def test_filippov_finds_a_shallow_dip_inside_one_natural_step():
     x10, x20 = 0.00395, -0.09
     traj = integrate_filippov(sys, (x10, x20, 0.0), (0.0, 1.0))
     root = math.sqrt(x20 * x20 - 2.0 * x10)
-    crossings = traj.events_of("crossing")
+    crossings = events_of_kind(traj, "crossing")
     assert [e.t for e in crossings] == pytest.approx([-x20 - root, -x20 + root], abs=1e-12)
     # a work bound: 13 steps, as each of the three flow segments starts again
     # at h = 1e-3; a 1e-3 step cap while |x1| < 0.01 takes 237
@@ -566,7 +584,7 @@ def test_filippov_finds_a_shallow_dip_inside_one_natural_step():
 def test_visible_slide_exits_at_fold_line():
     sys = nf(-1, -1, 0.0, 0.0, 0.0)
     traj = integrate_filippov(sys, (0.0, 1.0, 2.0), (0.0, 3.0))
-    exits = traj.events_of("slide-exit")
+    exits = events_of_kind(traj, "slide-exit")
     assert len(exits) == 1
     e = exits[0]
     assert abs(e.state[1]) <= 1e-9          # fold line x2 = 0, where lam = +1
@@ -580,7 +598,7 @@ def test_invisible_slide_does_not_exit_at_fold_line():
     # the boundary root grazes lam = +1 without lift-off
     sys = nf(1, 1, -2.0, -2.0, 0.0)
     traj = integrate_filippov(sys, (0.0, 0.2, 2.0), (0.0, 1.5))
-    assert traj.events_of("slide-exit") == []
+    assert events_of_kind(traj, "slide-exit") == []
     assert all(traj.mode(i) == "sliding" for i in range(len(traj)))
 
 
@@ -620,7 +638,7 @@ def test_event_log_reconstructs_mode_sequence():
 def test_repelling_default_stays_sliding():
     sys = nf(1, 1, -2.0, -2.0, 0.0)
     traj = integrate_filippov(sys, (0.0, -1.0, -1.0), (0.0, 1.0))
-    assert traj.events_of("slide-exit") == []
+    assert events_of_kind(traj, "slide-exit") == []
     assert traj.mode(len(traj) - 1) == "sliding"
     # repelling slide moves away from the two-fold
     assert traj.final_state[1] < -1.0
@@ -632,7 +650,7 @@ def test_repelling_stay_leaves_branch_past_fold_line():
     # points away, so the orbit crosses over instead of sliding on at lam < -1
     sys = nf(1, 1, -2.0, -2.0, 0.2)
     traj = integrate_filippov(sys, (0.0, -0.5004, -0.5003), (0.0, 3.0))
-    exits = traj.events_of("slide-exit")
+    exits = events_of_kind(traj, "slide-exit")
     assert len(exits) == 1
     assert abs(exits[0].state[2]) <= 1e-9
     after = [i for i in range(len(traj)) if traj.times[i] > exits[0].t]
@@ -974,7 +992,7 @@ def test_smoothed_step_floor_is_reported():
     opts = IntegratorOptions(min_step=1e-4)
     traj = integrate_smoothed(sys, "tanh", 1e-7, (0.0, 1.0, 1.0), (0.0, 1.0), opts)
     assert traj.meta.get("aborted") == "step-floor"
-    assert len(traj.events_of("step-floor")) == 1
+    assert len(events_of_kind(traj, "step-floor")) == 1
 
 
 def dp54_smoothed(sys, sigmoid, eps, x0, t_end, opts=None):
@@ -1134,7 +1152,7 @@ def test_blowup_relaxation_rate():
 
 def test_blowup_boundary_exit():
     traj = integrate_blowup(nf(1, 1, -2.0, -2.0, 0.2), 1e-3, (0.0, 1.0, -1.0), (0.0, 1.0))
-    exits = traj.events_of("boundary-exit")
+    exits = events_of_kind(traj, "boundary-exit")
     assert len(exits) == 1
     assert traj.meta["boundary_exit"] == -1
     assert traj.lams[-1] == pytest.approx(-1.0, abs=1e-9)

@@ -187,9 +187,9 @@ def test_round_trip_is_exact(tmp_path):
         assert back.t_end == sc.t_end
         assert back.x0 == sc.x0
         assert back.sigmoid == sc.sigmoid
-        assert back.system.f_plus == sc.system.f_plus
-        assert back.system.f_minus == sc.system.f_minus
-        assert back.system.hidden == sc.system.hidden
+        assert back.system.f_plus.components == sc.system.f_plus.components
+        assert back.system.f_minus.components == sc.system.f_minus.components
+        assert back.system.hidden.components == sc.system.hidden.components
         assert back.params == sc.params
 
 

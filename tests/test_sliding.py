@@ -50,23 +50,17 @@ def test_region_classification_normal_form():
 
 
 def test_curve_samples_alpha_zero_segment():
-    c = curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.0), 11)
+    c = curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.0))
     for lam, x2, x3 in c.points:
         assert x2 == 0.0 and x3 == 0.0
     assert c.points[0][0] == -1.0 and c.points[-1][0] == 1.0
 
 
-def test_curve_needs_two_samples():
-    for n in (1, 0, -3):
-        with pytest.raises(ValueError, match="need at least 2 samples"):
-            curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.2), n)
-
-
 def test_curve_closed_form_points():
-    c = curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.2), 3)
-    mid = c.points[1]
+    c = curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.2))
+    mid = c.points[100]
     assert mid == pytest.approx((0.0, 0.2, -0.2), abs=1e-15)
-    assert c.points[2] == pytest.approx((1.0, 0.0, -0.8), abs=1e-15)
+    assert c.points[200] == pytest.approx((1.0, 0.0, -0.8), abs=1e-15)
 
 
 def test_curve_membership_and_tangent():
@@ -75,7 +69,7 @@ def test_curve_membership_and_tangent():
     for alpha in (0.2, -0.3, 1.0):
         p = TwoFoldParams(1, -1, 0.7, -0.4, alpha)
         sys = normal_form_system(p)
-        c = curve_L(p, 57)
+        c = curve_L(p)
         for (lam, x2, x3), tan in zip(c.points, c.tangents):
             assert abs(sys.f1_surface(x2, x3, lam)) <= 1e-12
             a, b, _ = surface_quadratic(*sys.f1_sides(x2, x3))
@@ -84,13 +78,13 @@ def test_curve_membership_and_tangent():
 
 
 def test_curve_csv_export(tmp_path):
-    c = curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.2), 5)
+    c = curve_L(TwoFoldParams(1, 1, 0.0, 0.0, 0.2))
     path = tmp_path / "curve.csv"
     c.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "lambda,x2,x3,tx_lambda,tx_x2,tx_x3"
-    assert len(lines) == 6
-    row = [float(v) for v in lines[3].split(",")]
+    assert len(lines) == 202
+    row = [float(v) for v in lines[101].split(",")]
     assert row == pytest.approx([0.0, 0.2, -0.2, 1.0, -0.4, -0.4])
 
 
@@ -250,7 +244,7 @@ def test_degeneracy_dichotomy_along_curve(capsys):
         p = TwoFoldParams(1, 1, 0.3, -0.7, alpha)
         sys = normal_form_system(p)
         worst = 0.0
-        for lam, x2, x3 in curve_L(p, 101).points:
+        for lam, x2, x3 in curve_L(p).points:
             h = 1e-4
             d2 = (sys.f1_surface(x2, x3, lam + h) - 2 * sys.f1_surface(x2, x3, lam)
                   + sys.f1_surface(x2, x3, lam - h)) / h ** 2
@@ -263,7 +257,7 @@ def test_double_root_on_fold_curve_reported_once_with_flag():
     # on the fold curve the sliding quadratic has a double root
     p = TwoFoldParams(1, 1, 0.3, -0.7, 0.2)
     sys = normal_form_system(p)
-    lam, x2, x3 = curve_L(p, 9).points[4]
+    lam, x2, x3 = curve_L(p).points[100]
     sols = sliding_lambda(sys, x2, x3)
     assert len(sols) == 1
     assert sols[0].double_root

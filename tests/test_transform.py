@@ -9,9 +9,8 @@ from twofold.singularities import folded_singularities
 from twofold.sliding import curve_L
 from twofold.transform import (TransformContext, TransformDomainError,
                                curve_functions, equivalence_residual,
-                               folded_normal_field, from_x_tilde, from_y,
-                               pushforward,
-                               to_x_tilde, to_y, transform_check)
+                               chart, folded_normal_field, from_x_tilde,
+                               to_y, transform_check)
 
 
 def make_ctx(a1=1, a2=1, b1=1.0, b2=-1.0, alpha=0.2, eps=1e-3, which=0):
@@ -26,13 +25,6 @@ def test_translation_moves_singularity_to_origin():
     ctx = make_ctx()
     s = ctx.singularity
     assert to_y(ctx, (s.lambda_s, s.x2s, s.x3s)) == (0.0, 0.0, 0.0)
-
-
-def test_translation_round_trip():
-    ctx = make_ctx()
-    y = (0.1, 0.0, 0.0)
-    back = to_y(ctx, from_y(ctx, y))
-    assert back == pytest.approx(y, abs=1e-15)
 
 
 def test_translation_shift_values():
@@ -97,16 +89,16 @@ def test_singularity_maps_near_origin():
     # with eps -> 0 the corrective shift vanishes and the image is the origin
     ctx = make_ctx(eps=1e-12)
     s = ctx.singularity
-    xt = to_x_tilde(ctx, (s.lambda_s, s.x2s, s.x3s))
+    xt = chart(ctx, (s.lambda_s, s.x2s, s.x3s))[0]
     assert xt == pytest.approx((0.0, 0.0, 0.0), abs=1e-11)
 
 
 def test_fold_curve_rectifies_to_zero_first_component():
     ctx = make_ctx()
-    for lam, x2, x3 in curve_L(ctx.params, 41).points:
+    for lam, x2, x3 in curve_L(ctx.params).points:
         if (1 + ctx.lam_s) ** 2 - (x3 - ctx.singularity.x3s) / ctx.params.alpha < 0:
             continue
-        xt = to_x_tilde(ctx, (lam, x2, x3))
+        xt = chart(ctx, (lam, x2, x3))[0]
         assert abs(xt[0]) <= 1e-10
 
 
@@ -131,7 +123,7 @@ def test_critical_manifold_image_is_quadratically_thin():
         worst = 0.0
         for dl, dx3 in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h),
                         (h * 0.7, h * 0.7), (-h * 0.7, h * 0.7)):
-            xt = to_x_tilde(ctx, manifold_point(dl, dx3))
+            xt = chart(ctx, manifold_point(dl, dx3))[0]
             worst = max(worst, abs(xt[1] + xt[0] ** 2))
         defects.append(worst)
     # at least quadratic decay per decade of h
@@ -172,7 +164,7 @@ def test_round_trip_identity():
                   s.x2s + rng.uniform(-0.2, 0.2),
                   s.x3s + rng.uniform(-0.2, 0.2))
             try:
-                xt = to_x_tilde(ctx, pt)
+                xt = chart(ctx, pt)[0]
             except TransformDomainError:
                 continue
             back = from_x_tilde(ctx, xt)
@@ -182,10 +174,10 @@ def test_round_trip_identity():
 
 def _difference_rate(ctx, point, v, h):
     """d x~/dt~ along the (lam, x2, x3) rate v by a central difference of
-    to_x_tilde over a step of length h, with t~ = -sign(alpha) t."""
+    the chain x~ over a step of length h, with t~ = -sign(alpha) t."""
     step = h / math.sqrt(sum(c * c for c in v))
-    up = to_x_tilde(ctx, tuple(p + step * c for p, c in zip(point, v)))
-    dn = to_x_tilde(ctx, tuple(p - step * c for p, c in zip(point, v)))
+    up = chart(ctx, tuple(p + step * c for p, c in zip(point, v)))[0]
+    dn = chart(ctx, tuple(p - step * c for p, c in zip(point, v)))[0]
     return tuple(-ctx.sign_alpha * (u - d) / (2 * step) for u, d in zip(up, dn))
 
 
@@ -198,7 +190,7 @@ def _points_near_singularity(ctx, seed, n):
         pt = (s.lambda_s + rng.uniform(-0.1, 0.1), s.x2s + rng.uniform(-0.1, 0.1),
               s.x3s + rng.uniform(-0.1, 0.1))
         try:
-            to_x_tilde(ctx, pt)
+            chart(ctx, pt)
         except TransformDomainError:
             continue
         points.append(pt)
@@ -217,8 +209,8 @@ class _ConstantLayer:
 
 def test_pushforward_columns_match_finite_differences():
     # a layer field of (eps, 0, 0), (0, 1, 0) or (0, 0, 1) is the unit rate
-    # along lam, x2 or x3, so pushforward gives -sign(alpha) times one
-    # column of the Jacobian of to_x_tilde that it inlines
+    # along lam, x2 or x3, so the chart's pushforward gives -sign(alpha)
+    # times one column of the Jacobian of its chain x~
     base = make_ctx()
     for k in range(3):
         unit = tuple(float(i == k) for i in range(3))
@@ -226,20 +218,20 @@ def test_pushforward_columns_match_finite_differences():
         ctx = TransformContext(base.params, base.singularity, base.epsilon,
                                _ConstantLayer(field))
         for pt in _points_near_singularity(ctx, 77, 100):
-            assert pushforward(ctx, pt) == pytest.approx(
+            assert chart(ctx, pt)[1] == pytest.approx(
                 _difference_rate(ctx, pt, unit, 1e-6), abs=1e-6)
 
 
 def test_pushforward_matches_finite_differences_along_the_layer_field():
     # the layer field is (F1/eps, F2, F3) in (lam, x2, x3); its rate in x~
-    # under t~ = -sign(alpha) t is the difference of to_x_tilde along it
+    # under t~ = -sign(alpha) t is the difference of the chain x~ along it
     for kw in ({}, {"alpha": -0.3, "b1": -2.0, "b2": -2.0}):
         ctx = make_ctx(**kw)
         for pt in _points_near_singularity(ctx, 78, 100):
             F1, F2, F3 = ctx.system.layer(0.0, pt[1], pt[2], pt[0])
             v = (F1 / ctx.epsilon, F2, F3)
             scale = math.sqrt(sum(c * c for c in v))
-            assert pushforward(ctx, pt) == pytest.approx(
+            assert chart(ctx, pt)[1] == pytest.approx(
                 _difference_rate(ctx, pt, v, 1e-6), abs=1e-6 * scale)
 
 
@@ -260,8 +252,7 @@ def test_residual_first_component_vanishes_at_singularity():
     ctx = make_ctx(eps=1e-3)
     s = ctx.singularity
     pt = (s.lambda_s, s.x2s, s.x3s)
-    xt = to_x_tilde(ctx, pt)
-    w = pushforward(ctx, pt)
+    xt, w = chart(ctx, pt)
     model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde, xt)
     r1 = (ctx.epsilon / math.sqrt(abs(ctx.params.alpha))) * w[0] - model[0]
     assert abs(r1) <= 1e-12
