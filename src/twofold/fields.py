@@ -10,19 +10,21 @@ switching layer.  Off the surface the combined field
 with lam = sign(x1) reproduces the two half-space fields exactly: the convex
 weights are exactly 0/1 at lam = +-1 and the (1-lam^2) factor kills g there.
 
-Every evaluator is compiled when a call first evaluates it, never when a
-field or system is built, so a command compiles only what it runs.  Each
-system compiles two kernels, on first use: the combination
-(`compile_layer`) and the one surface kernel, the three first components at
-x1 = 0 (`f1_sides`), from which `sliding` forms f1's lam-quadratic.  Every
-consumer calls them: the sliding roots and regions, the Filippov contacts
-and slides, the blow-up right-hand side and the transform check.  A
+Every field's evaluator is compiled when a call first evaluates it, never
+when the field or system is built, so a command compiles only what it runs.
+Each system has three kernels: the combination (`compile_layer`) and the
+surface kernel, the three first components at x1 = 0 (`f1_sides`), compiled
+on first use, and a slide-map row kernel that `sliding.surface_grid`
+compiles per call.  `f1_sides` gives f1's lam-quadratic to the per-point
+sliding roots and regions and to the Filippov contacts and slides; `layer`
+serves them and the blow-up right-hand side and the transform check.  A
 `SmoothField` compiles its own evaluator, `fn`, at its first read: only
 Filippov flows and the grazing test read the half-space fields' `fn`, and
 nothing reads the hidden field's.  A smoothed run compiles its own field,
 df1/dx1 (`compile_df1_dx1`, a stiffness test per step) and its exact
 Jacobian (`compile_jacobian`, at its first stiff step).  The quadratic has
-one stable solver, `citardauq`, behind `quadratic_roots`.
+one stable solver, the source text `QUADRATIC_SOURCE`: the surface kernels
+inline it, and `quadratic_roots` and `branch_root` are compiled at import.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .expr import ZERO, Expr, Var, Neg, num, parse_expr
 __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
     "parse_field", "normal_form_system",
-    "compile_layer", "compile_jacobian", "compile_df1_dx1", "citardauq",
-    "quadratic_roots",
+    "compile_layer", "compile_jacobian", "compile_df1_dx1", "compile_function", "indented",
+    "quadratic_roots", "branch_root", "QUADRATIC_SOURCE",
 ]
 
 
@@ -155,7 +157,8 @@ class PiecewiseSmoothSystem:
 def _compile(src: str, name: str):
     """The function `name` defined by `src`."""
     # source generated from our own expression trees
-    ns = {"__builtins__": {}, "tanh": math.tanh, "sqrt": math.sqrt}
+    ns = {"__builtins__": {}, "tanh": math.tanh, "sqrt": math.sqrt, "abs": abs, "len": len,
+          "max": max, "isfinite": math.isfinite, "frexp": math.frexp, "ldexp": math.ldexp}
     exec(src, ns)
     return ns[name]
 
@@ -217,39 +220,80 @@ def compile_df1_dx1(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: st
                     + _derivative_source(sys, lam_source, dlam_source, [(0, 0)]), "df1_dx1")
 
 
-def citardauq(a: float, b: float, c: float, s: float) -> tuple[float, float]:
-    """Roots (-b - s)/(2a) and (-b + s)/(2a) of a l^2 + b l + c, s = sqrt(disc).
+def indented(text: str, pad: str) -> str:
+    """Source `text` with `pad` before each of its lines."""
+    return "".join(pad + line for line in text.splitlines(True))
 
-    The root whose numerator would cancel comes from 2c over the other
-    numerator instead (Citardauq).  When that numerator is zero (b = s = 0)
-    the double root -b/(2a) stands in.
-    """
-    if b >= 0.0:
-        q = -(b + s)
-        return q / (2.0 * a), (2.0 * c / q if q != 0.0 else -b / (2.0 * a))
+
+# The quadratic solve as source text, which `quadratic_roots` and
+# `branch_root` are compiled from and `sliding`'s surface kernels inline.
+# _DISC sets disc = b^2 - 4ac; where that is inf or NaN (disc - disc != 0),
+# finite a != 0, b, c are first scaled by the power of two that brings the
+# largest into [2^509, 2^510).  That keeps the roots, or if a underflows to
+# zero, the one within the float range.
+_DISC = """\
+disc = b * b - 4.0 * a * c
+if disc - disc != 0.0 and a != 0.0 and isfinite(a) and isfinite(b) and isfinite(c):
+    e = 510 - frexp(max(abs(a), abs(b), abs(c)))[1]
+    a = ldexp(a, e); b = ldexp(b, e); c = ldexp(c, e); disc = b * b - 4.0 * a * c
+"""
+# _CITARDAUQ reads a != 0, b, c and s = sqrt(disc) and sets r1 = (-b - s)/(2a)
+# and r2 = (-b + s)/(2a), the one whose numerator would cancel as 2c over the
+# other numerator (Citardauq), and -b/(2a) where that is zero (b = s = 0).
+_CITARDAUQ = """\
+if b >= 0.0:
+    q = -(b + s)
+    r1 = q / (2.0 * a); r2 = 2.0 * c / q if q != 0.0 else -b / (2.0 * a)
+else:
     q = s - b
-    return 2.0 * c / q, q / (2.0 * a)
+    r1 = 2.0 * c / q; r2 = q / (2.0 * a)
+"""
+# QUADRATIC_SOURCE reads a, b, c and tol and sets rs, the real roots, and
+# dbl, their double-root flag, as `quadratic_roots` returns them.
+QUADRATIC_SOURCE = _DISC + """\
+if a == 0.0:
+    rs = (-c / b,) if b != 0.0 else (); dbl = False
+else:
+    band = tol * (b * b if b * b > 1.0 else 1.0)
+    if disc < -band:
+        rs = ()
+    elif disc <= band:
+        rs = (-b / (2.0 * a),); dbl = True
+    else:
+        s = sqrt(disc)
+""" + indented(_CITARDAUQ, " " * 8) + """\
+        rs = (r1, r2); dbl = False
+"""
 
 
-def quadratic_roots(a: float, b: float, c: float, tol: float):
-    """Real roots of  a l^2 + b l + c = 0  as (root, double_root) pairs.
+def compile_function(signature: str, body: str, result: str, doc: str | None = None):
+    """The function `def signature:` that runs `body` and returns `result`."""
+    fn = _compile(f"def {signature}:\n{indented(body, '    ')}    return {result}\n",
+                  signature[:signature.index("(")])
+    fn.__doc__ = doc
+    return fn
 
-    A discriminant within tol * max(1, b^2) of zero gives one double root;
-    tol = 0 accepts only an exact zero.  a = 0 degrades to the linear root,
-    and a = b = 0 has no isolated root (c = 0 there means the quadratic
-    vanishes identically).
-    """
-    if a == 0.0:
-        if b == 0.0:
-            return []
-        return [(-c / b, False)]
-    disc = b * b - 4.0 * a * c
-    if disc < -tol * max(1.0, b * b):
-        return []
-    if disc <= tol * max(1.0, b * b):
-        return [(-b / (2.0 * a), True)]
-    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
-    return [(r_minus, False), (r_plus, False)]
+
+quadratic_roots = compile_function("quadratic_roots(a, b, c, tol)", QUADRATIC_SOURCE,
+                                   "[(r, dbl) for r in rs]", """\
+Real roots of  a l^2 + b l + c = 0  as (root, double_root) pairs.
+
+A discriminant within tol * max(1, b^2) of zero gives one double root;
+tol = 0 accepts only an exact zero.  a = 0 degrades to the linear root,
+and a = b = 0 has no isolated root (c = 0 there means the quadratic
+vanishes identically).  The rule is `QUADRATIC_SOURCE`.""")
+
+branch_root = compile_function("branch_root(a, b, c, sigma)", _DISC + """\
+if a == 0.0:
+    return 0.0 if b == 0.0 else -c / b
+if disc < 0.0:
+    disc = 0.0
+s = sqrt(disc)
+""" + _CITARDAUQ, "r2 if sigma > 0 else r1", """\
+The root of a lam^2 + b lam + c on branch sigma (-1 attracting, +1
+repelling), or the linear root when a = 0 (0.0 when b = 0 too).  The
+discriminant is clamped at zero, so stages just past the branch fold stay
+finite; a slide's disc monitor locates the fold itself.""")
 
 
 def normal_form_system(p: TwoFoldParams) -> PiecewiseSmoothSystem:

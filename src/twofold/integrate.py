@@ -33,7 +33,7 @@ ends.
 Sliding uses the fact that the surface component f1 is quadratic in lam for
 every in-scope system (the hidden field does not depend on lam), so the slide
 can hold one root branch of that quadratic in closed form (`sliding`'s
-`surface_quadratic` and `branch_root`, from one `f1_sides` call per state):
+`surface_quadratic` and `fields.branch_root`, from one `f1_sides` call per state):
 sigma = -1 labels the attracting branch (df1/dlam = sigma sqrt(disc) there),
 sigma = +1 the repelling one.  Branch loss (discriminant -> 0) is the fold of
 the sliding manifold and ejects the orbit into the half space where f1 keeps
@@ -53,10 +53,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
-from .fields import (PiecewiseSmoothSystem, SmoothField, compile_df1_dx1,
+from .fields import (PiecewiseSmoothSystem, SmoothField, branch_root, compile_df1_dx1,
                      compile_jacobian, compile_layer, quadratic_roots)
 from .sliding import (ATTRACTING_SLIDING, CLASSIFY_TOL, REPELLING_SLIDING, TANGENCY,
-                      branch_root, region_of_sides, side_values, surface_quadratic)
+                      region_of_sides, side_values, surface_quadratic)
 
 __all__ = [
     "IntegratorOptions", "Trajectory", "Event", "NonconvergentEventError",

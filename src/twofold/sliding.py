@@ -12,17 +12,19 @@ The hidden field g does not depend on lam, so f1 is exactly quadratic in lam
 for every system and its sliding roots come from one closed-form quadratic
 solve, with no sampling.  That quadratic lives here alone: every surface
 quantity is derived from the triple (fp1, fm1, g1) that `f1_sides` gives.
+The region test and the root filter are source text, compiled into the
+per-point calls and inlined in one slide-map row kernel per `surface_grid`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .fields import PiecewiseSmoothSystem, TwoFoldParams, citardauq, quadratic_roots
+from .fields import (QUADRATIC_SOURCE, PiecewiseSmoothSystem, TwoFoldParams, compile_function,
+                     indented)
 
 __all__ = [
-    "SlidingSolution", "CurveL", "surface_quadratic", "branch_root",
+    "SlidingSolution", "CurveL", "surface_quadratic",
     "roots_of_sides", "sliding_lambda", "curve_L",
     "side_values", "region_of_sides", "region_classify", "surface_grid",
     "RESIDUAL_TOL", "CLASSIFY_TOL",
@@ -69,52 +71,6 @@ def surface_quadratic(fp1: float, fm1: float, g1: float) -> tuple[float, float, 
     return (-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1)
 
 
-def branch_root(a: float, b: float, c: float, sigma: int) -> float:
-    """The root of a lam^2 + b lam + c on branch sigma (-1 attracting, +1
-    repelling), or the linear root when a = 0 (0.0 when b = 0 too).  The
-    discriminant is clamped at zero, so stages just past the branch fold
-    stay finite; a slide's disc monitor locates the fold itself."""
-    if a == 0.0:
-        if b == 0.0:
-            return 0.0
-        return -c / b
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        disc = 0.0
-    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
-    return r_plus if sigma > 0 else r_minus
-
-
-def roots_of_sides(fp1: float, fm1: float, g1: float) -> list[tuple[float, bool]]:
-    """All sliding values of lam at a surface point, as (lam, double_root)
-    pairs sorted ascending, from f1's terms there: the first components fp1,
-    fm1, g1 of f_plus, f_minus and g.
-
-    f1 is solved in the orientation of -f1 (the negated `surface_quadratic`):
-    -f1 = g1 lam^2 + (fm1 - fp1)/2 lam - (fp1 + fm1)/2 - g1; for the normal
-    form the coefficients are alpha, (x2+x3)/2 and (x2-x3)/2 - alpha.  A root
-    counts when it lies in [-1, 1] and f1 vanishes there to RESIDUAL_TOL
-    times max(1, |fp1| + |fm1| + |g1|), a bound relative to f1's own terms.
-    Crossing regions give an empty list.
-    """
-    roots = []
-    # in -f1's orientation each root keeps the Citardauq formula it has
-    # always come from; f1's own swaps them where b = 0, in the last bit
-    for lam, dbl in quadratic_roots(g1, -(0.5 * (fp1 - fm1)),
-                                    -(0.5 * (fp1 + fm1) + g1), RESIDUAL_TOL):
-        if -1.0 - RESIDUAL_TOL <= lam <= 1.0 + RESIDUAL_TOL:
-            # negating a zero b or c can leave a -0.0 root; + 0.0 folds it
-            lam = min(1.0, max(-1.0, lam)) + 0.0
-            # f1 at lam with the layer kernel's weights, in its order
-            wp = 0.5 * (1.0 + lam); wm = 0.5 * (1.0 - lam); wh = 1.0 - lam * lam
-            if abs(wp * fp1 + wm * fm1 + wh * g1) <= RESIDUAL_TOL * max(
-                    1.0, abs(fp1) + abs(fm1) + abs(g1)):
-                roots.append((lam, dbl))
-    if len(roots) == 2 and roots[1][0] < roots[0][0]:
-        roots.reverse()
-    return roots
-
-
 def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
     """The roots of `roots_of_sides` at (0, x2, x3) of `sys`, each with its
     slide vector and the stability of its layer equilibrium."""
@@ -134,23 +90,49 @@ REPELLING_SLIDING = "repelling-sliding"
 TANGENCY = "tangency"
 
 
-def side_values(fp1: float, fm1: float, g1: float) -> tuple[float, float]:
-    """f1 at lam = +1 and at lam = -1 from fp1, fm1 and g1."""
-    # the layer kernel's weights at lam = +1 and -1, so a non-finite
-    # component spoils f1 on both sides, as it does in `layer`
-    return 1.0 * fp1 + 0.0 * fm1 + 0.0 * g1, 0.0 * fp1 + 1.0 * fm1 + 0.0 * g1
-
-
-def region_of_sides(fp: float, fm: float) -> str:
-    """Classify a surface point by the signs of f1 on the two sides, from
-    its values fp at lam = +1 and fm at lam = -1 (`side_values`)."""
-    if abs(fp) <= CLASSIFY_TOL or abs(fm) <= CLASSIFY_TOL:
-        return TANGENCY
-    if fp < 0.0 < fm:
-        return ATTRACTING_SLIDING
-    if fm < 0.0 < fp:
-        return REPELLING_SLIDING
-    return CROSSING
+# One surface cell as source text, reading f1's terms fp1, fm1 and g1 (the
+# first components of f_plus, f_minus and g there): `side_values`,
+# `region_of_sides` and `roots_of_sides` are compiled from it, and
+# `surface_grid` inlines it in one row kernel.  _SIDES sets fp and fm, f1 at
+# lam = +1 and -1 with the layer kernel's weights, so a non-finite term
+# spoils both, as in `layer`; _REGION classifies the point by their signs.
+_SIDES = "fp = 1.0 * fp1 + 0.0 * fm1 + 0.0 * g1; fm = 0.0 * fp1 + 1.0 * fm1 + 0.0 * g1\n"
+_REGION = f"""\
+if abs(fp) <= {CLASSIFY_TOL!r} or abs(fm) <= {CLASSIFY_TOL!r}:
+    region = {TANGENCY!r}
+elif fp < 0.0 < fm:
+    region = {ATTRACTING_SLIDING!r}
+elif fm < 0.0 < fp:
+    region = {REPELLING_SLIDING!r}
+else:
+    region = {CROSSING!r}
+"""
+# _ROOTS sets roots, the sliding values of lam in ascending order, and dbl,
+# their double-root flag.  It solves -f1 = g1 lam^2 + (fm1 - fp1)/2 lam
+# - (fp1 + fm1)/2 - g1 (the negated `surface_quadratic`), where each root
+# keeps the Citardauq formula it has always come from; f1's own swaps them
+# where b = 0, in the last bit.  A root counts when it lies in [-1, 1] and f1
+# vanishes there to RESIDUAL_TOL times max(1, |fp1| + |fm1| + |g1|).
+_ROOTS = f"""\
+a = g1; b = -(0.5 * (fp1 - fm1)); c = -(0.5 * (fp1 + fm1) + g1); tol = {RESIDUAL_TOL!r}
+{QUADRATIC_SOURCE}roots = []
+for lam in rs:
+    if -1.0 - {RESIDUAL_TOL!r} <= lam <= 1.0 + {RESIDUAL_TOL!r}:
+        # clamped; negating a zero b or c can leave a -0.0 root, + 0.0 folds it
+        lam = ((lam if lam < 1.0 else 1.0) if lam > -1.0 else -1.0) + 0.0
+        # f1 at lam with the layer kernel's weights, in its order
+        wp = 0.5 * (1.0 + lam); wm = 0.5 * (1.0 - lam); wh = 1.0 - lam * lam
+        t = abs(fp1) + abs(fm1) + abs(g1)
+        if abs(wp * fp1 + wm * fm1 + wh * g1) <= {RESIDUAL_TOL!r} * (t if t > 1.0 else 1.0):
+            roots.insert(0 if roots and lam < roots[0] else len(roots), lam)
+"""
+side_values = compile_function("side_values(fp1, fm1, g1)", _SIDES, "fp, fm",
+                               "f1 at lam = +1 and at lam = -1 from fp1, fm1 and g1.")
+region_of_sides = compile_function("region_of_sides(fp, fm)", _REGION, "region",
+                                   "The region of a surface point from its `side_values`.")
+roots_of_sides = compile_function("roots_of_sides(fp1, fm1, g1)", _ROOTS,
+                                  "[(lam, dbl) for lam in roots]", "The (lam, double_root) "
+                                  "pairs of `_ROOTS` at a point whose f1 terms are fp1, fm1, g1.")
 
 
 def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
@@ -161,17 +143,16 @@ def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
 def surface_grid(sys: PiecewiseSmoothSystem, axis):
     """Region and sliding lambdas of every cell of the surface grid with x2
     and x3 both running over `axis`, yielded as (regions, roots) one x2 row
-    at a time: row i, entry j belongs to (x2, x3) = (axis[i], axis[j]).  Each
-    cell evaluates the three first components once and gives them to
-    `roots_of_sides`, and their side values to `region_of_sides`."""
-    sides = sys.f1_sides
+    at a time: row i, entry j belongs to (x2, x3) = (axis[i], axis[j]).  One
+    kernel, compiled per call, computes a row: each cell evaluates f1's
+    terms at x1 = 0 once, as `f1_sides` does, and runs the cell text on them."""
+    p1, m1, g1 = (f.components[0].source() for f in (sys.f_plus, sys.f_minus, sys.hidden))
+    cell = (f"fp1 = {p1}; fm1 = {m1}; g1 = {g1}\n{_SIDES}{_REGION}regions.append(region)\n"
+            f"{_ROOTS}lams.append(roots)\n")
+    row = compile_function("surface_row(x2, axis)", "x1 = 0.0\nregions = []; lams = []\n"
+                           "for x3 in axis:\n" + indented(cell, "    "), "regions, lams")
     for x2 in axis:
-        region_row, roots_row = [], []
-        for x3 in axis:
-            fp1, fm1, g1 = sides(x2, x3)
-            region_row.append(region_of_sides(*side_values(fp1, fm1, g1)))
-            roots_row.append([lam for lam, _ in roots_of_sides(fp1, fm1, g1)])
-        yield region_row, roots_row
+        yield row(x2, axis)
 
 
 def curve_L(p: TwoFoldParams) -> CurveL:

@@ -213,16 +213,19 @@ def render_region_map(axis, regions, path, curve) -> None:
     step = _min_gap(axis)
     w = step * canvas.kx * canvas.sx
     h = step * canvas.ky * canvas.sy
-    # each column's x and each row's y is formatted once, by grid position
+    # each row's x is formatted once, and each column's cell text after the
+    # x once per region (and once for the white of an unknown region)
     x_text = [_fmt(canvas.to_screen(x, 0.0)[0] - w / 2) for x in axis]
     y_text = [_fmt(canvas.to_screen(0.0, y)[1] - h / 2) for y in axis]
     size = f'width="{_fmt(w)}" height="{_fmt(h)}"'
+    cells = [{region: f'{y}" {size} fill="{color}"/>\n'
+              for region, color in _REGION_COLORS.items()} for y in y_text]
+    unknown = [f'{y}" {size} fill="#ffffff"/>\n' for y in y_text]
     with artifact(path) as fh:
         fh.write(_HEADER)
         for x, row in zip(x_text, regions):
-            fh.write("".join(f'<rect x="{x}" y="{y}" {size} '
-                             f'fill="{_REGION_COLORS.get(region, "#ffffff")}"/>\n'
-                             for y, region in zip(y_text, row)))
+            head = f'<rect x="{x}" y="'
+            fh.write(head + head.join(map(dict.get, cells, row, unknown)))
         fh.write(_axes(canvas))
         if curve is not None:
             pts = [(x2, x3) for _, x2, x3 in curve.points if canvas.contains(x2, x3)]

@@ -375,6 +375,9 @@ def test_each_call_compiles_only_the_kernels_it_evaluates(monkeypatch, tmp_path,
     assert names("classify", *nf) == []
     assert names("singularity", *nf) == []
     assert names("transform-check", *nf) == ["layer"]
+    # the grid is one row kernel: no `f1_sides`, `layer` or field evaluator
+    assert names("slide-map", "--scenario", "invisible-nf", "--out", "map.csv",
+                 "--plot", "map.svg", "--curve-out", "curve.csv") == ["surface_row"]
     assert "fn" not in names("simulate", "--scenario", "example-ii", "--t-end", "5")
     # a Filippov run compiles each half-space field's evaluator at most
     # once, and the hidden field's never

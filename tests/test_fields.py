@@ -177,6 +177,22 @@ def test_quadratic_roots_tolerance_merges_near_double_root():
     assert len(quadratic_roots(1.0, 2.0, 1.0 - 2.5e-15, 0.0)) == 2
 
 
+@pytest.mark.parametrize("coeffs, want", [
+    # b^2 overflows; the roots are -b/a and -c/b to within rounding
+    ((0.2, 1e200, -0.2), [-1e200 / 0.2, 0.2 / 1e200]),
+    # b^2 and 4ac overflow; the roots are (-1 -+ sqrt(5))/2
+    ((1e300, 1e300, -1e300), [(-1.0 - math.sqrt(5.0)) / 2.0, (-1.0 + math.sqrt(5.0)) / 2.0]),
+    # b^2 overflows and a is too small to scale: the root -b/a = -2e523 is
+    # beyond the float range, and -c/b is left
+    ((5e-324, 1e200, 1.0), [-1e-200]),
+], ids=["b-squared", "all-three", "a-underflows"])
+def test_quadratic_roots_survive_an_overflowing_discriminant(coeffs, want):
+    for tol in (0.0, 1e-12):
+        got = quadratic_roots(*coeffs, tol)
+        assert [dbl for _, dbl in got] == [False] * len(want)
+        assert [r for r, _ in got] == pytest.approx(want, rel=1e-15)
+
+
 def test_combination_rejects_lambda_outside_range():
     sys = _random_system(random.Random(9))
     with pytest.raises(ValueError):

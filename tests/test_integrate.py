@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twofold.expr import Mul, Neg, Num, Var, num
-from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams, citardauq,
+from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams, branch_root,
                             compile_df1_dx1, compile_jacobian, compile_layer,
                             normal_form_system, parse_field, quadratic_roots)
 from twofold import integrate
@@ -24,7 +24,7 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                SIGMOIDS, _first_cubic, _hermite, _monotone_noise, _run_steps,
                                _illinois, _slide_monitors, _surface_crossing)
 from twofold.scenarios import builtin
-from twofold.sliding import CLASSIFY_TOL, branch_root, sliding_lambda, surface_quadratic
+from twofold.sliding import CLASSIFY_TOL, sliding_lambda, surface_quadratic
 
 
 def events_of_kind(traj, kind):
@@ -775,9 +775,23 @@ def oracle_branch_lambda(sys, sigma, x2, x3):
             return 0.0
         return -c / b
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        disc = 0.0
-    r_minus, r_plus = citardauq(a, b, c, math.sqrt(disc))
+    if not math.isfinite(disc) and all(map(math.isfinite, (a, b, c))):
+        # an overflowing discriminant: the same roots from a, b, c scaled by
+        # one power of two, the largest to [2^509, 2^510)
+        e = 510 - math.frexp(max(map(abs, (a, b, c))))[1]
+        a, b, c = (math.ldexp(v, e) for v in (a, b, c))
+        if a == 0.0:
+            return -c / b
+        disc = b * b - 4.0 * a * c
+    s = math.sqrt(max(disc, 0.0))
+    # Citardauq: the root whose numerator would cancel comes from 2c over
+    # the other numerator
+    if b >= 0.0:
+        q = -(b + s)
+        r_minus, r_plus = q / (2.0 * a), (2.0 * c / q if q != 0.0 else -b / (2.0 * a))
+    else:
+        q = s - b
+        r_minus, r_plus = 2.0 * c / q, q / (2.0 * a)
     return r_plus if sigma > 0 else r_minus
 
 
@@ -807,7 +821,7 @@ def oracle_slide_monitors(sys, sigma, w):
 # a = 1, b = 0, c = 1: a negative discriminant, clamped at zero
 @example(k=(2.0, 2.0, -1.0), x2=1.0, x3=1.0, sigma=-1, normal_form=False)
 @example(k=(2.0, 2.0, -1.0), x2=1.0, x3=1.0, sigma=1, normal_form=True)
-# b * b overflows to inf, and the repelling root with it
+# b * b overflows to inf: both roots from the scaled quadratic
 @example(k=(1e300, -1.0, 1.0), x2=1.0, x3=1.0, sigma=1, normal_form=False)
 # b * b and 4 a c both overflow to inf: the discriminant inf - inf is NaN
 @example(k=(1e308, -1e300, -1e300), x2=1.0, x3=1.0, sigma=-1, normal_form=False)

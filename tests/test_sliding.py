@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twofold.cli import main
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, normal_form_system,
-                            parse_field, quadratic_roots)
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, branch_root,
+                            normal_form_system, parse_field, quadratic_roots)
 from twofold.scenarios import builtin, builtin_names, load_config
-from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, branch_root, curve_L,
+from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, curve_L,
                              region_classify, roots_of_sides, sliding_lambda,
                              surface_grid, surface_quadratic)
 
@@ -346,6 +346,30 @@ def test_surface_grid_matches_per_cell_layer_evaluation(sys, axis):
             want = _layer_roots(sys, x2, x3)
             assert repr(roots_of_sides(*sys.f1_sides(x2, x3))) == repr(want)
             assert repr(lams) == repr([lam for lam, _ in want])
+
+
+def test_slide_map_roots_survive_f1_terms_near_the_float_limit():
+    # over +-1e200 example-i's f1 terms reach 1e200, so the discriminant of
+    # f1's quadratic overflows in every sliding cell; each must still hold
+    # its one root, the Filippov slide's, with a residual within the bound
+    # of `roots_of_sides`
+    sys = builtin("example-i").system
+    axis = [-1e200 + 2e200 * i / 40 for i in range(41)]
+    sliding = 0
+    for x2, (region_row, roots_row) in zip(axis, surface_grid(sys, axis)):
+        for x3, region, lams in zip(axis, region_row, roots_row):
+            sigma = {"attracting-sliding": -1, "repelling-sliding": 1}.get(region)
+            if sigma is None:
+                continue
+            sliding += 1
+            sides = sys.f1_sides(x2, x3)
+            assert lams == [branch_root(*surface_quadratic(*sides), sigma)], (x2, x3)
+            assert abs(sys.f1_surface(x2, x3, lams[0])) <= RESIDUAL_TOL * max(
+                1.0, sum(map(abs, sides)))
+    assert sliding == 800
+    # the repelling root at (-1e200, -5e199) solves 1e200 (1+lam) - 5e199 (1-lam) = 0
+    lams = next(surface_grid(sys, [-1e200, -5e199]))[1][1]
+    assert lams == [pytest.approx(-1.0 / 3.0, rel=1e-15)]
 
 
 def _scaled_f(k, g1):
