@@ -108,9 +108,9 @@ class PiecewiseSmoothSystem:
 
     * `layer(x1, x2, x3, lam) -> (f1, f2, f3)` is the combination with no
       range check, for callers whose lam may overshoot [-1, 1] by rounding;
-    * `f1_sides(x2, x3) -> (fp1, fm1, g1)`, the one surface kernel, gives
-      the first components of f_plus, f_minus and g at (0, x2, x3), which
-      `sliding.surface_quadratic` turns into f1's lam-quadratic.
+    * `f1_sides(x2, x3) -> (fp1, fm1, g1)`, the per-point surface kernel,
+      gives the first components of f_plus, f_minus and g at (0, x2, x3),
+      which `sliding.surface_quadratic` turns into f1's lam-quadratic.
 
     `params` is set when the system is a normal-form instance.  It serves
     only two-fold detection in Filippov slides and the commands that need
