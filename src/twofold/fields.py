@@ -23,8 +23,9 @@ Filippov flows and the grazing test read the half-space fields' `fn`, and
 nothing reads the hidden field's.  A smoothed run compiles its own field,
 df1/dx1 (`compile_df1_dx1`, a stiffness test per step) and its exact
 Jacobian (`compile_jacobian`, at its first stiff step).  The quadratic has
-one stable solver, the source text `QUADRATIC_SOURCE`: the surface kernels
-inline it, and `quadratic_roots` and `branch_root` are compiled at import.
+one stable solver, the source text `DISC_SOURCE` and `CITARDAUQ_SOURCE`:
+`quadratic_roots` is compiled from it at import, and `sliding` builds its
+surface calls and kernels from it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
     "parse_field", "normal_form_system",
     "compile_layer", "compile_jacobian", "compile_df1_dx1", "compile_function", "indented",
-    "quadratic_roots", "branch_root", "QUADRATIC_SOURCE",
+    "quadratic_roots", "DISC_SOURCE", "CITARDAUQ_SOURCE", "QUADRATIC_SOURCE",
 ]
 
 
@@ -110,7 +111,7 @@ class PiecewiseSmoothSystem:
       range check, for callers whose lam may overshoot [-1, 1] by rounding;
     * `f1_sides(x2, x3) -> (fp1, fm1, g1)`, the per-point surface kernel,
       gives the first components of f_plus, f_minus and g at (0, x2, x3),
-      which `sliding.surface_quadratic` turns into f1's lam-quadratic.
+      from which `sliding` builds f1's lam-quadratic.
 
     `params` is set when the system is a normal-form instance.  It serves
     only two-fold detection in Filippov slides and the commands that need
@@ -225,22 +226,23 @@ def indented(text: str, pad: str) -> str:
     return "".join(pad + line for line in text.splitlines(True))
 
 
-# The quadratic solve as source text, which `quadratic_roots` and
-# `branch_root` are compiled from and `sliding`'s surface kernels inline.
-# _DISC sets disc = b^2 - 4ac; where that is inf or NaN (disc - disc != 0),
-# finite a != 0, b, c are first scaled by the power of two that brings the
-# largest into [2^509, 2^510).  That keeps the roots, or if a underflows to
-# zero, the one within the float range.
-_DISC = """\
+# The quadratic solve as source text, which `quadratic_roots` is compiled
+# from and `sliding`'s surface calls and kernels are built from.
+# DISC_SOURCE sets disc = b^2 - 4ac; where that is inf or NaN (disc - disc
+# != 0), finite a != 0, b, c are first scaled by the power of two that
+# brings the largest into [2^509, 2^510).  That keeps the roots, or if a
+# underflows to zero, the one within the float range.
+DISC_SOURCE = """\
 disc = b * b - 4.0 * a * c
 if disc - disc != 0.0 and a != 0.0 and isfinite(a) and isfinite(b) and isfinite(c):
     e = 510 - frexp(max(abs(a), abs(b), abs(c)))[1]
     a = ldexp(a, e); b = ldexp(b, e); c = ldexp(c, e); disc = b * b - 4.0 * a * c
 """
-# _CITARDAUQ reads a != 0, b, c and s = sqrt(disc) and sets r1 = (-b - s)/(2a)
-# and r2 = (-b + s)/(2a), the one whose numerator would cancel as 2c over the
-# other numerator (Citardauq), and -b/(2a) where that is zero (b = s = 0).
-_CITARDAUQ = """\
+# CITARDAUQ_SOURCE reads a != 0, b, c and s = sqrt(disc) and sets r1 =
+# (-b - s)/(2a) and r2 = (-b + s)/(2a), the one whose numerator would cancel
+# as 2c over the other numerator (Citardauq), and -b/(2a) where that is zero
+# (b = s = 0).
+CITARDAUQ_SOURCE = """\
 if b >= 0.0:
     q = -(b + s)
     r1 = q / (2.0 * a); r2 = 2.0 * c / q if q != 0.0 else -b / (2.0 * a)
@@ -250,7 +252,7 @@ else:
 """
 # QUADRATIC_SOURCE reads a, b, c and tol and sets rs, the real roots, and
 # dbl, their double-root flag, as `quadratic_roots` returns them.
-QUADRATIC_SOURCE = _DISC + """\
+QUADRATIC_SOURCE = DISC_SOURCE + """\
 if a == 0.0:
     rs = (-c / b,) if b != 0.0 else (); dbl = False
 else:
@@ -261,7 +263,7 @@ else:
         rs = (-b / (2.0 * a),); dbl = True
     else:
         s = sqrt(disc)
-""" + indented(_CITARDAUQ, " " * 8) + """\
+""" + indented(CITARDAUQ_SOURCE, " " * 8) + """\
         rs = (r1, r2); dbl = False
 """
 
@@ -282,18 +284,6 @@ A discriminant within tol * max(1, b^2) of zero gives one double root;
 tol = 0 accepts only an exact zero.  a = 0 degrades to the linear root,
 and a = b = 0 has no isolated root (c = 0 there means the quadratic
 vanishes identically).  The rule is `QUADRATIC_SOURCE`.""")
-
-branch_root = compile_function("branch_root(a, b, c, sigma)", _DISC + """\
-if a == 0.0:
-    return 0.0 if b == 0.0 else -c / b
-if disc < 0.0:
-    disc = 0.0
-s = sqrt(disc)
-""" + _CITARDAUQ, "r2 if sigma > 0 else r1", """\
-The root of a lam^2 + b lam + c on branch sigma (-1 attracting, +1
-repelling), or the linear root when a = 0 (0.0 when b = 0 too).  The
-discriminant is clamped at zero, so stages just past the branch fold stay
-finite; a slide's disc monitor locates the fold itself.""")
 
 
 def normal_form_system(p: TwoFoldParams) -> PiecewiseSmoothSystem:

@@ -14,7 +14,7 @@ integrators:
     cubic keeps its four Bernstein control points on its own side cannot
     reach the surface; otherwise the interior extrema of the cubic come in
     closed form, so no step size cap near x1 = 0 is needed); contacts
-    decided by the sliding layer's rule, `sliding.region_of_sides`; sliding
+    decided by the sliding layer's rule, the region of `sliding.contact`; sliding
     (x1 held at +0.0) with the layer value of lam tracked in closed form;
     fold/two-fold exit events;
   * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps), the one
@@ -32,8 +32,8 @@ ends.
 
 Sliding uses the fact that the surface component f1 is quadratic in lam for
 every in-scope system (the hidden field does not depend on lam), so the slide
-can hold one root branch of that quadratic in closed form (`sliding`'s
-`surface_quadratic` and `fields.branch_root`, from one `f1_sides` call per state):
+can hold one root branch of that quadratic in closed form (`sliding.slide_root`,
+from one `f1_sides` call per state, with the branch-fold monitor's discriminant):
 sigma = -1 labels the attracting branch (df1/dlam = sigma sqrt(disc) there),
 sigma = +1 the repelling one.  Branch loss (discriminant -> 0) is the fold of
 the sliding manifold and ejects the orbit into the half space where f1 keeps
@@ -53,10 +53,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
-from .fields import (PiecewiseSmoothSystem, SmoothField, branch_root, compile_df1_dx1,
-                     compile_jacobian, compile_layer, quadratic_roots)
-from .sliding import (ATTRACTING_SLIDING, CLASSIFY_TOL, REPELLING_SLIDING, TANGENCY,
-                      region_of_sides, side_values, surface_quadratic)
+from .fields import (PiecewiseSmoothSystem, SmoothField, compile_df1_dx1, compile_jacobian,
+                     compile_layer, quadratic_roots)
+from .sliding import (ATTRACTING_SLIDING, CLASSIFY_TOL, REPELLING_SLIDING, TANGENCY, contact,
+                      slide_root)
 
 __all__ = [
     "IntegratorOptions", "Trajectory", "Event", "NonconvergentEventError",
@@ -378,8 +378,9 @@ class _Stepper:
         rate = 0.0 if df1_dx1 is None else -df1_dx1(*self.y)
         while True:
             h = min(self.h, h_cap, t_limit - self.t)
-            # a step below the resolution of t would not advance it
-            if h < opts.min_step or self.t + h == self.t:
+            # floor a step the controller, not t_limit, shrank below min_step,
+            # and one below the resolution of t, which would not advance it
+            if h < opts.min_step and h < t_limit - self.t or self.t + h == self.t:
                 raise _StepFloor
             stiff = h * rate > _DP54_STABILITY
             y_new, f_new, err = self._attempt(h, stiff)
@@ -779,12 +780,8 @@ def _slide_monitors(sys, sigma, w):
     """(lam, scalars) of a slide on branch sigma at state w, from one
     `f1_sides` call: the branch root lam, and the event scalars, positive
     while sliding: the fold lines (1 - lam, lam + 1), the branch fold (the
-    discriminant, 1.0 on the linear root a = 0) and, for normal forms, the
-    two-fold window."""
-    fp1, fm1, g1 = sys.f1_sides(w[1], w[2])
-    a, b, c = surface_quadratic(fp1, fm1, g1)
-    lam = branch_root(a, b, c, sigma)
-    disc = b * b - 4.0 * a * c if a != 0.0 else 1.0
+    discriminant of `slide_root`) and, for normal forms, the two-fold window."""
+    lam, _, disc = slide_root(*sys.f1_sides(w[1], w[2]), sigma)
     if sys.params is None:
         return lam, (1.0 - lam, lam + 1.0, disc)
     return lam, (1.0 - lam, lam + 1.0, disc, max(abs(w[1]), abs(w[2])) - TWO_FOLD_TOL)
@@ -855,10 +852,9 @@ class _FilippovRun:
 
     def decide_surface(self, t, y, f_in=None):
         """Entry point whenever the state sits on x1 = 0: the action for the
-        region `region_of_sides` gives the point."""
+        region `contact` gives the point."""
         sides = self.sys.f1_sides(y[1], y[2])
-        fp, fm = side_values(*sides)
-        region = region_of_sides(fp, fm)
+        fp, fm, region = contact(*sides)
         if region == TANGENCY:
             if abs(fp) <= CLASSIFY_TOL and abs(fm) <= CLASSIFY_TOL:
                 # tangent from both sides: the two-fold itself
@@ -894,8 +890,7 @@ class _FilippovRun:
         """(a, lam, f) of a slide on branch sigma at (0, y[1], y[2]), whose
         `f1_sides` triple is `sides`: f1's lam^2 coefficient, the branch root
         and the slide field (0.0, f2, f3)."""
-        a, b, c = surface_quadratic(*sides)
-        lam = branch_root(a, b, c, sigma)
+        lam, a, _ = slide_root(*sides, sigma)
         _, f2, f3 = self.sys.layer(0.0, y[1], y[2], lam)
         return a, lam, (0.0, f2, f3)
 
@@ -928,8 +923,7 @@ class _FilippovRun:
         def rhs(x1, x2, x3):
             # positional calls, not f(*args): this runs at every stage
             fp1, fm1, g1 = sys.f1_sides(x2, x3)
-            a, b, c = surface_quadratic(fp1, fm1, g1)
-            _, f2, f3 = sys.layer(0.0, x2, x3, branch_root(a, b, c, sigma))
+            _, f2, f3 = sys.layer(0.0, x2, x3, slide_root(fp1, fm1, g1, sigma)[0])
             return (0.0, f2, f3)
 
         stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts)
@@ -979,7 +973,7 @@ class _FilippovRun:
             # the branch left [-1, 1] by this step's end: the orbit crosses
             # over if the other side's field points away from the surface
             side = -side
-            if side * side_values(*sides)[side < 0] <= CLASSIFY_TOL:
+            if side * contact(*sides)[side < 0] <= CLASSIFY_TOL:
                 if stalled:
                     # sliding on would restart at the same time forever
                     _step_floor(self.traj, t_star, st)

@@ -12,21 +12,23 @@ The hidden field g does not depend on lam, so f1 is exactly quadratic in lam
 for every system and its sliding roots come from one closed-form quadratic
 solve, with no sampling.  That quadratic lives here alone: every surface
 quantity is derived from the triple (fp1, fm1, g1) that `f1_sides` gives.
-The region test and the root filter are source text, compiled into the
-per-point calls and inlined in one slide-map row kernel per `surface_grid`.
+Its coefficients, the side values and region test, the root filter and a
+slide's branch root are source text, compiled into the per-point calls
+(`surface_quadratic`, `contact`, `roots_of_sides`, `slide_root`); one
+slide-map row kernel per `surface_grid` inlines the cell's part of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import (QUADRATIC_SOURCE, PiecewiseSmoothSystem, TwoFoldParams, compile_function,
-                     indented)
+from .fields import (CITARDAUQ_SOURCE, DISC_SOURCE, QUADRATIC_SOURCE, PiecewiseSmoothSystem,
+                     TwoFoldParams, compile_function, indented)
 
 __all__ = [
     "SlidingSolution", "CurveL", "surface_quadratic",
     "roots_of_sides", "sliding_lambda", "curve_L",
-    "side_values", "region_of_sides", "region_classify", "surface_grid",
+    "contact", "slide_root", "region_classify", "surface_grid",
     "RESIDUAL_TOL", "CLASSIFY_TOL",
 ]
 
@@ -64,13 +66,6 @@ class CurveL:
                 fh.write(f"{l!r},{x2!r},{x3!r},{t1!r},{t2!r},{t3!r}\n")
 
 
-def surface_quadratic(fp1: float, fm1: float, g1: float) -> tuple[float, float, float]:
-    """(a, b, c) with f1(0, x2, x3; lam) = a lam^2 + b lam + c, from the
-    first components fp1, fm1, g1 of f_plus, f_minus and g there; exact
-    because g does not depend on lam.  df1/dlam = 2 a lam + b."""
-    return (-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1)
-
-
 def sliding_lambda(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> list[SlidingSolution]:
     """The roots of `roots_of_sides` at (0, x2, x3) of `sys`, each with its
     slide vector and the stability of its layer equilibrium."""
@@ -91,11 +86,11 @@ TANGENCY = "tangency"
 
 
 # One surface cell as source text, reading f1's terms fp1, fm1 and g1 (the
-# first components of f_plus, f_minus and g there): `side_values`,
-# `region_of_sides` and `roots_of_sides` are compiled from it, and
-# `surface_grid` inlines it in one row kernel.  _SIDES sets fp and fm, f1 at
-# lam = +1 and -1 with the layer kernel's weights, so a non-finite term
-# spoils both, as in `layer`; _REGION classifies the point by their signs.
+# first components of f_plus, f_minus and g there): `contact` and
+# `roots_of_sides` are compiled from it, and `surface_grid` inlines it in one
+# row kernel.  _SIDES sets fp and fm, f1 at lam = +1 and -1 with the layer
+# kernel's weights, so a non-finite term spoils both, as in `layer`; _REGION
+# classifies the point by their signs.
 _SIDES = "fp = 1.0 * fp1 + 0.0 * fm1 + 0.0 * g1; fm = 0.0 * fp1 + 1.0 * fm1 + 0.0 * g1\n"
 _REGION = f"""\
 if abs(fp) <= {CLASSIFY_TOL!r} or abs(fm) <= {CLASSIFY_TOL!r}:
@@ -109,9 +104,9 @@ else:
 """
 # _ROOTS sets roots, the sliding values of lam in ascending order, and dbl,
 # their double-root flag.  It solves -f1 = g1 lam^2 + (fm1 - fp1)/2 lam
-# - (fp1 + fm1)/2 - g1 (the negated `surface_quadratic`), where each root
-# keeps the Citardauq formula it has always come from; f1's own swaps them
-# where b = 0, in the last bit.  A root counts when it lies in [-1, 1] and f1
+# - (fp1 + fm1)/2 - g1 (the negated `_COEFFICIENTS`), where each root keeps
+# the Citardauq formula it has always come from; f1's own swaps them where
+# b = 0, in the last bit.  A root counts when it lies in [-1, 1] and f1
 # vanishes there to RESIDUAL_TOL times max(1, |fp1| + |fm1| + |g1|).
 _ROOTS = f"""\
 a = g1; b = -(0.5 * (fp1 - fm1)); c = -(0.5 * (fp1 + fm1) + g1); tol = {RESIDUAL_TOL!r}
@@ -126,18 +121,39 @@ for lam in rs:
         if abs(wp * fp1 + wm * fm1 + wh * g1) <= {RESIDUAL_TOL!r} * (t if t > 1.0 else 1.0):
             roots.insert(0 if roots and lam < roots[0] else len(roots), lam)
 """
-side_values = compile_function("side_values(fp1, fm1, g1)", _SIDES, "fp, fm",
-                               "f1 at lam = +1 and at lam = -1 from fp1, fm1 and g1.")
-region_of_sides = compile_function("region_of_sides(fp, fm)", _REGION, "region",
-                                   "The region of a surface point from its `side_values`.")
+# _COEFFICIENTS sets f1's a, b, c, exact because g does not depend on lam;
+# _BRANCH sets lam, the root on branch sigma, and disc, DISC_SOURCE's value
+# before the root's clamp at zero (1.0 on the linear root, a = 0).
+_COEFFICIENTS = "a = -g1; b = 0.5 * (fp1 - fm1); c = 0.5 * (fp1 + fm1) + g1\n"
+_BRANCH = DISC_SOURCE + """\
+if a == 0.0:
+    lam = 0.0 if b == 0.0 else -c / b; disc = 1.0
+else:
+    s = sqrt(0.0 if disc < 0.0 else disc)
+""" + indented(CITARDAUQ_SOURCE, "    ") + """\
+    lam = r2 if sigma > 0 else r1
+"""
+surface_quadratic = compile_function(
+    "surface_quadratic(fp1, fm1, g1)", _COEFFICIENTS, "a, b, c",
+    "(a, b, c) with f1(0, x2, x3; lam) = a lam^2 + b lam + c at a point whose "
+    "f1 terms are fp1, fm1, g1; df1/dlam = 2 a lam + b.")
+contact = compile_function("contact(fp1, fm1, g1)", _SIDES + _REGION, "fp, fm, region",
+                           "f1 at lam = +1 and -1 and the region of a surface point "
+                           "whose f1 terms are fp1, fm1, g1.")
+slide_root = compile_function("slide_root(fp1, fm1, g1, sigma)", _COEFFICIENTS + _BRANCH,
+                              "lam, -g1, disc", """\
+(lam, a, disc) of a slide on branch sigma (-1 attracting, +1 repelling) at
+a point whose f1 terms are fp1, fm1, g1: the branch root (the linear root
+where a = 0), f1's lam^2 coefficient and the branch-fold monitor `_BRANCH`
+sets; the root's clamp keeps stages just past the branch fold finite.""")
 roots_of_sides = compile_function("roots_of_sides(fp1, fm1, g1)", _ROOTS,
                                   "[(lam, dbl) for lam in roots]", "The (lam, double_root) "
                                   "pairs of `_ROOTS` at a point whose f1 terms are fp1, fm1, g1.")
 
 
 def region_classify(sys: PiecewiseSmoothSystem, x2: float, x3: float) -> str:
-    """`region_of_sides` at the surface point (0, x2, x3) of `sys`."""
-    return region_of_sides(*side_values(*sys.f1_sides(x2, x3)))
+    """The `contact` region of the surface point (0, x2, x3) of `sys`."""
+    return contact(*sys.f1_sides(x2, x3))[2]
 
 
 def surface_grid(sys: PiecewiseSmoothSystem, axis):

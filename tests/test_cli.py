@@ -659,6 +659,25 @@ def test_step_that_leaves_t_unchanged_is_step_floor(capsys):
     assert captured.err.startswith("numerical failure: integration hit the step floor")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--scenario", "example-ii", "--min-step", "1e-6", "--t-end", "7.4513366"),
+    ("--config", "cfg.json", "--x0=0,1,1", "--t-end", "1"),
+], ids=["crossing", "slide-exit"])
+def test_a_run_whose_last_event_lies_within_min_step_of_t_end_ends_there(
+        argv, tmp_path, monkeypatch, capsys):
+    # the crossing lies 2.2e-7 before --t-end, the slide exit 2.2e-16: the
+    # step from it is short because --t-end cut it, and it used to end the
+    # run at a step floor with exit 3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "f_plus": ["-x2", "-1", "-4"], "f_minus": ["x3", "-1", "1"],
+        "hidden": ["1/5", "0", "0"]}))
+    code, out = run_cli(capsys, "simulate", *argv, "--mode", "filippov")
+    report = json.loads(out)
+    assert code == 0 and "step-floor" not in report["events"]
+    assert report["t_end"] == float(argv[-1])
+
+
 def test_slide_starting_inside_the_two_fold_window_stops_at_once(capsys):
     # the two-fold stop at the slide's start time logs its events but writes
     # no second sample at that time

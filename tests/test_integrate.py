@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twofold.expr import Mul, Neg, Num, Var, num
-from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams, branch_root,
+from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
                             compile_df1_dx1, compile_jacobian, compile_layer,
                             normal_form_system, parse_field, quadratic_roots)
 from twofold import integrate
@@ -23,8 +23,8 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                TWO_FOLD_TOL, _Stepper, _bisect_event,
                                SIGMOIDS, _first_cubic, _hermite, _monotone_noise, _run_steps,
                                _illinois, _slide_monitors, _surface_crossing)
-from twofold.scenarios import builtin
-from twofold.sliding import CLASSIFY_TOL, sliding_lambda, surface_quadratic
+from twofold.scenarios import builtin, load_config
+from twofold.sliding import CLASSIFY_TOL, slide_root, sliding_lambda, surface_quadratic
 
 
 def events_of_kind(traj, kind):
@@ -149,6 +149,13 @@ def test_step_below_the_resolution_of_t_is_a_step_floor():
         assert traj.t_end == 1e20 and len(traj) == 1
 
 
+def test_a_step_that_t_end_cuts_below_min_step_is_taken():
+    # the last step of a span is as short as the span's end makes it; only a
+    # step the controller shrinks below min_step is a step floor
+    traj = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0), (0.0, 1e-13))
+    assert "aborted" not in traj.meta and list(traj.times) == [0.0, 1e-13]
+
+
 def test_step_budget_is_enforced(monkeypatch):
     full = integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0), (0.0, 100.0))
     assert "aborted" not in full.meta and full.meta["steps"] == len(full) - 1
@@ -259,7 +266,7 @@ def test_slide_with_x1_pinned_matches_the_two_dimensional_attempt():
     rng = random.Random(77)
     for sigma in (-1, 1):
         def fn(x1, x2, x3):
-            lam = branch_root(*surface_quadratic(*sys.f1_sides(x2, x3)), sigma)
+            lam = slide_root(*sys.f1_sides(x2, x3), sigma)[0]
             _, f2, f3 = sys.layer(0.0, x2, x3, lam)
             return (0.0, f2, f3)
 
@@ -768,21 +775,27 @@ def oracle_f1_quadratic(sys, x2, x3):
     return (-g1, 0.5 * (fp1 - fm1), 0.5 * (fp1 + fm1) + g1)
 
 
+def oracle_discriminant(a, b, c):
+    """(a, b, c, b^2 - 4ac); where that overflows, the same roots from a, b,
+    c scaled by one power of two, the largest to [2^509, 2^510)."""
+    disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc) and all(map(math.isfinite, (a, b, c))):
+        e = 510 - math.frexp(max(map(abs, (a, b, c))))[1]
+        a, b, c = (math.ldexp(v, e) for v in (a, b, c))
+        disc = b * b - 4.0 * a * c
+    return a, b, c, disc
+
+
 def oracle_branch_lambda(sys, sigma, x2, x3):
     a, b, c = oracle_f1_quadratic(sys, x2, x3)
     if a == 0.0:
         if b == 0.0:
             return 0.0
         return -c / b
-    disc = b * b - 4.0 * a * c
-    if not math.isfinite(disc) and all(map(math.isfinite, (a, b, c))):
-        # an overflowing discriminant: the same roots from a, b, c scaled by
-        # one power of two, the largest to [2^509, 2^510)
-        e = 510 - math.frexp(max(map(abs, (a, b, c))))[1]
-        a, b, c = (math.ldexp(v, e) for v in (a, b, c))
-        if a == 0.0:
-            return -c / b
-        disc = b * b - 4.0 * a * c
+    a, b, c, disc = oracle_discriminant(a, b, c)
+    if a == 0.0:
+        # a underflowed in the scaling: the root within the float range
+        return -c / b
     s = math.sqrt(max(disc, 0.0))
     # Citardauq: the root whose numerator would cancel comes from 2c over
     # the other numerator
@@ -800,8 +813,12 @@ def oracle_slide_monitors(sys, sigma, w):
         return oracle_branch_lambda(sys, sigma, w[1], w[2])
 
     def disc_of(w):
+        # 1.0 on the linear root, also where a underflows in the scaling
         a, b, c = oracle_f1_quadratic(sys, w[1], w[2])
-        return b * b - 4.0 * a * c if a != 0.0 else 1.0
+        if a == 0.0:
+            return 1.0
+        a, _, _, disc = oracle_discriminant(a, b, c)
+        return disc if a != 0.0 else 1.0
 
     scalars = [lambda w: 1.0 - lam_of(w), lambda w: lam_of(w) + 1.0, disc_of]
     if sys.params is not None:
@@ -847,12 +864,36 @@ def test_slide_quadratic_matches_the_separate_closures(k, x2, x3, sigma, normal_
                                 TwoFoldParams(1, 1, 0.0, 0.0, 0.0) if normal_form else None)
     quadratic = surface_quadratic(*sys.f1_sides(x2, x3))
     assert repr(quadratic) == repr(oracle_f1_quadratic(sys, x2, x3))
-    assert repr(branch_root(*quadratic, sigma)) == repr(
-        oracle_branch_lambda(sys, sigma, x2, x3))
+    lam, a, _ = slide_root(*sys.f1_sides(x2, x3), sigma)
+    assert repr(lam) == repr(oracle_branch_lambda(sys, sigma, x2, x3))
+    assert repr(a) == repr(quadratic[0])
     w = (0.0, x2, x3)
     lam, scalars = _slide_monitors(sys, sigma, w)
     assert repr(lam) == repr(oracle_branch_lambda(sys, sigma, x2, x3))
     assert repr(list(scalars)) == repr(oracle_slide_monitors(sys, sigma, w))
+
+
+def slide_exit_config(k):
+    """{f_plus: (-x2, -1, -4), f_minus: (x3, -1, 1), hidden: (1/5, 0, 0)}
+    with f1+, f1- and g1 times the integer k, written out as a literal."""
+    return load_config({"f_plus": [f"-{k}*x2", "-1", "-4"], "f_minus": [f"{k}*x3", "-1", "1"],
+                        "hidden": [f"{k}/5", "0", "0"]}).system
+
+
+@pytest.mark.parametrize("power", [160, 200, 300])
+def test_slide_exits_at_its_branch_fold_where_the_discriminant_overflows(power):
+    # from (0, 1, 1) the attracting slide reaches its branch fold at t =
+    # 0.6549, crosses and slides again from t = 0.8433.  With f1's terms
+    # times 10^power, b*b - 4ac overflows; the monitor reads the discriminant
+    # of the scaled quadratic, as the root does, and finds the same fold
+    want = integrate_filippov(slide_exit_config(1), (0.0, 1.0, 1.0), (0.0, 0.9))
+    got = integrate_filippov(slide_exit_config(10 ** power), (0.0, 1.0, 1.0), (0.0, 0.9))
+    kinds = ["slide-entry", "slide-exit", "slide-entry"]
+    assert [e.kind for e in got.events] == [e.kind for e in want.events] == kinds
+    for e_got, e_want in zip(got.events, want.events):
+        assert e_got.t == pytest.approx(e_want.t, abs=1e-9)
+        assert e_got.state[1:] == pytest.approx(e_want.state[1:], abs=1e-9)
+    assert got.t_end == 0.9 and "aborted" not in got.meta
 
 
 def test_slide_evaluates_the_surface_once_per_accepted_state(monkeypatch):

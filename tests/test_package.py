@@ -1,7 +1,11 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import twofold
 
@@ -25,6 +29,13 @@ def test_public_names_are_pinned():
         "parse_field", "region_classify", "save_run",
         "sliding_lambda", "to_y", "transform_check",
     ]
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(twofold.__path__)])
+def test_every_name_in_a_submodules_all_exists(name):
+    # a stale entry, a name deleted but still listed, breaks `import *`
+    module = importlib.import_module(f"twofold.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_the_benchmark_tracer_installs_on_the_package():

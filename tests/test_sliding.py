@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twofold.cli import main
-from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, branch_root,
-                            normal_form_system, parse_field, quadratic_roots)
+from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, normal_form_system,
+                            parse_field, quadratic_roots)
 from twofold.scenarios import builtin, builtin_names, load_config
 from twofold.sliding import (CLASSIFY_TOL, RESIDUAL_TOL, curve_L,
-                             region_classify, roots_of_sides, sliding_lambda,
+                             region_classify, roots_of_sides, slide_root, sliding_lambda,
                              surface_grid, surface_quadratic)
 
 
@@ -363,7 +363,7 @@ def test_slide_map_roots_survive_f1_terms_near_the_float_limit():
                 continue
             sliding += 1
             sides = sys.f1_sides(x2, x3)
-            assert lams == [branch_root(*surface_quadratic(*sides), sigma)], (x2, x3)
+            assert lams == [slide_root(*sides, sigma)[0]], (x2, x3)
             assert abs(sys.f1_surface(x2, x3, lams[0])) <= RESIDUAL_TOL * max(
                 1.0, sum(map(abs, sides)))
     assert sliding == 800
@@ -391,8 +391,8 @@ def _scaled_f(k, g1):
                      "another"))),
 ])
 def test_slide_map_roots_are_the_filippov_slide_roots(sys):
-    # the Filippov integrator slides on branch_root(..., -1) in an attracting
-    # cell and on branch_root(..., +1) in a repelling one; a slide map must
+    # the Filippov integrator slides on slide_root(..., -1) in an attracting
+    # cell and on slide_root(..., +1) in a repelling one; a slide map must
     # show that root and no other at every scale of f1's terms
     for lo, hi in ((-2, 2), (-3, 3), (-1.5, 2.5), (-2.5, 1.5)):
         axis = [lo + (hi - lo) * i / 40 for i in range(41)]
@@ -400,5 +400,5 @@ def test_slide_map_roots_are_the_filippov_slide_roots(sys):
             for x3, region, lams in zip(axis, region_row, roots_row):
                 sigma = {"attracting-sliding": -1, "repelling-sliding": 1}.get(region)
                 if sigma is not None:
-                    quadratic = surface_quadratic(*sys.f1_sides(x2, x3))
-                    assert lams == [branch_root(*quadratic, sigma)], (x2, x3, region)
+                    lam = slide_root(*sys.f1_sides(x2, x3), sigma)[0]
+                    assert lams == [lam], (x2, x3, region)

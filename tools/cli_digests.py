@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 200 calls of `twofold.cli.main` in this process, each in its own
+Runs 202 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -217,6 +217,22 @@ REPRODUCERS = (
           "--b-range=0,1.7976931348623157e308", "--b-step", "8.98846567431158e307")),
 )
 
+# late additions, in the (files, argv) form: a slide whose f1 terms reach
+# 1e200, so its discriminant overflows, yet it exits at its branch fold as
+# the unscaled run does (t = 0.6549); and a run whose last crossing lies
+# 2.2e-7 before --t-end, within --min-step, which still ends at --t-end
+BIG_F1 = "1" + "0" * 200
+BIG_F1_CONFIG = json.dumps({"f_plus": [f"-{BIG_F1}*x2", "-1", "-4"],
+                            "f_minus": [f"{BIG_F1}*x3", "-1", "1"],
+                            "hidden": [f"{BIG_F1}/5", "0", "0"]})
+LATE_CALLS = (
+    ({"cfg.json": BIG_F1_CONFIG},
+     ("simulate", "--config", "cfg.json", "--mode", "filippov", "--x0=0,1,1",
+      "--t-end", "0.9", "--out", "run.csv")),
+    ({}, ("simulate", "--scenario", "example-ii", "--mode", "filippov",
+          "--min-step", "1e-6", "--t-end", "7.4513366", "--out", "run.csv")),
+)
+
 
 def calls() -> list[tuple[str, ...]]:
     """The argv of every call before the CONFIG_CALLS, in order."""
@@ -301,7 +317,7 @@ def jobs() -> list[tuple[dict, tuple[str, ...]]]:
     in order."""
     return ([({}, argv) for argv in calls()] + list(CONFIG_CALLS)
             + [({}, argv) for argv in EXTREME_RANGES + UNWRITABLE_PATHS]
-            + list(REPRODUCERS))
+            + list(REPRODUCERS) + list(LATE_CALLS))
 
 
 def line(main, files, argv, workdir) -> str:
