@@ -22,7 +22,9 @@ serves them and the blow-up right-hand side and the transform check.  A
 Filippov flows and the grazing test read the half-space fields' `fn`, and
 nothing reads the hidden field's.  A smoothed run compiles its own field,
 df1/dx1 (`compile_df1_dx1`, a stiffness test per step) and its exact
-Jacobian (`compile_jacobian`, at its first stiff step).  The quadratic has
+Jacobian (`compile_jacobian`, at its first stiff step).  Every kernel is
+declared through one template, `compile_function`, and every kernel of the
+combination reads its weights from `WEIGHTS_SOURCE`.  The quadratic has
 one stable solver, the source text `DISC_SOURCE` and `CITARDAUQ_SOURCE`:
 `quadratic_roots` is compiled from it at import, and `sliding` builds its
 surface calls and kernels from it.
@@ -40,7 +42,7 @@ __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
     "parse_field", "normal_form_system",
     "compile_layer", "compile_jacobian", "compile_df1_dx1", "compile_function", "indented",
-    "quadratic_roots", "DISC_SOURCE", "CITARDAUQ_SOURCE", "QUADRATIC_SOURCE",
+    "quadratic_roots", "WEIGHTS_SOURCE", "DISC_SOURCE", "CITARDAUQ_SOURCE", "QUADRATIC_SOURCE",
 ]
 
 
@@ -63,8 +65,8 @@ class SmoothField:
         # it (perfbench's tracer does) gets the compiled evaluator too
         if name != "_fn":
             raise AttributeError(name)
-        fn = self._fn = _compile("def fn(x1, x2, x3):\n    return ({}, {}, {})\n".format(
-            *(c.source() for c in self.components)), "fn")
+        fn = self._fn = compile_function("fn(x1, x2, x3)", "", "({}, {}, {})".format(
+            *(c.source() for c in self.components)))
         return fn
 
     @property
@@ -135,9 +137,7 @@ class PiecewiseSmoothSystem:
     def f1_sides(self):
         p1, m1, g1 = (f.components[0].source()
                       for f in (self.f_plus, self.f_minus, self.hidden))
-        return _compile("def f1_sides(x2, x3):\n"
-                        "    x1 = 0.0\n"
-                        f"    return ({p1}, {m1}, {g1})\n", "f1_sides")
+        return compile_function("f1_sides(x2, x3)", "x1 = 0.0\n", f"({p1}, {m1}, {g1})")
 
     def combination(self, x, lam: float) -> tuple[float, float, float]:
         """Combined field at x for lam in [-1, +1]."""
@@ -164,6 +164,23 @@ def _compile(src: str, name: str):
     return ns[name]
 
 
+def compile_function(signature: str, body: str, result: str, doc: str | None = None):
+    """The function `def signature:` that runs `body` and returns `result`."""
+    fn = _compile(f"def {signature}:\n{indented(body, '    ')}    return {result}\n",
+                  signature[:signature.index("(")])
+    fn.__doc__ = doc
+    return fn
+
+
+def indented(text: str, pad: str) -> str:
+    """Source `text` with `pad` before each of its lines."""
+    return "".join(pad + line for line in text.splitlines(True))
+
+
+# The layer weights at lam, read by every kernel of the combination: wp, wm, wh weigh f+, f-, g.
+WEIGHTS_SOURCE = "wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
+
+
 def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):
     """The combination of `sys` as one flat compiled function.
 
@@ -174,18 +191,16 @@ def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):
     """
     p, m, g = ([c.source() for c in f.components]
                for f in (sys.f_plus, sys.f_minus, sys.hidden))
-    head = (f"def layer(x1, x2, x3):\n    lam = {lam_source}\n" if lam_source is not None
-            else "def layer(x1, x2, x3, lam):\n")
+    signature, head = (("layer(x1, x2, x3)", f"lam = {lam_source}\n") if lam_source is not None
+                       else ("layer(x1, x2, x3, lam)", ""))
     rows = ",\n            ".join(f"wp*{p[i]}+wm*{m[i]}+wh*{g[i]}" for i in range(3))
-    return _compile(head
-                    + "    wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
-                    + f"    return ({rows})\n", "layer")
+    return compile_function(signature, head + WEIGHTS_SOURCE, f"({rows})")
 
 
 def _derivative_source(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str,
-                       cells) -> str:
-    """Source of the entries df_i/dx_j, (i, j) in `cells`, of the smoothed
-    field compile_layer(sys, lam_source), each from the same head.
+                       cells) -> tuple[str, str]:
+    """(body, result) source of the entries df_i/dx_j, (i, j) in `cells`, of
+    the smoothed field compile_layer(sys, lam_source), each from one body.
 
     `dlam_source` is dlam/dx1 as a Python expression in x1 and lam.  Column
     1 carries the chain-rule term through lam: d(wp, wm, wh)/dx1 = (1/2,
@@ -200,10 +215,9 @@ def _derivative_source(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source:
             terms += zip(("dwp", "dwm", "dwh"), comps)
         return "+".join(f"{w}*{e.source()}" for w, e in terms if e is not ZERO) or "0.0"
 
-    return (f"    lam = {lam_source}\n    dlam = {dlam_source}\n"
-            "    wp = 0.5*(1.0+lam); wm = 0.5*(1.0-lam); wh = 1.0-lam*lam\n"
-            "    dwp = 0.5*dlam; dwm = -dwp; dwh = -2.0*lam*dlam\n"
-            "    return (" + ",\n            ".join(entry(i, j) for i, j in cells) + ")\n")
+    return (f"lam = {lam_source}\ndlam = {dlam_source}\n{WEIGHTS_SOURCE}"
+            "dwp = 0.5*dlam; dwm = -dwp; dwh = -2.0*lam*dlam\n",
+            "(" + ",\n            ".join(entry(i, j) for i, j in cells) + ")")
 
 
 def compile_jacobian(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str):
@@ -211,19 +225,14 @@ def compile_jacobian(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: s
     a function of (x1, x2, x3) giving the nine entries df_i/dx_j row by row.
     `dlam_source` is dlam/dx1 as a Python expression in x1 and lam."""
     cells = [(i, j) for i in range(3) for j in range(3)]
-    return _compile("def jacobian(x1, x2, x3):\n"
-                    + _derivative_source(sys, lam_source, dlam_source, cells), "jacobian")
+    return compile_function("jacobian(x1, x2, x3)",
+                            *_derivative_source(sys, lam_source, dlam_source, cells))
 
 
 def compile_df1_dx1(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source: str):
     """Entry (1, 1) of `compile_jacobian` alone, a cheap stiffness test."""
-    return _compile("def df1_dx1(x1, x2, x3):\n"
-                    + _derivative_source(sys, lam_source, dlam_source, [(0, 0)]), "df1_dx1")
-
-
-def indented(text: str, pad: str) -> str:
-    """Source `text` with `pad` before each of its lines."""
-    return "".join(pad + line for line in text.splitlines(True))
+    return compile_function("df1_dx1(x1, x2, x3)",
+                            *_derivative_source(sys, lam_source, dlam_source, [(0, 0)]))
 
 
 # The quadratic solve as source text, which `quadratic_roots` is compiled
@@ -251,12 +260,15 @@ else:
     r1 = 2.0 * c / q; r2 = q / (2.0 * a)
 """
 # QUADRATIC_SOURCE reads a, b, c and tol and sets rs, the real roots, and
-# dbl, their double-root flag, as `quadratic_roots` returns them.
+# dbl, their double-root flag, as `quadratic_roots` returns them.  The
+# double-root band is tol times the larger term of disc, b^2 or |4ac|, or
+# b^2 where 4ac is inf or NaN (a term is not finite): tol = 0 stays exact.
 QUADRATIC_SOURCE = DISC_SOURCE + """\
 if a == 0.0:
     rs = (-c / b,) if b != 0.0 else (); dbl = False
 else:
-    band = tol * (b * b if b * b > 1.0 else 1.0)
+    ac = abs(4.0 * a * c)
+    band = tol * (b * b if b * b > ac or ac - ac != 0.0 else ac)
     if disc < -band:
         rs = ()
     elif disc <= band:
@@ -268,22 +280,15 @@ else:
 """
 
 
-def compile_function(signature: str, body: str, result: str, doc: str | None = None):
-    """The function `def signature:` that runs `body` and returns `result`."""
-    fn = _compile(f"def {signature}:\n{indented(body, '    ')}    return {result}\n",
-                  signature[:signature.index("(")])
-    fn.__doc__ = doc
-    return fn
-
-
 quadratic_roots = compile_function("quadratic_roots(a, b, c, tol)", QUADRATIC_SOURCE,
                                    "[(r, dbl) for r in rs]", """\
 Real roots of  a l^2 + b l + c = 0  as (root, double_root) pairs.
 
-A discriminant within tol * max(1, b^2) of zero gives one double root;
-tol = 0 accepts only an exact zero.  a = 0 degrades to the linear root,
-and a = b = 0 has no isolated root (c = 0 there means the quadratic
-vanishes identically).  The rule is `QUADRATIC_SOURCE`.""")
+A discriminant within tol * max(b^2, |4ac|) of zero, a band relative to
+its own terms, gives one double root; tol = 0 accepts only an exact zero.
+a = 0 degrades to the linear root, and a = b = 0 has no isolated root
+(c = 0 there means the quadratic vanishes identically).  The rule is
+`QUADRATIC_SOURCE`.""")
 
 
 def normal_form_system(p: TwoFoldParams) -> PiecewiseSmoothSystem:

@@ -562,7 +562,7 @@ def _bisect_event(seg, value, t_lo, v_lo, t_hi, v_hi, noise):
         f"event bisection did not converge ({BISECT_MAX_ITER} iterations)")
 
 
-def _surface_crossing(seg, side, tol):
+def _surface_crossing(seg, side):
     """First point (t, y) of a flow segment on `side` of x1 = 0 where x1
     reaches the surface, or None.
 
@@ -575,8 +575,7 @@ def _surface_crossing(seg, side, tol):
     between its interior extrema, the roots of the derivative's quadratic,
     so testing those in time order and then the end finds the first crossing
     even when a grazing orbit crosses twice within the step.  A point counts
-    when x1 lies at least `tol` (EVENT_TOL) beyond the surface, or exactly
-    on it.
+    when x1 lies at least EVENT_TOL beyond the surface, or exactly on it.
     """
     t0, y0, f0, t1, y1, f1 = seg
     h = t1 - t0
@@ -602,7 +601,7 @@ def _surface_crossing(seg, side, tol):
         x1_new = x1_end if t_c == t1 else x1(t_c)
         if side * x1_new > 0.0:
             lo = (t_c, x1_new)
-        elif lo is not None and (side * x1_new <= -tol or x1_new == 0.0):
+        elif lo is not None and (side * x1_new <= -EVENT_TOL or x1_new == 0.0):
             return _bisect_event(seg, x1, *lo, t_c, x1_new, _monotone_noise(seg))
     return None
 
@@ -901,7 +900,7 @@ class _FilippovRun:
         mode = FLOW_PLUS if side > 0 else FLOW_MINUS
 
         def crossing(seg):
-            hit = _surface_crossing(seg, side, EVENT_TOL)
+            hit = _surface_crossing(seg, side)
             if hit is None:
                 return None
             t_star, y_star = hit

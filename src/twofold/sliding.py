@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import (CITARDAUQ_SOURCE, DISC_SOURCE, QUADRATIC_SOURCE, PiecewiseSmoothSystem,
-                     TwoFoldParams, compile_function, indented)
+from .fields import (CITARDAUQ_SOURCE, DISC_SOURCE, QUADRATIC_SOURCE, WEIGHTS_SOURCE,
+                     PiecewiseSmoothSystem, TwoFoldParams, compile_function, indented)
 
 __all__ = [
     "SlidingSolution", "CurveL", "surface_quadratic",
@@ -116,7 +116,7 @@ for lam in rs:
         # clamped; negating a zero b or c can leave a -0.0 root, + 0.0 folds it
         lam = ((lam if lam < 1.0 else 1.0) if lam > -1.0 else -1.0) + 0.0
         # f1 at lam with the layer kernel's weights, in its order
-        wp = 0.5 * (1.0 + lam); wm = 0.5 * (1.0 - lam); wh = 1.0 - lam * lam
+""" + indented(WEIGHTS_SOURCE, " " * 8) + f"""\
         t = abs(fp1) + abs(fm1) + abs(g1)
         if abs(wp * fp1 + wm * fm1 + wh * g1) <= {RESIDUAL_TOL!r} * (t if t > 1.0 else 1.0):
             roots.insert(0 if roots and lam < roots[0] else len(roots), lam)

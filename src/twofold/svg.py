@@ -17,6 +17,8 @@ from itertools import chain, islice, starmap
 WIDTH = 800
 HEIGHT = 600
 MARGIN = 50
+DOWNSAMPLE_CAP = 6000        # trajectory points a plot keeps by stride, besides the last
+POLYLINE_CHUNK = 256         # polyline points formatted per write
 
 VIEWS = ("u3", "u2", "x1", "x2", "x3")
 
@@ -96,11 +98,11 @@ class _Canvas:
                 and self.y_lo <= y * self.ky <= self.y_hi)
 
 
-def _downsample(columns, view, cap=6000):
+def _downsample(columns, view):
     """Iterator over the projected points (x, y) at every stride-th index, at
-    most `cap` of them, then the last point unless it is or equals the last kept."""
+    most DOWNSAMPLE_CAP of them, then the last unless it is or equals the last kept."""
     n = len(columns[0])
-    stride = (n + cap - 1) // cap
+    stride = (n + DOWNSAMPLE_CAP - 1) // DOWNSAMPLE_CAP
     kept = zip(*_project([islice(col, 0, None, stride) for col in columns], view))
     last_kept = (n - 1) // stride * stride
     (xk, yk), (xn, yn) = (next(zip(*_project([(col[i],) for col in columns], view)))
@@ -128,13 +130,13 @@ def _axes(canvas) -> str:
     return text
 
 
-def _polyline(fh, canvas, points, color, width, chunk=256):
+def _polyline(fh, canvas, points, color, width):
     """Write the polyline through `points`, two or more (x, y) pairs,
-    formatting `chunk` of them at a time."""
+    formatting POLYLINE_CHUNK of them at a time."""
     coords = (f"{sx:.6g},{sy:.6g}" for sx, sy in starmap(canvas.to_screen, points))
     fh.write(f'<polyline points="{next(coords)}')
     # a point never formats to "", so an empty chunk is the end
-    while text := " ".join(islice(coords, chunk)):
+    while text := " ".join(islice(coords, POLYLINE_CHUNK)):
         fh.write(f" {text}")
     fh.write(f'" fill="none" stroke="{color}" stroke-width="{width}"/>\n')
 

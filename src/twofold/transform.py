@@ -170,9 +170,10 @@ def _sphere_directions():
 _DIRECTIONS = tuple(_sphere_directions())
 
 
-def equivalence_residual(ctx: TransformContext, h: float) -> float:
+def equivalence_residual(ctx: TransformContext) -> float:
     """Max residual of rows 1 and 2 over N_DIRS points of a sphere of radius
-    h around the singularity.
+    eps around the singularity: the sample radius is coupled to the
+    timescale ratio, as the order study requires.
 
     Row 1 is compared in primed form: the pushed-forward dx1~/dt~ times
     eps/sqrt|alpha| against x2~ + x1~^2 (the sqrt|alpha| absorbs the constant
@@ -180,16 +181,15 @@ def equivalence_residual(ctx: TransformContext, h: float) -> float:
     the model keeps only its constant term, so its defect is first order by
     construction and carries no information about the match.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    eps = ctx.epsilon
     s = ctx.singularity
     sq = math.sqrt(abs(ctx.params.alpha))
     worst = 0.0
     for u in _DIRECTIONS:
-        point = (s.lambda_s + h * u[0], s.x2s + h * u[1], s.x3s + h * u[2])
+        point = (s.lambda_s + eps * u[0], s.x2s + eps * u[1], s.x3s + eps * u[2])
         xt, (w1, w2, _) = chart(ctx, point)   # raises TransformDomainError outside
         model = folded_normal_field(s.a_tilde, s.b_tilde, s.c_tilde, xt)
-        r1 = (ctx.epsilon / sq) * w1 - model[0]
+        r1 = (eps / sq) * w1 - model[0]
         r2 = w2 - model[1]
         worst = max(worst, abs(r1), abs(r2))
     return worst
@@ -231,8 +231,7 @@ def _order_study(p, sings, h_values, system) -> dict:
     for s in sings:
         residuals = []
         for h in h_values:
-            ctx = TransformContext(p, s, h, system)
-            residuals.append(equivalence_residual(ctx, h))
+            residuals.append(equivalence_residual(TransformContext(p, s, h, system)))
         if not all(0.0 < r < math.inf for r in residuals):
             raise TransformDomainError(f"residuals {residuals} at lam_s = {s.lambda_s!r} "
                                        "are not all positive and finite")

@@ -3,6 +3,7 @@ tools/cli_digests.txt, all but the slowest: every artifact, report and exit
 code of those calls stays the same bit for bit unless that file changes."""
 
 import importlib.util
+import shlex
 from pathlib import Path
 
 from twofold import cli
@@ -20,13 +21,15 @@ def test_every_call_but_the_runaway_matches_its_committed_digest(tmp_path):
     committed = (TOOLS / "cli_digests.txt").read_text(encoding="utf-8").splitlines()
     jobs = cli_digests.jobs()
     assert len(jobs) == len(committed)
-    got, want = [], []
+    checked, moved = 0, []
     for i, ((files, argv), line) in enumerate(zip(jobs, committed)):
         if argv == RUNAWAY:
             continue
         workdir = tmp_path / f"call{i:03d}"
         workdir.mkdir()
-        got.append(cli_digests.line(cli.main, files, argv, str(workdir)))
-        want.append(line)
-    assert len(want) == len(committed) - 1
-    assert got == want
+        if cli_digests.line(cli.main, files, argv, str(workdir)) != line:
+            moved.append(shlex.join(argv))
+        checked += 1
+    assert checked == len(committed) - 1
+    # the argv of every call whose line differs from its committed one
+    assert moved == []

@@ -172,9 +172,18 @@ def test_quadratic_roots_degenerate_cases(coeffs, want):
 
 
 def test_quadratic_roots_tolerance_merges_near_double_root():
-    # disc = 1e-14 lies inside tol * max(1, b^2) for tol = 1e-12
+    # disc = 1e-14 lies inside tol * max(b^2, |4ac|) for tol = 1e-12
     assert quadratic_roots(1.0, 2.0, 1.0 - 2.5e-15, 1e-12) == [(-1.0, True)]
     assert len(quadratic_roots(1.0, 2.0, 1.0 - 2.5e-15, 0.0)) == 2
+
+
+def test_quadratic_roots_band_is_relative_to_the_terms():
+    # the roots -+0.01 of k (l^2 - 1e-4) stay two simple roots at every
+    # scale k; a band of tol * max(1, b^2) merged them into one at k = 1e-8
+    for k in (1.0, 1e-8, 1e8):
+        got = quadratic_roots(k, 0.0, -1e-4 * k, 1e-12)
+        assert [dbl for _, dbl in got] == [False, False]
+        assert sorted(r for r, _ in got) == pytest.approx([-0.01, 0.01], rel=1e-15)
 
 
 @pytest.mark.parametrize("coeffs, want", [
@@ -185,7 +194,10 @@ def test_quadratic_roots_tolerance_merges_near_double_root():
     # b^2 overflows and a is too small to scale: the root -b/a = -2e523 is
     # beyond the float range, and -c/b is left
     ((5e-324, 1e200, 1.0), [-1e-200]),
-], ids=["b-squared", "all-three", "a-underflows"])
+    # 4ac = inf, so disc = -inf: no root; a band of tol * 4ac would be NaN
+    # at tol = 0, which no discriminant passes, and sqrt(-inf) would raise
+    ((1.0, 1.0, math.inf), []),
+], ids=["b-squared", "all-three", "a-underflows", "c-infinite"])
 def test_quadratic_roots_survive_an_overflowing_discriminant(coeffs, want):
     for tol in (0.0, 1e-12):
         got = quadratic_roots(*coeffs, tol)

@@ -362,7 +362,7 @@ def test_surface_crossing_finds_a_dip_between_two_plus_side_ends():
     # the Bernstein control point x1(t0) + h x1'(t0)/3 lies off the plus
     # side, so the hull test must fall through to the scan
     assert seg[1][0] + (seg[3] - seg[0]) * seg[2][0] / 3.0 < 0.0
-    t_star, y_star = _surface_crossing(seg, 1, 1e-12)
+    t_star, y_star = _surface_crossing(seg, 1)
     assert t_star == pytest.approx(2.15, abs=1e-12)
     assert abs(y_star[0]) <= 1e-12 and y_star[1:] == pytest.approx((0.5, -0.5))
 
@@ -375,7 +375,7 @@ def test_surface_crossing_takes_the_earliest_of_three_roots():
         lambda t: -sum(math.prod(t - r for r in roots if r != q) for q in roots),
         0.0, 1.0)
     assert seg[1][0] > 0.0 > seg[4][0]
-    t_star, _ = _surface_crossing(seg, 1, 1e-12)
+    t_star, _ = _surface_crossing(seg, 1)
     assert t_star == pytest.approx(0.2, abs=1e-12)
 
 
@@ -386,9 +386,9 @@ def test_surface_crossing_brackets_from_the_first_point_off_the_surface():
     # from the minus side it goes beyond the surface at once, with no point
     # on its own side before, so it has no crossing bracket
     seg = polynomial_segment(lambda t: t * (0.5 - t), lambda t: 0.5 - 2.0 * t, 0.0, 1.0)
-    t_star, _ = _surface_crossing(seg, 1, 1e-12)
+    t_star, _ = _surface_crossing(seg, 1)
     assert t_star == pytest.approx(0.5, abs=1e-12)
-    assert _surface_crossing(seg, -1, 1e-12) is None
+    assert _surface_crossing(seg, -1) is None
 
 
 def test_surface_crossing_skips_the_scan_inside_the_hull(monkeypatch):
@@ -399,10 +399,10 @@ def test_surface_crossing_skips_the_scan_inside_the_hull(monkeypatch):
     monkeypatch.setattr(integrate, "quadratic_roots", no_roots)
     seg = polynomial_segment(lambda t: 1.0 + (t - 0.5) ** 2, lambda t: 2.0 * (t - 0.5),
                              0.0, 1.0)
-    assert _surface_crossing(seg, 1, 1e-12) is None
+    assert _surface_crossing(seg, 1) is None
     # seen from the minus side the start is already beyond the surface: scan
     with pytest.raises(AssertionError):
-        _surface_crossing(seg, -1, 1e-12)
+        _surface_crossing(seg, -1)
 
 
 # ---- the locator's oracle: the extrema scan with no hull test, and plain
@@ -514,8 +514,7 @@ def hermite_segments(draw):
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(seg=hermite_segments(), side=st.sampled_from((1, -1)))
 def test_surface_crossing_matches_the_plain_scan(seg, side):
-    assert outcome(_surface_crossing, seg, side, 1e-12) == \
-        outcome(oracle_crossing, seg, side, 1e-12)
+    assert outcome(_surface_crossing, seg, side) == outcome(oracle_crossing, seg, side, 1e-12)
 
 
 @st.composite

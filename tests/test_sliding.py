@@ -384,11 +384,7 @@ def _scaled_f(k, g1):
     *(pytest.param(builtin(name).system, id=name) for name in builtin_names()),
     pytest.param(_scaled_f("1", "1/5"), id="F"),
     pytest.param(_scaled_f("1000000", "200000"), id="F-times-1e6"),
-    pytest.param(_scaled_f("1/1000000", "1/5000000"), id="F-times-1e-6",
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "fields.quadratic_roots' double-root band tol*max(1, b*b) is absolute "
-                     "for |b| < 1: at f1's scale 1e-6 a sliding cell shows no root or "
-                     "another"))),
+    pytest.param(_scaled_f("1/1000000", "1/5000000"), id="F-times-1e-6"),
 ])
 def test_slide_map_roots_are_the_filippov_slide_roots(sys):
     # the Filippov integrator slides on slide_root(..., -1) in an attracting

@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 202 calls of `twofold.cli.main` in this process, each in its own
+Runs 203 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -219,8 +219,10 @@ REPRODUCERS = (
 
 # late additions, in the (files, argv) form: a slide whose f1 terms reach
 # 1e200, so its discriminant overflows, yet it exits at its branch fold as
-# the unscaled run does (t = 0.6549); and a run whose last crossing lies
-# 2.2e-7 before --t-end, within --min-step, which still ends at --t-end
+# the unscaled run does (t = 0.6549); a run whose last crossing lies
+# 2.2e-7 before --t-end, within --min-step, which still ends at --t-end;
+# and a normal-form slide that starts inside the two-fold window, so it
+# enters the slide, hits the two-fold and breaks determinacy at t = 0
 BIG_F1 = "1" + "0" * 200
 BIG_F1_CONFIG = json.dumps({"f_plus": [f"-{BIG_F1}*x2", "-1", "-4"],
                             "f_minus": [f"{BIG_F1}*x3", "-1", "1"],
@@ -231,6 +233,8 @@ LATE_CALLS = (
       "--t-end", "0.9", "--out", "run.csv")),
     ({}, ("simulate", "--scenario", "example-ii", "--mode", "filippov",
           "--min-step", "1e-6", "--t-end", "7.4513366", "--out", "run.csv")),
+    ({}, ("simulate", "--scenario", "visible-nf", "--mode", "filippov",
+          "--x0=0,1e-9,1e-9", "--t-end", "1", "--out", "run.csv")),
 )
 
 
