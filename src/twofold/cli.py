@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -114,7 +113,7 @@ def _resolve_scenario(args, parser) -> Scenario:
             parser.error("normal-form parameters need all of --a1 --a2 --b1 --b2 --alpha")
         sc = load_config({"name": "normal-form", "params": params,
                           "sim": {"x0": [0.0, 1.0, 1.0]}})
-    return dataclasses.replace(sc, **_given(args, "epsilon", "t_end", "x0", "sigmoid"))
+    return sc._replace(**_given(args, "epsilon", "t_end", "x0", "sigmoid"))
 
 
 def _given(args, *names) -> dict:
@@ -167,7 +166,7 @@ def _numerical_failure(traj_or_msg) -> int:
 
 def _singularity_report(p: TwoFoldParams, sings) -> dict:
     """The params, count and records of the folded singularities `sings`."""
-    return {"params": dataclasses.asdict(p), "count": len(sings),
+    return {"params": p._asdict(), "count": len(sings),
             "singularities": [s.to_json_dict() for s in sings]}
 
 
@@ -300,7 +299,7 @@ def _cmd_blowup(args, parser) -> int:
     traj = integrate_blowup(sc.system, sc.epsilon, y0, (0.0, sc.t_end),
                             _run_options(args))
     p = sc.params
-    head = {"params": None if p is None else dataclasses.asdict(p), "epsilon": sc.epsilon}
+    head = {"params": None if p is None else p._asdict(), "epsilon": sc.epsilon}
     return _run_report(args, traj, head)
 
 

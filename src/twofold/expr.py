@@ -19,7 +19,6 @@ by `MAX_DEPTH`, so every accepted tree and its derivatives compile.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -53,7 +52,31 @@ class ExpressionError(ValueError):
 
 
 class Expr:
-    """Base node.  Trees are immutable and shareable."""
+    """Base node.  Trees are immutable and shareable: a node's `_fields`
+    are slots its constructor sets once.  Two nodes are equal when they have
+    the same type and equal fields, so `Add(a, b) != Mul(a, b)`."""
+
+    __slots__ = _fields = ()
+
+    def _key(self):
+        return (type(self),) + tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable node")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def source(self) -> str:
         """Python source fragment used by the compiled evaluators."""
@@ -66,9 +89,14 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__     # the constructors' one way past Expr.__setattr__
+
+
 class Num(Expr):
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        _set(self, "value", value)
 
     def source(self):
         return repr(float(self.value))
@@ -77,9 +105,11 @@ class Num(Expr):
         return ZERO
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int  # 1..3
+    __slots__ = _fields = ("index",)   # 1..3
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
     def source(self):
         return VAR_NAMES[self.index - 1]
@@ -88,9 +118,11 @@ class Var(Expr):
         return ONE if self.index == index else ZERO
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
 
     def source(self):
         return f"(-{self.arg.source()})"
@@ -100,10 +132,16 @@ class Neg(Expr):
         return ZERO if d is ZERO else Neg(d)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Add(_Binary):
+    __slots__ = ()
 
     def source(self):
         return f"({self.left.source()}+{self.right.source()})"
@@ -112,10 +150,8 @@ class Add(Expr):
         return _add(self.left.diff(index), self.right.diff(index))
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
     def source(self):
         return f"({self.left.source()}-{self.right.source()})"
@@ -127,10 +163,8 @@ class Sub(Expr):
         return Neg(d_right) if d_left is ZERO else Sub(d_left, d_right)
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
     def source(self):
         return f"({self.left.source()}*{self.right.source()})"
@@ -140,10 +174,12 @@ class Mul(Expr):
                     _mul(self.left, self.right.diff(index)))
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int  # >= 0
+    __slots__ = _fields = ("base", "exponent")   # exponent >= 0
+
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
     def source(self):
         return f"({self.base.source()}**{self.exponent})"

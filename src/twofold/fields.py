@@ -33,7 +33,7 @@ surface calls and kernels from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .expr import ZERO, Expr, Var, Neg, num, parse_expr
@@ -84,23 +84,27 @@ def parse_field(expr1: str, expr2: str, expr3: str) -> SmoothField:
 ZERO_FIELD_EXPRS = ("0", "0", "0")
 
 
-@dataclass(frozen=True)
-class TwoFoldParams:
+def is_number(v) -> bool:
+    """True for an int or float that is not a bool: the one rule by which
+    configs and records take a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+class TwoFoldParams(namedtuple("TwoFoldParams", "a1 a2 b1 b2 alpha")):
     """Constants of the local normal form: a1, a2 in {-1, +1} set the fold
     curvatures, b1, b2 the transversal drift, alpha the hidden-term size."""
 
-    a1: int
-    a2: int
-    b1: float
-    b2: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a1 not in (-1, 1) or self.a2 not in (-1, 1):
-            raise ValueError(f"a1 and a2 must be +-1, got ({self.a1}, {self.a2})")
-        if not all(map(math.isfinite, (self.b1, self.b2, self.alpha))):
-            raise ValueError(f"b1, b2 and alpha must be finite, got "
-                             f"({self.b1}, {self.b2}, {self.alpha})")
+    def __new__(cls, a1: int, a2: int, b1: float, b2: float, alpha: float):
+        if not all(map(is_number, (a1, a2, b1, b2, alpha))):
+            raise ValueError(f"a1, a2, b1, b2 and alpha must be numbers, got "
+                             f"({a1!r}, {a2!r}, {b1!r}, {b2!r}, {alpha!r})")
+        if a1 not in (-1, 1) or a2 not in (-1, 1):
+            raise ValueError(f"a1 and a2 must be +-1, got ({a1}, {a2})")
+        if not all(map(math.isfinite, (b1, b2, alpha))):
+            raise ValueError(f"b1, b2 and alpha must be finite, got ({b1}, {b2}, {alpha})")
+        return super().__new__(cls, a1, a2, b1, b2, alpha)
 
 
 class PiecewiseSmoothSystem:

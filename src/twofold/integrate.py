@@ -50,11 +50,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from .fields import (PiecewiseSmoothSystem, SmoothField, compile_df1_dx1, compile_jacobian,
-                     compile_layer, quadratic_roots)
+                     compile_layer, is_number, quadratic_roots)
 from .sliding import (ATTRACTING_SLIDING, CLASSIFY_TOL, REPELLING_SLIDING, TANGENCY, contact,
                       slide_root)
 
@@ -111,25 +111,23 @@ class NonconvergentEventError(RuntimeError):
     """Event bisection failed to converge within the iteration budget."""
 
 
-@dataclass(frozen=True)
-class IntegratorOptions:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    min_step: float = 1e-12
-    repelling_policy: str = STAY_SLIDING
+class IntegratorOptions(namedtuple("IntegratorOptions",
+                                   "rel_tol abs_tol min_step repelling_policy")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol, self.min_step)):
+    def __new__(cls, rel_tol: float = 1e-8, abs_tol: float = 1e-10, min_step: float = 1e-12,
+                repelling_policy: str = STAY_SLIDING):
+        if not all(is_number(v) and 0 < v < math.inf for v in (rel_tol, abs_tol, min_step)):
             raise ValueError("rel_tol, abs_tol and min_step must be finite and positive")
-        if self.repelling_policy not in POLICIES:
-            raise ValueError(f"unknown repelling policy {self.repelling_policy!r}")
+        if repelling_policy not in POLICIES:
+            raise ValueError(f"unknown repelling policy {repelling_policy!r}")
+        return super().__new__(cls, rel_tol, abs_tol, min_step, repelling_policy)
 
 
-@dataclass(frozen=True)
-class Event:
-    t: float
-    kind: str
-    state: tuple[float, float, float]
+class Event(namedtuple("Event", "t kind state")):
+    """One located event: its time, kind and state (a 3-tuple)."""
+
+    __slots__ = ()
 
 
 class Trajectory:

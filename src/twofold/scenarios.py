@@ -12,9 +12,10 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system, parse_field
+from .fields import (PiecewiseSmoothSystem, TwoFoldParams, is_number, normal_form_system,
+                     parse_field)
 from .expr import ExpressionError
 from .integrate import SIGMOIDS
 from .svg import artifacts
@@ -23,14 +24,11 @@ __all__ = ["Scenario", "ConfigError", "builtin", "builtin_config", "builtin_name
            "load_config", "save_run"]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    system: PiecewiseSmoothSystem
-    epsilon: float
-    t_end: float
-    x0: tuple[float, float, float]
-    sigmoid: str
+class Scenario(namedtuple("Scenario", "name system epsilon t_end x0 sigmoid")):
+    """A named system (a `PiecewiseSmoothSystem`) with its run settings:
+    epsilon, t_end, the start x0 and the sigmoid name."""
+
+    __slots__ = ()
 
     @property
     def params(self) -> TwoFoldParams | None:
@@ -134,7 +132,7 @@ def _known(doc, keys, pointer, what):
 
 def _require_number(doc, key, pointer):
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not is_number(v):
         raise ConfigError(f"{key} must be a number", pointer)
     if not abs(v) <= sys.float_info.max:   # json reads NaN, Infinity and huge ints
         raise ConfigError(f"{key} must be finite", pointer)
@@ -206,8 +204,7 @@ def load_config(source) -> Scenario:
         if "x0" in sd:
             v = sd["x0"]
             if not (isinstance(v, list) and len(v) == 3
-                    and all(isinstance(q, (int, float)) and not isinstance(q, bool)
-                            and abs(q) <= sys.float_info.max for q in v)):
+                    and all(is_number(q) and abs(q) <= sys.float_info.max for q in v)):
                 raise ConfigError("x0 must be a list of three finite numbers", "/sim/x0")
             sim["x0"] = tuple(float(q) for q in v)
         if "sigmoid" in sd:

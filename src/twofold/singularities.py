@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .fields import TwoFoldParams, quadratic_roots
 
@@ -64,10 +64,10 @@ class BoundarySingularityError(ValueError):
     """lam_s too close to -1; the derived constants divide by 1 + lam_s."""
 
 
-@dataclass(frozen=True)
-class TwoFoldFlavor:
-    tag: str                      # visible / invisible / mixed
-    determinacy_breaking: bool
+class TwoFoldFlavor(namedtuple("TwoFoldFlavor", "tag determinacy_breaking")):
+    """tag is visible / invisible / mixed; determinacy_breaking a bool."""
+
+    __slots__ = ()
 
 
 # the six flavours, (not determinacy breaking, determinacy breaking) by tag
@@ -143,32 +143,22 @@ def _slow_flow_type(a_tilde: float, b_tilde: float, c_tilde: float):
     return kind, canard, eigenvalues, c_tilde, 2.0 * prod
 
 
-@dataclass(frozen=True)
-class FoldedSingularity:
+class FoldedSingularity(namedtuple("FoldedSingularity", (
+        "lambda_s", "x2s", "x3s", "f2s", "f3s", "c", "b", "d1",
+        "a_tilde", "b_tilde", "c_tilde",
+        "folded_type",             # folded-saddle / folded-node / folded-focus / degenerate
+        "canard",                  # canard / faux-canard / neutral (slow-fast model time)
+        "canard_original_time",    # same flag mapped back through t~ = -sign(alpha) t
+        "eigenvalues",             # (complex, complex)
+        "trace", "det"))):
     """Location, derived constants and type of one folded singularity."""
 
-    lambda_s: float
-    x2s: float
-    x3s: float
-    f2s: float
-    f3s: float
-    c: float
-    b: float
-    d1: float
-    a_tilde: float
-    b_tilde: float
-    c_tilde: float
-    folded_type: str              # folded-saddle / folded-node / folded-focus / degenerate
-    canard: str                   # canard / faux-canard / neutral (slow-fast model time)
-    canard_original_time: str     # same flag mapped back through t~ = -sign(alpha) t
-    eigenvalues: tuple[complex, complex]
-    trace: float
-    det: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """Every field by name, `folded_type` as "type" and each eigenvalue
         as its [re, im] pair."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = self._asdict()
         doc["type"] = doc.pop("folded_type")
         doc["eigenvalues"] = [[z.real, z.imag] for z in self.eigenvalues]
         return doc

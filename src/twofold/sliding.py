@@ -20,7 +20,7 @@ slide-map row kernel per `surface_grid` inlines the cell's part of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fields import (CITARDAUQ_SOURCE, DISC_SOURCE, QUADRATIC_SOURCE, WEIGHTS_SOURCE,
                      PiecewiseSmoothSystem, TwoFoldParams, compile_function, indented)
@@ -42,22 +42,19 @@ ATTRACTING = "attracting"
 REPELLING = "repelling"
 
 
-@dataclass(frozen=True)
-class SlidingSolution:
-    """One root lam of f1(0, x2, x3; lam) = 0 with the slide it generates."""
+class SlidingSolution(namedtuple("SlidingSolution", "lam slide_vector stability double_root",
+                                 defaults=(False,))):
+    """One root lam of f1(0, x2, x3; lam) = 0 with the slide it generates:
+    slide_vector (x2', x3'), stability 'attracting' iff df1/dlam < 0, and
+    double_root when the discriminant is within tolerance of zero."""
 
-    lam: float
-    slide_vector: tuple[float, float]
-    stability: str                # 'attracting' iff df1/dlam < 0
-    double_root: bool = False     # discriminant within tolerance of zero
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CurveL:
+class CurveL(namedtuple("CurveL", "points tangents")):
     """Sampled non-hyperbolic curve: points (lam, x2, x3) with tangents."""
 
-    points: tuple[tuple[float, float, float], ...]
-    tangents: tuple[tuple[float, float, float], ...]
+    __slots__ = ()
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -24,9 +24,9 @@ couples eps = h to the sphere radius h; their maximum must shrink like h^2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 
-from .fields import PiecewiseSmoothSystem, TwoFoldParams, normal_form_system
+from .fields import PiecewiseSmoothSystem, TwoFoldParams, is_number, normal_form_system
 from .singularities import (ALPHA_FLOOR, BOUNDARY_TOL, FoldedSingularity,
                             folded_singularities)
 
@@ -42,26 +42,24 @@ class TransformDomainError(ValueError):
     or a residual outside (0, inf), which has no logarithm for the order fit."""
 
 
-@dataclass(frozen=True)
-class TransformContext:
+class TransformContext(namedtuple("TransformContext", "params singularity epsilon system")):
     """Parameters, target singularity and the timescale ratio of one
     transform instance, with `normal_form_system(params)`, whose compiled
     layer contexts that share `params` may share.  Immutable; all maps below
     are pure functions.
     """
 
-    params: TwoFoldParams
-    singularity: FoldedSingularity
-    epsilon: float
-    system: PiecewiseSmoothSystem = field(compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.params.alpha) <= ALPHA_FLOOR:
+    def __new__(cls, params: TwoFoldParams, singularity: FoldedSingularity, epsilon: float,
+                system: PiecewiseSmoothSystem):
+        if abs(params.alpha) <= ALPHA_FLOOR:
             raise ValueError(f"transform requires |alpha| > {ALPHA_FLOOR}")
-        if abs(1.0 + self.singularity.lambda_s) <= BOUNDARY_TOL:
+        if abs(1.0 + singularity.lambda_s) <= BOUNDARY_TOL:
             raise ValueError("transform requires lam_s away from -1")
-        if not 0.0 < self.epsilon <= 1.0:
+        if not (is_number(epsilon) and 0.0 < epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
+        return super().__new__(cls, params, singularity, epsilon, system)
 
     @property
     def lam_s(self):
@@ -242,7 +240,7 @@ def _order_study(p, sings, h_values, system) -> dict:
         slope = (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
                  / sum((a - mx) ** 2 for a in lx))
         reports.append({
-            "params": asdict(p),
+            "params": p._asdict(),
             "lambda_s": s.lambda_s,
             "h_values": list(h_values),
             "residuals": residuals,

@@ -272,3 +272,14 @@ def test_params_reject_non_finite_constants(index, value):
     args[index] = value
     with pytest.raises(ValueError):
         TwoFoldParams(*args)
+
+
+@pytest.mark.parametrize("index", range(5), ids=["a1", "a2", "b1", "b2", "alpha"])
+@pytest.mark.parametrize("value", [True, "-1", None], ids=["bool", "str", "none"])
+def test_params_reject_bools_and_non_numbers(index, value):
+    # a bool would reach a report as `true`; a string is a ValueError, not
+    # the TypeError math.isfinite raises
+    args = [1, 1, 0.5, -0.5, 0.2]
+    args[index] = value
+    with pytest.raises(ValueError, match="must be numbers"):
+        TwoFoldParams(*args)

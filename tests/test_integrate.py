@@ -80,6 +80,13 @@ def test_integrator_options_reject_bad_values(field, value):
         IntegratorOptions(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "min_step"])
+@pytest.mark.parametrize("value", [True, "1e-8", None], ids=["bool", "str", "none"])
+def test_integrator_options_reject_bools_and_non_numbers(field, value):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        IntegratorOptions(**{field: value})
+
+
 def test_eval_of_an_empty_and_a_one_sample_trajectory():
     traj = Trajectory()
     with pytest.raises(ValueError, match="empty trajectory"):

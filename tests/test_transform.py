@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -307,8 +306,8 @@ def test_residual_rejects_h_outside_domain():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda ctx: TransformContext(ctx.params, dataclasses.replace(
-        ctx.singularity, lambda_s=-1.0 + 1e-10), 1e-3, ctx.system),
+    (lambda ctx: TransformContext(ctx.params, ctx.singularity._replace(
+        lambda_s=-1.0 + 1e-10), 1e-3, ctx.system),
      "transform requires lam_s away from -1"),
 ])
 def test_boundary_singularity_and_radius_are_rejected(call, message):
@@ -325,3 +324,10 @@ def test_context_validation():
     with pytest.raises(ValueError):
         p0 = TwoFoldParams(1, 1, 1.0, -1.0, 0.0)
         TransformContext(p0, s, 1e-3, normal_form_system(p0))
+
+
+@pytest.mark.parametrize("eps", [True, "1e-3", None], ids=["bool", "str", "none"])
+def test_context_rejects_a_bool_or_non_number_epsilon(eps):
+    ctx = make_ctx()
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+        TransformContext(ctx.params, ctx.singularity, eps, ctx.system)
