@@ -13,7 +13,8 @@ so coefficients like 23/100 carry no decimal-entry drift.  There is no
 division operator: '/' is only legal inside a numeric literal.  A tree is
 evaluated only through its `source()`, which `fields` compiles into flat
 functions; `diff` gives its exact partial derivatives.  Nesting is bounded
-by `MAX_DEPTH`, so every accepted tree and its derivatives compile.
+by `MAX_DEPTH`, so every accepted tree and its derivatives compile.  Nodes
+are immutable `__slots__` classes, equal when their types and fields are.
 """
 
 from __future__ import annotations

@@ -27,7 +27,9 @@ declared through one template, `compile_function`, and every kernel of the
 combination reads its weights from `WEIGHTS_SOURCE`.  The quadratic has
 one stable solver, the source text `DISC_SOURCE` and `CITARDAUQ_SOURCE`:
 `quadratic_roots` is compiled from it at import, and `sliding` builds its
-surface calls and kernels from it.
+surface calls and kernels from it.  `TwoFoldParams` is a validated
+namedtuple, and `is_number` is the one rule by which it, the other records
+and the config loader take a number: an int or float that is not a bool.
 """
 
 from __future__ import annotations

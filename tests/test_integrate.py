@@ -74,16 +74,10 @@ def test_dense_output_matches_samples_and_is_continuous():
     ("abs_tol", math.inf), ("abs_tol", math.nan),
     ("min_step", math.inf), ("min_step", 0.0),
     ("repelling_policy", "eject-at"),
+    ("rel_tol", True), ("abs_tol", "1e-10"), ("min_step", None),
 ])
 def test_integrator_options_reject_bad_values(field, value):
     with pytest.raises(ValueError):
-        IntegratorOptions(**{field: value})
-
-
-@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "min_step"])
-@pytest.mark.parametrize("value", [True, "1e-8", None], ids=["bool", "str", "none"])
-def test_integrator_options_reject_bools_and_non_numbers(field, value):
-    with pytest.raises(ValueError, match="must be finite and positive"):
         IntegratorOptions(**{field: value})
 
 

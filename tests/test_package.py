@@ -67,16 +67,6 @@ def test_start_up_imports_no_dataclass_machinery():
     assert done.stdout.strip() == "[]"
 
 
-def _records():
-    from twofold.scenarios import builtin
-    p = twofold.TwoFoldParams(1, 1, 1.0, -1.0, 0.2)
-    s = twofold.folded_singularities(p)[0]
-    return [p, twofold.IntegratorOptions(), twofold.Event(0.5, "crossing", (0.0, 1.0, 2.0)),
-            builtin("example-ii"), twofold.classify_two_fold(p), s,
-            twofold.SlidingSolution(0.5, (1.0, 0.0), "attracting"), twofold.curve_L(p),
-            twofold.TransformContext(p, s, 1e-3, twofold.normal_form_system(p))]
-
-
 def test_nodes_are_immutable_and_equal_by_type_and_value():
     from twofold.expr import Add, Mul, Neg, Num, Pow, Sub, Var
     a, b = Var(1), Var(2)
@@ -92,7 +82,13 @@ def test_nodes_are_immutable_and_equal_by_type_and_value():
 
 def test_records_are_immutable_keyword_built_and_equal_by_value():
     import inspect
-    for record in _records():
+    p = twofold.TwoFoldParams(1, 1, 1.0, -1.0, 0.2)
+    s = twofold.folded_singularities(p)[0]
+    records = [p, twofold.IntegratorOptions(), twofold.Event(0.5, "crossing", (0.0, 1.0, 2.0)),
+               twofold.builtin("example-ii"), twofold.classify_two_fold(p), s,
+               twofold.SlidingSolution(0.5, (1.0, 0.0), "attracting"), twofold.curve_L(p),
+               twofold.TransformContext(p, s, 1e-3, twofold.normal_form_system(p))]
+    for record in records:
         names = list(inspect.signature(type(record)).parameters)
         with pytest.raises(AttributeError):
             setattr(record, names[0], getattr(record, names[0]))
@@ -100,8 +96,8 @@ def test_records_are_immutable_keyword_built_and_equal_by_value():
             record.extra = 1
         copy = type(record)(**{name: getattr(record, name) for name in names})
         assert copy is not record and copy == record
-    p = twofold.TwoFoldParams(a1=1, a2=1, b1=1.0, b2=-1.0, alpha=0.2)
-    assert p == _records()[0] and p != twofold.TwoFoldParams(1, 1, 1.0, -1.0, 0.3)
+    assert twofold.TwoFoldParams(a1=1, a2=1, b1=1.0, b2=-1.0, alpha=0.2) == p
+    assert twofold.TwoFoldParams(1, 1, 1.0, -1.0, 0.3) != p
     assert twofold.IntegratorOptions() == twofold.IntegratorOptions(
         rel_tol=1e-8, abs_tol=1e-10, min_step=1e-12, repelling_policy=twofold.STAY_SLIDING)
     sol = twofold.SlidingSolution(lam=0.5, slide_vector=(1.0, 0.0), stability="attracting")
