@@ -1,22 +1,27 @@
 """Time integration engines.
 
 One adaptive stepper on R^3 (scalar right-hand sides rhs(x1, x2, x3) ->
-(f1, f2, f3), cubic-Hermite dense output) and one stepping loop,
-`_run_steps`, drive all four integrators.  Its steps are Dormand-Prince
-5(4), except where a smoothed run sits on the attracting stiff layer: there
-they are RODAS4 (an order-4 L-stable Rosenbrock method) steps on the exact
-Jacobian, so the step count there no longer grows like 1/eps.  The four
-integrators:
+(f1, f2, f3), cubic-Hermite dense output) drives all four integrators,
+through one of two stepping loops.  Its steps are Dormand-Prince 5(4),
+except where a smoothed run sits on the attracting stiff layer: there they
+are RODAS4 (an order-4 L-stable Rosenbrock method) steps on the exact
+Jacobian, so the step count there no longer grows like 1/eps.  Smooth runs,
+blow-ups and Filippov flow segments, which need no hook per step, run
+`_dp54_run`, one loop with the DP54 attempt and step control inline; it
+hands back only the steps its pre-test flags (a flow step whose x1 may
+reach the surface, a blow-up step whose lam leaves (-1, 1)).  Slides and
+smoothed runs run `_run_steps`, which calls `_Stepper.step` and the
+segment's hooks at every step.  The four integrators:
 
   * integrate_smooth   -- a single smooth field;
   * integrate_filippov -- event-driven switching: half-space flows; surface
     crossings found exactly on each step's dense output (a step whose x1
     cubic keeps its four Bernstein control points on its own side cannot
-    reach the surface; otherwise the interior extrema of the cubic come in
-    closed form, so no step size cap near x1 = 0 is needed); contacts
-    decided by the sliding layer's rule, the region of `sliding.contact`; sliding
-    (x1 held at +0.0) with the layer value of lam tracked in closed form;
-    fold/two-fold exit events;
+    reach the surface, `_dp54_run`'s pre-test; otherwise the interior
+    extrema of the cubic come in closed form, so no step size cap near
+    x1 = 0 is needed); contacts decided by the sliding layer's rule, the
+    region of `sliding.contact`; sliding (x1 held at +0.0) with the layer
+    value of lam tracked in closed form; fold/two-fold exit events;
   * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps), the one
     integrator with RODAS4 steps;
   * integrate_blowup   -- the layer system itself, (lam' , x2., x3.) with
@@ -40,9 +45,10 @@ the sliding manifold and ejects the orbit into the half space where f1 keeps
 its sign.
 
 A run takes at most `MAX_STEPS` accepted steps, counted in meta['steps']
-over all its segments.  A run that stops early sets meta['aborted'] to
-STEP_FLOOR (with a step-floor event) or BUDGET.  Every run integrates
-forward in time.
+over all its segments; meta['attempts'] counts its DP54 and RODAS4
+attempts, rejected ones included.  A run that stops early sets
+meta['aborted'] to STEP_FLOOR (with a step-floor event) or BUDGET.  Every
+run integrates forward in time.
 """
 
 from __future__ import annotations
@@ -302,15 +308,16 @@ class _Stepper:
     RODAS4 step (`rodas4.attempt`), counted in `rosenbrock_steps`.
     `make_jac()` returns the Jacobian; it is called at the first RODAS4
     attempt, so a run that never takes one never compiles it.  `h` sizes
-    the first attempt.
+    the first attempt.  The tolerances and min_step are read from `opts`
+    once, here; `attempts` counts the attempts made.
     """
 
-    __slots__ = ("rhs", "opts", "t", "y", "f", "h", "make_jac", "jac", "df1_dx1",
-                 "rosenbrock", "rosenbrock_steps")
+    __slots__ = ("rhs", "abs_tol", "rel_tol", "min_step", "t", "y", "f", "h", "make_jac",
+                 "jac", "df1_dx1", "rosenbrock", "rosenbrock_steps", "attempts")
 
     def __init__(self, rhs, t0, y0, opts, make_jac=None, df1_dx1=None, h=1e-3):
         self.rhs = rhs
-        self.opts = opts
+        self.abs_tol, self.rel_tol, self.min_step = opts.abs_tol, opts.rel_tol, opts.min_step
         self.t = t0
         self.y = (float(y0[0]), float(y0[1]), float(y0[2]))
         self.f = rhs(*self.y)
@@ -319,10 +326,12 @@ class _Stepper:
         self.jac = None
         self.df1_dx1 = df1_dx1
         self.rosenbrock_steps = 0
+        self.attempts = 0
 
     def _attempt(self, h, stiff=False):
         """One attempt of size h: (y_new, f_new, err), err <= 1 passing the
         tolerances.  DP54 by default, RODAS4 when `stiff`."""
+        self.attempts += 1
         if stiff:
             if self.jac is None:
                 # imported here, so runs that take no stiff step never
@@ -330,7 +339,8 @@ class _Stepper:
                 from .rodas4 import attempt
                 self.rosenbrock = attempt
                 self.jac = self.make_jac()
-            return self.rosenbrock(self.rhs, self.jac, self.y, self.f, h, self.opts)
+            return self.rosenbrock(self.rhs, self.jac, self.y, self.f, h, self.abs_tol,
+                                   self.rel_tol)
         # written out over the three components, k<stage><component>.  The
         # order of every sum is part of the result: the tests hold it bit for
         # bit to the loop form y_i + h * (A k)_i
@@ -359,7 +369,7 @@ class _Stepper:
         n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
         k7 = rhs(n1, n2, n3)
         k71, k72, k73 = k7
-        at, rt = self.opts.abs_tol, self.opts.rel_tol
+        at, rt = self.abs_tol, self.rel_tol
         q1 = abs(h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61
                       + _E7 * k71)) / (at + rt * max(abs(y1), abs(n1)))
         q2 = abs(h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62
@@ -371,14 +381,13 @@ class _Stepper:
 
     def step(self, t_limit, h_cap=math.inf):
         """Advance one accepted step toward t_limit; raises _StepFloor."""
-        opts = self.opts
         df1_dx1 = self.df1_dx1
         rate = 0.0 if df1_dx1 is None else -df1_dx1(*self.y)
         while True:
             h = min(self.h, h_cap, t_limit - self.t)
             # floor a step the controller, not t_limit, shrank below min_step,
             # and one below the resolution of t, which would not advance it
-            if h < opts.min_step and h < t_limit - self.t or self.t + h == self.t:
+            if h < self.min_step and h < t_limit - self.t or self.t + h == self.t:
                 raise _StepFloor
             stiff = h * rate > _DP54_STABILITY
             y_new, f_new, err = self._attempt(h, stiff)
@@ -564,28 +573,17 @@ def _surface_crossing(seg, side):
     """First point (t, y) of a flow segment on `side` of x1 = 0 where x1
     reaches the surface, or None.
 
-    Exact however long the step.  Most steps end at once: x1's Hermite
-    cubic is a Bernstein polynomial with control points x1(t0),
-    x1(t0) + h f1(t0)/3, x1(t1) - h f1(t1)/3 and x1(t1), and it stays in
-    their convex hull, so when all four lie on `side` beyond a rounding
-    margin no point of the scan below can reach the surface, not even
-    through rounding.  Otherwise x1 is monotone
-    between its interior extrema, the roots of the derivative's quadratic,
-    so testing those in time order and then the end finds the first crossing
-    even when a grazing orbit crosses twice within the step.  A point counts
-    when x1 lies at least EVENT_TOL beyond the surface, or exactly on it.
+    Exact however long the step.  A flow calls it only on the steps that
+    `_dp54_run`'s hull test flags.  x1 is monotone between its interior
+    extrema, the roots of the derivative's quadratic, so testing those in
+    time order and then the end finds the first crossing even when a
+    grazing orbit crosses twice within the step.  A point counts when x1
+    lies at least EVENT_TOL beyond the surface, or exactly on it.
     """
     t0, y0, f0, t1, y1, f1 = seg
     h = t1 - t0
     x1_old, x1_end = y0[0], y1[0]
     d0, d1 = h * f0[0], h * f1[0]
-    p0, p1 = side * x1_old, side * (x1_old + d0 / 3.0)
-    p2, p3 = side * (x1_end - d1 / 3.0), side * x1_end
-    # with all four on `side`, 4x their sum bounds |x1| and |h x1'| at the
-    # ends; 8x leaves a factor 2 for the rounding of the points themselves
-    margin = 8.0 * _HERMITE_ROUNDING * (p0 + p1 + p2 + p3) + _ROUNDING_FLOOR
-    if p0 > margin and p1 > margin and p2 > margin and p3 > margin:
-        return None
     a = 6.0 * x1_old + 3.0 * d0 - 6.0 * x1_end + 3.0 * d1
     b = -6.0 * x1_old - 4.0 * d0 + 6.0 * x1_end - 2.0 * d1
     extrema = sorted(t for t in (t0 + s * h for s, _ in quadratic_roots(a, b, d0, 0.0))
@@ -612,8 +610,8 @@ def _step_floor(traj, t, y):
 
 
 def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
-    """The one stepping loop: every integrator, and every flow and slide
-    segment of a Filippov run, advances `stepper` toward t1 here.
+    """The stepping loop of slides and smoothed runs, whose steps call hooks
+    or take RODAS4 steps: it advances `stepper` toward t1.
 
     Writes the first sample only into an empty trajectory, then one sample
     per accepted step, tagged with the (mode, lam) pair `tag(y)` returns.
@@ -622,12 +620,14 @@ def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
     non-None result ends the loop and is returned, the stop having recorded
     its own samples and events.  Otherwise the loop returns None: at t1, at a
     step floor (`_step_floor`) or when the run's accepted steps, counted in
-    meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET).
+    meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET).  The attempts
+    the stepper makes here are added to meta['attempts'].
     """
     if not traj:
         mode, lam = tag(stepper.y)
         traj.append(stepper.t, stepper.y, stepper.f, mode, lam)
     steps = traj.meta.get("steps", 0)
+    attempts = stepper.attempts
     result = None
     while stepper.t < t1:
         if steps >= MAX_STEPS:
@@ -646,7 +646,129 @@ def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
         mode, lam = tag(seg[4])
         traj.append(seg[3], seg[4], seg[5], mode, lam)
     traj.meta["steps"] = steps
+    traj.meta["attempts"] = traj.meta.get("attempts", 0) + stepper.attempts - attempts
     return result
+
+
+def _dp54_run(traj, stepper, t1, side=0, blowup=False):
+    """`_run_steps` fused for a DP54 segment with no per-step hook:
+    `_Stepper._attempt`'s arithmetic and `_Stepper.step`'s control run
+    inline, in the same order, on `stepper`'s rhs, state, h and tolerances
+    (state and h are written back), and each sample goes straight into the
+    trajectory's arrays.
+
+    Returns None where `_run_steps` does, with the same samples, events and
+    meta.  Returns the first accepted segment (t0, y0, f0, t1, y1, f1) its
+    pre-test flags, counted but not sampled: on a Filippov flow on `side`
+    (+1 or -1), a step with a Bernstein control point of its x1 cubic
+    beyond the surface or within a rounding margin of it (`_surface_crossing`
+    finds nothing on any other); on a blow-up (`blowup`), a step whose lam
+    leaves (-1, 1).  With neither, a smooth run, it flags nothing and tags
+    each sample by the sign of its x1.
+    """
+    if blowup:
+        plus = minus = LAYER
+    elif side:
+        plus = minus = FLOW_PLUS if side > 0 else FLOW_MINUS
+    else:
+        plus, minus = FLOW_PLUS, FLOW_MINUS
+    t, h_next, rhs = stepper.t, stepper.h, stepper.rhs
+    (y1, y2, y3), (k11, k12, k13) = stepper.y, stepper.f
+    if not traj:
+        traj.append(t, stepper.y, stepper.f, plus if y1 >= 0 else minus, y1 if blowup else NAN)
+    at, rt, min_step = stepper.abs_tol, stepper.rel_tol, stepper.min_step
+    hull = 8.0 * _HERMITE_ROUNDING
+    add_t, add_lam, add_mode = traj._t.append, traj._lam.append, traj._modes.append
+    add_y1, add_y2, add_y3 = (col.append for col in traj._y)
+    add_f1, add_f2, add_f3 = (col.append for col in traj._f)
+    meta = traj.meta
+    steps, attempts = meta.get("steps", 0), meta.get("attempts", 0)
+    flagged = None
+    while t < t1:
+        if steps >= MAX_STEPS:
+            meta["aborted"] = BUDGET
+            break
+        # min and max are written out here: a builtin call per attempt
+        # costs about 1% of a flow run
+        rest = t1 - t
+        h = rest if rest < h_next else h_next           # min(h_next, rest)
+        if h < min_step and h < rest or t + h == t:
+            _step_floor(traj, t, (y1, y2, y3))
+            break
+        attempts += 1
+        k21, k22, k23 = rhs(y1 + h * (_A21 * k11), y2 + h * (_A21 * k12),
+                            y3 + h * (_A21 * k13))
+        k31, k32, k33 = rhs(y1 + h * (_A31 * k11 + _A32 * k21),
+                            y2 + h * (_A31 * k12 + _A32 * k22),
+                            y3 + h * (_A31 * k13 + _A32 * k23))
+        k41, k42, k43 = rhs(y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+                            y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+                            y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33))
+        k51, k52, k53 = rhs(y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+                            y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+                            y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43))
+        k61, k62, k63 = rhs(y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
+                                      + _A65 * k51),
+                            y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
+                                      + _A65 * k52),
+                            y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43
+                                      + _A65 * k53))
+        n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+        n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+        n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
+        k7 = rhs(n1, n2, n3)
+        k71, k72, k73 = k7
+        q1 = abs(h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61
+                      + _E7 * k71)) / (at + rt * max(abs(y1), abs(n1)))
+        q2 = abs(h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62
+                      + _E7 * k72)) / (at + rt * max(abs(y2), abs(n2)))
+        q3 = abs(h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63
+                      + _E7 * k73)) / (at + rt * max(abs(y3), abs(n3)))
+        # max(0.0, q1, q2, q3), which skips a NaN q
+        err = q1 if q1 > 0.0 else 0.0
+        if q2 > err:
+            err = q2
+        if q3 > err:
+            err = q3
+        if not (err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3):
+            h_next = h * (max(0.2, 0.9 * err ** -0.2) if err > 1.0 else 0.2)
+            continue
+        # `step`'s min(5.0, max(0.2, fac)); fac >= 0.9 as err <= 1
+        fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+        h_next = h * (fac if fac < 5.0 else 5.0)
+        t_new = t + h
+        steps += 1
+        if side:
+            # x1's Hermite cubic stays in the convex hull of its Bernstein
+            # control points x1(t0), x1(t0) + h f1(t0)/3, x1(t1) - h f1(t1)/3
+            # and x1(t1) (with `_surface_crossing`'s h, d0 and d1): when all
+            # four lie on `side` beyond a rounding margin, no point of its
+            # scan can reach the surface, not even through rounding.  4x
+            # their sum bounds |x1| and |h x1'| at the ends; 8x leaves a
+            # factor 2 for the rounding of the points themselves
+            d0, d1 = (t_new - t) * k11, (t_new - t) * k71
+            p0, p1 = side * y1, side * (y1 + d0 / 3.0)
+            p2, p3 = side * (n1 - d1 / 3.0), side * n1
+            margin = hull * (p0 + p1 + p2 + p3) + _ROUNDING_FLOOR
+            if not (p0 > margin and p1 > margin and p2 > margin and p3 > margin):
+                flagged = (t, (y1, y2, y3), (k11, k12, k13), t_new, (n1, n2, n3), k7)
+        elif blowup and not -1.0 < n1 < 1.0:
+            flagged = (t, (y1, y2, y3), (k11, k12, k13), t_new, (n1, n2, n3), k7)
+        t, y1, y2, y3, k11, k12, k13 = t_new, n1, n2, n3, k71, k72, k73
+        if flagged is not None:
+            break
+        add_t(t)
+        add_y1(n1)
+        add_y2(n2)
+        add_y3(n3)
+        add_f1(k71)
+        add_f2(k72)
+        add_f3(k73)
+        add_lam(n1 if blowup else NAN)
+        add_mode(plus if n1 >= 0 else minus)
+    stepper.t, stepper.y, stepper.f, stepper.h = t, (y1, y2, y3), (k11, k12, k13), h_next
+    meta["steps"], meta["attempts"] = steps, attempts
+    return flagged
 
 
 # ---------------------------------------------------------------- smooth runs
@@ -664,8 +786,7 @@ def integrate_smooth(fld: SmoothField, x0, t_span, opts: IntegratorOptions | Non
     """Adaptive integration of one smooth field."""
     t0, t1 = _forward(t_span, "smooth")
     traj = Trajectory(meta={"kind": "smooth"})
-    _run_steps(traj, _Stepper(fld.fn, t0, x0, opts or IntegratorOptions()),
-               t1, lambda y: (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS, NAN))
+    _dp54_run(traj, _Stepper(fld.fn, t0, x0, opts or IntegratorOptions()), t1)
     return traj
 
 
@@ -749,12 +870,11 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         return (f1 * inv, f2, f3)
 
     traj = Trajectory(meta={"kind": "blowup", "eps": eps})
-
-    def boundary_exit(seg):
+    seg = _dp54_run(traj, _Stepper(rhs, t0, y0, opts or IntegratorOptions()), t1, blowup=True)
+    if seg is not None:
+        # lam left (-1, 1) on this step: locate the distance 1 - bound * lam
+        # to the bound it crossed, positive inside
         lam = seg[4][0]
-        if -1.0 < lam < 1.0:
-            return None
-        # the distance 1 - bound * lam to the bound crossed, positive inside
         bound = 1.0 if lam >= 1.0 else -1.0
         lam_of = _first_cubic(seg)
         t_star, y_star = _bisect_event(seg, lambda t: 1.0 - bound * lam_of(t),
@@ -764,10 +884,6 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
             traj.append(t_star, y_star, rhs(*y_star), LAYER, y_star[0])
         traj.add_event(t_star, BOUNDARY_EXIT, y_star)
         traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
-        return BOUNDARY_EXIT
-
-    _run_steps(traj, _Stepper(rhs, t0, y0, opts or IntegratorOptions()), t1,
-               lambda y: (LAYER, y[0]), stop=boundary_exit)
     return traj
 
 
@@ -897,17 +1013,18 @@ class _FilippovRun:
         fld = self.sys.f_plus if side > 0 else self.sys.f_minus
         mode = FLOW_PLUS if side > 0 else FLOW_MINUS
 
-        def crossing(seg):
-            hit = _surface_crossing(seg, side)
-            if hit is None:
-                return None
-            t_star, y_star = hit
-            return self.decide_surface(t_star, y_star, f_in=fld.fn(*y_star))
-
         stepper = _Stepper(fld.fn, t, y, self.opts, h=self.flow_h)
-        action = _run_steps(self.traj, stepper, self.t_end, lambda w: (mode, NAN), crossing)
-        self.flow_h = stepper.h
-        return action
+        while True:
+            seg = _dp54_run(self.traj, stepper, self.t_end, side)
+            self.flow_h = stepper.h
+            if seg is None:
+                return None
+            hit = _surface_crossing(seg, side)
+            if hit is not None:
+                t_star, y_star = hit
+                return self.decide_surface(t_star, y_star, f_in=fld.fn(*y_star))
+            # a flagged step that stays on this side (a grazing start, say)
+            self.traj.append(seg[3], seg[4], seg[5], mode)
 
     # -- sliding segments ----------------------------------------------------
 

@@ -34,11 +34,12 @@ _RC61, _RC62, _RC63, _RC64, _RC65 = (8.083246795921522, -7.981132988064893,
 _GAMMA = 0.25
 
 
-def attempt(rhs, jac, y, f, h, opts):
+def attempt(rhs, jac, y, f, h, at, rt):
     """One attempt of size h from (y, f = rhs(*y)): (y_new, f_new, err) as
-    `integrate._Stepper._attempt` returns them, err in the same max-norm.  A
-    singular or non-finite matrix gives a NaN state, which the stepper
-    rejects like any non-finite state."""
+    `integrate._Stepper._attempt` returns them, err in the same max-norm
+    of the absolute and relative tolerances at and rt.  A singular or
+    non-finite matrix gives a NaN state, which the stepper rejects like any
+    non-finite state."""
     y1, y2, y3 = y
     j11, j12, j13, j21, j22, j23, j31, j32, j33 = jac(y1, y2, y3)
     g = 1.0 / (_GAMMA * h)
@@ -95,7 +96,6 @@ def attempt(rhs, jac, y, f, h, opts):
                           f3 + ih * (_RC61 * u13 + _RC62 * u23 + _RC63 * u33 + _RC64 * u43
                                      + _RC65 * u53))
     n1, n2, n3 = v1 + u61, v2 + u62, v3 + u63
-    at, rt = opts.abs_tol, opts.rel_tol
     q1 = abs(u61) / (at + rt * max(abs(y1), abs(n1)))
     q2 = abs(u62) / (at + rt * max(abs(y2), abs(n2)))
     q3 = abs(u63) / (at + rt * max(abs(y3), abs(n3)))

@@ -82,8 +82,11 @@ def curve_functions(ctx: TransformContext, y3: float):
     y1L(y3) = -1 - lam_s + sqrt((1+lam_s)^2 - y3/alpha) is the branch through
     the singularity (y1L(0) = 0); y2L = -y3 - 4 alpha y1L.
     """
-    ls = ctx.lam_s
-    al = ctx.params.alpha
+    return _curve(ctx.singularity.lambda_s, ctx.params.alpha, y3)
+
+
+def _curve(ls, al, y3):
+    """`curve_functions` at lam_s = ls and alpha = al."""
     arg = (1.0 + ls) ** 2 - y3 / al
     scale = (1.0 + ls) ** 2 + abs(y3 / al)
     if arg < 0.0:
@@ -106,9 +109,9 @@ def curve_functions(ctx: TransformContext, y3: float):
     return (y1l, y2l, y1lp, y2lp)
 
 
-def _shift(ctx: TransformContext) -> float:
-    s = ctx.singularity
-    return ctx.epsilon * s.f3s / (ctx.params.alpha * (1.0 + s.lambda_s) ** 2)
+def _shift(eps, f3s, al, ls) -> float:
+    """The corrective shift of z2 at eps, f3s, alpha = al and lam_s = ls."""
+    return eps * f3s / (al * (1.0 + ls) ** 2)
 
 
 def chart(ctx: TransformContext, point):
@@ -118,15 +121,19 @@ def chart(ctx: TransformContext, point):
     x~ is the full chain (lam, x2, x3) -> (x1~, x2~, x3~).  w is the layer
     field (dlam/dt, dx2/dt, dx3/dt) = (F1/eps, F2, F3) pushed to x~ as d/dt~
     rates: the rows J . V with the time reversal t~ = -sign(alpha) t applied.
+    Each record field is read once: this runs at every sample point.
     """
-    y1, y2, y3 = to_y(ctx, point)
-    y1l, y2l, y1lp, y2lp = curve_functions(ctx, y3)
-    sq = math.sqrt(abs(ctx.params.alpha))
-    sgn = ctx.sign_alpha
-    d1 = ctx.singularity.d1
-    xt = (sq * (y1 - y1l), -sgn * d1 * (y2 - y2l - _shift(ctx)), -sgn * y3)
-    F1, F2, F3 = ctx.system.layer(0.0, point[1], point[2], point[0])
-    dx1 = sq * (F1 / ctx.epsilon - y1lp * F3)
+    params, s, eps, system = ctx
+    al, ls = params.alpha, s.lambda_s
+    lam, x2, x3 = point
+    y1, y2, y3 = lam - ls, x2 - s.x2s, x3 - s.x3s
+    y1l, y2l, y1lp, y2lp = _curve(ls, al, y3)
+    sq = math.sqrt(abs(al))
+    sgn = 1.0 if al > 0 else -1.0
+    d1 = s.d1
+    xt = (sq * (y1 - y1l), -sgn * d1 * (y2 - y2l - _shift(eps, s.f3s, al, ls)), -sgn * y3)
+    F1, F2, F3 = system.layer(0.0, x2, x3, lam)
+    dx1 = sq * (F1 / eps - y1lp * F3)
     dx2 = -sgn * d1 * (F2 - y2lp * F3)
     dx3 = -sgn * F3
     return xt, (-sgn * dx1, -sgn * dx2, -sgn * dx3)
@@ -134,14 +141,15 @@ def chart(ctx: TransformContext, point):
 
 def from_x_tilde(ctx: TransformContext, xt):
     """Inverse chain on the rectification domain."""
-    sgn = ctx.sign_alpha
-    d1 = ctx.singularity.d1
-    z1 = xt[0] / math.sqrt(abs(ctx.params.alpha))
+    params, s, eps, _ = ctx
+    al, ls = params.alpha, s.lambda_s
+    sgn = 1.0 if al > 0 else -1.0
+    d1 = s.d1
+    z1 = xt[0] / math.sqrt(abs(al))
     z2t = xt[1] / (-sgn * d1)
     y3 = -sgn * xt[2]
-    y1l, y2l, _, _ = curve_functions(ctx, y3)
-    s = ctx.singularity
-    return (z1 + y1l + s.lambda_s, z2t + _shift(ctx) + y2l + s.x2s, y3 + s.x3s)
+    y1l, y2l, _, _ = _curve(ls, al, y3)
+    return (z1 + y1l + ls, z2t + _shift(eps, s.f3s, al, ls) + y2l + s.x2s, y3 + s.x3s)
 
 
 def folded_normal_field(a_tilde: float, b_tilde: float, c_tilde: float, xt):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,14 @@ from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
                             compile_df1_dx1, compile_jacobian, compile_layer,
                             normal_form_system, parse_field, quadratic_roots)
 from twofold import integrate
-from twofold.integrate import (EJECT_MINUS, EJECT_PLUS, STAY_SLIDING, Event,
-                               IntegratorOptions, Trajectory, integrate_blowup,
+from twofold.integrate import (EJECT_MINUS, EJECT_PLUS, FLOW_MINUS, FLOW_PLUS, LAYER, POLICIES,
+                               STAY_SLIDING, Event, IntegratorOptions, Trajectory, integrate_blowup,
                                integrate_filippov, integrate_smooth, integrate_smoothed)
 from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
                                BISECT_MAX_ITER, NonconvergentEventError,
-                               TWO_FOLD_TOL, _Stepper, _bisect_event,
+                               TWO_FOLD_TOL, _Stepper, _bisect_event, _dp54_run,
                                SIGMOIDS, _first_cubic, _hermite, _monotone_noise, _run_steps,
                                _illinois, _slide_monitors, _surface_crossing)
 from twofold.scenarios import builtin, load_config
@@ -286,6 +287,173 @@ def test_slide_with_x1_pinned_matches_the_two_dimensional_attempt():
             assert same_bits(err, want[2])
 
 
+# ------------------------------------------------------------ the fused DP54 loop
+
+def reference_dp54_run(traj, stepper, t1, side=0, blowup=False):
+    """`_dp54_run`'s contract through `_run_steps` and `_Stepper.step`: the
+    same tags, and as pre-test a flow flags every step (the scan finds no
+    crossing on a step the hull test passes) and a blow-up each step whose
+    lam leaves (-1, 1)."""
+    def tag(y):
+        if blowup:
+            return LAYER, y[0]
+        if side:
+            return (FLOW_PLUS if side > 0 else FLOW_MINUS), math.nan
+        return (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS), math.nan
+
+    def flag(seg):
+        return seg if side or blowup and not -1.0 < seg[4][0] < 1.0 else None
+    return _run_steps(traj, stepper, t1, tag, flag)
+
+
+def snapshot(traj):
+    """Everything a run leaves, comparable bit for bit."""
+    return ([bytes(col) for col in (traj.times, *traj.columns, *traj._f, traj.lams)],
+            list(traj._modes), repr(sorted(traj._f_in.items())), repr(traj.events),
+            repr(sorted(traj.meta.items())))
+
+
+def assert_fused_matches_reference(monkeypatch, run):
+    fused = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(integrate, "_dp54_run", reference_dp54_run)
+        reference = run()
+    assert snapshot(fused) == snapshot(reference)
+    return fused
+
+
+@pytest.mark.parametrize("name", ["example-i", "example-ii", "example-iii"])
+def test_fused_filippov_runs_match_the_reference_loop(monkeypatch, name):
+    sc = builtin(name)
+    traj = assert_fused_matches_reference(
+        monkeypatch, lambda: integrate_filippov(sc.system, sc.x0, (0.0, 100.0)))
+    assert traj.t_end == 100.0 and len(events_of_kind(traj, "crossing")) > 2
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", ["visible-nf", "invisible-nf", "mixed-nf"])
+def test_fused_normal_form_runs_match_the_reference_loop(monkeypatch, name, policy):
+    sc = builtin(name)
+    opts = IntegratorOptions(repelling_policy=policy)
+    for x0 in (sc.x0, (0.3, -1.0, 0.5), (-0.2, 0.7, -1.2)):
+        assert_fused_matches_reference(
+            monkeypatch, lambda: integrate_filippov(sc.system, x0, (0.0, 10.0), opts))
+
+
+@pytest.mark.parametrize("y0, t_end, exits", [
+    ((0.0, 1.0, -1.0), 1.0, True),
+    ((0.5, 1.0, 1.0), 2.0, False),
+    ((-0.8, 0.0, 0.0), 1e-4, False),
+    ((1.0, 1.0, -1.0), 1.0, True),
+])
+def test_fused_blowups_match_the_reference_loop(monkeypatch, y0, t_end, exits):
+    sys = nf(1, 1, -2.0, -2.0, 0.2)
+    traj = assert_fused_matches_reference(
+        monkeypatch, lambda: integrate_blowup(sys, 1e-3, y0, (0.0, t_end)))
+    assert ("boundary_exit" in traj.meta) == exits and (traj.t_end < t_end) == exits
+
+
+def test_fused_smooth_runs_match_the_reference_loop(monkeypatch):
+    # the harmonic oscillator's x1 changes sign, so both tags occur
+    fld = parse_field("x2", "-x1", "0")
+    traj = assert_fused_matches_reference(
+        monkeypatch, lambda: integrate_smooth(fld, (1.0, 0.0, 0.0), (0.0, 20.0)))
+    assert {traj.mode(i) for i in range(len(traj))} == {FLOW_PLUS, FLOW_MINUS}
+
+
+@pytest.mark.parametrize("kind", ["smooth", "filippov", "blowup"])
+def test_fused_budget_exit_matches_the_reference_loop(monkeypatch, kind):
+    monkeypatch.setattr(integrate, "MAX_STEPS", 7)
+    sc = builtin("example-iii")
+    run = {"smooth": lambda: integrate_smooth(parse_field("x2", "-x1", "0"), (1.0, 0.0, 0.0),
+                                              (0.0, 100.0)),
+           "filippov": lambda: integrate_filippov(sc.system, sc.x0, (0.0, 100.0)),
+           "blowup": lambda: integrate_blowup(nf(1, 1, -2.0, -2.0, 0.2), 1e-3,
+                                              (0.5, 1.0, 1.0), (0.0, 2.0))}[kind]
+    traj = assert_fused_matches_reference(monkeypatch, run)
+    assert traj.meta["aborted"] == "budget" and traj.meta["steps"] == 7
+
+
+def test_fused_step_floor_matches_the_reference_loop(monkeypatch):
+    # x1' = x1^2 from x1 = 1 blows up at t = 1, where the steps shrink
+    # below min_step; the blow-up's attempts all overflow to NaN states
+    field = parse_field("x1*x1", "0", "1")
+    sys = PiecewiseSmoothSystem(field, field)
+    flow = assert_fused_matches_reference(
+        monkeypatch, lambda: integrate_filippov(sys, (1.0, 0.0, 0.0), (0.0, 2.0),
+                                                IntegratorOptions(min_step=1e-6)))
+    blowup = assert_fused_matches_reference(
+        monkeypatch, lambda: integrate_blowup(nf(1, -1, 0.0, -2.0, 1e308), 1e-3,
+                                              (1.0, 1e10, 1.0), (0.0, 0.5)))
+    for traj in (flow, blowup):
+        assert traj.meta["aborted"] == "step-floor" and traj.events[-1].kind == "step-floor"
+    assert 0.99 < flow.t_end < 1.0 and len(blowup) == 1
+
+
+def test_fused_grazing_start_is_sampled_and_goes_on(monkeypatch):
+    # from x1 = 0 with x1' = x2 = 1 on both sides the run crosses at once;
+    # the flow's first step starts on the surface, so its hull test flags
+    # it, and the scan finds no new crossing there
+    field = parse_field("x2", "1", "0")
+    sys = PiecewiseSmoothSystem(field, field)
+    traj = assert_fused_matches_reference(
+        monkeypatch, lambda: integrate_filippov(sys, (0.0, 1.0, 0.0), (0.0, 1.0)))
+    assert [e.kind for e in traj.events] == ["crossing"] and traj.t_end == 1.0
+    assert len(traj) == traj.meta["steps"] + 1 > 2
+
+
+@pytest.mark.parametrize("name", ["example-i", "example-iii"])
+def test_fused_steps_match_the_reference_attempt(name):
+    # one step of size h to t = h: where the first attempt passes, the
+    # sample is `reference_attempt`'s state and derivative, bit for bit
+    rng = random.Random(f"fused-{name}")
+    sys = builtin(name).system
+    checked = 0
+    for sigmoid in ("tanh", "sqrt"):
+        fn = compile_layer(sys, SIGMOIDS[sigmoid][0](1e-3))
+        for _ in range(100):
+            y0 = (rng.uniform(-1e-2, 1e-2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+            opts = IntegratorOptions(rel_tol=10.0 ** rng.uniform(-10, -4),
+                                     abs_tol=10.0 ** rng.uniform(-12, -6))
+            h = 10.0 ** rng.uniform(-7, -3)
+            traj = Trajectory()
+            stepper = _Stepper(fn, 0.0, y0, opts, h=h)
+            assert _dp54_run(traj, stepper, h) is None
+            if traj.meta["attempts"] == 1:
+                want = reference_attempt(lambda y: fn(*y), y0, fn(*y0), h, opts)
+                got = (traj.state(1), tuple(col[1] for col in traj._f))
+                for g, w in zip(got, want[:2]):
+                    assert all(same_bits(a, b) for a, b in zip(g, w)), (y0, h, g, w)
+                checked += 1
+    assert checked > 50
+
+
+def test_rhs_calls_are_one_plus_six_per_attempt():
+    calls = 0
+    fn = parse_field("x2", "-x1", "x1*x2").fn
+
+    def counted(x1, x2, x3):
+        nonlocal calls
+        calls += 1
+        return fn(x1, x2, x3)
+    traj = integrate_smooth(types.SimpleNamespace(fn=counted), (1.0, 0.0, 0.0), (0.0, 20.0),
+                            IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13))
+    attempts = traj.meta["attempts"]
+    assert calls == 1 + 6 * attempts and attempts > traj.meta["steps"] > 0
+
+
+def test_every_integrator_counts_its_attempts():
+    sc = builtin("example-ii")
+    sys = nf(1, 1, -2.0, -2.0, 0.2)
+    runs = (integrate_filippov(sc.system, sc.x0, (0.0, 50.0)),
+            integrate_filippov(sys, (0.0, 1.0, 1.0), (0.0, 5.0)),
+            integrate_blowup(sys, 1e-3, (0.0, 1.0, -1.0), (0.0, 1.0)),
+            integrate_smoothed(sc.system, "tanh", 1e-3, sc.x0, (0.0, 20.0)))
+    for traj in runs:
+        assert traj.meta["attempts"] >= traj.meta["steps"] > 0
+    assert runs[-1].meta["rosenbrock_steps"] > 0
+
+
 # ------------------------------------------------------------ Filippov
 
 def test_attracting_slide_reaches_two_fold_and_breaks_determinacy():
@@ -392,18 +560,34 @@ def test_surface_crossing_brackets_from_the_first_point_off_the_surface():
     assert _surface_crossing(seg, -1) is None
 
 
-def test_surface_crossing_skips_the_scan_inside_the_hull(monkeypatch):
-    # all four control points of x1 = 1 + (t - 0.5)^2 on [0, 1] lie on the
-    # plus side: no root search runs, and the answer is None on that side
-    def no_roots(*args):
-        raise AssertionError("quadratic_roots called")
-    monkeypatch.setattr(integrate, "quadratic_roots", no_roots)
-    seg = polynomial_segment(lambda t: 1.0 + (t - 0.5) ** 2, lambda t: 2.0 * (t - 0.5),
-                             0.0, 1.0)
-    assert _surface_crossing(seg, 1) is None
-    # seen from the minus side the start is already beyond the surface: scan
-    with pytest.raises(AssertionError):
-        _surface_crossing(seg, -1)
+def test_flow_steps_inside_the_hull_skip_the_scan(monkeypatch):
+    # x1' = x2, x2' = 1 on both sides.  From (1, 0, 0), x1 = 1 + t^2/2 keeps
+    # every control point of every step on the plus side, so the fused
+    # loop's hull test flags no step and the scan never runs.  From
+    # (0.0042, -0.09, 0), x1 dips to 1.5e-4 inside the step [0.031, 0.156],
+    # whose second control point lies below the surface: that one step is
+    # scanned, does not cross, and is sampled like any other.  A start
+    # 2e-12 off the surface at x1' = 1e5 stays inside the hull too, but
+    # within its rounding margin: the first step is scanned
+    scanned = []
+
+    def scan(seg, side):
+        scanned.append((seg[0], seg[3]))
+        return _surface_crossing(seg, side)
+    monkeypatch.setattr(integrate, "_surface_crossing", scan)
+    field = parse_field("x2", "1", "0")
+    sys = PiecewiseSmoothSystem(field, field)
+    far = integrate_filippov(sys, (1.0, 0.0, 0.0), (0.0, 1.0))
+    assert scanned == [] and far.t_end == 1.0 and not far.events
+    dip = integrate_filippov(sys, (0.0042, -0.09, 0.0), (0.0, 1.0))
+    assert scanned == [(0.031, 0.156)] and not dip.events
+    assert dip.t_end == 1.0 and 0.156 in dip.times and len(dip) == dip.meta["steps"] + 1
+    for side in (1, -1):
+        scanned.clear()
+        field = parse_field(f"{side * 100000}", "1", "0")
+        near = integrate_filippov(PiecewiseSmoothSystem(field, field), (side * 2e-12, 0.0, 0.0),
+                                  (0.0, 1.0))
+        assert scanned == [(0.0, 0.001)] and not near.events and near.t_end == 1.0
 
 
 # ---- the locator's oracle: the extrema scan with no hull test, and plain
