@@ -22,9 +22,8 @@ from .singularities import (AlphaZeroError, BoundarySingularityError,
 from .sliding import (CurveL, SlidingSolution, curve_L, region_classify,
                       sliding_lambda)
 from .transform import (TransformContext, TransformDomainError, chart,
-                        curve_functions, equivalence_residual,
-                        folded_normal_field, from_x_tilde, to_y,
-                        transform_check)
+                        equivalence_residual, folded_normal_field,
+                        from_x_tilde, transform_check)
 
 # every name imported above; the submodules those imports bind are not
 __all__ = [name for name, value in sorted(globals().items())

@@ -24,6 +24,7 @@ couples eps = h to the sphere radius h; their maximum must shrink like h^2.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .fields import PiecewiseSmoothSystem, TwoFoldParams, is_number, normal_form_system
@@ -32,14 +33,15 @@ from .singularities import (ALPHA_FLOOR, BOUNDARY_TOL, FoldedSingularity,
 
 __all__ = [
     "TransformContext", "TransformDomainError",
-    "to_y", "curve_functions", "chart", "from_x_tilde", "folded_normal_field",
+    "chart", "from_x_tilde", "folded_normal_field",
     "equivalence_residual", "transform_check",
 ]
 
 
 class TransformDomainError(ValueError):
     """Point outside the rectification domain (1+lam_s)^2 - y3/alpha >= 0,
-    or a residual outside (0, inf), which has no logarithm for the order fit."""
+    a residual outside (0, inf), which has no logarithm for the order fit,
+    or a smallest residual that does not clear rounding near lam_s = -1."""
 
 
 class TransformContext(namedtuple("TransformContext", "params singularity epsilon system")):
@@ -61,32 +63,14 @@ class TransformContext(namedtuple("TransformContext", "params singularity epsilo
             raise ValueError("epsilon must lie in (0, 1]")
         return super().__new__(cls, params, singularity, epsilon, system)
 
-    @property
-    def lam_s(self):
-        return self.singularity.lambda_s
 
-    @property
-    def sign_alpha(self):
-        return 1.0 if self.params.alpha > 0 else -1.0
-
-
-def to_y(ctx: TransformContext, point):
-    lam, x2, x3 = point
-    s = ctx.singularity
-    return (lam - s.lambda_s, x2 - s.x2s, x3 - s.x3s)
-
-
-def curve_functions(ctx: TransformContext, y3: float):
-    """(y1L, y2L, y1L', y2L') parameterizing the non-hyperbolic curve by y3.
+def _curve(ls, al, y3):
+    """(y1L, y2L, y1L', y2L') parameterizing the non-hyperbolic curve by y3,
+    around the singularity at lam_s = ls, for alpha = al.
 
     y1L(y3) = -1 - lam_s + sqrt((1+lam_s)^2 - y3/alpha) is the branch through
     the singularity (y1L(0) = 0); y2L = -y3 - 4 alpha y1L.
     """
-    return _curve(ctx.singularity.lambda_s, ctx.params.alpha, y3)
-
-
-def _curve(ls, al, y3):
-    """`curve_functions` at lam_s = ls and alpha = al."""
     arg = (1.0 + ls) ** 2 - y3 / al
     scale = (1.0 + ls) ** 2 + abs(y3 / al)
     if arg < 0.0:
@@ -201,46 +185,56 @@ def equivalence_residual(ctx: TransformContext) -> float:
     return worst
 
 
-DEFAULT_H_VALUES = (1e-1, 1e-2, 1e-3, 1e-4)
+# The sphere radii of one singularity are h = min(R, 1) * RUNGS, with
+# R = |alpha| (1 + lam_s)^2 the size of its rectification domain
+# (1 + lam_s)^2 - y3/alpha >= 0: the largest sphere is at most a hundredth
+# of the domain, however small R is.
+RUNGS = (1e-2, 1e-3, 1e-4, 1e-5)
 SLOPE_TARGET = 2.0
 SLOPE_TOL = 0.1
-# A ladder whose largest sphere leaves the rectification domain is divided
-# by ten at most this often.  Near h = 1e-8 the residuals (~h^2) meet
-# rounding, so the smallest ladder must end well above it.
-LADDER_SHRINKS = 2
+# The rounding limit near lam_s = -1.  Row 2's defect at the singularity is
+# -Q(lam_s)/4, Q the existence quadratic; Q(-1) = -4 a2, so at a root with
+# 1 + lam_s = d small, |Q'(lam_s)| is about 4/d, and the rounding error of
+# lam_s, an ulp or two (up to EPS), moves row 2 by up to EPS/d on every
+# sphere.  The residual itself does not scale with R: it reads C rung^2, C
+# from 0.005 to 3.5 over the draws of the tests.  So the smallest rung's
+# residual must clear the floor EPS/(1 + lam_s) ROUNDING_MARGIN times over,
+# which keeps the floor's pull on the fitted slope below
+# 0.3 log10(1 + 1/(ROUNDING_MARGIN - 1)) = 0.014.  At a1 = 1, a2 = -1,
+# b1 = -b2 (C = 0.24) the bound reads 1 + lam_s >= 9e-5.
+ROUNDING_MARGIN = 10.0
+EPS = sys.float_info.epsilon
 
 
-def transform_check(p: TwoFoldParams, singularity: FoldedSingularity | None = None) -> dict:
-    """Order study of the residual with eps coupled to the sample radius.
+def transform_check(p: TwoFoldParams) -> dict:
+    """Order study of the residual of every folded singularity of `p`, with
+    eps coupled to the sample radius.
 
-    Returns a report dict per checked singularity: h_values, residuals, the
-    log-log slope, and pass = |slope - 2| <= 0.1.  DEFAULT_H_VALUES is used as
-    given when its largest sphere fits the rectification domain of every
-    checked singularity and every residual is positive and finite; otherwise
-    the whole ladder is divided by ten, up to LADDER_SHRINKS times, and past
-    that the TransformDomainError stands.
+    Each singularity is sampled on its own ladder h = min(R, 1) * RUNGS,
+    R = |alpha| (1 + lam_s)^2.  Returns a report dict per singularity: R,
+    h_values, residuals, the log-log slope, and pass = |slope - 2| <= 0.1.
+    Raises TransformDomainError when a residual is not positive and finite,
+    or when the smallest one does not clear the rounding floor near
+    lam_s = -1, where no slope could be read.
     """
-    sings = [singularity] if singularity is not None else folded_singularities(p)
-    # one system, compiled once, serves every rung of the ladder
+    sings = folded_singularities(p)
+    # one system, compiled once, serves every rung of every ladder
     system = normal_form_system(p) if sings else None
-    h_values = DEFAULT_H_VALUES
-    for _ in range(LADDER_SHRINKS):
-        try:
-            return _order_study(p, sings, h_values, system)
-        except TransformDomainError:
-            h_values = tuple(h / 10.0 for h in h_values)
-    return _order_study(p, sings, h_values, system)
-
-
-def _order_study(p, sings, h_values, system) -> dict:
     reports = []
     for s in sings:
-        residuals = []
-        for h in h_values:
-            residuals.append(equivalence_residual(TransformContext(p, s, h, system)))
+        d = 1.0 + s.lambda_s
+        R = abs(p.alpha) * d * d
+        h_values = [min(R, 1.0) * rung for rung in RUNGS]
+        residuals = [equivalence_residual(TransformContext(p, s, h, system)) for h in h_values]
         if not all(0.0 < r < math.inf for r in residuals):
             raise TransformDomainError(f"residuals {residuals} at lam_s = {s.lambda_s!r} "
                                        "are not all positive and finite")
+        floor = EPS / d
+        if residuals[-1] < ROUNDING_MARGIN * floor:
+            raise TransformDomainError(
+                f"1 + lam_s = {d:.3e} is past the rounding limit: the smallest residual "
+                f"{residuals[-1]:.3e} is below {ROUNDING_MARGIN:g} times the rounding floor "
+                f"EPS/(1 + lam_s) = {floor:.3e}")
         lx = [math.log10(h) for h in h_values]
         ly = [math.log10(r) for r in residuals]
         mx = sum(lx) / len(lx)
@@ -250,7 +244,8 @@ def _order_study(p, sings, h_values, system) -> dict:
         reports.append({
             "params": p._asdict(),
             "lambda_s": s.lambda_s,
-            "h_values": list(h_values),
+            "R": R,
+            "h_values": h_values,
             "residuals": residuals,
             "slope": slope,
             "pass": abs(slope - SLOPE_TARGET) <= SLOPE_TOL,

@@ -152,11 +152,8 @@ def test_criterion_4_equivalence_order():
     slopes = []
     while len(slopes) < 20:
         p = _random_params(rng)
-        for s in folded_singularities(p):
-            if abs(p.alpha) * (1.0 + s.lambda_s) ** 2 < 0.25:
-                continue  # rectification domain shorter than the h ladder
-            rep = transform_check(p, singularity=s)["checks"][0]
-            slopes.append(rep["slope"])
+        for check in transform_check(p)["checks"]:
+            slopes.append(check["slope"])
             if len(slopes) == 20:
                 break
     elapsed = time.perf_counter() - t0

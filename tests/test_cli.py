@@ -22,7 +22,7 @@ from twofold.scenarios import builtin, builtin_names, load_config
 from twofold.singularities import (ALPHA_FLOOR, classify_two_fold,
                                    folded_singularities)
 from twofold.sliding import region_classify, sliding_lambda
-from twofold.transform import DEFAULT_H_VALUES
+from twofold.transform import RUNGS
 
 
 def run_cli(capsys, *argv):
@@ -99,21 +99,45 @@ def test_transform_check_passes(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
-    assert doc["checks"][0]["slope"] == pytest.approx(2.0, abs=0.1)
-    assert doc["checks"][0]["h_values"] == list(DEFAULT_H_VALUES)
+    check = doc["checks"][0]
+    assert check["slope"] == pytest.approx(2.0, abs=0.1)
+    assert check["R"] == pytest.approx(0.2 * (1 + check["lambda_s"]) ** 2, rel=1e-15)
+    assert check["h_values"] == [check["R"] * rung for rung in RUNGS]
 
 
-def test_transform_check_mixed_nf_shrinks_its_ladder(capsys):
-    # the folded singularity at lam_s = -0.447 admits only y3 < 0.061, so
-    # the default ladder's h = 0.1 sphere does not fit
+def test_transform_check_mixed_nf_scales_each_ladder_to_its_domain(capsys):
+    # the folded singularity at lam_s = -0.447 admits only y3 < R = 0.0611,
+    # the one at lam_s = 0.447 y3 < R = 0.419: each is sampled on its own
+    # ladder, min(R, 1) times the rungs
     code, out = run_cli(capsys, "transform-check", "--scenario", "mixed-nf")
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
-    assert len(doc["checks"]) == 2
+    assert [round(check["R"], 4) for check in doc["checks"]] == [0.0611, 0.4189]
     for check in doc["checks"]:
-        assert check["h_values"] == [1e-2, 1e-3, 1e-4, 1e-5]
+        assert check["h_values"] == [min(check["R"], 1.0) * rung for rung in RUNGS]
         assert check["pass"] is True
+
+
+@pytest.mark.parametrize("alpha", ["0.2", "1e-2", "1e-3", "1e-4", "1e-6", "1e-8", "-1e-6"])
+def test_transform_check_passes_down_to_small_alpha(alpha, capsys):
+    # R = |alpha| (1 + lam_s)^2 shrinks with alpha; the ladder follows it
+    code, out = run_cli(capsys, "transform-check", "--a1", "1", "--a2", "1",
+                        "--b1=-2", "--b2=-1", f"--alpha={alpha}")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["checks"][0]["R"] == pytest.approx(0.5836 * abs(float(alpha)), rel=1e-4)
+
+
+def test_transform_check_past_the_rounding_limit_is_numerical_failure(capsys):
+    # 1 + lam_s = 1e-6: the smallest residual no longer clears rounding
+    code = main(["transform-check", "--a1", "1", "--a2", "-1", "--b1=1e6", "--b2=-1e6",
+                 "--alpha=0.2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure: 1 + lam_s = 1.000e-06 is past "
+                                   "the rounding limit")
 
 
 def test_usage_error_exit_code(capsys):

@@ -22,13 +22,13 @@ def test_public_names_are_pinned():
         "PiecewiseSmoothSystem", "STAY_SLIDING", "Scenario", "SlidingSolution",
         "SmoothField", "Trajectory", "TransformContext", "TransformDomainError",
         "TwoFoldFlavor", "TwoFoldParams", "builtin", "builtin_names", "chart",
-        "classify_two_fold", "curve_L", "curve_functions",
+        "classify_two_fold", "curve_L",
         "equivalence_residual", "folded_normal_field",
         "folded_singularities", "from_x_tilde",
         "integrate_blowup", "integrate_filippov", "integrate_smooth",
         "integrate_smoothed", "load_config", "normal_form_system", "parse_expr",
         "parse_field", "region_classify", "save_run",
-        "sliding_lambda", "to_y", "transform_check",
+        "sliding_lambda", "transform_check",
     ]
 
 

@@ -6,10 +6,9 @@ import pytest
 from twofold.fields import TwoFoldParams, normal_form_system
 from twofold.singularities import folded_singularities
 from twofold.sliding import curve_L
-from twofold.transform import (TransformContext, TransformDomainError,
-                               curve_functions, equivalence_residual,
-                               chart, folded_normal_field, from_x_tilde,
-                               to_y, transform_check)
+from twofold.transform import (RUNGS, TransformContext, TransformDomainError, _curve,
+                               chart, equivalence_residual, folded_normal_field,
+                               from_x_tilde, transform_check)
 
 
 def make_ctx(a1=1, a2=1, b1=1.0, b2=-1.0, alpha=0.2, eps=1e-3, which=0):
@@ -18,36 +17,54 @@ def make_ctx(a1=1, a2=1, b1=1.0, b2=-1.0, alpha=0.2, eps=1e-3, which=0):
     return TransformContext(p, s, eps, normal_form_system(p))
 
 
+def curve(ctx, y3):
+    """The curve functions (y1L, y2L, y1L', y2L') of ctx's singularity at y3."""
+    return _curve(ctx.singularity.lambda_s, ctx.params.alpha, y3)
+
+
+def corrective_shift(ctx):
+    s = ctx.singularity
+    return ctx.epsilon * s.f3s / (ctx.params.alpha * (1 + s.lambda_s) ** 2)
+
+
 # ------------------------------------------------------------ translation
 
 def test_translation_moves_singularity_to_origin():
-    ctx = make_ctx()
-    s = ctx.singularity
-    assert to_y(ctx, (s.lambda_s, s.x2s, s.x3s)) == (0.0, 0.0, 0.0)
+    # y = 0 at the singularity, so z = 0 and only the corrective shift is
+    # left: x~ = (0, sign(alpha) d1 shift, 0)
+    for kw in ({}, {"alpha": -0.3, "b1": -2.0, "b2": -2.0}):
+        ctx = make_ctx(**kw)
+        s = ctx.singularity
+        sgn = math.copysign(1.0, ctx.params.alpha)
+        assert chart(ctx, (s.lambda_s, s.x2s, s.x3s))[0] == (
+            0.0, sgn * s.d1 * corrective_shift(ctx), 0.0)
 
 
 def test_translation_shift_values():
-    # lam_s = 0 case: the singularity sits at (0, alpha, -alpha)
+    # lam_s = 0 case: the singularity sits at (0, alpha, -alpha), so the
+    # point (0.1, 0.2, -0.2) has y = (0.1, 0, 0) and z1 = 0.1
     ctx = make_ctx(b1=-2.0, b2=-2.0)
-    assert ctx.singularity.lambda_s == 0.0
-    y = to_y(ctx, (0.1, 0.2, -0.2))
-    assert y == pytest.approx((0.1, 0.0, 0.0), abs=1e-15)
+    s = ctx.singularity
+    assert s.lambda_s == 0.0
+    xt = chart(ctx, (0.1, 0.2, -0.2))[0]
+    assert xt == pytest.approx((math.sqrt(0.2) * 0.1, s.d1 * corrective_shift(ctx), 0.0),
+                               abs=1e-15)
 
 
 # ------------------------------------------------------------ fold curve
 
 def test_curve_functions_vanish_at_singularity():
     ctx = make_ctx()
-    y1l, y2l, _, _ = curve_functions(ctx, 0.0)
+    y1l, y2l, _, _ = curve(ctx, 0.0)
     assert y1l == pytest.approx(0.0, abs=1e-15)
     assert y2l == pytest.approx(0.0, abs=1e-15)
 
 
 def test_curve_function_derivatives_at_zero():
     ctx = make_ctx()
-    ls = ctx.lam_s
+    ls = ctx.singularity.lambda_s
     al = ctx.params.alpha
-    _, _, y1lp, y2lp = curve_functions(ctx, 0.0)
+    _, _, y1lp, y2lp = curve(ctx, 0.0)
     assert y1lp == pytest.approx(-1.0 / (2 * al * (1 + ls)), rel=1e-13)
     assert y2lp == pytest.approx((1 - ls) / (1 + ls), rel=1e-13)
 
@@ -56,30 +73,36 @@ def test_curve_function_derivatives_match_finite_differences():
     ctx = make_ctx()
     h = 1e-6
     for y3 in (-0.05, 0.0, 0.02):
-        y1l_p, y2l_p, d1, d2 = curve_functions(ctx, y3)
-        up = curve_functions(ctx, y3 + h)
-        dn = curve_functions(ctx, y3 - h)
+        y1l_p, y2l_p, d1, d2 = curve(ctx, y3)
+        up = curve(ctx, y3 + h)
+        dn = curve(ctx, y3 - h)
         assert d1 == pytest.approx((up[0] - dn[0]) / (2 * h), abs=1e-6)
         assert d2 == pytest.approx((up[1] - dn[1]) / (2 * h), abs=1e-6)
 
 
 def test_domain_error_outside_rectification_domain():
+    # past the domain the curve functions, the chart and its inverse all raise
     ctx = make_ctx()
-    bad_y3 = ctx.params.alpha * (1 + ctx.lam_s) ** 2 * 1.5
+    s = ctx.singularity
+    bad_y3 = ctx.params.alpha * (1 + s.lambda_s) ** 2 * 1.5
     with pytest.raises(TransformDomainError):
-        curve_functions(ctx, bad_y3)
+        curve(ctx, bad_y3)
+    with pytest.raises(TransformDomainError):
+        chart(ctx, (s.lambda_s, s.x2s, s.x3s + bad_y3))
+    with pytest.raises(TransformDomainError):
+        from_x_tilde(ctx, (0.0, 0.0, -bad_y3))
 
 
 def test_curve_functions_clamp_rounding_just_past_the_domain_boundary():
     # the first y3 past alpha (1 + lam_s)^2 whose argument rounds below 0 is
     # taken as the boundary itself, where the chart turns vertical
     ctx = make_ctx()
-    ls, al = ctx.lam_s, ctx.params.alpha
+    ls, al = ctx.singularity.lambda_s, ctx.params.alpha
     y3 = al * (1.0 + ls) ** 2
     while (1.0 + ls) ** 2 - y3 / al >= 0.0:
         y3 = math.nextafter(y3, math.inf)
-    assert curve_functions(ctx, y3) == (-1.0 - ls, -y3 + 4.0 * al * (1.0 + ls),
-                                        -math.inf, math.inf)
+    assert _curve(ls, al, y3) == (-1.0 - ls, -y3 + 4.0 * al * (1.0 + ls),
+                                  -math.inf, math.inf)
 
 
 # ------------------------------------------------------------ full chain
@@ -94,8 +117,9 @@ def test_singularity_maps_near_origin():
 
 def test_fold_curve_rectifies_to_zero_first_component():
     ctx = make_ctx()
+    s = ctx.singularity
     for lam, x2, x3 in curve_L(ctx.params).points:
-        if (1 + ctx.lam_s) ** 2 - (x3 - ctx.singularity.x3s) / ctx.params.alpha < 0:
+        if (1 + s.lambda_s) ** 2 - (x3 - s.x3s) / ctx.params.alpha < 0:
             continue
         xt = chart(ctx, (lam, x2, x3))[0]
         assert abs(xt[0]) <= 1e-10
@@ -136,15 +160,14 @@ def test_sign_of_alpha_flips_slow_coordinates():
     # components of x~.  Recover z through the inverse chain and compare.
     ctx_p = make_ctx(alpha=0.2)
     ctx_m = make_ctx(alpha=-0.2)
-    assert ctx_m.lam_s == pytest.approx(ctx_p.lam_s, abs=1e-14)
+    assert ctx_m.singularity.lambda_s == pytest.approx(ctx_p.singularity.lambda_s, abs=1e-14)
 
     def z_content(ctx, xt):
-        pt = from_x_tilde(ctx, xt)
-        y1, y2, y3 = to_y(ctx, pt)
-        y1l, y2l, _, _ = curve_functions(ctx, y3)
-        shift = ctx.epsilon * ctx.singularity.f3s / (
-            ctx.params.alpha * (1 + ctx.lam_s) ** 2)
-        return (y1 - y1l, y2 - y2l - shift, y3)
+        s = ctx.singularity
+        lam, x2, x3 = from_x_tilde(ctx, xt)
+        y1, y2, y3 = lam - s.lambda_s, x2 - s.x2s, x3 - s.x3s
+        y1l, y2l, _, _ = curve(ctx, y3)
+        return (y1 - y1l, y2 - y2l - corrective_shift(ctx), y3)
 
     xt = (0.05, 0.02, -0.03)
     zp = z_content(ctx_p, xt)
@@ -177,7 +200,8 @@ def _difference_rate(ctx, point, v, h):
     step = h / math.sqrt(sum(c * c for c in v))
     up = chart(ctx, tuple(p + step * c for p, c in zip(point, v)))[0]
     dn = chart(ctx, tuple(p - step * c for p, c in zip(point, v)))[0]
-    return tuple(-ctx.sign_alpha * (u - d) / (2 * step) for u, d in zip(up, dn))
+    sgn = math.copysign(1.0, ctx.params.alpha)
+    return tuple(-sgn * (u - d) / (2 * step) for u, d in zip(up, dn))
 
 
 def _points_near_singularity(ctx, seed, n):
@@ -270,17 +294,55 @@ def test_residual_scales_quadratically():
 
 
 def test_residual_both_mixed_singularities():
-    # the root near lam_s = -0.45 has a small rectification domain, so the
-    # default ladder shrinks once, to start at h = 0.01
-    report = transform_check(TwoFoldParams(-1, 1, -4.0, -1.0, 0.2))
-    assert [c["h_values"][0] for c in report["checks"]] == [1e-2, 1e-2]
-    assert report["pass"]
+    # each root is sampled on a ladder scaled to its own rectification
+    # domain, R = |alpha| (1 + lam_s)^2: 0.061 near lam_s = -0.45, 0.42 at the other
+    p = TwoFoldParams(-1, 1, -4.0, -1.0, 0.2)
+    report = transform_check(p)
+    sings = folded_singularities(p)
+    assert len(report["checks"]) == len(sings) == 2
+    for check, s in zip(report["checks"], sings):
+        R = check["R"]
+        assert check["lambda_s"] == s.lambda_s
+        assert R == pytest.approx(abs(p.alpha) * (1 + s.lambda_s) ** 2, rel=1e-15)
+        assert check["h_values"] == [R * rung for rung in RUNGS]
+        assert check["pass"]
+    assert [round(c["R"], 4) for c in report["checks"]] == [0.0611, 0.4189]
 
 
-def test_ladder_shrinks_a_bounded_number_of_times():
-    # alpha = 1e-4 leaves a domain far smaller than the twice-shrunk ladder
+def test_a_small_domain_gets_its_own_ladder():
+    # alpha = 1e-4 leaves a domain of R = 2.5e-4, far below a sphere of
+    # radius 0.1; the largest sphere of its ladder is R / 100
     p = TwoFoldParams(1, 1, 0.5, -3.0, 1e-4)
-    with pytest.raises(TransformDomainError):
+    (check,) = transform_check(p)["checks"]
+    assert check["R"] == pytest.approx(2.5e-4, rel=0.01)
+    assert check["h_values"][0] == check["R"] * 1e-2
+    assert check["pass"]
+
+
+def test_a_domain_larger_than_one_keeps_the_unit_ladder():
+    # min(R, 1): the ladder never grows past the rungs themselves
+    (check,) = transform_check(TwoFoldParams(1, 1, 3.0, -1.0, 5.0))["checks"]
+    assert check["R"] > 1.0
+    assert check["h_values"] == list(RUNGS)
+    assert check["pass"]
+
+
+# a1 = 1, a2 = -1, b1 = -b = -b2 puts a root at 1 + lam_s ~ 1/b, whose
+# rounding floor EPS/(1 + lam_s) the smallest residual (2.4e-11) clears ten
+# times over only while 1 + lam_s >= 9e-5
+
+def test_a_root_2e_4_from_lam_minus_one_clears_rounding():
+    p = TwoFoldParams(1, -1, 5e3, -5e3, 0.2)
+    assert 1 + folded_singularities(p)[0].lambda_s == pytest.approx(2e-4, rel=1e-3)
+    report = transform_check(p)
+    assert report["pass"]
+    assert report["checks"][0]["slope"] == pytest.approx(2.0, abs=0.01)
+
+
+def test_a_root_2e_5_from_lam_minus_one_is_past_the_rounding_limit():
+    p = TwoFoldParams(1, -1, 5e4, -5e4, 0.2)
+    assert 1 + folded_singularities(p)[0].lambda_s == pytest.approx(2e-5, rel=1e-3)
+    with pytest.raises(TransformDomainError, match="past the rounding limit"):
         transform_check(p)
 
 
@@ -291,12 +353,24 @@ def test_residual_random_draws():
         p = TwoFoldParams(rng.choice([-1, 1]), rng.choice([-1, 1]),
                           rng.uniform(-5, 5), rng.uniform(-5, 5),
                           rng.choice([-1, 1]) * rng.uniform(0.05, 1.0))
-        for s in folded_singularities(p):
-            if abs(p.alpha) * (1 + s.lambda_s) ** 2 < 0.25:
-                continue  # rectification domain too small for h = 0.1
-            rep = transform_check(p, singularity=s)
-            assert rep["checks"][0]["pass"], (p, s.lambda_s, rep["checks"][0])
-            done += 1
+        rep = transform_check(p)
+        assert rep["pass"], (p, rep["checks"])
+        done += len(rep["checks"])
+
+
+def test_every_singularity_of_400_draws_down_to_alpha_1e_8_passes():
+    # |alpha| log-uniform in [1e-8, 10]: R = |alpha| (1 + lam_s)^2 runs far
+    # below any fixed ladder, and every singularity passes on its own
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(400):
+        p = TwoFoldParams(rng.choice([-1, 1]), rng.choice([-1, 1]),
+                          rng.uniform(-5, 5), rng.uniform(-5, 5),
+                          rng.choice([-1, 1]) * 10.0 ** rng.uniform(-8, 1))
+        for check in transform_check(p)["checks"]:
+            assert check["pass"], (p, check)
+            checked += 1
+    assert checked == 343
 
 
 def test_residual_rejects_h_outside_domain():

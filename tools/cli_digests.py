@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 203 calls of `twofold.cli.main` in this process, each in its own
+Runs 207 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -221,8 +221,11 @@ REPRODUCERS = (
 # 1e200, so its discriminant overflows, yet it exits at its branch fold as
 # the unscaled run does (t = 0.6549); a run whose last crossing lies
 # 2.2e-7 before --t-end, within --min-step, which still ends at --t-end;
-# and a normal-form slide that starts inside the two-fold window, so it
-# enters the slide, hits the two-fold and breaks determinacy at t = 0
+# a normal-form slide that starts inside the two-fold window, so it
+# enters the slide, hits the two-fold and breaks determinacy at t = 0;
+# order studies whose rectification domain R = |alpha| (1 + lam_s)^2 is
+# 6e-4, 6e-9 and 6e-7 (alpha 1e-3, 1e-8 and -1e-6), and one at 1 + lam_s =
+# 1e-6, past the rounding limit (exit 3)
 BIG_F1 = "1" + "0" * 200
 BIG_F1_CONFIG = json.dumps({"f_plus": [f"-{BIG_F1}*x2", "-1", "-4"],
                             "f_minus": [f"{BIG_F1}*x3", "-1", "1"],
@@ -235,6 +238,10 @@ LATE_CALLS = (
           "--min-step", "1e-6", "--t-end", "7.4513366", "--out", "run.csv")),
     ({}, ("simulate", "--scenario", "visible-nf", "--mode", "filippov",
           "--x0=0,1e-9,1e-9", "--t-end", "1", "--out", "run.csv")),
+    *(({}, ("transform-check", "--a1", "1", "--a2", "1", "--b1=-2", "--b2=-1",
+            f"--alpha={alpha}")) for alpha in ("1e-3", "1e-8", "-1e-6")),
+    ({}, ("transform-check", "--a1", "1", "--a2", "-1", "--b1=1e6", "--b2=-1e6",
+          "--alpha=0.2")),
 )
 
 
