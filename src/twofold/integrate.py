@@ -1,17 +1,17 @@
 """Time integration engines.
 
 One adaptive stepper on R^3 (scalar right-hand sides rhs(x1, x2, x3) ->
-(f1, f2, f3), cubic-Hermite dense output) drives all four integrators,
-through one of two stepping loops.  Its steps are Dormand-Prince 5(4),
-except where a smoothed run sits on the attracting stiff layer: there they
-are RODAS4 (an order-4 L-stable Rosenbrock method) steps on the exact
-Jacobian, so the step count there no longer grows like 1/eps.  Smooth runs,
-blow-ups and Filippov flow segments, which need no hook per step, run
-`_dp54_run`, one loop with the DP54 attempt and step control inline; it
-hands back only the steps its pre-test flags (a flow step whose x1 may
-reach the surface, a blow-up step whose lam leaves (-1, 1)).  Slides and
-smoothed runs run `_run_steps`, which calls `_Stepper.step` and the
-segment's hooks at every step.  The four integrators:
+(f1, f2, f3), cubic-Hermite dense output) drives all four integrators.
+Its steps are Dormand-Prince 5(4), except where a smoothed run sits on the
+attracting stiff layer: there they are RODAS4 (an order-4 L-stable
+Rosenbrock method) steps on the exact Jacobian, so the step count there no
+longer grows like 1/eps.  Every DP54-only run or segment (smooth runs,
+blow-ups, Filippov flows and slides) steps in `_dp54_run`, one loop with
+the DP54 attempt and step control inline; it hands back only the steps its
+pre-test flags (a flow step whose x1 may reach the surface, every slide
+step, a blow-up step whose lam leaves (-1, 1)).  Smoothed runs step
+through `_Stepper.step`, which picks DP54 or RODAS4 per step.  The four
+integrators:
 
   * integrate_smooth   -- a single smooth field;
   * integrate_filippov -- event-driven switching: half-space flows; surface
@@ -297,12 +297,12 @@ class _Stepper:
 
     `rhs(x1, x2, x3) -> (f1, f2, f3)` takes and returns scalars; every
     evaluation goes through `self.rhs`.  Holds (t, y, f) of the last accepted
-    point; `step` returns the segment (t0, y0, f0, t1, y1, f1) it just
-    accepted.  A slide runs here too: it starts at x1 = +0.0 and its rhs
-    returns f1 = 0.0, so x1 stays exactly +0.0 and adds nothing to the error.
+    point and the size h of the next attempt.  `_dp54_run` steps it with
+    DP54 alone; `step`, the smoothed run's step, returns the segment
+    (t0, y0, f0, t1, y1, f1) it just accepted.
 
-    Steps are DP54, unless `make_jac` and `df1_dx1` are given (a smoothed
-    run, from `fields.compile_jacobian` and `fields.compile_df1_dx1`): then a
+    `step`'s steps are DP54, unless `make_jac` and `df1_dx1` are given (from
+    `fields.compile_jacobian` and `fields.compile_df1_dx1`): then a
     step on which the layer is attracting and stiff at its size,
     h * (-df1/dx1) > _DP54_STABILITY at its start and at its end, is a
     RODAS4 step (`rodas4.attempt`), counted in `rosenbrock_steps`.
@@ -379,12 +379,12 @@ class _Stepper:
         # max takes a later value only when it is greater, so a NaN q is ignored
         return (n1, n2, n3), k7, max(0.0, q1, q2, q3)
 
-    def step(self, t_limit, h_cap=math.inf):
+    def step(self, t_limit):
         """Advance one accepted step toward t_limit; raises _StepFloor."""
         df1_dx1 = self.df1_dx1
         rate = 0.0 if df1_dx1 is None else -df1_dx1(*self.y)
         while True:
-            h = min(self.h, h_cap, t_limit - self.t)
+            h = min(self.h, t_limit - self.t)
             # floor a step the controller, not t_limit, shrank below min_step,
             # and one below the resolution of t, which would not advance it
             if h < self.min_step and h < t_limit - self.t or self.t + h == self.t:
@@ -609,62 +609,25 @@ def _step_floor(traj, t, y):
     traj.meta["aborted"] = STEP_FLOOR
 
 
-def _run_steps(traj, stepper, t1, tag, stop=None, cap=None):
-    """The stepping loop of slides and smoothed runs, whose steps call hooks
-    or take RODAS4 steps: it advances `stepper` toward t1.
-
-    Writes the first sample only into an empty trajectory, then one sample
-    per accepted step, tagged with the (mode, lam) pair `tag(y)` returns.
-    `cap(stepper)`, when given, bounds the size of the next step.
-    `stop(seg)`, when given, sees every accepted segment first; its first
-    non-None result ends the loop and is returned, the stop having recorded
-    its own samples and events.  Otherwise the loop returns None: at t1, at a
-    step floor (`_step_floor`) or when the run's accepted steps, counted in
-    meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET).  The attempts
-    the stepper makes here are added to meta['attempts'].
-    """
-    if not traj:
-        mode, lam = tag(stepper.y)
-        traj.append(stepper.t, stepper.y, stepper.f, mode, lam)
-    steps = traj.meta.get("steps", 0)
-    attempts = stepper.attempts
-    result = None
-    while stepper.t < t1:
-        if steps >= MAX_STEPS:
-            traj.meta["aborted"] = BUDGET
-            break
-        try:
-            seg = stepper.step(t1, math.inf if cap is None else cap(stepper))
-        except _StepFloor:
-            _step_floor(traj, stepper.t, stepper.y)
-            break
-        steps += 1
-        if stop is not None:
-            result = stop(seg)
-            if result is not None:
-                break
-        mode, lam = tag(seg[4])
-        traj.append(seg[3], seg[4], seg[5], mode, lam)
-    traj.meta["steps"] = steps
-    traj.meta["attempts"] = traj.meta.get("attempts", 0) + stepper.attempts - attempts
-    return result
-
-
 def _dp54_run(traj, stepper, t1, side=0, blowup=False):
-    """`_run_steps` fused for a DP54 segment with no per-step hook:
-    `_Stepper._attempt`'s arithmetic and `_Stepper.step`'s control run
-    inline, in the same order, on `stepper`'s rhs, state, h and tolerances
-    (state and h are written back), and each sample goes straight into the
-    trajectory's arrays.
+    """Advance `stepper` toward t1 by DP54 steps, with `_Stepper._attempt`'s
+    arithmetic and `_Stepper.step`'s control inline, in the same order, on
+    `stepper`'s rhs, state, h and tolerances (state and h are written
+    back); each sample goes straight into the trajectory's arrays, the
+    first only into an empty trajectory.
 
-    Returns None where `_run_steps` does, with the same samples, events and
-    meta.  Returns the first accepted segment (t0, y0, f0, t1, y1, f1) its
+    Returns the first accepted segment (t0, y0, f0, t1, y1, f1) its
     pre-test flags, counted but not sampled: on a Filippov flow on `side`
     (+1 or -1), a step with a Bernstein control point of its x1 cubic
     beyond the surface or within a rounding margin of it (`_surface_crossing`
     finds nothing on any other); on a blow-up (`blowup`), a step whose lam
     leaves (-1, 1).  With neither, a smooth run, it flags nothing and tags
-    each sample by the sign of its x1.
+    each sample by the sign of its x1.  A slide passes side +1: its x1
+    stays +0.0, inside the margin, so every step comes back for the slide's
+    monitors.  Otherwise returns None: at t1, at a step floor
+    (`_step_floor`) or when the run's accepted steps, counted in
+    meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET); the attempts
+    are added to meta['attempts'].
     """
     if blowup:
         plus = minus = LAYER
@@ -679,8 +642,9 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False):
     at, rt, min_step = stepper.abs_tol, stepper.rel_tol, stepper.min_step
     hull = 8.0 * _HERMITE_ROUNDING
     add_t, add_lam, add_mode = traj._t.append, traj._lam.append, traj._modes.append
-    add_y1, add_y2, add_y3 = (col.append for col in traj._y)
-    add_f1, add_f2, add_f3 = (col.append for col in traj._f)
+    ys, fs = traj._y, traj._f
+    add_y1, add_y2, add_y3 = ys[0].append, ys[1].append, ys[2].append
+    add_f1, add_f2, add_f3 = fs[0].append, fs[1].append, fs[2].append
     meta = traj.meta
     steps, attempts = meta.get("steps", 0), meta.get("attempts", 0)
     flagged = None
@@ -840,11 +804,27 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
             return LAYER, phi(x1 / eps)
         return (FLOW_PLUS if x1 > 0 else FLOW_MINUS), NAN
 
-    traj = Trajectory(meta={"kind": "smoothed", "sigmoid": sigmoid, "eps": eps})
+    meta = {"kind": "smoothed", "sigmoid": sigmoid, "eps": eps}
+    traj = Trajectory(meta)
     stepper = _Stepper(rhs, t0, x0, opts or IntegratorOptions(),
                        lambda: compile_jacobian(sys, lam_source, dlam_source), df1_dx1)
-    _run_steps(traj, stepper, t1, tag)
-    traj.meta["rosenbrock_steps"] = stepper.rosenbrock_steps
+    mode, lam = tag(stepper.y)
+    traj.append(t0, stepper.y, stepper.f, mode, lam)
+    steps = 0
+    while stepper.t < t1:
+        if steps >= MAX_STEPS:
+            meta["aborted"] = BUDGET
+            break
+        try:
+            seg = stepper.step(t1)
+        except _StepFloor:
+            _step_floor(traj, stepper.t, stepper.y)
+            break
+        steps += 1
+        mode, lam = tag(seg[4])
+        traj.append(seg[3], seg[4], seg[5], mode, lam)
+    meta["steps"], meta["attempts"] = steps, stepper.attempts
+    meta["rosenbrock_steps"] = stepper.rosenbrock_steps
     return traj
 
 
@@ -917,11 +897,8 @@ def _clamp_unit(lam):
     return min(1.0, max(-1.0, lam)) if lam == lam else lam
 
 
-# Filippov segment actions: ("flow", side), ("slide", sigma), or a false one
-# that ends the run: None, or _STOP_RUN from a stop record (the two-fold, a
-# stalled slide), which as a non-None result also ends the segment's
-# `_run_steps`.
-_STOP_RUN = ()
+# Filippov segment actions: ("flow", side), ("slide", sigma), or None, which
+# ends the run (at t_end, the budget, a step floor or the two-fold)
 
 
 class _FilippovRun:
@@ -954,12 +931,11 @@ class _FilippovRun:
         return ("flow", side)
 
     def _two_fold(self, t, y, f_out, lam=NAN, f_in=None):
-        """The determinacy-breaking stop at the two-fold."""
+        """The determinacy-breaking stop at the two-fold, which ends the run."""
         st = (0.0, y[1], y[2])
         self.traj.add_event(t, TWO_FOLD_HIT, st)
         self.traj.add_event(t, DETERMINACY_BREAK, st)
         self._record(t, y, f_out, SLIDING, lam, f_in)
-        return _STOP_RUN
 
     # -- surface decision --------------------------------------------------
 
@@ -1041,36 +1017,27 @@ class _FilippovRun:
             return (0.0, f2, f3)
 
         stepper = _Stepper(rhs, t, (0.0, y[1], y[2]), self.opts)
-        # lam at the latest state the monitor saw, for that state's sample
-        lam, m_prev = _slide_monitors(sys, sigma, stepper.y)
-
-        def tag(w):
-            return SLIDING, _clamp_unit(lam)
-
-        def monitor(seg):
-            nonlocal lam, m_prev
+        m_prev = _slide_monitors(sys, sigma, stepper.y)[1]
+        while True:
+            if is_nf:
+                # resolve the approach to the two-fold: halving steps keep the
+                # endpoint monitor from jumping across the hit window
+                dist = max(abs(stepper.y[1]), abs(stepper.y[2]))
+                speed = math.hypot(stepper.f[1], stepper.f[2])
+                if speed > 0.0 and dist > TWO_FOLD_TOL:
+                    stepper.h = min(stepper.h, max(0.5 * dist / speed, 10.0 * self.opts.min_step))
+            seg = _dp54_run(self.traj, stepper, self.t_end, 1)
+            if seg is None:
+                return None
             lam, m_new = _slide_monitors(sys, sigma, seg[4])
             for which, (v_lo, v_hi) in enumerate(zip(m_prev, m_new)):
                 if v_lo > 0.0 >= v_hi:
                     t_star, w_star = _bisect_event(
                         seg, lambda t: _slide_monitors(sys, sigma, _hermite(seg, t))[1][which],
                         seg[0], v_lo, seg[3], v_hi, None)
-                    return self._slide_event(which, t_star, w_star, sigma,
-                                             stalled=t_star <= t)
+                    return self._slide_event(which, t_star, w_star, sigma, stalled=t_star <= t)
             m_prev = m_new
-            return None
-
-        def two_fold_cap(st):
-            # resolve the approach to the two-fold: halving steps keep the
-            # endpoint monitor from jumping across the hit window
-            dist = max(abs(st.y[1]), abs(st.y[2]))
-            speed = math.hypot(st.f[1], st.f[2])
-            if speed > 0.0 and dist > TWO_FOLD_TOL:
-                return max(0.5 * dist / speed, 10.0 * self.opts.min_step)
-            return math.inf
-
-        return _run_steps(self.traj, stepper, self.t_end, tag, monitor,
-                          two_fold_cap if is_nf else None)
+            self.traj.append(seg[3], seg[4], seg[5], SLIDING, _clamp_unit(lam))
 
     def _slide_event(self, which, t_star, w_star, sigma, stalled):
         sys = self.sys
@@ -1091,7 +1058,7 @@ class _FilippovRun:
                 if stalled:
                     # sliding on would restart at the same time forever
                     _step_floor(self.traj, t_star, st)
-                    return _STOP_RUN
+                    return None
                 # the boundary root grazes lam = +-1 and returns: keep sliding
                 self._record(t_star, st, f_slide, SLIDING, lam, f_slide)
                 return ("slide", sigma)

@@ -22,7 +22,7 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
                                BISECT_MAX_ITER, NonconvergentEventError,
                                TWO_FOLD_TOL, _Stepper, _bisect_event, _dp54_run,
-                               SIGMOIDS, _first_cubic, _hermite, _monotone_noise, _run_steps,
+                               SIGMOIDS, _first_cubic, _hermite, _monotone_noise,
                                _illinois, _slide_monitors, _surface_crossing)
 from twofold.scenarios import builtin, load_config
 from twofold.sliding import CLASSIFY_TOL, slide_root, sliding_lambda, surface_quadratic
@@ -290,10 +290,10 @@ def test_slide_with_x1_pinned_matches_the_two_dimensional_attempt():
 # ------------------------------------------------------------ the fused DP54 loop
 
 def reference_dp54_run(traj, stepper, t1, side=0, blowup=False):
-    """`_dp54_run`'s contract through `_run_steps` and `_Stepper.step`: the
-    same tags, and as pre-test a flow flags every step (the scan finds no
-    crossing on a step the hull test passes) and a blow-up each step whose
-    lam leaves (-1, 1)."""
+    """`_dp54_run`'s contract as a loop over `_Stepper.step`: the same tags,
+    budget, step floor and meta sums, and as pre-test a flow or a slide
+    (side != 0) flags every step (the scan finds no crossing on a step the
+    hull test passes) and a blow-up each step whose lam leaves (-1, 1)."""
     def tag(y):
         if blowup:
             return LAYER, y[0]
@@ -301,9 +301,29 @@ def reference_dp54_run(traj, stepper, t1, side=0, blowup=False):
             return (FLOW_PLUS if side > 0 else FLOW_MINUS), math.nan
         return (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS), math.nan
 
-    def flag(seg):
-        return seg if side or blowup and not -1.0 < seg[4][0] < 1.0 else None
-    return _run_steps(traj, stepper, t1, tag, flag)
+    if not traj:
+        traj.append(stepper.t, stepper.y, stepper.f, *tag(stepper.y))
+    meta = traj.meta
+    steps, attempts = meta.get("steps", 0), stepper.attempts
+    flagged = None
+    while stepper.t < t1:
+        if steps >= integrate.MAX_STEPS:
+            meta["aborted"] = "budget"
+            break
+        try:
+            seg = stepper.step(t1)
+        except integrate._StepFloor:
+            traj.add_event(stepper.t, "step-floor", stepper.y)
+            meta["aborted"] = "step-floor"
+            break
+        steps += 1
+        if side or blowup and not -1.0 < seg[4][0] < 1.0:
+            flagged = seg
+            break
+        traj.append(seg[3], seg[4], seg[5], *tag(seg[4]))
+    meta["steps"] = steps
+    meta["attempts"] = meta.get("attempts", 0) + stepper.attempts - attempts
+    return flagged
 
 
 def snapshot(traj):
@@ -331,13 +351,53 @@ def test_fused_filippov_runs_match_the_reference_loop(monkeypatch, name):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("name", ["visible-nf", "invisible-nf", "mixed-nf"])
+@pytest.mark.parametrize("name", ["visible-nf", "invisible-nf", "mixed-nf", "two-fold-slide"])
 def test_fused_normal_form_runs_match_the_reference_loop(monkeypatch, name, policy):
-    sc = builtin(name)
     opts = IntegratorOptions(repelling_policy=policy)
-    for x0 in (sc.x0, (0.3, -1.0, 0.5), (-0.2, 0.7, -1.2)):
-        assert_fused_matches_reference(
-            monkeypatch, lambda: integrate_filippov(sc.system, x0, (0.0, 10.0), opts))
+    if name == "two-fold-slide":
+        # the attracting slide into the two-fold, where the two-fold step
+        # cap binds: the slide sets it on stepper.h before each fused call,
+        # the reference's `step` takes min(h, t1 - t) of that same h
+        sys, starts, t_end = nf(1, 1, -2.0, -2.0, 0.0), [(0.0, 1.0, 1.0)], 5.0
+    else:
+        sc = builtin(name)
+        sys, starts, t_end = sc.system, [sc.x0, (0.3, -1.0, 0.5), (-0.2, 0.7, -1.2)], 10.0
+    for x0 in starts:
+        traj = assert_fused_matches_reference(
+            monkeypatch, lambda: integrate_filippov(sys, x0, (0.0, t_end), opts))
+    if name == "two-fold-slide":
+        hits = events_of_kind(traj, "two-fold-hit")
+        assert len(hits) == 1 and hits[0].t == pytest.approx(2.0, abs=1e-6)
+
+
+def random_field(rng):
+    """A field whose components are each 1-3 terms: a coefficient times one
+    of 1, x1, x2, x3, x2 x3 or x3^2."""
+    return parse_field(*("+".join(f"{rng.choice(('1', '2', '1/2', '3/10', '-1', '-2'))}"
+                                  f"*{rng.choice(('1', 'x1', 'x2', 'x3', 'x2*x3', 'x3*x3'))}"
+                                  for _ in range(rng.randint(1, 3)))
+                         for _ in range(3)))
+
+
+def test_fused_runs_of_random_systems_match_the_reference_loop(monkeypatch):
+    # 40 drawn systems from starts on or near the surface, under every
+    # policy: slides, slide exits, crossings and step floors all occur, and
+    # draws that blow up in finite time end at the budget and are compared
+    # there
+    monkeypatch.setattr(integrate, "MAX_STEPS", 2000)
+    rng = random.Random(0)
+    runs = sliding = 0
+    for _ in range(40):
+        sys = PiecewiseSmoothSystem(random_field(rng), random_field(rng),
+                                    parse_field(rng.choice(("1/5", "-1/5", "x2", "0")), "0", "0"))
+        x0 = (rng.choice((0.0, 0.1, -0.1)), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        for policy in POLICIES:
+            opts = IntegratorOptions(repelling_policy=policy)
+            traj = assert_fused_matches_reference(
+                monkeypatch, lambda: integrate_filippov(sys, x0, (0.0, 5.0), opts))
+            runs += 1
+            sliding += traj._modes.count("sliding")
+    assert runs == 120 and sliding > 5000, sliding
 
 
 @pytest.mark.parametrize("y0, t_end, exits", [
@@ -942,7 +1002,7 @@ def test_slide_event_where_the_boundary_root_grazes_lam_1(stalled):
     action = run._slide_event(0, 1.0, (0.0, 0.0, 0.5), 1, stalled=stalled)
     if stalled:
         # sliding on would restart at the same time forever: a step floor
-        assert action is integrate._STOP_RUN and traj.meta["aborted"] == "step-floor"
+        assert action is None and traj.meta["aborted"] == "step-floor"
         assert traj.events == [Event(1.0, "step-floor", (0.0, 0.0, 0.5))] and len(traj) == 0
     else:
         # the run records a sliding sample at lam = 1 and slides on
@@ -1238,8 +1298,7 @@ def dp54_smoothed(sys, sigmoid, eps, x0, t_end, opts=None):
     """A smoothed run on DP54 steps alone: the stepper gets no Jacobian."""
     rhs = compile_layer(sys, SIGMOIDS[sigmoid][0](eps))
     traj = Trajectory()
-    _run_steps(traj, _Stepper(rhs, 0.0, x0, opts or IntegratorOptions()), t_end,
-               lambda y: ("layer", math.nan))
+    _dp54_run(traj, _Stepper(rhs, 0.0, x0, opts or IntegratorOptions()), t_end)
     return traj
 
 
