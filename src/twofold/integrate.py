@@ -5,13 +5,12 @@ One adaptive stepper on R^3 (scalar right-hand sides rhs(x1, x2, x3) ->
 Its steps are Dormand-Prince 5(4), except where a smoothed run sits on the
 attracting stiff layer: there they are RODAS4 (an order-4 L-stable
 Rosenbrock method) steps on the exact Jacobian, so the step count there no
-longer grows like 1/eps.  Every DP54-only run or segment (smooth runs,
-blow-ups, Filippov flows and slides) steps in `_dp54_run`, one loop with
-the DP54 attempt and step control inline; it hands back only the steps its
-pre-test flags (a flow step whose x1 may reach the surface, every slide
-step, a blow-up step whose lam leaves (-1, 1)).  Smoothed runs step
-through `_Stepper.step`, which picks DP54 or RODAS4 per step.  The four
-integrators:
+longer grows like 1/eps.  Every run and segment (smooth, smoothed and
+blow-up runs, Filippov flows and slides) steps in `_dp54_run`, one loop
+with the DP54 attempt, the switch to RODAS4 and the step control inline;
+it hands back only the steps its pre-test flags (a flow step whose x1 may
+reach the surface, a blow-up step whose lam leaves (-1, 1), and each step
+of a slide, through `_Stepper.step`).  The four integrators:
 
   * integrate_smooth   -- a single smooth field;
   * integrate_filippov -- event-driven switching: half-space flows; surface
@@ -288,32 +287,25 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
 _DP54_STABILITY = 3.3
 
 
-class _StepFloor(Exception):
-    pass
-
-
 class _Stepper:
-    """One smooth piece in R^3: repeated accepted steps with error control.
+    """One smooth piece in R^3: (t, y, f) of the last accepted point and the
+    size h of the next attempt, which `_dp54_run` steps.
 
     `rhs(x1, x2, x3) -> (f1, f2, f3)` takes and returns scalars; every
-    evaluation goes through `self.rhs`.  Holds (t, y, f) of the last accepted
-    point and the size h of the next attempt.  `_dp54_run` steps it with
-    DP54 alone; `step`, the smoothed run's step, returns the segment
-    (t0, y0, f0, t1, y1, f1) it just accepted.
+    evaluation goes through `self.rhs`.  `h` sizes the first attempt; the
+    tolerances and min_step are read from `opts` once, here.
 
-    `step`'s steps are DP54, unless `make_jac` and `df1_dx1` are given (from
-    `fields.compile_jacobian` and `fields.compile_df1_dx1`): then a
-    step on which the layer is attracting and stiff at its size,
-    h * (-df1/dx1) > _DP54_STABILITY at its start and at its end, is a
-    RODAS4 step (`rodas4.attempt`), counted in `rosenbrock_steps`.
-    `make_jac()` returns the Jacobian; it is called at the first RODAS4
-    attempt, so a run that never takes one never compiles it.  `h` sizes
-    the first attempt.  The tolerances and min_step are read from `opts`
-    once, here; `attempts` counts the attempts made.
+    A smoothed run also gives `make_jac` and `df1_dx1` (from
+    `fields.compile_jacobian` and `fields.compile_df1_dx1`): then a step on
+    which the layer is attracting and stiff at its size, h * (-df1/dx1) >
+    _DP54_STABILITY at its start and at its end, is a RODAS4 step
+    (`_attempt`), counted in `rosenbrock_steps`.  `make_jac()` returns the
+    Jacobian; it is called at the first RODAS4 attempt, so a run that never
+    takes one never compiles it.
     """
 
     __slots__ = ("rhs", "abs_tol", "rel_tol", "min_step", "t", "y", "f", "h", "make_jac",
-                 "jac", "df1_dx1", "rosenbrock", "rosenbrock_steps", "attempts")
+                 "jac", "df1_dx1", "rosenbrock", "rosenbrock_steps")
 
     def __init__(self, rhs, t0, y0, opts, make_jac=None, df1_dx1=None, h=1e-3):
         self.rhs = rhs
@@ -326,94 +318,22 @@ class _Stepper:
         self.jac = None
         self.df1_dx1 = df1_dx1
         self.rosenbrock_steps = 0
-        self.attempts = 0
 
-    def _attempt(self, h, stiff=False):
-        """One attempt of size h: (y_new, f_new, err), err <= 1 passing the
-        tolerances.  DP54 by default, RODAS4 when `stiff`."""
-        self.attempts += 1
-        if stiff:
-            if self.jac is None:
-                # imported here, so runs that take no stiff step never
-                # compile the RODAS4 module or the Jacobian
-                from .rodas4 import attempt
-                self.rosenbrock = attempt
-                self.jac = self.make_jac()
-            return self.rosenbrock(self.rhs, self.jac, self.y, self.f, h, self.abs_tol,
-                                   self.rel_tol)
-        # written out over the three components, k<stage><component>.  The
-        # order of every sum is part of the result: the tests hold it bit for
-        # bit to the loop form y_i + h * (A k)_i
-        rhs = self.rhs
-        y1, y2, y3 = self.y
-        k11, k12, k13 = self.f
-        k21, k22, k23 = rhs(y1 + h * (_A21 * k11), y2 + h * (_A21 * k12),
-                            y3 + h * (_A21 * k13))
-        k31, k32, k33 = rhs(y1 + h * (_A31 * k11 + _A32 * k21),
-                            y2 + h * (_A31 * k12 + _A32 * k22),
-                            y3 + h * (_A31 * k13 + _A32 * k23))
-        k41, k42, k43 = rhs(y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-                            y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
-                            y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33))
-        k51, k52, k53 = rhs(y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-                            y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
-                            y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43))
-        k61, k62, k63 = rhs(y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
-                                      + _A65 * k51),
-                            y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
-                                      + _A65 * k52),
-                            y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43
-                                      + _A65 * k53))
-        n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-        n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-        n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
-        k7 = rhs(n1, n2, n3)
-        k71, k72, k73 = k7
-        at, rt = self.abs_tol, self.rel_tol
-        q1 = abs(h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61
-                      + _E7 * k71)) / (at + rt * max(abs(y1), abs(n1)))
-        q2 = abs(h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62
-                      + _E7 * k72)) / (at + rt * max(abs(y2), abs(n2)))
-        q3 = abs(h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63
-                      + _E7 * k73)) / (at + rt * max(abs(y3), abs(n3)))
-        # max takes a later value only when it is greater, so a NaN q is ignored
-        return (n1, n2, n3), k7, max(0.0, q1, q2, q3)
+    def _attempt(self, h, y, f):
+        """One RODAS4 attempt of size h from (y, f = rhs(*y)): (y_new, f_new,
+        err), err <= 1 passing the tolerances."""
+        if self.jac is None:
+            # imported here, so runs that take no stiff step never compile
+            # the RODAS4 module or the Jacobian
+            from .rodas4 import attempt
+            self.rosenbrock = attempt
+            self.jac = self.make_jac()
+        return self.rosenbrock(self.rhs, self.jac, y, f, h, self.abs_tol, self.rel_tol)
 
-    def step(self, t_limit):
-        """Advance one accepted step toward t_limit; raises _StepFloor."""
-        df1_dx1 = self.df1_dx1
-        rate = 0.0 if df1_dx1 is None else -df1_dx1(*self.y)
-        while True:
-            h = min(self.h, t_limit - self.t)
-            # floor a step the controller, not t_limit, shrank below min_step,
-            # and one below the resolution of t, which would not advance it
-            if h < self.min_step and h < t_limit - self.t or self.t + h == self.t:
-                raise _StepFloor
-            stiff = h * rate > _DP54_STABILITY
-            y_new, f_new, err = self._attempt(h, stiff)
-            n1, n2, n3 = y_new
-            ok = err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3
-            if ok and stiff and not h * -df1_dx1(n1, n2, n3) > _DP54_STABILITY:
-                # the step ends off the attracting stiff layer, past a fold or
-                # on the repelling sheet, where an L-stable step would damp the
-                # growth and pin the orbit to that sheet: redo it with DP54
-                stiff = False
-                y_new, f_new, err = self._attempt(h)
-                n1, n2, n3 = y_new
-                ok = err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3
-            power = -0.25 if stiff else -0.2
-            if ok:
-                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** power))
-                seg = (self.t, self.y, self.f, self.t + h, y_new, f_new)
-                self.t = seg[3]
-                self.y = y_new
-                self.f = f_new
-                self.h = h * fac
-                self.rosenbrock_steps += stiff
-                return seg
-            # a rejection with err <= 1.0 has a non-finite state (its err may
-            # read 0.0), which estimates no step size: shrink by the floor
-            self.h = h * (max(0.2, 0.9 * err ** power) if err > 1.0 else 0.2)
+    def step(self, traj, t_limit):
+        """One accepted step toward t_limit, the segment (t0, y0, f0, t1, y1,
+        f1), not sampled; None at t_limit, a step floor or the budget."""
+        return _dp54_run(traj, self, t_limit, every=True)
 
 
 def _hermite(seg, t):
@@ -609,25 +529,30 @@ def _step_floor(traj, t, y):
     traj.meta["aborted"] = STEP_FLOOR
 
 
-def _dp54_run(traj, stepper, t1, side=0, blowup=False):
-    """Advance `stepper` toward t1 by DP54 steps, with `_Stepper._attempt`'s
-    arithmetic and `_Stepper.step`'s control inline, in the same order, on
-    `stepper`'s rhs, state, h and tolerances (state and h are written
-    back); each sample goes straight into the trajectory's arrays, the
-    first only into an empty trajectory.
+def _dp54_run(traj, stepper, t1, side=0, blowup=False, every=False):
+    """Advance `stepper` toward t1 by accepted steps, with the DP54 attempt
+    and the step control inline, on `stepper`'s rhs, state, h and
+    tolerances (state and h are written back); each sample goes straight
+    into the trajectory's arrays, the first only into an empty trajectory.
+
+    A stepper with `df1_dx1` (a smoothed run's) picks the method per step:
+    where h * rate > _DP54_STABILITY, rate = -df1/dx1 at the step's start,
+    it tries one RODAS4 attempt (`_Stepper._attempt`) and keeps it only if
+    the test still holds at its end; otherwise it redoes the same h by DP54.
+    The next h scales by err**-0.25 after a RODAS4 attempt, by err**-0.2
+    after a DP54 one.
 
     Returns the first accepted segment (t0, y0, f0, t1, y1, f1) its
-    pre-test flags, counted but not sampled: on a Filippov flow on `side`
-    (+1 or -1), a step with a Bernstein control point of its x1 cubic
-    beyond the surface or within a rounding margin of it (`_surface_crossing`
-    finds nothing on any other); on a blow-up (`blowup`), a step whose lam
-    leaves (-1, 1).  With neither, a smooth run, it flags nothing and tags
-    each sample by the sign of its x1.  A slide passes side +1: its x1
-    stays +0.0, inside the margin, so every step comes back for the slide's
-    monitors.  Otherwise returns None: at t1, at a step floor
-    (`_step_floor`) or when the run's accepted steps, counted in
-    meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET); the attempts
-    are added to meta['attempts'].
+    pre-test flags, counted but not sampled: with `every` (a slide's
+    `_Stepper.step`), each step; on a Filippov flow on `side` (+1 or -1),
+    a step with a Bernstein control point of its x1 cubic beyond the
+    surface or within a rounding margin of it (`_surface_crossing` finds
+    nothing on any other); on a blow-up (`blowup`), a step whose lam leaves
+    (-1, 1).  With none of them, a smooth or smoothed run, it flags nothing
+    and tags each sample by the sign of its x1.  Otherwise returns None: at
+    t1, at a step floor (`_step_floor`) or when the run's accepted steps,
+    counted in meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET);
+    the attempts are added to meta['attempts'].
     """
     if blowup:
         plus = minus = LAYER
@@ -635,7 +560,7 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False):
         plus = minus = FLOW_PLUS if side > 0 else FLOW_MINUS
     else:
         plus, minus = FLOW_PLUS, FLOW_MINUS
-    t, h_next, rhs = stepper.t, stepper.h, stepper.rhs
+    t, h_next, rhs, df1_dx1 = stepper.t, stepper.h, stepper.rhs, stepper.df1_dx1
     (y1, y2, y3), (k11, k12, k13) = stepper.y, stepper.f
     if not traj:
         traj.append(t, stepper.y, stepper.f, plus if y1 >= 0 else minus, y1 if blowup else NAN)
@@ -647,6 +572,7 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False):
     add_f1, add_f2, add_f3 = fs[0].append, fs[1].append, fs[2].append
     meta = traj.meta
     steps, attempts = meta.get("steps", 0), meta.get("attempts", 0)
+    rate = 0.0 if df1_dx1 is None else -df1_dx1(y1, y2, y3)
     flagged = None
     while t < t1:
         if steps >= MAX_STEPS:
@@ -656,49 +582,70 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False):
         # costs about 1% of a flow run
         rest = t1 - t
         h = rest if rest < h_next else h_next           # min(h_next, rest)
+        # floor a step the controller, not t1, shrank below min_step, and
+        # one below the resolution of t, which would not advance it
         if h < min_step and h < rest or t + h == t:
             _step_floor(traj, t, (y1, y2, y3))
             break
-        attempts += 1
-        k21, k22, k23 = rhs(y1 + h * (_A21 * k11), y2 + h * (_A21 * k12),
-                            y3 + h * (_A21 * k13))
-        k31, k32, k33 = rhs(y1 + h * (_A31 * k11 + _A32 * k21),
-                            y2 + h * (_A31 * k12 + _A32 * k22),
-                            y3 + h * (_A31 * k13 + _A32 * k23))
-        k41, k42, k43 = rhs(y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-                            y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
-                            y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33))
-        k51, k52, k53 = rhs(y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-                            y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
-                            y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43))
-        k61, k62, k63 = rhs(y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
-                                      + _A65 * k51),
-                            y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
-                                      + _A65 * k52),
-                            y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43
-                                      + _A65 * k53))
-        n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-        n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-        n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
-        k7 = rhs(n1, n2, n3)
-        k71, k72, k73 = k7
-        q1 = abs(h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61
-                      + _E7 * k71)) / (at + rt * max(abs(y1), abs(n1)))
-        q2 = abs(h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62
-                      + _E7 * k72)) / (at + rt * max(abs(y2), abs(n2)))
-        q3 = abs(h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63
-                      + _E7 * k73)) / (at + rt * max(abs(y3), abs(n3)))
-        # max(0.0, q1, q2, q3), which skips a NaN q
-        err = q1 if q1 > 0.0 else 0.0
-        if q2 > err:
-            err = q2
-        if q3 > err:
-            err = q3
-        if not (err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3):
-            h_next = h * (max(0.2, 0.9 * err ** -0.2) if err > 1.0 else 0.2)
-            continue
-        # `step`'s min(5.0, max(0.2, fac)); fac >= 0.9 as err <= 1
-        fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+        stiff = h * rate > _DP54_STABILITY
+        if stiff:
+            attempts += 1
+            (n1, n2, n3), k7, err = stepper._attempt(h, (y1, y2, y3), (k11, k12, k13))
+            if not (err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3):
+                h_next = h * (max(0.2, 0.9 * err ** -0.25) if err > 1.0 else 0.2)
+                continue
+            # a step that ends off the attracting stiff layer, past a fold
+            # or on the repelling sheet, where an L-stable step would damp
+            # the growth and pin the orbit to that sheet, is redone by DP54
+            stiff = h * -df1_dx1(n1, n2, n3) > _DP54_STABILITY
+        if stiff:
+            stepper.rosenbrock_steps += 1
+            k71, k72, k73 = k7
+            fac = 5.0 if err == 0.0 else 0.9 * err ** -0.25
+        else:
+            # written out over the three components, k<stage><component>;
+            # the order of every sum is part of the result, which the tests
+            # hold bit for bit to the loop form y_i + h * (A k)_i
+            attempts += 1
+            k21, k22, k23 = rhs(y1 + h * (_A21 * k11), y2 + h * (_A21 * k12),
+                                y3 + h * (_A21 * k13))
+            k31, k32, k33 = rhs(y1 + h * (_A31 * k11 + _A32 * k21),
+                                y2 + h * (_A31 * k12 + _A32 * k22),
+                                y3 + h * (_A31 * k13 + _A32 * k23))
+            k41, k42, k43 = rhs(y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+                                y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+                                y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33))
+            k51, k52, k53 = rhs(y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+                                y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+                                y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43))
+            k61, k62, k63 = rhs(y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
+                                          + _A65 * k51),
+                                y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
+                                          + _A65 * k52),
+                                y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43
+                                          + _A65 * k53))
+            n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+            n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+            n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
+            k7 = rhs(n1, n2, n3)
+            k71, k72, k73 = k7
+            q1 = abs(h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61
+                          + _E7 * k71)) / (at + rt * max(abs(y1), abs(n1)))
+            q2 = abs(h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62
+                          + _E7 * k72)) / (at + rt * max(abs(y2), abs(n2)))
+            q3 = abs(h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63
+                          + _E7 * k73)) / (at + rt * max(abs(y3), abs(n3)))
+            # max(0.0, q1, q2, q3), which skips a NaN q
+            err = q1 if q1 > 0.0 else 0.0
+            if q2 > err:
+                err = q2
+            if q3 > err:
+                err = q3
+            if not (err <= 1.0 and n1 == n1 and n2 == n2 and n3 == n3):
+                h_next = h * (max(0.2, 0.9 * err ** -0.2) if err > 1.0 else 0.2)
+                continue
+            fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+        # min(5.0, max(0.2, fac)); fac >= 0.9 as err <= 1
         h_next = h * (fac if fac < 5.0 else 5.0)
         t_new = t + h
         steps += 1
@@ -716,7 +663,7 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False):
             margin = hull * (p0 + p1 + p2 + p3) + _ROUNDING_FLOOR
             if not (p0 > margin and p1 > margin and p2 > margin and p3 > margin):
                 flagged = (t, (y1, y2, y3), (k11, k12, k13), t_new, (n1, n2, n3), k7)
-        elif blowup and not -1.0 < n1 < 1.0:
+        elif every or blowup and not -1.0 < n1 < 1.0:
             flagged = (t, (y1, y2, y3), (k11, k12, k13), t_new, (n1, n2, n3), k7)
         t, y1, y2, y3, k11, k12, k13 = t_new, n1, n2, n3, k71, k72, k73
         if flagged is not None:
@@ -730,6 +677,8 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False):
         add_f3(k73)
         add_lam(n1 if blowup else NAN)
         add_mode(plus if n1 >= 0 else minus)
+        if df1_dx1 is not None:
+            rate = -df1_dx1(n1, n2, n3)
     stepper.t, stepper.y, stepper.f, stepper.h = t, (y1, y2, y3), (k11, k12, k13), h_next
     meta["steps"], meta["attempts"] = steps, attempts
     return flagged
@@ -784,7 +733,7 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
 
     Samples with |x1| < 10 eps are tagged as layer samples and carry the
     sigmoid value in the lambda column.  Steps on which the layer is
-    attracting and stiff are RODAS4 steps (see `_Stepper`), counted in
+    attracting and stiff are RODAS4 steps (see `_dp54_run`), counted in
     meta['rosenbrock_steps']; elsewhere the run takes DP54 steps, and a
     step-floor event ends it early rather than stalling.
     """
@@ -796,35 +745,19 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     lam_source, dlam_source = lam_of(eps), slope_of(eps)
     rhs = compile_layer(sys, lam_source)
     df1_dx1 = compile_df1_dx1(sys, lam_source, dlam_source)
-    band = 10.0 * eps
-
-    def tag(y):
-        x1 = y[0]
-        if abs(x1) < band:
-            return LAYER, phi(x1 / eps)
-        return (FLOW_PLUS if x1 > 0 else FLOW_MINUS), NAN
-
     meta = {"kind": "smoothed", "sigmoid": sigmoid, "eps": eps}
     traj = Trajectory(meta)
     stepper = _Stepper(rhs, t0, x0, opts or IntegratorOptions(),
                        lambda: compile_jacobian(sys, lam_source, dlam_source), df1_dx1)
-    mode, lam = tag(stepper.y)
-    traj.append(t0, stepper.y, stepper.f, mode, lam)
-    steps = 0
-    while stepper.t < t1:
-        if steps >= MAX_STEPS:
-            meta["aborted"] = BUDGET
-            break
-        try:
-            seg = stepper.step(t1)
-        except _StepFloor:
-            _step_floor(traj, stepper.t, stepper.y)
-            break
-        steps += 1
-        mode, lam = tag(seg[4])
-        traj.append(seg[3], seg[4], seg[5], mode, lam)
-    meta["steps"], meta["attempts"] = steps, stepper.attempts
+    _dp54_run(traj, stepper, t1)
     meta["rosenbrock_steps"] = stepper.rosenbrock_steps
+    # the loop tagged every sample by the sign of its x1: those within the
+    # layer become layer samples, with the sigmoid value
+    band, modes, lams = 10.0 * eps, traj._modes, traj._lam
+    for i, x1 in enumerate(traj.columns[0]):
+        if abs(x1) < band:
+            modes[i] = LAYER
+            lams[i] = phi(x1 / eps)
     return traj
 
 
@@ -1026,7 +959,7 @@ class _FilippovRun:
                 speed = math.hypot(stepper.f[1], stepper.f[2])
                 if speed > 0.0 and dist > TWO_FOLD_TOL:
                     stepper.h = min(stepper.h, max(0.5 * dist / speed, 10.0 * self.opts.min_step))
-            seg = _dp54_run(self.traj, stepper, self.t_end, 1)
+            seg = stepper.step(self.traj, self.t_end)
             if seg is None:
                 return None
             lam, m_new = _slide_monitors(sys, sigma, seg[4])

@@ -8,8 +8,9 @@ determinant) per attempt and six right-hand-side evaluations: Y2..Y5, Y5 + u5
 and the new point, whose derivative the next step reuses.  The new state is
 Y5 + u5 + u6, and u6 estimates the error.
 
-`integrate._Stepper` imports this module when it is given a Jacobian, that
-is only for smoothed runs, so no other run or command compiles it.
+`integrate._Stepper._attempt` imports this module at a run's first RODAS4
+attempt, which only a smoothed run on its stiff layer makes, so no other
+run or command compiles it.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ _GAMMA = 0.25
 
 
 def attempt(rhs, jac, y, f, h, at, rt):
-    """One attempt of size h from (y, f = rhs(*y)): (y_new, f_new, err) as
-    `integrate._Stepper._attempt` returns them, err in the same max-norm
-    of the absolute and relative tolerances at and rt.  A singular or
-    non-finite matrix gives a NaN state, which the stepper rejects like any
-    non-finite state."""
+    """One attempt of size h from (y, f = rhs(*y)): (y_new, f_new, err),
+    err in the max-norm of the absolute and relative tolerances at and rt
+    that `integrate._dp54_run` also applies to its DP54 attempts.  A
+    singular or non-finite matrix gives a NaN state, which the loop rejects
+    like any non-finite state."""
     y1, y2, y3 = y
     j11, j12, j13, j21, j22, j23, j31, j32, j33 = jac(y1, y2, y3)
     g = 1.0 / (_GAMMA * h)

@@ -1,7 +1,10 @@
+import functools
+import itertools
 import math
 import random
 import re
 import types
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +16,7 @@ from twofold.expr import Mul, Neg, Num, Var, num
 from twofold.fields import (PiecewiseSmoothSystem, SmoothField, TwoFoldParams,
                             compile_df1_dx1, compile_jacobian, compile_layer,
                             normal_form_system, parse_field, quadratic_roots)
-from twofold import integrate
+from twofold import integrate, rodas4
 from twofold.integrate import (EJECT_MINUS, EJECT_PLUS, FLOW_MINUS, FLOW_PLUS, LAYER, POLICIES,
                                STAY_SLIDING, Event, IntegratorOptions, Trajectory, integrate_blowup,
                                integrate_filippov, integrate_smooth, integrate_smoothed)
@@ -182,8 +185,8 @@ def test_step_budget_counts_every_segment_of_a_filippov_run(monkeypatch):
 
 def reference_attempt(rhs, y, k1, h, opts):
     """Generic DP54 attempt over a state tuple of any length, written as
-    loops; `rhs` maps a state tuple to a derivative tuple.  The unrolled
-    `_Stepper._attempt` must reproduce it bit for bit."""
+    loops; `rhs` maps a state tuple to a derivative tuple.  The attempt
+    unrolled in `_dp54_run` must reproduce it bit for bit."""
     rng = range(len(y))
     k2 = rhs(tuple(y[i] + h * (_A21 * k1[i]) for i in rng))
     k3 = rhs(tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
@@ -215,14 +218,29 @@ def same_bits(a, b):
 
 
 def assert_attempts_match(fn, y0, h, opts):
-    stepper = _Stepper(fn, 0.0, y0, opts)
-    got = stepper._attempt(h)
-    want = reference_attempt(lambda y: fn(*y), stepper.y, stepper.f, h, opts)
-    for g, w in zip(got[:2], want[:2]):
-        assert len(g) == len(w) == 3
-        assert all(same_bits(a, b) for a, b in zip(g, w)), (y0, h, g, w)
-    assert same_bits(got[2], want[2]), (y0, h, got[2], want[2])
-    return got
+    """One fused attempt of size h > 0 from y0, `_dp54_run` to t = h with
+    min_step just under h, against `reference_attempt`: an accepted attempt
+    is the sample at h, and a rejected one ends the run at the step floor.
+    Either leaves its next h on the stepper, h * min(5, max(0.2, 0.9
+    err**-0.2)) after an accepted attempt, h * max(0.2, 0.9 err**-0.2)
+    after a rejected one, or h * 0.2 at a non-finite state with err <= 1,
+    so a rejection's err is checked through that h.  Returns the
+    reference's (y_new, f_new, err)."""
+    stepper = _Stepper(fn, 0.0, y0, IntegratorOptions(opts.rel_tol, opts.abs_tol,
+                                                      math.nextafter(h, 0.0)), h=h)
+    want = y_new, f_new, err = reference_attempt(lambda y: fn(*y), stepper.y, stepper.f, h, opts)
+    traj = Trajectory()
+    assert _dp54_run(traj, stepper, h) is None and traj.meta["attempts"] == 1
+    if err <= 1.0 and all(v == v for v in y_new):
+        assert list(traj.times) == [0.0, h] and "aborted" not in traj.meta
+        for g, w in zip((traj.state(1), tuple(col[1] for col in traj._f)), (y_new, f_new)):
+            assert all(same_bits(a, b) for a, b in zip(g, w)), (y0, h, g, w)
+        fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    else:
+        assert len(traj) == 1 and traj.meta["aborted"] == "step-floor"
+        fac = max(0.2, 0.9 * err ** -0.2) if err > 1.0 else 0.2
+    assert same_bits(stepper.h, h * fac), (y0, h, err, stepper.h)
+    return want
 
 
 def signed_steps(rng, lo, hi):
@@ -231,8 +249,11 @@ def signed_steps(rng, lo, hi):
 
 @pytest.mark.parametrize("name", ["example-i", "example-ii", "example-iii"])
 def test_unrolled_attempt_matches_reference_on_smoothed_layers(name):
+    # a run steps forward only, so the drawn step's sign is dropped; about
+    # a quarter of the 400 attempts per system are rejected
     rng = random.Random(f"dp54-{name}")
     sys = builtin(name).system
+    rejected = 0
     for sigmoid in ("tanh", "sqrt"):
         for eps in (1e-3, 1e-4):
             fn = compile_layer(sys, SIGMOIDS[sigmoid][0](eps))
@@ -241,19 +262,21 @@ def test_unrolled_attempt_matches_reference_on_smoothed_layers(name):
                       rng.uniform(-2, 2))
                 opts = IntegratorOptions(rel_tol=10.0 ** rng.uniform(-10, -4),
                                          abs_tol=10.0 ** rng.uniform(-12, -6))
-                assert_attempts_match(fn, y0, signed_steps(rng, -7, -1), opts)
+                err = assert_attempts_match(fn, y0, abs(signed_steps(rng, -7, -1)), opts)[2]
+                rejected += err > 1.0
+    assert 50 < rejected < 350
 
 
 def test_unrolled_attempt_matches_reference_through_overflow():
     # cubic growth sends the stages to inf and inf - inf to NaN, so these
-    # attempts carry the values that make `step` reject
+    # attempts carry the values that make the loop reject
     fn = parse_field("x2*x2*x2", "-x1*x1*x1", "x3*x3").fn
     rng = random.Random(4242)
     nan_states = big_errors = accepted = 0
     for _ in range(300):
         size = 10.0 ** rng.uniform(-2, 20)
         y0 = tuple(size * rng.uniform(-1.0, 1.0) for _ in range(3))
-        y_new, _, err = assert_attempts_match(fn, y0, signed_steps(rng, -4, 0),
+        y_new, _, err = assert_attempts_match(fn, y0, abs(signed_steps(rng, -4, 0)),
                                               IntegratorOptions())
         nan_states += any(v != v for v in y_new)
         big_errors += err > 1.0
@@ -289,11 +312,26 @@ def test_slide_with_x1_pinned_matches_the_two_dimensional_attempt():
 
 # ------------------------------------------------------------ the fused DP54 loop
 
-def reference_dp54_run(traj, stepper, t1, side=0, blowup=False):
-    """`_dp54_run`'s contract as a loop over `_Stepper.step`: the same tags,
-    budget, step floor and meta sums, and as pre-test a flow or a slide
-    (side != 0) flags every step (the scan finds no crossing on a step the
-    hull test passes) and a blow-up each step whose lam leaves (-1, 1)."""
+def reference_dp54_run(traj, stepper, t1, side=0, blowup=False, every=False, counts=None):
+    """`_dp54_run`'s contract as a plain loop over `reference_attempt` and
+    `rodas4.attempt`, with the step rules written out:
+
+    * an attempt takes min(h, t1 - t); a step the controller shrank below
+      min_step, or one that leaves t unchanged, is a step floor;
+    * for a stepper with df1_dx1, an attempt with h (-df1/dx1) > 3.3 at
+      the step's start is RODAS4, kept if that also holds at its end and
+      otherwise redone at the same h by DP54;
+    * an accepted attempt sets h to h min(5, max(0.2, 0.9 err**p)), a
+      rejected one to h max(0.2, 0.9 err**p), or h 0.2 at a non-finite
+      state, p = -0.25 after RODAS4 and -0.2 after DP54.
+
+    The same tags, budget and meta sums, and as pre-test `every` and a flow
+    or a slide (side != 0) flag every step (the scan finds no crossing on a
+    step the hull test passes) and a blow-up each step whose lam leaves
+    (-1, 1).  `counts`, a Counter, adds up the same-h DP54 redos ("redo")
+    and the rejected RODAS4 attempts ("rejected-rodas4")."""
+    counts = Counter() if counts is None else counts
+
     def tag(y):
         if blowup:
             return LAYER, y[0]
@@ -301,28 +339,66 @@ def reference_dp54_run(traj, stepper, t1, side=0, blowup=False):
             return (FLOW_PLUS if side > 0 else FLOW_MINUS), math.nan
         return (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS), math.nan
 
+    df1_dx1, at, rt = stepper.df1_dx1, stepper.abs_tol, stepper.rel_tol
+    opts = IntegratorOptions(rel_tol=rt, abs_tol=at)
+    jac = []
+
+    def attempt(stiff, h, y, f):
+        if not stiff:
+            return reference_attempt(lambda w: stepper.rhs(*w), y, f, h, opts)
+        if not jac:
+            jac.append(stepper.make_jac())
+        return rodas4.attempt(stepper.rhs, jac[0], y, f, h, at, rt)
+
+    def step():
+        """(segment, attempts) of one accepted step; no segment at a floor."""
+        t, y, f = stepper.t, stepper.y, stepper.f
+        rate = 0.0 if df1_dx1 is None else -df1_dx1(*y)
+        tries = 0
+        while True:
+            h = min(stepper.h, t1 - t)
+            if h < stepper.min_step and h < t1 - t or t + h == t:
+                return None, tries
+            stiff = h * rate > 3.3
+            tries += 1
+            y_new, f_new, err = attempt(stiff, h, y, f)
+            ok = err <= 1.0 and all(v == v for v in y_new)
+            if ok and stiff and not h * -df1_dx1(*y_new) > 3.3:
+                counts["redo"] += 1
+                stiff = False
+                tries += 1
+                y_new, f_new, err = attempt(stiff, h, y, f)
+                ok = err <= 1.0 and all(v == v for v in y_new)
+            power = -0.25 if stiff else -0.2
+            if ok:
+                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** power))
+                stepper.t, stepper.y, stepper.f, stepper.h = t + h, y_new, f_new, h * fac
+                stepper.rosenbrock_steps += stiff
+                return (t, y, f, t + h, y_new, f_new), tries
+            counts["rejected-rodas4"] += stiff
+            stepper.h = h * (max(0.2, 0.9 * err ** power) if err > 1.0 else 0.2)
+
     if not traj:
         traj.append(stepper.t, stepper.y, stepper.f, *tag(stepper.y))
     meta = traj.meta
-    steps, attempts = meta.get("steps", 0), stepper.attempts
+    steps, attempts = meta.get("steps", 0), meta.get("attempts", 0)
     flagged = None
     while stepper.t < t1:
         if steps >= integrate.MAX_STEPS:
             meta["aborted"] = "budget"
             break
-        try:
-            seg = stepper.step(t1)
-        except integrate._StepFloor:
+        seg, tries = step()
+        attempts += tries
+        if seg is None:
             traj.add_event(stepper.t, "step-floor", stepper.y)
             meta["aborted"] = "step-floor"
             break
         steps += 1
-        if side or blowup and not -1.0 < seg[4][0] < 1.0:
+        if every or side or blowup and not -1.0 < seg[4][0] < 1.0:
             flagged = seg
             break
         traj.append(seg[3], seg[4], seg[5], *tag(seg[4]))
-    meta["steps"] = steps
-    meta["attempts"] = meta.get("attempts", 0) + stepper.attempts - attempts
+    meta["steps"], meta["attempts"] = steps, attempts
     return flagged
 
 
@@ -333,10 +409,11 @@ def snapshot(traj):
             repr(sorted(traj.meta.items())))
 
 
-def assert_fused_matches_reference(monkeypatch, run):
+def assert_fused_matches_reference(monkeypatch, run, counts=None):
     fused = run()
     with monkeypatch.context() as patched:
-        patched.setattr(integrate, "_dp54_run", reference_dp54_run)
+        patched.setattr(integrate, "_dp54_run",
+                        functools.partial(reference_dp54_run, counts=counts))
         reference = run()
     assert snapshot(fused) == snapshot(reference)
     return fused
@@ -1332,23 +1409,71 @@ def test_rodas4_is_fourth_order_on_a_smooth_field():
     errs = []
     for n in (20, 40, 80):
         stepper = _Stepper(rhs, 0.0, y0, IntegratorOptions(), lambda: jac, df1_dx1)
+        y, f = stepper.y, stepper.f
         for _ in range(n):
-            stepper.y, stepper.f, _ = stepper._attempt(t_end / n, True)
-        errs.append(max(abs(a - b) for a, b in zip(stepper.y, ref)))
+            y, f, _ = stepper._attempt(t_end / n, y, f)
+        errs.append(max(abs(a - b) for a, b in zip(y, ref)))
     assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs
 
 
-def test_singular_rosenbrock_matrix_rejects_the_attempt():
-    # a NaN Jacobian makes every RODAS4 attempt singular: each is rejected
-    # with h * 0.2 until the step is small enough for DP54
+def test_singular_rosenbrock_matrix_rejects_the_attempt(monkeypatch):
+    # a NaN Jacobian makes every RODAS4 attempt singular, a NaN state that
+    # the loop rejects with h * 0.2 until the step is small enough for DP54
     rhs = parse_field("-1000*x1", "x3", "-x2").fn
     nan_jac = lambda x1, x2, x3: (math.nan,) * 9
     stepper = _Stepper(rhs, 0.0, (1.0, 0.0, 1.0), IntegratorOptions(), lambda: nan_jac,
-                       lambda x1, x2, x3: -1000.0)
-    stepper.h = 1.0
-    seg = stepper.step(10.0)
-    assert seg[3] <= 0.2 ** 3 and stepper.rosenbrock_steps == 0
-    assert all(math.isfinite(v) for v in seg[4])
+                       lambda x1, x2, x3: -1000.0, h=1.0)
+    y_new, f_new, err = stepper._attempt(1.0, stepper.y, stepper.f)
+    assert all(v != v for v in y_new) and f_new == stepper.f and err == 0.0
+    monkeypatch.setattr(integrate, "MAX_STEPS", 1)
+    traj = Trajectory()
+    assert _dp54_run(traj, stepper, 10.0) is None and traj.meta["steps"] == 1
+    assert traj.times[1] <= 0.2 ** 3 and stepper.rosenbrock_steps == 0
+    assert traj.meta["attempts"] > 4 and all(math.isfinite(v) for v in traj.state(1))
+
+
+def test_smoothed_runs_match_the_reference_loop(monkeypatch):
+    # the stiff benchmark's runs: 301 RODAS4 steps on the attracting layer
+    # (none in example-i's runs at eps 1e-3), one DP54 redo at the same h
+    # where a RODAS4 step ends off it and two rejected RODAS4 attempts, with
+    # the samples' layer tags and lam values
+    counts, rosenbrock = Counter(), 0
+    for name, sigmoid, eps in itertools.product(("example-i", "example-iii"),
+                                                ("tanh", "sqrt"), (1e-3, 1e-4)):
+        sc = builtin(name)
+        traj = assert_fused_matches_reference(monkeypatch, lambda: integrate_smoothed(
+            sc.system, sigmoid, eps, sc.x0, (0.0, 15.0)), counts)
+        assert traj.meta["attempts"] >= traj.meta["steps"] > traj.meta["rosenbrock_steps"]
+        assert LAYER in traj._modes and traj.t_end == 15.0
+        rosenbrock += traj.meta["rosenbrock_steps"]
+    assert rosenbrock > 250
+    assert counts["redo"] > 0 and counts["rejected-rodas4"] > 0, counts
+
+
+def test_smoothed_step_floor_and_rejections_match_the_reference_loop(monkeypatch):
+    # a smoothed run that ends at a step floor on the layer; one on x1' =
+    # -1000 x1 + x2^3 whose RODAS4 steps are rejected with 1 < err < 2
+    # where they grow too fast (16 times); and one whose every RODAS4
+    # attempt is singular: x1' = -1000 x1 makes each step with h > 3.3e-3
+    # try RODAS4, which a NaN Jacobian rejects
+    floor = assert_fused_matches_reference(monkeypatch, lambda: integrate_smoothed(
+        nf(1, 1, -2.0, -2.0, 0.2), "tanh", 1e-7, (0.0, 1.0, 1.0), (0.0, 1.0),
+        IntegratorOptions(min_step=1e-4)))
+    assert floor.meta["aborted"] == "step-floor" and floor.events[-1].kind == "step-floor"
+    side = parse_field("-1000*x1+x2*x2*x2", "x3", "-x2")
+    counts = Counter()
+    growth = assert_fused_matches_reference(monkeypatch, lambda: integrate_smoothed(
+        PiecewiseSmoothSystem(side, side), "tanh", 1e-3, (1.0, 0.0, 1.0), (0.0, 10.0),
+        IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8)), counts)
+    assert growth.meta["rosenbrock_steps"] > 100 and counts["rejected-rodas4"] > 10
+    monkeypatch.setattr(integrate, "compile_jacobian",
+                        lambda *args: lambda x1, x2, x3: (math.nan,) * 9)
+    side = parse_field("-1000*x1", "x3", "-x2")
+    counts = Counter()
+    singular = assert_fused_matches_reference(monkeypatch, lambda: integrate_smoothed(
+        PiecewiseSmoothSystem(side, side), "tanh", 1e-3, (1.0, 0.0, 1.0), (0.0, 1.0)), counts)
+    assert singular.meta["rosenbrock_steps"] == 0 and singular.t_end == 1.0
+    assert counts["rejected-rodas4"] > 1000
 
 
 def test_stiff_layer_work_is_bounded():

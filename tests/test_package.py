@@ -52,6 +52,28 @@ def test_the_benchmark_tracer_installs_on_the_package():
     assert done.returncode == 0, done.stderr
 
 
+def test_the_benchmark_tracer_wraps_calls_the_program_makes():
+    # installing shows only that the names exist; the wrapped `_Stepper`
+    # methods must also accept the calls the program makes (the step
+    # counter passes positional arguments alone), so a smoothed run, which
+    # takes RODAS4 attempts, and a Filippov run that slides go through them
+    src = Path(twofold.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(PERFBENCH)))}
+    code = ("import sys, twofold.cli\n"
+            "from tracer import Tracer\n"
+            "Tracer().install()\n"
+            "for argv in (['simulate', '--scenario', 'example-i', '--epsilon', '1e-3',\n"
+            "              '--t-end', '1'],\n"
+            "             ['simulate', '--mode', 'filippov', '--scenario', 'mixed-nf',\n"
+            "              '--x0=0,1,1', '--t-end', '1']):\n"
+            "    code = twofold.cli.main(argv)\n"
+            "    if code:\n"
+            "        sys.exit(f'{argv} exited {code}')\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_start_up_imports_no_dataclass_machinery():
     # importing the CLI and building every built-in, as perfbench's set-up
     # probe does, must not load `dataclasses` or the modules it pulls in,
