@@ -28,11 +28,11 @@ of a slide, through `_Stepper.step`).  The four integrators:
 
 Every event is located by one bisection, `_bisect_event`, on a value of t
 and the bracket values its caller already holds: x1 at a crossing and
-lam's distance to a blow-up bound, both read from the one cubic of a step's
-first component (`_first_cubic`) and narrowed first by Illinois steps where
-that cubic is monotone, with the same result bit for bit; and a slide
-monitor of the dense state, bracketed by the monitor's values at the step's
-ends.
+lam's distance to a blow-up bound, both read from the first component of
+the step's one Hermite cubic (`_hermite`) and narrowed first by Illinois
+steps where that cubic is monotone, with the same result bit for bit; and
+a slide monitor of the dense state, bracketed by the monitor's values at
+the step's ends.
 
 Sliding uses the fact that the surface component f1 is quadratic in lam for
 every in-scope system (the hidden field does not depend on lam), so the slide
@@ -44,10 +44,10 @@ the sliding manifold and ejects the orbit into the half space where f1 keeps
 its sign.
 
 A run takes at most `MAX_STEPS` accepted steps, counted in meta['steps']
-over all its segments; meta['attempts'] counts its DP54 and RODAS4
-attempts, rejected ones included.  A run that stops early sets
-meta['aborted'] to STEP_FLOOR (with a step-floor event) or BUDGET.  Every
-run integrates forward in time.
+over all its segments; meta['rosenbrock_steps'] counts those that were
+RODAS4 steps and meta['attempts'] its DP54 and RODAS4 attempts, rejected
+ones included.  A run that stops early sets meta['aborted'] to STEP_FLOOR
+(with a step-floor event) or BUDGET.  Every run integrates forward in time.
 """
 
 from __future__ import annotations
@@ -97,10 +97,10 @@ TWO_FOLD_TOL = 1e-8          # (|x2|, |x3|) below this is a two-fold hit
 EVENT_TOL = 1e-12            # |x1| within this of the surface counts as on it
 BISECT_MAX_ITER = 200        # halvings of an event bracket before giving up
 ILLINOIS_MAX_ITER = 30       # Illinois steps that narrow a bracket before halving
-# every value `_first_cubic` computes lies within _HERMITE_ROUNDING (32
-# units in the last place) of the sum of |x1| and |h x1'| at the step's two
-# ends, plus _ROUNDING_FLOOR (for values too small to round relatively), of
-# the exact cubic's value at the same s
+# every first component `_hermite` computes lies within _HERMITE_ROUNDING
+# (32 units in the last place) of the sum of |x1| and |h x1'| at the step's
+# two ends, plus _ROUNDING_FLOOR (for values too small to round
+# relatively), of the exact cubic's value at the same s
 _HERMITE_ROUNDING = 2.0 ** -48
 _ROUNDING_FLOOR = 1e-300
 
@@ -299,13 +299,12 @@ class _Stepper:
     `fields.compile_jacobian` and `fields.compile_df1_dx1`): then a step on
     which the layer is attracting and stiff at its size, h * (-df1/dx1) >
     _DP54_STABILITY at its start and at its end, is a RODAS4 step
-    (`_attempt`), counted in `rosenbrock_steps`.  `make_jac()` returns the
-    Jacobian; it is called at the first RODAS4 attempt, so a run that never
-    takes one never compiles it.
+    (`_attempt`).  `make_jac()` returns the Jacobian; it is called at the
+    first RODAS4 attempt, so a run that never takes one never compiles it.
     """
 
     __slots__ = ("rhs", "abs_tol", "rel_tol", "min_step", "t", "y", "f", "h", "make_jac",
-                 "jac", "df1_dx1", "rosenbrock", "rosenbrock_steps")
+                 "jac", "df1_dx1", "rosenbrock")
 
     def __init__(self, rhs, t0, y0, opts, make_jac=None, df1_dx1=None, h=1e-3):
         self.rhs = rhs
@@ -317,7 +316,6 @@ class _Stepper:
         self.make_jac = make_jac
         self.jac = None
         self.df1_dx1 = df1_dx1
-        self.rosenbrock_steps = 0
 
     def _attempt(self, h, y, f):
         """One RODAS4 attempt of size h from (y, f = rhs(*y)): (y_new, f_new,
@@ -349,21 +347,6 @@ def _hermite(seg, t):
             a * y0[2] + b * f0[2] + c * y1[2] + d * f1[2])
 
 
-def _first_cubic(seg):
-    """The first component of `_hermite(seg, t)` as a function of t alone,
-    bit for bit: x1's cubic on a flow step, lam's on a blow-up step."""
-    t0, h = seg[0], seg[3] - seg[0]
-    p0, q0, p1, q1 = seg[1][0], seg[2][0], seg[4][0], seg[5][0]
-
-    def first(t):
-        s = (t - t0) / h
-        s2 = s * s
-        u = (1.0 - s) ** 2
-        return ((1.0 + 2.0 * s) * u * p0 + s * u * h * q0
-                + s2 * (3.0 - 2.0 * s) * p1 + s2 * (s - 1.0) * h * q1)
-    return first
-
-
 def _monotone_noise(seg):
     """The rounding bound of x1's cubic on a segment on which it is strictly
     monotone, else None.
@@ -372,8 +355,9 @@ def _monotone_noise(seg):
     coefficients h f1(t0), 3 (x1(t1) - x1(t0)) - h f1(t0) - h f1(t1) and
     h f1(t1); when they share one sign beyond their own rounding, so does
     the exact derivative on the whole step.  The bound is twice what
-    rounding can move a value `_first_cubic` computes (_HERMITE_ROUNDING),
-    so a value beyond it has the sign of the exact cubic at that point.
+    rounding can move a first component `_hermite` computes
+    (_HERMITE_ROUNDING), so a value beyond it has the sign of the exact
+    cubic at that point.
     """
     h = seg[3] - seg[0]
     p0, p1 = seg[1][0], seg[4][0]
@@ -508,17 +492,17 @@ def _surface_crossing(seg, side):
     b = -6.0 * x1_old - 4.0 * d0 + 6.0 * x1_end - 2.0 * d1
     extrema = sorted(t for t in (t0 + s * h for s, _ in quadratic_roots(a, b, d0, 0.0))
                      if t0 < t < t1)
-    x1 = _first_cubic(seg)
     # the bracket starts at the last point strictly on this side: a segment
     # may start on the surface, or a hair beyond it after an earlier
     # crossing cut, and that start is no new crossing
     lo = (t0, x1_old) if side * x1_old > 0.0 else None
     for t_c in extrema + [t1]:
-        x1_new = x1_end if t_c == t1 else x1(t_c)
+        x1_new = x1_end if t_c == t1 else _hermite(seg, t_c)[0]
         if side * x1_new > 0.0:
             lo = (t_c, x1_new)
         elif lo is not None and (side * x1_new <= -EVENT_TOL or x1_new == 0.0):
-            return _bisect_event(seg, x1, *lo, t_c, x1_new, _monotone_noise(seg))
+            return _bisect_event(seg, lambda t: _hermite(seg, t)[0], *lo, t_c, x1_new,
+                                 _monotone_noise(seg))
     return None
 
 
@@ -533,7 +517,8 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False, every=False):
     """Advance `stepper` toward t1 by accepted steps, with the DP54 attempt
     and the step control inline, on `stepper`'s rhs, state, h and
     tolerances (state and h are written back); each sample goes straight
-    into the trajectory's arrays, the first only into an empty trajectory.
+    into the trajectory's arrays, the first only into an empty trajectory,
+    tagged flow+ or flow- by the sign of its first coordinate, with no lam.
 
     A stepper with `df1_dx1` (a smoothed run's) picks the method per step:
     where h * rate > _DP54_STABILITY, rate = -df1/dx1 at the step's start,
@@ -548,22 +533,16 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False, every=False):
     a step with a Bernstein control point of its x1 cubic beyond the
     surface or within a rounding margin of it (`_surface_crossing` finds
     nothing on any other); on a blow-up (`blowup`), a step whose lam leaves
-    (-1, 1).  With none of them, a smooth or smoothed run, it flags nothing
-    and tags each sample by the sign of its x1.  Otherwise returns None: at
-    t1, at a step floor (`_step_floor`) or when the run's accepted steps,
-    counted in meta['steps'], reach MAX_STEPS (meta['aborted'] = BUDGET);
-    the attempts are added to meta['attempts'].
+    (-1, 1).  With none of them, a smooth or smoothed run, it flags nothing.
+    Otherwise returns None: at t1, at a step floor (`_step_floor`) or when
+    the run's accepted steps, counted in meta['steps'], reach MAX_STEPS
+    (meta['aborted'] = BUDGET).  The RODAS4 steps among them are added to
+    meta['rosenbrock_steps'] and the attempts to meta['attempts'].
     """
-    if blowup:
-        plus = minus = LAYER
-    elif side:
-        plus = minus = FLOW_PLUS if side > 0 else FLOW_MINUS
-    else:
-        plus, minus = FLOW_PLUS, FLOW_MINUS
     t, h_next, rhs, df1_dx1 = stepper.t, stepper.h, stepper.rhs, stepper.df1_dx1
     (y1, y2, y3), (k11, k12, k13) = stepper.y, stepper.f
     if not traj:
-        traj.append(t, stepper.y, stepper.f, plus if y1 >= 0 else minus, y1 if blowup else NAN)
+        traj.append(t, stepper.y, stepper.f, FLOW_PLUS if y1 >= 0 else FLOW_MINUS)
     at, rt, min_step = stepper.abs_tol, stepper.rel_tol, stepper.min_step
     hull = 8.0 * _HERMITE_ROUNDING
     add_t, add_lam, add_mode = traj._t.append, traj._lam.append, traj._modes.append
@@ -572,6 +551,7 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False, every=False):
     add_f1, add_f2, add_f3 = fs[0].append, fs[1].append, fs[2].append
     meta = traj.meta
     steps, attempts = meta.get("steps", 0), meta.get("attempts", 0)
+    rosenbrock_steps = meta.get("rosenbrock_steps", 0)
     rate = 0.0 if df1_dx1 is None else -df1_dx1(y1, y2, y3)
     flagged = None
     while t < t1:
@@ -599,7 +579,7 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False, every=False):
             # the growth and pin the orbit to that sheet, is redone by DP54
             stiff = h * -df1_dx1(n1, n2, n3) > _DP54_STABILITY
         if stiff:
-            stepper.rosenbrock_steps += 1
+            rosenbrock_steps += 1
             k71, k72, k73 = k7
             fac = 5.0 if err == 0.0 else 0.9 * err ** -0.25
         else:
@@ -675,12 +655,13 @@ def _dp54_run(traj, stepper, t1, side=0, blowup=False, every=False):
         add_f1(k71)
         add_f2(k72)
         add_f3(k73)
-        add_lam(n1 if blowup else NAN)
-        add_mode(plus if n1 >= 0 else minus)
+        add_lam(NAN)
+        add_mode(FLOW_PLUS if n1 >= 0 else FLOW_MINUS)
         if df1_dx1 is not None:
             rate = -df1_dx1(n1, n2, n3)
     stepper.t, stepper.y, stepper.f, stepper.h = t, (y1, y2, y3), (k11, k12, k13), h_next
     meta["steps"], meta["attempts"] = steps, attempts
+    meta["rosenbrock_steps"] = rosenbrock_steps
     return flagged
 
 
@@ -734,8 +715,8 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     Samples with |x1| < 10 eps are tagged as layer samples and carry the
     sigmoid value in the lambda column.  Steps on which the layer is
     attracting and stiff are RODAS4 steps (see `_dp54_run`), counted in
-    meta['rosenbrock_steps']; elsewhere the run takes DP54 steps, and a
-    step-floor event ends it early rather than stalling.
+    meta['rosenbrock_steps'] as in every run; elsewhere the run takes DP54
+    steps, and a step-floor event ends it early rather than stalling.
     """
     _check_eps(eps)
     t0, t1 = _forward(t_span, "smoothed")
@@ -750,7 +731,6 @@ def integrate_smoothed(sys: PiecewiseSmoothSystem, sigmoid: str, eps: float,
     stepper = _Stepper(rhs, t0, x0, opts or IntegratorOptions(),
                        lambda: compile_jacobian(sys, lam_source, dlam_source), df1_dx1)
     _dp54_run(traj, stepper, t1)
-    meta["rosenbrock_steps"] = stepper.rosenbrock_steps
     # the loop tagged every sample by the sign of its x1: those within the
     # layer become layer samples, with the sigmoid value
     band, modes, lams = 10.0 * eps, traj._modes, traj._lam
@@ -784,13 +764,16 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
 
     traj = Trajectory(meta={"kind": "blowup", "eps": eps})
     seg = _dp54_run(traj, _Stepper(rhs, t0, y0, opts or IntegratorOptions()), t1, blowup=True)
+    # the loop tagged every sample by the sign of its lam: all are layer
+    # samples, with lam in the lambda column
+    traj._modes = [LAYER] * len(traj)
+    traj._lam = array("d", traj.columns[0])
     if seg is not None:
         # lam left (-1, 1) on this step: locate the distance 1 - bound * lam
         # to the bound it crossed, positive inside
         lam = seg[4][0]
         bound = 1.0 if lam >= 1.0 else -1.0
-        lam_of = _first_cubic(seg)
-        t_star, y_star = _bisect_event(seg, lambda t: 1.0 - bound * lam_of(t),
+        t_star, y_star = _bisect_event(seg, lambda t: 1.0 - bound * _hermite(seg, t)[0],
                                        seg[0], 1.0 - bound * seg[1][0],
                                        seg[3], 1.0 - bound * lam, _monotone_noise(seg))
         if t_star > traj.times[-1]:

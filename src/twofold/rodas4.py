@@ -43,7 +43,8 @@ def attempt(rhs, jac, y, f, h, at, rt):
     like any non-finite state."""
     y1, y2, y3 = y
     j11, j12, j13, j21, j22, j23, j31, j32, j33 = jac(y1, y2, y3)
-    g = 1.0 / (_GAMMA * h)
+    # 1/gamma/h, not 1/(gamma h), which divides by zero once gamma h underflows
+    g = 1.0 / _GAMMA / h
     a11, a22, a33 = g - j11, g - j22, g - j33
     c11 = a22 * a33 - j23 * j32
     c12 = j23 * j31 + j21 * a33

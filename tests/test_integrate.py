@@ -25,7 +25,7 @@ from twofold.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
                                BISECT_MAX_ITER, NonconvergentEventError,
                                TWO_FOLD_TOL, _Stepper, _bisect_event, _dp54_run,
-                               SIGMOIDS, _first_cubic, _hermite, _monotone_noise,
+                               SIGMOIDS, _hermite, _monotone_noise,
                                _illinois, _slide_monitors, _surface_crossing)
 from twofold.scenarios import builtin, load_config
 from twofold.sliding import CLASSIFY_TOL, slide_root, sliding_lambda, surface_quadratic
@@ -325,19 +325,17 @@ def reference_dp54_run(traj, stepper, t1, side=0, blowup=False, every=False, cou
       rejected one to h max(0.2, 0.9 err**p), or h 0.2 at a non-finite
       state, p = -0.25 after RODAS4 and -0.2 after DP54.
 
-    The same tags, budget and meta sums, and as pre-test `every` and a flow
-    or a slide (side != 0) flag every step (the scan finds no crossing on a
-    step the hull test passes) and a blow-up each step whose lam leaves
-    (-1, 1).  `counts`, a Counter, adds up the same-h DP54 redos ("redo")
-    and the rejected RODAS4 attempts ("rejected-rodas4")."""
+    The same tags (flow+ or flow- by the sign of the first coordinate, no
+    lam), budget and meta sums, RODAS4 steps in meta['rosenbrock_steps']
+    too, and as pre-test `every` and a flow or a slide (side != 0) flag
+    every step (the scan finds no crossing on a step the hull test passes)
+    and a blow-up each step whose lam leaves (-1, 1).  `counts`, a Counter,
+    adds up the same-h DP54 redos ("redo") and the rejected RODAS4
+    attempts ("rejected-rodas4")."""
     counts = Counter() if counts is None else counts
 
     def tag(y):
-        if blowup:
-            return LAYER, y[0]
-        if side:
-            return (FLOW_PLUS if side > 0 else FLOW_MINUS), math.nan
-        return (FLOW_PLUS if y[0] >= 0 else FLOW_MINUS), math.nan
+        return FLOW_PLUS if y[0] >= 0 else FLOW_MINUS
 
     df1_dx1, at, rt = stepper.df1_dx1, stepper.abs_tol, stepper.rel_tol
     opts = IntegratorOptions(rel_tol=rt, abs_tol=at)
@@ -351,14 +349,15 @@ def reference_dp54_run(traj, stepper, t1, side=0, blowup=False, every=False, cou
         return rodas4.attempt(stepper.rhs, jac[0], y, f, h, at, rt)
 
     def step():
-        """(segment, attempts) of one accepted step; no segment at a floor."""
+        """(segment, attempts, stiff) of one accepted step; no segment at a
+        floor."""
         t, y, f = stepper.t, stepper.y, stepper.f
         rate = 0.0 if df1_dx1 is None else -df1_dx1(*y)
         tries = 0
         while True:
             h = min(stepper.h, t1 - t)
             if h < stepper.min_step and h < t1 - t or t + h == t:
-                return None, tries
+                return None, tries, False
             stiff = h * rate > 3.3
             tries += 1
             y_new, f_new, err = attempt(stiff, h, y, f)
@@ -373,32 +372,33 @@ def reference_dp54_run(traj, stepper, t1, side=0, blowup=False, every=False, cou
             if ok:
                 fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** power))
                 stepper.t, stepper.y, stepper.f, stepper.h = t + h, y_new, f_new, h * fac
-                stepper.rosenbrock_steps += stiff
-                return (t, y, f, t + h, y_new, f_new), tries
+                return (t, y, f, t + h, y_new, f_new), tries, stiff
             counts["rejected-rodas4"] += stiff
             stepper.h = h * (max(0.2, 0.9 * err ** power) if err > 1.0 else 0.2)
 
     if not traj:
-        traj.append(stepper.t, stepper.y, stepper.f, *tag(stepper.y))
+        traj.append(stepper.t, stepper.y, stepper.f, tag(stepper.y))
     meta = traj.meta
     steps, attempts = meta.get("steps", 0), meta.get("attempts", 0)
+    rosenbrock = meta.get("rosenbrock_steps", 0)
     flagged = None
     while stepper.t < t1:
         if steps >= integrate.MAX_STEPS:
             meta["aborted"] = "budget"
             break
-        seg, tries = step()
+        seg, tries, stiff = step()
         attempts += tries
         if seg is None:
             traj.add_event(stepper.t, "step-floor", stepper.y)
             meta["aborted"] = "step-floor"
             break
         steps += 1
+        rosenbrock += stiff
         if every or side or blowup and not -1.0 < seg[4][0] < 1.0:
             flagged = seg
             break
-        traj.append(seg[3], seg[4], seg[5], *tag(seg[4]))
-    meta["steps"], meta["attempts"] = steps, attempts
+        traj.append(seg[3], seg[4], seg[5], tag(seg[4]))
+    meta["steps"], meta["attempts"], meta["rosenbrock_steps"] = steps, attempts, rosenbrock
     return flagged
 
 
@@ -488,6 +488,10 @@ def test_fused_blowups_match_the_reference_loop(monkeypatch, y0, t_end, exits):
     traj = assert_fused_matches_reference(
         monkeypatch, lambda: integrate_blowup(sys, 1e-3, y0, (0.0, t_end)))
     assert ("boundary_exit" in traj.meta) == exits and (traj.t_end < t_end) == exits
+    # the fused and the reference loop share the relabel: every sample is a
+    # layer sample whose lambda is its first coordinate, bit for bit
+    assert set(traj._modes) == {LAYER}
+    assert bytes(traj.lams) == bytes(traj.columns[0])
 
 
 def test_fused_smooth_runs_match_the_reference_loop(monkeypatch):
@@ -860,8 +864,8 @@ def boundary_segments(draw):
 @given(case=boundary_segments())
 def test_boundary_exit_matches_plain_halving(case):
     seg, scalar = case
-    lam = _first_cubic(seg)
-    assert outcome(_bisect_event, seg, lambda t: scalar(lam(t)), seg[0], scalar(seg[1][0]),
+    assert outcome(_bisect_event, seg, lambda t: scalar(_hermite(seg, t)[0]),
+                   seg[0], scalar(seg[1][0]),
                    seg[3], scalar(seg[4][0]), _monotone_noise(seg)) == \
         outcome(oracle_bisect, seg, scalar, on_first=True)
 
@@ -882,7 +886,7 @@ def test_boundary_exit_matches_plain_halving(case):
               (5.0374748531205125, 0.0, 0.0)))
 def test_whole_step_locator_matches_plain_halving(seg):
     # over the whole step, on x1 alone and on the full state
-    assert outcome(_bisect_event, seg, _first_cubic(seg), seg[0], seg[1][0],
+    assert outcome(_bisect_event, seg, lambda t: _hermite(seg, t)[0], seg[0], seg[1][0],
                    seg[3], seg[4][0], _monotone_noise(seg)) == \
         outcome(oracle_bisect, seg, lambda x1: x1, on_first=True)
     assert outcome(_bisect_event, seg, lambda t: _hermite(seg, t)[0], seg[0], seg[1][0],
@@ -1416,6 +1420,16 @@ def test_rodas4_is_fourth_order_on_a_smooth_field():
     assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs
 
 
+def test_rodas4_attempt_of_a_subnormal_step_is_rejected_not_raised():
+    # gamma * h underflows to 0 at h = 5e-324; 1/gamma/h is inf there, which
+    # the singular-matrix check turns into a NaN state the loop rejects
+    rhs = parse_field("-1000*x1", "x3", "-x2").fn
+    jac = lambda x1, x2, x3: (-1000.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0)
+    y = (1.0, 0.0, 1.0)
+    y_new, f_new, err = rodas4.attempt(rhs, jac, y, rhs(*y), 5e-324, 1e-10, 1e-8)
+    assert all(v != v for v in y_new)
+
+
 def test_singular_rosenbrock_matrix_rejects_the_attempt(monkeypatch):
     # a NaN Jacobian makes every RODAS4 attempt singular, a NaN state that
     # the loop rejects with h * 0.2 until the step is small enough for DP54
@@ -1428,7 +1442,7 @@ def test_singular_rosenbrock_matrix_rejects_the_attempt(monkeypatch):
     monkeypatch.setattr(integrate, "MAX_STEPS", 1)
     traj = Trajectory()
     assert _dp54_run(traj, stepper, 10.0) is None and traj.meta["steps"] == 1
-    assert traj.times[1] <= 0.2 ** 3 and stepper.rosenbrock_steps == 0
+    assert traj.times[1] <= 0.2 ** 3 and traj.meta["rosenbrock_steps"] == 0
     assert traj.meta["attempts"] > 4 and all(math.isfinite(v) for v in traj.state(1))
 
 

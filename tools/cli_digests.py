@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 207 calls of `twofold.cli.main` in this process, each in its own
+Runs 208 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -225,7 +225,9 @@ REPRODUCERS = (
 # enters the slide, hits the two-fold and breaks determinacy at t = 0;
 # order studies whose rectification domain R = |alpha| (1 + lam_s)^2 is
 # 6e-4, 6e-9 and 6e-7 (alpha 1e-3, 1e-8 and -1e-6), and one at 1 + lam_s =
-# 1e-6, past the rounding limit (exit 3)
+# 1e-6, past the rounding limit (exit 3); a smoothed run at x2 = 1e308 whose
+# RODAS4 attempts are all rejected, down to h = 1e-323, where gamma h
+# underflows to 0, and which ends at a step floor at t = 0 (exit 3)
 BIG_F1 = "1" + "0" * 200
 BIG_F1_CONFIG = json.dumps({"f_plus": [f"-{BIG_F1}*x2", "-1", "-4"],
                             "f_minus": [f"{BIG_F1}*x3", "-1", "1"],
@@ -242,6 +244,8 @@ LATE_CALLS = (
             f"--alpha={alpha}")) for alpha in ("1e-3", "1e-8", "-1e-6")),
     ({}, ("transform-check", "--a1", "1", "--a2", "-1", "--b1=1e6", "--b2=-1e6",
           "--alpha=0.2")),
+    ({}, ("simulate", "--scenario", "mixed-nf", "--x0=0,1e308,0", "--t-end", "1",
+          "--min-step", "5e-324")),
 )
 
 
