@@ -10,7 +10,7 @@ from twofold.fields import (PiecewiseSmoothSystem, TwoFoldParams, compile_df1_dx
                             compile_jacobian, compile_layer, normal_form_system,
                             parse_field, quadratic_roots)
 from twofold.integrate import SIGMOIDS
-from twofold.scenarios import builtin, builtin_names
+from twofold.scenarios import builtin, builtin_names, load_config
 from twofold.sliding import surface_quadratic
 
 
@@ -83,13 +83,23 @@ def test_layer_kernel_matches_combination_exactly():
         assert smoothed(*x) == sys.layer(*x, math.tanh(x[0] * (1.0 / eps)))
 
 
-@pytest.mark.parametrize("name", builtin_names())
+# an expression config whose f_plus and hidden term square sums, so its
+# Jacobian differentiates powers (the power-config call of cli_digests.py)
+POWER_CONFIG = {
+    "name": "power-config",
+    "f_plus": ["-x2+1/10*(x1-x2)^2", "1+x1", "-7/5+1/10*x2^2"],
+    "f_minus": ["x3-1/10*x1*x2", "-9/10", "1-3/5*x1"],
+    "hidden": ["1/5+1/20*(x2+x3)^2", "0", "0"],
+    "sim": {"t_end": 20.0, "x0": [0.1, 0.5, 0.5]}}
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "power-config"])
 @pytest.mark.parametrize("sigmoid", ["tanh", "sqrt"])
 def test_jacobian_kernel_matches_central_differences(name, sigmoid):
     # numpy central differences of the compiled smoothed field, inside the
     # layer (where the chain-rule term through lam dominates column 1) and
     # off it; each column's difference step scales with its variable
-    sys = builtin(name).system
+    sys = (load_config(POWER_CONFIG) if name == "power-config" else builtin(name)).system
     eps = 1e-2
     rhs = compile_layer(sys, SIGMOIDS[sigmoid][0](eps))
     lam, dlam = SIGMOIDS[sigmoid][0](eps), SIGMOIDS[sigmoid][1](eps)

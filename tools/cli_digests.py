@@ -1,6 +1,6 @@
 """Digest of every output of a fixed list of `twofold` CLI calls.
 
-Runs 208 calls of `twofold.cli.main` in this process, each in its own
+Runs 209 calls of `twofold.cli.main` in this process, each in its own
 directory under one temporary directory, empty but for the config file the
 call reads, if any, and prints one line per call:
 
@@ -227,11 +227,19 @@ REPRODUCERS = (
 # 6e-4, 6e-9 and 6e-7 (alpha 1e-3, 1e-8 and -1e-6), and one at 1 + lam_s =
 # 1e-6, past the rounding limit (exit 3); a smoothed run at x2 = 1e308 whose
 # RODAS4 attempts are all rejected, down to h = 1e-323, where gamma h
-# underflows to 0, and which ends at a step floor at t = 0 (exit 3)
+# underflows to 0, and which ends at a step floor at t = 0 (exit 3); a
+# smoothed run of an expression config with squared sums in f_plus and
+# the hidden term, whose RODAS4 steps read the Jacobian's power derivatives
 BIG_F1 = "1" + "0" * 200
 BIG_F1_CONFIG = json.dumps({"f_plus": [f"-{BIG_F1}*x2", "-1", "-4"],
                             "f_minus": [f"{BIG_F1}*x3", "-1", "1"],
                             "hidden": [f"{BIG_F1}/5", "0", "0"]})
+POWER_CONFIG = json.dumps({
+    "name": "power-config",
+    "f_plus": ["-x2+1/10*(x1-x2)^2", "1+x1", "-7/5+1/10*x2^2"],
+    "f_minus": ["x3-1/10*x1*x2", "-9/10", "1-3/5*x1"],
+    "hidden": ["1/5+1/20*(x2+x3)^2", "0", "0"],
+    "sim": {"t_end": 20.0, "x0": [0.1, 0.5, 0.5]}})
 LATE_CALLS = (
     ({"cfg.json": BIG_F1_CONFIG},
      ("simulate", "--config", "cfg.json", "--mode", "filippov", "--x0=0,1,1",
@@ -246,6 +254,8 @@ LATE_CALLS = (
           "--alpha=0.2")),
     ({}, ("simulate", "--scenario", "mixed-nf", "--x0=0,1e308,0", "--t-end", "1",
           "--min-step", "5e-324")),
+    ({"cfg.json": POWER_CONFIG},
+     ("simulate", "--config", "cfg.json", "--epsilon", "1e-4", *RUN_OUT)),
 )
 
 
