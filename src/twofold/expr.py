@@ -11,10 +11,11 @@ Grammar (whitespace insensitive)::
 Constants are stored as exact rationals and evaluated in double precision,
 so coefficients like 23/100 carry no decimal-entry drift.  There is no
 division operator: '/' is only legal inside a numeric literal.  A tree is
-evaluated only through its `source()`, which `fields` compiles into flat
-functions; `diff` gives its exact partial derivatives.  Nesting is bounded
-by `MAX_DEPTH`, so every accepted tree and its derivatives compile.  Nodes
-are immutable `__slots__` classes, equal when their types and fields are.
+evaluated only through `source`, its Python text, which `fields` compiles
+into flat functions; `diff` gives its exact partial derivatives.  Nesting
+is bounded by `MAX_DEPTH`, so every accepted tree and its derivatives
+compile.  A node is a tuple tagged by its kind, so it is immutable and
+equal to another node when kind and fields are.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Pow",
-    "ExpressionError", "parse_expr", "num", "ZERO",
+    "ExpressionError", "parse_expr", "num", "ZERO", "source", "diff",
 ]
 
 VAR_NAMES = ("x1", "x2", "x3")
@@ -52,146 +53,40 @@ class ExpressionError(ValueError):
         self.pos = pos
 
 
-class Expr:
-    """Base node.  Trees are immutable and shareable: a node's `_fields`
-    are slots its constructor sets once.  Two nodes are equal when they have
-    the same type and equal fields, so `Add(a, b) != Mul(a, b)`."""
-
-    __slots__ = _fields = ()
-
-    def _key(self):
-        return (type(self),) + tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable node")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def source(self) -> str:
-        """Python source fragment used by the compiled evaluators."""
-        raise NotImplementedError
-
-    def diff(self, index: int) -> Expr:
-        """Exact partial derivative in x<index>.  Zero and one factors are
-        folded away, so the derivative of a polynomial field stays short; an
-        identically zero derivative is the shared ZERO node."""
-        raise NotImplementedError
+# A node is a tuple whose first item names its kind:
+#   ("num", Fraction)  ("var", index 1..3)  ("neg", arg)
+#   ("add" | "sub" | "mul", left, right)  ("pow", base, exponent >= 0)
+# so it is immutable and hashable, and equal to another node when kind and
+# fields are: Add(a, b) != Mul(a, b).
+Expr = tuple
 
 
-_set = object.__setattr__     # the constructors' one way past Expr.__setattr__
+def Num(value: Fraction) -> Expr:
+    return ("num", value)
 
 
-class Num(Expr):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Fraction):
-        _set(self, "value", value)
-
-    def source(self):
-        return repr(float(self.value))
-
-    def diff(self, index):
-        return ZERO
+def Var(index: int) -> Expr:
+    return ("var", index)
 
 
-class Var(Expr):
-    __slots__ = _fields = ("index",)   # 1..3
-
-    def __init__(self, index: int):
-        _set(self, "index", index)
-
-    def source(self):
-        return VAR_NAMES[self.index - 1]
-
-    def diff(self, index):
-        return ONE if self.index == index else ZERO
+def Neg(arg: Expr) -> Expr:
+    return ("neg", arg)
 
 
-class Neg(Expr):
-    __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
-
-    def source(self):
-        return f"(-{self.arg.source()})"
-
-    def diff(self, index):
-        d = self.arg.diff(index)
-        return ZERO if d is ZERO else Neg(d)
+def Add(left: Expr, right: Expr) -> Expr:
+    return ("add", left, right)
 
 
-class _Binary(Expr):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        _set(self, "left", left)
-        _set(self, "right", right)
+def Sub(left: Expr, right: Expr) -> Expr:
+    return ("sub", left, right)
 
 
-class Add(_Binary):
-    __slots__ = ()
-
-    def source(self):
-        return f"({self.left.source()}+{self.right.source()})"
-
-    def diff(self, index):
-        return _add(self.left.diff(index), self.right.diff(index))
+def Mul(left: Expr, right: Expr) -> Expr:
+    return ("mul", left, right)
 
 
-class Sub(_Binary):
-    __slots__ = ()
-
-    def source(self):
-        return f"({self.left.source()}-{self.right.source()})"
-
-    def diff(self, index):
-        d_left, d_right = self.left.diff(index), self.right.diff(index)
-        if d_right is ZERO:
-            return d_left
-        return Neg(d_right) if d_left is ZERO else Sub(d_left, d_right)
-
-
-class Mul(_Binary):
-    __slots__ = ()
-
-    def source(self):
-        return f"({self.left.source()}*{self.right.source()})"
-
-    def diff(self, index):
-        return _add(_mul(self.left.diff(index), self.right),
-                    _mul(self.left, self.right.diff(index)))
-
-
-class Pow(Expr):
-    __slots__ = _fields = ("base", "exponent")   # exponent >= 0
-
-    def __init__(self, base: Expr, exponent: int):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-
-    def source(self):
-        return f"({self.base.source()}**{self.exponent})"
-
-    def diff(self, index):
-        n = self.exponent
-        if n == 0:
-            return ZERO
-        outer = ONE if n == 1 else Mul(Num(Fraction(n)),
-                                       self.base if n == 2 else Pow(self.base, n - 1))
-        return _mul(outer, self.base.diff(index))
+def Pow(base: Expr, exponent: int) -> Expr:
+    return ("pow", base, exponent)
 
 
 ZERO = Num(Fraction(0))
@@ -212,6 +107,51 @@ def _mul(a: Expr, b: Expr) -> Expr:
     if a is ONE:
         return b
     return a if b is ONE else Mul(a, b)
+
+
+_OPERATORS = {"add": "+", "sub": "-", "mul": "*"}
+
+
+def source(e: Expr) -> str:
+    """Python source fragment of `e`, which the compiled evaluators run."""
+    kind = e[0]
+    if kind == "num":
+        return repr(float(e[1]))
+    if kind == "var":
+        return VAR_NAMES[e[1] - 1]
+    if kind == "neg":
+        return f"(-{source(e[1])})"
+    if kind == "pow":
+        return f"({source(e[1])}**{e[2]})"
+    return f"({source(e[1])}{_OPERATORS[kind]}{source(e[2])})"
+
+
+def diff(e: Expr, index: int) -> Expr:
+    """Exact partial derivative of `e` in x<index>.  Zero and one factors
+    are folded away, so the derivative of a polynomial field stays short; an
+    identically zero derivative is the shared ZERO node."""
+    kind = e[0]
+    if kind == "num":
+        return ZERO
+    if kind == "var":
+        return ONE if e[1] == index else ZERO
+    if kind == "neg":
+        d = diff(e[1], index)
+        return ZERO if d is ZERO else Neg(d)
+    if kind == "add":
+        return _add(diff(e[1], index), diff(e[2], index))
+    if kind == "sub":
+        d_left, d_right = diff(e[1], index), diff(e[2], index)
+        if d_right is ZERO:
+            return d_left
+        return Neg(d_right) if d_left is ZERO else Sub(d_left, d_right)
+    if kind == "mul":
+        return _add(_mul(diff(e[1], index), e[2]), _mul(e[1], diff(e[2], index)))
+    base, n = e[1], e[2]    # a power
+    if n == 0:
+        return ZERO
+    outer = ONE if n == 1 else Mul(Num(Fraction(n)), base if n == 2 else Pow(base, n - 1))
+    return _mul(outer, diff(base, index))
 
 
 def num(value) -> Expr:

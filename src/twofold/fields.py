@@ -38,7 +38,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .expr import ZERO, Expr, Var, Neg, num, parse_expr
+from .expr import ZERO, Expr, Var, Neg, diff, num, parse_expr, source
 
 __all__ = [
     "SmoothField", "PiecewiseSmoothSystem", "TwoFoldParams",
@@ -68,7 +68,7 @@ class SmoothField:
         if name != "_fn":
             raise AttributeError(name)
         fn = self._fn = compile_function("fn(x1, x2, x3)", "", "({}, {}, {})".format(
-            *(c.source() for c in self.components)))
+            *(source(c) for c in self.components)))
         return fn
 
     @property
@@ -141,7 +141,7 @@ class PiecewiseSmoothSystem:
 
     @cached_property
     def f1_sides(self):
-        p1, m1, g1 = (f.components[0].source()
+        p1, m1, g1 = (source(f.components[0])
                       for f in (self.f_plus, self.f_minus, self.hidden))
         return compile_function("f1_sides(x2, x3)", "x1 = 0.0\n", f"({p1}, {m1}, {g1})")
 
@@ -195,7 +195,7 @@ def compile_layer(sys: PiecewiseSmoothSystem, lam_source: str | None = None):
     inside and the function is (x1, x2, x3) -> f: the smoothed field in one
     call, since stiff runs make about six of these calls per step.
     """
-    p, m, g = ([c.source() for c in f.components]
+    p, m, g = ([source(c) for c in f.components]
                for f in (sys.f_plus, sys.f_minus, sys.hidden))
     signature, head = (("layer(x1, x2, x3)", f"lam = {lam_source}\n") if lam_source is not None
                        else ("layer(x1, x2, x3, lam)", ""))
@@ -216,10 +216,10 @@ def _derivative_source(sys: PiecewiseSmoothSystem, lam_source: str, dlam_source:
 
     def entry(i, j):
         comps = [f.components[i] for f in fields]
-        terms = [(w, c.diff(j + 1)) for w, c in zip(("wp", "wm", "wh"), comps)]
+        terms = [(w, diff(c, j + 1)) for w, c in zip(("wp", "wm", "wh"), comps)]
         if j == 0:
             terms += zip(("dwp", "dwm", "dwh"), comps)
-        return "+".join(f"{w}*{e.source()}" for w, e in terms if e is not ZERO) or "0.0"
+        return "+".join(f"{w}*{source(e)}" for w, e in terms if e is not ZERO) or "0.0"
 
     return (f"lam = {lam_source}\ndlam = {dlam_source}\n{WEIGHTS_SOURCE}"
             "dwp = 0.5*dlam; dwm = -dwp; dwh = -2.0*lam*dlam\n",

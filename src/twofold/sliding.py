@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .expr import source
 from .fields import (CITARDAUQ_SOURCE, DISC_SOURCE, QUADRATIC_SOURCE, WEIGHTS_SOURCE,
                      PiecewiseSmoothSystem, TwoFoldParams, compile_function, indented)
 
@@ -159,7 +160,7 @@ def surface_grid(sys: PiecewiseSmoothSystem, axis):
     at a time: row i, entry j belongs to (x2, x3) = (axis[i], axis[j]).  One
     kernel, compiled per call, computes a row: each cell evaluates f1's
     terms at x1 = 0 once, as `f1_sides` does, and runs the cell text on them."""
-    p1, m1, g1 = (f.components[0].source() for f in (sys.f_plus, sys.f_minus, sys.hidden))
+    p1, m1, g1 = (source(f.components[0]) for f in (sys.f_plus, sys.f_minus, sys.hidden))
     cell = (f"fp1 = {p1}; fm1 = {m1}; g1 = {g1}\n{_SIDES}{_REGION}regions.append(region)\n"
             f"{_ROOTS}lams.append(roots)\n")
     row = compile_function("surface_row(x2, axis)", "x1 = 0.0\nregions = []; lams = []\n"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from twofold import cli, fields, integrate
 from twofold.cli import (SLIDE_MAP_MAX_GRID, SWEEP_MAX_CELLS, _build_parser,
                          _finite, main)
+from twofold.expr import source
 from twofold import svg
 from twofold.svg import VIEWS, render_region_map, render_trajectory
 from twofold.fields import TwoFoldParams, normal_form_system
@@ -408,7 +409,7 @@ def test_each_call_compiles_only_the_kernels_it_evaluates(monkeypatch, tmp_path,
     assert "fn" in names("simulate", "--scenario", "example-ii", "--mode", "filippov",
                          "--t-end", "20")
     fn_sources = [src for name, src in compiled if name == "fn"]
-    hidden = ", ".join(c.source() for c in builtin("example-ii").system.hidden.components)
+    hidden = ", ".join(map(source, builtin("example-ii").system.hidden.components))
     assert len(set(fn_sources)) == len(fn_sources) <= 2
     assert not any(hidden in src for src in fn_sources)
 

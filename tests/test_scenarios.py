@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from twofold import cli, scenarios
-from twofold.expr import Num, parse_expr
+from twofold.expr import parse_expr
 from twofold.fields import TwoFoldParams
 from twofold.integrate import integrate_filippov
 from twofold.scenarios import (ConfigError, builtin, builtin_config, builtin_names,
@@ -44,11 +44,10 @@ def test_example_coefficients_are_exact_rationals():
     nums = []
 
     def walk(e):
-        if isinstance(e, Num):
-            nums.append(e.value)
-        for attr in ("arg", "left", "right", "base"):
-            child = getattr(e, attr, None)
-            if child is not None:
+        if e[0] == "num":
+            nums.append(e[1])
+        for child in e[1:]:
+            if isinstance(child, tuple):
                 walk(child)
 
     walk(c3)
