@@ -24,7 +24,8 @@ of a slide, through `_Stepper.step`).  The four integrators:
   * integrate_smoothed -- sigmoid regularization lam = phi(x1/eps), the one
     integrator with RODAS4 steps;
   * integrate_blowup   -- the layer system itself, (lam' , x2., x3.) with
-    lam' = eps dlam/dt, lam clamped to [-1, +1] by a boundary-exit event.
+    lam' = eps dlam/dt, ended by a boundary-exit event whose state holds
+    lam at the bound it reached, -1.0 or +1.0.
 
 Every event is located by one bisection, `_bisect_event`, on a value of t
 and the bracket values its caller already holds: x1 at a crossing and
@@ -776,10 +777,13 @@ def integrate_blowup(sys: PiecewiseSmoothSystem, eps: float, y0, t_span,
         t_star, y_star = _bisect_event(seg, lambda t: 1.0 - bound * _hermite(seg, t)[0],
                                        seg[0], 1.0 - bound * seg[1][0],
                                        seg[3], 1.0 - bound * lam, _monotone_noise(seg))
+        # the located lam is the bound up to rounding, on either side; the
+        # exit state holds the bound itself, as a slide's x1 holds 0.0
+        y_star = (bound, y_star[1], y_star[2])
         if t_star > traj.times[-1]:
-            traj.append(t_star, y_star, rhs(*y_star), LAYER, y_star[0])
+            traj.append(t_star, y_star, rhs(*y_star), LAYER, bound)
         traj.add_event(t_star, BOUNDARY_EXIT, y_star)
-        traj.meta["boundary_exit"] = 1 if y_star[0] > 0 else -1
+        traj.meta["boundary_exit"] = int(bound)
     return traj
 
 

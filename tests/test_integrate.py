@@ -1596,6 +1596,24 @@ def test_blowup_boundary_exit():
     assert traj.t_end < 1.0
 
 
+@pytest.mark.parametrize("name, eps, y0, bound", [
+    ("example-i", None, (0.0, 1.0, 1.0), 1.0),
+    ("mixed-nf", 1e-2, (0.0, 1.0, 1.0), -1.0),
+    ("invisible-nf", None, (0.0, 1.0, 1.0), -1.0),
+])
+def test_blowup_exit_state_holds_lam_at_its_bound(name, eps, y0, bound):
+    # the located lam lies within rounding of the bound, on either side
+    # (1 + 2.2e-16, -1 - 6.7e-16 and -1 + 8.3e-14 here); the exit sample
+    # and the event record the bound itself
+    sc = builtin(name)
+    traj = integrate_blowup(sc.system, eps or sc.epsilon, y0, (0.0, 10.0))
+    exit_event, = events_of_kind(traj, "boundary-exit")
+    assert exit_event.t == traj.t_end < 10.0
+    assert exit_event.state[0] == traj.final_state[0] == traj.lams[-1] == bound
+    assert exit_event.state == traj.final_state
+    assert traj.meta["boundary_exit"] == bound
+
+
 def test_blowup_needs_no_params():
     # the same normal form written as expressions, without params
     nf_sys = nf(-1, 1, -4.0, -1.0, 0.2)
